@@ -6,6 +6,9 @@ profile    CSV: rho, A, A_prime, K_par, K_perp
 geodesic   CSV: t, rho, rho_prime[, theta]   (theta only at (pi/4, 0))
 jacobi     CSV: t, U, U_prime, V, V_prime, kernel
 stable     JSON: {kind, s, r, eps, Y0, W_prime_0, seed_horizon, seed_residual}
+           seed_horizon is the fixed T0 where W = Y'/Y is seeded with -1;
+           seed_residual is the a-priori contraction bound on the resulting
+           error of W'(0) (exactly 0 for parallel kernels)
 find-r     JSON: {eps, r_star, root_residual}
 scan       JSON: the full ScanReport; exit status 0 iff overall success
 

@@ -82,19 +82,6 @@ class JacobiKernel:
             return self.entry
         return self.radial.transition_exit_time
 
-    @property
-    def constant_tail_start(self) -> float | None:
-        """Time past which k is identically -1 (exactly), or None.
-
-        Holds for parallel kernels once rho has left the transition zone;
-        perpendicular kernels only approach -1 asymptotically.
-        """
-        if self.kind != "parallel":
-            return None
-        if self.params.s >= self.params.r + self.params.eps:
-            return 0.0
-        return self.exit
-
     def _region_bounds(self) -> tuple[float | None, float | None]:
         """(end of the ball region, end of the transition region), either
         possibly None when the geodesic starts past it."""

@@ -183,6 +183,30 @@ class Trajectory:
         _, v = self.state(t)
         return float(v[0]) if np.isscalar(t) else v
 
+    def map(
+        self,
+        fn: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
+    ) -> "Trajectory":
+        """The trajectory of ``(y, y') = fn(t, x, x')`` on the same grid, events
+        and pieces; undoes a change of variables made for the solve."""
+
+        def mapped(piece: _Piece) -> _Piece:
+            def sol(t: np.ndarray) -> np.ndarray:
+                t = np.atleast_1d(np.asarray(t, dtype=float))
+                x, v = piece.eval(t)
+                return np.vstack(fn(t, x, v))
+
+            return _Piece(piece.t_lo, piece.t_hi, sol)
+
+        y, dy = fn(self.grid.nodes, self.values, self.derivs)
+        return Trajectory(
+            grid=self.grid,
+            values=y,
+            derivs=dy,
+            events=self.events,
+            pieces=tuple(mapped(p) for p in self.pieces),
+        )
+
     @classmethod
     def from_affine(
         cls,

@@ -2,11 +2,21 @@
 
 Because both kernels satisfy k(t) -> -1 with an exponentially integrable
 tail, each scalar Jacobi equation has a unique stable solution Y normalized
-by e^t Y(t) -> 1.  It is produced by seeding (e^{-T}, -e^{-T}) at a large
-horizon T and integrating backward; the horizon is accepted once pushing it
-out by 5 moves the certificate by less than the integration tolerance.  For
-parallel kernels the tail is exactly -1 past the curvature transition, so
-any such horizon seeds exactly and no loop is needed.
+by e^t Y(t) -> 1.  It is produced by one backward solve of the log-Riccati
+equation for x = log(e^t Y),
+
+    x'' = -k(t) - (x' - 1)^2,        x(T0) = 0,  x'(T0) = 0,
+
+i.e. the Riccati variable W = Y'/Y = x' - 1 seeded with its limit -1 at a
+fixed horizon T0.  The Riccati flow W' = -k - W^2 contracts in backward
+time (Reid, Riccati Differential Equations, 1972): an error d in W(T0)
+reaches t = 0 damped by (Y(T0)/Y(0))^2, so the seed error is bounded a
+priori by 1/2 |1 + k(T0)| exp(-2 (T0 + x(0))) -- exactly 0 for parallel
+kernels, whose tail is exactly -1; for perpendicular ones 1 + k(T0) decays
+like e^{-4 T0} and already rounds to 0 in double precision at T0 = 30.
+Then Y(0) = exp(x(0)), W'(0) = x'(0) - 1 and Y(t) = exp(x(t) - t).  A zero
+of Y on [0, T0] is a pole of the log-Riccati solution, which the solve
+reports as a certificate failure.
 
 The normalized solution W = Y / Y(0) carries the whole conjugate-point
 story: for an even integrable kernel, no nontrivial solution vanishes twice
@@ -18,12 +28,12 @@ integration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .ode import Trajectory, integrate_backward
+from .ode import IntegrationError, Rhs, Trajectory, integrate_backward
 from .geodesics import GeodesicParams
 from .jacobi import JacobiKernel, make_kernel, theta_infinity
 
@@ -54,14 +64,15 @@ _KERNEL_HORIZON = 50.0
 
 
 class CertificateError(RuntimeError):
-    """The stable solution could not be certified (non-decaying kernel tail,
-    or Y(0) <= 0 outside the continuity neighborhood)."""
+    """The stable solution could not be certified (a zero of Y on [0, T0]
+    outside the continuity neighborhood, or a non-decaying kernel tail)."""
 
 
 @dataclass(frozen=True, eq=False)
 class StableSolution:
     """Stable solution on [0, seed_horizon] with e^t Y(t) -> 1, its value
-    and normalized slope at 0, and the horizon bookkeeping."""
+    and normalized slope at 0, the fixed seed horizon T0 and the a-priori
+    bound on the certificate error due to seeding W(T0) = -1."""
 
     kind: str
     params: GeodesicParams
@@ -75,68 +86,64 @@ class StableSolution:
         return self.Y.value(t) / self.Y0
 
 
-def _backward_pass(kernel: JacobiKernel, T: float, tol: float) -> Trajectory:
-    base, breaks = kernel.rhs_pieces()
-    seed = math.exp(-T)
-    return integrate_backward(base, T, (seed, -seed), 0.0, tol, breaks=breaks)
+def _log_riccati(branch: Rhs) -> Rhs:
+    """x'' = -k(t) - (x' - 1)^2 from one branch of Y'' = -k(t) Y; the branch
+    is linear in Y, so branch(t, 1, 0) = -k(t)."""
+
+    def rhs(t: float, x: float, v: float) -> float:
+        w = v - 1.0
+        return branch(t, 1.0, 0.0) - w * w
+
+    return rhs
 
 
 def stable_solution(
     kernel: JacobiKernel,
     tol: float = 1e-10,
     T0: float = 30.0,
-    dT: float = 5.0,
-    T_max: float = 60.0,
     kind: str | None = None,
 ) -> StableSolution:
-    """Construct the stable solution of the kernel's Jacobi equation.
+    """Construct the stable solution of the kernel's Jacobi equation by one
+    backward log-Riccati solve from W(T0) = -1.
 
     ``kind`` overrides the label stored on the result (the s = 0
     perpendicular equation is integrated as the parallel one, which is the
     same equation).
     """
     horizon = kernel.radial.trajectory.grid.t1
-
-    tail = kernel.constant_tail_start
-    if tail is not None:
-        # k = -1 exactly past the transition: the seed is exact at any
-        # horizon beyond it.
-        T = min(max(T0, tail + 1.0), horizon)
-        traj = _backward_pass(kernel, T, tol)
-        residual = 0.0
-    else:
-        T = T0
-        if T + dT > horizon:
-            raise ValueError("kernel radial horizon too small for the seed loop")
-        traj = _backward_pass(kernel, T, tol)
-        cert = traj.deriv(0.0) / traj.value(0.0)
-        while True:
-            traj_next = _backward_pass(kernel, T + dT, tol)
-            cert_next = traj_next.deriv(0.0) / traj_next.value(0.0)
-            residual = abs(cert_next - cert)
-            T += dT
-            traj, cert = traj_next, cert_next
-            if residual < tol:
-                break
-            if T + dT > min(T_max, horizon):
-                raise CertificateError(
-                    f"certificate did not stabilize by T = {T} "
-                    f"(last change {residual:.3e}); non-decaying kernel tail?"
-                )
-
-    Y0 = traj.value(0.0)
-    if Y0 <= 0.0:
+    if T0 > horizon:
+        raise ValueError(f"seed horizon T0 = {T0} beyond the kernel horizon {horizon}")
+    base, breaks = kernel.rhs_pieces()
+    breaks = tuple(replace(b, rhs_after=_log_riccati(b.rhs_after)) for b in breaks)
+    try:
+        # a zero of Y is a pole of x': the solve stalls or overflows before it
+        with np.errstate(over="raise", invalid="raise"):
+            log_y = integrate_backward(_log_riccati(base), T0, (0.0, 0.0), 0.0, tol,
+                                       breaks=breaks)
+            x0, v0 = float(log_y.values[0]), float(log_y.derivs[0])
+            residual = 0.5 * abs(1.0 + float(kernel.value(T0))) * math.exp(-2.0 * (T0 + x0))
+    except (IntegrationError, ArithmeticError) as exc:
         raise CertificateError(
-            f"Y(0) = {Y0} <= 0 at {kernel.params}: outside the continuity "
-            "neighborhood of the critical parameters"
+            f"stable solution at {kernel.params} vanishes on [0, {T0}] ({exc}): "
+            "outside the continuity neighborhood of the critical parameters"
+        ) from exc
+    if not residual < tol:
+        raise CertificateError(
+            f"seed bound {residual:.3e} at {kernel.params} is not below tol = {tol}; "
+            "non-decaying kernel tail?"
         )
+
+    def exp_shift(t: np.ndarray, x: np.ndarray, v: np.ndarray):
+        y = np.exp(x - t)
+        return y, y * (v - 1.0)
+
     return StableSolution(
         kind=kind or kernel.kind,
         params=kernel.params,
-        Y=traj,
-        Y0=Y0,
-        W_prime_0=traj.deriv(0.0) / Y0,
-        seed_horizon=T,
+        Y=log_y.map(exp_shift),
+        Y0=math.exp(x0),
+        W_prime_0=v0 - 1.0,
+        seed_horizon=T0,
         seed_residual=residual,
     )
 
@@ -145,7 +152,7 @@ def stable_solution(
 def _stable_cached(kind: str, s: float, r: float, eps: float,
                    tol: float, T0: float) -> StableSolution:
     kernel = make_kernel(kind, GeodesicParams(s, r, eps),
-                         horizon=max(_KERNEL_HORIZON, T0 + 10.0), tol=tol)
+                         horizon=max(_KERNEL_HORIZON, T0), tol=tol)
     return stable_solution(kernel, tol=tol, T0=T0, kind=kind)
 
 

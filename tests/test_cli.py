@@ -75,6 +75,13 @@ class TestStable:
         assert set(payload) == {"kind", "s", "r", "eps", "Y0", "W_prime_0",
                                 "seed_horizon", "seed_residual"}
 
+    def test_vanishing_stable_solution_exits_one(self, capsys):
+        code = main(["stable", "--kind", "perpendicular", "--s", "1.4", "--r", "1.5",
+                     "--eps", "0"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "vanishes" in err and "s=1.4, r=1.5" in err
+
     def test_determinism(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["stable", "--kind", "perpendicular", "--s", "0.2", "--out"]

@@ -16,7 +16,7 @@ from ahwarp.geodesics import (
     solve_radial,
 )
 from ahwarp.jacobi import fundamental_pair, make_kernel
-from ahwarp.ode import integrate_ivp
+from ahwarp.ode import IntegrationError, integrate_ivp
 from ahwarp.warp import ProfileParams, solve_warp
 
 PI4 = math.pi / 4
@@ -103,6 +103,13 @@ class TestSolveRadial:
         t_exit = sol.transition_exit_time
         assert t_exit is not None and t_exit > sol.entry_time
         assert float(sol.rho(t_exit)) == pytest.approx(PI4 + 0.1, abs=1e-8)
+
+    @pytest.mark.xfail(raises=(OverflowError, IntegrationError), strict=True,
+                       reason="known defect: the radial solve cannot start at "
+                              "0 < s below double-precision resolution")
+    @pytest.mark.parametrize("s", [1e-20, 6.464532500880693e-291])
+    def test_radial_solve_below_resolution_fails(self, s):
+        solve_radial(GeodesicParams(s, 0.75, 0.0), T=50.0, tol=1e-11)
 
 
 class TestClosedForms:

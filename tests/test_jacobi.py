@@ -53,7 +53,6 @@ class TestKernel:
         kern = make_kernel("parallel", GeodesicParams(0.3, PI4, 0.0))
         ts = np.linspace(kern.entry + 1e-9, 15.0, 50)
         assert np.all(np.asarray(kern.value(ts)) == -1.0)
-        assert kern.constant_tail_start == kern.entry
 
     def test_asymptotically_hyperbolic(self):
         for kind in ("parallel", "perpendicular"):

@@ -15,7 +15,7 @@ from ahwarp.search import (
     verify_large_s,
     verify_small_s,
 )
-from ahwarp.stable import certificate_parallel_closed, stable_for
+from ahwarp.stable import certificate, certificate_parallel_closed, stable_for
 
 PI4 = math.pi / 4
 
@@ -53,6 +53,13 @@ class TestFindRStar:
     def test_narrow_bracket_fails_for_large_eps(self):
         with pytest.raises(BracketError):
             find_r_star(0.3, bracket_halfwidth=0.02, tol=1e-11)
+
+    def test_root_certificate_within_tolerance_at_drawn_eps(self):
+        # verify_small_s recomputes the s = 0 certificate at tol 1e-10; at a
+        # root it must stay inside TOL_SIGN or the scan fails spuriously
+        eps = 0.020927634009400266
+        r_star, _ = find_r_star(eps)
+        assert abs(certificate("parallel", GeodesicParams(0.0, r_star, eps), tol=1e-10)) < 1e-10
 
     @pytest.mark.parametrize("eps", [0.0, 0.05])
     def test_root_function_monotone_across_bracket(self, eps):

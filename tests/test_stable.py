@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ahwarp.stable as stable_mod
 from ahwarp.geodesics import GeodesicParams
 from ahwarp.jacobi import (
     closed_U_perp,
@@ -12,7 +15,9 @@ from ahwarp.jacobi import (
     make_kernel,
     theta_infinity,
 )
+from ahwarp.ode import integrate_backward
 from ahwarp.stable import (
+    CertificateError,
     certificate,
     certificate_parallel_closed,
     certificate_perp_closed,
@@ -115,6 +120,59 @@ class TestSeedingConsistency:
     def test_parallel_seeding_is_exact(self):
         sol = stable_for("parallel", GeodesicParams(0.2, PI4, 0.0), tol=1e-10)
         assert sol.seed_residual == 0.0
+
+
+def _linear_seeded_certificate(kernel, T=40.0, tol=1e-11):
+    """Reference W'(0): the linear Jacobi equation seeded with
+    (e^{-T}, -e^{-T}) and integrated backward on the kernel's own pieces."""
+    base, breaks = kernel.rhs_pieces()
+    seed = math.exp(-T)
+    traj = integrate_backward(base, T, (seed, -seed), 0.0, tol, breaks=breaks)
+    return traj.deriv(0.0) / traj.value(0.0)
+
+
+class TestRiccatiAgainstLinear:
+    @given(
+        kind=st.sampled_from(["parallel", "perpendicular"]),
+        # 0 < s < 1e-15 is left out: solve_radial itself fails there (see
+        # test_radial_solve_below_resolution_fails)
+        s=st.one_of(st.just(0.0), st.floats(1e-6, 0.7)),
+        r=st.floats(0.7, 0.85),
+        eps=st.one_of(st.just(0.0), st.floats(0.005, 0.1)),
+    )
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    def test_certificates_agree(self, kind, s, r, eps):
+        kernel = make_kernel(kind, GeodesicParams(s, r, eps), tol=1e-11)
+        riccati = stable_solution(kernel, tol=1e-11).W_prime_0
+        linear = _linear_seeded_certificate(kernel)
+        assert abs(riccati - linear) <= 1e-8 * abs(linear)
+
+
+class TestOneBackwardSolve:
+    @pytest.mark.parametrize("kind, mu", [
+        ("parallel", (0.0, PI4, 0.0)),
+        ("parallel", (0.2, 0.76, 0.05)),
+        ("perpendicular", (0.2, PI4, 0.0)),
+        ("perpendicular", (0.3, PI4, 0.05)),
+    ])
+    def test_single_integrate_backward_call(self, monkeypatch, kind, mu):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return integrate_backward(*args, **kwargs)
+
+        monkeypatch.setattr(stable_mod, "integrate_backward", counting)
+        kernel = make_kernel(kind, GeodesicParams(*mu))
+        sol = stable_solution(kernel, tol=1e-10)
+        assert calls == [sol.seed_horizon]
+        assert sol.seed_residual < 1e-10
+
+
+class TestVanishingStableSolution:
+    def test_zero_of_Y_is_a_certificate_error(self):
+        with pytest.raises(CertificateError, match=r"s=1\.4, r=1\.5, eps=0\.0"):
+            stable_for("perpendicular", GeodesicParams(1.4, 1.5, 0.0), tol=1e-10)
 
 
 class TestPositivity:
