@@ -1,7 +1,10 @@
 """Stable solutions and the double-zero certificate W'(0).
 
 Seeding W = Y'/Y = -1 far out and integrating the log-Riccati equation
-backward once produces the unique Jacobi solution with e^t Y(t) -> 1.  The
+backward once produces the unique in-plane Jacobi solution with
+e^t Y(t) -> 1; the off-plane one is the Killing field A(rho) sin(phi), phi
+the angle the geodesic has still to sweep, so W'(0) = -cot(phi(0)) / A(s)
+with no solve at all.  The
 normalized slope W'(0) decides everything: solutions vanishing twice exist
 if and only if W'(0) > 0.  Along radial geodesics of the sharp metric the certificate is
 (sin r - cos r)/(sin r + cos r) -- negative below pi/4, positive above, and

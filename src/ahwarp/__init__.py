@@ -49,7 +49,8 @@ from .jacobi import (
     closed_V_parallel,
     closed_V_perp,
     fundamental_pair,
-    kernel_value,
+    jacobi_solution,
+    killing_field,
     make_kernel,
     theta,
     theta_infinity,

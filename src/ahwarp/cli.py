@@ -6,15 +6,19 @@ profile    CSV: rho, A, A_prime, K_par, K_perp
 geodesic   CSV: t, rho, rho_prime[, theta]   (theta only at (pi/4, 0))
 jacobi     CSV: t, U, U_prime, V, V_prime, kernel
 stable     JSON: {kind, s, r, eps, Y0, W_prime_0, seed_horizon, seed_residual}
-           seed_horizon is the fixed T0 where W = Y'/Y is seeded with -1;
-           seed_residual is the a-priori contraction bound on the resulting
-           error of W'(0) (exactly 0 for parallel kernels)
+           seed_horizon is the fixed T0 with e^{T0} Y(T0) = 1 (for parallel
+           kernels, where W = Y'/Y is seeded with -1); seed_residual bounds
+           the resulting error of W'(0): the Riccati contraction bound
+           (exactly 0) for parallel kernels, the angle tail dropped past the
+           kernel horizon for perpendicular ones
 find-r     JSON: {eps, r_star, root_residual}
 scan       JSON: the full ScanReport; exit status 0 iff overall success
 
 Floats are written in their shortest round-trip representation, so two runs
-with the same configuration produce byte-identical output.  Exit codes:
-0 success, 1 computation failure, 2 usage error.
+with the same configuration produce byte-identical output.  The AHWARP_TOL
+environment variable sets the default --tol; it is read when ``main`` runs.
+Exit codes: 0 success, 1 computation failure (including arithmetic
+overflow), 2 usage error (including a malformed AHWARP_TOL).
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ __all__ = ["RunConfig", "run", "main"]
 _QUARTER_PI = math.pi / 4.0
 
 TOL_MIN, TOL_MAX = 1e-12, 1e-4
-_DEFAULT_TOL = float(os.environ.get("AHWARP_TOL", "1e-10"))
+DEFAULT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -49,7 +53,7 @@ class RunConfig:
     dt: float = 0.05
     rho_max: float = 10.0
     drho: float = 0.01
-    tol: float = _DEFAULT_TOL
+    tol: float = DEFAULT_TOL
     sigma: float = 0.3
     ds: float = 0.01
     bracket_halfwidth: float = 0.1
@@ -199,8 +203,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="subcommand", required=True)
 
     def common(sp, fmt_default="csv"):
-        sp.add_argument("--tol", type=float, default=_DEFAULT_TOL,
-                        help="integration tolerance (default %(default)s, "
+        sp.add_argument("--tol", type=float, default=None,
+                        help=f"integration tolerance (default {DEFAULT_TOL}, "
                         "or the AHWARP_TOL environment variable)")
         sp.add_argument("--out", type=str, default=None,
                         help="output file (default: stdout)")
@@ -255,9 +259,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _default_tol(parser: argparse.ArgumentParser) -> float:
+    raw = os.environ.get("AHWARP_TOL")
+    if raw is None:
+        return DEFAULT_TOL
+    try:
+        return float(raw)
+    except ValueError:
+        parser.error(f"AHWARP_TOL must be a number, got {raw!r}")  # exits 2
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.tol is None:
+        args.tol = _default_tol(parser)
     fields = {k: v for k, v in vars(args).items() if v is not None or k == "out"}
     try:
         config = RunConfig(**fields)
@@ -265,8 +281,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(str(exc))  # exits 2
     try:
         return run(config)
-    except (ValueError, RuntimeError) as exc:
-        print(f"ahwarp: error: {exc}", file=sys.stderr)
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
+        print(f"ahwarp: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -11,9 +11,24 @@ to -1 exponentially as t -> infinity.  For eps = 0 the kernel jumps at the
 entry time and the solutions are C^1 weak solutions; the integrator places a
 node exactly at the jump and integrates each smooth branch separately.
 
+Only the in-plane equation is integrated.  Rotations of S^n are isometries,
+and a Killing field restricted to a geodesic is a Jacobi field (do Carmo,
+Riemannian Geometry, ch. 5).  The rotations that tilt the geodesic's plane
+give the off-plane solutions A(rho(t)) cos theta(t) and A(rho(t)) sin theta(t),
+theta the angular coordinate with Clairaut's rate theta' = A(s)/A(rho)^2 (see
+``geodesics``).  So the off-plane fundamental pair is
+
+    U = A(rho) cos(theta) / A(s),    V = A(rho) sin(theta),
+
+with Wronskian U V' - U' V = A^2 theta' / A(s) = 1 identically, and the
+decaying solution is A(rho) sin(theta_inf - theta).  Along the radial
+geodesic (s = 0) the two equations coincide and the off-plane kernel is
+built as the in-plane one.
+
 At (r, eps) = (pi/4, 0) every fundamental solution is known in closed form;
 those formulas (and the phase function Theta with its limit Theta_infinity)
-are implemented here as oracles for the numerical pipeline.
+are implemented here as oracles for the numerical pipeline.  There Theta is
+the angular coordinate itself past the entry time.
 """
 
 from __future__ import annotations
@@ -32,13 +47,14 @@ from .geodesics import (
     growth_factor,
     solve_radial,
 )
-from .warp import WarpFunction, k_parallel, solve_warp
+from .warp import WarpFunction, k_parallel
 
 __all__ = [
     "JacobiKernel",
     "FundamentalPair",
     "make_kernel",
-    "kernel_value",
+    "killing_field",
+    "jacobi_solution",
     "fundamental_pair",
     "closed_U_parallel",
     "closed_V_parallel",
@@ -57,16 +73,20 @@ KINDS = ("parallel", "perpendicular")
 @dataclass(frozen=True, eq=False)
 class JacobiKernel:
     """The coefficient k(t) of one scalar Jacobi equation, assembled from a
-    radial solution and a warp function.  Pure and immutable."""
+    radial solution (which carries the warp function).  Pure and
+    immutable."""
 
     kind: str
     params: GeodesicParams
     radial: RadialSolution
-    warp: WarpFunction
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+
+    @property
+    def warp(self) -> WarpFunction:
+        return self.radial.warp
 
     # -- region layout -----------------------------------------------------
 
@@ -141,41 +161,25 @@ class JacobiKernel:
     # -- integrator plumbing -------------------------------------------------
 
     def rhs_pieces(self) -> tuple[Rhs, tuple[Break, ...]]:
-        """Base right-hand side plus breakpoints for Y'' = -k(t) Y, each
-        segment carrying the smooth extension of its own kernel branch.
-        The branch callables use scalar arithmetic (hot path)."""
-        parallel = self.kind == "parallel"
+        """Base right-hand side plus breakpoints for the in-plane equation
+        Y'' = -K_par(rho(t)) Y, each segment carrying the smooth extension of
+        its own kernel branch (scalar arithmetic: hot path).  The off-plane
+        equation is never integrated: see :func:`killing_field`."""
+        if self.kind != "parallel":
+            raise ValueError("only the in-plane Jacobi equation is integrated; "
+                             "off-plane solutions are Killing fields")
         radial = self.radial
-        warp = self.warp
-        a_plus, a_minus = warp.a_plus, warp.a_minus
         profile = self.params.profile
 
         def rhs_inside(t: float, x: float, v: float) -> float:
             return -x
 
         def rhs_transition(t: float, x: float, v: float) -> float:
-            rho, drho = radial.state_scalar(t)
-            kpar = float(k_parallel(profile, rho))
-            if parallel:
-                return -kpar * x
-            a_val, a_der = warp.state_scalar(rho)
-            kperp = (1.0 - a_der * a_der) / (a_val * a_val)
-            w2 = drho * drho
-            return -(w2 * kpar + (1.0 - w2) * kperp) * x
+            rho, _ = radial.state_scalar(t)
+            return -float(k_parallel(profile, rho)) * x
 
-        if parallel:
-            def rhs_exterior(t: float, x: float, v: float) -> float:
-                return x
-        else:
-            def rhs_exterior(t: float, x: float, v: float) -> float:
-                rho, drho = radial.state_scalar(t)
-                ep = math.exp(rho)
-                em = 1.0 / ep
-                a_val = a_plus * ep + a_minus * em
-                a_der = a_plus * ep - a_minus * em
-                kperp = (1.0 - a_der * a_der) / (a_val * a_val)
-                w2 = drho * drho
-                return (w2 - (1.0 - w2) * kperp) * x
+        def rhs_exterior(t: float, x: float, v: float) -> float:
+            return x
 
         t_in, t_out = self._region_bounds()
         breaks: list[Break] = []
@@ -202,8 +206,7 @@ def _make_kernel_cached(kind: str, s: float, r: float, eps: float,
     # perpendicular kernel at s = 0 as the parallel one avoids 0/0 limits.
     effective = "parallel" if s == 0.0 else kind
     radial = solve_radial(params, T=horizon, tol=tol)
-    warp = solve_warp(params.profile, tol=min(tol, 1e-12))
-    return JacobiKernel(kind=effective, params=params, radial=radial, warp=warp)
+    return JacobiKernel(kind=effective, params=params, radial=radial)
 
 
 def make_kernel(
@@ -219,8 +222,48 @@ def make_kernel(
     return _make_kernel_cached(kind, params.s, params.r, params.eps, horizon, tol)
 
 
-def kernel_value(kernel: JacobiKernel, t: float | np.ndarray) -> float | np.ndarray:
-    return kernel.value(t)
+def killing_field(
+    kernel: JacobiKernel,
+    p: float,
+    q: float,
+    T: float,
+    angle: str = "theta",
+) -> Trajectory:
+    """The off-plane Jacobi field
+
+        Y(t) = A(rho(t)) / A(s) * (p cos a(t) + q sin a(t))
+
+    on [0, T]: a rotation of S^n restricted to the geodesic.  ``angle``
+    selects a = theta (then p = Y(0) and q = A(s) Y'(0)) or a = phi =
+    theta_inf - theta, in which the decaying field A sin(phi) keeps its full
+    relative precision.  Accuracy follows the radial solve of the kernel.
+    """
+    if kernel.kind != "perpendicular":
+        raise ValueError("Killing fields solve the off-plane equation only (s > 0)")
+    if angle not in ("theta", "phi"):
+        raise ValueError(f"angle must be 'theta' or 'phi', got {angle!r}")
+    radial = kernel.radial
+    horizon = radial.trajectory.grid.t1
+    if not 0.0 < T <= horizon:
+        raise ValueError(f"horizon T = {T} outside (0, {horizon}] of the kernel")
+    warp = kernel.warp
+    a_s = float(warp.value(kernel.params.s))
+    sign = 1.0 if angle == "theta" else -1.0  # phi' = -theta'
+
+    def fn(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        rho, drho = radial.state(t)
+        a, da = warp.state(rho)
+        theta, phi = radial.angles(t)
+        ang = theta if angle == "theta" else phi
+        c, sn = np.cos(ang), np.sin(ang)
+        comb = p * c + q * sn
+        # (A/A(s))' = A' rho' / A(s) and (A/A(s)) a' = sign / A (Clairaut)
+        return (a / a_s) * comb, (da * drho / a_s) * comb + sign * (q * c - p * sn) / a
+
+    nodes = radial.trajectory.grid.nodes
+    nodes = np.append(nodes[nodes < T], T)
+    events = [(te, label) for te, label in radial.trajectory.events if te <= T]
+    return Trajectory.from_function(fn, nodes, events)
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,14 +291,29 @@ class FundamentalPair:
         return np.abs(u * dv - du * v - 1.0) / scale
 
 
-def fundamental_pair(kernel: JacobiKernel, T: float = 20.0, tol: float = 1e-10) -> FundamentalPair:
-    """Integrate the fundamental solutions of Y'' + k(t) Y = 0 on [0, T]."""
+def jacobi_solution(
+    kernel: JacobiKernel,
+    initial: tuple[float, float],
+    T: float = 20.0,
+    tol: float = 1e-10,
+) -> Trajectory:
+    """The solution of Y'' + k(t) Y = 0 on [0, T] with (Y(0), Y'(0)) =
+    ``initial``: integrated for the in-plane kernel, the Killing field of
+    :func:`killing_field` for the off-plane one (``tol`` unused there)."""
     if not T > 0.0:
         raise ValueError("horizon T must be positive")
+    y0, dy0 = initial
+    if kernel.kind == "perpendicular":
+        a_s = float(kernel.warp.value(kernel.params.s))
+        return killing_field(kernel, y0, dy0 * a_s, T)
     base, breaks = kernel.rhs_pieces()
-    U = integrate_ivp(base, 0.0, (1.0, 0.0), T, tol, breaks=breaks)
-    V = integrate_ivp(base, 0.0, (0.0, 1.0), T, tol, breaks=breaks)
-    return FundamentalPair(U=U, V=V)
+    return integrate_ivp(base, 0.0, (y0, dy0), T, tol, breaks=breaks)
+
+
+def fundamental_pair(kernel: JacobiKernel, T: float = 20.0, tol: float = 1e-10) -> FundamentalPair:
+    """The fundamental solutions U, V of Y'' + k(t) Y = 0 on [0, T]."""
+    return FundamentalPair(U=jacobi_solution(kernel, (1.0, 0.0), T, tol),
+                           V=jacobi_solution(kernel, (0.0, 1.0), T, tol))
 
 
 # -- closed forms at (r, eps) = (pi/4, 0) ------------------------------------

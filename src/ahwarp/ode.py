@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -107,11 +108,41 @@ class _Piece:
             object.__setattr__(self, "_ts", None)
             object.__setattr__(self, "_interps", None)
 
+    @cached_property
+    def _stacked(self) -> tuple[np.ndarray, ...]:
+        """The DOP853 interpolants' coefficients stacked over the steps, so
+        array evaluation runs them all at once instead of one call per step;
+        built on the first array evaluation."""
+        interps = self._interps
+        return (
+            np.asarray(self._ts, dtype=float),
+            np.array([d.t_old for d in interps]),
+            np.array([d.h for d in interps]),
+            np.stack([d.F for d in interps]),
+            np.stack([d.y_old for d in interps]),
+        )
+
+    def _dense(self, t: np.ndarray) -> np.ndarray:
+        """The solver's dense output at an array of times: scipy's
+        Dop853DenseOutput arithmetic, operation for operation, on the
+        interpolant of the step holding each time."""
+        ts, t_old, h, F, y_old = self._stacked
+        seg = np.clip(np.searchsorted(ts, t, side="left") - 1, 0, len(h) - 1)
+        x = ((t - t_old[seg]) / h[seg])[:, None]
+        y = np.zeros((len(t), F.shape[2]))
+        for k, i in enumerate(range(F.shape[1] - 1, -1, -1)):
+            y += F[seg, i]
+            y *= x if k % 2 == 0 else 1 - x
+        y += y_old[seg]
+        return y.T
+
     def eval(self, t: np.ndarray) -> np.ndarray:
-        if self.reflect_about is None:
-            y = np.asarray(self.sol(t), dtype=float)
+        tt = t if self.reflect_about is None else self.reflect_about - t
+        if self._interps is not None:
+            y = self._dense(tt)
         else:
-            y = np.asarray(self.sol(self.reflect_about - t), dtype=float)
+            y = np.asarray(self.sol(tt), dtype=float)
+        if self.reflect_about is not None:
             y = np.vstack([y[0], -y[1]])
         return y
 
@@ -208,6 +239,33 @@ class Trajectory:
         )
 
     @classmethod
+    def from_function(
+        cls,
+        fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+        nodes: np.ndarray,
+        events: Sequence[tuple[float, str]] = (),
+    ) -> "Trajectory":
+        """Exact solution ``(x, x') = fn(t)`` on [nodes[0], nodes[-1]], used
+        where a closed form or a quadrature replaces an ODE solve.  ``fn`` is
+        vectorized over t; ``nodes`` is increasing."""
+        nodes = np.asarray(nodes, dtype=float)
+
+        def sol(t: np.ndarray) -> np.ndarray:
+            return np.vstack(fn(np.atleast_1d(np.asarray(t, dtype=float))))
+
+        t0, t1 = float(nodes[0]), float(nodes[-1])
+        grid = TimeGrid(t0=t0, t1=t1, step_hint=(t1 - t0) / max(len(nodes) - 1, 1),
+                        nodes=nodes)
+        y = sol(nodes)
+        return cls(
+            grid=grid,
+            values=y[0],
+            derivs=y[1],
+            events=tuple(sorted(events)),
+            pieces=(_Piece(t0, t1, sol),),
+        )
+
+    @classmethod
     def from_affine(
         cls,
         t0: float,
@@ -219,22 +277,11 @@ class Trajectory:
     ) -> "Trajectory":
         """Exact affine solution x(t) = x0 + slope*(t - t0), used where an
         ODE solve would only reproduce a known line."""
-
-        def sol(t: np.ndarray) -> np.ndarray:
-            t = np.atleast_1d(np.asarray(t, dtype=float))
-            return np.vstack([x0 + slope * (t - t0), np.full_like(t, slope)])
-
         nodes = np.unique(np.concatenate(
             [np.linspace(t0, t1, n_nodes), [te for te, _ in events]]
         ))
-        grid = TimeGrid(t0=t0, t1=t1, step_hint=(t1 - t0) / max(n_nodes - 1, 1), nodes=nodes)
-        y = sol(nodes)
-        return cls(
-            grid=grid,
-            values=y[0],
-            derivs=y[1],
-            events=tuple(sorted(events)),
-            pieces=(_Piece(t0, t1, sol),),
+        return cls.from_function(
+            lambda t: (x0 + slope * (t - t0), np.full_like(t, slope)), nodes, events
         )
 
 

@@ -30,8 +30,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .geodesics import GeodesicParams, comparison_lower_bound, solve_radial
-from .jacobi import make_kernel
-from .ode import integrate_ivp
+from .jacobi import KINDS, jacobi_solution, make_kernel
 from .stable import TOL_SIGN, certificate, certificate_s_derivatives, stable_for
 from .warp import ProfileParams, k_parallel, k_perp, solve_warp
 
@@ -240,7 +239,10 @@ def verify_large_s(
 
     Past rho0 both curvatures are negative and Sturm comparison needs no
     integration; below it, each grid point passes iff both even fundamental
-    solutions have positive minimum on [0, T] and positive exit slope.
+    solutions have positive minimum on [0, T] and positive exit slope.  The
+    off-plane U = A(rho) cos(theta) / A(s) is positive on all of [0, T], not
+    only at the 0.01-spaced samples, exactly when theta(T) < pi/2 (theta
+    increases), so that is required as well.
     Returns (rho0, curvature_certified, records, all passed).
     """
     rho0, certified = _negative_curvature_threshold(ProfileParams(r, eps), tol)
@@ -251,15 +253,14 @@ def verify_large_s(
     for s in _grid(sigma, cap, ds):
         mu = GeodesicParams(s, r, eps)
         mins = {}
-        slopes_ok = True
-        for kind in ("parallel", "perpendicular"):
+        good = True
+        for kind in KINDS:
             kern = make_kernel(kind, mu, horizon=T + 1.0, tol=tol)
-            base, breaks = kern.rhs_pieces()
-            U = integrate_ivp(base, 0.0, (1.0, 0.0), T, tol, breaks=breaks)
-            u, du = U.state(sample)
+            u, du = jacobi_solution(kern, (1.0, 0.0), T, tol).state(sample)
             mins[kind] = float(np.min(u))
-            slopes_ok = slopes_ok and float(du[-1]) > 0.0
-        good = mins["parallel"] > 0.0 and mins["perpendicular"] > 0.0 and slopes_ok
+            good = good and mins[kind] > 0.0 and float(du[-1]) > 0.0
+            if kern.kind == "perpendicular":
+                good = good and float(kern.radial.theta(T)) < math.pi / 2.0
         ok = ok and good
         records.append(MidSRecord(s, mins["parallel"], mins["perpendicular"],
                                   "pass" if good else "fail"))

@@ -2,27 +2,37 @@
 
 Because both kernels satisfy k(t) -> -1 with an exponentially integrable
 tail, each scalar Jacobi equation has a unique stable solution Y normalized
-by e^t Y(t) -> 1.  It is produced by one backward solve of the log-Riccati
-equation for x = log(e^t Y),
+by e^t Y(t) -> 1; here it is normalized at a fixed horizon T0 by
+e^{T0} Y(T0) = 1.
+
+In-plane kernels: one backward solve of the log-Riccati equation for
+x = log(e^t Y),
 
     x'' = -k(t) - (x' - 1)^2,        x(T0) = 0,  x'(T0) = 0,
 
-i.e. the Riccati variable W = Y'/Y = x' - 1 seeded with its limit -1 at a
-fixed horizon T0.  The Riccati flow W' = -k - W^2 contracts in backward
-time (Reid, Riccati Differential Equations, 1972): an error d in W(T0)
-reaches t = 0 damped by (Y(T0)/Y(0))^2, so the seed error is bounded a
-priori by 1/2 |1 + k(T0)| exp(-2 (T0 + x(0))) -- exactly 0 for parallel
-kernels, whose tail is exactly -1; for perpendicular ones 1 + k(T0) decays
-like e^{-4 T0} and already rounds to 0 in double precision at T0 = 30.
-Then Y(0) = exp(x(0)), W'(0) = x'(0) - 1 and Y(t) = exp(x(t) - t).  A zero
-of Y on [0, T0] is a pole of the log-Riccati solution, which the solve
-reports as a certificate failure.
+i.e. the Riccati variable W = Y'/Y = x' - 1 seeded with its limit -1 at T0.
+The Riccati flow W' = -k - W^2 contracts in backward time (Reid, Riccati
+Differential Equations, 1972): an error d in W(T0) reaches t = 0 damped by
+(Y(T0)/Y(0))^2, so the seed error is bounded a priori by
+1/2 |1 + k(T0)| exp(-2 (T0 + x(0))) -- exactly 0, since the in-plane tail is
+exactly -1.  Then Y(0) = exp(x(0)), W'(0) = x'(0) - 1 and
+Y(t) = exp(x(t) - t).  A zero of Y on [0, T0] is a pole of the log-Riccati
+solution, which the solve reports as a certificate failure.
+
+Off-plane kernels: no solve at all.  The stable solution is the Killing
+field Y = C A(rho) sin(phi), phi = theta_inf - theta the angle the geodesic
+has still to sweep (see ``jacobi`` and ``geodesics``), so
+
+    W'(0) = -cot(phi(0)) / A(s),
+
+and Y vanishes somewhere exactly when phi(0) >= pi (phi decreases to 0).
+The tail of Clairaut's rate past the kernel horizon is dropped from phi; its
+bound, carried to W'(0), is the ``seed_residual``.
 
 The normalized solution W = Y / Y(0) carries the whole conjugate-point
 story: for an even integrable kernel, no nontrivial solution vanishes twice
 if and only if W'(0) <= 0.  The certificate at the critical parameters is
-available in closed form and serves as the oracle for the backward
-integration.
+available in closed form and serves as the oracle for both constructions.
 """
 
 from __future__ import annotations
@@ -35,7 +45,7 @@ import numpy as np
 
 from .ode import IntegrationError, Rhs, Trajectory, integrate_backward
 from .geodesics import GeodesicParams
-from .jacobi import JacobiKernel, make_kernel, theta_infinity
+from .jacobi import JacobiKernel, killing_field, make_kernel, theta_infinity
 
 __all__ = [
     "TOL_SIGN",
@@ -61,6 +71,9 @@ _QUARTER_PI = math.pi / 4.0
 TOL_SIGN = 1e-9
 
 _KERNEL_HORIZON = 50.0
+# Time left past T0 before the kernel horizon: the angle tail dropped there is
+# then e^{-2 * 20} ~ 4e-18 relative to phi(T0), below rounding.
+_ANGLE_MARGIN = 20.0
 
 
 class CertificateError(RuntimeError):
@@ -70,9 +83,10 @@ class CertificateError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class StableSolution:
-    """Stable solution on [0, seed_horizon] with e^t Y(t) -> 1, its value
-    and normalized slope at 0, the fixed seed horizon T0 and the a-priori
-    bound on the certificate error due to seeding W(T0) = -1."""
+    """Stable solution on [0, seed_horizon] with e^{T0} Y(T0) = 1, its value
+    and normalized slope at 0, the fixed horizon T0 and the a-priori bound
+    on the certificate error: from seeding W(T0) = -1 (in-plane) or from the
+    angle tail dropped past the kernel horizon (off-plane)."""
 
     kind: str
     params: GeodesicParams
@@ -103,8 +117,9 @@ def stable_solution(
     T0: float = 30.0,
     kind: str | None = None,
 ) -> StableSolution:
-    """Construct the stable solution of the kernel's Jacobi equation by one
-    backward log-Riccati solve from W(T0) = -1.
+    """Construct the stable solution of the kernel's Jacobi equation: one
+    backward log-Riccati solve from W(T0) = -1 for the in-plane kernel, the
+    decaying Killing field for the off-plane one.
 
     ``kind`` overrides the label stored on the result (the s = 0
     perpendicular equation is integrated as the parallel one, which is the
@@ -113,6 +128,8 @@ def stable_solution(
     horizon = kernel.radial.trajectory.grid.t1
     if T0 > horizon:
         raise ValueError(f"seed horizon T0 = {T0} beyond the kernel horizon {horizon}")
+    if kernel.kind == "perpendicular":
+        return _killing_stable(kernel, tol, T0, kind)
     base, breaks = kernel.rhs_pieces()
     breaks = tuple(replace(b, rhs_after=_log_riccati(b.rhs_after)) for b in breaks)
     try:
@@ -123,15 +140,9 @@ def stable_solution(
             x0, v0 = float(log_y.values[0]), float(log_y.derivs[0])
             residual = 0.5 * abs(1.0 + float(kernel.value(T0))) * math.exp(-2.0 * (T0 + x0))
     except (IntegrationError, ArithmeticError) as exc:
-        raise CertificateError(
-            f"stable solution at {kernel.params} vanishes on [0, {T0}] ({exc}): "
-            "outside the continuity neighborhood of the critical parameters"
-        ) from exc
+        raise _vanishes(kernel, T0, str(exc)) from exc
     if not residual < tol:
-        raise CertificateError(
-            f"seed bound {residual:.3e} at {kernel.params} is not below tol = {tol}; "
-            "non-decaying kernel tail?"
-        )
+        raise _seed_bound_error(kernel, residual, tol)
 
     def exp_shift(t: np.ndarray, x: np.ndarray, v: np.ndarray):
         y = np.exp(x - t)
@@ -148,11 +159,56 @@ def stable_solution(
     )
 
 
+def _killing_stable(kernel: JacobiKernel, tol: float, T0: float,
+                    kind: str | None) -> StableSolution:
+    """Y = C A(rho) sin(phi) with e^{T0} Y(T0) = 1."""
+    radial = kernel.radial
+    a_s = float(kernel.warp.value(kernel.params.s))
+    phi0 = radial.theta_infinity
+    if not phi0 < math.pi:
+        raise _vanishes(kernel, T0, f"phi(0) = {phi0:.6f} >= pi")
+    # d W'(0) / d phi(0) = 1 / (A(s) sin^2 phi(0))
+    residual = radial.angle_tail_bound / (a_s * math.sin(phi0) ** 2)
+    if not residual < tol:
+        raise _seed_bound_error(kernel, residual, tol)
+    phi_T = float(radial.angles(T0)[1][0])
+    if not phi_T > 0.0:
+        raise ValueError(f"seed horizon T0 = {T0} leaves no angle before the kernel horizon")
+    a_T = float(kernel.warp.value(float(radial.rho(T0))))
+    scale = math.exp(-T0) * a_s / (a_T * math.sin(phi_T))
+    return StableSolution(
+        kind=kind or kernel.kind,
+        params=kernel.params,
+        Y=killing_field(kernel, 0.0, scale, T0, angle="phi"),
+        Y0=scale * math.sin(phi0),
+        W_prime_0=-math.cos(phi0) / (math.sin(phi0) * a_s),
+        seed_horizon=T0,
+        seed_residual=residual,
+    )
+
+
+def _vanishes(kernel: JacobiKernel, T0: float, detail: str) -> CertificateError:
+    return CertificateError(
+        f"stable solution at {kernel.params} vanishes on [0, {T0}] ({detail}): "
+        "outside the continuity neighborhood of the critical parameters"
+    )
+
+
+def _seed_bound_error(kernel: JacobiKernel, residual: float, tol: float) -> CertificateError:
+    return CertificateError(
+        f"seed bound {residual:.3e} at {kernel.params} is not below tol = {tol}; "
+        "non-decaying kernel tail?"
+    )
+
+
 @lru_cache(maxsize=None)
 def _stable_cached(kind: str, s: float, r: float, eps: float,
                    tol: float, T0: float) -> StableSolution:
+    # An off-plane certificate carries the angle error of the radial solve,
+    # amplified by 1 / (A(s) sin^2 phi(0)); both kinds share one solve.
     kernel = make_kernel(kind, GeodesicParams(s, r, eps),
-                         horizon=max(_KERNEL_HORIZON, T0), tol=tol)
+                         horizon=max(_KERNEL_HORIZON, T0 + _ANGLE_MARGIN),
+                         tol=min(tol, 1e-12))
     return stable_solution(kernel, tol=tol, T0=T0, kind=kind)
 
 

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ahwarp
 from ahwarp.cli import main
 from ahwarp.geodesics import closed_rho, closed_theta
 from ahwarp.search import ScanReport
@@ -136,3 +141,30 @@ class TestErrors:
         code = main(["find-r", "--eps", "0.3", "--bracket-halfwidth", "0.02"])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_malformed_env_tol_is_usage_error(self, monkeypatch):
+        monkeypatch.setenv("AHWARP_TOL", "1e-10x")
+        # importing must not parse it (a fresh interpreter, so the module is
+        # really imported under the malformed value)
+        env = dict(os.environ, PYTHONPATH=str(Path(ahwarp.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", "import ahwarp.cli"], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        with pytest.raises(SystemExit) as exc:
+            main(["stable"])
+        assert exc.value.code == 2
+
+    def test_env_tol_is_default_and_flag_overrides(self, monkeypatch, tmp_path):
+        out = tmp_path / "stable.json"
+        monkeypatch.setenv("AHWARP_TOL", "1e-3")  # outside [1e-12, 1e-4]
+        with pytest.raises(SystemExit) as exc:
+            main(["stable"])
+        assert exc.value.code == 2
+        assert main(["stable", "--tol", "1e-10", "--out", str(out)]) == 0
+
+    def test_arithmetic_error_exits_one(self, tmp_path, capsys):
+        # rho reaches the overflow range of exp before t = 800
+        code = main(["geodesic", "--s", "0.3", "--tmax", "800",
+                     "--out", str(tmp_path / "geo.csv")])
+        assert code == 1
+        assert "OverflowError" in capsys.readouterr().err

@@ -15,7 +15,7 @@ from ahwarp.geodesics import (
     radial_exit_slope,
     solve_radial,
 )
-from ahwarp.jacobi import fundamental_pair, make_kernel
+from ahwarp.jacobi import fundamental_pair, make_kernel, theta_infinity
 from ahwarp.ode import IntegrationError, integrate_ivp
 from ahwarp.warp import ProfileParams, solve_warp
 
@@ -144,6 +144,63 @@ class TestClosedForms:
     def test_theta_odd(self):
         for s in (0.2, 1.0):
             assert closed_theta(s, -3.0) == pytest.approx(-closed_theta(s, 3.0), abs=1e-15)
+
+
+def closed_phi(s, t):
+    """theta_inf - theta past the entry time at (pi/4, 0), in forms free of
+    cancellation: 2 sin(s) e^{-x} / ((1 + sqrt(cos 2s)) F) for s < pi/4 and
+    sqrt2 e^{pi/4 - s} (1 - tanh t) for s >= pi/4."""
+    if s >= PI4:
+        return math.sqrt(2.0) * math.exp(PI4 - s) * 2.0 / (np.exp(2.0 * t) + 1.0)
+    x = t - entry_time(s, PI4)
+    return 2.0 * math.sin(s) * np.exp(-x) / (
+        (1.0 + math.sqrt(math.cos(2.0 * s))) * np.asarray(growth_factor(t, s)))
+
+
+class TestAngularCoordinate:
+    @pytest.mark.parametrize("s", [0.05, 0.3, 0.6, 0.78])
+    def test_theta_matches_closed_form_below_quarter_pi(self, s):
+        sol = solve_radial(GeodesicParams(s, PI4, 0.0), T=12.5, tol=1e-12)
+        ts = np.linspace(0.0, 12.0, 1201)
+        assert np.max(np.abs(sol.theta(ts) - np.asarray(closed_theta(s, ts)))) < 1e-10
+        # exact inside the ball, including theta(0) = 0
+        inside = ts[ts < sol.entry_time]
+        assert np.array_equal(sol.theta(inside), np.arctan2(
+            np.sin(inside), math.sin(s) * np.cos(inside)))
+        assert sol.theta(0.0) == 0.0
+
+    @pytest.mark.parametrize("s", [PI4, 1.0, 2.0])
+    def test_theta_matches_closed_form_from_quarter_pi(self, s):
+        sol = solve_radial(GeodesicParams(s, PI4, 0.0), T=12.5, tol=1e-12)
+        ts = np.linspace(0.0, 12.0, 1201)
+        assert np.max(np.abs(sol.theta(ts) - np.asarray(closed_theta(s, ts)))) < 1e-10
+        assert sol.theta(0.0) == 0.0
+
+    @pytest.mark.parametrize("s", [0.1, 0.3, 1.0])
+    def test_phi_is_summed_tail_first(self, s):
+        # phi(t) falls like e^{-2t}; theta_inf - theta would leave no digits
+        # of it by t ~ 18, the tail-first sum keeps its relative precision
+        sol = solve_radial(GeodesicParams(s, PI4, 0.0), T=40.0, tol=1e-12)
+        ts = np.linspace(sol.entry_time or 0.0, 25.0, 500)
+        _, phi = sol.angles(ts)
+        assert np.max(np.abs(phi / closed_phi(s, ts) - 1.0)) < 1e-8
+
+    def test_theta_infinity_and_tail_bound(self):
+        for s in (0.2, 0.5):
+            sol = solve_radial(GeodesicParams(s, PI4, 0.0), T=20.0, tol=1e-12)
+            assert sol.theta_infinity == pytest.approx(theta_infinity(s), abs=1e-11)
+            tail = float(closed_phi(s, 20.0))
+            assert tail <= sol.angle_tail_bound <= 2.0 * tail * (1.0 + 1e-9)
+
+    def test_tail_bound_infinite_inside_transition(self):
+        sol = solve_radial(GeodesicParams(0.3, 0.7, 0.1), T=0.2, tol=1e-10)
+        assert sol.angle_tail_bound == math.inf
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            solve_radial(GeodesicParams(0.0, PI4, 0.0), T=5.0).theta(1.0)
+        with pytest.raises(ValueError):
+            solve_radial(GeodesicParams(0.3, PI4, 0.0), T=5.0).theta(6.0)
 
 
 class TestComparisonBound:

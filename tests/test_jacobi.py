@@ -12,7 +12,8 @@ from ahwarp.jacobi import (
     closed_V_parallel,
     closed_V_perp,
     fundamental_pair,
-    kernel_value,
+    jacobi_solution,
+    killing_field,
     make_kernel,
     theta,
     theta_infinity,
@@ -36,18 +37,18 @@ def kernel_closed(s, t):
 class TestKernel:
     def test_inside_cap(self):
         kern = make_kernel("perpendicular", GeodesicParams(0.3, PI4, 0.0))
-        assert kernel_value(kern, 0.5) == 1.0
+        assert kern.value(0.5) == 1.0
 
     def test_outside_cap_small_s(self):
         # kernel accuracy follows the radial solve tolerance
         kern = make_kernel("perpendicular", GeodesicParams(0.3, PI4, 0.0), tol=1e-12)
-        assert kernel_value(kern, 2.0) == pytest.approx(kernel_closed(0.3, 2.0), abs=1e-10)
+        assert kern.value(2.0) == pytest.approx(kernel_closed(0.3, 2.0), abs=1e-10)
 
     def test_never_entering(self):
         kern = make_kernel("perpendicular", GeodesicParams(1.0, PI4, 0.0))
-        assert kernel_value(kern, 1.0) == pytest.approx(kernel_closed(1.0, 1.0), abs=1e-12)
+        assert kern.value(1.0) == pytest.approx(kernel_closed(1.0, 1.0), abs=1e-12)
         expected = -1.0 + 2.0 * math.exp(-2.0 + math.pi / 2) / math.cosh(1.0) ** 4
-        assert kernel_value(kern, 1.0) == pytest.approx(expected, abs=1e-12)
+        assert kern.value(1.0) == pytest.approx(expected, abs=1e-12)
 
     def test_parallel_kernel_constant_outside(self):
         kern = make_kernel("parallel", GeodesicParams(0.3, PI4, 0.0))
@@ -132,6 +133,35 @@ class TestFundamentalPair:
         # absolute conservation where the bilinear terms are O(1)
         early = np.linspace(0.0, 5.0, 100)
         assert np.max(np.abs(pair.wronskian(early) - 1.0)) < 1e-8
+
+    def test_perp_wronskian_is_exact(self):
+        # U = A cos(theta) / A(s), V = A sin(theta): U V' - U' V = A^2 theta' / A(s)
+        # = 1 by Clairaut's integral, to rounding (the integrated pair was off
+        # by 2.1e-8 here)
+        kern = make_kernel("perpendicular", GeodesicParams(0.15636, 0.76038, 0.021519))
+        pair = fundamental_pair(kern, T=20.0, tol=1e-10)
+        assert np.max(pair.wronskian_deviation(np.linspace(0.0, 20.0, 2001))) <= 1e-12
+
+    def test_perp_solution_is_killing_combination(self):
+        # Y(0) = a, Y'(0) = b gives a U + b V, and no ODE is solved for it
+        kern = make_kernel("perpendicular", GeodesicParams(0.4, 0.76, 0.05))
+        pair = fundamental_pair(kern, T=10.0)
+        ts = np.linspace(0.0, 10.0, 101)
+        y, dy = jacobi_solution(kern, (2.0, -3.0), T=10.0).state(ts)
+        u, du = pair.U.state(ts)
+        v, dv = pair.V.state(ts)
+        scale = np.abs(2.0 * u) + np.abs(3.0 * v)
+        assert np.max(np.abs(y - (2.0 * u - 3.0 * v)) / scale) < 1e-14
+        assert np.max(np.abs(dy - (2.0 * du - 3.0 * dv)) / scale) < 1e-14
+
+    def test_off_plane_equation_is_not_integrated(self):
+        kern = make_kernel("perpendicular", GeodesicParams(0.3, PI4, 0.0))
+        with pytest.raises(ValueError):
+            kern.rhs_pieces()
+        with pytest.raises(ValueError):
+            killing_field(make_kernel("parallel", GeodesicParams(0.3, PI4, 0.0)), 1.0, 0.0, 5.0)
+        with pytest.raises(ValueError):
+            killing_field(kern, 1.0, 0.0, 60.0)  # beyond the kernel horizon
 
     def test_smooth_small_s_limit(self):
         # numeric pair at s = 0.001 matches the closed off-plane form, which

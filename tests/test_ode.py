@@ -187,6 +187,35 @@ class TestTrajectory:
         assert (2.0, "mark") in traj.events
         assert 2.0 in traj.grid.nodes
 
+    def test_function_factory(self):
+        traj = Trajectory.from_function(lambda t: (np.sin(t), np.cos(t)),
+                                        np.linspace(0.0, 3.0, 7), events=[(1.5, "mid")])
+        assert traj.value(2.2) == math.sin(2.2) and traj.deriv(0.4) == math.cos(0.4)
+        assert np.array_equal(traj.values, np.sin(traj.grid.nodes))
+        assert traj.events == ((1.5, "mid"),)
+        assert (traj.grid.t0, traj.grid.t1) == (0.0, 3.0)
+
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_array_evaluation_equals_scipy_dense_output(self, backward):
+        # all interpolants of a piece are evaluated at once; scipy's own
+        # OdeSolution is the reference, operation for operation
+        rhs = lambda t, x, v: -(1.0 + 0.1 * math.sin(t)) * x
+        if backward:
+            traj = integrate_backward(rhs, 12.0, (1.0, -0.5), 0.0, 1e-10,
+                                      breaks=[Break(5.0, None, antiharmonic)])
+        else:
+            traj = integrate_ivp(rhs, 0.0, (1.0, 0.3), 12.0, 1e-10,
+                                 breaks=[Break(5.0, None, antiharmonic)])
+        ts = np.concatenate([np.linspace(0.0, 12.0, 997), traj.grid.nodes])
+        for piece in traj.pieces:
+            t = ts[(ts >= piece.t_lo) & (ts <= piece.t_hi)]
+            got = piece.eval(t)
+            tt = t if piece.reflect_about is None else piece.reflect_about - t
+            ref = np.asarray(piece.sol(tt))
+            if piece.reflect_about is not None:
+                ref = np.vstack([ref[0], -ref[1]])
+            assert np.array_equal(got, ref)
+
     def test_out_of_range_rejected(self):
         traj = integrate_ivp(harmonic, 0.0, (0.0, 1.0), 1.0, 1e-10)
         with pytest.raises(ValueError):

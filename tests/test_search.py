@@ -15,7 +15,14 @@ from ahwarp.search import (
     verify_large_s,
     verify_small_s,
 )
-from ahwarp.stable import certificate, certificate_parallel_closed, stable_for
+from ahwarp.geodesics import RadialSolution
+from ahwarp.stable import (
+    TOL_SIGN,
+    certificate,
+    certificate_parallel_closed,
+    certificate_perp_closed,
+    stable_for,
+)
 
 PI4 = math.pi / 4
 
@@ -106,6 +113,16 @@ class TestVerifyLargeS:
         assert records[0].min_U_perp == pytest.approx(float(np.min(closed)), abs=1e-6)
         assert records[0].min_U_perp > 0
 
+    def test_perp_verdict_requires_angle_below_quarter_turn(self, monkeypatch):
+        # U_perp = A cos(theta) / A(s) > 0 on all of [0, T] iff theta(T) <
+        # pi/2; a sampled minimum alone cannot see a dip between samples
+        _, _, records, ok = verify_large_s(PI4, 0.0, sigma=0.5, S_cap=0.5, ds=0.1)
+        assert ok and records[0].verdict == "pass"
+        monkeypatch.setattr(RadialSolution, "theta", lambda self, t: math.pi / 2)
+        _, _, records, ok = verify_large_s(PI4, 0.0, sigma=0.5, S_cap=0.5, ds=0.1)
+        assert not ok and records[0].verdict == "fail"
+        assert records[0].min_U_perp > 0.0  # the samples alone would pass
+
     def test_overlap_with_certificate_method(self):
         # both regimes must agree on [sigma, 2 sigma]
         records_cert, _, ok_cert = verify_small_s(PI4, 0.0, sigma=0.6, ds=0.1, tol=1e-10)
@@ -139,6 +156,10 @@ class TestAssembleReport:
         assert all(rec.verdict == "pass" for rec in sharp_report.mid_s)
         assert sharp_report.small_s[0].s == 0.0
         assert sharp_report.mid_s[-1].s >= sharp_report.large_s_threshold - 0.011
+
+    def test_perp_certificates_within_sign_band_of_closed_form(self, sharp_report):
+        for rec in sharp_report.small_s:
+            assert abs(rec.cert_perp - certificate_perp_closed(rec.s)) <= TOL_SIGN / 10.0
 
     def test_concavity_recorded(self, sharp_report):
         d1, d2 = sharp_report.concavity
