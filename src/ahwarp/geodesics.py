@@ -102,9 +102,6 @@ class RadialSolution:
     def state(self, t: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.trajectory.state(t)
 
-    def state_scalar(self, t: float) -> tuple[float, float]:
-        return self.trajectory.state_scalar(t)
-
     def rho(self, t: float | np.ndarray) -> float | np.ndarray:
         return self.trajectory.value(t)
 
@@ -226,7 +223,8 @@ def _solve_radial_cached(s: float, r: float, eps: float, T: float, tol: float) -
         events = [(r, "entry")]
         if eps > 0.0 and r + eps < T:
             events.append((r + eps, "transition_exit"))
-        traj = Trajectory.from_affine(0.0, T, 0.0, 1.0, events=events)
+        nodes = np.unique(np.concatenate([np.linspace(0.0, T, 33), [te for te, _ in events]]))
+        traj = Trajectory.from_function(lambda t: (t, np.ones_like(t)), nodes, events)
         return RadialSolution(params=params, trajectory=traj, entry_time=r, warp=warp)
 
     def rhs(t: float, x: float, v: float) -> float:

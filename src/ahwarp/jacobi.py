@@ -168,14 +168,14 @@ class JacobiKernel:
         if self.kind != "parallel":
             raise ValueError("only the in-plane Jacobi equation is integrated; "
                              "off-plane solutions are Killing fields")
-        radial = self.radial
+        trajectory = self.radial.trajectory
         profile = self.params.profile
 
         def rhs_inside(t: float, x: float, v: float) -> float:
             return -x
 
         def rhs_transition(t: float, x: float, v: float) -> float:
-            rho, _ = radial.state_scalar(t)
+            rho, _ = trajectory.state_scalar(t)
             return -float(k_parallel(profile, rho)) * x
 
         def rhs_exterior(t: float, x: float, v: float) -> float:

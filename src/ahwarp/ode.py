@@ -14,9 +14,9 @@ solver:
   coefficient are realized: each smooth branch is integrated on its own
   closed segment and the state is handed over unchanged at the junction.
 
-Backward problems are integrated forward in ``tau = T - t`` with a
-sign-flipped velocity, then re-expressed on the forward time axis, so there
-is a single solver code path.
+Backward problems go to the solver as stated, on a decreasing time span;
+one loop serves both directions and always reports the solution on the
+increasing time axis.
 """
 
 from __future__ import annotations
@@ -83,27 +83,28 @@ class Break:
 class TimeGrid:
     t0: float
     t1: float
-    step_hint: float
     nodes: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class _Piece:
-    """One dense-output segment.  ``reflect_about`` marks segments produced
-    by a backward run: they are evaluated at ``reflect_about - t`` and the
-    derivative component is negated."""
+    """One dense-output segment on [t_lo, t_hi]."""
 
     t_lo: float
     t_hi: float
     sol: Callable[[np.ndarray], np.ndarray]
-    reflect_about: float | None = None
 
     def __post_init__(self) -> None:
         # Unpack scipy's OdeSolution once so the scalar fast path can call
-        # the local interpolants directly (RHS callbacks are scalar-hot).
+        # the local interpolants directly (RHS callbacks are scalar-hot).  A
+        # backward run's steps are stored in increasing time like a forward
+        # run's; each interpolant evaluates (t - t_old) / h for either sign
+        # of its step h.
         if isinstance(self.sol, OdeSolution):
-            object.__setattr__(self, "_ts", list(self.sol.ts))
-            object.__setattr__(self, "_interps", self.sol.interpolants)
+            interps = self.sol.interpolants
+            object.__setattr__(self, "_ts", list(self.sol.ts_sorted))
+            object.__setattr__(
+                self, "_interps", interps if self.sol.ascending else interps[::-1])
         else:
             object.__setattr__(self, "_ts", None)
             object.__setattr__(self, "_interps", None)
@@ -137,26 +138,18 @@ class _Piece:
         return y.T
 
     def eval(self, t: np.ndarray) -> np.ndarray:
-        tt = t if self.reflect_about is None else self.reflect_about - t
         if self._interps is not None:
-            y = self._dense(tt)
-        else:
-            y = np.asarray(self.sol(tt), dtype=float)
-        if self.reflect_about is not None:
-            y = np.vstack([y[0], -y[1]])
-        return y
+            return self._dense(t)
+        return np.asarray(self.sol(t), dtype=float)
 
     def eval_scalar(self, t: float) -> tuple[float, float]:
-        tt = t if self.reflect_about is None else self.reflect_about - t
         if self._interps is not None:
-            i = bisect_right(self._ts, tt) - 1
+            i = bisect_right(self._ts, t) - 1
             i = 0 if i < 0 else (len(self._interps) - 1 if i >= len(self._interps) else i)
-            y = self._interps[i](tt)
+            y = self._interps[i](t)
         else:
-            y = np.asarray(self.sol(np.asarray([tt])), dtype=float)[:, 0]
-        if self.reflect_about is None:
-            return float(y[0]), float(y[1])
-        return float(y[0]), -float(y[1])
+            y = np.asarray(self.sol(np.asarray([t])), dtype=float)[:, 0]
+        return float(y[0]), float(y[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,8 +247,7 @@ class Trajectory:
             return np.vstack(fn(np.atleast_1d(np.asarray(t, dtype=float))))
 
         t0, t1 = float(nodes[0]), float(nodes[-1])
-        grid = TimeGrid(t0=t0, t1=t1, step_hint=(t1 - t0) / max(len(nodes) - 1, 1),
-                        nodes=nodes)
+        grid = TimeGrid(t0=t0, t1=t1, nodes=nodes)
         y = sol(nodes)
         return cls(
             grid=grid,
@@ -263,25 +255,6 @@ class Trajectory:
             derivs=y[1],
             events=tuple(sorted(events)),
             pieces=(_Piece(t0, t1, sol),),
-        )
-
-    @classmethod
-    def from_affine(
-        cls,
-        t0: float,
-        t1: float,
-        x0: float,
-        slope: float,
-        events: Sequence[tuple[float, str]] = (),
-        n_nodes: int = 33,
-    ) -> "Trajectory":
-        """Exact affine solution x(t) = x0 + slope*(t - t0), used where an
-        ODE solve would only reproduce a known line."""
-        nodes = np.unique(np.concatenate(
-            [np.linspace(t0, t1, n_nodes), [te for te, _ in events]]
-        ))
-        return cls.from_function(
-            lambda t: (x0 + slope * (t - t0), np.full_like(t, slope)), nodes, events
         )
 
 
@@ -293,19 +266,21 @@ def _as_system(rhs: Rhs):
 
 
 def _segments(rhs: Rhs, t0: float, t1: float, breaks: Sequence[Break]):
-    """Split [t0, t1] at the break times.  Returns [(a, b, rhs_i, label_i)]
-    where label_i (if any) is attached to the segment start a."""
+    """Split [t0, t1] at the break times.  Returns the segments [(a, b, rhs_i)]
+    in increasing time and the labeled break events [(time, label)]."""
     brs = sorted((b for b in breaks if t0 < b.time < t1), key=lambda b: b.time)
     segs = []
-    cur_rhs, cur_t, cur_label = rhs, t0, None
+    events = []
+    cur_rhs, cur_t = rhs, t0
     for b in brs:
-        segs.append((cur_t, b.time, cur_rhs, cur_label))
+        segs.append((cur_t, b.time, cur_rhs))
         cur_t = b.time
-        cur_label = b.label
+        if b.label is not None:
+            events.append((b.time, b.label))
         if b.rhs_after is not None:
             cur_rhs = b.rhs_after
-    segs.append((cur_t, t1, cur_rhs, cur_label))
-    return segs
+    segs.append((cur_t, t1, cur_rhs))
+    return segs, events
 
 
 def _drive(
@@ -316,30 +291,26 @@ def _drive(
     tol: float,
     switches: Sequence[Switch],
     breaks: Sequence[Break],
-    step_hint: float | None,
-    atol: float | None = None,
-):
-    """Forward-time driver.  Returns (pieces, nodes, states, events)."""
-    rtol = tol
-    if atol is None:
-        atol = tol * 1e-3
+) -> Trajectory:
+    """Integrate from (t0, y0) to t1 in either direction; ``rhs`` and
+    ``breaks`` describe the problem in forward time.  The result is reported
+    on the increasing time axis."""
     y = np.asarray(y0, dtype=float)
     if y.shape != (2,):
         raise ValueError("state must be (x, x')")
+    lo, hi = min(t0, t1), max(t0, t1)
+    segs, events = _segments(rhs, lo, hi, breaks)
+    if t1 < t0:
+        segs = [(b, a, seg_rhs) for (a, b, seg_rhs) in reversed(segs)]
 
     pieces: list[_Piece] = []
     nodes: list[float] = [t0]
     states: list[np.ndarray] = [y.copy()]
-    events: list[tuple[float, str]] = []
     active = list(switches)
-    first = True
 
-    for (a, b, seg_rhs, seg_label) in _segments(rhs, t0, t1, breaks):
-        if seg_label is not None:
-            events.append((a, seg_label))
+    for (a, b, cur_rhs) in segs:
         t = a
-        cur_rhs = seg_rhs
-        while t < b - 1e-14 * max(1.0, abs(b)):
+        while abs(b - t) > 1e-14 * max(1.0, abs(b)):
             ev_fns = []
             for rule in active:
                 def ev(tt, yy, _fn=rule.fn):
@@ -355,19 +326,18 @@ def _drive(
                 method=_METHOD,
                 dense_output=True,
                 events=ev_fns or None,
-                rtol=rtol,
-                atol=atol,
-                first_step=(step_hint if first else None),
+                rtol=tol,
+                atol=tol * 1e-3,
             )
-            first = False
             if sol.status < 0:
                 raise IntegrationError(sol.message)
-            pieces.append(_Piece(t, float(sol.t[-1]), sol.sol))
+            t_end = float(sol.t[-1])
+            pieces.append(_Piece(min(t, t_end), max(t, t_end), sol.sol))
             nodes.extend(float(tt) for tt in sol.t[1:])
             states.extend(sol.y[:, 1:].T)
             if sol.status == 1:
                 fired = [i for i, te in enumerate(sol.t_events) if te.size > 0]
-                i_ev = min(fired, key=lambda i: sol.t_events[i][0])
+                i_ev = min(fired, key=lambda i: abs(sol.t_events[i][0] - t))
                 rule = active.pop(i_ev)
                 te = float(sol.t_events[i_ev][0])
                 events.append((te, rule.label))
@@ -378,23 +348,18 @@ def _drive(
             else:
                 t = b
                 y = sol.y[:, -1].copy()
-    return pieces, np.asarray(nodes), np.asarray(states), events
 
-
-def _assemble(pieces, nodes, states, events, t0, t1, step_hint) -> Trajectory:
-    keep = np.concatenate([[True], np.diff(nodes) > 0])
-    nodes = nodes[keep]
-    states = states[keep]
-    grid = TimeGrid(
-        t0=t0,
-        t1=t1,
-        step_hint=step_hint if step_hint is not None else (t1 - t0) / 100.0,
-        nodes=nodes,
-    )
+    if t1 < t0:
+        pieces.reverse()
+        nodes.reverse()
+        states.reverse()
+    nodes_arr = np.asarray(nodes)
+    states_arr = np.asarray(states)
+    keep = np.concatenate([[True], np.diff(nodes_arr) > 0])
     return Trajectory(
-        grid=grid,
-        values=states[:, 0].copy(),
-        derivs=states[:, 1].copy(),
+        grid=TimeGrid(t0=lo, t1=hi, nodes=nodes_arr[keep]),
+        values=states_arr[keep, 0],
+        derivs=states_arr[keep, 1],
         events=tuple(sorted(events)),
         pieces=tuple(pieces),
     )
@@ -409,7 +374,6 @@ def integrate_ivp(
     *,
     switches: Sequence[Switch] = (),
     breaks: Sequence[Break] = (),
-    step_hint: float | None = None,
 ) -> Trajectory:
     """Integrate x'' = rhs(t, x, x') from (t0, y0) to t1.
 
@@ -423,17 +387,8 @@ def integrate_ivp(
     if t1 < t0:
         if switches:
             raise ValueError("switches are supported in forward time only")
-        return integrate_backward(rhs, t0, y0, t1, tol, breaks=breaks, step_hint=step_hint)
-    pieces, nodes, states, events = _drive(rhs, t0, y0, t1, tol, switches, breaks, step_hint)
-    return _assemble(pieces, nodes, states, events, t0, t1, step_hint)
-
-
-def _seed_atol(tol: float, yT: np.ndarray) -> float:
-    # The absolute floor must resolve the seed itself: a backward run
-    # starting from an exponentially small seed would otherwise grant the
-    # first steps an O(1) relative error budget.
-    scale = float(np.max(np.abs(yT)))
-    return tol * 1e-3 * min(1.0, scale if scale > 0.0 else 1.0)
+        return integrate_backward(rhs, t0, y0, t1, tol, breaks=breaks)
+    return _drive(rhs, t0, y0, t1, tol, switches, breaks)
 
 
 def integrate_backward(
@@ -444,44 +399,13 @@ def integrate_backward(
     tol: float = 1e-10,
     *,
     breaks: Sequence[Break] = (),
-    step_hint: float | None = None,
 ) -> Trajectory:
     """Integrate x'' = rhs(t, x, x') from data (x, x') posed at t = T down to
     t0, returning the solution on the increasing grid [t0, T].
 
     ``rhs`` and ``breaks`` describe the problem in forward time exactly as in
     :func:`integrate_ivp` (the base rhs applies on the earliest segment).
-    Internally this is forward integration in tau = T - t with the velocity
-    sign flipped.
     """
     if not T > t0:
         raise ValueError("backward integration requires T > t0")
-
-    def reflect(g: Rhs) -> Rhs:
-        def g_tau(tau: float, x: float, v: float) -> float:
-            return g(T - tau, x, -v)
-
-        return g_tau
-
-    segs = _segments(rhs, t0, T, breaks)
-    # Last forward segment is the first tau segment.
-    a0, b0, rhs0, _ = segs[-1]
-    tau_breaks = []
-    for (a, b, seg_rhs, seg_label) in reversed(segs[:-1]):
-        tau_breaks.append(Break(time=T - b, label=None, rhs_after=reflect(seg_rhs)))
-    # Labeled junctions become events at their forward times.
-    label_events = [(float(a), lbl) for (a, b, _r, lbl) in segs if lbl is not None]
-
-    yT = np.asarray(yT, dtype=float)
-    pieces, taus, states, _ = _drive(
-        reflect(rhs0), 0.0, (yT[0], -yT[1]), T - t0, tol, (), tau_breaks, step_hint,
-        atol=_seed_atol(tol, yT),
-    )
-
-    fwd_pieces = [
-        _Piece(T - p.t_hi, T - p.t_lo, p.sol, reflect_about=T) for p in reversed(pieces)
-    ]
-    nodes = (T - taus)[::-1]
-    states = states[::-1].copy()
-    states[:, 1] *= -1.0
-    return _assemble(fwd_pieces, nodes, states, label_events, t0, T, step_hint)
+    return _drive(rhs, T, yT, t0, tol, (), breaks)

@@ -242,7 +242,9 @@ def verify_large_s(
     solutions have positive minimum on [0, T] and positive exit slope.  The
     off-plane U = A(rho) cos(theta) / A(s) is positive on all of [0, T], not
     only at the 0.01-spaced samples, exactly when theta(T) < pi/2 (theta
-    increases), so that is required as well.
+    increases), so that is required as well.  Past T the Sturm argument
+    needs both curvatures negative, so each point also requires
+    rho(T) >= rho0 (rho increases).
     Returns (rho0, curvature_certified, records, all passed).
     """
     rho0, certified = _negative_curvature_threshold(ProfileParams(r, eps), tol)
@@ -261,6 +263,7 @@ def verify_large_s(
             good = good and mins[kind] > 0.0 and float(du[-1]) > 0.0
             if kern.kind == "perpendicular":
                 good = good and float(kern.radial.theta(T)) < math.pi / 2.0
+        good = good and float(kern.radial.rho(T)) >= rho0
         ok = ok and good
         records.append(MidSRecord(s, mins["parallel"], mins["perpendicular"],
                                   "pass" if good else "fail"))
@@ -273,6 +276,11 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
     if g[-1] < hi - 1e-12:
         g = np.append(g, hi)
     return g
+
+
+def _failed_at(records) -> str:
+    """The s values of the failing grid points, comma-separated."""
+    return ", ".join(f"{rec.s:g}" for rec in records if rec.verdict == "fail")
 
 
 def _non_trapping_check(r: float, eps: float, tol: float) -> bool:
@@ -356,17 +364,20 @@ def assemble_report(
     }
     witness_ok = y_end < 2.0 * math.exp(-t_check) and residual < 1e-8
 
-    small_records, concavity, small_ok = verify_small_s(r_star, eps, sigma, ds, tol)
-    rho0, certified, mid_records, mid_ok = verify_large_s(
+    small_records, concavity, _ = verify_small_s(r_star, eps, sigma, ds, tol)
+    rho0, certified, mid_records, _ = verify_large_s(
         r_star, eps, sigma, None, ds, T_mid, max(tol, 1e-9)
     )
     non_trapping = _non_trapping_check(r_star, eps, tol)
+    small_failed = _failed_at(small_records)
+    mid_failed = _failed_at(mid_records)
 
     checks = [
         (residual < 1e-10, f"root residual {residual:.3e} >= 1e-10"),
         (witness_ok, "boundary witness does not decay"),
-        (small_ok, "small-s certificate method failed"),
-        (mid_ok, "mid-s positivity method failed"),
+        (not small_failed, f"small-s certificate method failed at s = {small_failed}"),
+        (concavity[1] < 0.0, f"small-s concavity d2 = {concavity[1]:.3e} is not negative"),
+        (not mid_failed, f"mid-s positivity method failed at s = {mid_failed}"),
         (certified, "negative-curvature threshold not confirmed"),
         (non_trapping, "non-trapping lower bound violated"),
     ]

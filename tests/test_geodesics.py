@@ -89,6 +89,15 @@ class TestSolveRadial:
         assert np.array_equal(np.asarray(sol.rho(ts)), ts)
         assert sol.entry_time == PI4
 
+    def test_radial_line_nodes_and_events(self):
+        # rho = t is evaluated exactly, and the entry event is a grid node
+        sol = solve_radial(GeodesicParams(0.0, 0.76, 0.05), T=5.0, tol=1e-10)
+        assert sol.rho(3.3) == 3.3
+        assert sol.drho(4.9) == 1.0 and sol.trajectory.state_scalar(0.9) == (0.9, 1.0)
+        assert (0.76, "entry") in sol.trajectory.events
+        assert 0.76 in sol.trajectory.grid.nodes
+        assert (0.81, "transition_exit") in sol.trajectory.events
+
     def test_monotone_and_convex(self):
         for mu in (GeodesicParams(0.3, PI4, 0.0), GeodesicParams(0.5, 0.76, 0.1)):
             sol = solve_radial(mu, T=15.0, tol=1e-11)

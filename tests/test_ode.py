@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+import ahwarp.ode as ode_mod
 from ahwarp.ode import (
     Break,
     IntegrationError,
@@ -180,13 +182,6 @@ class TestWronskian:
 
 
 class TestTrajectory:
-    def test_affine_factory(self):
-        traj = Trajectory.from_affine(0.0, 5.0, 0.0, 1.0, events=[(2.0, "mark")])
-        assert traj.value(3.3) == pytest.approx(3.3, abs=0)
-        assert traj.deriv(4.9) == 1.0
-        assert (2.0, "mark") in traj.events
-        assert 2.0 in traj.grid.nodes
-
     def test_function_factory(self):
         traj = Trajectory.from_function(lambda t: (np.sin(t), np.cos(t)),
                                         np.linspace(0.0, 3.0, 7), events=[(1.5, "mid")])
@@ -198,7 +193,8 @@ class TestTrajectory:
     @pytest.mark.parametrize("backward", [False, True])
     def test_array_evaluation_equals_scipy_dense_output(self, backward):
         # all interpolants of a piece are evaluated at once; scipy's own
-        # OdeSolution is the reference, operation for operation
+        # OdeSolution is the reference, operation for operation, also at the
+        # nodes and the break, where two steps meet
         rhs = lambda t, x, v: -(1.0 + 0.1 * math.sin(t)) * x
         if backward:
             traj = integrate_backward(rhs, 12.0, (1.0, -0.5), 0.0, 1e-10,
@@ -206,15 +202,29 @@ class TestTrajectory:
         else:
             traj = integrate_ivp(rhs, 0.0, (1.0, 0.3), 12.0, 1e-10,
                                  breaks=[Break(5.0, None, antiharmonic)])
-        ts = np.concatenate([np.linspace(0.0, 12.0, 997), traj.grid.nodes])
+        assert 5.0 in traj.grid.nodes
+        ts = np.concatenate([np.linspace(0.0, 12.0, 997), traj.grid.nodes, [5.0]])
         for piece in traj.pieces:
             t = ts[(ts >= piece.t_lo) & (ts <= piece.t_hi)]
-            got = piece.eval(t)
-            tt = t if piece.reflect_about is None else piece.reflect_about - t
-            ref = np.asarray(piece.sol(tt))
-            if piece.reflect_about is not None:
-                ref = np.vstack([ref[0], -ref[1]])
-            assert np.array_equal(got, ref)
+            ref = np.asarray(piece.sol(t))
+            assert np.array_equal(piece.eval(t), ref)
+            for k, tk in enumerate(t):
+                assert piece.eval_scalar(float(tk)) == (ref[0, k], ref[1, k])
+
+    def test_backward_solve_is_posed_on_decreasing_spans(self, monkeypatch):
+        # the backward problem goes to the solver as stated, one decreasing
+        # span per segment, not reflected into a forward one
+        spans = []
+
+        def recording(fun, t_span, *args, **kwargs):
+            spans.append(tuple(t_span))
+            return solve_ivp(fun, t_span, *args, **kwargs)
+
+        monkeypatch.setattr(ode_mod, "solve_ivp", recording)
+        traj = integrate_backward(antiharmonic, 12.0, (1.0, -1.0), 0.0, 1e-10,
+                                  breaks=[Break(5.0, "k", harmonic)])
+        assert spans == [(12.0, 5.0), (5.0, 0.0)]
+        assert traj.events == ((5.0, "k"),)
 
     def test_out_of_range_rejected(self):
         traj = integrate_ivp(harmonic, 0.0, (0.0, 1.0), 1.0, 1e-10)

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import ahwarp.search as search_mod
 from ahwarp.geodesics import GeodesicParams
+from ahwarp.jacobi import make_kernel
 from ahwarp.search import (
     Bracket,
     BracketError,
@@ -123,6 +125,18 @@ class TestVerifyLargeS:
         assert not ok and records[0].verdict == "fail"
         assert records[0].min_U_perp > 0.0  # the samples alone would pass
 
+    def test_point_requires_rho_past_threshold_at_T(self, monkeypatch):
+        # the Sturm argument past T needs rho(T) >= rho0; it is checked, not
+        # assumed: a threshold just past rho(T) fails the point
+        rho_T = float(make_kernel("parallel", GeodesicParams(0.5, PI4, 0.0),
+                                  horizon=21.0, tol=1e-9).radial.rho(20.0))
+        for rho0, verdict in ((rho_T, "pass"), (np.nextafter(rho_T, math.inf), "fail")):
+            monkeypatch.setattr(search_mod, "_negative_curvature_threshold",
+                                lambda params, tol, rho0=rho0: (rho0, True))
+            _, _, records, ok = verify_large_s(PI4, 0.0, sigma=0.5, S_cap=0.5, ds=0.1)
+            assert ok == (verdict == "pass") and records[0].verdict == verdict
+            assert records[0].min_U_parallel > 0.0 and records[0].min_U_perp > 0.0
+
     def test_overlap_with_certificate_method(self):
         # both regimes must agree on [sigma, 2 sigma]
         records_cert, _, ok_cert = verify_small_s(PI4, 0.0, sigma=0.6, ds=0.1, tol=1e-10)
@@ -174,6 +188,21 @@ class TestAssembleReport:
         rep = assemble_report(0.3, bracket_halfwidth=0.02)
         assert rep.overall == "failed"
         assert "bracket" in rep.failure_reason
+
+    def test_failure_reason_names_failing_s(self, monkeypatch):
+        # one small-s certificate fails and the concavity sign is flipped:
+        # the reason names the failing s and reports the concavity separately
+        def failing_at_015(kind, mu, tol):
+            return 1.0 if abs(mu.s - 0.15) < 1e-9 else certificate(kind, mu, tol)
+
+        monkeypatch.setattr(search_mod, "certificate", failing_at_015)
+        monkeypatch.setattr(search_mod, "certificate_s_derivatives",
+                            lambda kind, mu, tol: (0.0, 0.1))
+        rep = assemble_report(0.0, ds=0.05)
+        assert rep.overall == "failed"
+        assert [round(rec.s, 12) for rec in rep.small_s if rec.verdict == "fail"] == [0.15]
+        assert rep.failure_reason == ("small-s certificate method failed at s = 0.15; "
+                                      "small-s concavity d2 = 1.000e-01 is not negative")
 
     def test_metadata_declares_sampling(self, sharp_report):
         assert "not a computer-assisted proof" in sharp_report.metadata["method"]
