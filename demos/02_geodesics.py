@@ -1,9 +1,10 @@
 """Radial geodesics: events, closed forms, and the non-trapping bound.
 
 A geodesic at distance s from the origin runs along a great-circle arc
-inside the round ball and then escapes to infinity with rho ~ t.  At the
-critical parameters everything has a closed form; the integrator reproduces
-it to ten digits, locating the cap-boundary crossing as an event.
+inside the round ball and then escapes to infinity with rho ~ t.  The arc
+and the exterior (where h = A'(rho) solves h'' = h) are exact; only the
+mollified transition is integrated, so at the critical parameters, where
+everything has a closed form, the pipeline reproduces it to rounding.
 """
 
 import math

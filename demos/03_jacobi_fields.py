@@ -3,8 +3,9 @@
 Two scalar equations govern the normal Jacobi fields: the in-plane kernel
 K_par(rho(t)) and the off-plane mix of K_par and K_perp.  Both jump from +1
 to a value above -1 when the geodesic leaves the ball (sharply for eps = 0).
-The in-plane pair is integrated; the off-plane pair comes from the rotations
-of S^n, whose Killing fields restrict to Jacobi fields:
+The in-plane pair is a rotation in the ball, exponentials past the
+transition and integrated across it; the off-plane pair comes from the
+rotations of S^n, whose Killing fields restrict to Jacobi fields:
 U = A(rho) cos(theta) / A(s) and V = A(rho) sin(theta), with the angular
 coordinate theta from Clairaut's integral, so their Wronskian is 1 to
 rounding.  The even solutions U stay positive along every geodesic of the

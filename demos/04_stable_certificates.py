@@ -1,10 +1,10 @@
 """Stable solutions and the double-zero certificate W'(0).
 
-Seeding W = Y'/Y = -1 far out and integrating the log-Riccati equation
-backward once produces the unique in-plane Jacobi solution with
-e^t Y(t) -> 1; the off-plane one is the Killing field A(rho) sin(phi), phi
-the angle the geodesic has still to sweep, so W'(0) = -cot(phi(0)) / A(s)
-with no solve at all.  The
+The unique in-plane Jacobi solution with e^t Y(t) -> 1 is exactly e^{-t}
+past the transition; one backward log-Riccati solve across the transition
+and a rotation through the ball carry it to t = 0.  The off-plane one is
+the Killing field A(rho) sin(phi), phi the angle the geodesic has still to
+sweep, so W'(0) = -cot(phi(0)) / A(s) with no solve at all.  The
 normalized slope W'(0) decides everything: solutions vanishing twice exist
 if and only if W'(0) > 0.  Along radial geodesics of the sharp metric the certificate is
 (sin r - cos r)/(sin r + cos r) -- negative below pi/4, positive above, and
@@ -45,7 +45,7 @@ sol = stable_for("parallel", GeodesicParams(0.0, PI4, 0.0), tol=1e-11)
 print(f"  Y(0) = {sol.Y0:.12f}  (= sqrt2 e^(-pi/4) = {math.sqrt(2)*math.exp(-PI4):.12f})")
 print(f"  W'(0) = {sol.W_prime_0:+.2e}  -> even extension is C^1, decays both ways")
 print(f"  |Y(20)| = {abs(float(sol.Y.value(20.0))):.3e}  vs  e^(-20) = {math.exp(-20):.3e}"
-      f"  (seeded at T0 = {sol.seed_horizon:g}, seed bound {sol.seed_residual:.1e})")
+      f"  (normalized at T0 = {sol.seed_horizon:g}, error bound {sol.seed_residual:.1e})")
 
 print()
 print("=== off-radial certificates at (s, pi/4, 0) ===")

@@ -6,11 +6,11 @@ profile    CSV: rho, A, A_prime, K_par, K_perp
 geodesic   CSV: t, rho, rho_prime[, theta]   (theta only at (pi/4, 0))
 jacobi     CSV: t, U, U_prime, V, V_prime, kernel
 stable     JSON: {kind, s, r, eps, Y0, W_prime_0, seed_horizon, seed_residual}
-           seed_horizon is the fixed T0 with e^{T0} Y(T0) = 1 (for parallel
-           kernels, where W = Y'/Y is seeded with -1); seed_residual bounds
-           the resulting error of W'(0): the Riccati contraction bound
-           (exactly 0) for parallel kernels, the angle tail dropped past the
-           kernel horizon for perpendicular ones
+           seed_horizon is the fixed T0 with e^{T0} Y(T0) = 1; seed_residual
+           bounds the error of W'(0) that the construction itself leaves:
+           0 for parallel kernels, whose stable solution is exactly e^{-t}
+           past the transition, the angle tail dropped past the kernel
+           horizon for perpendicular ones
 find-r     JSON: {eps, r_star, root_residual}
 scan       JSON: the full ScanReport; exit status 0 iff overall success
 

@@ -6,23 +6,47 @@ rho(t) solving
 
     rho'' = (A'/A)(rho) (1 - rho'^2),    rho(0) = s, rho'(0) = 0   (s > 0),
 
-while the radial geodesic is exactly rho(t) = t (integrating the singular
-polar initial condition is deliberately bypassed).  For s < r the geodesic
-starts inside the round ball, where rho(t) = arccos(cos s cos t) until it
-meets rho = r at the entry time ell_r(s) = arccos(cos r / cos s).
+while the radial geodesic is exactly rho(t) = t.  Only the mollified
+transition r <= rho <= r + eps is integrated; the rest is exact.  Each
+solution is built from three pieces:
+
+* the ball: for s < r the geodesic is the great-circle arc
+  cos(rho) = cos(s) cos(t), written as sin^2(rho/2) = a + b - 2ab =
+  a (1 - b) + b (1 - a) with a = sin^2(s/2), b = sin^2(t/2) (no cancellation
+  however small s is), until the entry time
+  t_in = ell_r(s) = arccos(cos r / cos s);
+* the transition: one DOP853 solve from the exact entry state (or from
+  (s, 0) at t = 0 when r <= s < r + eps) to the crossing of rho = r + eps at
+  the exit time t_x; at eps = 0 this piece is empty;
+* the exterior: there A'' = A, so the warped-product Hessian formula
+  (O'Neill, Semi-Riemannian Geometry, 1983, ch. 7) gives Hess A' = A' g and
+  h(t) = A'(rho(t)) solves h'' = h along every geodesic.  Its data at t_x are
+  exact, h = A'(r + eps) and h' = sqrt(A(r + eps)^2 - A(s)^2) (Clairaut), and
+  since A^2 - A'^2 = 4 a_+ a_- there,
+
+      rho = log((h + sqrt(h^2 + 4 a_+ a_-)) / (2 a_+)),
+      rho' = h' / sqrt(h^2 + 4 a_+ a_-),
+
+  evaluated in a form scaled by e^{-(t - t_x)} that cannot overflow.  Only t_x
+  carries integration error.  The exterior is not of constant curvature
+  (K_perp = -1 + (1 + 4 a_+ a_-)/A^2); what is exact is h'' = h.
 
 The geodesic stays in a totally geodesic 2-plane, where its angular
 coordinate theta (theta(0) = 0) obeys Clairaut's integral
 
-    theta'(t) = A(s) / A(rho(t))^2.
+    theta'(t) = A(s) / A(rho(t))^2,
 
-Inside the ball theta(t) = atan2(sin t, sin s cos t) exactly.  After the
-entry time (from t = 0 if s >= r) the angle is a composite Gauss-Legendre
-sum of Clairaut's rate over the accepted steps of the radial solve, summed
-tail-first as phi(t) = theta_inf - theta(t): the decaying off-plane Jacobi
-field A(rho) sin(phi) is then resolved to full relative precision however
-small phi is.  The tail of the rate past the solve horizon is dropped and
-bounded (RadialSolution.angle_tail_bound).  At the critical parameters
+which past t_x is A(s) / (h^2 + 4 a_+ a_-).  Inside the ball
+theta(t) = atan2(sin t, sin s cos t) exactly.  After the entry time (from
+t = 0 if s >= r) the angle is a composite Gauss-Legendre sum of Clairaut's
+rate over the transition solve's accepted steps and over fixed unit panels
+past t_x, summed tail-first as phi(t) = theta_inf - theta(t): the decaying
+off-plane Jacobi field A(rho) sin(phi) is then resolved to full relative
+precision however small phi is.  A closed antiderivative exists past t_x,
+but it switches between arctan and log branches as 4 a_+ a_- changes sign,
+which happens near r = pi/4, so the quadrature is kept.  The tail of the
+rate past the solve horizon is dropped and bounded
+(RadialSolution.angle_tail_bound).  At the critical parameters
 (r, eps) = (pi/4, 0) everything is available in closed form, including the
 angular coordinate; those formulas are the oracles for the numerical
 pipeline.
@@ -73,24 +97,85 @@ class GeodesicParams:
         return ProfileParams(self.r, self.eps)
 
 
-# Gauss-Legendre rule for Clairaut's rate on the accepted steps of the radial
-# solve.  The rate falls like e^{-2t} while late steps grow to about 5 time
-# units, so steps are split into panels of at most _PANEL, on which 8 nodes
-# integrate it to rounding error.
+# Gauss-Legendre rule for Clairaut's rate on the accepted steps of the
+# transition solve and on the exterior piece.  The rate falls like e^{-2t}, so
+# steps and the exterior are split into panels of at most _PANEL, on which 8
+# nodes integrate it to rounding error.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _PANEL = 1.0
+
+
+def _ball_state(s: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rho, rho') on the great-circle arc cos(rho) = cos(s) cos(t), from
+    sin(rho/2) = hypot(sin(s/2) cos(t/2), cos(s/2) sin(t/2)); rho(0) = s to
+    the last bit even where sin(s/2)^2 underflows."""
+    half = np.hypot(math.sin(0.5 * s) * np.cos(0.5 * t), math.cos(0.5 * s) * np.sin(0.5 * t))
+    sin_rho = 2.0 * half * np.sqrt(1.0 - half * half)
+    return 2.0 * np.arcsin(half), math.cos(s) * np.sin(t) / sin_rho
+
+
+@dataclass(frozen=True)
+class _Exterior:
+    """The geodesic past the transition exit t_x, where h = A'(rho) solves
+    h'' = h.  With tau = t - t_x, e^{-tau} h = (h_x (1 + E) + h'_x (1 - E)) / 2
+    and e^{-tau} h' = (h'_x (1 + E) + h_x (1 - E)) / 2, E = e^{-2 tau}; both
+    terms are nonnegative and nothing overflows."""
+
+    t_x: float
+    rho_x: float
+    h_x: float   # A'(rho(t_x))
+    dh_x: float  # h'(t_x) = A(rho(t_x)) rho'(t_x)
+    d: float     # 4 a_+ a_- = A^2 - A'^2
+    a_s: float   # A(s)
+
+    def _scaled(self, t: np.ndarray):
+        """(tau, E, e^{-tau} h, e^{-tau} h', e^{-tau} A)."""
+        tau = t - self.t_x
+        e = np.exp(-2.0 * tau)
+        m = -np.expm1(-2.0 * tau)
+        g = 0.5 * (self.h_x * (1.0 + e) + self.dh_x * m)
+        dg = 0.5 * (self.dh_x * (1.0 + e) + self.h_x * m)
+        return tau, e, g, dg, np.sqrt(g * g + self.d * e)
+
+    def state(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(rho, rho') = (log((h + A) / (2 a_+)), h' / A), taken relative to
+        t_x so that rho(t_x) = rho_x exactly."""
+        tau, _, g, dg, a = self._scaled(t)
+        a_x = math.sqrt(self.h_x * self.h_x + self.d)
+        return self.rho_x + tau + np.log((g + a) / (self.h_x + a_x)), dg / a
+
+    def rate(self, t: np.ndarray) -> np.ndarray:
+        """Clairaut's rate A(s) / A(rho)^2 = A(s) / (h^2 + 4 a_+ a_-)."""
+        _, e, _, _, a = self._scaled(t)
+        return self.a_s * e / (a * a)
 
 
 @dataclass(frozen=True, eq=False)
 class RadialSolution:
     """rho along one geodesic: dense trajectory on [0, T], the entry time at
-    which rho crosses r (present iff s < r), the warp function A of the
-    metric, and the angular coordinate theta."""
+    which rho crosses r (present iff s < r and it is reached by T), the exit
+    time at which rho reaches r + eps (0 if s >= r + eps, the entry time if
+    eps = 0, None if not reached by T), the warp function A of the metric,
+    the exact exterior piece, and the angular coordinate theta."""
 
     params: GeodesicParams
     trajectory: Trajectory
     entry_time: float | None
     warp: WarpFunction
+    exit_time: float | None = None
+    exterior: _Exterior | None = None
+
+    @property
+    def window(self) -> tuple[float, float]:
+        """(t_in, t_x): inside the ball before t_in, in the transition on
+        [t_in, t_x], outside it after t_x.  t_in = 0 when the geodesic starts
+        outside the ball; t_in = t_x when the transition is sharp."""
+        if self.exit_time is None:
+            raise ValueError(
+                "radial horizon too small: the geodesic has not left the "
+                "transition zone"
+            )
+        return (self.entry_time or 0.0), self.exit_time
 
     @property
     def transition_exit_time(self) -> float | None:
@@ -114,23 +199,39 @@ class RadialSolution:
     def _a_s(self) -> float:
         return float(self.warp.value(self.params.s))
 
+    def _rate(self, t: np.ndarray) -> np.ndarray:
+        """Clairaut's rate A(s)/A(rho)^2: from the exterior piece past t_x,
+        through the trajectory before it."""
+        out = np.empty_like(t)
+        past = np.zeros(t.shape, bool) if self.exterior is None else t >= self.exterior.t_x
+        if np.any(past):
+            out[past] = self.exterior.rate(t[past])
+        if not np.all(past):
+            rho, _ = self.trajectory.state(t[~past])
+            a = self.warp.value(rho)
+            out[~past] = self._a_s / (a * a)
+        return out
+
     def _rate_integral(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Integral of A(s)/A(rho)^2 over each [lo_i, hi_i] (each inside one
         panel), by the Gauss-Legendre rule."""
         half = 0.5 * (hi - lo)
         t = (0.5 * (hi + lo))[:, None] + half[:, None] * _GL_NODES
-        rho, _ = self.trajectory.state(t.ravel())
-        a = self.warp.value(rho).reshape(t.shape)
-        return half * ((self._a_s / (a * a)) * _GL_WEIGHTS).sum(axis=1)
+        rate = self._rate(t.ravel()).reshape(t.shape)
+        return half * (rate * _GL_WEIGHTS).sum(axis=1)
 
     def _theta_ball(self, t):
         """theta inside the ball, where the geodesic is a great circle."""
         return np.arctan2(np.sin(t), math.sin(self.params.s) * np.cos(t))
 
     @cached_property
-    def _angle_table(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """(knots, phi at the knots, theta_inf): the panel ends from the
-        entry time (or 0) on, with phi summed tail-first."""
+    def _angle_table(self) -> tuple[np.ndarray, np.ndarray, float, float]:
+        """(knots, phi at the knots, theta_inf, pi/2 - theta_inf): the panel
+        ends from the entry time (or 0) on, with phi summed tail-first.  The
+        exterior piece is one step of the trajectory, so it is cut into
+        fixed panels.  Inside the ball pi/2 - theta = atan2(sin s cos t, sin t)
+        keeps its relative precision for small s, so pi/2 - theta_inf does
+        too."""
         if self.params.s == 0.0:
             raise ValueError("the angular coordinate is undefined along the radial geodesic")
         nodes = self.trajectory.grid.nodes
@@ -143,8 +244,12 @@ class RadialSolution:
         knots = np.append(nodes[:-1][step] + steps[step] * frac, nodes[-1])
         pieces = self._rate_integral(knots[:-1], knots[1:])
         phi = np.append(np.cumsum(pieces[::-1])[::-1], 0.0)
-        theta_start = 0.0 if self.entry_time is None else self._theta_ball(start)
-        return knots, phi, theta_start + float(phi[0])
+        if self.entry_time is None:
+            theta_start, gap_start = 0.0, math.pi / 2.0
+        else:
+            theta_start = self._theta_ball(start)
+            gap_start = math.atan2(math.sin(self.params.s) * math.cos(start), math.sin(start))
+        return knots, phi, theta_start + float(phi[0]), gap_start - float(phi[0])
 
     @property
     def theta_infinity(self) -> float:
@@ -152,11 +257,17 @@ class RadialSolution:
         the dropped tail bounded by ``angle_tail_bound``."""
         return self._angle_table[2]
 
+    @property
+    def theta_infinity_complement(self) -> float:
+        """pi/2 - theta_inf, to full relative precision even where theta_inf
+        is within rounding of pi/2 (small s)."""
+        return self._angle_table[3]
+
     def angles(self, t: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(theta(t), phi(t)) with phi = theta_inf - theta, for t in [0, T];
         exact inside the ball, Clairaut's rate integrated after it."""
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        knots, phi_k, theta_inf = self._angle_table
+        knots, phi_k, theta_inf, _ = self._angle_table
         if t_arr.min() < 0.0 or t_arr.max() > knots[-1]:
             raise ValueError(f"angle requested outside [0, {knots[-1]}]")
         theta = np.empty_like(t_arr)
@@ -205,51 +316,78 @@ def entry_time(s: float, r: float) -> float:
 
 
 def radial_exit_slope(s: float, r: float) -> float:
-    """rho'(ell_r(s)) = sqrt(cos^2 s - cos^2 r)/sin r; equals
-    sqrt(cos(2s)) at r = pi/4."""
+    """rho'(ell_r(s)) = sqrt(cos^2 s - cos^2 r)/sin r, with
+    cos^2 s - cos^2 r = sin(r + s) sin(r - s) (no cancellation near grazing);
+    equals sqrt(cos(2s)) at r = pi/4."""
     if not 0.0 <= s < r:
         raise ValueError(f"exit slope requires 0 <= s < r, got s={s}, r={r}")
-    num = max(0.0, math.cos(s) ** 2 - math.cos(r) ** 2)
-    return math.sqrt(num) / math.sin(r)
+    return math.sqrt(math.sin(r + s) * math.sin(r - s)) / math.sin(r)
 
 
 @lru_cache(maxsize=None)
 def _solve_radial_cached(s: float, r: float, eps: float, T: float, tol: float) -> RadialSolution:
     params = GeodesicParams(s, r, eps)
     warp = solve_warp(params.profile, tol=min(tol, 1e-12))
+    rho_x = r + eps
     if s == 0.0:
         # rho(t) = t exactly; the polar-coordinate singularity at the origin
         # is not integrated.
         events = [(r, "entry")]
-        if eps > 0.0 and r + eps < T:
-            events.append((r + eps, "transition_exit"))
+        if eps > 0.0 and rho_x < T:
+            events.append((rho_x, "transition_exit"))
         nodes = np.unique(np.concatenate([np.linspace(0.0, T, 33), [te for te, _ in events]]))
         traj = Trajectory.from_function(lambda t: (t, np.ones_like(t)), nodes, events)
-        return RadialSolution(params=params, trajectory=traj, entry_time=r, warp=warp)
+        return RadialSolution(params=params, trajectory=traj, entry_time=r, warp=warp,
+                              exit_time=rho_x if rho_x <= T else None)
 
-    def rhs(t: float, x: float, v: float) -> float:
-        return warp.log_slope_scalar(x) * (1.0 - v * v)
-
-    switches = []
+    parts: list[Trajectory] = []
+    t, state, t_entry = 0.0, (s, 0.0), None
     if s < r:
-        switches.append(Switch(lambda t, x, v: x - r, label="entry"))
-    if eps > 0.0 and s < r + eps:
-        switches.append(Switch(lambda t, x, v: x - (r + eps), label="transition_exit"))
+        t_in = entry_time(s, r)
+        parts.append(Trajectory.from_function(lambda tt: _ball_state(s, tt), [0.0, min(t_in, T)]))
+        if t_in > T:  # still inside the ball at the horizon
+            return RadialSolution(params=params, trajectory=parts[0], entry_time=None, warp=warp)
+        t, state, t_entry = t_in, (r, radial_exit_slope(s, r)), t_in
+    t_x = t if state[0] >= rho_x else None
+    if t_x is None and t < T:
+        def rhs(t: float, x: float, v: float) -> float:
+            return warp.log_slope_scalar(x) * (1.0 - v * v)
 
-    traj = integrate_ivp(rhs, 0.0, (s, 0.0), T, tol, switches=switches)
-    t_entry = None
-    for t, label in traj.events:
-        if label == "entry":
-            t_entry = t
-    return RadialSolution(params=params, trajectory=traj, entry_time=t_entry, warp=warp)
+        crossing = Switch(lambda t, x, v: x - rho_x, label="transition_exit", terminal=True)
+        parts.append(integrate_ivp(rhs, t, state, T, tol, switches=[crossing]))
+        if parts[-1].events:
+            t_x = parts[-1].grid.t1
+
+    exterior = None
+    if t_x is not None and t_x < T:
+        a_s = float(warp.value(s))
+        a_x, h_x = (float(v[0]) for v in warp.state(max(s, rho_x)))
+        if s < r:  # A(s) = sin s; sin^2 r - sin^2 s = sin(r + s) sin(r - s)
+            dh2 = (a_x - math.sin(r)) * (a_x + math.sin(r)) + math.sin(r + s) * math.sin(r - s)
+        else:
+            dh2 = (a_x - a_s) * (a_x + a_s)
+        exterior = _Exterior(
+            t_x=t_x,
+            rho_x=max(s, rho_x),
+            h_x=h_x,
+            dh_x=math.sqrt(max(0.0, dh2)),
+            d=4.0 * warp.a_plus * warp.a_minus,
+            a_s=a_s,
+        )
+        parts.append(Trajectory.from_function(exterior.state, [t_x, T]))
+    events = [(t_entry, "entry")] if t_entry is not None else []
+    return RadialSolution(params=params, trajectory=Trajectory.concat(parts, events),
+                          entry_time=t_entry, warp=warp, exit_time=t_x, exterior=exterior)
 
 
 def solve_radial(params: GeodesicParams, T: float = 30.0, tol: float = 1e-10) -> RadialSolution:
-    """Integrate the radial geodesic equation on [0, T].
+    """The radial coordinate on [0, T]: exact in the ball, integrated across
+    the transition only, exact past it.
 
-    The crossing of rho = r is located by the integrator and recorded as an
-    event (and, for eps > 0, the crossing of rho = r + eps as well), so no
-    step straddles the curvature transition.  Results are cached.
+    The entry time is the exact ``entry_time(s, r)``; the crossing of
+    rho = r + eps (eps > 0) is located by the integrator and recorded as the
+    ``transition_exit`` event, so no step straddles the curvature transition.
+    Results are cached.
     """
     if not T > 0.0:
         raise ValueError("horizon T must be positive")
@@ -299,9 +437,12 @@ def closed_theta(s: float, t: float | np.ndarray) -> float | np.ndarray:
         ell = entry_time(s, _QUARTER_PI)
         denom = np.sqrt(np.maximum(1.0 - (math.cos(s) * np.cos(ta)) ** 2, 1e-300))
         inside = np.arcsin(np.clip(np.sin(ta) / denom, -1.0, 1.0))
-        x = np.maximum(ta, ell)
+        # sinh(y) / F = m / ((2 - m) + c m) with m = 1 - e^{-2y}, y = t - ell:
+        # no overflow at any t
+        m = -np.expm1(-2.0 * (np.maximum(ta, ell) - ell))
+        c = math.sqrt(max(0.0, math.cos(2.0 * s)))
         base = math.asin(math.sqrt(max(0.0, 1.0 - math.tan(s) ** 2)))
-        outside = 2.0 * math.sin(s) * np.sinh(x - ell) / growth_factor(x, s) + base
+        outside = 2.0 * math.sin(s) * m / ((2.0 - m) + c * m) + base
         out = sgn * np.where(ta <= ell, inside, outside)
     return float(out) if np.ndim(t) == 0 else out
 

@@ -8,15 +8,23 @@ k(t) = K_par(rho(t)) and the off-plane kernel is the angle-weighted mix
 
 Both kernels equal 1 while the geodesic runs inside the round ball and tend
 to -1 exponentially as t -> infinity.  For eps = 0 the kernel jumps at the
-entry time and the solutions are C^1 weak solutions; the integrator places a
-node exactly at the jump and integrates each smooth branch separately.
+entry time and the solutions are C^1 weak solutions: the state is handed
+over unchanged at the jump.
 
-Only the in-plane equation is integrated.  Rotations of S^n are isometries,
-and a Killing field restricted to a geodesic is a Jacobi field (do Carmo,
-Riemannian Geometry, ch. 5).  The rotations that tilt the geodesic's plane
-give the off-plane solutions A(rho(t)) cos theta(t) and A(rho(t)) sin theta(t),
-theta the angular coordinate with Clairaut's rate theta' = A(s)/A(rho)^2 (see
-``geodesics``).  So the off-plane fundamental pair is
+The in-plane kernel is +1 before the entry time t_in and exactly -1 after
+the transition exit t_x (see ``geodesics``), so an in-plane solution is
+composed of three pieces: an exact rotation on [0, t_in], one DOP853 solve
+of Y'' = -K_par(rho(t)) Y across [t_in, t_x] (empty at eps = 0), and the
+exact exponentials P e^tau + Q e^{-tau}, tau = t - t_x, with
+P = (Y + Y')/2 and Q = (Y - Y')/2 at t_x, after it.
+
+The off-plane equation is not integrated at all.  Rotations of S^n are
+isometries, and a Killing field restricted to a geodesic is a Jacobi field
+(do Carmo, Riemannian Geometry, ch. 5).  The rotations that tilt the
+geodesic's plane give the off-plane solutions A(rho(t)) cos theta(t) and
+A(rho(t)) sin theta(t), theta the angular coordinate with Clairaut's rate
+theta' = A(s)/A(rho)^2 (see ``geodesics``).  So the off-plane fundamental
+pair is
 
     U = A(rho) cos(theta) / A(s),    V = A(rho) sin(theta),
 
@@ -39,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ode import Break, Rhs, Trajectory, integrate_ivp
+from .ode import Rhs, Trajectory, integrate_ivp
 from .geodesics import (
     GeodesicParams,
     RadialSolution,
@@ -95,28 +103,10 @@ class JacobiKernel:
         return self.radial.entry_time
 
     @property
-    def exit(self) -> float | None:
-        """End of the mollified transition along the geodesic (eps > 0), or
-        the entry time itself when eps = 0 (sharp jump)."""
-        if self.params.eps == 0.0:
-            return self.entry
-        return self.radial.transition_exit_time
-
-    def _region_bounds(self) -> tuple[float | None, float | None]:
-        """(end of the ball region, end of the transition region), either
-        possibly None when the geodesic starts past it."""
-        s, r, eps = self.params.s, self.params.r, self.params.eps
-        if s >= r + eps:
-            return None, None
-        if eps == 0.0:
-            return self.entry, self.entry
-        t_out = self.radial.transition_exit_time
-        if t_out is None:
-            raise ValueError(
-                "radial horizon too small: the geodesic has not left the "
-                "transition zone"
-            )
-        return (self.entry if s < r else None), t_out
+    def exit(self) -> float:
+        """End of the mollified transition along the geodesic: the entry time
+        itself when eps = 0 (sharp jump), 0 when the geodesic starts past it."""
+        return self.radial.window[1]
 
     # -- evaluation ---------------------------------------------------------
 
@@ -147,9 +137,9 @@ class JacobiKernel:
         the H(0) = 0 convention of the curvature profile."""
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.empty_like(t_arr)
-        t_in, t_out = self._region_bounds()
-        inside = t_arr <= t_in if t_in is not None else np.zeros_like(t_arr, dtype=bool)
-        exterior = t_arr > t_out if t_out is not None else np.ones_like(t_arr, dtype=bool)
+        t_in, t_x = self.radial.window
+        inside = t_arr <= t_in if t_in > 0.0 else np.zeros_like(t_arr, dtype=bool)
+        exterior = t_arr > t_x if t_x > 0.0 else np.ones_like(t_arr, dtype=bool)
         mid = ~(inside | exterior)
         out[inside] = 1.0
         if np.any(mid):
@@ -160,42 +150,23 @@ class JacobiKernel:
 
     # -- integrator plumbing -------------------------------------------------
 
-    def rhs_pieces(self) -> tuple[Rhs, tuple[Break, ...]]:
-        """Base right-hand side plus breakpoints for the in-plane equation
-        Y'' = -K_par(rho(t)) Y, each segment carrying the smooth extension of
-        its own kernel branch (scalar arithmetic: hot path).  The off-plane
-        equation is never integrated: see :func:`killing_field`."""
+    def rhs_pieces(self) -> tuple[Rhs, float, float]:
+        """The one integrated piece of the in-plane equation: the right-hand
+        side of Y'' = -K_par(rho(t)) Y (scalar arithmetic: hot path) and its
+        window [t_in, t_x].  Before t_in the equation is Y'' = -Y, after t_x
+        it is Y'' = Y; both are solved exactly.  The off-plane equation is
+        never integrated: see :func:`killing_field`."""
         if self.kind != "parallel":
             raise ValueError("only the in-plane Jacobi equation is integrated; "
                              "off-plane solutions are Killing fields")
         trajectory = self.radial.trajectory
         profile = self.params.profile
 
-        def rhs_inside(t: float, x: float, v: float) -> float:
-            return -x
-
-        def rhs_transition(t: float, x: float, v: float) -> float:
+        def rhs(t: float, x: float, v: float) -> float:
             rho, _ = trajectory.state_scalar(t)
             return -float(k_parallel(profile, rho)) * x
 
-        def rhs_exterior(t: float, x: float, v: float) -> float:
-            return x
-
-        t_in, t_out = self._region_bounds()
-        breaks: list[Break] = []
-        if t_in is not None:
-            base = rhs_inside
-            if self.params.eps > 0.0:
-                breaks.append(Break(t_in, "entry", rhs_transition))
-                breaks.append(Break(t_out, "transition_exit", rhs_exterior))
-            else:
-                breaks.append(Break(t_in, "entry", rhs_exterior))
-        elif t_out is not None:
-            base = rhs_transition
-            breaks.append(Break(t_out, "transition_exit", rhs_exterior))
-        else:
-            base = rhs_exterior
-        return base, tuple(breaks)
+        return (rhs, *self.radial.window)
 
 
 @lru_cache(maxsize=None)
@@ -291,6 +262,47 @@ class FundamentalPair:
         return np.abs(u * dv - du * v - 1.0) / scale
 
 
+def _rotation(t0: float, y: float, dy: float):
+    """The solution of Y'' = -Y with state (y, dy) at t0, as (Y, Y')(t)."""
+
+    def fn(t):
+        c, sn = np.cos(t - t0), np.sin(t - t0)
+        return y * c + dy * sn, dy * c - y * sn
+
+    return fn
+
+
+def _exponentials(t0: float, y: float, dy: float):
+    """The solution of Y'' = Y with state (y, dy) at t0, as (Y, Y')(t), in the
+    basis (y + dy)/2 e^tau, (y - dy)/2 e^{-tau} with tau = t - t0."""
+    p, q = 0.5 * (y + dy), 0.5 * (y - dy)
+
+    def fn(t):
+        grow, decay = p * np.exp(t - t0), q * np.exp(t0 - t)
+        return grow + decay, grow - decay
+
+    return fn
+
+
+def _in_plane(kernel: JacobiKernel, y0: float, dy0: float, T: float, tol: float) -> Trajectory:
+    """Rotation on [0, t_in], one solve across [t_in, t_x], exponentials
+    after t_x; each piece starts from the state where the one before ends."""
+    rhs, t_in, t_x = kernel.rhs_pieces()
+    parts = []
+    state = (y0, dy0)
+    if t_in > 0.0:
+        ball = _rotation(0.0, y0, dy0)
+        parts.append(Trajectory.from_function(ball, [0.0, min(t_in, T)]))
+        state = tuple(map(float, ball(t_in)))
+    if t_in < min(t_x, T):
+        parts.append(integrate_ivp(rhs, t_in, state, min(t_x, T), tol))
+        state = (parts[-1].values[-1], parts[-1].derivs[-1])
+    if t_x < T:
+        parts.append(Trajectory.from_function(_exponentials(t_x, *state), [t_x, T]))
+    events = [e for e in kernel.radial.trajectory.events if e[0] <= T]
+    return Trajectory.concat(parts, events)
+
+
 def jacobi_solution(
     kernel: JacobiKernel,
     initial: tuple[float, float],
@@ -298,16 +310,16 @@ def jacobi_solution(
     tol: float = 1e-10,
 ) -> Trajectory:
     """The solution of Y'' + k(t) Y = 0 on [0, T] with (Y(0), Y'(0)) =
-    ``initial``: integrated for the in-plane kernel, the Killing field of
-    :func:`killing_field` for the off-plane one (``tol`` unused there)."""
+    ``initial``: composed of exact pieces and one transition solve for the
+    in-plane kernel, the Killing field of :func:`killing_field` for the
+    off-plane one (``tol`` unused there)."""
     if not T > 0.0:
         raise ValueError("horizon T must be positive")
     y0, dy0 = initial
     if kernel.kind == "perpendicular":
         a_s = float(kernel.warp.value(kernel.params.s))
         return killing_field(kernel, y0, dy0 * a_s, T)
-    base, breaks = kernel.rhs_pieces()
-    return integrate_ivp(base, 0.0, (y0, dy0), T, tol, breaks=breaks)
+    return _in_plane(kernel, y0, dy0, T, tol)
 
 
 def fundamental_pair(kernel: JacobiKernel, T: float = 20.0, tol: float = 1e-10) -> FundamentalPair:

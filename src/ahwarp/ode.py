@@ -14,6 +14,12 @@ solver:
   coefficient are realized: each smooth branch is integrated on its own
   closed segment and the state is handed over unchanged at the junction.
 
+A terminal switch ends the solve at its crossing: the package integrates
+only across the curvature transition, so its solves run from a known time
+to the (unknown) time at which the geodesic leaves the transition.  Exact
+pieces before and after it are built with ``Trajectory.from_function`` and
+joined to the integrated piece with ``Trajectory.concat``.
+
 Backward problems go to the solver as stated, on a decreasing time span;
 one loop serves both directions and always reports the solution on the
 increasing time axis.
@@ -60,13 +66,15 @@ class Switch:
     inside a step, the crossing time is refined on the dense output, recorded
     as an event with this label, and integration restarts there.  If
     ``rhs_after`` is given it replaces the right-hand side from the crossing
-    on (the smooth far-side branch of a piecewise field).  Each switch fires
-    at most once.
+    on (the smooth far-side branch of a piecewise field).  A ``terminal``
+    switch ends the integration at the crossing instead, and the solution's
+    time range ends there.  Each switch fires at most once.
     """
 
     fn: Callable[[float, float, float], float]
     label: str = "switch"
     rhs_after: Rhs | None = None
+    terminal: bool = False
 
 
 @dataclass(frozen=True)
@@ -257,6 +265,25 @@ class Trajectory:
             pieces=(_Piece(t0, t1, sol),),
         )
 
+    @classmethod
+    def concat(
+        cls,
+        parts: Sequence["Trajectory"],
+        events: Sequence[tuple[float, str]] = (),
+    ) -> "Trajectory":
+        """One solution from consecutive ``parts``, each starting where the
+        one before ends; a junction node is kept once, from the earlier part.
+        ``events`` are added to the parts' own."""
+        nodes = np.concatenate([p.grid.nodes for p in parts])
+        keep = np.concatenate([[True], np.diff(nodes) > 0])
+        return cls(
+            grid=TimeGrid(t0=parts[0].grid.t0, t1=parts[-1].grid.t1, nodes=nodes[keep]),
+            values=np.concatenate([p.values for p in parts])[keep],
+            derivs=np.concatenate([p.derivs for p in parts])[keep],
+            events=tuple(sorted({*events, *(e for p in parts for e in p.events)})),
+            pieces=tuple(piece for p in parts for piece in p.pieces),
+        )
+
 
 def _as_system(rhs: Rhs):
     def f(t: float, y: np.ndarray):
@@ -292,9 +319,10 @@ def _drive(
     switches: Sequence[Switch],
     breaks: Sequence[Break],
 ) -> Trajectory:
-    """Integrate from (t0, y0) to t1 in either direction; ``rhs`` and
-    ``breaks`` describe the problem in forward time.  The result is reported
-    on the increasing time axis."""
+    """Integrate from (t0, y0) to t1 in either direction, or forward to the
+    crossing of a terminal switch; ``rhs`` and ``breaks`` describe the
+    problem in forward time.  The result is reported on the increasing time
+    axis."""
     y = np.asarray(y0, dtype=float)
     if y.shape != (2,):
         raise ValueError("state must be (x, x')")
@@ -310,6 +338,8 @@ def _drive(
 
     for (a, b, cur_rhs) in segs:
         t = a
+        if hi < b:  # a terminal switch has fired
+            break
         while abs(b - t) > 1e-14 * max(1.0, abs(b)):
             ev_fns = []
             for rule in active:
@@ -343,6 +373,9 @@ def _drive(
                 events.append((te, rule.label))
                 t = te
                 y = sol.y_events[i_ev][0].copy()
+                if rule.terminal:
+                    hi = te
+                    break
                 if rule.rhs_after is not None:
                     cur_rhs = rule.rhs_after
             else:

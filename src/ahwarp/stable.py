@@ -5,27 +5,36 @@ tail, each scalar Jacobi equation has a unique stable solution Y normalized
 by e^t Y(t) -> 1; here it is normalized at a fixed horizon T0 by
 e^{T0} Y(T0) = 1.
 
-In-plane kernels: one backward solve of the log-Riccati equation for
-x = log(e^t Y),
+In-plane kernels: the kernel is exactly -1 past the transition exit t_x
+(see ``jacobi``), so the stable solution *is* Y = e^{-t} there, with
+W = Y'/Y = -1 exactly; nothing is seeded and nothing is dropped.  Across the
+transition window [t_in, t_x] one backward solve of the log-Riccati
+equation for x = log(e^t Y),
 
-    x'' = -k(t) - (x' - 1)^2,        x(T0) = 0,  x'(T0) = 0,
+    x'' = -k(t) - (x' - 1)^2,        x(t_x) = 0,  x'(t_x) = 0,
 
-i.e. the Riccati variable W = Y'/Y = x' - 1 seeded with its limit -1 at T0.
-The Riccati flow W' = -k - W^2 contracts in backward time (Reid, Riccati
-Differential Equations, 1972): an error d in W(T0) reaches t = 0 damped by
-(Y(T0)/Y(0))^2, so the seed error is bounded a priori by
-1/2 |1 + k(T0)| exp(-2 (T0 + x(0))) -- exactly 0, since the in-plane tail is
-exactly -1.  Then Y(0) = exp(x(0)), W'(0) = x'(0) - 1 and
-Y(t) = exp(x(t) - t).  A zero of Y on [0, T0] is a pole of the log-Riccati
-solution, which the solve reports as a certificate failure.
+carries it to t_in; the Riccati flow W' = -k - W^2 contracts in backward
+time (Reid, Riccati Differential Equations, 1972), and a zero of Y in the
+window is a pole of the log-Riccati solution, which the solve reports as a
+certificate failure.  Inside the ball k = 1, so W = -tan(t - t_in - arctan
+W(t_in)) and
+
+    W'(0) = tan(arctan W(t_in) + t_in),
+
+with a zero of Y on [0, t_in] exactly when that angle reaches pi/2.  At
+eps = 0 the window is empty and nothing is integrated.  The decaying
+solution is never propagated forward: a forward run picks up the growing
+mode e^t.
 
 Off-plane kernels: no solve at all.  The stable solution is the Killing
 field Y = C A(rho) sin(phi), phi = theta_inf - theta the angle the geodesic
 has still to sweep (see ``jacobi`` and ``geodesics``), so
 
-    W'(0) = -cot(phi(0)) / A(s),
+    W'(0) = -cot(phi(0)) / A(s) = -tan(pi/2 - theta_inf) / A(s),
 
-and Y vanishes somewhere exactly when phi(0) >= pi (phi decreases to 0).
+with pi/2 - theta_inf taken without cancellation (small s puts theta_inf
+within rounding of pi/2), and Y vanishes somewhere exactly when
+phi(0) >= pi (phi decreases to 0).
 The tail of Clairaut's rate past the kernel horizon is dropped from phi; its
 bound, carried to W'(0), is the ``seed_residual``.
 
@@ -38,14 +47,14 @@ available in closed form and serves as the oracle for both constructions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .ode import IntegrationError, Rhs, Trajectory, integrate_backward
 from .geodesics import GeodesicParams
-from .jacobi import JacobiKernel, killing_field, make_kernel, theta_infinity
+from .jacobi import JacobiKernel, _rotation, killing_field, make_kernel, theta_infinity
 
 __all__ = [
     "TOL_SIGN",
@@ -85,8 +94,8 @@ class CertificateError(RuntimeError):
 class StableSolution:
     """Stable solution on [0, seed_horizon] with e^{T0} Y(T0) = 1, its value
     and normalized slope at 0, the fixed horizon T0 and the a-priori bound
-    on the certificate error: from seeding W(T0) = -1 (in-plane) or from the
-    angle tail dropped past the kernel horizon (off-plane)."""
+    on the certificate error: 0 in-plane (the tail e^{-t} is exact), from
+    the angle tail dropped past the kernel horizon off-plane."""
 
     kind: str
     params: GeodesicParams
@@ -100,15 +109,15 @@ class StableSolution:
         return self.Y.value(t) / self.Y0
 
 
-def _log_riccati(branch: Rhs) -> Rhs:
-    """x'' = -k(t) - (x' - 1)^2 from one branch of Y'' = -k(t) Y; the branch
-    is linear in Y, so branch(t, 1, 0) = -k(t)."""
+def _log_riccati(rhs: Rhs) -> Rhs:
+    """x'' = -k(t) - (x' - 1)^2 from Y'' = -k(t) Y; ``rhs`` is linear in Y,
+    so rhs(t, 1, 0) = -k(t)."""
 
-    def rhs(t: float, x: float, v: float) -> float:
+    def log_rhs(t: float, x: float, v: float) -> float:
         w = v - 1.0
-        return branch(t, 1.0, 0.0) - w * w
+        return rhs(t, 1.0, 0.0) - w * w
 
-    return rhs
+    return log_rhs
 
 
 def stable_solution(
@@ -117,9 +126,10 @@ def stable_solution(
     T0: float = 30.0,
     kind: str | None = None,
 ) -> StableSolution:
-    """Construct the stable solution of the kernel's Jacobi equation: one
-    backward log-Riccati solve from W(T0) = -1 for the in-plane kernel, the
-    decaying Killing field for the off-plane one.
+    """Construct the stable solution of the kernel's Jacobi equation: e^{-t}
+    past the transition, one backward log-Riccati solve across it and an
+    exact rotation through the ball for the in-plane kernel; the decaying
+    Killing field for the off-plane one.
 
     ``kind`` overrides the label stored on the result (the s = 0
     perpendicular equation is integrated as the parallel one, which is the
@@ -130,45 +140,63 @@ def stable_solution(
         raise ValueError(f"seed horizon T0 = {T0} beyond the kernel horizon {horizon}")
     if kernel.kind == "perpendicular":
         return _killing_stable(kernel, tol, T0, kind)
-    base, breaks = kernel.rhs_pieces()
-    breaks = tuple(replace(b, rhs_after=_log_riccati(b.rhs_after)) for b in breaks)
-    try:
-        # a zero of Y is a pole of x': the solve stalls or overflows before it
-        with np.errstate(over="raise", invalid="raise"):
-            log_y = integrate_backward(_log_riccati(base), T0, (0.0, 0.0), 0.0, tol,
-                                       breaks=breaks)
-            x0, v0 = float(log_y.values[0]), float(log_y.derivs[0])
-            residual = 0.5 * abs(1.0 + float(kernel.value(T0))) * math.exp(-2.0 * (T0 + x0))
-    except (IntegrationError, ArithmeticError) as exc:
-        raise _vanishes(kernel, T0, str(exc)) from exc
-    if not residual < tol:
-        raise _seed_bound_error(kernel, residual, tol)
+    rhs, t_in, t_x = kernel.rhs_pieces()
+    if T0 < t_x:
+        raise ValueError(f"seed horizon T0 = {T0} inside the transition (exit at {t_x})")
 
-    def exp_shift(t: np.ndarray, x: np.ndarray, v: np.ndarray):
-        y = np.exp(x - t)
-        return y, y * (v - 1.0)
+    def decay(t: np.ndarray):
+        y = np.exp(-t)
+        return y, -y
 
+    parts = [Trajectory.from_function(decay, [t_x, T0])]
+    x_in, v_in = 0.0, 0.0
+    if t_in < t_x:
+        try:
+            # a zero of Y is a pole of x': the solve stalls or overflows before it
+            with np.errstate(over="raise", invalid="raise"):
+                log_y = integrate_backward(_log_riccati(rhs), t_x, (0.0, 0.0), t_in, tol)
+        except (IntegrationError, ArithmeticError) as exc:
+            raise _vanishes(kernel, T0, str(exc)) from exc
+        x_in, v_in = float(log_y.values[0]), float(log_y.derivs[0])
+
+        def exp_shift(t: np.ndarray, x: np.ndarray, v: np.ndarray):
+            y = np.exp(x - t)
+            return y, y * (v - 1.0)
+
+        parts.insert(0, log_y.map(exp_shift))
+    w_in = v_in - 1.0
+    angle = math.atan(w_in) + t_in
+    if not angle < math.pi / 2.0:
+        raise _vanishes(kernel, T0, f"arctan W(t_in) + t_in = {angle:.6f} >= pi/2")
+    y_in = math.exp(x_in - t_in)
+    ball = _rotation(t_in, y_in, w_in * y_in)
+    if t_in > 0.0:
+        parts.insert(0, Trajectory.from_function(ball, [0.0, t_in]))
+    y0, dy0 = map(float, ball(0.0))
+    events = [e for e in kernel.radial.trajectory.events if e[0] <= T0]
     return StableSolution(
         kind=kind or kernel.kind,
         params=kernel.params,
-        Y=log_y.map(exp_shift),
-        Y0=math.exp(x0),
-        W_prime_0=v0 - 1.0,
+        Y=Trajectory.concat(parts, events),
+        Y0=y0,
+        W_prime_0=dy0 / y0,
         seed_horizon=T0,
-        seed_residual=residual,
+        seed_residual=0.0,
     )
 
 
 def _killing_stable(kernel: JacobiKernel, tol: float, T0: float,
                     kind: str | None) -> StableSolution:
-    """Y = C A(rho) sin(phi) with e^{T0} Y(T0) = 1."""
+    """Y = C A(rho) sin(phi) with e^{T0} Y(T0) = 1.  phi(0) = pi/2 - psi is
+    used through psi = ``theta_infinity_complement``: cot(phi(0)) = tan(psi)
+    has no cancellation for small s."""
     radial = kernel.radial
     a_s = float(kernel.warp.value(kernel.params.s))
-    phi0 = radial.theta_infinity
-    if not phi0 < math.pi:
-        raise _vanishes(kernel, T0, f"phi(0) = {phi0:.6f} >= pi")
+    psi = radial.theta_infinity_complement
+    if not psi > -math.pi / 2.0:
+        raise _vanishes(kernel, T0, f"phi(0) = {math.pi / 2.0 - psi:.6f} >= pi")
     # d W'(0) / d phi(0) = 1 / (A(s) sin^2 phi(0))
-    residual = radial.angle_tail_bound / (a_s * math.sin(phi0) ** 2)
+    residual = radial.angle_tail_bound / (a_s * math.cos(psi) ** 2)
     if not residual < tol:
         raise _seed_bound_error(kernel, residual, tol)
     phi_T = float(radial.angles(T0)[1][0])
@@ -180,8 +208,8 @@ def _killing_stable(kernel: JacobiKernel, tol: float, T0: float,
         kind=kind or kernel.kind,
         params=kernel.params,
         Y=killing_field(kernel, 0.0, scale, T0, angle="phi"),
-        Y0=scale * math.sin(phi0),
-        W_prime_0=-math.cos(phi0) / (math.sin(phi0) * a_s),
+        Y0=scale * math.cos(psi),
+        W_prime_0=-math.tan(psi) / a_s,
         seed_horizon=T0,
         seed_residual=residual,
     )

@@ -12,7 +12,7 @@ import pytest
 
 import ahwarp
 from ahwarp.cli import main
-from ahwarp.geodesics import closed_rho, closed_theta
+from ahwarp.geodesics import closed_rho, closed_theta, entry_time
 from ahwarp.search import ScanReport
 from ahwarp.stable import radial_certificate_closed
 
@@ -47,6 +47,20 @@ class TestGeodesic:
         assert header == ["t", "rho", "rho_prime", "theta"]
         assert np.max(np.abs(data[:, 1] - np.asarray(closed_rho(0.3, data[:, 0])))) < 1e-8
         assert np.max(np.abs(data[:, 3] - np.asarray(closed_theta(0.3, data[:, 0])))) < 1e-12
+
+    def test_long_horizon_stays_finite(self, tmp_path):
+        # rho passes the overflow range of exp (~709) long before t = 800
+        out = tmp_path / "geo.csv"
+        assert main(["geodesic", "--s", "0.3", "--tmax", "800", "--dt", "1",
+                     "--out", str(out)]) == 0
+        header, data = read_csv(out)
+        assert header == ["t", "rho", "rho_prime", "theta"]
+        assert np.all(np.isfinite(data))
+        # rho = pi/4 + log F, F = (1 + sqrt(cos 0.6)) e^{t - ell} / 2 up to e^{-(t - ell)}
+        c = math.sqrt(math.cos(0.6))
+        far = PI4 + math.log((1.0 + c) / 2.0) + 800.0 - entry_time(0.3, PI4)
+        assert data[-1, 1] == pytest.approx(far, rel=1e-14)
+        assert np.all((data[:, 2] >= 0.0) & (data[:, 2] <= 1.0))
 
     def test_no_theta_column_off_critical(self, tmp_path):
         out = tmp_path / "geo.csv"
@@ -162,8 +176,11 @@ class TestErrors:
         assert exc.value.code == 2
         assert main(["stable", "--tol", "1e-10", "--out", str(out)]) == 0
 
-    def test_arithmetic_error_exits_one(self, tmp_path, capsys):
-        # rho reaches the overflow range of exp before t = 800
+    def test_arithmetic_error_exits_one(self, tmp_path, capsys, monkeypatch):
+        def overflowing(*args, **kwargs):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr(ahwarp.geodesics, "solve_radial", overflowing)
         code = main(["geodesic", "--s", "0.3", "--tmax", "800",
                      "--out", str(tmp_path / "geo.csv")])
         assert code == 1

@@ -16,7 +16,7 @@ from ahwarp.geodesics import (
     solve_radial,
 )
 from ahwarp.jacobi import fundamental_pair, make_kernel, theta_infinity
-from ahwarp.ode import IntegrationError, integrate_ivp
+from ahwarp.ode import integrate_ivp
 from ahwarp.warp import ProfileParams, solve_warp
 
 PI4 = math.pi / 4
@@ -98,6 +98,14 @@ class TestSolveRadial:
         assert 0.76 in sol.trajectory.grid.nodes
         assert (0.81, "transition_exit") in sol.trajectory.events
 
+    def test_horizon_before_entry_is_the_arc(self):
+        # nothing past the ball is built, let alone integrated
+        sol = solve_radial(GeodesicParams(0.3, 0.7, 0.1), T=0.2, tol=1e-10)
+        assert sol.entry_time is None and sol.exit_time is None
+        assert len(sol.trajectory.pieces) == 1
+        ts = np.linspace(0.0, 0.2, 21)
+        assert np.max(np.abs(sol.rho(ts) - np.arccos(math.cos(0.3) * np.cos(ts)))) < 1e-15
+
     def test_monotone_and_convex(self):
         for mu in (GeodesicParams(0.3, PI4, 0.0), GeodesicParams(0.5, 0.76, 0.1)):
             sol = solve_radial(mu, T=15.0, tol=1e-11)
@@ -113,12 +121,13 @@ class TestSolveRadial:
         assert t_exit is not None and t_exit > sol.entry_time
         assert float(sol.rho(t_exit)) == pytest.approx(PI4 + 0.1, abs=1e-8)
 
-    @pytest.mark.xfail(raises=(OverflowError, IntegrationError), strict=True,
-                       reason="known defect: the radial solve cannot start at "
-                              "0 < s below double-precision resolution")
     @pytest.mark.parametrize("s", [1e-20, 6.464532500880693e-291])
-    def test_radial_solve_below_resolution_fails(self, s):
-        solve_radial(GeodesicParams(s, 0.75, 0.0), T=50.0, tol=1e-11)
+    def test_radial_solve_below_resolution(self, s):
+        # the great-circle arc starts the solve, not rho'' ~ cot(s) at rho = s
+        sol = solve_radial(GeodesicParams(s, 0.75, 0.0), T=50.0, tol=1e-11)
+        assert sol.rho(0.0) == s
+        _, v = sol.state(np.linspace(0.0, 50.0, 1001))
+        assert np.all(np.isfinite(v)) and np.all(v >= 0.0)
 
 
 class TestClosedForms:

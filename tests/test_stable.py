@@ -90,6 +90,26 @@ class TestOffRadialCertificates:
             -math.cos(theta_infinity(0.2)) / (math.sin(theta_infinity(0.2)) * math.sin(0.2)),
             abs=1e-8)
 
+    @pytest.mark.parametrize("s", np.round(np.arange(0.01, 0.305, 0.01), 2).tolist())
+    def test_tol_1e10_kernel_matches_closed_forms(self, s):
+        # at eps = 0 the geodesic is exact, so the angle and the certificate
+        # do not depend on the solver tolerance (a tol-1e-10 radial solve was
+        # 1.2e-9 off in theta_inf at s = 0.16)
+        kernel = make_kernel("perpendicular", GeodesicParams(s, PI4, 0.0), tol=1e-10)
+        assert abs(kernel.radial.theta_infinity - theta_infinity(s)) <= 1e-13
+        got = stable_solution(kernel, tol=1e-10).W_prime_0
+        assert abs(got - certificate_perp_closed(s)) <= 1e-12
+
+    @pytest.mark.parametrize("s", [1e-20, 1e-8])
+    @pytest.mark.parametrize("r, eps", [(0.75, 0.0), (0.8, 0.05)])
+    def test_perp_certificate_below_resolution(self, s, r, eps):
+        # theta_inf rounds to pi/2 - O(s); -cot(theta_inf) / A(s) would
+        # amplify its rounding by 1/s.  The limit s -> 0 is the radial
+        # certificate (both equations coincide there, W' is even in s)
+        got = certificate("perpendicular", GeodesicParams(s, r, eps), tol=1e-11)
+        radial = certificate("parallel", GeodesicParams(0.0, r, eps), tol=1e-11)
+        assert abs(got - radial) <= 1e-10
+
     def test_horizon_independence_oracle(self):
         # backward integration at T in {30, 40} agrees to 1e-8
         mu = GeodesicParams(0.2, PI4, 0.0)
@@ -145,9 +165,7 @@ def _linear_seeded_certificate(kernel, T=40.0, tol=1e-11):
 class TestRiccatiAgainstLinear:
     @given(
         kind=st.sampled_from(["parallel", "perpendicular"]),
-        # 0 < s < 1e-15 is left out: solve_radial itself fails there (see
-        # test_radial_solve_below_resolution_fails)
-        s=st.one_of(st.just(0.0), st.floats(1e-6, 0.7)),
+        s=st.floats(0.0, 0.7),
         r=st.floats(0.7, 0.85),
         eps=st.one_of(st.just(0.0), st.floats(0.005, 0.1)),
     )
@@ -170,14 +188,17 @@ class TestOneBackwardSolve:
         calls = []
 
         def counting(*args, **kwargs):
-            calls.append(args[1])
+            calls.append((args[3], args[1]))
             return integrate_backward(*args, **kwargs)
 
         monkeypatch.setattr(stable_mod, "integrate_backward", counting)
         kernel = make_kernel(kind, GeodesicParams(*mu))
         sol = stable_solution(kernel, tol=1e-10)
-        # the off-plane stable solution is a Killing field: nothing to solve
-        assert calls == ([sol.seed_horizon] if kind == "parallel" else [])
+        # in-plane: one solve across the transition window [t_in, t_x], none
+        # when it is empty (eps = 0); the off-plane stable solution is a
+        # Killing field: nothing to solve
+        expected = [kernel.radial.window] if kind == "parallel" and mu[2] > 0.0 else []
+        assert calls == expected
         assert sol.seed_residual < 1e-10
 
 
