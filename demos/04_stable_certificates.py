@@ -1,8 +1,8 @@
 """Stable solutions and the double-zero certificate W'(0).
 
 The unique in-plane Jacobi solution with e^t Y(t) -> 1 is exactly e^{-t}
-past the transition; one backward log-Riccati solve across the transition
-and a rotation through the ball carry it to t = 0.  The off-plane one is
+past the transition; the transfer matrix of the transition window and a
+rotation through the ball carry it to t = 0.  The off-plane one is
 the Killing field A(rho) sin(phi), phi the angle the geodesic has still to
 sweep, so W'(0) = -cot(phi(0)) / A(s) with no solve at all.  The
 normalized slope W'(0) decides everything: solutions vanishing twice exist

@@ -11,12 +11,11 @@ the closed forms available at the critical parameters (r, eps) = (pi/4, 0).
 """
 
 from .ode import (
-    Break,
+    Flow,
     IntegrationError,
     Switch,
     TimeGrid,
     Trajectory,
-    integrate_backward,
     integrate_ivp,
 )
 from .warp import (

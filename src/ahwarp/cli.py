@@ -42,6 +42,10 @@ TOL_MIN, TOL_MAX = 1e-12, 1e-4
 DEFAULT_TOL = 1e-10
 
 
+_NUMERIC = ("s", "r", "eps", "tmax", "dt", "rho_max", "drho", "tol", "sigma", "ds",
+            "bracket_halfwidth")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     subcommand: str
@@ -61,6 +65,9 @@ class RunConfig:
     fmt: str = "csv"
 
     def __post_init__(self) -> None:
+        for name in _NUMERIC:
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not TOL_MIN <= self.tol <= TOL_MAX:
             raise ValueError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}], got {self.tol}")
         if self.fmt not in ("csv", "json"):

@@ -17,7 +17,15 @@ solution is built from three pieces:
   t_in = ell_r(s) = arccos(cos r / cos s);
 * the transition: one DOP853 solve from the exact entry state (or from
   (s, 0) at t = 0 when r <= s < r + eps) to the crossing of rho = r + eps at
-  the exit time t_x; at eps = 0 this piece is empty;
+  the exit time t_x; at eps = 0 this piece is empty.  The solve carries
+  (rho, rho', a, b, U, U', V, V'): the warp function along the geodesic,
+  (a, b) = (A, A')(rho) with a' = b rho' and b' = -K_par(rho) a rho', so
+  that rho'' = (b/a)(1 - rho'^2) needs no lookup, and the in-plane Jacobi
+  pair Y'' = -K_par(rho) Y started from the identity at t_in (the ``jacobi``
+  kernel reads its transfer matrix off the end state).  Each right-hand-side
+  evaluation reads K_par once.  Along the radial geodesic rho = t stays
+  exact, and the same system runs over the fixed span [r, r + eps] for the
+  pair;
 * the exterior: there A'' = A, so the warped-product Hessian formula
   (O'Neill, Semi-Riemannian Geometry, 1983, ch. 7) gives Hess A' = A' g and
   h(t) = A'(rho(t)) solves h'' = h along every geodesic.  Its data at t_x are
@@ -60,8 +68,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .ode import Switch, Trajectory, integrate_ivp
-from .warp import ProfileParams, WarpFunction, solve_warp
+from .ode import Flow, Switch, Trajectory, integrate_ivp
+from .warp import ProfileParams, WarpFunction, k_parallel, solve_warp
 
 __all__ = [
     "GeodesicParams",
@@ -88,8 +96,8 @@ class GeodesicParams:
     eps: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.s < 0.0:
-            raise ValueError(f"s must be nonnegative, got {self.s}")
+        if not (math.isfinite(self.s) and self.s >= 0.0):
+            raise ValueError(f"s must be finite and nonnegative, got {self.s}")
         ProfileParams(self.r, self.eps)  # validates r, eps
 
     @property
@@ -149,6 +157,11 @@ class _Exterior:
         _, e, _, _, a = self._scaled(t)
         return self.a_s * e / (a * a)
 
+    def k_perp(self, t: np.ndarray) -> np.ndarray:
+        """K_perp(rho) = (1 - A'^2) / A^2 = -1 + (1 + 4 a_+ a_-) / A^2."""
+        _, e, _, _, a = self._scaled(t)
+        return -1.0 + (1.0 + self.d) * e / (a * a)
+
 
 @dataclass(frozen=True, eq=False)
 class RadialSolution:
@@ -156,14 +169,18 @@ class RadialSolution:
     which rho crosses r (present iff s < r and it is reached by T), the exit
     time at which rho reaches r + eps (0 if s >= r + eps, the entry time if
     eps = 0, None if not reached by T), the warp function A of the metric,
-    the exact exterior piece, and the angular coordinate theta."""
+    the solve's tolerance, the exact exterior piece, the window solve
+    (``transition``, None where nothing is integrated) and the angular
+    coordinate theta."""
 
     params: GeodesicParams
     trajectory: Trajectory
     entry_time: float | None
     warp: WarpFunction
+    tol: float
     exit_time: float | None = None
     exterior: _Exterior | None = None
+    transition: Flow | None = None
 
     @property
     def window(self) -> tuple[float, float]:
@@ -324,6 +341,21 @@ def radial_exit_slope(s: float, r: float) -> float:
     return math.sqrt(math.sin(r + s) * math.sin(r - s)) / math.sin(r)
 
 
+# The window solve carries (rho, rho', a, b, U, U', V, V'): the geodesic, the
+# warp function along it (a, b) = (A, A')(rho), and the in-plane Jacobi pair
+# started from the identity at t_in.  Each evaluation reads K_par once.
+_PAIR_START = (1.0, 0.0, 0.0, 1.0)
+
+
+def _window_rhs(profile: ProfileParams):
+    def rhs(t: float, y: np.ndarray) -> tuple[float, ...]:
+        rho, v, a, b, u, du, w, dw = y.tolist()
+        k = k_parallel(profile, rho)
+        return v, (b / a) * (1.0 - v * v), b * v, -k * a * v, du, -k * u, dw, -k * w
+
+    return rhs
+
+
 @lru_cache(maxsize=None)
 def _solve_radial_cached(s: float, r: float, eps: float, T: float, tol: float) -> RadialSolution:
     params = GeodesicParams(s, r, eps)
@@ -331,14 +363,19 @@ def _solve_radial_cached(s: float, r: float, eps: float, T: float, tol: float) -
     rho_x = r + eps
     if s == 0.0:
         # rho(t) = t exactly; the polar-coordinate singularity at the origin
-        # is not integrated.
+        # is not integrated.  The window solve (rho' = 1, so rho'' = 0) runs
+        # over the fixed span [r, r + eps] for the in-plane pair.
         events = [(r, "entry")]
         if eps > 0.0 and rho_x < T:
             events.append((rho_x, "transition_exit"))
         nodes = np.unique(np.concatenate([np.linspace(0.0, T, 33), [te for te, _ in events]]))
         traj = Trajectory.from_function(lambda t: (t, np.ones_like(t)), nodes, events)
-        return RadialSolution(params=params, trajectory=traj, entry_time=r, warp=warp,
-                              exit_time=rho_x if rho_x <= T else None)
+        flow = None
+        if eps > 0.0 and r < T:
+            y0 = (r, 1.0, math.sin(r), math.cos(r), *_PAIR_START)
+            flow = integrate_ivp(_window_rhs(params.profile), r, y0, min(rho_x, T), tol)
+        return RadialSolution(params=params, trajectory=traj, entry_time=r, warp=warp, tol=tol,
+                              exit_time=rho_x if rho_x <= T else None, transition=flow)
 
     parts: list[Trajectory] = []
     t, state, t_entry = 0.0, (s, 0.0), None
@@ -346,17 +383,19 @@ def _solve_radial_cached(s: float, r: float, eps: float, T: float, tol: float) -
         t_in = entry_time(s, r)
         parts.append(Trajectory.from_function(lambda tt: _ball_state(s, tt), [0.0, min(t_in, T)]))
         if t_in > T:  # still inside the ball at the horizon
-            return RadialSolution(params=params, trajectory=parts[0], entry_time=None, warp=warp)
+            return RadialSolution(params=params, trajectory=parts[0], entry_time=None,
+                                  warp=warp, tol=tol)
         t, state, t_entry = t_in, (r, radial_exit_slope(s, r)), t_in
     t_x = t if state[0] >= rho_x else None
+    flow = None
     if t_x is None and t < T:
-        def rhs(t: float, x: float, v: float) -> float:
-            return warp.log_slope_scalar(x) * (1.0 - v * v)
-
-        crossing = Switch(lambda t, x, v: x - rho_x, label="transition_exit", terminal=True)
-        parts.append(integrate_ivp(rhs, t, state, T, tol, switches=[crossing]))
-        if parts[-1].events:
-            t_x = parts[-1].grid.t1
+        a, b = (float(v[0]) for v in warp.state(state[0]))
+        crossing = Switch(lambda t, y: y[0] - rho_x, label="transition_exit")
+        flow = integrate_ivp(_window_rhs(params.profile), t, (*state, a, b, *_PAIR_START), T,
+                             tol, switch=crossing)
+        parts.append(flow.trajectory(np.eye(2, 8)))  # (rho, rho')
+        if flow.events:
+            t_x = flow.grid.t1
 
     exterior = None
     if t_x is not None and t_x < T:
@@ -377,7 +416,8 @@ def _solve_radial_cached(s: float, r: float, eps: float, T: float, tol: float) -
         parts.append(Trajectory.from_function(exterior.state, [t_x, T]))
     events = [(t_entry, "entry")] if t_entry is not None else []
     return RadialSolution(params=params, trajectory=Trajectory.concat(parts, events),
-                          entry_time=t_entry, warp=warp, exit_time=t_x, exterior=exterior)
+                          entry_time=t_entry, warp=warp, tol=tol, exit_time=t_x,
+                          exterior=exterior, transition=flow)
 
 
 def solve_radial(params: GeodesicParams, T: float = 30.0, tol: float = 1e-10) -> RadialSolution:

@@ -13,10 +13,15 @@ over unchanged at the jump.
 
 The in-plane kernel is +1 before the entry time t_in and exactly -1 after
 the transition exit t_x (see ``geodesics``), so an in-plane solution is
-composed of three pieces: an exact rotation on [0, t_in], one DOP853 solve
-of Y'' = -K_par(rho(t)) Y across [t_in, t_x] (empty at eps = 0), and the
-exact exponentials P e^tau + Q e^{-tau}, tau = t - t_x, with
-P = (Y + Y')/2 and Q = (Y - Y')/2 at t_x, after it.
+composed of three pieces: an exact rotation on [0, t_in], the combination
+y U + dy V of the window pair across [t_in, t_x] (empty at eps = 0), and
+the exact exponentials P e^tau + Q e^{-tau}, tau = t - t_x, with
+P = (Y + Y')/2 and Q = (Y - Y')/2 at t_x, after it.  The window pair
+(U, V), started from the identity at t_in, is solved once per geodesic,
+together with the geodesic itself, by ``geodesics.solve_radial``; its end
+state is the window's transfer matrix M = [[U, V], [U', V']], det M = 1.
+Nothing is solved per initial condition, so a solution is as accurate as
+the kernel's radial solve and a tighter ``tol`` is refused.
 
 The off-plane equation is not integrated at all.  Rotations of S^n are
 isometries, and a Killing field restricted to a geodesic is a Jacobi field
@@ -47,7 +52,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ode import Rhs, Trajectory, integrate_ivp
+from .ode import Trajectory
 from .geodesics import (
     GeodesicParams,
     RadialSolution,
@@ -96,6 +101,11 @@ class JacobiKernel:
     def warp(self) -> WarpFunction:
         return self.radial.warp
 
+    @property
+    def tol(self) -> float:
+        """Tolerance of the radial solve, and so of the window pair."""
+        return self.radial.tol
+
     # -- region layout -----------------------------------------------------
 
     @property
@@ -113,12 +123,8 @@ class JacobiKernel:
     def _k_exterior(self, t: np.ndarray) -> np.ndarray:
         if self.kind == "parallel":
             return np.full_like(np.asarray(t, dtype=float), -1.0)
-        rho, drho = self.radial.state(t)
-        ep = np.exp(rho)
-        em = np.exp(-rho)
-        a_val = self.warp.a_plus * ep + self.warp.a_minus * em
-        a_der = self.warp.a_plus * ep - self.warp.a_minus * em
-        kperp = (1.0 - a_der * a_der) / (a_val * a_val)
+        _, drho = self.radial.state(t)
+        kperp = self.radial.exterior.k_perp(t)
         w2 = drho * drho
         return -w2 + (1.0 - w2) * kperp
 
@@ -148,25 +154,37 @@ class JacobiKernel:
             out[exterior] = self._k_exterior(t_arr[exterior])
         return float(out[0]) if np.isscalar(t) or np.ndim(t) == 0 else out
 
-    # -- integrator plumbing -------------------------------------------------
+    # -- the in-plane window pair ---------------------------------------------
 
-    def rhs_pieces(self) -> tuple[Rhs, float, float]:
-        """The one integrated piece of the in-plane equation: the right-hand
-        side of Y'' = -K_par(rho(t)) Y (scalar arithmetic: hot path) and its
-        window [t_in, t_x].  Before t_in the equation is Y'' = -Y, after t_x
-        it is Y'' = Y; both are solved exactly.  The off-plane equation is
-        never integrated: see :func:`killing_field`."""
+    def _window_flow(self):
+        """The radial solution's window solve, whose state ends in the
+        in-plane pair (U, U', V, V'), started from the identity at t_in; None
+        when the window is empty.  Before t_in the in-plane equation is
+        Y'' = -Y, after t_x it is Y'' = Y; both are solved exactly.  The
+        off-plane equation is never integrated: see :func:`killing_field`."""
         if self.kind != "parallel":
             raise ValueError("only the in-plane Jacobi equation is integrated; "
                              "off-plane solutions are Killing fields")
-        trajectory = self.radial.trajectory
-        profile = self.params.profile
+        t_in, t_x = self.radial.window
+        return self.radial.transition if t_in < t_x else None
 
-        def rhs(t: float, x: float, v: float) -> float:
-            rho, _ = trajectory.state_scalar(t)
-            return -float(k_parallel(profile, rho)) * x
+    @property
+    def transfer(self) -> np.ndarray:
+        """The in-plane transfer matrix M = [[U, V], [U', V']] of the window
+        [t_in, t_x]: (Y, Y')(t_x) = M (Y, Y')(t_in).  det M = 1; the identity
+        when the window is empty."""
+        flow = self._window_flow()
+        if flow is None:
+            return np.eye(2)
+        u, du, v, dv = flow.end[4:].tolist()
+        return np.array([[u, v], [du, dv]])
 
-        return (rhs, *self.radial.window)
+    def window_solution(self, y: float, dy: float, T: float | None = None) -> Trajectory:
+        """The in-plane solution with state (y, dy) at t_in, on
+        [t_in, min(t_x, T)]: y U + dy V of the window pair, no solve."""
+        proj = np.zeros((2, 8))
+        proj[:, 4:] = ((y, 0.0, dy, 0.0), (0.0, y, 0.0, dy))
+        return self._window_flow().trajectory(proj, T)
 
 
 @lru_cache(maxsize=None)
@@ -284,10 +302,11 @@ def _exponentials(t0: float, y: float, dy: float):
     return fn
 
 
-def _in_plane(kernel: JacobiKernel, y0: float, dy0: float, T: float, tol: float) -> Trajectory:
-    """Rotation on [0, t_in], one solve across [t_in, t_x], exponentials
-    after t_x; each piece starts from the state where the one before ends."""
-    rhs, t_in, t_x = kernel.rhs_pieces()
+def _in_plane(kernel: JacobiKernel, y0: float, dy0: float, T: float) -> Trajectory:
+    """Rotation on [0, t_in], the window pair's combination across
+    [t_in, t_x], exponentials after t_x; each piece starts from the state
+    where the one before ends."""
+    t_in, t_x = kernel.radial.window
     parts = []
     state = (y0, dy0)
     if t_in > 0.0:
@@ -295,7 +314,7 @@ def _in_plane(kernel: JacobiKernel, y0: float, dy0: float, T: float, tol: float)
         parts.append(Trajectory.from_function(ball, [0.0, min(t_in, T)]))
         state = tuple(map(float, ball(t_in)))
     if t_in < min(t_x, T):
-        parts.append(integrate_ivp(rhs, t_in, state, min(t_x, T), tol))
+        parts.append(kernel.window_solution(*state, T))
         state = (parts[-1].values[-1], parts[-1].derivs[-1])
     if t_x < T:
         parts.append(Trajectory.from_function(_exponentials(t_x, *state), [t_x, T]))
@@ -310,16 +329,20 @@ def jacobi_solution(
     tol: float = 1e-10,
 ) -> Trajectory:
     """The solution of Y'' + k(t) Y = 0 on [0, T] with (Y(0), Y'(0)) =
-    ``initial``: composed of exact pieces and one transition solve for the
-    in-plane kernel, the Killing field of :func:`killing_field` for the
-    off-plane one (``tol`` unused there)."""
+    ``initial``: exact pieces and a combination of the kernel's window pair
+    for the in-plane kernel, the Killing field of :func:`killing_field` for
+    the off-plane one.  Both are as accurate as the kernel's radial solve,
+    so a ``tol`` tighter than the kernel's raises ValueError."""
     if not T > 0.0:
         raise ValueError("horizon T must be positive")
+    if tol < kernel.tol:
+        raise ValueError(f"tol = {tol} is tighter than the kernel's {kernel.tol}; "
+                         "build the kernel at the tolerance wanted")
     y0, dy0 = initial
     if kernel.kind == "perpendicular":
         a_s = float(kernel.warp.value(kernel.params.s))
         return killing_field(kernel, y0, dy0 * a_s, T)
-    return _in_plane(kernel, y0, dy0, T, tol)
+    return _in_plane(kernel, y0, dy0, T)
 
 
 def fundamental_pair(kernel: JacobiKernel, T: float = 20.0, tol: float = 1e-10) -> FundamentalPair:

@@ -8,23 +8,24 @@ e^{T0} Y(T0) = 1.
 In-plane kernels: the kernel is exactly -1 past the transition exit t_x
 (see ``jacobi``), so the stable solution *is* Y = e^{-t} there, with
 W = Y'/Y = -1 exactly; nothing is seeded and nothing is dropped.  Across the
-transition window [t_in, t_x] one backward solve of the log-Riccati
-equation for x = log(e^t Y),
+transition window [t_in, t_x] the kernel's transfer matrix M (det M = 1,
+from the geodesic's one window solve) carries it back without a solve of
+its own (Reid, Riccati Differential Equations, 1972):
 
-    x'' = -k(t) - (x' - 1)^2,        x(t_x) = 0,  x'(t_x) = 0,
+    (Y, Y')(t_in) = e^{-t_x} M^{-1} (1, -1) = e^{-t_x} adj(M) (1, -1).
 
-carries it to t_in; the Riccati flow W' = -k - W^2 contracts in backward
-time (Reid, Riccati Differential Equations, 1972), and a zero of Y in the
-window is a pole of the log-Riccati solution, which the solve reports as a
-certificate failure.  Inside the ball k = 1, so W = -tan(t - t_in - arctan
-W(t_in)) and
+The window is short, so this is well-conditioned linear algebra, not a
+forward propagation of the decaying mode over a long span.  K_par <= 1, so
+by Sturm comparison with Y'' = -Y two zeros of Y lie at least pi apart; on
+a window shorter than pi (checked), Y > 0 at t_x leaves room for a zero
+inside exactly when Y(t_in) <= 0, which is reported as a certificate
+failure.  Inside the ball k = 1, so W = -tan(t - t_in - arctan W(t_in))
+and
 
     W'(0) = tan(arctan W(t_in) + t_in),
 
 with a zero of Y on [0, t_in] exactly when that angle reaches pi/2.  At
-eps = 0 the window is empty and nothing is integrated.  The decaying
-solution is never propagated forward: a forward run picks up the growing
-mode e^t.
+eps = 0 the window is empty and M is the identity.
 
 Off-plane kernels: no solve at all.  The stable solution is the Killing
 field Y = C A(rho) sin(phi), phi = theta_inf - theta the angle the geodesic
@@ -52,7 +53,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ode import IntegrationError, Rhs, Trajectory, integrate_backward
+from .ode import Trajectory
 from .geodesics import GeodesicParams
 from .jacobi import JacobiKernel, _rotation, killing_field, make_kernel, theta_infinity
 
@@ -87,7 +88,8 @@ _ANGLE_MARGIN = 20.0
 
 class CertificateError(RuntimeError):
     """The stable solution could not be certified (a zero of Y on [0, T0]
-    outside the continuity neighborhood, or a non-decaying kernel tail)."""
+    outside the continuity neighborhood, a transition window too long for
+    the zero test, or a non-decaying kernel tail)."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,17 +111,6 @@ class StableSolution:
         return self.Y.value(t) / self.Y0
 
 
-def _log_riccati(rhs: Rhs) -> Rhs:
-    """x'' = -k(t) - (x' - 1)^2 from Y'' = -k(t) Y; ``rhs`` is linear in Y,
-    so rhs(t, 1, 0) = -k(t)."""
-
-    def log_rhs(t: float, x: float, v: float) -> float:
-        w = v - 1.0
-        return rhs(t, 1.0, 0.0) - w * w
-
-    return log_rhs
-
-
 def stable_solution(
     kernel: JacobiKernel,
     tol: float = 1e-10,
@@ -127,9 +118,10 @@ def stable_solution(
     kind: str | None = None,
 ) -> StableSolution:
     """Construct the stable solution of the kernel's Jacobi equation: e^{-t}
-    past the transition, one backward log-Riccati solve across it and an
-    exact rotation through the ball for the in-plane kernel; the decaying
-    Killing field for the off-plane one.
+    past the transition, the window pair's combination adj(M) (1, -1) across
+    it and an exact rotation through the ball for the in-plane kernel; the
+    decaying Killing field for the off-plane one.  Nothing is integrated
+    here; the in-plane window pair comes with the kernel.
 
     ``kind`` overrides the label stored on the result (the s = 0
     perpendicular equation is integrated as the parallel one, which is the
@@ -140,36 +132,33 @@ def stable_solution(
         raise ValueError(f"seed horizon T0 = {T0} beyond the kernel horizon {horizon}")
     if kernel.kind == "perpendicular":
         return _killing_stable(kernel, tol, T0, kind)
-    rhs, t_in, t_x = kernel.rhs_pieces()
+    t_in, t_x = kernel.radial.window
     if T0 < t_x:
         raise ValueError(f"seed horizon T0 = {T0} inside the transition (exit at {t_x})")
+    # the zero test rests on Sturm comparison with Y'' = -Y (module docstring)
+    if not t_x - t_in < math.pi:
+        raise CertificateError(
+            f"transition window [{t_in}, {t_x}] at {kernel.params} is not shorter "
+            "than pi; the zero test does not apply")
+    (u, v), (du, dv) = kernel.transfer.tolist()
+    # (Y, Y')(t_x) = e^{-t_x} (1, -1), so (Y, Y')(t_in) = e^{-t_x} adj(M) (1, -1)
+    decay_x = math.exp(-t_x)
+    y_in, dy_in = (dv + v) * decay_x, -(du + u) * decay_x
+    if not y_in > 0.0:
+        raise _vanishes(kernel, T0, f"Y(t_in) = {y_in:.3e} <= 0")
 
     def decay(t: np.ndarray):
         y = np.exp(-t)
         return y, -y
 
     parts = [Trajectory.from_function(decay, [t_x, T0])]
-    x_in, v_in = 0.0, 0.0
     if t_in < t_x:
-        try:
-            # a zero of Y is a pole of x': the solve stalls or overflows before it
-            with np.errstate(over="raise", invalid="raise"):
-                log_y = integrate_backward(_log_riccati(rhs), t_x, (0.0, 0.0), t_in, tol)
-        except (IntegrationError, ArithmeticError) as exc:
-            raise _vanishes(kernel, T0, str(exc)) from exc
-        x_in, v_in = float(log_y.values[0]), float(log_y.derivs[0])
-
-        def exp_shift(t: np.ndarray, x: np.ndarray, v: np.ndarray):
-            y = np.exp(x - t)
-            return y, y * (v - 1.0)
-
-        parts.insert(0, log_y.map(exp_shift))
-    w_in = v_in - 1.0
+        parts.insert(0, kernel.window_solution(y_in, dy_in))
+    w_in = dy_in / y_in
     angle = math.atan(w_in) + t_in
     if not angle < math.pi / 2.0:
         raise _vanishes(kernel, T0, f"arctan W(t_in) + t_in = {angle:.6f} >= pi/2")
-    y_in = math.exp(x_in - t_in)
-    ball = _rotation(t_in, y_in, w_in * y_in)
+    ball = _rotation(t_in, y_in, dy_in)
     if t_in > 0.0:
         parts.insert(0, Trajectory.from_function(ball, [0.0, t_in]))
     y0, dy0 = map(float, ball(0.0))

@@ -73,7 +73,17 @@ def _bump(x: np.ndarray) -> np.ndarray:
 
 def mollifier(x: float | np.ndarray) -> float | np.ndarray:
     """Smooth monotone step: 0 for x <= 0, 1 for x >= 1, symmetric about
-    x = 1/2 so that mollifier(x) + mollifier(1 - x) = 1."""
+    x = 1/2 so that mollifier(x) + mollifier(1 - x) = 1.
+
+    A float goes through ``math.exp`` (the right-hand sides of the window
+    solves call it once per evaluation); anything else through numpy."""
+    if isinstance(x, float):
+        if x <= 0.0:
+            return 0.0
+        if x >= 1.0:
+            return 1.0
+        f = math.exp(-1.0 / x)
+        return f / (f + math.exp(-1.0 / (1.0 - x)))
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     f = _bump(x_arr)
     g = _bump(1.0 - x_arr)
@@ -88,6 +98,8 @@ def k_parallel(params: ProfileParams, rho: float | np.ndarray) -> float | np.nda
     1 - 2*H(rho - r) for eps = 0 with the convention H(0) = 0, so the value
     at rho = r is 1.
     """
+    if isinstance(rho, float) and rho >= 0.0 and params.eps > 0.0:
+        return 1.0 - 2.0 * mollifier((rho - params.r) / params.eps)
     rho_arr = np.atleast_1d(np.asarray(rho, dtype=float))
     if rho_arr.min() < 0.0:
         raise ValueError("rho must be nonnegative")
@@ -142,22 +154,6 @@ class WarpFunction:
             val[mid] = v
             der[mid] = d
         return val, der
-
-    def state_scalar(self, rho: float) -> tuple[float, float]:
-        """(A, A') at one radius; fast path for right-hand-side callbacks."""
-        r, eps = self.params.r, self.params.eps
-        if rho <= r:
-            return math.sin(rho), math.cos(rho)
-        if rho >= r + eps:
-            ep = math.exp(rho)
-            em = 1.0 / ep
-            return (self.a_plus * ep + self.a_minus * em,
-                    self.a_plus * ep - self.a_minus * em)
-        return self._transition.state_scalar(rho)
-
-    def log_slope_scalar(self, rho: float) -> float:
-        v, d = self.state_scalar(rho)
-        return d / v
 
     def value(self, rho: float | np.ndarray) -> float | np.ndarray:
         v, _ = self.state(rho)
@@ -223,12 +219,13 @@ def _solve_warp_cached(r: float, eps: float, tol: float) -> WarpFunction:
         a_plus, a_minus = _a_coefficients_sharp(r)
         return WarpFunction(params, a_plus, a_minus, transition=None)
 
-    def rhs(rho: float, a: float, ap: float) -> float:
-        return -(1.0 - 2.0 * mollifier((rho - r) / eps)) * a
+    def rhs(rho: float, y: np.ndarray) -> tuple[float, float]:
+        a, ap = y.tolist()
+        return ap, -(1.0 - 2.0 * mollifier((rho - r) / eps)) * a
 
-    transition = integrate_ivp(rhs, r, (math.sin(r), math.cos(r)), r + eps, tol)
-    a_end = transition.value(r + eps)
-    ap_end = transition.deriv(r + eps)
+    flow = integrate_ivp(rhs, r, (math.sin(r), math.cos(r)), r + eps, tol)
+    a_end, ap_end = flow.end.tolist()
+    transition = flow.trajectory()
     a_plus = (a_end + ap_end) * math.exp(-(r + eps)) / 2.0
     a_minus = (a_end - ap_end) * math.exp(r + eps) / 2.0
     return WarpFunction(params, a_plus, a_minus, transition=transition)

@@ -83,6 +83,21 @@ class TestJacobi:
         assert np.max(np.abs(w - 1.0)) < 1e-8
 
 
+class TestKernelColumn:
+    def test_perpendicular_kernel_stays_finite(self, tmp_path):
+        # K_perp past the transition comes from the e^{-(t - t_x)}-scaled
+        # exterior forms; A itself overflows near t = 710, and with it the
+        # U and V columns, which may read inf there
+        out = tmp_path / "jacobi.csv"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["jacobi", "--kind", "perpendicular", "--s", "0.3", "--tmax", "800",
+                         "--out", str(out)]) == 0
+        header, data = read_csv(out)
+        kernel = data[:, header.index("kernel")]
+        assert np.all(np.isfinite(kernel))
+        assert np.max(np.abs(kernel[data[:, 0] >= 30.0] + 1.0)) < 1e-20
+
+
 class TestStable:
     def test_radial_certificate_payload(self, tmp_path):
         out = tmp_path / "stable.json"
@@ -150,6 +165,20 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["geodesic", "--s", "-1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["stable", "--s", "inf"],
+        ["stable", "--s", "nan"],
+        ["jacobi", "--tmax", "inf"],
+        ["jacobi", "--dt", "nan"],
+        ["profile", "--r", "nan"],
+        ["scan", "--sigma", "inf"],
+    ])
+    def test_non_finite_option_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "must be finite" in capsys.readouterr().err
 
     def test_computation_failure_exits_one(self, capsys):
         code = main(["find-r", "--eps", "0.3", "--bracket-halfwidth", "0.02"])

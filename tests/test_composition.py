@@ -1,10 +1,13 @@
 """Composed solutions (exact ball, transition solve, exact exterior) against
 full-span solves, and the work the composition leaves to the integrator."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 import ahwarp.geodesics as geodesics_mod
 import ahwarp.jacobi as jacobi_mod
@@ -13,9 +16,9 @@ import ahwarp.stable as stable_mod
 import ahwarp.warp as warp_mod
 from ahwarp.geodesics import GeodesicParams, solve_radial
 from ahwarp.jacobi import fundamental_pair, make_kernel
-from ahwarp.ode import Break, Switch, integrate_ivp
+from ahwarp.ode import Trajectory
 from ahwarp.search import assemble_report
-from ahwarp.stable import stable_for
+from ahwarp.stable import stable_for, stable_solution
 from ahwarp.warp import k_parallel, solve_warp
 
 T = 20.0
@@ -25,40 +28,86 @@ TOL = 1e-12
 # its error is erratic in tol (5e-9 in rho at tol 1e-12 on one draw, 5e-13 at
 # 3e-13); the references run tighter than the solutions they check.
 REF_TOL = 1e-13
+PI4 = math.pi / 4
+
+
+def piecewise_solve(rhs, t0, y0, t1, surfaces=()):
+    """scipy's DOP853 from (t0, y0) to t1, restarted from the state at the
+    first crossing of each surface fn(t, y) = 0 in turn, so no step
+    straddles one.  Returns the pieces [(lo, hi, dense output)] and the
+    crossing times."""
+    pieces, crossings = [], []
+    t, y = t0, np.asarray(y0, dtype=float)
+    for fn in [*surfaces, None]:
+        event = None
+        if fn is not None:
+            def event(tt, yy, fn=fn):
+                return fn(tt, yy)
+
+            event.terminal = True
+        sol = solve_ivp(rhs, (t, t1), y, method="DOP853", dense_output=True,
+                        events=event, rtol=REF_TOL, atol=REF_TOL * 1e-3)
+        assert sol.status >= 0, sol.message
+        pieces.append((t, float(sol.t[-1]), sol.sol))
+        t, y = float(sol.t[-1]), sol.y[:, -1]
+        if sol.status == 0:
+            break
+        crossings.append(t)
+    return pieces, crossings
+
+
+def evaluate(pieces, ts):
+    """The piecewise solution's first two components at the times ts."""
+    out = np.empty((2, len(ts)))
+    for k, t in enumerate(ts):
+        _, _, sol = next(p for p in pieces if p[0] <= t <= p[1])
+        out[:, k] = sol(t)[:2]
+    return out
 
 
 def full_span_radial(s, r, eps):
-    """rho'' = (A'/A)(rho) (1 - rho'^2) from (s, 0) on all of [0, T], with
-    switches at rho = r and rho = r + eps so no step straddles a kink."""
+    """rho'' = (A'/A)(rho) (1 - rho'^2) from (s, 0) on all of [0, T],
+    restarted at rho = r and rho = r + eps so no step straddles a kink.
+    Returns the pieces and the crossing times {label: t}."""
     warp = solve_warp(GeodesicParams(s, r, eps).profile)
 
-    def rhs(t, x, v):
-        return warp.log_slope_scalar(x) * (1.0 - v * v)
+    def rhs(t, y):
+        return y[1], float(warp.log_slope(y[0])) * (1.0 - y[1] * y[1])
 
-    switches = [Switch(lambda t, x, v, b=b: x - b, label=label)
-                for b, label in ((r, "entry"), (r + eps, "transition_exit"))
+    surfaces = [(b, label) for b, label in ((r, "entry"), (r + eps, "transition_exit"))
                 if s < b and (label == "entry" or eps > 0.0)]
-    return integrate_ivp(rhs, 0.0, (s, 0.0), T, REF_TOL, switches=switches)
+    pieces, crossings = piecewise_solve(
+        rhs, 0.0, (s, 0.0), T,
+        [lambda t, y, b=b: y[0] - b for b, _ in surfaces])
+    return pieces, {label: t for (_, label), t in zip(surfaces, crossings)}
 
 
 def full_span_pair(s, r, eps, radial):
     """Y'' = -K_par(rho(t)) Y on all of [0, T] along the full-span radial
-    solution: one branch per region (ball, transition, exterior), with a
-    break at each region boundary the geodesic crosses."""
+    solution: one branch per region (ball, transition, exterior), each
+    region solved on its own span from the state where the one before
+    ends."""
+    pieces, times = radial
     profile = GeodesicParams(s, r, eps).profile
 
-    def transition(t, y, v):
-        return -float(k_parallel(profile, radial.state_scalar(t)[0])) * y
+    def transition(t, y):
+        _, _, sol = next(p for p in pieces if p[0] <= t <= p[1])
+        return y[1], -float(k_parallel(profile, float(sol(t)[0]))) * y[0]
 
-    times = {label: t for t, label in radial.events}
     t_in = times.get("entry", 0.0)
     t_x = times.get("transition_exit", t_in)
-    regions = [(lo, hi, rhs) for lo, hi, rhs in ((0.0, t_in, lambda t, y, v: -y),
+    regions = [(lo, hi, rhs) for lo, hi, rhs in ((0.0, t_in, lambda t, y: (y[1], -y[0])),
                                                  (t_in, t_x, transition),
-                                                 (t_x, T, lambda t, y, v: y)) if hi > lo]
-    breaks = [Break(lo, None, rhs) for lo, _, rhs in regions[1:]]
-    return [integrate_ivp(regions[0][2], 0.0, y0, T, REF_TOL, breaks=breaks)
-            for y0 in ((1.0, 0.0), (0.0, 1.0))]
+                                                 (t_x, T, lambda t, y: (y[1], y[0]))) if hi > lo]
+    out = []
+    for y0 in ((1.0, 0.0), (0.0, 1.0)):
+        parts, y = [], y0
+        for lo, hi, rhs in regions:
+            part, _ = piecewise_solve(rhs, lo, y, hi)
+            parts += part
+            y = part[-1][2](hi)
+        out.append(parts)
+    return out
 
 
 class TestAgainstFullSpan:
@@ -72,12 +121,12 @@ class TestAgainstFullSpan:
         # the full-span radial reference starts at rho = s, where the drift
         # is cot(s): s is kept away from 0 for the reference's sake
         ref = full_span_radial(s, r, eps)
-        rho_ref, drho_ref = ref.state(TS)
+        rho_ref, drho_ref = evaluate(ref[0], TS)
         rho, drho = solve_radial(GeodesicParams(s, r, eps), T=T + 1.0, tol=TOL).state(TS)
         assert np.max(np.abs(rho - rho_ref) / rho_ref) <= 1e-8
         assert np.max(np.abs(drho - drho_ref)) <= 1e-8  # 0 <= rho' <= 1
 
-        U_ref, V_ref = (y.state(TS)[0] for y in full_span_pair(s, r, eps, ref))
+        U_ref, V_ref = (evaluate(y, TS)[0] for y in full_span_pair(s, r, eps, ref))
         pair = fundamental_pair(make_kernel("parallel", GeodesicParams(s, r, eps),
                                             horizon=T + 1.0, tol=TOL), T=T, tol=TOL)
         u, v = pair.U.state(TS)[0], pair.V.state(TS)[0]
@@ -120,9 +169,65 @@ class TestWorkCounts:
         stable_for("parallel", mu)
         t_in, t_x = kernel.radial.window
         assert 0.0 < t_in < t_x
-        assert len(solves) >= 3
+        # one window solve per geodesic: the kernel's (tol 1e-11) and the
+        # one stable_for builds at tol 1e-12; the pair and the certificate
+        # are read off them
+        assert len(solves) == 2
         # stable_for solves its own geodesic at tol 1e-12; its t_x moves by
         # far less than this slack
         slack = 1e-9
         for lo, hi in solves:
             assert t_in - slack <= lo < hi <= t_x + slack
+
+    @pytest.mark.parametrize("kind, mu", [
+        ("parallel", (0.0, PI4, 0.0)),
+        ("parallel", (0.2, 0.76, 0.05)),
+        ("perpendicular", (0.2, PI4, 0.0)),
+        ("perpendicular", (0.3, PI4, 0.05)),
+    ])
+    def test_one_window_solve_per_geodesic(self, solves, kind, mu):
+        # building the kernel solves its window once (none at eps = 0; both
+        # kinds share the radial solve); the fundamental pair and the stable
+        # solution combine that solve's pair and integrate nothing
+        params = GeodesicParams(*mu)
+        solve_warp(params.profile)  # the warp transition is a solve in rho
+        solves.clear()
+        kernel = make_kernel(kind, params)
+        expected = [kernel.radial.window] if mu[2] > 0.0 else []
+        assert solves == expected
+        fundamental_pair(kernel, T=20.0)
+        sol = stable_solution(kernel, tol=1e-10)
+        assert solves == expected
+        assert sol.seed_residual < 1e-10
+
+    def test_mollified_scan_makes_no_dense_lookup(self, solves, monkeypatch):
+        # no right-hand side reads a trajectory, and each mollified s costs
+        # one window solve (185 solves when the radial, in-plane and
+        # log-Riccati windows were solved apart)
+        def refuse(self, t):
+            raise AssertionError("dense lookup")
+
+        monkeypatch.setattr(Trajectory, "state_scalar", refuse)
+        report = assemble_report(0.05)
+        assert report.overall == "boundary-CP-and-no-interior-CP"
+        assert len(solves) == 102
+
+
+class TestWindowInvariants:
+    @given(
+        frac=st.floats(0.0, 1.0, exclude_max=True),
+        r=st.floats(0.7, 0.85),
+        eps=st.floats(0.005, 0.1),
+    )
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    def test_transfer_determinant_and_clairaut(self, frac, r, eps):
+        # the window's transfer matrix is symplectic, the carried warp
+        # function obeys Clairaut's integral a^2 (1 - rho'^2) = A(s)^2 at
+        # every node, and it agrees with the warp function solved in rho
+        s = frac * (r + eps)
+        kernel = make_kernel("parallel", GeodesicParams(s, r, eps), tol=TOL)
+        rho, drho, a, _ = kernel.radial.transition.states[:4]
+        assert abs(np.linalg.det(kernel.transfer) - 1.0) <= 1e-10
+        a_s = float(kernel.warp.value(s))
+        assert np.max(np.abs(a * a * (1.0 - drho * drho) - a_s * a_s)) <= 1e-10
+        assert np.max(np.abs(a - kernel.warp.value(rho))) <= 1e-10

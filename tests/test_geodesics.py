@@ -235,7 +235,8 @@ class TestComparisonBound:
 
     def test_against_numeric_comparison_equation(self):
         a, s, v = 0.5, 0.0, 0.0
-        traj = integrate_ivp(lambda t, x, xp: a * (1.0 - xp * xp), 0.0, (s, v), 6.0, 1e-12)
+        traj = integrate_ivp(lambda t, y: (y[1], a * (1.0 - y[1] * y[1])), 0.0, (s, v), 6.0,
+                             1e-12).trajectory()
         ts = np.linspace(0.0, 6.0, 30)
         x, _ = traj.state(ts)
         expected = np.asarray(comparison_lower_bound(a, s, v, ts))
@@ -308,6 +309,11 @@ class TestParams:
     def test_negative_s_rejected(self):
         with pytest.raises(ValueError):
             GeodesicParams(-0.1, PI4, 0.0)
+
+    @pytest.mark.parametrize("s", [math.inf, math.nan])
+    def test_non_finite_s_rejected(self, s):
+        with pytest.raises(ValueError, match="finite"):
+            GeodesicParams(s, PI4, 0.0)
 
     def test_profile_validation_propagates(self):
         with pytest.raises(ValueError):

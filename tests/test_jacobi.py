@@ -18,7 +18,7 @@ from ahwarp.jacobi import (
     theta,
     theta_infinity,
 )
-from ahwarp.ode import integrate_ivp
+from ahwarp.ode import Trajectory, integrate_ivp
 
 PI4 = math.pi / 4
 SQRT2 = math.sqrt(2.0)
@@ -134,6 +134,30 @@ class TestFundamentalPair:
         early = np.linspace(0.0, 5.0, 100)
         assert np.max(np.abs(pair.wronskian(early) - 1.0)) < 1e-8
 
+    @pytest.mark.parametrize("kind", ["parallel", "perpendicular"])
+    def test_tighter_tol_than_the_kernel_is_refused(self, kind):
+        # the window pair is solved once, at the kernel's tol: a tighter
+        # request is an error, a looser one is served by the kernel's solve
+        kern = make_kernel(kind, GeodesicParams(0.3, 0.76, 0.05), tol=1e-10)
+        with pytest.raises(ValueError, match="tighter"):
+            fundamental_pair(kern, T=5.0, tol=1e-11)
+        with pytest.raises(ValueError, match="tighter"):
+            jacobi_solution(kern, (1.0, 0.0), T=5.0, tol=1e-12)
+        loose = jacobi_solution(kern, (1.0, 0.0), T=5.0, tol=1e-8)
+        same = jacobi_solution(kern, (1.0, 0.0), T=5.0, tol=1e-10)
+        assert np.array_equal(loose.values, same.values)
+
+    def test_solution_inside_the_window(self):
+        # a horizon inside [t_in, t_x] cuts the window pair there
+        kern = make_kernel("parallel", GeodesicParams(0.3, 0.76, 0.05))
+        t_in, t_x = kern.radial.window
+        T = 0.5 * (t_in + t_x)
+        y = jacobi_solution(kern, (1.0, 0.0), T=T, tol=1e-10)
+        full = jacobi_solution(kern, (1.0, 0.0), T=5.0, tol=1e-10)
+        assert y.grid.t1 == T
+        ts = np.linspace(0.0, T, 50)
+        assert np.max(np.abs(y.value(ts) - full.value(ts))) < 1e-15
+
     def test_perp_wronskian_is_exact(self):
         # U = A cos(theta) / A(s), V = A sin(theta): U V' - U' V = A^2 theta' / A(s)
         # = 1 by Clairaut's integral, to rounding (the integrated pair was off
@@ -155,9 +179,11 @@ class TestFundamentalPair:
         assert np.max(np.abs(dy - (2.0 * du - 3.0 * dv)) / scale) < 1e-14
 
     def test_off_plane_equation_is_not_integrated(self):
-        kern = make_kernel("perpendicular", GeodesicParams(0.3, PI4, 0.0))
+        kern = make_kernel("perpendicular", GeodesicParams(0.3, PI4, 0.05))
         with pytest.raises(ValueError):
-            kern.rhs_pieces()
+            kern.transfer
+        with pytest.raises(ValueError):
+            kern.window_solution(1.0, 0.0)
         with pytest.raises(ValueError):
             killing_field(make_kernel("parallel", GeodesicParams(0.3, PI4, 0.0)), 1.0, 0.0, 5.0)
         with pytest.raises(ValueError):
@@ -274,14 +300,14 @@ class TestSturmSeparation:
 
     def test_zero_interlacing_on_oscillatory_kernel(self):
         # k = 1 up to t = 6, then -1: V oscillates early, U's zeros must
-        # separate consecutive zeros of V
-        from ahwarp.ode import Break
+        # separate consecutive zeros of V.  The state is handed over at t = 6.
+        def solve(y0):
+            inside = integrate_ivp(lambda t, y: (y[1], -y[0]), 0.0, y0, 6.0, 1e-11)
+            outside = integrate_ivp(lambda t, y: (y[1], y[0]), 6.0, inside.end, 12.0, 1e-11)
+            return Trajectory.concat([inside.trajectory(), outside.trajectory()])
 
-        rhs_in = lambda t, x, v: -x
-        rhs_out = lambda t, x, v: x
-        breaks = [Break(6.0, None, rhs_out)]
-        U = integrate_ivp(rhs_in, 0.0, (1.0, 0.0), 12.0, 1e-11, breaks=breaks)
-        V = integrate_ivp(rhs_in, 0.0, (0.0, 1.0), 12.0, 1e-11, breaks=breaks)
+        U = solve((1.0, 0.0))
+        V = solve((0.0, 1.0))
         zu = self._zeros(U, 1e-3, 12.0)
         zv = self._zeros(V, 1e-3, 12.0)
         assert len(zv) >= 2

@@ -6,16 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
-import ahwarp.stable as stable_mod
-from ahwarp.geodesics import GeodesicParams
+from ahwarp.geodesics import GeodesicParams, RadialSolution
 from ahwarp.jacobi import (
+    JacobiKernel,
     closed_U_perp,
     closed_V_perp,
     make_kernel,
     theta_infinity,
 )
-from ahwarp.ode import Break, integrate_backward
 from ahwarp.stable import (
     CertificateError,
     certificate,
@@ -145,21 +145,23 @@ class TestSeedingConsistency:
 def _linear_seeded_certificate(kernel, T=40.0, tol=1e-11):
     """Reference W'(0): the linear Jacobi equation Y'' = -k(t) Y, with k read
     from JacobiKernel.value, seeded with (e^{-T}, -e^{-T}) and integrated
-    backward.  A break at each region boundary keeps steps off the jump;
-    past a boundary k is read strictly right of it (value() returns the
-    inside value at a sharp junction)."""
-
-    def branch(lo):
-        def rhs(t, x, v):
-            return -float(kernel.value(max(t, lo))) * x
-
-        return rhs
-
+    backward by scipy's DOP853, one decreasing span per region so no step
+    straddles a region boundary; past a boundary k is read strictly right of
+    it (value() returns the inside value at a sharp junction)."""
     bounds = sorted({b for b in (kernel.entry, kernel.exit) if b is not None and b > 0.0})
-    breaks = [Break(b, None, branch(math.nextafter(b, math.inf))) for b in bounds]
+    edges = [T, *reversed(bounds), 0.0]
     seed = math.exp(-T)
-    traj = integrate_backward(branch(0.0), T, (seed, -seed), 0.0, tol, breaks=breaks)
-    return traj.deriv(0.0) / traj.value(0.0)
+    y = np.array([seed, -seed])
+    for hi, lo in zip(edges[:-1], edges[1:]):
+        k_from = math.nextafter(lo, math.inf) if lo > 0.0 else 0.0
+
+        def rhs(t, z, k_from=k_from):
+            return z[1], -float(kernel.value(max(t, k_from))) * z[0]
+
+        sol = solve_ivp(rhs, (hi, lo), y, method="DOP853", rtol=tol, atol=tol * 1e-3)
+        assert sol.status == 0, sol.message
+        y = sol.y[:, -1]
+    return y[1] / y[0]
 
 
 class TestRiccatiAgainstLinear:
@@ -177,35 +179,28 @@ class TestRiccatiAgainstLinear:
         assert abs(riccati - linear) <= 1e-8 * abs(linear)
 
 
-class TestOneBackwardSolve:
-    @pytest.mark.parametrize("kind, mu", [
-        ("parallel", (0.0, PI4, 0.0)),
-        ("parallel", (0.2, 0.76, 0.05)),
-        ("perpendicular", (0.2, PI4, 0.0)),
-        ("perpendicular", (0.3, PI4, 0.05)),
-    ])
-    def test_single_integrate_backward_call(self, monkeypatch, kind, mu):
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append((args[3], args[1]))
-            return integrate_backward(*args, **kwargs)
-
-        monkeypatch.setattr(stable_mod, "integrate_backward", counting)
-        kernel = make_kernel(kind, GeodesicParams(*mu))
-        sol = stable_solution(kernel, tol=1e-10)
-        # in-plane: one solve across the transition window [t_in, t_x], none
-        # when it is empty (eps = 0); the off-plane stable solution is a
-        # Killing field: nothing to solve
-        expected = [kernel.radial.window] if kind == "parallel" and mu[2] > 0.0 else []
-        assert calls == expected
-        assert sol.seed_residual < 1e-10
-
-
 class TestVanishingStableSolution:
     def test_zero_of_Y_is_a_certificate_error(self):
         with pytest.raises(CertificateError, match=r"s=1\.4, r=1\.5, eps=0\.0"):
             stable_for("perpendicular", GeodesicParams(1.4, 1.5, 0.0), tol=1e-10)
+
+    def test_zero_in_the_window_is_a_certificate_error(self, monkeypatch):
+        # Y = e^{-t} at t_x; with a transfer matrix M (det 1) whose
+        # adj(M) (1, -1) has a nonpositive first entry, Y(t_in) <= 0 and the
+        # stable solution vanishes in the window
+        kernel = make_kernel("parallel", GeodesicParams(0.2, 0.76, 0.05))
+        monkeypatch.setattr(JacobiKernel, "transfer",
+                            property(lambda self: np.array([[1.0, -2.0], [0.0, 1.0]])))
+        with pytest.raises(CertificateError, match=r"vanishes.*Y\(t_in\) = -"):
+            stable_solution(kernel)
+
+    def test_window_of_pi_or_longer_is_refused(self, monkeypatch):
+        # the zero test rests on Sturm comparison with Y'' = -Y, which puts
+        # two zeros at least pi apart: it needs a window shorter than pi
+        kernel = make_kernel("parallel", GeodesicParams(0.2, 0.76, 0.05))
+        monkeypatch.setattr(RadialSolution, "window", property(lambda self: (0.5, 0.5 + math.pi)))
+        with pytest.raises(CertificateError, match="not shorter than pi"):
+            stable_solution(kernel)
 
 
 class TestPositivity:

@@ -136,11 +136,20 @@ class TestSolveWarp:
                 assert np.all(np.asarray(w.log_slope(rho)) >= a - 1e-12)
 
     def test_scalar_matches_vector_path(self):
-        w = solve_warp(ProfileParams(0.76, 0.08))
-        for rho in (0.3, 0.76, 0.8, 0.84, 1.5, 10.0):
-            v, d = w.state_scalar(rho)
-            assert v == pytest.approx(float(w.value(rho)), abs=1e-15)
-            assert d == pytest.approx(float(w.deriv(rho)), abs=1e-15)
+        # one float takes math.exp, an array numpy's exp; they agree to a few
+        # ulps, and so does k_parallel built on them
+        params = ProfileParams(0.76, 0.08)
+        xs = np.concatenate([[-1.0, 0.0, 1e-3, 0.5, 1.0, 2.0], np.linspace(0.01, 0.99, 99)])
+        vector = np.asarray(mollifier(xs))
+        for x, ref in zip(xs.tolist(), vector):
+            got = mollifier(x)
+            assert type(got) is float
+            assert got == pytest.approx(ref, rel=4e-16, abs=1e-300)
+        rhos = 0.76 + 0.08 * xs
+        for rho, ref in zip(rhos.tolist(), np.asarray(k_parallel(params, rhos))):
+            assert k_parallel(params, rho) == pytest.approx(ref, rel=4e-16, abs=4e-16)
+        assert k_parallel(ProfileParams(0.76, 0.0), 0.76) == 1.0
+        assert k_parallel(ProfileParams(0.76, 0.0), 0.77) == -1.0
 
 
 class TestKPerp:
