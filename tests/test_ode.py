@@ -1,5 +1,5 @@
 """Integrator contract: oracle problems, terminal switches, projections,
-Wronskian."""
+backward problems through the transfer matrix, Wronskian."""
 
 import math
 
@@ -24,6 +24,39 @@ def harmonic(t, y):
 
 def antiharmonic(t, y):
     return y[1], y[0]
+
+
+IDENTITY = (1.0, 0.0, 0.0, 1.0)
+
+
+def pair_rhs(k):
+    """x'' = -k(t) x for the fundamental pair, carried as (U, U', V, V')."""
+    def rhs(t, y):
+        kt = k(t)
+        return y[1], -kt * y[0], y[3], -kt * y[2]
+
+    return rhs
+
+
+def transfer(flow):
+    """M = [[U, V], [U', V']] at the end of a pair flow started from the
+    identity: (x, x')(t1) = M (x, x')(t0), det M = 1."""
+    u, du, v, dv = flow.end
+    return np.array([[u, v], [du, dv]])
+
+
+def adj(M):
+    (u, v), (du, dv) = M
+    return np.array([[dv, -v], [-du, u]])
+
+
+def backward(k, t0, T, yT, tol):
+    """The solution of x'' = -k(t) x on [t0, T] with (x, x')(T) = yT, as the
+    package poses a backward problem: one forward solve of the fundamental
+    pair, (x, x')(t0) = adj(M) yT, and x = x(t0) U + x'(t0) V."""
+    flow = integrate_ivp(pair_rhs(k), t0, IDENTITY, T, tol)
+    x0, dx0 = adj(transfer(flow)) @ np.asarray(yT, dtype=float)
+    return flow.trajectory(((x0, 0.0, dx0, 0.0), (0.0, x0, 0.0, dx0)))
 
 
 class TestForward:
@@ -55,6 +88,21 @@ class TestForward:
         # the event time is a node
         assert np.any(traj.grid.nodes == te)
 
+    def test_breaks_equivalent_to_switch(self):
+        # a coefficient jump at a known time is a fixed end and a new solve;
+        # it agrees with the terminal switch at the same place
+        tol = 1e-11
+        inside = integrate_ivp(harmonic, 0.0, (0.0, 1.0), PI / 4, tol)
+        outside = integrate_ivp(antiharmonic, PI / 4, inside.end, 1.0, tol)
+        traj = Trajectory.concat([inside.trajectory(), outside.trajectory()],
+                                 events=[(PI / 4, "cap")])
+        assert abs(traj.value(1.0) - (SQRT2 / 2) * math.exp(1.0 - PI / 4)) < 10 * tol
+        assert traj.events == ((PI / 4, "cap"),)
+        switched = integrate_ivp(harmonic, 0.0, (0.0, 1.0), 1.0, tol,
+                                 switch=Switch(lambda rho, y: rho - PI / 4, label="cap"))
+        rest = integrate_ivp(antiharmonic, switched.grid.t1, switched.end, 1.0, tol)
+        assert np.max(np.abs(rest.end - outside.end)) < 10 * tol
+
     def test_c1_matching_at_event(self):
         # a jump of the coefficient at t = 1: the state is handed over
         # unchanged from one solve to the next
@@ -77,6 +125,43 @@ class TestForward:
 
 
 class TestBackward:
+    """A backward problem, (x, x') given at T, is answered by the forward
+    fundamental pair and its transfer matrix (``backward`` above), as
+    ``stable.stable_solution`` answers the in-plane one."""
+
+    def test_decay_mode_exact(self):
+        tol = 1e-10
+        T = 10.0
+        seed = math.exp(-T)
+        traj = backward(lambda t: -1.0, 0.0, T, (seed, -seed), tol)
+        assert abs(traj.value(0.0) - 1.0) < 10 * tol
+        ts = np.linspace(0.0, T, 41)
+        x, _ = traj.state(ts)
+        assert np.max(np.abs(x - np.exp(-ts))) < 10 * tol
+
+    def test_cosine_shifted(self):
+        tol = 1e-10
+        traj = backward(lambda t: 1.0, 0.0, PI / 2, (1.0, 0.0), tol)
+        assert abs(traj.value(0.0)) < tol
+
+    def test_nodes_increasing_and_span(self):
+        traj = backward(lambda t: 1.0, 1.0, 5.0, (1.0, 0.0), 1e-10)
+        assert traj.grid.t0 == 1.0 and traj.grid.t1 == 5.0
+        assert np.all(np.diff(traj.grid.nodes) > 0)
+
+    def test_breaks_in_forward_description(self):
+        # k jumps from -1 (t < 1) to +1 (t > 1); the forward solution is two
+        # solves joined at the break, and the backward problem from its end
+        # state composes the two windows' transfer matrices
+        tol = 1e-11
+        left = integrate_ivp(antiharmonic, 0.0, (1.0, 0.0), 1.0, tol)
+        right = integrate_ivp(harmonic, 1.0, left.end, 3.0, tol)
+        M = (transfer(integrate_ivp(pair_rhs(lambda t: 1.0), 1.0, IDENTITY, 3.0, tol))
+             @ transfer(integrate_ivp(pair_rhs(lambda t: -1.0), 0.0, IDENTITY, 1.0, tol)))
+        x0, dx0 = adj(M) @ right.end
+        assert abs(x0 - 1.0) < 100 * tol
+        assert abs(dx0) < 100 * tol
+
     def test_requires_T_above_t0(self):
         # every solve runs forward; a decreasing span is refused
         with pytest.raises(ValueError):
