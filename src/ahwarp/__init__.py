@@ -26,7 +26,6 @@ from .warp import (
     k_parallel,
     k_perp,
     mollifier,
-    sec_interpolated,
     solve_warp,
 )
 from .geodesics import (
@@ -70,7 +69,6 @@ from .stable import (
     stable_solution,
 )
 from .search import (
-    Bracket,
     BracketError,
     MidSRecord,
     ScanReport,

@@ -3,7 +3,15 @@ interior ones.
 
 For each mollification width eps the radius r_eps is located at which the
 radial stable solution satisfies Y'(0) = 0; the metric then has boundary
-conjugate points along radial geodesics.  Absence of interior conjugate
+conjugate points along radial geodesics.  No root search is needed: along
+the radial geodesic the transition window is [r, r + eps], and its equation
+in x = rho - r does not contain r, so W = Y'/Y at the window's entry is one
+number w(eps) for every r.  The exact rotation through the ball (``stable``)
+then gives
+
+    W'(0; r) = tan(arctan w(eps) + r) = tan(r - r*),   r* = -arctan w(eps),
+
+and one certificate at r = pi/4 fixes the root.  Absence of interior conjugate
 points is certified in three regimes:
 
 * small s (certificate method): W'(0) <= 0 for both kernels on a grid
@@ -24,10 +32,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .geodesics import GeodesicParams, comparison_lower_bound, solve_radial
 from .jacobi import KINDS, jacobi_solution, make_kernel
@@ -35,7 +41,6 @@ from .stable import TOL_SIGN, certificate, certificate_s_derivatives, stable_for
 from .warp import ProfileParams, k_parallel, k_perp, solve_warp
 
 __all__ = [
-    "Bracket",
     "BracketError",
     "SmallSRecord",
     "MidSRecord",
@@ -53,25 +58,8 @@ OVERALL_FAILED = "failed"
 
 
 class BracketError(ValueError):
-    """Root bracket endpoints have equal signs (eps too large for the
-    bracket width)."""
-
-
-@dataclass(frozen=True)
-class Bracket:
-    r_lo: float
-    r_hi: float
-    f_lo: float
-    f_hi: float
-
-    def __post_init__(self) -> None:
-        if not self.r_lo < self.r_hi:
-            raise ValueError("bracket requires r_lo < r_hi")
-        if not self.f_lo * self.f_hi < 0.0:
-            raise BracketError(
-                f"no sign change over [{self.r_lo}, {self.r_hi}]: "
-                f"f = ({self.f_lo:.3e}, {self.f_hi:.3e})"
-            )
+    """r* outside the window [pi/4 - h, pi/4 + h] (eps too large for the
+    bracket half-width h)."""
 
 
 @dataclass(frozen=True)
@@ -151,13 +139,6 @@ class ScanReport:
         return cls.from_dict(json.loads(text))
 
 
-def _radial_slope_at_zero(r: float, eps: float, tol: float) -> float:
-    """Y'(0) of the stable solution along the radial geodesic of (r, eps);
-    the root function of the search."""
-    sol = stable_for("parallel", GeodesicParams(0.0, r, eps), tol=tol)
-    return sol.Y0 * sol.W_prime_0
-
-
 def find_r_star(
     eps: float,
     bracket_halfwidth: float = 0.1,
@@ -165,17 +146,23 @@ def find_r_star(
 ) -> tuple[float, float]:
     """Locate r with Y'(0) = 0 on the radial geodesic of (r, eps).
 
-    Brackets pi/4 and runs Brent's method (bisection/secant/inverse
-    quadratic) on r -> Y'(0).  Returns (r_star, |Y'(0)| at r_star).  Raises
-    BracketError when the endpoint signs agree, which happens when eps is
-    too large for the bracket.
+    W'(0; r) = tan(r - r*) for every r (module docstring), so
+
+        r* = pi/4 - arctan W'(0; pi/4)
+
+    from one certificate.  Returns (r_star, |Y'(0)| at r_star), the residual
+    from the stable solution at r_star that the scan's witness reuses.
+    Raises BracketError when r_star falls outside the window
+    [pi/4 - bracket_halfwidth, pi/4 + bracket_halfwidth].
     """
-    r_lo = _QUARTER_PI - bracket_halfwidth
-    r_hi = _QUARTER_PI + bracket_halfwidth
-    f = lambda r: _radial_slope_at_zero(r, eps, tol)
-    Bracket(r_lo, r_hi, f(r_lo), f(r_hi))  # validates the sign change
-    r_star = float(brentq(f, r_lo, r_hi, xtol=1e-13, rtol=8.9e-16))
-    return r_star, abs(f(r_star))
+    lo = _QUARTER_PI - bracket_halfwidth
+    hi = _QUARTER_PI + bracket_halfwidth
+    w0 = certificate("parallel", GeodesicParams(0.0, _QUARTER_PI, eps), tol)
+    r_star = _QUARTER_PI - math.atan(w0)
+    if not lo <= r_star <= hi:
+        raise BracketError(f"r* = {r_star!r} outside the window [{lo!r}, {hi!r}]")
+    sol = stable_for("parallel", GeodesicParams(0.0, r_star, eps), tol=tol)
+    return r_star, abs(sol.Y0 * sol.W_prime_0)
 
 
 def verify_small_s(
@@ -352,7 +339,8 @@ def assemble_report(
 
     # Boundary-conjugate witness: the stable solution at s = 0 decays in
     # forward time and, extended evenly (W'(0) = 0 up to the root residual),
-    # in backward time as well.
+    # in backward time as well.  find_r_star took the residual from this
+    # solution, so it is a cache hit.
     witness_sol = stable_for("parallel", GeodesicParams(0.0, r_star, eps), tol=root_tol)
     t_check = min(30.0, witness_sol.seed_horizon)
     y_end = abs(float(witness_sol.Y.value(t_check)))

@@ -34,7 +34,6 @@ __all__ = [
     "k_parallel",
     "solve_warp",
     "k_perp",
-    "sec_interpolated",
 ]
 
 # Default half-width of the r window and largest mollification width used by
@@ -251,20 +250,3 @@ def k_perp(warp: WarpFunction, rho: float | np.ndarray) -> float | np.ndarray:
     v, d = warp.state(rho_arr)
     out = (1.0 - d * d) / (v * v)
     return float(out[0]) if np.isscalar(rho) or np.ndim(rho) == 0 else out
-
-
-def sec_interpolated(
-    warp: WarpFunction,
-    rho: float | np.ndarray,
-    cos_alpha: float | np.ndarray,
-) -> float | np.ndarray:
-    """Sectional curvature of a plane meeting the radial direction at angle
-    alpha: cos^2(alpha) K_par + sin^2(alpha) K_perp, extended to all
-    cos(alpha) in [-1, 1]."""
-    c = np.asarray(cos_alpha, dtype=float)
-    if np.any(np.abs(c) > 1.0 + 1e-12):
-        raise ValueError("cos_alpha must lie in [-1, 1]")
-    c2 = np.clip(c * c, 0.0, 1.0)
-    out = c2 * np.asarray(k_parallel(warp.params, rho)) + (1.0 - c2) * np.asarray(k_perp(warp, rho))
-    scalar = (np.isscalar(rho) or np.ndim(rho) == 0) and (np.isscalar(cos_alpha) or np.ndim(cos_alpha) == 0)
-    return float(out) if scalar else out

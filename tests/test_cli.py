@@ -185,6 +185,14 @@ class TestErrors:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_root_outside_the_window_exits_one(self, capsys):
+        # r* = 0.4475 lies far below the default window [pi/4 - 0.1, pi/4 + 0.1]
+        code = main(["find-r", "--eps", "0.7"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "BracketError: r* = " in err and "outside the window" in err
+        assert "Traceback" not in err
+
     def test_malformed_env_tol_is_usage_error(self, monkeypatch):
         monkeypatch.setenv("AHWARP_TOL", "1e-10x")
         # importing must not parse it (a fresh interpreter, so the module is

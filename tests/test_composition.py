@@ -17,7 +17,7 @@ import ahwarp.warp as warp_mod
 from ahwarp.geodesics import GeodesicParams, solve_radial
 from ahwarp.jacobi import fundamental_pair, make_kernel
 from ahwarp.ode import Trajectory
-from ahwarp.search import assemble_report
+from ahwarp.search import assemble_report, find_r_star
 from ahwarp.stable import stable_for, stable_solution
 from ahwarp.warp import k_parallel, solve_warp
 
@@ -200,6 +200,16 @@ class TestWorkCounts:
         assert solves == expected
         assert sol.seed_residual < 1e-10
 
+    def test_r_star_from_one_certificate(self, solves):
+        # W'(0; r) = tan(r - r*): the warp and s = 0 window solves at pi/4
+        # give r*, and those at r* give the residual
+        eps = 0.05
+        r_star, _ = find_r_star(eps)
+        assert len(solves) == 4
+        for (lo, hi), r in zip(solves, (PI4, PI4, r_star, r_star)):
+            assert lo == pytest.approx(r, abs=1e-12)
+            assert hi == pytest.approx(r + eps, abs=1e-12)
+
     def test_mollified_scan_makes_no_dense_lookup(self, solves, monkeypatch):
         # no right-hand side reads a trajectory, and each mollified s costs
         # one window solve (185 solves when the radial, in-plane and
@@ -210,7 +220,7 @@ class TestWorkCounts:
         monkeypatch.setattr(Trajectory, "state_scalar", refuse)
         report = assemble_report(0.05)
         assert report.overall == "boundary-CP-and-no-interior-CP"
-        assert len(solves) == 102
+        assert len(solves) == 90
 
 
 class TestWindowInvariants:

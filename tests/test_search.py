@@ -4,12 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 import ahwarp.search as search_mod
 from ahwarp.geodesics import GeodesicParams
 from ahwarp.jacobi import make_kernel
 from ahwarp.search import (
-    Bracket,
     BracketError,
     ScanReport,
     assemble_report,
@@ -34,16 +34,6 @@ def sharp_report():
     return assemble_report(0.0)
 
 
-class TestBracket:
-    def test_sign_change_required(self):
-        with pytest.raises(BracketError):
-            Bracket(0.7, 0.8, 1.0, 2.0)
-
-    def test_ordering_required(self):
-        with pytest.raises(ValueError):
-            Bracket(0.8, 0.7, -1.0, 1.0)
-
-
 class TestFindRStar:
     def test_sharp_root_is_quarter_pi(self):
         r_star, residual = find_r_star(0.0, tol=1e-12)
@@ -60,8 +50,27 @@ class TestFindRStar:
         assert dists[0] > dists[1] > dists[2]
 
     def test_narrow_bracket_fails_for_large_eps(self):
-        with pytest.raises(BracketError):
+        # r*(0.3) = 0.6377 lies below the window [pi/4 - 0.02, pi/4 + 0.02]
+        with pytest.raises(BracketError, match=r"r\* = 0\.637\d* outside the window \[0\.765"):
             find_r_star(0.3, bracket_halfwidth=0.02, tol=1e-11)
+
+    @pytest.mark.parametrize("eps", [0.01, 0.020927634009400266, 0.05, 0.1])
+    def test_agrees_with_brent_on_the_certificate(self, eps):
+        # the rotation identity against a root search: Brent on the s = 0
+        # certificate r -> W'(0; r), whose iterates each solve the window
+        f = lambda r: certificate("parallel", GeodesicParams(0.0, r, eps), tol=1e-12)
+        ref = brentq(f, PI4 - 0.1, PI4 + 0.1, xtol=1e-13, rtol=8.9e-16)
+        r_star, residual = find_r_star(eps, tol=1e-12)
+        assert abs(r_star - ref) <= 1e-13
+        assert residual < 1e-13
+
+    @pytest.mark.parametrize("eps", [0.0, 0.05, 0.1])
+    def test_certificate_is_rotation_from_r_star(self, eps):
+        # W'(0; r) = tan(r - r*) across the bracket, not only at the root
+        r_star, _ = find_r_star(eps, tol=1e-12)
+        for r in np.linspace(PI4 - 0.1, PI4 + 0.1, 9):
+            got = certificate("parallel", GeodesicParams(0.0, float(r), eps), tol=1e-12)
+            assert abs(got - math.tan(r - r_star)) <= 1e-13
 
     def test_root_certificate_within_tolerance_at_drawn_eps(self):
         # verify_small_s recomputes the s = 0 certificate at tol 1e-10; at a

@@ -14,7 +14,6 @@ from ahwarp.warp import (
     k_parallel,
     k_perp,
     mollifier,
-    sec_interpolated,
     solve_warp,
 )
 
@@ -178,35 +177,6 @@ class TestKPerp:
         w = solve_warp(ProfileParams(PI4, 0.0))
         with pytest.raises(ValueError):
             k_perp(w, 0.0)
-
-
-class TestSecInterpolated:
-    def test_extreme_angles(self):
-        w = solve_warp(ProfileParams(PI4, 0.0))
-        for rho in (0.5, 1.0, 3.0):
-            assert sec_interpolated(w, rho, 1.0) == pytest.approx(
-                float(k_parallel(w.params, rho)), abs=1e-14)
-            assert sec_interpolated(w, rho, 0.0) == pytest.approx(
-                float(k_perp(w, rho)), abs=1e-14)
-
-    def test_convex_combination(self):
-        w = solve_warp(ProfileParams(PI4, 0.0))
-        got = sec_interpolated(w, 1.0, 0.6)
-        expected = 0.36 * (-1.0) + 0.64 * (-1.0 + 2.0 * math.exp(-2.0 * (1.0 - PI4)))
-        assert got == pytest.approx(expected, abs=1e-14)
-
-    def test_whole_range_of_angles(self):
-        w = solve_warp(ProfileParams(PI4, 0.05))
-        for c in (-1.0, -0.3, 0.2, 1.0):
-            val = sec_interpolated(w, 2.0, c)
-            kp = float(k_parallel(w.params, 2.0))
-            kq = float(k_perp(w, 2.0))
-            assert min(kp, kq) - 1e-14 <= val <= max(kp, kq) + 1e-14
-
-    def test_bad_angle_rejected(self):
-        w = solve_warp(ProfileParams(PI4, 0.0))
-        with pytest.raises(ValueError):
-            sec_interpolated(w, 1.0, 1.5)
 
 
 class TestNegativeCurvatureThreshold:
