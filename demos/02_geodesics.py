@@ -1,4 +1,4 @@
-"""Radial geodesics: events, closed forms, and the non-trapping bound.
+"""Radial geodesics: entry times, closed forms, and the non-trapping bound.
 
 A geodesic at distance s from the origin runs along a great-circle arc
 inside the round ball and then escapes to infinity with rho ~ t.  The arc
@@ -25,7 +25,7 @@ from ahwarp import (
 PI4 = math.pi / 4
 
 print("=== entry times and exit slopes (r = pi/4) ===")
-print("  s       ell(s)      rho'(ell)   event time        |event - ell|")
+print("  s       ell(s)      rho'(ell)   entry time        |entry - ell|")
 for s in (0.0, 0.1, 0.3, 0.5, 0.7):
     ell = entry_time(s, PI4)
     slope = radial_exit_slope(s, PI4)
@@ -49,7 +49,7 @@ print("  t       rho(t)      rho'(t)     theta(t)")
 for t in (0.0, 0.4, sol.entry_time, 1.0, 2.0, 5.0):
     print(f"  {t:5.3f}  {float(sol.rho(t)):.8f}  {float(sol.drho(t)):.8f}  "
           f"{float(closed_theta(0.3, t)):.8f}")
-print(f"  (entry event at t = {sol.entry_time:.8f}, a node of the grid)")
+print(f"  (entry at t = {sol.entry_time:.8f}, where the arc hands over to the exterior)")
 
 print()
 print("=== non-trapping: rho dominates the constant-drift comparison ===")

@@ -13,8 +13,6 @@ the closed forms available at the critical parameters (r, eps) = (pi/4, 0).
 from .ode import (
     Flow,
     IntegrationError,
-    Switch,
-    TimeGrid,
     Trajectory,
     integrate_ivp,
 )

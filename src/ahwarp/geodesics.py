@@ -68,7 +68,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .ode import Flow, Switch, Trajectory, integrate_ivp
+from .ode import Flow, Trajectory, integrate_ivp
 from .warp import ProfileParams, WarpFunction, k_parallel, solve_warp
 
 __all__ = [
@@ -165,13 +165,13 @@ class _Exterior:
 
 @dataclass(frozen=True, eq=False)
 class RadialSolution:
-    """rho along one geodesic: dense trajectory on [0, T], the entry time at
-    which rho crosses r (present iff s < r and it is reached by T), the exit
-    time at which rho reaches r + eps (0 if s >= r + eps, the entry time if
-    eps = 0, None if not reached by T), the warp function A of the metric,
-    the solve's tolerance, the exact exterior piece, the window solve
-    (``transition``, None where nothing is integrated) and the angular
-    coordinate theta."""
+    """rho along one geodesic: its trajectory, a function on [0, T]; the
+    entry time at which rho crosses r (present iff s < r and it is reached by
+    T); the exit time at which rho reaches r + eps (0 if s >= r + eps, the
+    entry time if eps = 0, None if not reached by T); the warp function A of
+    the metric; the solve's tolerance; the exact exterior piece; the window
+    solve (``transition``, None where nothing is integrated), whose accepted
+    steps the angle quadrature follows; and the angular coordinate theta."""
 
     params: GeodesicParams
     trajectory: Trajectory
@@ -193,13 +193,6 @@ class RadialSolution:
                 "transition zone"
             )
         return (self.entry_time or 0.0), self.exit_time
-
-    @property
-    def transition_exit_time(self) -> float | None:
-        for t, label in self.trajectory.events:
-            if label == "transition_exit":
-                return t
-        return None
 
     def state(self, t: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.trajectory.state(t)
@@ -245,15 +238,15 @@ class RadialSolution:
     def _angle_table(self) -> tuple[np.ndarray, np.ndarray, float, float]:
         """(knots, phi at the knots, theta_inf, pi/2 - theta_inf): the panel
         ends from the entry time (or 0) on, with phi summed tail-first.  The
-        exterior piece is one step of the trajectory, so it is cut into
-        fixed panels.  Inside the ball pi/2 - theta = atan2(sin s cos t, sin t)
-        keeps its relative precision for small s, so pi/2 - theta_inf does
-        too."""
+        knots are the window solve's accepted steps, and a stretch longer
+        than a panel, such as the exterior [t_x, T], is cut into panels.
+        Inside the ball pi/2 - theta = atan2(sin s cos t, sin t) keeps its
+        relative precision for small s, so pi/2 - theta_inf does too."""
         if self.params.s == 0.0:
             raise ValueError("the angular coordinate is undefined along the radial geodesic")
-        nodes = self.trajectory.grid.nodes
         start = self.entry_time if self.entry_time is not None else 0.0
-        nodes = nodes[nodes >= start]
+        solve = () if self.transition is None else self.transition.nodes
+        nodes = np.unique(np.concatenate([[start], solve, [self.trajectory.t1]]))
         steps = np.diff(nodes)
         k = np.maximum(1, np.ceil(steps / _PANEL)).astype(int)
         step = np.repeat(np.arange(len(k)), k)
@@ -314,7 +307,7 @@ class RadialSolution:
         radial solve in rho(T).  Infinite while the geodesic is still inside
         the transition at T."""
         p = self.params
-        rho_T, drho_T = (float(v[0]) for v in self.trajectory.state(self.trajectory.grid.t1))
+        rho_T, drho_T = (float(v[0]) for v in self.trajectory.state(self.trajectory.t1))
         if rho_T < p.r + p.eps or not drho_T > 0.0:
             return math.inf
         a, da = (float(v[0]) for v in self.warp.state(rho_T))
@@ -356,7 +349,7 @@ def _window_rhs(profile: ProfileParams):
     return rhs
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _solve_radial_cached(s: float, r: float, eps: float, T: float, tol: float) -> RadialSolution:
     params = GeodesicParams(s, r, eps)
     warp = solve_warp(params.profile, tol=min(tol, 1e-12))
@@ -365,11 +358,7 @@ def _solve_radial_cached(s: float, r: float, eps: float, T: float, tol: float) -
         # rho(t) = t exactly; the polar-coordinate singularity at the origin
         # is not integrated.  The window solve (rho' = 1, so rho'' = 0) runs
         # over the fixed span [r, r + eps] for the in-plane pair.
-        events = [(r, "entry")]
-        if eps > 0.0 and rho_x < T:
-            events.append((rho_x, "transition_exit"))
-        nodes = np.unique(np.concatenate([np.linspace(0.0, T, 33), [te for te, _ in events]]))
-        traj = Trajectory.from_function(lambda t: (t, np.ones_like(t)), nodes, events)
+        traj = Trajectory.from_function(lambda t: (t, np.ones_like(t)), 0.0, T)
         flow = None
         if eps > 0.0 and r < T:
             y0 = (r, 1.0, math.sin(r), math.cos(r), *_PAIR_START)
@@ -381,7 +370,7 @@ def _solve_radial_cached(s: float, r: float, eps: float, T: float, tol: float) -
     t, state, t_entry = 0.0, (s, 0.0), None
     if s < r:
         t_in = entry_time(s, r)
-        parts.append(Trajectory.from_function(lambda tt: _ball_state(s, tt), [0.0, min(t_in, T)]))
+        parts.append(Trajectory.from_function(lambda tt: _ball_state(s, tt), 0.0, min(t_in, T)))
         if t_in > T:  # still inside the ball at the horizon
             return RadialSolution(params=params, trajectory=parts[0], entry_time=None,
                                   warp=warp, tol=tol)
@@ -390,12 +379,11 @@ def _solve_radial_cached(s: float, r: float, eps: float, T: float, tol: float) -
     flow = None
     if t_x is None and t < T:
         a, b = (float(v[0]) for v in warp.state(state[0]))
-        crossing = Switch(lambda t, y: y[0] - rho_x, label="transition_exit")
         flow = integrate_ivp(_window_rhs(params.profile), t, (*state, a, b, *_PAIR_START), T,
-                             tol, switch=crossing)
+                             tol, switch=lambda t, y: y[0] - rho_x)
         parts.append(flow.trajectory(np.eye(2, 8)))  # (rho, rho')
-        if flow.events:
-            t_x = flow.grid.t1
+        if flow.switched:
+            t_x = float(flow.nodes[-1])
 
     exterior = None
     if t_x is not None and t_x < T:
@@ -413,9 +401,8 @@ def _solve_radial_cached(s: float, r: float, eps: float, T: float, tol: float) -
             d=4.0 * warp.a_plus * warp.a_minus,
             a_s=a_s,
         )
-        parts.append(Trajectory.from_function(exterior.state, [t_x, T]))
-    events = [(t_entry, "entry")] if t_entry is not None else []
-    return RadialSolution(params=params, trajectory=Trajectory.concat(parts, events),
+        parts.append(Trajectory.from_function(exterior.state, t_x, T))
+    return RadialSolution(params=params, trajectory=Trajectory.concat(parts),
                           entry_time=t_entry, warp=warp, tol=tol, exit_time=t_x,
                           exterior=exterior, transition=flow)
 
@@ -425,9 +412,9 @@ def solve_radial(params: GeodesicParams, T: float = 30.0, tol: float = 1e-10) ->
     the transition only, exact past it.
 
     The entry time is the exact ``entry_time(s, r)``; the crossing of
-    rho = r + eps (eps > 0) is located by the integrator and recorded as the
-    ``transition_exit`` event, so no step straddles the curvature transition.
-    Results are cached.
+    rho = r + eps (eps > 0) is located by the integrator and ends the window
+    solve, so no step straddles the curvature transition; it is the
+    solution's ``exit_time``.  The 64 most recent results are cached.
     """
     if not T > 0.0:
         raise ValueError("horizon T must be positive")

@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -187,28 +186,22 @@ class JacobiKernel:
         return self._window_flow().trajectory(proj, T)
 
 
-@lru_cache(maxsize=None)
-def _make_kernel_cached(kind: str, s: float, r: float, eps: float,
-                        horizon: float, tol: float) -> JacobiKernel:
-    params = GeodesicParams(s, r, eps)
-    # Along radial geodesics the two scalar equations coincide; building the
-    # perpendicular kernel at s = 0 as the parallel one avoids 0/0 limits.
-    effective = "parallel" if s == 0.0 else kind
-    radial = solve_radial(params, T=horizon, tol=tol)
-    return JacobiKernel(kind=effective, params=params, radial=radial)
-
-
 def make_kernel(
     kind: str,
     params: GeodesicParams,
     horizon: float = 50.0,
     tol: float = 1e-11,
 ) -> JacobiKernel:
-    """Assemble (and cache) the Jacobi kernel of the given kind along the
-    geodesic mu = params, usable for t in [0, horizon]."""
+    """Assemble the Jacobi kernel of the given kind along the geodesic
+    mu = params, usable for t in [0, horizon].  Each call builds a new
+    kernel; the radial solve under it is cached by ``solve_radial``."""
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    return _make_kernel_cached(kind, params.s, params.r, params.eps, horizon, tol)
+    # Along radial geodesics the two scalar equations coincide; building the
+    # perpendicular kernel at s = 0 as the parallel one avoids 0/0 limits.
+    effective = "parallel" if params.s == 0.0 else kind
+    radial = solve_radial(params, T=horizon, tol=tol)
+    return JacobiKernel(kind=effective, params=params, radial=radial)
 
 
 def killing_field(
@@ -232,7 +225,7 @@ def killing_field(
     if angle not in ("theta", "phi"):
         raise ValueError(f"angle must be 'theta' or 'phi', got {angle!r}")
     radial = kernel.radial
-    horizon = radial.trajectory.grid.t1
+    horizon = radial.trajectory.t1
     if not 0.0 < T <= horizon:
         raise ValueError(f"horizon T = {T} outside (0, {horizon}] of the kernel")
     warp = kernel.warp
@@ -249,10 +242,7 @@ def killing_field(
         # (A/A(s))' = A' rho' / A(s) and (A/A(s)) a' = sign / A (Clairaut)
         return (a / a_s) * comb, (da * drho / a_s) * comb + sign * (q * c - p * sn) / a
 
-    nodes = radial.trajectory.grid.nodes
-    nodes = np.append(nodes[nodes < T], T)
-    events = [(te, label) for te, label in radial.trajectory.events if te <= T]
-    return Trajectory.from_function(fn, nodes, events)
+    return Trajectory.from_function(fn, 0.0, T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,15 +301,14 @@ def _in_plane(kernel: JacobiKernel, y0: float, dy0: float, T: float) -> Trajecto
     state = (y0, dy0)
     if t_in > 0.0:
         ball = _rotation(0.0, y0, dy0)
-        parts.append(Trajectory.from_function(ball, [0.0, min(t_in, T)]))
+        parts.append(Trajectory.from_function(ball, 0.0, min(t_in, T)))
         state = tuple(map(float, ball(t_in)))
     if t_in < min(t_x, T):
         parts.append(kernel.window_solution(*state, T))
-        state = (parts[-1].values[-1], parts[-1].derivs[-1])
+        state = tuple((kernel.transfer @ state).tolist())
     if t_x < T:
-        parts.append(Trajectory.from_function(_exponentials(t_x, *state), [t_x, T]))
-    events = [e for e in kernel.radial.trajectory.events if e[0] <= T]
-    return Trajectory.concat(parts, events)
+        parts.append(Trajectory.from_function(_exponentials(t_x, *state), t_x, T))
+    return Trajectory.concat(parts)
 
 
 def jacobi_solution(

@@ -3,18 +3,18 @@
 Thin layer over scipy's DOP853 embedded Runge-Kutta pair with dense output.
 A solve runs forward from (t0, y0) to t1, or to the first crossing of a
 terminal switch ``fn(t, y) = 0``: the crossing is located on the dense output
-of the bracketing step, recorded as an event, and becomes the end of the
-solve.  The package integrates only across the curvature transition, so its
-solves run from a known time to the (unknown) time at which the geodesic
-leaves the transition, carrying several coupled quantities in one state
-vector.
+of the bracketing step and becomes the end of the solve.  The package
+integrates only across the curvature transition, so its solves run from a
+known time to the (unknown) time at which the geodesic leaves the
+transition, carrying several coupled quantities in one state vector.
 
-The result is a ``Flow``: the accepted nodes, the states there and the dense
-output of the whole vector.  The rest of the package works with scalar
-solutions (x, x') as ``Trajectory`` objects.  Integrated pieces are linear
-projections ``(x, x') = P y`` of a flow; exact pieces before and after it are
-built with ``Trajectory.from_function``, and ``Trajectory.concat`` joins
-them.
+The result is a ``Flow``: the accepted nodes, the states there, the dense
+output of the whole vector and whether the switch ended it.  The rest of the
+package works with scalar solutions (x, x') as ``Trajectory`` objects: a
+function on [t0, t1], evaluated piece by piece.  Integrated pieces are linear
+projections ``(x, x') = P y`` of a flow's dense output; exact pieces before
+and after it are closed forms wrapped by ``Trajectory.from_function`` (not
+evaluated until asked), and ``Trajectory.concat`` joins them.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ from scipy.integrate._ivp.common import OdeSolution
 
 __all__ = [
     "Rhs",
-    "Switch",
-    "TimeGrid",
     "Flow",
     "Trajectory",
     "IntegrationError",
@@ -44,24 +42,7 @@ _METHOD = "DOP853"
 
 class IntegrationError(RuntimeError):
     """The integrator could not meet its contract (step-size underflow,
-    stiffness, or an event that could not be bracketed)."""
-
-
-@dataclass(frozen=True)
-class Switch:
-    """Terminal switching surface ``fn(t, y) = 0``.  The zero must be
-    transverse along the solution; the solve ends at its first crossing,
-    which is recorded as an event with this label."""
-
-    fn: Callable[[float, np.ndarray], float]
-    label: str = "switch"
-
-
-@dataclass(frozen=True, eq=False)
-class TimeGrid:
-    t0: float
-    t1: float
-    nodes: np.ndarray
+    stiffness, or a switch crossing that could not be bracketed)."""
 
 
 class _Dense:
@@ -114,17 +95,12 @@ class _Piece:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """A C^1 solution on [grid.t0, grid.t1] with dense evaluation.
+    """A C^1 solution (x, x') on [t0, t1], made of consecutive pieces that
+    ``value``/``deriv``/``state`` evaluate anywhere in that range, through
+    the solver's dense output on integrated pieces."""
 
-    ``values`` and ``derivs`` hold (x, x') at the nodes; every event time is
-    a node.  ``value``/``deriv``/``state`` evaluate anywhere in the time
-    range, through the solver's dense output on integrated pieces.
-    """
-
-    grid: TimeGrid
-    values: np.ndarray
-    derivs: np.ndarray
-    events: tuple[tuple[float, str], ...]
+    t0: float
+    t1: float
     pieces: tuple[_Piece, ...] = field(repr=False)
 
     def state_scalar(self, t: float) -> tuple[float, float]:
@@ -135,7 +111,7 @@ class Trajectory:
 
     def state(self, t: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        lo, hi = self.grid.t0, self.grid.t1
+        lo, hi = self.t0, self.t1
         slack = 1e-9 * max(1.0, abs(hi - lo))
         if t_arr.min() < lo - slack or t_arr.max() > hi + slack:
             raise ValueError(
@@ -166,81 +142,51 @@ class Trajectory:
     def from_function(
         cls,
         fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-        nodes: np.ndarray,
-        events: Sequence[tuple[float, str]] = (),
+        t0: float,
+        t1: float,
     ) -> "Trajectory":
-        """Exact solution ``(x, x') = fn(t)`` on [nodes[0], nodes[-1]], used
-        where a closed form or a quadrature replaces an ODE solve.  ``fn`` is
-        vectorized over t; ``nodes`` is increasing."""
-        nodes = np.asarray(nodes, dtype=float)
+        """Exact solution ``(x, x') = fn(t)`` on [t0, t1], used where a
+        closed form or a quadrature replaces an ODE solve.  ``fn`` is
+        vectorized over t and only called when the trajectory is
+        evaluated."""
 
         def sol(t: np.ndarray) -> np.ndarray:
             return np.vstack(fn(np.atleast_1d(np.asarray(t, dtype=float))))
 
-        t0, t1 = float(nodes[0]), float(nodes[-1])
-        grid = TimeGrid(t0=t0, t1=t1, nodes=nodes)
-        y = sol(nodes)
-        return cls(
-            grid=grid,
-            values=y[0],
-            derivs=y[1],
-            events=tuple(sorted(events)),
-            pieces=(_Piece(t0, t1, sol),),
-        )
+        t0, t1 = float(t0), float(t1)
+        return cls(t0=t0, t1=t1, pieces=(_Piece(t0, t1, sol),))
 
     @classmethod
-    def concat(
-        cls,
-        parts: Sequence["Trajectory"],
-        events: Sequence[tuple[float, str]] = (),
-    ) -> "Trajectory":
+    def concat(cls, parts: Sequence["Trajectory"]) -> "Trajectory":
         """One solution from consecutive ``parts``, each starting where the
-        one before ends; a junction node is kept once, from the earlier part.
-        ``events`` are added to the parts' own."""
-        nodes = np.concatenate([p.grid.nodes for p in parts])
-        keep = np.concatenate([[True], np.diff(nodes) > 0])
-        return cls(
-            grid=TimeGrid(t0=parts[0].grid.t0, t1=parts[-1].grid.t1, nodes=nodes[keep]),
-            values=np.concatenate([p.values for p in parts])[keep],
-            derivs=np.concatenate([p.derivs for p in parts])[keep],
-            events=tuple(sorted({*events, *(e for p in parts for e in p.events)})),
-            pieces=tuple(piece for p in parts for piece in p.pieces),
-        )
+        one before ends."""
+        return cls(t0=parts[0].t0, t1=parts[-1].t1,
+                   pieces=tuple(piece for p in parts for piece in p.pieces))
 
 
 @dataclass(frozen=True, eq=False)
 class Flow:
-    """One forward solve of y' = f(t, y) on [grid.t0, grid.t1]: the states
-    (k x n) at the accepted nodes, the event that ended it (if any) and the
-    dense output of the whole state vector."""
+    """One forward solve of y' = f(t, y) on [nodes[0], nodes[-1]]: the
+    states (k x n) at the accepted nodes, whether the switch ended it, and
+    the dense output of the whole state vector."""
 
-    grid: TimeGrid
+    nodes: np.ndarray
     states: np.ndarray
-    events: tuple[tuple[float, str], ...]
+    switched: bool
     dense: _Dense = field(repr=False)
 
     @property
     def end(self) -> np.ndarray:
-        """The state at grid.t1."""
+        """The state at the last node."""
         return self.states[:, -1]
 
     def trajectory(self, proj: np.ndarray | None = None, t1: float | None = None) -> Trajectory:
-        """The scalar solution (x, x') = proj @ y on [grid.t0, t1] (default
+        """The scalar solution (x, x') = proj @ y on [nodes[0], t1] (default
         the whole span; ``proj`` None takes a 2-state as it is)."""
         proj = None if proj is None else np.asarray(proj, dtype=float)
-        nodes, states = self.grid.nodes, self.states
-        if t1 is not None and t1 < self.grid.t1:
-            keep = nodes < t1
-            nodes = np.append(nodes[keep], t1)
-            states = np.column_stack([states[:, keep], self.dense(t1)])
-        xy = states if proj is None else proj @ states
-        return Trajectory(
-            grid=TimeGrid(t0=self.grid.t0, t1=float(nodes[-1]), nodes=nodes),
-            values=xy[0],
-            derivs=xy[1],
-            events=tuple(e for e in self.events if e[0] <= nodes[-1]),
-            pieces=(_Piece(self.grid.t0, float(nodes[-1]), self.dense, proj),),
-        )
+        t0, end = float(self.nodes[0]), float(self.nodes[-1])
+        t1 = end if t1 is None else min(float(t1), end)
+        return Trajectory(t0=t0, t1=t1, pieces=(_Piece(t0, t1, self.dense, proj),))
 
 
 def integrate_ivp(
@@ -250,10 +196,11 @@ def integrate_ivp(
     t1: float,
     tol: float = 1e-10,
     *,
-    switch: Switch | None = None,
+    switch: Callable[[float, np.ndarray], float] | None = None,
 ) -> Flow:
     """Integrate y' = rhs(t, y) forward from (t0, y0) to t1, or to the first
-    crossing of the terminal ``switch``, in one DOP853 solve.
+    crossing of the terminal switching surface ``switch(t, y) = 0``, in one
+    DOP853 solve.  The zero must be transverse along the solution.
 
     Local error per step is controlled to ``tol`` relative, with the
     absolute floor ``tol * 1e-3``.
@@ -263,7 +210,7 @@ def integrate_ivp(
     events = None
     if switch is not None:
         def event(t, y):
-            return switch.fn(t, y)
+            return switch(t, y)
 
         event.terminal = True
         events = [event]
@@ -271,10 +218,5 @@ def integrate_ivp(
                     dense_output=True, events=events, rtol=tol, atol=tol * 1e-3)
     if sol.status < 0:
         raise IntegrationError(sol.message)
-    fired = ((float(sol.t_events[0][0]), switch.label),) if sol.status == 1 else ()
-    return Flow(
-        grid=TimeGrid(t0=float(sol.t[0]), t1=float(sol.t[-1]), nodes=sol.t),
-        states=sol.y,
-        events=fired,
-        dense=_Dense(sol.sol, sol.y),
-    )
+    return Flow(nodes=sol.t, states=sol.y, switched=sol.status == 1,
+                dense=_Dense(sol.sol, sol.y))

@@ -258,7 +258,11 @@ def verify_large_s(
 
 
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:
+    """lo, lo + step, ... up to hi, with hi appended; empty when hi < lo
+    (a sigma past rho0 leaves no mid s to check)."""
     n = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    if n < 1:
+        return np.empty(0)
     g = lo + step * np.arange(n)
     if g[-1] < hi - 1e-12:
         g = np.append(g, hi)
@@ -340,7 +344,7 @@ def assemble_report(
     # Boundary-conjugate witness: the stable solution at s = 0 decays in
     # forward time and, extended evenly (W'(0) = 0 up to the root residual),
     # in backward time as well.  find_r_star took the residual from this
-    # solution, so it is a cache hit.
+    # solution; rebuilding it reuses that radial solve.
     witness_sol = stable_for("parallel", GeodesicParams(0.0, r_star, eps), tol=root_tol)
     t_check = min(30.0, witness_sol.seed_horizon)
     y_end = abs(float(witness_sol.Y.value(t_check)))

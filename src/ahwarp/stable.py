@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -127,7 +126,7 @@ def stable_solution(
     perpendicular equation is integrated as the parallel one, which is the
     same equation).
     """
-    horizon = kernel.radial.trajectory.grid.t1
+    horizon = kernel.radial.trajectory.t1
     if T0 > horizon:
         raise ValueError(f"seed horizon T0 = {T0} beyond the kernel horizon {horizon}")
     if kernel.kind == "perpendicular":
@@ -151,7 +150,7 @@ def stable_solution(
         y = np.exp(-t)
         return y, -y
 
-    parts = [Trajectory.from_function(decay, [t_x, T0])]
+    parts = [Trajectory.from_function(decay, t_x, T0)]
     if t_in < t_x:
         parts.insert(0, kernel.window_solution(y_in, dy_in))
     w_in = dy_in / y_in
@@ -160,13 +159,12 @@ def stable_solution(
         raise _vanishes(kernel, T0, f"arctan W(t_in) + t_in = {angle:.6f} >= pi/2")
     ball = _rotation(t_in, y_in, dy_in)
     if t_in > 0.0:
-        parts.insert(0, Trajectory.from_function(ball, [0.0, t_in]))
+        parts.insert(0, Trajectory.from_function(ball, 0.0, t_in))
     y0, dy0 = map(float, ball(0.0))
-    events = [e for e in kernel.radial.trajectory.events if e[0] <= T0]
     return StableSolution(
         kind=kind or kernel.kind,
         params=kernel.params,
-        Y=Trajectory.concat(parts, events),
+        Y=Trajectory.concat(parts),
         Y0=y0,
         W_prime_0=dy0 / y0,
         seed_horizon=T0,
@@ -218,21 +216,16 @@ def _seed_bound_error(kernel: JacobiKernel, residual: float, tol: float) -> Cert
     )
 
 
-@lru_cache(maxsize=None)
-def _stable_cached(kind: str, s: float, r: float, eps: float,
-                   tol: float, T0: float) -> StableSolution:
-    # An off-plane certificate carries the angle error of the radial solve,
-    # amplified by 1 / (A(s) sin^2 phi(0)); both kinds share one solve.
-    kernel = make_kernel(kind, GeodesicParams(s, r, eps),
-                         horizon=max(_KERNEL_HORIZON, T0 + _ANGLE_MARGIN),
-                         tol=min(tol, 1e-12))
-    return stable_solution(kernel, tol=tol, T0=T0, kind=kind)
-
-
 def stable_for(kind: str, params: GeodesicParams, tol: float = 1e-10,
                T0: float = 30.0) -> StableSolution:
-    """Cached stable solution for mu = params."""
-    return _stable_cached(kind, params.s, params.r, params.eps, tol, T0)
+    """Stable solution for mu = params.  Each call builds it anew, with
+    no solve of its own: the radial solve under it is cached by
+    ``geodesics.solve_radial``."""
+    # An off-plane certificate carries the angle error of the radial solve,
+    # amplified by 1 / (A(s) sin^2 phi(0)); both kinds share one solve.
+    kernel = make_kernel(kind, params, horizon=max(_KERNEL_HORIZON, T0 + _ANGLE_MARGIN),
+                         tol=min(tol, 1e-12))
+    return stable_solution(kernel, tol=tol, T0=T0, kind=kind)
 
 
 def certificate(kind: str, params: GeodesicParams, tol: float = 1e-10) -> float:

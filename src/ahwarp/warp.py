@@ -211,7 +211,7 @@ def _a_coefficients_sharp(r: float) -> tuple[float, float]:
     return a_plus, a_minus
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _solve_warp_cached(r: float, eps: float, tol: float) -> WarpFunction:
     params = ProfileParams(r, eps)
     if eps == 0.0:
@@ -236,7 +236,7 @@ def solve_warp(params: ProfileParams, tol: float = 1e-12) -> WarpFunction:
     The interior branch is exact; for eps = 0 the exterior coefficients come
     from the closed-form C^1 matching at rho = r, and for eps > 0 the
     transition is integrated once and the coefficients are read off at
-    rho = r + eps.  Results are cached per (r, eps, tol).
+    rho = r + eps.  The 8 most recent results are cached.
     """
     return _solve_warp_cached(params.r, params.eps, tol)
 

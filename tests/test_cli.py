@@ -180,6 +180,15 @@ class TestErrors:
         assert exc.value.code == 2
         assert "must be finite" in capsys.readouterr().err
 
+    def test_sigma_past_rho0_leaves_no_mid_s(self, capsys):
+        # rho0 = pi/4 + log(2)/2 < 2: the small-s certificates cover [0, 2]
+        code = main(["scan", "--eps", "0", "--sigma", "2"])
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err and "IndexError" not in err
+        assert code == 0
+        report = json.loads(out)
+        assert report["mid_s"] == [] and len(report["small_s"]) == 201
+
     def test_computation_failure_exits_one(self, capsys):
         code = main(["find-r", "--eps", "0.3", "--bracket-halfwidth", "0.02"])
         assert code == 1

@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import ahwarp.geodesics as geodesics_mod
-import ahwarp.jacobi as jacobi_mod
 import ahwarp.ode as ode_mod
-import ahwarp.stable as stable_mod
 import ahwarp.warp as warp_mod
 from ahwarp.geodesics import GeodesicParams, solve_radial
 from ahwarp.jacobi import fundamental_pair, make_kernel
@@ -139,8 +137,7 @@ class TestAgainstFullSpan:
 def solves(monkeypatch):
     """Every solve_ivp call made through ahwarp.ode, as the (lo, hi) of the
     time range it integrated; the package caches start empty."""
-    for cached in (warp_mod._solve_warp_cached, geodesics_mod._solve_radial_cached,
-                   jacobi_mod._make_kernel_cached, stable_mod._stable_cached):
+    for cached in (warp_mod._solve_warp_cached, geodesics_mod._solve_radial_cached):
         cached.cache_clear()
     spans = []
     real = ode_mod.solve_ivp

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import ahwarp.geodesics as geodesics_mod
 from ahwarp.geodesics import (
     GeodesicParams,
     closed_rho,
@@ -40,8 +41,8 @@ class TestEntryTime:
                 for s in (0.1, 0.4, 0.6):
                     sol = solve_radial(GeodesicParams(s, r, eps), T=10.0, tol=1e-10)
                     assert abs(sol.entry_time - entry_time(s, r)) < 1e-8
-                    labels = [lbl for _, lbl in sol.trajectory.events]
-                    assert labels.count("entry") == 1
+                    assert sol.window[0] == sol.entry_time
+                    assert abs(sol.rho(sol.entry_time) - r) < 1e-12
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -89,14 +90,14 @@ class TestSolveRadial:
         assert np.array_equal(np.asarray(sol.rho(ts)), ts)
         assert sol.entry_time == PI4
 
-    def test_radial_line_nodes_and_events(self):
-        # rho = t is evaluated exactly, and the entry event is a grid node
+    def test_radial_line_window(self):
+        # rho = t is evaluated exactly, and the window is [r, r + eps] exactly
         sol = solve_radial(GeodesicParams(0.0, 0.76, 0.05), T=5.0, tol=1e-10)
         assert sol.rho(3.3) == 3.3
         assert sol.drho(4.9) == 1.0 and sol.trajectory.state_scalar(0.9) == (0.9, 1.0)
-        assert (0.76, "entry") in sol.trajectory.events
-        assert 0.76 in sol.trajectory.grid.nodes
-        assert (0.81, "transition_exit") in sol.trajectory.events
+        assert sol.window == (0.76, 0.81)
+        assert sol.rho(0.76) == 0.76 and sol.rho(0.81) == 0.81
+        assert (sol.transition.nodes[0], sol.transition.nodes[-1]) == (0.76, 0.81)
 
     def test_horizon_before_entry_is_the_arc(self):
         # nothing past the ball is built, let alone integrated
@@ -115,11 +116,19 @@ class TestSolveRadial:
             assert np.all(np.diff(v) > -1e-9)   # rho'' >= 0
             assert np.all(v <= 1.0 + 1e-12)     # unit speed
 
-    def test_transition_exit_event(self):
+    def test_transition_exit_time(self):
+        # the crossing of rho = r + eps ends the window solve
         sol = solve_radial(GeodesicParams(0.3, PI4, 0.1), T=10.0, tol=1e-10)
-        t_exit = sol.transition_exit_time
+        t_exit = sol.exit_time
         assert t_exit is not None and t_exit > sol.entry_time
+        assert sol.transition.switched and sol.transition.nodes[-1] == t_exit
         assert float(sol.rho(t_exit)) == pytest.approx(PI4 + 0.1, abs=1e-8)
+
+    def test_cache_is_bounded(self):
+        # eps = 0 needs no ODE solve, so 200 distinct geodesics are cheap
+        for s in np.linspace(0.001, 0.7, 200):
+            solve_radial(GeodesicParams(float(s), 0.7512, 0.0), T=10.0, tol=1e-10)
+        assert geodesics_mod._solve_radial_cached.cache_info().currsize <= 64
 
     @pytest.mark.parametrize("s", [1e-20, 6.464532500880693e-291])
     def test_radial_solve_below_resolution(self, s):

@@ -9,7 +9,6 @@ from scipy.integrate import solve_ivp
 
 from ahwarp.ode import (
     IntegrationError,
-    Switch,
     Trajectory,
     integrate_ivp,
 )
@@ -77,16 +76,15 @@ class TestForward:
         # branch starts from the state there.
         tol = 1e-11
         inside = integrate_ivp(harmonic, 0.0, (0.0, 1.0), 1.0, tol,
-                               switch=Switch(lambda rho, y: rho - PI / 4, label="cap"))
-        te = inside.grid.t1
+                               switch=lambda rho, y: rho - PI / 4)
+        assert inside.switched
+        te = inside.nodes[-1]
         outside = integrate_ivp(antiharmonic, te, inside.end, 1.0, tol)
         traj = Trajectory.concat([inside.trajectory(), outside.trajectory()])
         assert abs(traj.value(1.0) - (SQRT2 / 2) * math.exp(1.0 - PI / 4)) < 10 * tol
-        assert len(traj.events) == 1
-        assert traj.events[0] == (te, "cap")
         assert abs(te - PI / 4) < tol
-        # the event time is a node
-        assert np.any(traj.grid.nodes == te)
+        # the switch time ends the first piece and starts the second
+        assert [(p.t_lo, p.t_hi) for p in traj.pieces] == [(0.0, te), (te, 1.0)]
 
     def test_breaks_equivalent_to_switch(self):
         # a coefficient jump at a known time is a fixed end and a new solve;
@@ -94,13 +92,12 @@ class TestForward:
         tol = 1e-11
         inside = integrate_ivp(harmonic, 0.0, (0.0, 1.0), PI / 4, tol)
         outside = integrate_ivp(antiharmonic, PI / 4, inside.end, 1.0, tol)
-        traj = Trajectory.concat([inside.trajectory(), outside.trajectory()],
-                                 events=[(PI / 4, "cap")])
+        traj = Trajectory.concat([inside.trajectory(), outside.trajectory()])
         assert abs(traj.value(1.0) - (SQRT2 / 2) * math.exp(1.0 - PI / 4)) < 10 * tol
-        assert traj.events == ((PI / 4, "cap"),)
+        assert not inside.switched
         switched = integrate_ivp(harmonic, 0.0, (0.0, 1.0), 1.0, tol,
-                                 switch=Switch(lambda rho, y: rho - PI / 4, label="cap"))
-        rest = integrate_ivp(antiharmonic, switched.grid.t1, switched.end, 1.0, tol)
+                                 switch=lambda rho, y: rho - PI / 4)
+        rest = integrate_ivp(antiharmonic, switched.nodes[-1], switched.end, 1.0, tol)
         assert np.max(np.abs(rest.end - outside.end)) < 10 * tol
 
     def test_c1_matching_at_event(self):
@@ -145,9 +142,12 @@ class TestBackward:
         assert abs(traj.value(0.0)) < tol
 
     def test_nodes_increasing_and_span(self):
+        flow = integrate_ivp(pair_rhs(lambda t: 1.0), 1.0, IDENTITY, 5.0, 1e-10)
+        assert flow.nodes[0] == 1.0 and flow.nodes[-1] == 5.0
+        assert np.all(np.diff(flow.nodes) > 0)
         traj = backward(lambda t: 1.0, 1.0, 5.0, (1.0, 0.0), 1e-10)
-        assert traj.grid.t0 == 1.0 and traj.grid.t1 == 5.0
-        assert np.all(np.diff(traj.grid.nodes) > 0)
+        assert (traj.t0, traj.t1) == (1.0, 5.0)
+        assert abs(traj.value(5.0) - 1.0) < 1e-9
 
     def test_breaks_in_forward_description(self):
         # k jumps from -1 (t < 1) to +1 (t > 1); the forward solution is two
@@ -209,12 +209,24 @@ class TestWronskian:
 
 class TestTrajectory:
     def test_function_factory(self):
-        traj = Trajectory.from_function(lambda t: (np.sin(t), np.cos(t)),
-                                        np.linspace(0.0, 3.0, 7), events=[(1.5, "mid")])
+        traj = Trajectory.from_function(lambda t: (np.sin(t), np.cos(t)), 0.0, 3.0)
         assert traj.value(2.2) == math.sin(2.2) and traj.deriv(0.4) == math.cos(0.4)
-        assert np.array_equal(traj.values, np.sin(traj.grid.nodes))
-        assert traj.events == ((1.5, "mid"),)
-        assert (traj.grid.t0, traj.grid.t1) == (0.0, 3.0)
+        ts = np.linspace(0.0, 3.0, 7)
+        assert np.array_equal(traj.value(ts), np.sin(ts))
+        assert (traj.t0, traj.t1) == (0.0, 3.0)
+
+    def test_function_is_not_called_until_evaluated(self):
+        calls = []
+
+        def fn(t):
+            calls.append(t)
+            return np.sin(t), np.cos(t)
+
+        traj = Trajectory.concat([Trajectory.from_function(fn, 0.0, 1.0),
+                                  Trajectory.from_function(fn, 1.0, 2.0)])
+        assert calls == []
+        assert traj.value(1.5) == math.sin(1.5)
+        assert len(calls) == 1 and np.array_equal(calls[0], [1.5])
 
     @pytest.mark.parametrize("projected", [False, True])
     def test_array_evaluation_equals_scipy_dense_output(self, projected):
@@ -231,21 +243,22 @@ class TestTrajectory:
 
         crossing.terminal = True
         y0 = (1.0, 0.3, 0.0, 1.0)
-        flow = integrate_ivp(rhs, 0.0, y0, 12.0, 1e-10, switch=Switch(crossing))
+        flow = integrate_ivp(rhs, 0.0, y0, 12.0, 1e-10, switch=crossing)
         scipy_sol = solve_ivp(rhs, (0.0, 12.0), y0, method="DOP853", dense_output=True,
                               events=crossing, rtol=1e-10, atol=1e-13)
-        assert np.array_equal(scipy_sol.t, flow.grid.nodes)
-        t_end = flow.grid.t1
-        assert 11.0 < t_end < 12.0
+        assert np.array_equal(scipy_sol.t, flow.nodes)
+        assert np.array_equal(scipy_sol.y, flow.states)
+        t_end = flow.nodes[-1]
+        assert flow.switched and 11.0 < t_end < 12.0
         rows = (2, 3) if projected else (0, 1)
         traj = flow.trajectory(np.eye(4)[list(rows)])
-        ts = np.concatenate([np.linspace(0.0, t_end, 997), traj.grid.nodes])
+        assert traj.t1 == t_end
+        ts = np.concatenate([np.linspace(0.0, t_end, 997), flow.nodes])
         (piece,) = traj.pieces
         ref = scipy_sol.sol(ts)[list(rows)]
         assert np.array_equal(piece.eval(ts), ref)
         for k in (0, 500, 996):
             assert traj.state_scalar(float(ts[k])) == (ref[0, k], ref[1, k])
-        assert np.array_equal(traj.values, flow.states[rows[0]])
 
     def test_out_of_range_rejected(self):
         traj = integrate_ivp(harmonic, 0.0, (0.0, 1.0), 1.0, 1e-10).trajectory()
@@ -259,21 +272,20 @@ class TestTrajectory:
             with pytest.raises(ValueError):
                 traj.state_scalar(t)
 
-    def test_events_are_nodes_and_sorted(self):
+    def test_switch_crossing_is_the_last_node(self):
         flow = integrate_ivp(harmonic, 0.0, (0.0, 1.0), 3.0, 1e-10,
-                             switch=Switch(lambda t, y: y[0] - 0.5, label="half"))
-        traj = flow.trajectory()
-        assert [lbl for _, lbl in traj.events] == ["half"]
-        (te, _), = traj.events
-        assert te == traj.grid.t1 and traj.grid.nodes[-1] == te
+                             switch=lambda t, y: y[0] - 0.5)
+        assert flow.switched
+        te = flow.nodes[-1]
+        assert flow.trajectory().t1 == te
         assert abs(te - PI / 6) < 1e-10
-        assert np.all(np.diff(traj.grid.nodes) > 0)
+        assert np.all(np.diff(flow.nodes) > 0)
 
     def test_cut_before_the_end(self):
-        # a trajectory restricted to [t0, t1] ends with a node at t1
+        # a trajectory restricted to [t0, t1] ends at t1
         flow = integrate_ivp(harmonic, 0.0, (0.0, 1.0), 3.0, 1e-10)
         traj = flow.trajectory(t1=1.234)
-        assert traj.grid.t1 == 1.234 and traj.grid.nodes[-1] == 1.234
-        assert abs(traj.values[-1] - math.sin(1.234)) < 1e-9
+        assert traj.t1 == 1.234
+        assert abs(traj.value(1.234) - math.sin(1.234)) < 1e-9
         with pytest.raises(ValueError):
             traj.value(2.0)

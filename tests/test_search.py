@@ -213,5 +213,15 @@ class TestAssembleReport:
         assert rep.failure_reason == ("small-s certificate method failed at s = 0.15; "
                                       "small-s concavity d2 = 1.000e-01 is not negative")
 
+    @pytest.mark.parametrize("sigma, points", [(1.2, 121), (2.0, 201)])
+    def test_sigma_past_rho0_leaves_no_mid_s(self, sigma, points):
+        # rho0 = pi/4 + log(2)/2 = 1.13: the mid-s grid [sigma, rho0] is
+        # empty, and the small-s certificates cover [0, sigma]
+        assert search_mod._grid(sigma, PI4 + math.log(2.0) / 2.0, 0.01).size == 0
+        rep = assemble_report(0.0, sigma=sigma)
+        assert rep.overall == "boundary-CP-and-no-interior-CP"
+        assert len(rep.small_s) == points and rep.small_s[-1].s == sigma
+        assert rep.mid_s == ()
+
     def test_metadata_declares_sampling(self, sharp_report):
         assert "not a computer-assisted proof" in sharp_report.metadata["method"]

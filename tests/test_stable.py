@@ -110,6 +110,20 @@ class TestOffRadialCertificates:
         radial = certificate("parallel", GeodesicParams(0.0, r, eps), tol=1e-11)
         assert abs(got - radial) <= 1e-10
 
+    def test_stable_solution_reads_the_angle_at_T0_only(self, monkeypatch):
+        # the Killing field is evaluated when asked, not at every radial node
+        calls = []
+        angles = RadialSolution.angles
+
+        def recording(self, t):
+            calls.append(np.atleast_1d(t).copy())
+            return angles(self, t)
+
+        monkeypatch.setattr(RadialSolution, "angles", recording)
+        sol = stable_for("perpendicular", GeodesicParams(0.2345, 0.7654, 0.0321), T0=30.0)
+        assert len(calls) == 1 and np.array_equal(calls[0], [30.0])
+        assert sol.W(1.0) > 0.0 and len(calls) == 2
+
     def test_horizon_independence_oracle(self):
         # backward integration at T in {30, 40} agrees to 1e-8
         mu = GeodesicParams(0.2, PI4, 0.0)
