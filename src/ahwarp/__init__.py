@@ -36,6 +36,7 @@ from .geodesics import (
     growth_factor,
     radial_exit_slope,
     solve_radial,
+    solve_radial_grid,
 )
 from .jacobi import (
     FundamentalPair,
@@ -46,6 +47,7 @@ from .jacobi import (
     closed_V_perp,
     fundamental_pair,
     jacobi_solution,
+    kernel_on,
     killing_field,
     make_kernel,
     theta,
@@ -57,6 +59,7 @@ from .stable import (
     DoubleZeroVerdict,
     StableSolution,
     certificate,
+    certificate_grid,
     certificate_parallel_closed,
     certificate_perp_closed,
     certificate_s_derivatives,
@@ -65,6 +68,8 @@ from .stable import (
     radial_stable_closed,
     stable_for,
     stable_solution,
+    stencil_derivatives,
+    stencil_points,
 )
 from .search import (
     BracketError,

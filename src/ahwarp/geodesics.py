@@ -25,7 +25,9 @@ solution is built from three pieces:
   kernel reads its transfer matrix off the end state).  Each right-hand-side
   evaluation reads K_par once.  Along the radial geodesic rho = t stays
   exact, and the same system runs over the fixed span [r, r + eps] for the
-  pair;
+  pair.  The system does not contain t, so a grid of geodesics
+  (``solve_radial_grid``) integrates the windows of up to 64 of them as one
+  solve in tau = t - t_in, and each geodesic keeps its own rows of it;
 * the exterior: there A'' = A, so the warped-product Hessian formula
   (O'Neill, Semi-Riemannian Geometry, 1983, ch. 7) gives Hess A' = A' g and
   h(t) = A'(rho(t)) solves h'' = h along every geodesic.  Its data at t_x are
@@ -65,6 +67,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -77,6 +80,7 @@ __all__ = [
     "entry_time",
     "radial_exit_slope",
     "solve_radial",
+    "solve_radial_grid",
     "closed_rho",
     "closed_theta",
     "growth_factor",
@@ -338,9 +342,14 @@ def radial_exit_slope(s: float, r: float) -> float:
 # warp function along it (a, b) = (A, A')(rho), and the in-plane Jacobi pair
 # started from the identity at t_in.  Each evaluation reads K_par once.
 _PAIR_START = (1.0, 0.0, 0.0, 1.0)
+# The most geodesics whose windows share one solve.  The batch's dense output
+# has 8 rows per geodesic per step, so this bounds the memory of a grid.
+_BATCH = 64
 
 
 def _window_rhs(profile: ProfileParams):
+    """The window equation of one geodesic, on floats (``math.exp`` under
+    K_par): far cheaper per call than numpy on an 8-vector."""
     def rhs(t: float, y: np.ndarray) -> tuple[float, ...]:
         rho, v, a, b, u, du, w, dw = y.tolist()
         k = k_parallel(profile, rho)
@@ -349,21 +358,92 @@ def _window_rhs(profile: ProfileParams):
     return rhs
 
 
-@lru_cache(maxsize=64)
-def _solve_radial_cached(s: float, r: float, eps: float, T: float, tol: float) -> RadialSolution:
-    params = GeodesicParams(s, r, eps)
-    warp = solve_warp(params.profile, tol=min(tol, 1e-12))
-    rho_x = r + eps
+def _batch_rhs(profile: ProfileParams, n: int):
+    """The window equations of n geodesics as one system: the state is the
+    8 x n array of their states, row-major, and K_par is read once for the
+    rho row."""
+    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+        rho, v, a, b, u, du, w, dw = y.reshape(8, n)
+        k = k_parallel(profile, rho)
+        return np.concatenate((v, (b / a) * (1.0 - v * v), b * v, -k * a * v,
+                               du, -k * u, dw, -k * w))
+
+    return rhs
+
+
+def _window_start(p: GeodesicParams, warp: WarpFunction, T: float) -> tuple[float, tuple] | None:
+    """(t_in, state at t_in) of the geodesic's window solve; None when
+    nothing is integrated (eps = 0, s >= r + eps, or t_in >= T)."""
+    s, r, eps = p.s, p.r, p.eps
+    if eps == 0.0 or s >= r + eps:
+        return None
     if s == 0.0:
         # rho(t) = t exactly; the polar-coordinate singularity at the origin
         # is not integrated.  The window solve (rho' = 1, so rho'' = 0) runs
         # over the fixed span [r, r + eps] for the in-plane pair.
+        t_in, y0 = r, (r, 1.0, math.sin(r), math.cos(r), *_PAIR_START)
+    else:
+        t_in, state = (entry_time(s, r), (r, radial_exit_slope(s, r))) if s < r else (0.0, (s, 0.0))
+        a, b = (float(v[0]) for v in warp.state(state[0]))
+        y0 = (*state, a, b, *_PAIR_START)
+    return (t_in, y0) if t_in < T else None
+
+
+def _solve_windows(
+    params: list[GeodesicParams], starts: list[tuple[float, tuple]], T: float, tol: float
+) -> list[tuple[Flow, float | None]]:
+    """The window solves of n geodesics of one metric, as one DOP853 solve:
+    (the geodesic's window flow, its exit time t_x or None past T) each.
+
+    The window equation does not contain t, so every geodesic starts at
+    tau = t - t_in = 0, and geodesic j is column j of an 8 x n state (a
+    geodesic alone runs in t from t_in, as it always has, with the float
+    right-hand side).  scipy's error norm is an RMS over all 8n components:
+    the tolerance tol / sqrt(n) keeps each geodesic's own 8-component norm
+    within tol.  The solve ends at the last crossing, where the least rho
+    reaches r + eps; every other crossing is located on the dense output of
+    its rho row.  The radial geodesic's window ends at exactly r + eps."""
+    n = len(params)
+    profile = params[0].profile
+    rho_x = profile.r + profile.eps
+    radial = np.array([p.s == 0.0 for p in params])
+    t_in = np.array([t for t, _ in starts])
+    t0 = t_in[0] if n == 1 else 0.0
+    shift = t_in - t0
+    rhs = _window_rhs(profile) if n == 1 else _batch_rhs(profile, n)
+    y0 = np.array([y for _, y in starts]).T.ravel()
+    if radial.all():
+        flow = integrate_ivp(rhs, t0, y0, float(np.max(min(rho_x, T) - shift)), tol / math.sqrt(n))
+    else:
+        flow = integrate_ivp(rhs, t0, y0, float(np.max(T - shift)), tol / math.sqrt(n),
+                             switch=lambda t, y: y[:n].min() - rho_x)
+    # a switched solve ends at the crossing of its slowest geodesic, and a
+    # geodesic at no node past r + eps before that crosses within the event
+    # tolerance of it
+    tau = np.full(n, flow.nodes[-1] if flow.switched else np.nan)
+    rows = np.flatnonzero(~radial)
+    if flow.switched:
+        rows = rows[rows != np.argmin(flow.end[:n])]
+    found = flow.crossings(rows, rho_x)
+    tau[rows] = np.where(np.isnan(found), tau[rows], found)
+    t_x = np.where(radial, rho_x, tau + shift)
+    exits = [float(t) if t <= T else None for t in t_x]  # nan compares False
+    if n == 1:
+        return [(flow, exits[0])]
+    return [(flow.part(slice(j, None, n), float(shift[j]),
+                       T if t is None else t, switched=t is not None), t)
+            for j, t in enumerate(exits)]
+
+
+def _radial_solution(p: GeodesicParams, warp: WarpFunction, T: float, tol: float,
+                     window: tuple[Flow, float | None] | None) -> RadialSolution:
+    """The geodesic on [0, T] from its window solve (None when it has
+    none): the exact ball before it, the exact exterior after it."""
+    s, r, rho_x = p.s, p.r, p.r + p.eps
+    flow, window_exit = (None, None) if window is None else window
+    if s == 0.0:
         traj = Trajectory.from_function(lambda t: (t, np.ones_like(t)), 0.0, T)
-        flow = None
-        if eps > 0.0 and r < T:
-            y0 = (r, 1.0, math.sin(r), math.cos(r), *_PAIR_START)
-            flow = integrate_ivp(_window_rhs(params.profile), r, y0, min(rho_x, T), tol)
-        return RadialSolution(params=params, trajectory=traj, entry_time=r, warp=warp, tol=tol,
+        return RadialSolution(params=p, trajectory=traj, entry_time=r, warp=warp, tol=tol,
                               exit_time=rho_x if rho_x <= T else None, transition=flow)
 
     parts: list[Trajectory] = []
@@ -372,18 +452,13 @@ def _solve_radial_cached(s: float, r: float, eps: float, T: float, tol: float) -
         t_in = entry_time(s, r)
         parts.append(Trajectory.from_function(lambda tt: _ball_state(s, tt), 0.0, min(t_in, T)))
         if t_in > T:  # still inside the ball at the horizon
-            return RadialSolution(params=params, trajectory=parts[0], entry_time=None,
+            return RadialSolution(params=p, trajectory=parts[0], entry_time=None,
                                   warp=warp, tol=tol)
         t, state, t_entry = t_in, (r, radial_exit_slope(s, r)), t_in
     t_x = t if state[0] >= rho_x else None
-    flow = None
-    if t_x is None and t < T:
-        a, b = (float(v[0]) for v in warp.state(state[0]))
-        flow = integrate_ivp(_window_rhs(params.profile), t, (*state, a, b, *_PAIR_START), T,
-                             tol, switch=lambda t, y: y[0] - rho_x)
+    if flow is not None:
         parts.append(flow.trajectory(np.eye(2, 8)))  # (rho, rho')
-        if flow.switched:
-            t_x = float(flow.nodes[-1])
+        t_x = window_exit
 
     exterior = None
     if t_x is not None and t_x < T:
@@ -402,9 +477,40 @@ def _solve_radial_cached(s: float, r: float, eps: float, T: float, tol: float) -
             a_s=a_s,
         )
         parts.append(Trajectory.from_function(exterior.state, t_x, T))
-    return RadialSolution(params=params, trajectory=Trajectory.concat(parts),
+    return RadialSolution(params=p, trajectory=Trajectory.concat(parts),
                           entry_time=t_entry, warp=warp, tol=tol, exit_time=t_x,
                           exterior=exterior, transition=flow)
+
+
+def _grid_solutions(params: list[GeodesicParams], T: float, tol: float) -> Iterator[RadialSolution]:
+    warp = solve_warp(params[0].profile, tol=min(tol, 1e-12))
+    starts = [_window_start(p, warp, T) for p in params]
+    pending = [i for i, start in enumerate(starts) if start is not None]
+    windows: dict[int, tuple[Flow, float | None]] = {}
+    for i, p in enumerate(params):
+        if starts[i] is not None and i not in windows:
+            batch, pending = pending[:_BATCH], pending[_BATCH:]
+            solved = _solve_windows([params[j] for j in batch], [starts[j] for j in batch], T, tol)
+            windows = dict(zip(batch, solved))
+        yield _radial_solution(p, warp, T, tol, windows.get(i))
+
+
+def solve_radial_grid(ss: Iterable[float], r: float, eps: float, T: float = 30.0,
+                      tol: float = 1e-10) -> Iterator[RadialSolution]:
+    """``solve_radial`` at (s, r, eps) for each s of ``ss``, in order, with the
+    transition windows of up to 64 geodesics integrated in one DOP853 solve
+    (see ``_solve_windows``); each result is an ordinary per-geodesic
+    solution.  The solutions are made as they are asked for, so a long grid
+    holds one batch at a time; they are not cached."""
+    if not T > 0.0:
+        raise ValueError("horizon T must be positive")
+    params = [GeodesicParams(float(s), r, eps) for s in ss]
+    return _grid_solutions(params, T, tol) if params else iter(())
+
+
+@lru_cache(maxsize=64)
+def _solve_radial_cached(s: float, r: float, eps: float, T: float, tol: float) -> RadialSolution:
+    return next(_grid_solutions([GeodesicParams(s, r, eps)], T, tol))
 
 
 def solve_radial(params: GeodesicParams, T: float = 30.0, tol: float = 1e-10) -> RadialSolution:
@@ -414,7 +520,8 @@ def solve_radial(params: GeodesicParams, T: float = 30.0, tol: float = 1e-10) ->
     The entry time is the exact ``entry_time(s, r)``; the crossing of
     rho = r + eps (eps > 0) is located by the integrator and ends the window
     solve, so no step straddles the curvature transition; it is the
-    solution's ``exit_time``.  The 64 most recent results are cached.
+    solution's ``exit_time``.  This is the grid of one of
+    ``solve_radial_grid``; the 64 most recent results are cached.
     """
     if not T > 0.0:
         raise ValueError("horizon T must be positive")

@@ -17,9 +17,10 @@ composed of three pieces: an exact rotation on [0, t_in], the combination
 y U + dy V of the window pair across [t_in, t_x] (empty at eps = 0), and
 the exact exponentials P e^tau + Q e^{-tau}, tau = t - t_x, with
 P = (Y + Y')/2 and Q = (Y - Y')/2 at t_x, after it.  The window pair
-(U, V), started from the identity at t_in, is solved once per geodesic,
-together with the geodesic itself, by ``geodesics.solve_radial``; its end
-state is the window's transfer matrix M = [[U, V], [U', V']], det M = 1.
+(U, V), started from the identity at t_in, is solved together with the
+geodesic itself, in the geodesic's window solve (``geodesics.solve_radial``,
+or one solve for up to 64 geodesics of a grid, ``solve_radial_grid``); its
+end state is the window's transfer matrix M = [[U, V], [U', V']], det M = 1.
 Nothing is solved per initial condition, so a solution is as accurate as
 the kernel's radial solve and a tighter ``tol`` is refused.
 
@@ -65,6 +66,7 @@ __all__ = [
     "JacobiKernel",
     "FundamentalPair",
     "make_kernel",
+    "kernel_on",
     "killing_field",
     "jacobi_solution",
     "fundamental_pair",
@@ -186,6 +188,17 @@ class JacobiKernel:
         return self._window_flow().trajectory(proj, T)
 
 
+def kernel_on(kind: str, radial: RadialSolution) -> JacobiKernel:
+    """The Jacobi kernel of the given kind along a solved geodesic, usable
+    for t in [0, its horizon]."""
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    # Along radial geodesics the two scalar equations coincide; building the
+    # perpendicular kernel at s = 0 as the parallel one avoids 0/0 limits.
+    effective = "parallel" if radial.params.s == 0.0 else kind
+    return JacobiKernel(kind=effective, params=radial.params, radial=radial)
+
+
 def make_kernel(
     kind: str,
     params: GeodesicParams,
@@ -194,14 +207,12 @@ def make_kernel(
 ) -> JacobiKernel:
     """Assemble the Jacobi kernel of the given kind along the geodesic
     mu = params, usable for t in [0, horizon].  Each call builds a new
-    kernel; the radial solve under it is cached by ``solve_radial``."""
+    kernel; the radial solve under it is cached by ``solve_radial``.  Grids
+    solve their geodesics with ``geodesics.solve_radial_grid`` and take
+    their kernels from :func:`kernel_on`."""
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    # Along radial geodesics the two scalar equations coincide; building the
-    # perpendicular kernel at s = 0 as the parallel one avoids 0/0 limits.
-    effective = "parallel" if params.s == 0.0 else kind
-    radial = solve_radial(params, T=horizon, tol=tol)
-    return JacobiKernel(kind=effective, params=params, radial=radial)
+    return kernel_on(kind, solve_radial(params, T=horizon, tol=tol))
 
 
 def killing_field(

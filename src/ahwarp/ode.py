@@ -9,7 +9,10 @@ known time to the (unknown) time at which the geodesic leaves the
 transition, carrying several coupled quantities in one state vector.
 
 The result is a ``Flow``: the accepted nodes, the states there, the dense
-output of the whole vector and whether the switch ended it.  The rest of the
+output of the whole vector and whether the switch ended it.  A solve that
+carries several independent systems side by side is split into one flow
+each: ``Flow.crossings`` locates where each system's row reaches a level,
+and ``Flow.part`` keeps one system's rows, cut there.  The rest of the
 package works with scalar solutions (x, x') as ``Trajectory`` objects: a
 function on [t0, t1], evaluated piece by piece.  Integrated pieces are linear
 projections ``(x, x') = P y`` of a flow's dense output; exact pieces before
@@ -38,6 +41,11 @@ __all__ = [
 Rhs = Callable[[float, np.ndarray], Sequence[float]]
 
 _METHOD = "DOP853"
+# scipy locates a terminal event to 4 ulps of 1 (absolute and relative), by
+# Brent's method on the bracketing step; ``Flow.crossings`` bisects to the
+# same tolerance, which 100 halvings of any step reach.
+_EVENT_TOL = 4.0 * np.finfo(float).eps
+_BISECTIONS = 100
 
 
 class IntegrationError(RuntimeError):
@@ -45,36 +53,54 @@ class IntegrationError(RuntimeError):
     stiffness, or a switch crossing that could not be bracketed)."""
 
 
+@dataclass(frozen=True, eq=False)
 class _Dense:
     """The DOP853 dense output of one solve, kept as the interpolants'
     coefficients stacked over the steps (scipy's per-step objects are
     dropped), and evaluated for all steps of an array of times at once with
     scipy's Dop853DenseOutput arithmetic, operation for operation.  Step i
-    starts from the solve's state at node i, so ``states`` (k x n) supplies
-    the interpolants' start states."""
+    covers [ts[i], ts[i + 1]] and starts from the state column i of
+    ``states`` (n x k), which supplies the interpolants' start states."""
 
-    def __init__(self, sol: OdeSolution, states: np.ndarray) -> None:
+    ts: np.ndarray
+    t_old: np.ndarray
+    h: np.ndarray
+    F: np.ndarray  # steps x order x n
+    states: np.ndarray
+
+    @classmethod
+    def of(cls, sol: OdeSolution, states: np.ndarray) -> "_Dense":
         # sol.ts ends at a terminal event, the last step's interpolant at the
         # step's end: t_old and h are the interpolants' own
         interps = sol.interpolants
-        self.ts = np.asarray(sol.ts, dtype=float)
-        self.t_old = np.array([d.t_old for d in interps])
-        self.h = np.array([d.h for d in interps])
-        self.F = np.stack([d.F for d in interps])
-        self.states = states
+        return cls(ts=np.asarray(sol.ts, dtype=float),
+                   t_old=np.array([d.t_old for d in interps]),
+                   h=np.array([d.h for d in interps]),
+                   F=np.stack([d.F for d in interps]),
+                   states=states)
 
     def __call__(self, t: float | np.ndarray) -> np.ndarray:
         """The state rows (k x n) at the times t."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         seg = np.clip(np.searchsorted(self.ts, t, side="left") - 1, 0, len(self.h) - 1)
         x = ((t - self.t_old[seg]) / self.h[seg])[:, None]
-        F = self.F
-        y = np.zeros((len(t), F.shape[2]))
-        for k, i in enumerate(range(F.shape[1] - 1, -1, -1)):
-            y += F[seg, i]
-            y *= x if k % 2 == 0 else 1 - x
-        y += self.states[:, seg].T
-        return y.T
+        return _horner(self.F[seg], x, self.states[:, seg].T).T
+
+    def rows_at(self, seg: np.ndarray, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Row rows[i] of the state at time t[i], on step seg[i]."""
+        x = (t - self.t_old[seg]) / self.h[seg]
+        return _horner(self.F[seg, :, rows], x, self.states[rows, seg])
+
+
+def _horner(F: np.ndarray, x: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """The DOP853 interpolants with coefficients F (m x order [x n]) at the
+    step fractions x, added to their start states."""
+    y = np.zeros(F.shape[:1] + F.shape[2:])
+    for k, i in enumerate(range(F.shape[1] - 1, -1, -1)):
+        y += F[:, i]
+        y *= x if k % 2 == 0 else 1 - x
+    y += start
+    return y
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,6 +214,44 @@ class Flow:
         t1 = end if t1 is None else min(float(t1), end)
         return Trajectory(t0=t0, t1=t1, pieces=(_Piece(t0, t1, self.dense, proj),))
 
+    def crossings(self, rows: np.ndarray, level: float) -> np.ndarray:
+        """For each state row in ``rows``, each below ``level`` at the first
+        node, the first time at which it reaches the level, located on its
+        dense output to scipy's event tolerance (bisection on the bracketing
+        step, all rows at once); nan where no node reaches it."""
+        rows = np.asarray(rows, dtype=int)
+        out = np.full(len(rows), np.nan)
+        above = self.states[rows] >= level
+        k = np.argmax(above, axis=1)  # the first node at or above the level, else 0
+        todo = k > 0
+        if not np.any(todo):
+            return out
+        seg, rows = k[todo] - 1, rows[todo]
+        lo, hi = self.nodes[seg], self.nodes[seg + 1]
+        for _ in range(_BISECTIONS):
+            if np.all(hi - lo <= _EVENT_TOL * (1.0 + np.abs(hi))):
+                break
+            mid = 0.5 * (lo + hi)
+            up = self.dense.rows_at(seg, rows, mid) >= level
+            lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+        out[todo] = 0.5 * (lo + hi)
+        return out
+
+    def part(self, rows: slice, shift: float, t1: float, switched: bool) -> "Flow":
+        """The flow of the state rows ``rows`` alone, with its times moved by
+        ``shift``, on [nodes[0] + shift, t1]: the nodes before t1, then t1,
+        where the state is read off the dense output; ``switched`` says
+        whether t1 is a crossing.  Its dense output keeps the steps up to t1
+        and views this one's coefficients."""
+        nodes = self.nodes + shift
+        # the step holding t1 (the last one for a t1 rounded past its end)
+        k = min(max(int(np.searchsorted(nodes, t1, side="left")) - 1, 0), len(self.dense.h) - 1)
+        dense = _Dense(ts=np.append(nodes[:k + 1], t1), t_old=self.dense.t_old[:k + 1] + shift,
+                       h=self.dense.h[:k + 1], F=self.dense.F[:k + 1, :, rows],
+                       states=self.states[rows, :k + 1])
+        states = np.column_stack([dense.states, dense(t1)])
+        return Flow(nodes=dense.ts, states=states, switched=switched, dense=dense)
+
 
 def integrate_ivp(
     rhs: Rhs,
@@ -219,4 +283,4 @@ def integrate_ivp(
     if sol.status < 0:
         raise IntegrationError(sol.message)
     return Flow(nodes=sol.t, states=sol.y, switched=sol.status == 1,
-                dense=_Dense(sol.sol, sol.y))
+                dense=_Dense.of(sol.sol, sol.y))

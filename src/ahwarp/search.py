@@ -22,9 +22,11 @@ points is certified in three regimes:
   curvatures are negative, so Sturm comparison with Y'' = 0 rules out double
   zeros with no integration at all.
 
-The grids certify concrete parameter triples by computation; this is
-certification by sampling, not a computer-assisted proof, and the report
-says so in its metadata.
+Each regime's grid, like the non-trapping check, takes its geodesics from
+one ``geodesics.solve_radial_grid``: the transition windows of up to 64
+geodesics are one solve.  The grids certify concrete parameter triples by
+computation; this is certification by sampling, not a computer-assisted
+proof, and the report says so in its metadata.
 """
 
 from __future__ import annotations
@@ -35,9 +37,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geodesics import GeodesicParams, comparison_lower_bound, solve_radial
-from .jacobi import KINDS, jacobi_solution, make_kernel
-from .stable import TOL_SIGN, certificate, certificate_s_derivatives, stable_for
+from .geodesics import GeodesicParams, comparison_lower_bound, solve_radial_grid
+from .jacobi import KINDS, jacobi_solution, kernel_on
+from .stable import (TOL_SIGN, certificate, certificate_grid, stable_for, stencil_derivatives,
+                     stencil_points)
 from .warp import ProfileParams, k_parallel, k_perp, solve_warp
 
 __all__ = [
@@ -78,6 +81,15 @@ class MidSRecord:
     verdict: str  # "pass" | "fail"
 
 
+def _null(x: float) -> float | None:
+    """x, or None for nan and +-inf, which JSON (RFC 8259) cannot carry."""
+    return x if math.isfinite(x) else None
+
+
+def _nan(x: float | None) -> float:
+    return math.nan if x is None else x
+
+
 @dataclass(frozen=True)
 class ScanReport:
     eps: float
@@ -95,42 +107,46 @@ class ScanReport:
     metadata: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
+        """The report as JSON-ready data; a non-finite float (the nan of a
+        failed stage) is written as None, JSON's null."""
         return {
             "eps": self.eps,
-            "r_star": self.r_star,
-            "root_residual": self.root_residual,
-            "small_s": [[rec.s, rec.cert_parallel, rec.cert_perp, rec.verdict]
+            "r_star": _null(self.r_star),
+            "root_residual": _null(self.root_residual),
+            "small_s": [[rec.s, _null(rec.cert_parallel), _null(rec.cert_perp), rec.verdict]
                         for rec in self.small_s],
-            "mid_s": [[rec.s, rec.min_U_parallel, rec.min_U_perp, rec.verdict]
+            "mid_s": [[rec.s, _null(rec.min_U_parallel), _null(rec.min_U_perp), rec.verdict]
                       for rec in self.mid_s],
-            "large_s_threshold": self.large_s_threshold,
+            "large_s_threshold": _null(self.large_s_threshold),
             "curvature_negativity_certified": self.curvature_negativity_certified,
             "overall": self.overall,
             "failure_reason": self.failure_reason,
-            "witness": self.witness,
+            "witness": {k: _null(v) for k, v in self.witness.items()},
             "non_trapping_ok": self.non_trapping_ok,
-            "concavity": list(self.concavity) if self.concavity is not None else None,
+            "concavity": ([_null(v) for v in self.concavity]
+                          if self.concavity is not None else None),
             "metadata": self.metadata,
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return json.dumps(self.to_dict(), indent=2, allow_nan=False)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScanReport":
+        """Inverse of ``to_dict``; null reads back as nan."""
         return cls(
             eps=d["eps"],
-            r_star=d["r_star"],
-            root_residual=d["root_residual"],
-            small_s=tuple(SmallSRecord(*row) for row in d["small_s"]),
-            mid_s=tuple(MidSRecord(*row) for row in d["mid_s"]),
-            large_s_threshold=d["large_s_threshold"],
+            r_star=_nan(d["r_star"]),
+            root_residual=_nan(d["root_residual"]),
+            small_s=tuple(SmallSRecord(row[0], *map(_nan, row[1:3]), row[3]) for row in d["small_s"]),
+            mid_s=tuple(MidSRecord(row[0], *map(_nan, row[1:3]), row[3]) for row in d["mid_s"]),
+            large_s_threshold=_nan(d["large_s_threshold"]),
             curvature_negativity_certified=d["curvature_negativity_certified"],
             overall=d["overall"],
             failure_reason=d["failure_reason"],
-            witness=d["witness"],
+            witness={k: _nan(v) for k, v in d["witness"].items()},
             non_trapping_ok=d["non_trapping_ok"],
-            concavity=tuple(d["concavity"]) if d["concavity"] is not None else None,
+            concavity=tuple(map(_nan, d["concavity"])) if d["concavity"] is not None else None,
             metadata=d["metadata"],
         )
 
@@ -180,18 +196,18 @@ def verify_small_s(
     as well.  Returns (records, (d1, d2) for the perpendicular kind, all
     passed).
     """
+    grid = _grid(0.0, sigma, ds)
+    stencil = stencil_points()
+    ss = np.union1d(grid, stencil)
+    certs = dict(zip(ss.tolist(), certificate_grid(ss, r, eps, tol)))
     records: list[SmallSRecord] = []
     ok = True
-    for s in _grid(0.0, sigma, ds):
-        mu = GeodesicParams(s, r, eps)
-        cp = certificate("parallel", mu, tol)
-        cq = certificate("perpendicular", mu, tol)
+    for s in grid.tolist():
+        cp, cq = certs[s]
         good = cp <= tol_sign and cq <= tol_sign
         ok = ok and good
         records.append(SmallSRecord(s, cp, cq, "pass" if good else "fail"))
-    d1, d2 = certificate_s_derivatives(
-        "perpendicular", GeodesicParams(0.0, r, eps), tol=tol
-    )
+    d1, d2 = stencil_derivatives([certs[s][1] for s in stencil])
     ok = ok and d2 < 0.0
     return records, (d1, d2), ok
 
@@ -239,18 +255,18 @@ def verify_large_s(
     records: list[MidSRecord] = []
     ok = certified
     sample = np.arange(0.0, T + 1e-12, 0.01)
-    for s in _grid(sigma, cap, ds):
-        mu = GeodesicParams(s, r, eps)
+    grid = _grid(sigma, cap, ds)
+    for s, radial in zip(grid.tolist(), solve_radial_grid(grid, r, eps, T + 1.0, tol)):
         mins = {}
         good = True
         for kind in KINDS:
-            kern = make_kernel(kind, mu, horizon=T + 1.0, tol=tol)
+            kern = kernel_on(kind, radial)
             u, du = jacobi_solution(kern, (1.0, 0.0), T, tol).state(sample)
             mins[kind] = float(np.min(u))
             good = good and mins[kind] > 0.0 and float(du[-1]) > 0.0
             if kern.kind == "perpendicular":
-                good = good and float(kern.radial.theta(T)) < math.pi / 2.0
-        good = good and float(kern.radial.rho(T)) >= rho0
+                good = good and float(radial.theta(T)) < math.pi / 2.0
+        good = good and float(radial.rho(T)) >= rho0
         ok = ok and good
         records.append(MidSRecord(s, mins["parallel"], mins["perpendicular"],
                                   "pass" if good else "fail"))
@@ -282,8 +298,8 @@ def _non_trapping_check(r: float, eps: float, tol: float) -> bool:
     if not a > 0.0:
         return False
     ts = np.linspace(0.0, 12.0, 241)
-    for s in (0.0, 0.5, 1.0):
-        sol = solve_radial(GeodesicParams(s, r, eps), T=12.5, tol=tol)
+    ss = (0.0, 0.5, 1.0)
+    for s, sol in zip(ss, solve_radial_grid(ss, r, eps, 12.5, tol)):
         rho = np.asarray(sol.rho(ts))
         bound = np.asarray(comparison_lower_bound(a, s, 0.0, ts))
         if not np.all(rho >= bound - 100.0 * tol):

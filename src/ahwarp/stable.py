@@ -9,8 +9,8 @@ In-plane kernels: the kernel is exactly -1 past the transition exit t_x
 (see ``jacobi``), so the stable solution *is* Y = e^{-t} there, with
 W = Y'/Y = -1 exactly; nothing is seeded and nothing is dropped.  Across the
 transition window [t_in, t_x] the kernel's transfer matrix M (det M = 1,
-from the geodesic's one window solve) carries it back without a solve of
-its own (Reid, Riccati Differential Equations, 1972):
+from the geodesic's window solve) carries it back without a solve of its
+own (Reid, Riccati Differential Equations, 1972):
 
     (Y, Y')(t_in) = e^{-t_x} M^{-1} (1, -1) = e^{-t_x} adj(M) (1, -1).
 
@@ -49,12 +49,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .ode import Trajectory
-from .geodesics import GeodesicParams
-from .jacobi import JacobiKernel, _rotation, killing_field, make_kernel, theta_infinity
+from .geodesics import GeodesicParams, solve_radial_grid
+from .jacobi import (KINDS, JacobiKernel, _rotation, kernel_on, killing_field, make_kernel,
+                     theta_infinity)
 
 __all__ = [
     "TOL_SIGN",
@@ -64,7 +66,10 @@ __all__ = [
     "stable_solution",
     "stable_for",
     "certificate",
+    "certificate_grid",
     "certificate_s_derivatives",
+    "stencil_points",
+    "stencil_derivatives",
     "no_double_zero_criterion",
     "certificate_parallel_closed",
     "certificate_perp_closed",
@@ -80,6 +85,8 @@ _QUARTER_PI = math.pi / 4.0
 TOL_SIGN = 1e-9
 
 _KERNEL_HORIZON = 50.0
+_T0 = 30.0
+_STENCIL_H = 5e-3
 # Time left past T0 before the kernel horizon: the angle tail dropped there is
 # then e^{-2 * 20} ~ 4e-18 relative to phi(T0), below rounding.
 _ANGLE_MARGIN = 20.0
@@ -113,7 +120,7 @@ class StableSolution:
 def stable_solution(
     kernel: JacobiKernel,
     tol: float = 1e-10,
-    T0: float = 30.0,
+    T0: float = _T0,
     kind: str | None = None,
 ) -> StableSolution:
     """Construct the stable solution of the kernel's Jacobi equation: e^{-t}
@@ -216,15 +223,20 @@ def _seed_bound_error(kernel: JacobiKernel, residual: float, tol: float) -> Cert
     )
 
 
+def _kernel_settings(tol: float, T0: float) -> tuple[float, float]:
+    """(horizon, tol) of the radial solve under a stable solution."""
+    # An off-plane certificate carries the angle error of the radial solve,
+    # amplified by 1 / (A(s) sin^2 phi(0)); both kinds share one solve.
+    return max(_KERNEL_HORIZON, T0 + _ANGLE_MARGIN), min(tol, 1e-12)
+
+
 def stable_for(kind: str, params: GeodesicParams, tol: float = 1e-10,
-               T0: float = 30.0) -> StableSolution:
+               T0: float = _T0) -> StableSolution:
     """Stable solution for mu = params.  Each call builds it anew, with
     no solve of its own: the radial solve under it is cached by
     ``geodesics.solve_radial``."""
-    # An off-plane certificate carries the angle error of the radial solve,
-    # amplified by 1 / (A(s) sin^2 phi(0)); both kinds share one solve.
-    kernel = make_kernel(kind, params, horizon=max(_KERNEL_HORIZON, T0 + _ANGLE_MARGIN),
-                         tol=min(tol, 1e-12))
+    horizon, kernel_tol = _kernel_settings(tol, T0)
+    kernel = make_kernel(kind, params, horizon=horizon, tol=kernel_tol)
     return stable_solution(kernel, tol=tol, T0=T0, kind=kind)
 
 
@@ -233,27 +245,48 @@ def certificate(kind: str, params: GeodesicParams, tol: float = 1e-10) -> float:
     return stable_for(kind, params, tol).W_prime_0
 
 
-def certificate_s_derivatives(
-    kind: str,
-    params: GeodesicParams,
-    h: float = 5e-3,
-    tol: float = 1e-10,
-) -> tuple[float, float]:
-    """One-sided finite differences of s -> W'(0) at s = 0.
+def certificate_grid(ss: Sequence[float], r: float, eps: float,
+                     tol: float = 1e-10) -> list[tuple[float, float]]:
+    """(W'(0) in-plane, W'(0) off-plane) at each s of ``ss``, as
+    ``certificate`` gives them one geodesic at a time, with the radial solves
+    of the grid made by one ``geodesics.solve_radial_grid``."""
+    horizon, kernel_tol = _kernel_settings(tol, _T0)
+    return [tuple(stable_solution(kernel_on(kind, radial), tol=tol, T0=_T0, kind=kind).W_prime_0
+                  for kind in KINDS)
+            for radial in solve_radial_grid(ss, r, eps, horizon, kernel_tol)]
 
-    s = 0 is a boundary of the parameter domain, so one-sided stencils are
-    used: d1 = (-3 f0 + 4 f1 - f2)/(2h) and d2 = (2 f0 - 5 f1 + 4 f2 - f3)/h^2,
-    both second-order accurate.
-    """
-    if params.s != 0.0:
-        raise ValueError("s-derivatives of the certificate are taken at s = 0")
+
+def stencil_points(h: float = _STENCIL_H) -> tuple[float, ...]:
+    """s = 0, h, 2h, 3h: the samples of s -> W'(0) behind
+    :func:`stencil_derivatives`."""
     if not 1e-3 <= h <= 1e-1:
         raise ValueError(f"stencil step h = {h} outside [1e-3, 1e-1]")
-    f = [certificate(kind, GeodesicParams(i * h, params.r, params.eps), tol)
-         for i in range(4)]
+    return tuple(i * h for i in range(4))
+
+
+def stencil_derivatives(f: Sequence[float], h: float = _STENCIL_H) -> tuple[float, float]:
+    """One-sided finite differences at s = 0 of the samples f at
+    ``stencil_points(h)``: s = 0 is a boundary of the parameter domain, so
+    d1 = (-3 f0 + 4 f1 - f2)/(2h) and d2 = (2 f0 - 5 f1 + 4 f2 - f3)/h^2,
+    both second-order accurate."""
     d1 = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
     d2 = (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / (h * h)
     return d1, d2
+
+
+def certificate_s_derivatives(
+    kind: str,
+    params: GeodesicParams,
+    h: float = _STENCIL_H,
+    tol: float = 1e-10,
+) -> tuple[float, float]:
+    """One-sided finite differences (d1, d2) of s -> W'(0) at s = 0 (see
+    :func:`stencil_derivatives`), from four certificates."""
+    if params.s != 0.0:
+        raise ValueError("s-derivatives of the certificate are taken at s = 0")
+    f = [certificate(kind, GeodesicParams(s, params.r, params.eps), tol)
+         for s in stencil_points(h)]
+    return stencil_derivatives(f, h)
 
 
 @dataclass(frozen=True)

@@ -61,21 +61,14 @@ class ProfileParams:
             )
 
 
-def _bump(x: np.ndarray) -> np.ndarray:
-    """exp(-1/x) for x > 0, zero otherwise (all derivatives vanish at 0)."""
-    out = np.zeros_like(x)
-    pos = x > 0.0
-    with np.errstate(over="ignore"):
-        out[pos] = np.exp(-1.0 / x[pos])
-    return out
-
-
 def mollifier(x: float | np.ndarray) -> float | np.ndarray:
     """Smooth monotone step: 0 for x <= 0, 1 for x >= 1, symmetric about
     x = 1/2 so that mollifier(x) + mollifier(1 - x) = 1.
 
-    A float goes through ``math.exp`` (the right-hand sides of the window
-    solves call it once per evaluation); anything else through numpy."""
+    A float goes through ``math.exp`` (the right-hand side of a single
+    window solve calls it once per evaluation); anything else through numpy,
+    with x clipped to [1e-300, 1 - 1e-16], where exp(-1/x) and
+    exp(-1/(1 - x)) give the 0 and 1 of the ends exactly."""
     if isinstance(x, float):
         if x <= 0.0:
             return 0.0
@@ -83,11 +76,11 @@ def mollifier(x: float | np.ndarray) -> float | np.ndarray:
             return 1.0
         f = math.exp(-1.0 / x)
         return f / (f + math.exp(-1.0 / (1.0 - x)))
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    f = _bump(x_arr)
-    g = _bump(1.0 - x_arr)
-    out = np.where(x_arr <= 0.0, 0.0, np.where(x_arr >= 1.0, 1.0, f / np.where(f + g > 0, f + g, 1.0)))
-    return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out
+    # np.clip costs twice this on short arrays
+    x_arr = np.minimum(np.maximum(np.asarray(x, dtype=float), 1e-300), 1.0 - 1e-16)
+    f = np.exp(-1.0 / x_arr)
+    out = f / (f + np.exp(-1.0 / (1.0 - x_arr)))
+    return float(out) if np.ndim(x) == 0 else out
 
 
 def k_parallel(params: ProfileParams, rho: float | np.ndarray) -> float | np.ndarray:

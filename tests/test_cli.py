@@ -146,8 +146,17 @@ class TestScan:
         code = main(["scan", "--eps", "0.3", "--bracket-halfwidth", "0.02",
                      "--out", str(out)])
         assert code == 1
-        report = ScanReport.from_json(out.read_text())
+        text = out.read_text()
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        data = json.loads(text, parse_constant=refuse)  # RFC 8259: no NaN
+        assert data["r_star"] is None and data["large_s_threshold"] is None
+        report = ScanReport.from_json(text)
         assert report.overall == "failed"
+        assert math.isnan(report.r_star) and math.isnan(report.root_residual)
+        assert math.isnan(report.large_s_threshold)
 
 
 class TestErrors:

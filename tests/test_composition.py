@@ -12,8 +12,8 @@ from scipy.integrate import solve_ivp
 import ahwarp.geodesics as geodesics_mod
 import ahwarp.ode as ode_mod
 import ahwarp.warp as warp_mod
-from ahwarp.geodesics import GeodesicParams, solve_radial
-from ahwarp.jacobi import fundamental_pair, make_kernel
+from ahwarp.geodesics import GeodesicParams, solve_radial, solve_radial_grid
+from ahwarp.jacobi import fundamental_pair, jacobi_solution, kernel_on, make_kernel
 from ahwarp.ode import Trajectory
 from ahwarp.search import assemble_report, find_r_star
 from ahwarp.stable import stable_for, stable_solution
@@ -208,16 +208,20 @@ class TestWorkCounts:
             assert hi == pytest.approx(r + eps, abs=1e-12)
 
     def test_mollified_scan_makes_no_dense_lookup(self, solves, monkeypatch):
-        # no right-hand side reads a trajectory, and each mollified s costs
-        # one window solve (185 solves when the radial, in-plane and
-        # log-Riccati windows were solved apart)
+        # no right-hand side reads a trajectory, and each regime solves the
+        # windows of its grid at once: 4 solves for r*, then one each for
+        # small s, mid s and the non-trapping check (90 solves with one per
+        # geodesic, 185 when the radial, in-plane and log-Riccati windows
+        # were solved apart)
         def refuse(self, t):
             raise AssertionError("dense lookup")
 
         monkeypatch.setattr(Trajectory, "state_scalar", refuse)
         report = assemble_report(0.05)
         assert report.overall == "boundary-CP-and-no-interior-CP"
-        assert len(solves) == 90
+        assert len(solves) == 7
+        # the grid solves run in tau = t - t_in from 0
+        assert [lo for lo, _ in solves[4:]] == [0.0, 0.0, 0.0]
 
 
 class TestWindowInvariants:
@@ -238,3 +242,75 @@ class TestWindowInvariants:
         a_s = float(kernel.warp.value(s))
         assert np.max(np.abs(a * a * (1.0 - drho * drho) - a_s * a_s)) <= 1e-10
         assert np.max(np.abs(a - kernel.warp.value(rho))) <= 1e-10
+
+    @given(
+        fracs=st.lists(st.floats(0.0, 1.2), max_size=6),
+        r=st.floats(0.7, 0.85),
+        eps=st.floats(0.005, 0.1),
+    )
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    def test_grid_solve_matches_single_solves(self, fracs, r, eps):
+        # the radial geodesic, random s, s = r + eps (no window), and three
+        # geodesics that start at rest on the ball's boundary, the slowest to
+        # cross: two of them cross inside the last step of the batch, which
+        # ends at the third's crossing
+        ss = [0.0, *(f * (r + eps) for f in fracs), r + eps, r, r + 1e-9, r + 2e-9]
+        grid = list(solve_radial_grid(ss, r, eps, T, TOL))
+        assert len(grid) == len(ss)
+        for s, sol in zip(ss, grid):
+            one = solve_radial(GeodesicParams(s, r, eps), T, TOL)
+            assert sol.params == one.params and sol.entry_time == one.entry_time
+            if s >= r + eps:
+                assert sol.transition is None and sol.exit_time == one.exit_time == 0.0
+                continue
+            assert abs(sol.exit_time - one.exit_time) <= 1e-12
+            kern, ref = kernel_on("parallel", sol), kernel_on("parallel", one)
+            assert np.max(np.abs(kern.transfer - ref.transfer)) <= 1e-9
+            assert abs(np.linalg.det(kern.transfer) - 1.0) <= 1e-10
+            rho, drho, a, _ = sol.transition.states[:4]
+            a_s = float(sol.warp.value(s))
+            assert np.max(np.abs(a * a * (1.0 - drho * drho) - a_s * a_s)) <= 1e-10
+        slow = grid[-3:]
+        last = max(slow, key=lambda sol: sol.exit_time)
+        for sol in slow:
+            assert np.array_equal(sol.transition.nodes[:-1], last.transition.nodes[:-1])
+        assert len({sol.exit_time for sol in slow}) == 3
+
+    @pytest.mark.parametrize("s", [0.0, 0.3, 0.78, 0.9])
+    def test_grid_of_one_is_solve_radial(self, s):
+        mu = GeodesicParams(s, 0.76, 0.05)
+        one = solve_radial(mu, T, TOL)
+        (sol,) = solve_radial_grid([s], mu.r, mu.eps, T, TOL)
+        assert sol is not one  # grid results are not cached
+        assert sol.exit_time == one.exit_time and sol.entry_time == one.entry_time
+        ts = np.linspace(0.0, T, 201)
+        for x, y in zip(sol.state(ts), one.state(ts)):
+            assert np.array_equal(x, y)
+        if one.transition is None:
+            assert sol.transition is None
+        else:
+            for x, y in ((sol.transition.nodes, one.transition.nodes),
+                         (sol.transition.states, one.transition.states)):
+                assert np.array_equal(x, y)
+
+    def test_batches_hold_at_most_64_geodesics(self, solves):
+        solve_warp(GeodesicParams(0.0, 0.76, 0.05).profile, tol=1e-12)  # a solve in rho
+        solves.clear()
+        ss = np.linspace(0.001, 0.75, 150)  # every one has a window
+        sols = list(solve_radial_grid(ss, 0.76, 0.05, T, 1e-10))
+        assert len(solves) == 3
+        assert all(sol.transition is not None and sol.exit_time is not None for sol in sols)
+
+
+class TestMidSAccuracy:
+    def test_mid_s_minimum_against_tight_reference(self):
+        # the mid-s grid is solved as a batch at tol / sqrt(n) per step; a
+        # lone solve at tol 1e-9 put this minimum 7.9e-8 off the reference
+        eps = 0.1
+        report = assemble_report(eps)
+        rec = next(rec for rec in report.mid_s if abs(rec.s - 0.33) < 1e-9)
+        kern = make_kernel("parallel", GeodesicParams(rec.s, report.r_star, eps),
+                           horizon=21.0, tol=1e-13)
+        sample = np.arange(0.0, 20.0 + 1e-12, 0.01)
+        ref = float(np.min(jacobi_solution(kern, (1.0, 0.0), 20.0, 1e-13).state(sample)[0]))
+        assert abs(rec.min_U_parallel - ref) <= 1e-9

@@ -21,6 +21,7 @@ from ahwarp.geodesics import RadialSolution
 from ahwarp.stable import (
     TOL_SIGN,
     certificate,
+    certificate_grid,
     certificate_parallel_closed,
     certificate_perp_closed,
     stable_for,
@@ -201,12 +202,12 @@ class TestAssembleReport:
     def test_failure_reason_names_failing_s(self, monkeypatch):
         # one small-s certificate fails and the concavity sign is flipped:
         # the reason names the failing s and reports the concavity separately
-        def failing_at_015(kind, mu, tol):
-            return 1.0 if abs(mu.s - 0.15) < 1e-9 else certificate(kind, mu, tol)
+        def failing_at_015(ss, r, eps, tol):
+            return [(1.0, 1.0) if abs(s - 0.15) < 1e-9 else certs
+                    for s, certs in zip(ss, certificate_grid(ss, r, eps, tol))]
 
-        monkeypatch.setattr(search_mod, "certificate", failing_at_015)
-        monkeypatch.setattr(search_mod, "certificate_s_derivatives",
-                            lambda kind, mu, tol: (0.0, 0.1))
+        monkeypatch.setattr(search_mod, "certificate_grid", failing_at_015)
+        monkeypatch.setattr(search_mod, "stencil_derivatives", lambda f: (0.0, 0.1))
         rep = assemble_report(0.0, ds=0.05)
         assert rep.overall == "failed"
         assert [round(rec.s, 12) for rec in rep.small_s if rec.verdict == "fail"] == [0.15]

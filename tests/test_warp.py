@@ -150,6 +150,16 @@ class TestSolveWarp:
         assert k_parallel(ProfileParams(0.76, 0.0), 0.76) == 1.0
         assert k_parallel(ProfileParams(0.76, 0.0), 0.77) == -1.0
 
+    def test_scalar_and_vector_paths_agree_bitwise_at_the_ends(self):
+        # the array path clips x to [1e-300, 1 - 1e-16], where the two
+        # exponentials give the exact 0 and 1 that the float path returns
+        # from its branches; below 1e-300 exp(-1/x) is 0 either way
+        xs = [-1.0, 0.0, -0.0, 5e-324, 1e-300, float(np.nextafter(1.0, 0.0)), 1.0, 2.0]
+        vector = np.asarray(mollifier(np.array(xs)))
+        for x, ref in zip(xs, vector):
+            got = mollifier(x)
+            assert np.float64(got).view(np.int64) == ref.view(np.int64), x
+
 
 class TestKPerp:
     def test_at_cap_boundary(self):
