@@ -46,20 +46,26 @@ coordinate theta (theta(0) = 0) obeys Clairaut's integral
 
     theta'(t) = A(s) / A(rho(t))^2,
 
-which past t_x is A(s) / (h^2 + 4 a_+ a_-).  Inside the ball
-theta(t) = atan2(sin t, sin s cos t) exactly.  After the entry time (from
-t = 0 if s >= r) the angle is a composite Gauss-Legendre sum of Clairaut's
-rate over the transition solve's accepted steps and over fixed unit panels
-past t_x, summed tail-first as phi(t) = theta_inf - theta(t): the decaying
-off-plane Jacobi field A(rho) sin(phi) is then resolved to full relative
-precision however small phi is.  A closed antiderivative exists past t_x,
-but it switches between arctan and log branches as 4 a_+ a_- changes sign,
-which happens near r = pi/4, so the quadrature is kept.  The tail of the
-rate past the solve horizon is dropped and bounded
-(RadialSolution.angle_tail_bound).  At the critical parameters
-(r, eps) = (pi/4, 0) everything is available in closed form, including the
-angular coordinate; those formulas are the oracles for the numerical
-pipeline.
+and every piece of it is exact or rides on the window solve.  Inside the
+ball theta(t) = atan2(sin t, sin s cos t).  Across the window the solve
+carries a ninth row psi' = 1/a^2 (psi(t_in) = 0), so theta(t) =
+theta(t_in) + A(s) psi(t).  Past t_x the rate is A(s) / (h^2 + 4 a_+ a_-),
+and u = e^{-2 tau} turns its tail into the integral of a quadratic's
+reciprocal whose discriminant is 4 a_+ a_- A(s)^2 (Clairaut gives
+h'^2 - h^2 = 4 a_+ a_- - A(s)^2).  One function covers the arctan and log
+branches of that antiderivative as 4 a_+ a_- changes sign (near r = pi/4):
+
+    phi(t) = theta_inf - theta(t) = A(s) y atanc(4 a_+ a_- A(s)^2 y^2),
+    y = E / (2 p^2 + (2 p q + 4 a_+ a_-) E),   E = e^{-2 (t - t_x)},
+
+with p, q = (h_x +- h'_x) / 2 and atanc(z) = atanh(sqrt z) / sqrt z (atan of
+sqrt(-z) over sqrt(-z) for z < 0, 1 at z = 0).  The denominator is
+E (A(rho)^2 + h h') > 0, so phi keeps full relative precision however small
+it is, and the decaying off-plane Jacobi field A(rho) sin(phi) with it.
+Before t_x, phi is summed tail-first, phi(t_x) + A(s) (psi(t_x) - psi(t)),
+and nothing is dropped.  At the critical parameters (r, eps) = (pi/4, 0)
+everything is available in closed form, including the angular coordinate;
+those formulas are the oracles for the numerical pipeline.
 """
 
 from __future__ import annotations
@@ -109,14 +115,6 @@ class GeodesicParams:
         return ProfileParams(self.r, self.eps)
 
 
-# Gauss-Legendre rule for Clairaut's rate on the accepted steps of the
-# transition solve and on the exterior piece.  The rate falls like e^{-2t}, so
-# steps and the exterior are split into panels of at most _PANEL, on which 8
-# nodes integrate it to rounding error.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-_PANEL = 1.0
-
-
 def _ball_state(s: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(rho, rho') on the great-circle arc cos(rho) = cos(s) cos(t), from
     sin(rho/2) = hypot(sin(s/2) cos(t/2), cos(s/2) sin(t/2)); rho(0) = s to
@@ -124,6 +122,15 @@ def _ball_state(s: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     half = np.hypot(math.sin(0.5 * s) * np.cos(0.5 * t), math.cos(0.5 * s) * np.sin(0.5 * t))
     sin_rho = 2.0 * half * np.sqrt(1.0 - half * half)
     return 2.0 * np.arcsin(half), math.cos(s) * np.sin(t) / sin_rho
+
+
+def _atanc(z: np.ndarray) -> np.ndarray:
+    """atanh(sqrt z) / sqrt z for z > 0, atan(sqrt -z) / sqrt -z for z < 0,
+    1 at z = 0 (z < 1)."""
+    root = np.sqrt(np.abs(z))
+    with np.errstate(invalid="ignore"):
+        out = np.where(z > 0.0, np.arctanh(root), np.arctan(root)) / root
+    return np.where(root > 0.0, out, 1.0)
 
 
 @dataclass(frozen=True)
@@ -156,10 +163,13 @@ class _Exterior:
         a_x = math.sqrt(self.h_x * self.h_x + self.d)
         return self.rho_x + tau + np.log((g + a) / (self.h_x + a_x)), dg / a
 
-    def rate(self, t: np.ndarray) -> np.ndarray:
-        """Clairaut's rate A(s) / A(rho)^2 = A(s) / (h^2 + 4 a_+ a_-)."""
-        _, e, _, _, a = self._scaled(t)
-        return self.a_s * e / (a * a)
+    def phi(self, t: np.ndarray) -> np.ndarray:
+        """The integral of Clairaut's rate A(s) / (h^2 + 4 a_+ a_-) over
+        [t, inf), in closed form (module docstring)."""
+        e = np.exp(-2.0 * (t - self.t_x))
+        p, q = 0.5 * (self.h_x + self.dh_x), 0.5 * (self.h_x - self.dh_x)
+        y = self.a_s * e / (2.0 * p * p + (2.0 * p * q + self.d) * e)
+        return y * _atanc(self.d * y * y)
 
     def k_perp(self, t: np.ndarray) -> np.ndarray:
         """K_perp(rho) = (1 - A'^2) / A^2 = -1 + (1 + 4 a_+ a_-) / A^2."""
@@ -174,8 +184,9 @@ class RadialSolution:
     T); the exit time at which rho reaches r + eps (0 if s >= r + eps, the
     entry time if eps = 0, None if not reached by T); the warp function A of
     the metric; the solve's tolerance; the exact exterior piece; the window
-    solve (``transition``, None where nothing is integrated), whose accepted
-    steps the angle quadrature follows; and the angular coordinate theta."""
+    solve (``transition``, None where nothing is integrated), whose psi row
+    carries the angle across the window; and the angular coordinate theta,
+    exact but for that row."""
 
     params: GeodesicParams
     trajectory: Trajectory
@@ -213,112 +224,95 @@ class RadialSolution:
     def _a_s(self) -> float:
         return float(self.warp.value(self.params.s))
 
-    def _rate(self, t: np.ndarray) -> np.ndarray:
-        """Clairaut's rate A(s)/A(rho)^2: from the exterior piece past t_x,
-        through the trajectory before it."""
-        out = np.empty_like(t)
-        past = np.zeros(t.shape, bool) if self.exterior is None else t >= self.exterior.t_x
-        if np.any(past):
-            out[past] = self.exterior.rate(t[past])
-        if not np.all(past):
-            rho, _ = self.trajectory.state(t[~past])
-            a = self.warp.value(rho)
-            out[~past] = self._a_s / (a * a)
-        return out
-
-    def _rate_integral(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Integral of A(s)/A(rho)^2 over each [lo_i, hi_i] (each inside one
-        panel), by the Gauss-Legendre rule."""
-        half = 0.5 * (hi - lo)
-        t = (0.5 * (hi + lo))[:, None] + half[:, None] * _GL_NODES
-        rate = self._rate(t.ravel()).reshape(t.shape)
-        return half * (rate * _GL_WEIGHTS).sum(axis=1)
-
     def _theta_ball(self, t):
         """theta inside the ball, where the geodesic is a great circle."""
         return np.arctan2(np.sin(t), math.sin(self.params.s) * np.cos(t))
 
+    def _times(self, t: float | np.ndarray) -> np.ndarray:
+        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+        if t_arr.min() < 0.0 or t_arr.max() > self.trajectory.t1:
+            raise ValueError(f"angle requested outside [0, {self.trajectory.t1}]")
+        return t_arr
+
     @cached_property
-    def _angle_table(self) -> tuple[np.ndarray, np.ndarray, float, float]:
-        """(knots, phi at the knots, theta_inf, pi/2 - theta_inf): the panel
-        ends from the entry time (or 0) on, with phi summed tail-first.  The
-        knots are the window solve's accepted steps, and a stretch longer
-        than a panel, such as the exterior [t_x, T], is cut into panels.
-        Inside the ball pi/2 - theta = atan2(sin s cos t, sin t) keeps its
-        relative precision for small s, so pi/2 - theta_inf does too."""
-        if self.params.s == 0.0:
+    def _start(self) -> tuple[float, float, float]:
+        """(t_in, theta(t_in), pi/2 - theta(t_in)) where the geodesic leaves
+        the ball (0 when it starts outside).  Inside the ball pi/2 - theta =
+        atan2(sin s cos t, sin t) keeps its relative precision for small s,
+        so pi/2 - theta_inf does too."""
+        s, r = self.params.s, self.params.r
+        if s == 0.0:
             raise ValueError("the angular coordinate is undefined along the radial geodesic")
-        start = self.entry_time if self.entry_time is not None else 0.0
-        solve = () if self.transition is None else self.transition.nodes
-        nodes = np.unique(np.concatenate([[start], solve, [self.trajectory.t1]]))
-        steps = np.diff(nodes)
-        k = np.maximum(1, np.ceil(steps / _PANEL)).astype(int)
-        step = np.repeat(np.arange(len(k)), k)
-        frac = (np.arange(k.sum()) - np.repeat(np.cumsum(k) - k, k)) / k[step]
-        knots = np.append(nodes[:-1][step] + steps[step] * frac, nodes[-1])
-        pieces = self._rate_integral(knots[:-1], knots[1:])
-        phi = np.append(np.cumsum(pieces[::-1])[::-1], 0.0)
-        if self.entry_time is None:
-            theta_start, gap_start = 0.0, math.pi / 2.0
-        else:
-            theta_start = self._theta_ball(start)
-            gap_start = math.atan2(math.sin(self.params.s) * math.cos(start), math.sin(start))
-        return knots, phi, theta_start + float(phi[0]), gap_start - float(phi[0])
+        if s >= r:
+            return 0.0, 0.0, math.pi / 2.0
+        t_in = entry_time(s, r)
+        return (t_in, float(self._theta_ball(t_in)),
+                math.atan2(math.sin(s) * math.cos(t_in), math.sin(t_in)))
+
+    def _swept(self, t: np.ndarray | float) -> np.ndarray:
+        """A(s) psi(t): the angle swept across the window from t_in to t, off
+        the window solve's psi row."""
+        return self._a_s * self.transition.dense(t)[8]
+
+    @cached_property
+    def _phi_exit(self) -> tuple[float, float]:
+        """(phi(t_x), A(s) psi(t_x)): the closed tail past the exit and the
+        window's whole angle."""
+        t_in, t_x = self.window
+        swept = self._a_s * float(self.transition.end[8]) if t_in < t_x else 0.0
+        return float(self.exterior.phi(t_x)), swept
 
     @property
     def theta_infinity(self) -> float:
-        """theta_inf = phi(0): the total angle swept by the geodesic, up to
-        the dropped tail bounded by ``angle_tail_bound``."""
-        return self._angle_table[2]
+        """theta_inf = theta(t_in) + phi(t_in): the total angle swept."""
+        return self._start[1] + sum(self._phi_exit)
 
     @property
     def theta_infinity_complement(self) -> float:
         """pi/2 - theta_inf, to full relative precision even where theta_inf
         is within rounding of pi/2 (small s)."""
-        return self._angle_table[3]
+        return self._start[2] - sum(self._phi_exit)
+
+    def _phi(self, t: np.ndarray) -> np.ndarray:
+        """phi = theta_inf - theta, summed tail-first: closed past t_x,
+        phi(t_x) + A(s) (psi(t_x) - psi(t)) across the window, and the ball's
+        closed form added to phi(t_in) before it."""
+        t_in, theta_in, _ = self._start
+        t_x = self.window[1]
+        phi_x, swept_x = self._phi_exit
+        out = self.exterior.phi(np.maximum(t, t_x))
+        win = (t >= t_in) & (t < t_x)
+        if np.any(win):
+            out[win] += swept_x - self._swept(t[win])
+        ball = t < t_in
+        out[ball] = (theta_in - self._theta_ball(t[ball])) + (phi_x + swept_x)
+        return out
+
+    def _theta(self, t: np.ndarray) -> np.ndarray:
+        """theta summed forward: the ball's closed form, theta(t_in) +
+        A(s) psi(t) across the window, theta_inf - phi past t_x."""
+        t_in, theta_in, _ = self._start
+        t_x = math.inf if self.exit_time is None else self.exit_time
+        out = self._theta_ball(t)
+        win = (t > t_in) & (t < t_x)
+        if np.any(win):
+            out[win] = theta_in + self._swept(t[win])
+        past = t >= t_x
+        if np.any(past):
+            out[past] = self.theta_infinity - self.exterior.phi(t[past])
+        return out
 
     def angles(self, t: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(theta(t), phi(t)) with phi = theta_inf - theta, for t in [0, T];
-        exact inside the ball, Clairaut's rate integrated after it."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        knots, phi_k, theta_inf, _ = self._angle_table
-        if t_arr.min() < 0.0 or t_arr.max() > knots[-1]:
-            raise ValueError(f"angle requested outside [0, {knots[-1]}]")
-        theta = np.empty_like(t_arr)
-        phi = np.empty_like(t_arr)
-        ball = t_arr < knots[0]
-        if np.any(ball):
-            theta[ball] = self._theta_ball(t_arr[ball])
-            phi[ball] = (self._theta_ball(knots[0]) - theta[ball]) + phi_k[0]
-        out = ~ball
-        if np.any(out):
-            j = np.clip(np.searchsorted(knots, t_arr[out], side="right"), 1, len(knots) - 1)
-            phi[out] = phi_k[j] + self._rate_integral(t_arr[out], knots[j])
-            theta[out] = theta_inf - phi[out]
-        return theta, phi
+        phi needs the geodesic to have left the transition by T."""
+        t_arr = self._times(t)
+        return self._theta(t_arr), self._phi(t_arr)
 
     def theta(self, t: float | np.ndarray) -> float | np.ndarray:
-        """Angular coordinate theta(t), theta(0) = 0, increasing."""
-        theta, _ = self.angles(t)
+        """Angular coordinate theta(t), theta(0) = 0, increasing, on [0, T]
+        (also while the geodesic is still inside the transition at T)."""
+        theta = self._theta(self._times(t))
         return float(theta[0]) if np.ndim(t) == 0 else theta
-
-    @property
-    def angle_tail_bound(self) -> float:
-        """Bound on the rate integral past the horizon T, dropped from phi.
-        Past the transition rho' increases and (log A)' >= c = min(1,
-        A'/A(rho(T))), so the tail is at most A(s) / (2 c rho'(T) A(rho(T))^2);
-        the bound returned is twice that, a margin for the error of the
-        radial solve in rho(T).  Infinite while the geodesic is still inside
-        the transition at T."""
-        p = self.params
-        rho_T, drho_T = (float(v[0]) for v in self.trajectory.state(self.trajectory.t1))
-        if rho_T < p.r + p.eps or not drho_T > 0.0:
-            return math.inf
-        a, da = (float(v[0]) for v in self.warp.state(rho_T))
-        c = min(1.0, da / a)
-        if not c > 0.0:
-            return math.inf
-        return self._a_s / (c * drho_T * a * a)
 
 
 def entry_time(s: float, r: float) -> float:
@@ -338,35 +332,37 @@ def radial_exit_slope(s: float, r: float) -> float:
     return math.sqrt(math.sin(r + s) * math.sin(r - s)) / math.sin(r)
 
 
-# The window solve carries (rho, rho', a, b, U, U', V, V'): the geodesic, the
-# warp function along it (a, b) = (A, A')(rho), and the in-plane Jacobi pair
-# started from the identity at t_in.  Each evaluation reads K_par once.
+# The window solve carries (rho, rho', a, b, U, U', V, V', psi): the geodesic,
+# the warp function along it (a, b) = (A, A')(rho), the in-plane Jacobi pair
+# started from the identity at t_in, and psi' = 1/a^2 from psi(t_in) = 0 (the
+# angle swept is A(s) psi; carrying A(s) psi instead would put it under the
+# solver's absolute floor at tiny s).  Each evaluation reads K_par once.
 _PAIR_START = (1.0, 0.0, 0.0, 1.0)
 # The most geodesics whose windows share one solve.  The batch's dense output
-# has 8 rows per geodesic per step, so this bounds the memory of a grid.
+# has 9 rows per geodesic per step, so this bounds the memory of a grid.
 _BATCH = 64
 
 
 def _window_rhs(profile: ProfileParams):
     """The window equation of one geodesic, on floats (``math.exp`` under
-    K_par): far cheaper per call than numpy on an 8-vector."""
+    K_par): far cheaper per call than numpy on a 9-vector."""
     def rhs(t: float, y: np.ndarray) -> tuple[float, ...]:
-        rho, v, a, b, u, du, w, dw = y.tolist()
+        rho, v, a, b, u, du, w, dw, _ = y.tolist()
         k = k_parallel(profile, rho)
-        return v, (b / a) * (1.0 - v * v), b * v, -k * a * v, du, -k * u, dw, -k * w
+        return v, (b / a) * (1.0 - v * v), b * v, -k * a * v, du, -k * u, dw, -k * w, 1.0 / (a * a)
 
     return rhs
 
 
 def _batch_rhs(profile: ProfileParams, n: int):
     """The window equations of n geodesics as one system: the state is the
-    8 x n array of their states, row-major, and K_par is read once for the
+    9 x n array of their states, row-major, and K_par is read once for the
     rho row."""
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        rho, v, a, b, u, du, w, dw = y.reshape(8, n)
+        rho, v, a, b, u, du, w, dw, _ = y.reshape(9, n)
         k = k_parallel(profile, rho)
         return np.concatenate((v, (b / a) * (1.0 - v * v), b * v, -k * a * v,
-                               du, -k * u, dw, -k * w))
+                               du, -k * u, dw, -k * w, 1.0 / (a * a)))
 
     return rhs
 
@@ -381,11 +377,11 @@ def _window_start(p: GeodesicParams, warp: WarpFunction, T: float) -> tuple[floa
         # rho(t) = t exactly; the polar-coordinate singularity at the origin
         # is not integrated.  The window solve (rho' = 1, so rho'' = 0) runs
         # over the fixed span [r, r + eps] for the in-plane pair.
-        t_in, y0 = r, (r, 1.0, math.sin(r), math.cos(r), *_PAIR_START)
+        t_in, y0 = r, (r, 1.0, math.sin(r), math.cos(r), *_PAIR_START, 0.0)
     else:
         t_in, state = (entry_time(s, r), (r, radial_exit_slope(s, r))) if s < r else (0.0, (s, 0.0))
         a, b = (float(v[0]) for v in warp.state(state[0]))
-        y0 = (*state, a, b, *_PAIR_START)
+        y0 = (*state, a, b, *_PAIR_START, 0.0)
     return (t_in, y0) if t_in < T else None
 
 
@@ -396,10 +392,10 @@ def _solve_windows(
     (the geodesic's window flow, its exit time t_x or None past T) each.
 
     The window equation does not contain t, so every geodesic starts at
-    tau = t - t_in = 0, and geodesic j is column j of an 8 x n state (a
+    tau = t - t_in = 0, and geodesic j is column j of a 9 x n state (a
     geodesic alone runs in t from t_in, as it always has, with the float
-    right-hand side).  scipy's error norm is an RMS over all 8n components:
-    the tolerance tol / sqrt(n) keeps each geodesic's own 8-component norm
+    right-hand side).  scipy's error norm is an RMS over all 9n components:
+    the tolerance tol / sqrt(n) keeps each geodesic's own 9-component norm
     within tol.  The solve ends at the last crossing, where the least rho
     reaches r + eps; every other crossing is located on the dense output of
     its rho row.  The radial geodesic's window ends at exactly r + eps."""
@@ -457,11 +453,11 @@ def _radial_solution(p: GeodesicParams, warp: WarpFunction, T: float, tol: float
         t, state, t_entry = t_in, (r, radial_exit_slope(s, r)), t_in
     t_x = t if state[0] >= rho_x else None
     if flow is not None:
-        parts.append(flow.trajectory(np.eye(2, 8)))  # (rho, rho')
+        parts.append(flow.trajectory(np.eye(2, 9)))  # (rho, rho')
         t_x = window_exit
 
     exterior = None
-    if t_x is not None and t_x < T:
+    if t_x is not None:
         a_s = float(warp.value(s))
         a_x, h_x = (float(v[0]) for v in warp.state(max(s, rho_x)))
         if s < r:  # A(s) = sin s; sin^2 r - sin^2 s = sin(r + s) sin(r - s)
@@ -476,7 +472,8 @@ def _radial_solution(p: GeodesicParams, warp: WarpFunction, T: float, tol: float
             d=4.0 * warp.a_plus * warp.a_minus,
             a_s=a_s,
         )
-        parts.append(Trajectory.from_function(exterior.state, t_x, T))
+        if t_x < T:
+            parts.append(Trajectory.from_function(exterior.state, t_x, T))
     return RadialSolution(params=p, trajectory=Trajectory.concat(parts),
                           entry_time=t_entry, warp=warp, tol=tol, exit_time=t_x,
                           exterior=exterior, transition=flow)

@@ -158,8 +158,8 @@ class JacobiKernel:
     # -- the in-plane window pair ---------------------------------------------
 
     def _window_flow(self):
-        """The radial solution's window solve, whose state ends in the
-        in-plane pair (U, U', V, V'), started from the identity at t_in; None
+        """The radial solution's window solve, whose state rows 4 to 7 are
+        the in-plane pair (U, U', V, V'), started from the identity at t_in; None
         when the window is empty.  Before t_in the in-plane equation is
         Y'' = -Y, after t_x it is Y'' = Y; both are solved exactly.  The
         off-plane equation is never integrated: see :func:`killing_field`."""
@@ -177,14 +177,14 @@ class JacobiKernel:
         flow = self._window_flow()
         if flow is None:
             return np.eye(2)
-        u, du, v, dv = flow.end[4:].tolist()
+        u, du, v, dv = flow.end[4:8].tolist()
         return np.array([[u, v], [du, dv]])
 
     def window_solution(self, y: float, dy: float, T: float | None = None) -> Trajectory:
         """The in-plane solution with state (y, dy) at t_in, on
         [t_in, min(t_x, T)]: y U + dy V of the window pair, no solve."""
-        proj = np.zeros((2, 8))
-        proj[:, 4:] = ((y, 0.0, dy, 0.0), (0.0, y, 0.0, dy))
+        proj = np.zeros((2, 9))
+        proj[:, 4:8] = ((y, 0.0, dy, 0.0), (0.0, y, 0.0, dy))
         return self._window_flow().trajectory(proj, T)
 
 
@@ -246,8 +246,8 @@ def killing_field(
     def fn(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rho, drho = radial.state(t)
         a, da = warp.state(rho)
-        theta, phi = radial.angles(t)
-        ang = theta if angle == "theta" else phi
+        # theta is defined on all of [0, T]; phi needs the transition exit
+        ang = radial.theta(t) if angle == "theta" else radial.angles(t)[1]
         c, sn = np.cos(ang), np.sin(ang)
         comb = p * c + q * sn
         # (A/A(s))' = A' rho' / A(s) and (A/A(s)) a' = sign / A (Clairaut)

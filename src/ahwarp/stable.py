@@ -35,9 +35,9 @@ has still to sweep (see ``jacobi`` and ``geodesics``), so
 
 with pi/2 - theta_inf taken without cancellation (small s puts theta_inf
 within rounding of pi/2), and Y vanishes somewhere exactly when
-phi(0) >= pi (phi decreases to 0).
-The tail of Clairaut's rate past the kernel horizon is dropped from phi; its
-bound, carried to W'(0), is the ``seed_residual``.
+phi(0) >= pi (phi decreases to 0).  phi is exact past the transition
+(``geodesics``), so nothing is dropped: ``seed_residual`` is 0 for both
+kinds.
 
 The normalized solution W = Y / Y(0) carries the whole conjugate-point
 story: for an even integrable kernel, no nontrivial solution vanishes twice
@@ -84,12 +84,8 @@ _QUARTER_PI = math.pi / 4.0
 # flagged as marginal rather than silently classified.
 TOL_SIGN = 1e-9
 
-_KERNEL_HORIZON = 50.0
 _T0 = 30.0
 _STENCIL_H = 5e-3
-# Time left past T0 before the kernel horizon: the angle tail dropped there is
-# then e^{-2 * 20} ~ 4e-18 relative to phi(T0), below rounding.
-_ANGLE_MARGIN = 20.0
 
 
 class CertificateError(RuntimeError):
@@ -101,9 +97,9 @@ class CertificateError(RuntimeError):
 @dataclass(frozen=True, eq=False)
 class StableSolution:
     """Stable solution on [0, seed_horizon] with e^{T0} Y(T0) = 1, its value
-    and normalized slope at 0, the fixed horizon T0 and the a-priori bound
-    on the certificate error: 0 in-plane (the tail e^{-t} is exact), from
-    the angle tail dropped past the kernel horizon off-plane."""
+    and normalized slope at 0, the fixed horizon T0 and the error dropped
+    past it: 0 for both kinds (the in-plane tail e^{-t} and the off-plane
+    angle are exact there)."""
 
     kind: str
     params: GeodesicParams
@@ -119,7 +115,6 @@ class StableSolution:
 
 def stable_solution(
     kernel: JacobiKernel,
-    tol: float = 1e-10,
     T0: float = _T0,
     kind: str | None = None,
 ) -> StableSolution:
@@ -137,7 +132,7 @@ def stable_solution(
     if T0 > horizon:
         raise ValueError(f"seed horizon T0 = {T0} beyond the kernel horizon {horizon}")
     if kernel.kind == "perpendicular":
-        return _killing_stable(kernel, tol, T0, kind)
+        return _killing_stable(kernel, T0, kind)
     t_in, t_x = kernel.radial.window
     if T0 < t_x:
         raise ValueError(f"seed horizon T0 = {T0} inside the transition (exit at {t_x})")
@@ -179,8 +174,7 @@ def stable_solution(
     )
 
 
-def _killing_stable(kernel: JacobiKernel, tol: float, T0: float,
-                    kind: str | None) -> StableSolution:
+def _killing_stable(kernel: JacobiKernel, T0: float, kind: str | None) -> StableSolution:
     """Y = C A(rho) sin(phi) with e^{T0} Y(T0) = 1.  phi(0) = pi/2 - psi is
     used through psi = ``theta_infinity_complement``: cot(phi(0)) = tan(psi)
     has no cancellation for small s."""
@@ -189,13 +183,9 @@ def _killing_stable(kernel: JacobiKernel, tol: float, T0: float,
     psi = radial.theta_infinity_complement
     if not psi > -math.pi / 2.0:
         raise _vanishes(kernel, T0, f"phi(0) = {math.pi / 2.0 - psi:.6f} >= pi")
-    # d W'(0) / d phi(0) = 1 / (A(s) sin^2 phi(0))
-    residual = radial.angle_tail_bound / (a_s * math.cos(psi) ** 2)
-    if not residual < tol:
-        raise _seed_bound_error(kernel, residual, tol)
     phi_T = float(radial.angles(T0)[1][0])
     if not phi_T > 0.0:
-        raise ValueError(f"seed horizon T0 = {T0} leaves no angle before the kernel horizon")
+        raise ValueError(f"seed horizon T0 = {T0}: the angle left, phi(T0), underflows")
     a_T = float(kernel.warp.value(float(radial.rho(T0))))
     scale = math.exp(-T0) * a_s / (a_T * math.sin(phi_T))
     return StableSolution(
@@ -205,7 +195,7 @@ def _killing_stable(kernel: JacobiKernel, tol: float, T0: float,
         Y0=scale * math.cos(psi),
         W_prime_0=-math.tan(psi) / a_s,
         seed_horizon=T0,
-        seed_residual=residual,
+        seed_residual=0.0,
     )
 
 
@@ -216,18 +206,12 @@ def _vanishes(kernel: JacobiKernel, T0: float, detail: str) -> CertificateError:
     )
 
 
-def _seed_bound_error(kernel: JacobiKernel, residual: float, tol: float) -> CertificateError:
-    return CertificateError(
-        f"seed bound {residual:.3e} at {kernel.params} is not below tol = {tol}; "
-        "non-decaying kernel tail?"
-    )
-
-
-def _kernel_settings(tol: float, T0: float) -> tuple[float, float]:
-    """(horizon, tol) of the radial solve under a stable solution."""
+def _kernel_tol(tol: float) -> float:
+    """The tolerance of the radial solve under a stable solution, whose
+    horizon is T0."""
     # An off-plane certificate carries the angle error of the radial solve,
     # amplified by 1 / (A(s) sin^2 phi(0)); both kinds share one solve.
-    return max(_KERNEL_HORIZON, T0 + _ANGLE_MARGIN), min(tol, 1e-12)
+    return min(tol, 1e-12)
 
 
 def stable_for(kind: str, params: GeodesicParams, tol: float = 1e-10,
@@ -235,9 +219,8 @@ def stable_for(kind: str, params: GeodesicParams, tol: float = 1e-10,
     """Stable solution for mu = params.  Each call builds it anew, with
     no solve of its own: the radial solve under it is cached by
     ``geodesics.solve_radial``."""
-    horizon, kernel_tol = _kernel_settings(tol, T0)
-    kernel = make_kernel(kind, params, horizon=horizon, tol=kernel_tol)
-    return stable_solution(kernel, tol=tol, T0=T0, kind=kind)
+    kernel = make_kernel(kind, params, horizon=T0, tol=_kernel_tol(tol))
+    return stable_solution(kernel, T0=T0, kind=kind)
 
 
 def certificate(kind: str, params: GeodesicParams, tol: float = 1e-10) -> float:
@@ -250,10 +233,9 @@ def certificate_grid(ss: Sequence[float], r: float, eps: float,
     """(W'(0) in-plane, W'(0) off-plane) at each s of ``ss``, as
     ``certificate`` gives them one geodesic at a time, with the radial solves
     of the grid made by one ``geodesics.solve_radial_grid``."""
-    horizon, kernel_tol = _kernel_settings(tol, _T0)
-    return [tuple(stable_solution(kernel_on(kind, radial), tol=tol, T0=_T0, kind=kind).W_prime_0
+    return [tuple(stable_solution(kernel_on(kind, radial), T0=_T0, kind=kind).W_prime_0
                   for kind in KINDS)
-            for radial in solve_radial_grid(ss, r, eps, horizon, kernel_tol)]
+            for radial in solve_radial_grid(ss, r, eps, _T0, _kernel_tol(tol))]
 
 
 def stencil_points(h: float = _STENCIL_H) -> tuple[float, ...]:
@@ -281,12 +263,12 @@ def certificate_s_derivatives(
     tol: float = 1e-10,
 ) -> tuple[float, float]:
     """One-sided finite differences (d1, d2) of s -> W'(0) at s = 0 (see
-    :func:`stencil_derivatives`), from four certificates."""
+    :func:`stencil_derivatives`), from one :func:`certificate_grid` on the
+    stencil points."""
     if params.s != 0.0:
         raise ValueError("s-derivatives of the certificate are taken at s = 0")
-    f = [certificate(kind, GeodesicParams(s, params.r, params.eps), tol)
-         for s in stencil_points(h)]
-    return stencil_derivatives(f, h)
+    certs = certificate_grid(stencil_points(h), params.r, params.eps, tol)
+    return stencil_derivatives([c[KINDS.index(kind)] for c in certs], h)
 
 
 @dataclass(frozen=True)

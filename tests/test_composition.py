@@ -193,9 +193,9 @@ class TestWorkCounts:
         expected = [kernel.radial.window] if mu[2] > 0.0 else []
         assert solves == expected
         fundamental_pair(kernel, T=20.0)
-        sol = stable_solution(kernel, tol=1e-10)
+        sol = stable_solution(kernel)
         assert solves == expected
-        assert sol.seed_residual < 1e-10
+        assert sol.seed_residual == 0.0
 
     def test_r_star_from_one_certificate(self, solves):
         # W'(0; r) = tan(r - r*): the warp and s = 0 window solves at pi/4

@@ -2,8 +2,11 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ahwarp.geodesics as geodesics_mod
 from ahwarp.geodesics import (
@@ -210,24 +213,62 @@ class TestAngularCoordinate:
         sol = solve_radial(GeodesicParams(s, PI4, 0.0), T=40.0, tol=1e-12)
         ts = np.linspace(sol.entry_time or 0.0, 25.0, 500)
         _, phi = sol.angles(ts)
-        assert np.max(np.abs(phi / closed_phi(s, ts) - 1.0)) < 1e-8
+        assert np.max(np.abs(phi / closed_phi(s, ts) - 1.0)) < 1e-13
 
     def test_theta_infinity_and_tail_bound(self):
         for s in (0.2, 0.5):
             sol = solve_radial(GeodesicParams(s, PI4, 0.0), T=20.0, tol=1e-12)
             assert sol.theta_infinity == pytest.approx(theta_infinity(s), abs=1e-11)
-            tail = float(closed_phi(s, 20.0))
-            assert tail <= sol.angle_tail_bound <= 2.0 * tail * (1.0 + 1e-9)
+            _, phi = sol.angles(20.0)
+            assert phi[0] == pytest.approx(float(closed_phi(s, 20.0)), rel=1e-13)
 
-    def test_tail_bound_infinite_inside_transition(self):
-        sol = solve_radial(GeodesicParams(0.3, 0.7, 0.1), T=0.2, tol=1e-10)
-        assert sol.angle_tail_bound == math.inf
+    def test_theta_defined_inside_transition(self):
+        # theta is the forward sum theta(t_in) + A(s) psi(t) on [0, T]; phi
+        # and theta_inf need the exit
+        sol = solve_radial(GeodesicParams(0.1, 0.785, 0.7), T=1.2)
+        assert sol.exit_time is None
+        assert sol.theta(1.0) == pytest.approx(1.5067783601835019, abs=1e-12)
+        # so is the off-plane pair, a Killing field in theta
+        kernel = make_kernel("perpendicular", GeodesicParams(0.1, 0.785, 0.7), horizon=1.2)
+        pair = fundamental_pair(kernel, T=1.0)
+        assert pair.U.value(0.9) == pytest.approx(0.6216122055788812, abs=1e-12)
+        with pytest.raises(ValueError):
+            sol.angles(1.0)
+        with pytest.raises(ValueError):
+            sol.theta_infinity
 
     def test_domain(self):
         with pytest.raises(ValueError):
             solve_radial(GeodesicParams(0.0, PI4, 0.0), T=5.0).theta(1.0)
         with pytest.raises(ValueError):
             solve_radial(GeodesicParams(0.3, PI4, 0.0), T=5.0).theta(6.0)
+
+
+class TestExteriorAngle:
+    # phi(t) = integral of A(s) / (h^2 + 4 a_+ a_-) over [t, inf), with
+    # h = p e^tau + q e^{-tau}, against a 40-digit quadrature in tau from the
+    # exterior's own data; 4 a_+ a_- changes sign at r = pi/4 (eps = 0)
+    @given(r=st.floats(0.05, 1.5), eps_frac=st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+           s=st.floats(0.01, 2.0), tau=st.one_of(st.just(0.0), st.floats(0.0, 25.0)))
+    @example(r=0.7, eps_frac=0.5, s=0.75, tau=0.0)   # s = r + eps
+    @example(r=0.7, eps_frac=0.5, s=1.2, tau=0.0)    # s > r + eps, t_x = 0
+    @example(r=PI4, eps_frac=0.0, s=0.3, tau=0.0)    # 4 a_+ a_- = 0
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_phi_matches_quadrature(self, r, eps_frac, s, tau):
+        eps = min(0.1, 0.99 * (math.pi / 2 - r)) * eps_frac
+        ext = solve_radial(GeodesicParams(s, r, eps), T=30.0, tol=1e-10).exterior
+        with mp.workdps(40):
+            p = (mp.mpf(ext.h_x) + mp.mpf(ext.dh_x)) / 2
+            q = (mp.mpf(ext.h_x) - mp.mpf(ext.dh_x)) / 2
+            d, a_s = mp.mpf(ext.d), mp.mpf(ext.a_s)
+
+            def rate(x):
+                h = p * mp.exp(x) + q * mp.exp(-x)
+                return a_s / (h * h + d)
+
+            ref = mp.quad(rate, [tau, tau + 1, tau + 4, tau + 16, mp.inf])
+        got = float(ext.phi(np.array([ext.t_x + tau]))[0])
+        assert abs(got - ref) <= 1e-13 * abs(ref)
 
 
 class TestComparisonBound:

@@ -19,6 +19,7 @@ from ahwarp.jacobi import (
 from ahwarp.stable import (
     CertificateError,
     certificate,
+    certificate_grid,
     certificate_parallel_closed,
     certificate_perp_closed,
     certificate_s_derivatives,
@@ -97,8 +98,15 @@ class TestOffRadialCertificates:
         # 1.2e-9 off in theta_inf at s = 0.16)
         kernel = make_kernel("perpendicular", GeodesicParams(s, PI4, 0.0), tol=1e-10)
         assert abs(kernel.radial.theta_infinity - theta_infinity(s)) <= 1e-13
-        got = stable_solution(kernel, tol=1e-10).W_prime_0
+        got = stable_solution(kernel).W_prime_0
         assert abs(got - certificate_perp_closed(s)) <= 1e-12
+
+    def test_perp_grid_matches_closed_form_to_rounding(self):
+        # at (pi/4, 0) the angle is closed form in the ball and past t_in
+        ss = np.round(np.arange(0.0, 0.7801, 0.005), 3)
+        for s, (_, got) in zip(ss.tolist(), certificate_grid(ss, PI4, 0.0)):
+            closed = certificate_perp_closed(s)
+            assert abs(got - closed) <= 1e-13 * max(1.0, abs(closed)), s
 
     @pytest.mark.parametrize("s", [1e-20, 1e-8])
     @pytest.mark.parametrize("r, eps", [(0.75, 0.0), (0.8, 0.05)])
@@ -155,6 +163,12 @@ class TestSeedingConsistency:
         sol = stable_for("parallel", GeodesicParams(0.2, PI4, 0.0), tol=1e-10)
         assert sol.seed_residual == 0.0
 
+    @pytest.mark.parametrize("mu", [(0.2, PI4, 0.0), (0.2, 0.76, 0.05)])
+    def test_perpendicular_seeding_is_exact(self, mu):
+        # the angle past the transition is closed form: no tail is dropped
+        sol = stable_for("perpendicular", GeodesicParams(*mu), tol=1e-10)
+        assert sol.seed_residual == 0.0
+
 
 def _linear_seeded_certificate(kernel, T=40.0, tol=1e-11):
     """Reference W'(0): the linear Jacobi equation Y'' = -k(t) Y, with k read
@@ -188,7 +202,7 @@ class TestRiccatiAgainstLinear:
     @settings(max_examples=20, deadline=None, derandomize=True)
     def test_certificates_agree(self, kind, s, r, eps):
         kernel = make_kernel(kind, GeodesicParams(s, r, eps), tol=1e-11)
-        riccati = stable_solution(kernel, tol=1e-11).W_prime_0
+        riccati = stable_solution(kernel).W_prime_0
         linear = _linear_seeded_certificate(kernel)
         assert abs(riccati - linear) <= 1e-8 * abs(linear)
 
