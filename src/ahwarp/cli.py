@@ -12,6 +12,10 @@ stable     JSON: {kind, s, r, eps, Y0, W_prime_0, seed_horizon, seed_residual}
            past the transition and the perpendicular one's angle is closed
            form there
 find-r     JSON: {eps, r_star, root_residual}
+           r_star = -arctan w(eps) from the transition pair; root_residual
+           is |Y(0) W'(0)| of the radial stable solution at r_star, from a
+           window solve independent of the pair, so it measures how far the
+           two disagree
 scan       JSON: the full ScanReport; exit status 0 iff overall success
 
 Floats are written in their shortest round-trip representation, so two runs
@@ -105,7 +109,7 @@ def _table(header: list[str], columns: list[np.ndarray], fmt: str) -> str:
 
 def _run_profile(config: RunConfig) -> int:
     params = warp.ProfileParams(config.r, config.eps)
-    w = warp.solve_warp(params, tol=min(config.tol, 1e-12))
+    w = warp.solve_warp(params)
     rho = np.arange(config.drho, config.rho_max + 1e-12, config.drho)
     a_val, a_der = w.state(rho)
     kpar = np.asarray(warp.k_parallel(params, rho))
@@ -166,9 +170,9 @@ def _run_stable(config: RunConfig) -> int:
 
 
 def _run_find_r(config: RunConfig) -> int:
-    r_star, residual = search.find_r_star(
-        config.eps, config.bracket_halfwidth, tol=min(config.tol, 1e-11)
-    )
+    # the residual's window solve runs at min(tol, 1e-12) = 1e-12 for every
+    # accepted --tol (stable._kernel_tol), which is find_r_star's default
+    r_star, residual = search.find_r_star(config.eps, config.bracket_halfwidth)
     payload = {"eps": config.eps, "r_star": r_star, "root_residual": residual}
     _emit(config, json.dumps(payload, indent=2) + "\n")
     return 0

@@ -17,7 +17,8 @@ solution is built from three pieces:
   t_in = ell_r(s) = arccos(cos r / cos s);
 * the transition: one DOP853 solve from the exact entry state (or from
   (s, 0) at t = 0 when r <= s < r + eps) to the crossing of rho = r + eps at
-  the exit time t_x; at eps = 0 this piece is empty.  The solve carries
+  the exit time t_x; at eps = 0 (or an eps below the resolution of r) this
+  piece is empty.  The solve carries
   (rho, rho', a, b, U, U', V, V'): the warp function along the geodesic,
   (a, b) = (A, A')(rho) with a' = b rho' and b' = -K_par(rho) a rho', so
   that rho'' = (b/a)(1 - rho'^2) needs no lookup, and the in-plane Jacobi
@@ -198,6 +199,17 @@ class RadialSolution:
     transition: Flow | None = None
 
     @property
+    def span(self) -> tuple[float, float]:
+        """(t_in, t_x) as ``window``, with inf for a time past the horizon
+        (the geodesic still in the ball, or in the transition, at T): the
+        Jacobi kernels and the in-plane pair are defined there, phi and the
+        stable solutions are not."""
+        t_in, t_x = self.entry_time, self.exit_time
+        if t_in is None:
+            t_in = 0.0 if self.params.s >= self.params.r else math.inf
+        return t_in, math.inf if t_x is None else t_x
+
+    @property
     def window(self) -> tuple[float, float]:
         """(t_in, t_x): inside the ball before t_in, in the transition on
         [t_in, t_x], outside it after t_x.  t_in = 0 when the geodesic starts
@@ -207,7 +219,7 @@ class RadialSolution:
                 "radial horizon too small: the geodesic has not left the "
                 "transition zone"
             )
-        return (self.entry_time or 0.0), self.exit_time
+        return self.span
 
     def state(self, t: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.trajectory.state(t)
@@ -292,7 +304,7 @@ class RadialSolution:
         """theta summed forward: the ball's closed form, theta(t_in) +
         A(s) psi(t) across the window, theta_inf - phi past t_x."""
         t_in, theta_in, _ = self._start
-        t_x = math.inf if self.exit_time is None else self.exit_time
+        t_x = self.span[1]
         out = self._theta_ball(t)
         win = (t > t_in) & (t < t_x)
         if np.any(win):
@@ -369,9 +381,10 @@ def _batch_rhs(profile: ProfileParams, n: int):
 
 def _window_start(p: GeodesicParams, warp: WarpFunction, T: float) -> tuple[float, tuple] | None:
     """(t_in, state at t_in) of the geodesic's window solve; None when
-    nothing is integrated (eps = 0, s >= r + eps, or t_in >= T)."""
+    nothing is integrated (an eps below the resolution of r, as for the
+    sharp metric; s >= r + eps; or t_in >= T)."""
     s, r, eps = p.s, p.r, p.eps
-    if eps == 0.0 or s >= r + eps:
+    if r + eps == r or s >= r + eps:
         return None
     if s == 0.0:
         # rho(t) = t exactly; the polar-coordinate singularity at the origin
@@ -480,7 +493,7 @@ def _radial_solution(p: GeodesicParams, warp: WarpFunction, T: float, tol: float
 
 
 def _grid_solutions(params: list[GeodesicParams], T: float, tol: float) -> Iterator[RadialSolution]:
-    warp = solve_warp(params[0].profile, tol=min(tol, 1e-12))
+    warp = solve_warp(params[0].profile)
     starts = [_window_start(p, warp, T) for p in params]
     pending = [i for i, start in enumerate(starts) if start is not None]
     windows: dict[int, tuple[Flow, float | None]] = {}

@@ -144,7 +144,7 @@ class JacobiKernel:
         the H(0) = 0 convention of the curvature profile."""
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.empty_like(t_arr)
-        t_in, t_x = self.radial.window
+        t_in, t_x = self.radial.span
         inside = t_arr <= t_in if t_in > 0.0 else np.zeros_like(t_arr, dtype=bool)
         exterior = t_arr > t_x if t_x > 0.0 else np.ones_like(t_arr, dtype=bool)
         mid = ~(inside | exterior)
@@ -160,20 +160,21 @@ class JacobiKernel:
     def _window_flow(self):
         """The radial solution's window solve, whose state rows 4 to 7 are
         the in-plane pair (U, U', V, V'), started from the identity at t_in; None
-        when the window is empty.  Before t_in the in-plane equation is
+        when nothing is integrated (an empty window, or one that starts past
+        the horizon).  Before t_in the in-plane equation is
         Y'' = -Y, after t_x it is Y'' = Y; both are solved exactly.  The
         off-plane equation is never integrated: see :func:`killing_field`."""
         if self.kind != "parallel":
             raise ValueError("only the in-plane Jacobi equation is integrated; "
                              "off-plane solutions are Killing fields")
-        t_in, t_x = self.radial.window
-        return self.radial.transition if t_in < t_x else None
+        return self.radial.transition
 
     @property
     def transfer(self) -> np.ndarray:
         """The in-plane transfer matrix M = [[U, V], [U', V']] of the window
         [t_in, t_x]: (Y, Y')(t_x) = M (Y, Y')(t_in).  det M = 1; the identity
-        when the window is empty."""
+        when the window is empty; up to the horizon when the geodesic is still
+        in the transition there."""
         flow = self._window_flow()
         if flow is None:
             return np.eye(2)
@@ -307,13 +308,13 @@ def _in_plane(kernel: JacobiKernel, y0: float, dy0: float, T: float) -> Trajecto
     """Rotation on [0, t_in], the window pair's combination across
     [t_in, t_x], exponentials after t_x; each piece starts from the state
     where the one before ends."""
-    t_in, t_x = kernel.radial.window
+    t_in, t_x = kernel.radial.span
     parts = []
     state = (y0, dy0)
     if t_in > 0.0:
         ball = _rotation(0.0, y0, dy0)
         parts.append(Trajectory.from_function(ball, 0.0, min(t_in, T)))
-        state = tuple(map(float, ball(t_in)))
+        state = tuple(map(float, ball(min(t_in, T))))  # the state at t_in, if t_in <= T
     if t_in < min(t_x, T):
         parts.append(kernel.window_solution(*state, T))
         state = tuple((kernel.transfer @ state).tolist())

@@ -261,13 +261,14 @@ def integrate_ivp(
     tol: float = 1e-10,
     *,
     switch: Callable[[float, np.ndarray], float] | None = None,
+    max_step: float = np.inf,
 ) -> Flow:
     """Integrate y' = rhs(t, y) forward from (t0, y0) to t1, or to the first
     crossing of the terminal switching surface ``switch(t, y) = 0``, in one
     DOP853 solve.  The zero must be transverse along the solution.
 
     Local error per step is controlled to ``tol`` relative, with the
-    absolute floor ``tol * 1e-3``.
+    absolute floor ``tol * 1e-3``, and no step is longer than ``max_step``.
     """
     if not t1 > t0:
         raise ValueError(f"forward integration requires t1 > t0, got [{t0}, {t1}]")
@@ -279,7 +280,8 @@ def integrate_ivp(
         event.terminal = True
         events = [event]
     sol = solve_ivp(rhs, (t0, t1), np.asarray(y0, dtype=float), method=_METHOD,
-                    dense_output=True, events=events, rtol=tol, atol=tol * 1e-3)
+                    dense_output=True, events=events, rtol=tol, atol=tol * 1e-3,
+                    max_step=max_step)
     if sol.status < 0:
         raise IntegrationError(sol.message)
     return Flow(nodes=sol.t, states=sol.y, switched=sol.status == 1,

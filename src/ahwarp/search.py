@@ -6,13 +6,15 @@ radial stable solution satisfies Y'(0) = 0; the metric then has boundary
 conjugate points along radial geodesics.  No root search is needed: along
 the radial geodesic the transition window is [r, r + eps], and its equation
 in x = rho - r does not contain r, so W = Y'/Y at the window's entry is one
-number w(eps) for every r.  The exact rotation through the ball (``stable``)
+number w(eps) for every r, read off the end state of the transition pair
+(``warp.entry_slope``).  The exact rotation through the ball (``stable``)
 then gives
 
-    W'(0; r) = tan(arctan w(eps) + r) = tan(r - r*),   r* = -arctan w(eps),
+    W'(0; r) = tan(arctan w(eps) + r) = tan(r - r*),   r* = -arctan w(eps).
 
-and one certificate at r = pi/4 fixes the root.  Absence of interior conjugate
-points is certified in three regimes:
+The root residual |Y(0) W'(0)| comes from the s = 0 window solve at r*, a
+solve independent of the pair, so it measures how far the two disagree.
+Absence of interior conjugate points is certified in three regimes:
 
 * small s (certificate method): W'(0) <= 0 for both kernels on a grid
   0 <= s <= sigma, backed by the concavity signature of s -> W'(0) at 0;
@@ -20,10 +22,18 @@ points is certified in three regimes:
   on [0, T] with positive exit slope for sigma <= s <= rho0;
 * large s (curvature method): past the threshold rho0 both sectional
   curvatures are negative, so Sturm comparison with Y'' = 0 rules out double
-  zeros with no integration at all.
+  zeros with no integration at all.  The threshold is confirmed by its
+  proof: K_par < 0 past r + eps/2, and past r + eps, A'' = A > 0, so A'
+  increases and K_perp < 0 once A' > 1.
 
-Each regime's grid, like the non-trapping check, takes its geodesics from
-one ``geodesics.solve_radial_grid``: the transition windows of up to 64
+Non-trapping is proved, not sampled.  In the ball A' = cos rho > 0; on the
+window A'' = -K_par A, so A' falls until K_par changes sign at r + eps/2 and
+rises after it; past r + eps, A'' = A > 0.  So A' > 0 on (0, inf) if and
+only if A'(r + eps/2) > 0, and then inf A'/A > 0 (A'/A -> 1), which is the
+premise of the comparison theorem (``geodesics.comparison_lower_bound``).
+
+Each regime's grid takes its geodesics from one
+``geodesics.solve_radial_grid``: the transition windows of up to 64
 geodesics are one solve.  The grids certify concrete parameter triples by
 computation; this is certification by sampling, not a computer-assisted
 proof, and the report says so in its metadata.
@@ -37,11 +47,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geodesics import GeodesicParams, comparison_lower_bound, solve_radial_grid
+from .geodesics import GeodesicParams, solve_radial_grid
 from .jacobi import KINDS, jacobi_solution, kernel_on
-from .stable import (TOL_SIGN, certificate, certificate_grid, stable_for, stencil_derivatives,
-                     stencil_points)
-from .warp import ProfileParams, k_parallel, k_perp, solve_warp
+from .stable import TOL_SIGN, certificate_grid, stable_for, stencil_derivatives, stencil_points
+from .warp import ProfileParams, entry_slope, k_perp, solve_warp
 
 __all__ = [
     "BracketError",
@@ -164,17 +173,18 @@ def find_r_star(
 
     W'(0; r) = tan(r - r*) for every r (module docstring), so
 
-        r* = pi/4 - arctan W'(0; pi/4)
+        r* = -arctan w(eps)
 
-    from one certificate.  Returns (r_star, |Y'(0)| at r_star), the residual
-    from the stable solution at r_star that the scan's witness reuses.
-    Raises BracketError when r_star falls outside the window
+    from the end state of the transition pair.  Returns (r_star,
+    |Y(0) W'(0)| at r_star), the residual from the stable solution at r_star,
+    an independent window solve that the scan's witness reuses.  Raises
+    BracketError when r_star falls outside the window
     [pi/4 - bracket_halfwidth, pi/4 + bracket_halfwidth].
     """
+    ProfileParams(_QUARTER_PI, eps)  # validates eps
     lo = _QUARTER_PI - bracket_halfwidth
     hi = _QUARTER_PI + bracket_halfwidth
-    w0 = certificate("parallel", GeodesicParams(0.0, _QUARTER_PI, eps), tol)
-    r_star = _QUARTER_PI - math.atan(w0)
+    r_star = -math.atan(entry_slope(eps))
     if not lo <= r_star <= hi:
         raise BracketError(f"r* = {r_star!r} outside the window [{lo!r}, {hi!r}]")
     sol = stable_for("parallel", GeodesicParams(0.0, r_star, eps), tol=tol)
@@ -212,19 +222,19 @@ def verify_small_s(
     return records, (d1, d2), ok
 
 
-def _negative_curvature_threshold(params: ProfileParams, tol: float) -> tuple[float, bool]:
-    """rho0 past which both curvatures are negative, plus a sign-scan
-    confirmation on [just below rho0, rho0 + 10]."""
-    warp = solve_warp(params, tol=min(tol, 1e-12))
+def _negative_curvature_threshold(params: ProfileParams) -> tuple[float, bool]:
+    """rho0 past which both curvatures are negative, and whether its proof
+    holds: rho0 >= r + eps (so K_par < 0 past it) with A, A' > 0 at r + eps
+    (so A'' = A > 0 and A' increases past it from A'(rho0) >= 1, and
+    K_perp < 0).  The threshold must also be sharp: K_perp just below rho0
+    is nonnegative."""
+    r, eps = params.r, params.eps
+    warp = solve_warp(params)
     rho0 = warp.negative_curvature_threshold()
-    grid = np.linspace(rho0 + 1e-9, rho0 + 10.0, 2001)
-    certified = bool(
-        np.all(np.asarray(k_parallel(params, grid)) < 0.0)
-        and np.all(np.asarray(k_perp(warp, grid)) < 0.0)
-    )
-    # the threshold must be sharp: K_perp just below rho0 is nonnegative
+    a_x, da_x = (float(v[0]) for v in warp.state(r + eps))
+    certified = rho0 >= r + eps and a_x > 0.0 and da_x > 0.0
     below = rho0 - 1e-6
-    if below > params.r + params.eps / 2.0:
+    if below > r + eps / 2.0:
         certified = certified and float(k_perp(warp, below)) >= 0.0
     return rho0, certified
 
@@ -250,7 +260,7 @@ def verify_large_s(
     rho(T) >= rho0 (rho increases).
     Returns (rho0, curvature_certified, records, all passed).
     """
-    rho0, certified = _negative_curvature_threshold(ProfileParams(r, eps), tol)
+    rho0, certified = _negative_curvature_threshold(ProfileParams(r, eps))
     cap = rho0 if S_cap is None else S_cap
     records: list[MidSRecord] = []
     ok = certified
@@ -290,21 +300,10 @@ def _failed_at(records) -> str:
     return ", ".join(f"{rec.s:g}" for rec in records if rec.verdict == "fail")
 
 
-def _non_trapping_check(r: float, eps: float, tol: float) -> bool:
-    """Every radial coordinate dominates the constant-drift comparison
-    solution for the certified drift bound a."""
-    warp = solve_warp(ProfileParams(r, eps), tol=min(tol, 1e-12))
-    a = warp.min_log_slope()
-    if not a > 0.0:
-        return False
-    ts = np.linspace(0.0, 12.0, 241)
-    ss = (0.0, 0.5, 1.0)
-    for s, sol in zip(ss, solve_radial_grid(ss, r, eps, 12.5, tol)):
-        rho = np.asarray(sol.rho(ts))
-        bound = np.asarray(comparison_lower_bound(a, s, 0.0, ts))
-        if not np.all(rho >= bound - 100.0 * tol):
-            return False
-    return True
+def _non_trapping_check(r: float, eps: float) -> bool:
+    """A'(r + eps/2) > 0: the premise of the comparison theorem (module
+    docstring), read off the warp function with no solve of its own."""
+    return solve_warp(ProfileParams(r, eps)).deriv(r + eps / 2.0) > 0.0
 
 
 def assemble_report(
@@ -321,7 +320,7 @@ def assemble_report(
     Success requires: a root r_star with small residual, the decaying
     witness at s = 0 (boundary conjugate points), all small-s certificates
     nonpositive with the concavity signature, all mid-s minima positive, the
-    negative-curvature threshold confirmed, and the non-trapping bound.
+    negative-curvature threshold confirmed, and the non-trapping premise.
     """
     metadata = {
         "sigma": sigma,
@@ -376,7 +375,7 @@ def assemble_report(
     rho0, certified, mid_records, _ = verify_large_s(
         r_star, eps, sigma, None, ds, T_mid, max(tol, 1e-9)
     )
-    non_trapping = _non_trapping_check(r_star, eps, tol)
+    non_trapping = _non_trapping_check(r_star, eps)
     small_failed = _failed_at(small_records)
     mid_failed = _failed_at(mid_records)
 
@@ -387,7 +386,7 @@ def assemble_report(
         (concavity[1] < 0.0, f"small-s concavity d2 = {concavity[1]:.3e} is not negative"),
         (not mid_failed, f"mid-s positivity method failed at s = {mid_failed}"),
         (certified, "negative-curvature threshold not confirmed"),
-        (non_trapping, "non-trapping lower bound violated"),
+        (non_trapping, "non-trapping premise A'(r + eps/2) > 0 fails"),
     ]
     reason = "; ".join(msg for ok, msg in checks if not ok) or None
 

@@ -98,6 +98,20 @@ class TestKernelColumn:
         assert np.max(np.abs(kernel[data[:, 0] >= 30.0] + 1.0)) < 1e-20
 
 
+    @pytest.mark.parametrize("kind", ["parallel", "perpendicular"])
+    def test_horizon_inside_the_transition(self, tmp_path, kind):
+        # the geodesic has not left the transition by the horizon 1.1; the
+        # kernel and the pair are defined there (the samples lie in the ball)
+        out = tmp_path / "jacobi.csv"
+        assert main(["jacobi", "--kind", kind, "--s", "0.1", "--r", "0.785", "--eps", "0.7",
+                     "--tmax", "0.1", "--out", str(out)]) == 0
+        header, data = read_csv(out)
+        assert np.all(np.isfinite(data))
+        t = data[:, 0]
+        assert np.max(np.abs(data[:, header.index("U")] - np.cos(t))) <= 1e-15
+        assert np.all(data[:, header.index("kernel")] == 1.0)
+
+
 class TestStable:
     def test_radial_certificate_payload(self, tmp_path):
         out = tmp_path / "stable.json"
@@ -115,6 +129,17 @@ class TestStable:
         assert code == 1
         err = capsys.readouterr().err
         assert "vanishes" in err and "s=1.4, r=1.5" in err
+
+    @pytest.mark.parametrize("s", ["0", "0.3"])
+    def test_eps_below_resolution_of_r_is_the_sharp_metric(self, tmp_path, s):
+        # r + eps == r; this exited 1 with an empty integration span
+        outs = []
+        for eps in ("0", "1e-140"):
+            out = tmp_path / f"stable_{eps}.json"
+            assert main(["stable", "--s", s, "--r", "1.0", "--eps", eps, "--out", str(out)]) == 0
+            payload = json.loads(out.read_text())
+            outs.append({k: v for k, v in payload.items() if k != "eps"})
+        assert outs[0] == outs[1]
 
     def test_determinism(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -140,6 +165,12 @@ class TestScan:
         report = ScanReport.from_json(out.read_text())
         assert report.overall == "boundary-CP-and-no-interior-CP"
         assert abs(report.r_star - PI4) < 1e-10
+
+    def test_eps_below_resolution_of_r(self, tmp_path):
+        out = tmp_path / "scan.json"
+        assert main(["scan", "--eps", "1e-140", "--out", str(out)]) == 0
+        report = ScanReport.from_json(out.read_text())
+        assert report.r_star == PI4 and report.overall == "boundary-CP-and-no-interior-CP"
 
     def test_failed_scan_exits_nonzero(self, tmp_path):
         out = tmp_path / "scan.json"

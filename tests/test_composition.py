@@ -11,6 +11,7 @@ from scipy.integrate import solve_ivp
 
 import ahwarp.geodesics as geodesics_mod
 import ahwarp.ode as ode_mod
+import ahwarp.search as search_mod
 import ahwarp.warp as warp_mod
 from ahwarp.geodesics import GeodesicParams, solve_radial, solve_radial_grid
 from ahwarp.jacobi import fundamental_pair, jacobi_solution, kernel_on, make_kernel
@@ -137,7 +138,7 @@ class TestAgainstFullSpan:
 def solves(monkeypatch):
     """Every solve_ivp call made through ahwarp.ode, as the (lo, hi) of the
     time range it integrated; the package caches start empty."""
-    for cached in (warp_mod._solve_warp_cached, geodesics_mod._solve_radial_cached):
+    for cached in (warp_mod._pair, geodesics_mod._solve_radial_cached):
         cached.cache_clear()
     spans = []
     real = ode_mod.solve_ivp
@@ -159,7 +160,7 @@ class TestWorkCounts:
 
     def test_mollified_solves_stay_in_the_transition_window(self, solves):
         mu = GeodesicParams(0.3, 0.76, 0.05)
-        solve_warp(mu.profile)  # the warp transition is a solve in rho, not t
+        solve_warp(mu.profile)  # the transition pair is a solve in rho - r, not t
         solves.clear()
         kernel = make_kernel("parallel", mu)
         fundamental_pair(kernel, T=20.0)
@@ -187,7 +188,7 @@ class TestWorkCounts:
         # kinds share the radial solve); the fundamental pair and the stable
         # solution combine that solve's pair and integrate nothing
         params = GeodesicParams(*mu)
-        solve_warp(params.profile)  # the warp transition is a solve in rho
+        solve_warp(params.profile)  # the transition pair is a solve in rho - r
         solves.clear()
         kernel = make_kernel(kind, params)
         expected = [kernel.radial.window] if mu[2] > 0.0 else []
@@ -197,21 +198,44 @@ class TestWorkCounts:
         assert solves == expected
         assert sol.seed_residual == 0.0
 
-    def test_r_star_from_one_certificate(self, solves):
-        # W'(0; r) = tan(r - r*): the warp and s = 0 window solves at pi/4
-        # give r*, and those at r* give the residual
+    def test_r_star_from_the_transition_pair(self, solves):
+        # W'(0; r) = tan(r - r*): the transition pair on [0, eps] gives r*,
+        # and the s = 0 window solve at r* gives the residual (was 4 solves:
+        # the warp and the window at pi/4, then both at r*)
         eps = 0.05
         r_star, _ = find_r_star(eps)
-        assert len(solves) == 4
-        for (lo, hi), r in zip(solves, (PI4, PI4, r_star, r_star)):
-            assert lo == pytest.approx(r, abs=1e-12)
-            assert hi == pytest.approx(r + eps, abs=1e-12)
+        assert solves[0] == (0.0, eps)
+        assert len(solves) == 2
+        lo, hi = solves[1]
+        assert lo == pytest.approx(r_star, abs=1e-12)
+        assert hi == pytest.approx(r_star + eps, abs=1e-12)
+
+    def test_pair_is_solved_once_per_eps(self, solves):
+        # the warp function at every r is a projection of one pair solve
+        eps = 0.05
+        warps = [solve_warp(GeodesicParams(0.0, r, eps).profile) for r in (0.7, 0.8)]
+        assert solves == [(0.0, eps)]
+        assert warps[0].a_plus != warps[1].a_plus
+        solve_warp(GeodesicParams(0.0, 0.7, 0.0).profile)  # the sharp metric has no pair
+        assert len(solves) == 1
+
+    def test_non_trapping_check_makes_no_solve(self, solves):
+        # the premise A'(r + eps/2) > 0 is read off the pair (solved here
+        # once for the warp function) and the sharp metric has no pair
+        assert search_mod._non_trapping_check(PI4, 0.0)
+        assert solves == []
+        solve_warp(GeodesicParams(0.0, 0.76, 0.05).profile)
+        solves.clear()
+        assert search_mod._non_trapping_check(0.76, 0.05)
+        assert solves == []
 
     def test_mollified_scan_makes_no_dense_lookup(self, solves, monkeypatch):
         # no right-hand side reads a trajectory, and each regime solves the
-        # windows of its grid at once: 4 solves for r*, then one each for
-        # small s, mid s and the non-trapping check (90 solves with one per
-        # geodesic, 185 when the radial, in-plane and log-Riccati windows
+        # windows of its grid at once: 2 solves for r* (the transition pair
+        # and the s = 0 window at r*), then one each for small s and mid s;
+        # the non-trapping check and the curvature threshold solve nothing
+        # (7 solves with 4 for r* and a grid for non-trapping, 90 with one
+        # per geodesic, 185 when the radial, in-plane and log-Riccati windows
         # were solved apart)
         def refuse(self, t):
             raise AssertionError("dense lookup")
@@ -219,9 +243,10 @@ class TestWorkCounts:
         monkeypatch.setattr(Trajectory, "state_scalar", refuse)
         report = assemble_report(0.05)
         assert report.overall == "boundary-CP-and-no-interior-CP"
-        assert len(solves) == 7
+        assert len(solves) == 4
+        assert solves[0] == (0.0, 0.05)
         # the grid solves run in tau = t - t_in from 0
-        assert [lo for lo, _ in solves[4:]] == [0.0, 0.0, 0.0]
+        assert [lo for lo, _ in solves[2:]] == [0.0, 0.0]
 
 
 class TestWindowInvariants:
@@ -294,7 +319,7 @@ class TestWindowInvariants:
                 assert np.array_equal(x, y)
 
     def test_batches_hold_at_most_64_geodesics(self, solves):
-        solve_warp(GeodesicParams(0.0, 0.76, 0.05).profile, tol=1e-12)  # a solve in rho
+        solve_warp(GeodesicParams(0.0, 0.76, 0.05).profile)  # a solve in rho - r
         solves.clear()
         ss = np.linspace(0.001, 0.75, 150)  # every one has a window
         sols = list(solve_radial_grid(ss, 0.76, 0.05, T, 1e-10))

@@ -18,9 +18,11 @@ from ahwarp.geodesics import (
     growth_factor,
     radial_exit_slope,
     solve_radial,
+    solve_radial_grid,
 )
 from ahwarp.jacobi import fundamental_pair, make_kernel, theta_infinity
 from ahwarp.ode import integrate_ivp
+from ahwarp.search import _non_trapping_check, find_r_star
 from ahwarp.warp import ProfileParams, solve_warp
 
 PI4 = math.pi / 4
@@ -308,12 +310,19 @@ class TestOracleAgreement:
             assert np.max(np.abs(rho - np.asarray(closed_rho(s, ts)))) < 1e-8
 
     def test_non_trapping_bound(self):
-        for r, eps in ((PI4, 0.0), (0.73, 0.1)):
-            warp = solve_warp(ProfileParams(r, eps))
-            a = warp.min_log_slope()
-            ts = np.linspace(0.0, 12.0, 200)
-            for s in (0.0, 0.5, 1.0):
-                sol = solve_radial(GeodesicParams(s, r, eps), T=12.5, tol=1e-10)
+        # the comparison theorem, sampled: each radial coordinate dominates
+        # the constant-drift solution for the sampled a <= A'/A, at two fixed
+        # metrics and at the scan's (r*, eps), where the scan's verdict is
+        # the theorem's proved premise A'(r + eps/2) > 0
+        cases = [(PI4, 0.0), (0.73, 0.1)]
+        cases += [(find_r_star(eps)[0], eps) for eps in (0.0, 0.01, 0.05, 0.1)]
+        ts = np.linspace(0.0, 12.0, 241)
+        ss = (0.0, 0.5, 1.0)
+        for r, eps in cases:
+            assert _non_trapping_check(r, eps)
+            a = solve_warp(ProfileParams(r, eps)).min_log_slope()
+            assert a > 0.0
+            for s, sol in zip(ss, solve_radial_grid(ss, r, eps, 12.5, 1e-10)):
                 rho = np.asarray(sol.rho(ts))
                 bound = np.asarray(comparison_lower_bound(a, s, 0.0, ts))
                 assert np.all(rho >= bound - 1e-8)

@@ -19,6 +19,7 @@ from ahwarp.jacobi import (
     theta_infinity,
 )
 from ahwarp.ode import Trajectory, integrate_ivp
+from ahwarp.stable import stable_solution
 
 PI4 = math.pi / 4
 SQRT2 = math.sqrt(2.0)
@@ -49,6 +50,27 @@ class TestKernel:
         assert kern.value(1.0) == pytest.approx(kernel_closed(1.0, 1.0), abs=1e-12)
         expected = -1.0 + 2.0 * math.exp(-2.0 + math.pi / 2) / math.cosh(1.0) ** 4
         assert kern.value(1.0) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["parallel", "perpendicular"])
+    @pytest.mark.parametrize("mu, T", [((0.1, 0.785, 0.7), 1.2), ((0.1, 1.4, 0.1), 1.1)])
+    def test_horizon_before_the_exit(self, kind, mu, T):
+        # at the horizon T the geodesic is still in the transition (or in
+        # the ball): the kernel and the pair are defined on [0, T] and agree
+        # with a kernel whose horizon lies past the exit; the stable
+        # solution needs the exit and refuses
+        params = GeodesicParams(*mu)
+        short = make_kernel(kind, params, horizon=T)
+        full = make_kernel(kind, params, horizon=30.0)
+        assert short.radial.exit_time is None and full.radial.exit_time > T
+        ts = np.linspace(0.0, T, 61)
+        assert np.max(np.abs(short.value(ts) - full.value(ts))) <= 1e-9
+        for part in ("U", "V"):
+            got = getattr(fundamental_pair(short, T=T), part).state(ts)
+            ref = getattr(fundamental_pair(full, T=T), part).state(ts)
+            for x, y in zip(got, ref):
+                assert np.max(np.abs(x - y)) <= 1e-9
+        with pytest.raises(ValueError, match="radial horizon too small"):
+            stable_solution(short, T0=T)
 
     def test_parallel_kernel_constant_outside(self):
         kern = make_kernel("parallel", GeodesicParams(0.3, PI4, 0.0))

@@ -18,6 +18,7 @@ from ahwarp.search import (
     verify_small_s,
 )
 from ahwarp.geodesics import RadialSolution
+from ahwarp.warp import ProfileParams, k_parallel, k_perp, solve_warp
 from ahwarp.stable import (
     TOL_SIGN,
     certificate,
@@ -142,10 +143,21 @@ class TestVerifyLargeS:
                                   horizon=21.0, tol=1e-9).radial.rho(20.0))
         for rho0, verdict in ((rho_T, "pass"), (np.nextafter(rho_T, math.inf), "fail")):
             monkeypatch.setattr(search_mod, "_negative_curvature_threshold",
-                                lambda params, tol, rho0=rho0: (rho0, True))
+                                lambda params, rho0=rho0: (rho0, True))
             _, _, records, ok = verify_large_s(PI4, 0.0, sigma=0.5, S_cap=0.5, ds=0.1)
             assert ok == (verdict == "pass") and records[0].verdict == verdict
             assert records[0].min_U_parallel > 0.0 and records[0].min_U_perp > 0.0
+
+    @pytest.mark.parametrize("eps", [0.0, 0.01, 0.05, 0.1])
+    def test_threshold_sign_scan_at_the_scans_root(self, eps):
+        # the 2,001-point scan that the threshold's proof replaced: both
+        # curvatures are negative on (rho0, rho0 + 10] at the scan's (r*, eps)
+        params = ProfileParams(find_r_star(eps)[0], eps)
+        rho0, certified = search_mod._negative_curvature_threshold(params)
+        assert certified
+        grid = np.linspace(rho0 + 1e-9, rho0 + 10.0, 2001)
+        assert np.all(np.asarray(k_parallel(params, grid)) < 0.0)
+        assert np.all(np.asarray(k_perp(solve_warp(params), grid)) < 0.0)
 
     def test_overlap_with_certificate_method(self):
         # both regimes must agree on [sigma, 2 sigma]

@@ -231,6 +231,18 @@ class TestVanishingStableSolution:
             stable_solution(kernel)
 
 
+class TestBelowResolution:
+    @pytest.mark.parametrize("kind", ["parallel", "perpendicular"])
+    @pytest.mark.parametrize("s", [0.0, 0.3, 0.5, 1.2])
+    def test_eps_below_resolution_of_r_is_the_sharp_metric(self, kind, s):
+        # r + eps == r: nothing is integrated, and the stable solution is
+        # the sharp metric's bit for bit (the window solve of s = 0, and of
+        # s < r, had an empty span)
+        sharp = stable_for(kind, GeodesicParams(s, 1.0, 0.0))
+        tiny = stable_for(kind, GeodesicParams(s, 1.0, 1e-140))
+        assert (tiny.Y0, tiny.W_prime_0) == (sharp.Y0, sharp.W_prime_0)
+
+
 class TestPositivity:
     @pytest.mark.parametrize("kind", ["parallel", "perpendicular"])
     @pytest.mark.parametrize("mu", [(0.0, PI4, 0.0), (0.1, PI4, 0.0),

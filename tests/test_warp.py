@@ -4,13 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from ahwarp.warp import (
     EPS0,
     ETA,
     ProfileParams,
+    entry_slope,
     k_parallel,
     k_perp,
     mollifier,
@@ -19,6 +21,21 @@ from ahwarp.warp import (
 
 PI4 = math.pi / 4
 R_GRID = (PI4 - ETA, 0.7, PI4, 0.85, PI4 + ETA)
+
+
+def reference_warp(r, eps):
+    """The transition of the warp function by an independent 2-state solve
+    in x = rho - r from (sin r, cos r), at rtol 1e-14 (scipy raises it to
+    2.2e-14) in steps of at most eps/400: the dense output of (A, A') in x
+    and (a+, a-) from its end state."""
+    def rhs(x, y):
+        return y[1], -(1.0 - 2.0 * mollifier(float(x) / eps)) * y[0]
+
+    sol = solve_ivp(rhs, (0.0, eps), (math.sin(r), math.cos(r)), method="DOP853",
+                    rtol=1e-14, atol=1e-16, max_step=eps / 400, first_step=eps / 400,
+                    dense_output=True)
+    a, da = sol.y[:, -1]
+    return sol.sol, (math.exp(-(r + eps)) * (a + da) / 2, math.exp(r + eps) * (a - da) / 2)
 
 
 class TestMollifier:
@@ -97,12 +114,58 @@ class TestSolveWarp:
 
     @pytest.mark.parametrize("eps", [0.05, 0.15])
     def test_c1_matching_at_junctions(self, eps):
-        tol = 1e-12
-        w = solve_warp(ProfileParams(PI4, eps), tol=tol)
+        tol = 1e-12  # the transition pair's
+        w = solve_warp(ProfileParams(PI4, eps))
         for junction in (PI4, PI4 + eps):
             lo, hi = junction - 1e-13, junction + 1e-13
             assert abs(w.value(lo) - w.value(hi)) < 100 * tol
             assert abs(w.deriv(lo) - w.deriv(hi)) < 100 * tol
+
+    @pytest.mark.filterwarnings("ignore:At least one element of `rtol` is too small")
+    @given(r=st.floats(0.05, 1.45), eps=st.floats(0.0, 0.1, exclude_min=True,
+                                                   allow_subnormal=False))
+    @example(r=1.0, eps=0.01)  # the warp solve in rho was 1.0e-8 off in a- here
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_transition_pair_against_independent_solve(self, r, eps):
+        # a+- and (A, A') across the window are projections of the transition
+        # pair; an eps below the resolution of r is the sharp metric
+        w = solve_warp(ProfileParams(r, eps))
+        dense, (a_plus, a_minus) = reference_warp(r, eps)
+        assert abs(w.a_plus - a_plus) <= 1e-12
+        assert abs(w.a_minus - a_minus) <= 1e-12
+        rho = np.linspace(r, r + eps, 41)
+        # r + eps - r may pass eps by an ulp of r, past the reference's
+        # last step, which may be far shorter than that
+        for got, ref in zip(w.state(rho), dense(np.minimum(rho - r, eps))):
+            assert np.max(np.abs(got - ref)) <= 1e-12
+
+    def test_eps_below_resolution_of_r_is_sharp(self):
+        # r + eps == r: no transition and the sharp coefficients bit for bit
+        sharp = solve_warp(ProfileParams(1.0, 0.0))
+        for eps in (1e-140, 5e-324, 1e-17):
+            w = solve_warp(ProfileParams(1.0, eps))
+            assert (w.a_plus, w.a_minus) == (sharp.a_plus, sharp.a_minus)
+            assert w._transition is None
+
+    @pytest.mark.filterwarnings("ignore:At least one element of `rtol` is too small")
+    @pytest.mark.parametrize("eps", [0.01, 0.05, 0.1])
+    def test_entry_slope_against_backward_solve(self, eps):
+        # w(eps) is W = Y'/Y at x = 0 of the solution with (Y, Y') = (1, -1)
+        # at x = eps; here that solution is solved backward from x = eps, in
+        # z = eps - x, by a 2-state solve of its own
+        def rhs(z, y):
+            return y[1], -(1.0 - 2.0 * mollifier(float(eps - z) / eps)) * y[0]
+
+        sol = solve_ivp(rhs, (0.0, eps), (1.0, 1.0), method="DOP853", rtol=1e-14,
+                        atol=1e-16, max_step=eps / 400, first_step=eps / 400)
+        y, dz = sol.y[:, -1]
+        assert abs(entry_slope(eps) - (-dz / y)) <= 1e-13
+
+    def test_entry_slope_of_the_sharp_metric(self):
+        # no transition: the exterior decay e^{-x} meets the ball at r, and
+        # r* = -arctan w(0) = pi/4 exactly
+        assert entry_slope(0.0) == -1.0
+        assert -math.atan(entry_slope(0.0)) == PI4
 
     def test_positivity_on_grid(self):
         rho = np.linspace(1e-3, 20.0, 800)
