@@ -4,8 +4,9 @@ interior conjugate points.
 For each mollification width eps the critical radius r_eps is located where
 the radial stable solution has Y'(0) = 0 (boundary conjugate points along
 radial geodesics); absence of interior conjugate points is then certified on
-three overlapping regimes of the closest-approach parameter s.  The full
-report is archived as JSON under artifacts/.
+three overlapping regimes of the closest-approach parameter s.  Each solve
+runs at a tolerance fixed where it is made, and the report's metadata states
+them.  The full report is archived as JSON under artifacts/.
 """
 
 import math
@@ -33,14 +34,17 @@ def summarize(rep):
     print(f"  mid-s grid ({len(rep.mid_s)} points): worst minimum of U "
           f"{worst_min:.4f} (> 0)")
     print(f"  negative curvature past rho0 = {rep.large_s_threshold:.9f} "
-          f"(sign-scan confirmed: {rep.curvature_negativity_certified})")
-    print(f"  non-trapping bound: {rep.non_trapping_ok}")
+          f"(proof confirmed: {rep.curvature_negativity_certified})")
+    print(f"  non-trapping premise A'(r + eps/2) > 0: {rep.non_trapping_ok}")
+    tol = rep.metadata["tol"]
+    print(f"  tolerances: transition pair {tol['pair']:g}, certificates "
+          f"{tol['certificates']:g}, mid-s grid {tol['mid_s']:g}")
 
 
 print("=== critical radius as a function of the mollification width ===")
 print("  eps     r_eps            |r_eps - pi/4|   residual")
 for eps in (0.0, 0.01, 0.05, 0.1):
-    r_star, residual = find_r_star(eps, tol=1e-12)
+    r_star, residual = find_r_star(eps)
     print(f"  {eps:4.2f}   {r_star:.12f}   {abs(r_star-PI4):.3e}       {residual:.1e}")
 print("  (the root walks like pi/4 - eps/2: the transition midpoint is the")
 print("   effective jump radius)")

@@ -19,8 +19,11 @@ find-r     JSON: {eps, r_star, root_residual}
 scan       JSON: the full ScanReport; exit status 0 iff overall success
 
 Floats are written in their shortest round-trip representation, so two runs
-with the same configuration produce byte-identical output.  The AHWARP_TOL
-environment variable sets the default --tol; it is read when ``main`` runs.
+with the same configuration produce byte-identical output.  ``geodesic`` and
+``jacobi`` take the radial solve's tolerance --tol, whose default the
+AHWARP_TOL environment variable sets (read when ``main`` runs, and only for
+those two); the other subcommands solve at the tolerances fixed in ``stable``
+and ``search``, which a scan's metadata states.
 Exit codes: 0 success, 1 computation failure (including arithmetic
 overflow), 2 usage error (including a malformed AHWARP_TOL).
 """
@@ -154,7 +157,7 @@ def _run_jacobi(config: RunConfig) -> int:
 
 def _run_stable(config: RunConfig) -> int:
     mu = geodesics.GeodesicParams(config.s, config.r, config.eps)
-    sol = stable.stable_for(config.kind, mu, tol=config.tol)
+    sol = stable.stable_for(config.kind, mu)
     payload = {
         "kind": sol.kind,
         "s": mu.s,
@@ -170,8 +173,6 @@ def _run_stable(config: RunConfig) -> int:
 
 
 def _run_find_r(config: RunConfig) -> int:
-    # the residual's window solve runs at min(tol, 1e-12) = 1e-12 for every
-    # accepted --tol (stable._kernel_tol), which is find_r_star's default
     r_star, residual = search.find_r_star(config.eps, config.bracket_halfwidth)
     payload = {"eps": config.eps, "r_star": r_star, "root_residual": residual}
     _emit(config, json.dumps(payload, indent=2) + "\n")
@@ -184,7 +185,6 @@ def _run_scan(config: RunConfig) -> int:
         sigma=config.sigma,
         ds=config.ds,
         bracket_halfwidth=config.bracket_halfwidth,
-        tol=config.tol,
     )
     _emit(config, report.to_json() + "\n")
     return 0 if report.overall == search.OVERALL_SUCCESS else 1
@@ -213,10 +213,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp, fmt_default="csv"):
+    def tolerance(sp):
         sp.add_argument("--tol", type=float, default=None,
-                        help=f"integration tolerance (default {DEFAULT_TOL}, "
+                        help=f"tolerance of the radial solve (default {DEFAULT_TOL}, "
                         "or the AHWARP_TOL environment variable)")
+
+    def common(sp, fmt_default="csv"):
         sp.add_argument("--out", type=str, default=None,
                         help="output file (default: stdout)")
         sp.add_argument("--format", dest="fmt", choices=("csv", "json"),
@@ -235,6 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps", type=float, default=0.0)
     sp.add_argument("--tmax", type=float, default=10.0)
     sp.add_argument("--dt", type=float, default=0.05)
+    tolerance(sp)
     common(sp)
 
     sp = sub.add_parser("jacobi", help="dump fundamental Jacobi solutions and the kernel")
@@ -244,6 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps", type=float, default=0.0)
     sp.add_argument("--tmax", type=float, default=10.0)
     sp.add_argument("--dt", type=float, default=0.05)
+    tolerance(sp)
     common(sp)
 
     sp = sub.add_parser("stable", help="stable solution and certificate W'(0)")
@@ -283,7 +287,7 @@ def _default_tol(parser: argparse.ArgumentParser) -> float:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.tol is None:
+    if "tol" in vars(args) and args.tol is None:
         args.tol = _default_tol(parser)
     fields = {k: v for k, v in vars(args).items() if v is not None or k == "out"}
     try:

@@ -73,7 +73,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -314,11 +314,10 @@ class RadialSolution:
             out[past] = self.theta_infinity - self.exterior.phi(t[past])
         return out
 
-    def angles(self, t: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(theta(t), phi(t)) with phi = theta_inf - theta, for t in [0, T];
-        phi needs the geodesic to have left the transition by T."""
-        t_arr = self._times(t)
-        return self._theta(t_arr), self._phi(t_arr)
+    def phi(self, t: float | np.ndarray) -> np.ndarray:
+        """phi(t) = theta_inf - theta(t) for t in [0, T], as an array; it
+        needs the geodesic to have left the transition by T."""
+        return self._phi(self._times(t))
 
     def theta(self, t: float | np.ndarray) -> float | np.ndarray:
         """Angular coordinate theta(t), theta(0) = 0, increasing, on [0, T]
@@ -518,11 +517,6 @@ def solve_radial_grid(ss: Iterable[float], r: float, eps: float, T: float = 30.0
     return _grid_solutions(params, T, tol) if params else iter(())
 
 
-@lru_cache(maxsize=64)
-def _solve_radial_cached(s: float, r: float, eps: float, T: float, tol: float) -> RadialSolution:
-    return next(_grid_solutions([GeodesicParams(s, r, eps)], T, tol))
-
-
 def solve_radial(params: GeodesicParams, T: float = 30.0, tol: float = 1e-10) -> RadialSolution:
     """The radial coordinate on [0, T]: exact in the ball, integrated across
     the transition only, exact past it.
@@ -531,11 +525,11 @@ def solve_radial(params: GeodesicParams, T: float = 30.0, tol: float = 1e-10) ->
     rho = r + eps (eps > 0) is located by the integrator and ends the window
     solve, so no step straddles the curvature transition; it is the
     solution's ``exit_time``.  This is the grid of one of
-    ``solve_radial_grid``; the 64 most recent results are cached.
+    ``solve_radial_grid``; each call solves anew.
     """
     if not T > 0.0:
         raise ValueError("horizon T must be positive")
-    return _solve_radial_cached(params.s, params.r, params.eps, T, tol)
+    return next(_grid_solutions([params], T, tol))
 
 
 def growth_factor(t: float | np.ndarray, s: float) -> float | np.ndarray:

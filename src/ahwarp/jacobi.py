@@ -208,7 +208,7 @@ def make_kernel(
 ) -> JacobiKernel:
     """Assemble the Jacobi kernel of the given kind along the geodesic
     mu = params, usable for t in [0, horizon].  Each call builds a new
-    kernel; the radial solve under it is cached by ``solve_radial``.  Grids
+    kernel on a new ``solve_radial``.  Grids
     solve their geodesics with ``geodesics.solve_radial_grid`` and take
     their kernels from :func:`kernel_on`."""
     if kind not in KINDS:
@@ -248,7 +248,7 @@ def killing_field(
         rho, drho = radial.state(t)
         a, da = warp.state(rho)
         # theta is defined on all of [0, T]; phi needs the transition exit
-        ang = radial.theta(t) if angle == "theta" else radial.angles(t)[1]
+        ang = radial.theta(t) if angle == "theta" else radial.phi(t)
         c, sn = np.cos(ang), np.sin(ang)
         comb = p * c + q * sn
         # (A/A(s))' = A' rho' / A(s) and (A/A(s)) a' = sign / A (Clairaut)

@@ -13,7 +13,8 @@ then gives
     W'(0; r) = tan(arctan w(eps) + r) = tan(r - r*),   r* = -arctan w(eps).
 
 The root residual |Y(0) W'(0)| comes from the s = 0 window solve at r*, a
-solve independent of the pair, so it measures how far the two disagree.
+solve independent of the pair, so it measures how far the two disagree; the
+same stable solution is the scan's boundary-conjugate witness.
 Absence of interior conjugate points is certified in three regimes:
 
 * small s (certificate method): W'(0) <= 0 for both kernels on a grid
@@ -34,9 +35,13 @@ premise of the comparison theorem (``geodesics.comparison_lower_bound``).
 
 Each regime's grid takes its geodesics from one
 ``geodesics.solve_radial_grid``: the transition windows of up to 64
-geodesics are one solve.  The grids certify concrete parameter triples by
-computation; this is certification by sampling, not a computer-assisted
-proof, and the report says so in its metadata.
+geodesics are one solve.  No caller sets a tolerance: the transition pair
+is solved at ``warp._PAIR_TOL``, every stable solution (the residual, the
+witness, the small-s certificates) at ``stable._KERNEL_TOL`` and the mid-s
+grid at ``_MID_TOL``, and the report's metadata states all three.  The grids
+certify concrete parameter triples by computation; this is certification by
+sampling, not a computer-assisted proof, and the report says so in its
+metadata.
 """
 
 from __future__ import annotations
@@ -49,8 +54,9 @@ import numpy as np
 
 from .geodesics import GeodesicParams, solve_radial_grid
 from .jacobi import KINDS, jacobi_solution, kernel_on
-from .stable import TOL_SIGN, certificate_grid, stable_for, stencil_derivatives, stencil_points
-from .warp import ProfileParams, entry_slope, k_perp, solve_warp
+from .stable import (_KERNEL_TOL, TOL_SIGN, StableSolution, certificate_grid, stable_for,
+                     stencil_derivatives, stencil_points)
+from .warp import _PAIR_TOL, ProfileParams, entry_slope, k_perp, solve_warp
 
 __all__ = [
     "BracketError",
@@ -64,6 +70,12 @@ __all__ = [
 ]
 
 _QUARTER_PI = math.pi / 4.0
+# The mid-s fundamental solutions are taken on [0, _T_MID], each grid's
+# windows solved at _MID_TOL: the minima of U are positive margins, far
+# above this error (certificates are signed numbers near 0 and ride on
+# stable._KERNEL_TOL).
+_T_MID = 20.0
+_MID_TOL = 1e-9
 
 OVERALL_SUCCESS = "boundary-CP-and-no-interior-CP"
 OVERALL_FAILED = "failed"
@@ -164,11 +176,20 @@ class ScanReport:
         return cls.from_dict(json.loads(text))
 
 
-def find_r_star(
-    eps: float,
-    bracket_halfwidth: float = 0.1,
-    tol: float = 1e-12,
-) -> tuple[float, float]:
+def _radial_stable(eps: float, bracket_halfwidth: float) -> tuple[float, StableSolution]:
+    """r* = -arctan w(eps) and the radial stable solution at (0, r*, eps);
+    BracketError when r* falls outside the window
+    [pi/4 - bracket_halfwidth, pi/4 + bracket_halfwidth]."""
+    ProfileParams(_QUARTER_PI, eps)  # validates eps
+    lo = _QUARTER_PI - bracket_halfwidth
+    hi = _QUARTER_PI + bracket_halfwidth
+    r_star = -math.atan(entry_slope(eps))
+    if not lo <= r_star <= hi:
+        raise BracketError(f"r* = {r_star!r} outside the window [{lo!r}, {hi!r}]")
+    return r_star, stable_for("parallel", GeodesicParams(0.0, r_star, eps))
+
+
+def find_r_star(eps: float, bracket_halfwidth: float = 0.1) -> tuple[float, float]:
     """Locate r with Y'(0) = 0 on the radial geodesic of (r, eps).
 
     W'(0; r) = tan(r - r*) for every r (module docstring), so
@@ -177,17 +198,11 @@ def find_r_star(
 
     from the end state of the transition pair.  Returns (r_star,
     |Y(0) W'(0)| at r_star), the residual from the stable solution at r_star,
-    an independent window solve that the scan's witness reuses.  Raises
-    BracketError when r_star falls outside the window
+    a window solve independent of the pair.  Raises BracketError when r_star
+    falls outside the window
     [pi/4 - bracket_halfwidth, pi/4 + bracket_halfwidth].
     """
-    ProfileParams(_QUARTER_PI, eps)  # validates eps
-    lo = _QUARTER_PI - bracket_halfwidth
-    hi = _QUARTER_PI + bracket_halfwidth
-    r_star = -math.atan(entry_slope(eps))
-    if not lo <= r_star <= hi:
-        raise BracketError(f"r* = {r_star!r} outside the window [{lo!r}, {hi!r}]")
-    sol = stable_for("parallel", GeodesicParams(0.0, r_star, eps), tol=tol)
+    r_star, sol = _radial_stable(eps, bracket_halfwidth)
     return r_star, abs(sol.Y0 * sol.W_prime_0)
 
 
@@ -196,12 +211,10 @@ def verify_small_s(
     eps: float,
     sigma: float = 0.3,
     ds: float = 0.01,
-    tol: float = 1e-10,
-    tol_sign: float = TOL_SIGN,
 ) -> tuple[list[SmallSRecord], tuple[float, float], bool]:
     """Certificate method on 0 <= s <= sigma.
 
-    Each grid point passes iff W'(0) <= tol_sign for both kernels; the
+    Each grid point passes iff W'(0) <= TOL_SIGN for both kernels; the
     concavity signature (d1 ~ 0, d2 < 0) of s -> W'(0) at s = 0 is checked
     as well.  Returns (records, (d1, d2) for the perpendicular kind, all
     passed).
@@ -209,12 +222,12 @@ def verify_small_s(
     grid = _grid(0.0, sigma, ds)
     stencil = stencil_points()
     ss = np.union1d(grid, stencil)
-    certs = dict(zip(ss.tolist(), certificate_grid(ss, r, eps, tol)))
+    certs = dict(zip(ss.tolist(), certificate_grid(ss, r, eps)))
     records: list[SmallSRecord] = []
     ok = True
     for s in grid.tolist():
         cp, cq = certs[s]
-        good = cp <= tol_sign and cq <= tol_sign
+        good = cp <= TOL_SIGN and cq <= TOL_SIGN
         ok = ok and good
         records.append(SmallSRecord(s, cp, cq, "pass" if good else "fail"))
     d1, d2 = stencil_derivatives([certs[s][1] for s in stencil])
@@ -243,35 +256,32 @@ def verify_large_s(
     r: float,
     eps: float,
     sigma: float = 0.3,
-    S_cap: float | None = None,
     ds: float = 0.01,
-    T: float = 20.0,
-    tol: float = 1e-9,
 ) -> tuple[float, bool, list[MidSRecord], bool]:
-    """Positivity method on sigma <= s <= rho0 (or S_cap).
+    """Positivity method on sigma <= s <= rho0.
 
     Past rho0 both curvatures are negative and Sturm comparison needs no
     integration; below it, each grid point passes iff both even fundamental
-    solutions have positive minimum on [0, T] and positive exit slope.  The
-    off-plane U = A(rho) cos(theta) / A(s) is positive on all of [0, T], not
-    only at the 0.01-spaced samples, exactly when theta(T) < pi/2 (theta
-    increases), so that is required as well.  Past T the Sturm argument
-    needs both curvatures negative, so each point also requires
-    rho(T) >= rho0 (rho increases).
+    solutions have positive minimum on [0, T] (T = _T_MID) and positive exit
+    slope.  The off-plane U = A(rho) cos(theta) / A(s) is positive on all of
+    [0, T], not only at the 0.01-spaced samples, exactly when
+    theta(T) < pi/2 (theta increases), so that is required as well.  Past T
+    the Sturm argument needs both curvatures negative, so each point also
+    requires rho(T) >= rho0 (rho increases).
     Returns (rho0, curvature_certified, records, all passed).
     """
+    T = _T_MID
     rho0, certified = _negative_curvature_threshold(ProfileParams(r, eps))
-    cap = rho0 if S_cap is None else S_cap
     records: list[MidSRecord] = []
     ok = certified
     sample = np.arange(0.0, T + 1e-12, 0.01)
-    grid = _grid(sigma, cap, ds)
-    for s, radial in zip(grid.tolist(), solve_radial_grid(grid, r, eps, T + 1.0, tol)):
+    grid = _grid(sigma, rho0, ds)
+    for s, radial in zip(grid.tolist(), solve_radial_grid(grid, r, eps, T + 1.0, _MID_TOL)):
         mins = {}
         good = True
         for kind in KINDS:
             kern = kernel_on(kind, radial)
-            u, du = jacobi_solution(kern, (1.0, 0.0), T, tol).state(sample)
+            u, du = jacobi_solution(kern, (1.0, 0.0), T, _MID_TOL).state(sample)
             mins[kind] = float(np.min(u))
             good = good and mins[kind] > 0.0 and float(du[-1]) > 0.0
             if kern.kind == "perpendicular":
@@ -311,9 +321,6 @@ def assemble_report(
     sigma: float = 0.3,
     ds: float = 0.01,
     bracket_halfwidth: float = 0.1,
-    tol: float = 1e-10,
-    root_tol: float = 1e-12,
-    T_mid: float = 20.0,
 ) -> ScanReport:
     """Run the full pipeline for one eps and aggregate the verdicts.
 
@@ -321,12 +328,15 @@ def assemble_report(
     witness at s = 0 (boundary conjugate points), all small-s certificates
     nonpositive with the concavity signature, all mid-s minima positive, the
     negative-curvature threshold confirmed, and the non-trapping premise.
+    The metadata states the tolerances of the solves: the transition pair
+    (r_star and the warp function), the stable solutions (the residual, the
+    witness and the small-s certificates) and the mid-s grid.
     """
     metadata = {
         "sigma": sigma,
         "ds": ds,
         "bracket_halfwidth": bracket_halfwidth,
-        "tol": tol,
+        "tol": {"pair": _PAIR_TOL, "certificates": _KERNEL_TOL, "mid_s": _MID_TOL},
         "method": (
             "certification by sampling on the stated grids; "
             "not a computer-assisted proof"
@@ -334,47 +344,34 @@ def assemble_report(
         "mollifier": "exp(-1/x) / (exp(-1/x) + exp(-1/(1-x))) ramp on [0, 1]",
     }
 
-    def failed(reason: str, **partial) -> ScanReport:
-        return ScanReport(
-            eps=eps,
-            r_star=partial.get("r_star", float("nan")),
-            root_residual=partial.get("root_residual", float("nan")),
-            small_s=partial.get("small_s", ()),
-            mid_s=partial.get("mid_s", ()),
-            large_s_threshold=partial.get("rho0", float("nan")),
-            curvature_negativity_certified=partial.get("certified", False),
-            overall=OVERALL_FAILED,
-            failure_reason=reason,
-            witness=partial.get("witness", {}),
-            non_trapping_ok=partial.get("non_trapping", False),
-            concavity=partial.get("concavity"),
-            metadata=metadata,
-        )
-
     try:
-        r_star, residual = find_r_star(eps, bracket_halfwidth, root_tol)
+        r_star, witness_sol = _radial_stable(eps, bracket_halfwidth)
     except BracketError as exc:
-        return failed(f"bracket: {exc}")
+        nan = float("nan")
+        return ScanReport(
+            eps=eps, r_star=nan, root_residual=nan, small_s=(), mid_s=(),
+            large_s_threshold=nan, curvature_negativity_certified=False,
+            overall=OVERALL_FAILED, failure_reason=f"bracket: {exc}",
+            non_trapping_ok=False, metadata=metadata,
+        )
 
     # Boundary-conjugate witness: the stable solution at s = 0 decays in
     # forward time and, extended evenly (W'(0) = 0 up to the root residual),
-    # in backward time as well.  find_r_star took the residual from this
-    # solution; rebuilding it reuses that radial solve.
-    witness_sol = stable_for("parallel", GeodesicParams(0.0, r_star, eps), tol=root_tol)
+    # in backward time as well.  The residual is its |Y(0) W'(0)|.
+    slope = witness_sol.Y0 * witness_sol.W_prime_0
+    residual = abs(slope)
     t_check = min(30.0, witness_sol.seed_horizon)
     y_end = abs(float(witness_sol.Y.value(t_check)))
     witness = {
         "T": t_check,
         "abs_Y_at_T": y_end,
         "decay_bound": 2.0 * math.exp(-t_check),
-        "even_extension_slope": witness_sol.Y0 * witness_sol.W_prime_0,
+        "even_extension_slope": slope,
     }
     witness_ok = y_end < 2.0 * math.exp(-t_check) and residual < 1e-8
 
-    small_records, concavity, _ = verify_small_s(r_star, eps, sigma, ds, tol)
-    rho0, certified, mid_records, _ = verify_large_s(
-        r_star, eps, sigma, None, ds, T_mid, max(tol, 1e-9)
-    )
+    small_records, concavity, _ = verify_small_s(r_star, eps, sigma, ds)
+    rho0, certified, mid_records, _ = verify_large_s(r_star, eps, sigma, ds)
     non_trapping = _non_trapping_check(r_star, eps)
     small_failed = _failed_at(small_records)
     mid_failed = _failed_at(mid_records)

@@ -43,6 +43,9 @@ The normalized solution W = Y / Y(0) carries the whole conjugate-point
 story: for an even integrable kernel, no nontrivial solution vanishes twice
 if and only if W'(0) <= 0.  The certificate at the critical parameters is
 available in closed form and serves as the oracle for both constructions.
+
+Every stable solution, and so every certificate, rides on a radial solve at
+one tolerance, 1e-12 (``_KERNEL_TOL``); no caller chooses it.
 """
 
 from __future__ import annotations
@@ -86,6 +89,10 @@ TOL_SIGN = 1e-9
 
 _T0 = 30.0
 _STENCIL_H = 5e-3
+# Every stable solution rides on a radial solve at this tolerance: an
+# off-plane certificate carries the solve's angle error, amplified by
+# 1 / (A(s) sin^2 phi(0)), and both kinds share one solve.
+_KERNEL_TOL = 1e-12
 
 
 class CertificateError(RuntimeError):
@@ -183,7 +190,7 @@ def _killing_stable(kernel: JacobiKernel, T0: float, kind: str | None) -> Stable
     psi = radial.theta_infinity_complement
     if not psi > -math.pi / 2.0:
         raise _vanishes(kernel, T0, f"phi(0) = {math.pi / 2.0 - psi:.6f} >= pi")
-    phi_T = float(radial.angles(T0)[1][0])
+    phi_T = float(radial.phi(T0)[0])
     if not phi_T > 0.0:
         raise ValueError(f"seed horizon T0 = {T0}: the angle left, phi(T0), underflows")
     a_T = float(kernel.warp.value(float(radial.rho(T0))))
@@ -206,36 +213,29 @@ def _vanishes(kernel: JacobiKernel, T0: float, detail: str) -> CertificateError:
     )
 
 
-def _kernel_tol(tol: float) -> float:
-    """The tolerance of the radial solve under a stable solution, whose
-    horizon is T0."""
-    # An off-plane certificate carries the angle error of the radial solve,
-    # amplified by 1 / (A(s) sin^2 phi(0)); both kinds share one solve.
-    return min(tol, 1e-12)
-
-
 def stable_for(kind: str, params: GeodesicParams, tol: float = 1e-10,
                T0: float = _T0) -> StableSolution:
-    """Stable solution for mu = params.  Each call builds it anew, with
-    no solve of its own: the radial solve under it is cached by
-    ``geodesics.solve_radial``."""
-    kernel = make_kernel(kind, params, horizon=T0, tol=_kernel_tol(tol))
+    """Stable solution for mu = params, on a radial solve at
+    ``_KERNEL_TOL``; a ``tol`` tighter than that raises ValueError.  Each
+    call solves its geodesic anew."""
+    if tol < _KERNEL_TOL:
+        raise ValueError(f"tol = {tol} is tighter than the radial solve's {_KERNEL_TOL}")
+    kernel = make_kernel(kind, params, horizon=T0, tol=_KERNEL_TOL)
     return stable_solution(kernel, T0=T0, kind=kind)
 
 
-def certificate(kind: str, params: GeodesicParams, tol: float = 1e-10) -> float:
+def certificate(kind: str, params: GeodesicParams) -> float:
     """W'(0) = Y'(0)/Y(0) for the stable solution of the given kind."""
-    return stable_for(kind, params, tol).W_prime_0
+    return stable_for(kind, params).W_prime_0
 
 
-def certificate_grid(ss: Sequence[float], r: float, eps: float,
-                     tol: float = 1e-10) -> list[tuple[float, float]]:
+def certificate_grid(ss: Sequence[float], r: float, eps: float) -> list[tuple[float, float]]:
     """(W'(0) in-plane, W'(0) off-plane) at each s of ``ss``, as
     ``certificate`` gives them one geodesic at a time, with the radial solves
     of the grid made by one ``geodesics.solve_radial_grid``."""
     return [tuple(stable_solution(kernel_on(kind, radial), T0=_T0, kind=kind).W_prime_0
                   for kind in KINDS)
-            for radial in solve_radial_grid(ss, r, eps, _T0, _kernel_tol(tol))]
+            for radial in solve_radial_grid(ss, r, eps, _T0, _KERNEL_TOL)]
 
 
 def stencil_points(h: float = _STENCIL_H) -> tuple[float, ...]:
@@ -260,14 +260,13 @@ def certificate_s_derivatives(
     kind: str,
     params: GeodesicParams,
     h: float = _STENCIL_H,
-    tol: float = 1e-10,
 ) -> tuple[float, float]:
     """One-sided finite differences (d1, d2) of s -> W'(0) at s = 0 (see
     :func:`stencil_derivatives`), from one :func:`certificate_grid` on the
     stencil points."""
     if params.s != 0.0:
         raise ValueError("s-derivatives of the certificate are taken at s = 0")
-    certs = certificate_grid(stencil_points(h), params.r, params.eps, tol)
+    certs = certificate_grid(stencil_points(h), params.r, params.eps)
     return stencil_derivatives([c[KINDS.index(kind)] for c in certs], h)
 
 
@@ -278,19 +277,15 @@ class DoubleZeroVerdict:
     marginal: bool
 
 
-def no_double_zero_criterion(
-    kind: str,
-    params: GeodesicParams,
-    tol: float = 1e-10,
-    tol_sign: float = TOL_SIGN,
-) -> DoubleZeroVerdict:
+def no_double_zero_criterion(kind: str, params: GeodesicParams) -> DoubleZeroVerdict:
     """Decide whether the Jacobi equation admits a solution vanishing twice:
-    it does not if and only if W'(0) <= 0, checked against a signed band."""
-    cert = certificate(kind, params, tol)
+    it does not if and only if W'(0) <= 0, checked against the signed band
+    ``TOL_SIGN``."""
+    cert = certificate(kind, params)
     return DoubleZeroVerdict(
-        verdict="no-double-zeros" if cert <= tol_sign else "double-zero-exists",
+        verdict="no-double-zeros" if cert <= TOL_SIGN else "double-zero-exists",
         certificate=cert,
-        marginal=abs(cert) < tol_sign / 10.0,
+        marginal=abs(cert) < TOL_SIGN / 10.0,
     )
 
 

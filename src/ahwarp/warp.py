@@ -56,9 +56,10 @@ __all__ = [
     "k_perp",
 ]
 
-# Default half-width of the r window and largest mollification width used by
-# the parameter grids in the tests and the search; keeps r + eps < pi/2 with
-# a comfortable margin.
+# Half-width of the r window and largest mollification width of the
+# parameter grids in the tests; keeps r + eps < pi/2 with a comfortable
+# margin.  The search does not read them (its window is its own
+# bracket_halfwidth).
 ETA = 0.15
 EPS0 = 0.15
 

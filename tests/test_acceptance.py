@@ -82,7 +82,7 @@ def test_criterion_04_theta_infinity_endpoints():
 def test_criterion_05_radial_certificate():
     worst = 0.0
     for r in (0.7, PI4, 0.85):
-        got = aw.certificate("parallel", aw.GeodesicParams(0.0, r, 0.0), tol=1e-11)
+        got = aw.certificate("parallel", aw.GeodesicParams(0.0, r, 0.0))
         expected = (math.sin(r) - math.cos(r)) / (math.sin(r) + math.cos(r))
         worst = max(worst, abs(got - expected))
     verdict(5, worst < 1e-9,
@@ -90,11 +90,11 @@ def test_criterion_05_radial_certificate():
 
 
 def test_criterion_06_root_finding():
-    r0, res0 = aw.find_r_star(0.0, tol=1e-12)
+    r0, res0 = aw.find_r_star(0.0)
     ok = abs(r0 - PI4) < 1e-10 and res0 < 1e-10
     dists = []
     for eps in (0.1, 0.05, 0.01):
-        r_star, residual = aw.find_r_star(eps, tol=1e-12)
+        r_star, residual = aw.find_r_star(eps)
         ok = ok and (PI4 - 0.1 < r_star < PI4 + 0.1) and residual < 1e-10
         dists.append(abs(r_star - PI4))
     ok = ok and dists[0] > dists[1] > dists[2]
@@ -115,9 +115,9 @@ def test_criterion_07_concavity_signature():
     d1c_perp, d2c_perp = stencils(aw.certificate_perp_closed)
     d1c_par, d2c_par = stencils(aw.certificate_parallel_closed)
     d1i_perp, d2i_perp = aw.certificate_s_derivatives(
-        "perpendicular", aw.GeodesicParams(0.0, PI4, 0.0), h=h, tol=1e-11)
+        "perpendicular", aw.GeodesicParams(0.0, PI4, 0.0), h=h)
     d1i_par, d2i_par = aw.certificate_s_derivatives(
-        "parallel", aw.GeodesicParams(0.0, PI4, 0.0), h=h, tol=1e-11)
+        "parallel", aw.GeodesicParams(0.0, PI4, 0.0), h=h)
     ok = (
         abs(d2c_perp + 1.0 / 3.0) < 1e-3 and abs(d2c_par + 1.0) < 1e-3
         and abs(d2i_perp + 1.0 / 3.0) < 5e-3 and abs(d2i_par + 1.0) < 5e-3
@@ -224,8 +224,8 @@ def test_criterion_10_property_suite():
               for e in eps_grid]
         mono = mono and dp[0] > dp[1] > dp[2] and dm[0] > dm[1] > dm[2]
 
-    c0 = aw.certificate("perpendicular", aw.GeodesicParams(0.2, PI4, 0.0), tol=1e-10)
-    dc = [abs(aw.certificate("perpendicular", aw.GeodesicParams(0.2, PI4, e), tol=1e-10) - c0)
+    c0 = aw.certificate("perpendicular", aw.GeodesicParams(0.2, PI4, 0.0))
+    dc = [abs(aw.certificate("perpendicular", aw.GeodesicParams(0.2, PI4, e)) - c0)
           for e in eps_grid]
     mono = mono and dc[0] > dc[1] > dc[2]
     ok = ok and mono

@@ -116,7 +116,7 @@ class TestStable:
     def test_radial_certificate_payload(self, tmp_path):
         out = tmp_path / "stable.json"
         assert main(["stable", "--kind", "parallel", "--s", "0", "--r", "0.7",
-                     "--eps", "0", "--tol", "1e-11", "--out", str(out)]) == 0
+                     "--eps", "0", "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert payload["kind"] == "parallel"
         assert abs(payload["W_prime_0"] - radial_certificate_closed(0.7)) < 1e-9
@@ -193,7 +193,7 @@ class TestScan:
 class TestErrors:
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:
-            main(["stable", "--tol", "1.0"])  # tol outside [1e-12, 1e-4]
+            main(["geodesic", "--tol", "1.0"])  # tol outside [1e-12, 1e-4]
         assert exc.value.code == 2
 
     def test_unknown_subcommand_exits_two(self):
@@ -251,16 +251,46 @@ class TestErrors:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         with pytest.raises(SystemExit) as exc:
-            main(["stable"])
+            main(["geodesic"])
         assert exc.value.code == 2
 
     def test_env_tol_is_default_and_flag_overrides(self, monkeypatch, tmp_path):
-        out = tmp_path / "stable.json"
+        out = tmp_path / "geo.csv"
         monkeypatch.setenv("AHWARP_TOL", "1e-3")  # outside [1e-12, 1e-4]
         with pytest.raises(SystemExit) as exc:
-            main(["stable"])
+            main(["geodesic"])
         assert exc.value.code == 2
-        assert main(["stable", "--tol", "1e-10", "--out", str(out)]) == 0
+        assert main(["geodesic", "--tol", "1e-10", "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["profile"], ["stable"], ["find-r"], ["scan", "--eps", "0"],
+    ])
+    def test_tol_only_where_it_reaches_a_solve(self, argv, monkeypatch, tmp_path):
+        # these subcommands solve at fixed tolerances: --tol is refused and
+        # AHWARP_TOL, even malformed, is not read
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--tol", "1e-10"])
+        assert exc.value.code == 2
+        monkeypatch.setenv("AHWARP_TOL", "1e-10x")
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["geodesic", "--s", "0.3", "--r", "0.76", "--eps", "0.05", "--tmax", "5"],
+        ["jacobi", "--kind", "parallel", "--s", "0.3", "--r", "0.76", "--eps", "0.05",
+         "--tmax", "5"],
+    ])
+    def test_tol_and_env_tol_reach_the_radial_solve(self, argv, monkeypatch, tmp_path):
+        def run(*extra):
+            out = tmp_path / "out.csv"
+            assert main(argv + list(extra) + ["--out", str(out)]) == 0
+            return out.read_bytes()
+
+        default = run()
+        loose = run("--tol", "1e-4")
+        assert loose != default
+        monkeypatch.setenv("AHWARP_TOL", "1e-4")
+        assert run() == loose
+        assert run("--tol", "1e-10") == default
 
     def test_arithmetic_error_exits_one(self, tmp_path, capsys, monkeypatch):
         def overflowing(*args, **kwargs):

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-import ahwarp.geodesics as geodesics_mod
 import ahwarp.ode as ode_mod
 import ahwarp.search as search_mod
 import ahwarp.warp as warp_mod
@@ -137,9 +136,8 @@ class TestAgainstFullSpan:
 @pytest.fixture
 def solves(monkeypatch):
     """Every solve_ivp call made through ahwarp.ode, as the (lo, hi) of the
-    time range it integrated; the package caches start empty."""
-    for cached in (warp_mod._pair, geodesics_mod._solve_radial_cached):
-        cached.cache_clear()
+    time range it integrated; the transition pair cache starts empty."""
+    warp_mod._pair.cache_clear()
     spans = []
     real = ode_mod.solve_ivp
 
@@ -232,7 +230,8 @@ class TestWorkCounts:
     def test_mollified_scan_makes_no_dense_lookup(self, solves, monkeypatch):
         # no right-hand side reads a trajectory, and each regime solves the
         # windows of its grid at once: 2 solves for r* (the transition pair
-        # and the s = 0 window at r*), then one each for small s and mid s;
+        # and the s = 0 window at r*, whose stable solution also gives the
+        # residual and the witness), then one each for small s and mid s;
         # the non-trapping check and the curvature threshold solve nothing
         # (7 solves with 4 for r* and a grid for non-trapping, 90 with one
         # per geodesic, 185 when the radial, in-plane and log-Riccati windows

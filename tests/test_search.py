@@ -1,6 +1,8 @@
 """Root finding, the three verification regimes, and report assembly."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,14 +40,14 @@ def sharp_report():
 
 class TestFindRStar:
     def test_sharp_root_is_quarter_pi(self):
-        r_star, residual = find_r_star(0.0, tol=1e-12)
+        r_star, residual = find_r_star(0.0)
         assert abs(r_star - PI4) < 1e-10
         assert residual < 1e-10
 
     def test_mollified_roots_move_toward_quarter_pi(self):
         dists = []
         for eps in (0.1, 0.05, 0.01):
-            r_star, residual = find_r_star(eps, tol=1e-12)
+            r_star, residual = find_r_star(eps)
             assert PI4 - 0.1 < r_star < PI4 + 0.1
             assert residual < 1e-10
             dists.append(abs(r_star - PI4))
@@ -54,32 +56,33 @@ class TestFindRStar:
     def test_narrow_bracket_fails_for_large_eps(self):
         # r*(0.3) = 0.6377 lies below the window [pi/4 - 0.02, pi/4 + 0.02]
         with pytest.raises(BracketError, match=r"r\* = 0\.637\d* outside the window \[0\.765"):
-            find_r_star(0.3, bracket_halfwidth=0.02, tol=1e-11)
+            find_r_star(0.3, bracket_halfwidth=0.02)
 
     @pytest.mark.parametrize("eps", [0.01, 0.020927634009400266, 0.05, 0.1])
     def test_agrees_with_brent_on_the_certificate(self, eps):
         # the rotation identity against a root search: Brent on the s = 0
         # certificate r -> W'(0; r), whose iterates each solve the window
-        f = lambda r: certificate("parallel", GeodesicParams(0.0, r, eps), tol=1e-12)
+        f = lambda r: certificate("parallel", GeodesicParams(0.0, r, eps))
         ref = brentq(f, PI4 - 0.1, PI4 + 0.1, xtol=1e-13, rtol=8.9e-16)
-        r_star, residual = find_r_star(eps, tol=1e-12)
+        r_star, residual = find_r_star(eps)
         assert abs(r_star - ref) <= 1e-13
         assert residual < 1e-13
 
     @pytest.mark.parametrize("eps", [0.0, 0.05, 0.1])
     def test_certificate_is_rotation_from_r_star(self, eps):
         # W'(0; r) = tan(r - r*) across the bracket, not only at the root
-        r_star, _ = find_r_star(eps, tol=1e-12)
+        r_star, _ = find_r_star(eps)
         for r in np.linspace(PI4 - 0.1, PI4 + 0.1, 9):
-            got = certificate("parallel", GeodesicParams(0.0, float(r), eps), tol=1e-12)
+            got = certificate("parallel", GeodesicParams(0.0, float(r), eps))
             assert abs(got - math.tan(r - r_star)) <= 1e-13
 
     def test_root_certificate_within_tolerance_at_drawn_eps(self):
-        # verify_small_s recomputes the s = 0 certificate at tol 1e-10; at a
-        # root it must stay inside TOL_SIGN or the scan fails spuriously
+        # verify_small_s recomputes the s = 0 certificate on its own grid
+        # solve; at a root it must stay inside TOL_SIGN or the scan fails
+        # spuriously
         eps = 0.020927634009400266
         r_star, _ = find_r_star(eps)
-        assert abs(certificate("parallel", GeodesicParams(0.0, r_star, eps), tol=1e-10)) < 1e-10
+        assert abs(certificate("parallel", GeodesicParams(0.0, r_star, eps))) < 1e-10
 
     @pytest.mark.parametrize("eps", [0.0, 0.05])
     def test_root_function_monotone_across_bracket(self, eps):
@@ -92,7 +95,7 @@ class TestFindRStar:
 
 class TestVerifySmallS:
     def test_critical_parameters(self):
-        records, (d1, d2), ok = verify_small_s(PI4, 0.0, sigma=0.3, ds=0.05, tol=1e-10)
+        records, (d1, d2), ok = verify_small_s(PI4, 0.0, sigma=0.3, ds=0.05)
         assert ok
         assert d2 < 0 and abs(d1) < 1e-5
         for rec in records:
@@ -102,14 +105,14 @@ class TestVerifySmallS:
             assert rec.cert_perp <= 1e-9
 
     def test_boundary_point_is_root(self):
-        records, _, _ = verify_small_s(PI4, 0.0, sigma=0.05, ds=0.05, tol=1e-10)
+        records, _, _ = verify_small_s(PI4, 0.0, sigma=0.05, ds=0.05)
         assert abs(records[0].cert_parallel) < 1e-9
 
 
 class TestVerifyLargeS:
     def test_threshold_and_positivity(self):
         rho0, certified, records, ok = verify_large_s(
-            PI4, 0.0, sigma=0.3, ds=0.1, T=20.0, tol=1e-9)
+            PI4, 0.0, sigma=0.3, ds=0.1)
         assert rho0 == pytest.approx(PI4 + math.log(2.0) / 2.0, abs=1e-12)
         assert certified and ok
         for rec in records:
@@ -119,8 +122,7 @@ class TestVerifyLargeS:
 
     def test_outer_minimum_matches_closed_form(self):
         # s = 1.0: min over [0, 20] of cosh(t) cos(sqrt2 e^{pi/4 - 1} tanh t)
-        _, _, records, _ = verify_large_s(PI4, 0.0, sigma=1.0, S_cap=1.0,
-                                          ds=1.0, T=20.0, tol=1e-9)
+        _, _, records, _ = verify_large_s(PI4, 0.0, sigma=1.0, ds=1.0)
         ts = np.arange(0.0, 20.0 + 1e-12, 0.01)
         closed = np.cosh(ts) * np.cos(math.sqrt(2) * math.exp(-1.0 + PI4) * np.tanh(ts))
         assert records[0].min_U_perp == pytest.approx(float(np.min(closed)), abs=1e-6)
@@ -129,10 +131,10 @@ class TestVerifyLargeS:
     def test_perp_verdict_requires_angle_below_quarter_turn(self, monkeypatch):
         # U_perp = A cos(theta) / A(s) > 0 on all of [0, T] iff theta(T) <
         # pi/2; a sampled minimum alone cannot see a dip between samples
-        _, _, records, ok = verify_large_s(PI4, 0.0, sigma=0.5, S_cap=0.5, ds=0.1)
+        _, _, records, ok = verify_large_s(PI4, 0.0, sigma=0.5, ds=0.1)
         assert ok and records[0].verdict == "pass"
         monkeypatch.setattr(RadialSolution, "theta", lambda self, t: math.pi / 2)
-        _, _, records, ok = verify_large_s(PI4, 0.0, sigma=0.5, S_cap=0.5, ds=0.1)
+        _, _, records, ok = verify_large_s(PI4, 0.0, sigma=0.5, ds=0.1)
         assert not ok and records[0].verdict == "fail"
         assert records[0].min_U_perp > 0.0  # the samples alone would pass
 
@@ -144,7 +146,7 @@ class TestVerifyLargeS:
         for rho0, verdict in ((rho_T, "pass"), (np.nextafter(rho_T, math.inf), "fail")):
             monkeypatch.setattr(search_mod, "_negative_curvature_threshold",
                                 lambda params, rho0=rho0: (rho0, True))
-            _, _, records, ok = verify_large_s(PI4, 0.0, sigma=0.5, S_cap=0.5, ds=0.1)
+            _, _, records, ok = verify_large_s(PI4, 0.0, sigma=0.5, ds=0.1)
             assert ok == (verdict == "pass") and records[0].verdict == verdict
             assert records[0].min_U_parallel > 0.0 and records[0].min_U_perp > 0.0
 
@@ -161,9 +163,9 @@ class TestVerifyLargeS:
 
     def test_overlap_with_certificate_method(self):
         # both regimes must agree on [sigma, 2 sigma]
-        records_cert, _, ok_cert = verify_small_s(PI4, 0.0, sigma=0.6, ds=0.1, tol=1e-10)
+        records_cert, _, ok_cert = verify_small_s(PI4, 0.0, sigma=0.6, ds=0.1)
         rho0, _, records_pos, ok_pos = verify_large_s(
-            PI4, 0.0, sigma=0.3, S_cap=0.6, ds=0.1, T=20.0, tol=1e-9)
+            PI4, 0.0, sigma=0.3, ds=0.1)
         assert ok_cert and ok_pos
         overlap_cert = [r for r in records_cert if r.s >= 0.3 - 1e-12]
         assert overlap_cert and all(r.verdict == "pass" for r in overlap_cert)
@@ -214,9 +216,9 @@ class TestAssembleReport:
     def test_failure_reason_names_failing_s(self, monkeypatch):
         # one small-s certificate fails and the concavity sign is flipped:
         # the reason names the failing s and reports the concavity separately
-        def failing_at_015(ss, r, eps, tol):
+        def failing_at_015(ss, r, eps):
             return [(1.0, 1.0) if abs(s - 0.15) < 1e-9 else certs
-                    for s, certs in zip(ss, certificate_grid(ss, r, eps, tol))]
+                    for s, certs in zip(ss, certificate_grid(ss, r, eps))]
 
         monkeypatch.setattr(search_mod, "certificate_grid", failing_at_015)
         monkeypatch.setattr(search_mod, "stencil_derivatives", lambda f: (0.0, 0.1))
@@ -238,3 +240,11 @@ class TestAssembleReport:
 
     def test_metadata_declares_sampling(self, sharp_report):
         assert "not a computer-assisted proof" in sharp_report.metadata["method"]
+
+    def test_metadata_states_the_tolerances_used(self, sharp_report):
+        assert sharp_report.metadata["tol"] == {
+            "pair": 1e-12, "certificates": 1e-12, "mid_s": 1e-9}
+
+    def test_mollified_report_equals_the_archive(self):
+        archive = Path(__file__).resolve().parents[1] / "artifacts" / "scan_eps_0.05.json"
+        assert assemble_report(0.05).to_dict() == json.loads(archive.read_text())

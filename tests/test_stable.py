@@ -58,12 +58,12 @@ class TestCriticalRadialSolution:
 class TestRadialCertificates:
     @pytest.mark.parametrize("r", [0.7, PI4, 0.85])
     def test_backward_integration_matches_closed_form(self, r):
-        got = certificate("parallel", GeodesicParams(0.0, r, 0.0), tol=1e-11)
+        got = certificate("parallel", GeodesicParams(0.0, r, 0.0))
         assert got == pytest.approx(radial_certificate_closed(r), abs=1e-9)
 
     def test_sign_tracks_radius(self):
-        assert certificate("parallel", GeodesicParams(0.0, 0.7, 0.0), tol=1e-10) < 0
-        assert certificate("parallel", GeodesicParams(0.0, 0.86, 0.0), tol=1e-10) > 0
+        assert certificate("parallel", GeodesicParams(0.0, 0.7, 0.0)) < 0
+        assert certificate("parallel", GeodesicParams(0.0, 0.86, 0.0)) > 0
 
     @pytest.mark.parametrize("r", [0.7, 0.85])
     def test_stable_profile_closed_form(self, r):
@@ -76,16 +76,16 @@ class TestRadialCertificates:
 class TestOffRadialCertificates:
     @pytest.mark.parametrize("s", [0.05, 0.1, 0.2, 0.3])
     def test_parallel_closed_form(self, s):
-        got = certificate("parallel", GeodesicParams(s, PI4, 0.0), tol=1e-11)
+        got = certificate("parallel", GeodesicParams(s, PI4, 0.0))
         assert got == pytest.approx(certificate_parallel_closed(s), abs=1e-8)
 
     @pytest.mark.parametrize("s", [0.05, 0.1, 0.2, 0.3])
     def test_perp_closed_form(self, s):
-        got = certificate("perpendicular", GeodesicParams(s, PI4, 0.0), tol=1e-11)
+        got = certificate("perpendicular", GeodesicParams(s, PI4, 0.0))
         assert got == pytest.approx(certificate_perp_closed(s), abs=1e-8)
 
     def test_perp_certificate_is_negative(self):
-        got = certificate("perpendicular", GeodesicParams(0.2, PI4, 0.0), tol=1e-11)
+        got = certificate("perpendicular", GeodesicParams(0.2, PI4, 0.0))
         assert got < 0
         assert got == pytest.approx(
             -math.cos(theta_infinity(0.2)) / (math.sin(theta_infinity(0.2)) * math.sin(0.2)),
@@ -114,20 +114,20 @@ class TestOffRadialCertificates:
         # theta_inf rounds to pi/2 - O(s); -cot(theta_inf) / A(s) would
         # amplify its rounding by 1/s.  The limit s -> 0 is the radial
         # certificate (both equations coincide there, W' is even in s)
-        got = certificate("perpendicular", GeodesicParams(s, r, eps), tol=1e-11)
-        radial = certificate("parallel", GeodesicParams(0.0, r, eps), tol=1e-11)
+        got = certificate("perpendicular", GeodesicParams(s, r, eps))
+        radial = certificate("parallel", GeodesicParams(0.0, r, eps))
         assert abs(got - radial) <= 1e-10
 
     def test_stable_solution_reads_the_angle_at_T0_only(self, monkeypatch):
         # the Killing field is evaluated when asked, not at every radial node
         calls = []
-        angles = RadialSolution.angles
+        phi = RadialSolution.phi
 
         def recording(self, t):
             calls.append(np.atleast_1d(t).copy())
-            return angles(self, t)
+            return phi(self, t)
 
-        monkeypatch.setattr(RadialSolution, "angles", recording)
+        monkeypatch.setattr(RadialSolution, "phi", recording)
         sol = stable_for("perpendicular", GeodesicParams(0.2345, 0.7654, 0.0321), T0=30.0)
         assert len(calls) == 1 and np.array_equal(calls[0], [30.0])
         assert sol.W(1.0) > 0.0 and len(calls) == 2
@@ -168,6 +168,16 @@ class TestSeedingConsistency:
         # the angle past the transition is closed form: no tail is dropped
         sol = stable_for("perpendicular", GeodesicParams(*mu), tol=1e-10)
         assert sol.seed_residual == 0.0
+
+    @pytest.mark.parametrize("kind", ["parallel", "perpendicular"])
+    def test_tol_tighter_than_the_radial_solve_is_refused(self, kind):
+        # stable solutions ride on a radial solve at 1e-12; a tighter tol
+        # cannot be met and raises instead of solving tighter
+        params = GeodesicParams(0.2, 0.76, 0.05)
+        with pytest.raises(ValueError, match="tighter than the radial solve's 1e-12"):
+            stable_for(kind, params, tol=1e-13)
+        at_floor = stable_for(kind, params, tol=1e-12).W_prime_0
+        assert stable_for(kind, params, tol=1e-10).W_prime_0 == at_floor
 
 
 def _linear_seeded_certificate(kernel, T=40.0, tol=1e-11):
@@ -266,18 +276,18 @@ class TestSDerivatives:
 
     def test_integrated_derivatives_critical(self):
         d1, d2 = certificate_s_derivatives(
-            "perpendicular", GeodesicParams(0.0, PI4, 0.0), h=5e-3, tol=1e-11)
+            "perpendicular", GeodesicParams(0.0, PI4, 0.0), h=5e-3)
         assert abs(d1) < 1e-6
         assert d2 == pytest.approx(-1.0 / 3.0, abs=5e-3)
         d1p, d2p = certificate_s_derivatives(
-            "parallel", GeodesicParams(0.0, PI4, 0.0), h=5e-3, tol=1e-11)
+            "parallel", GeodesicParams(0.0, PI4, 0.0), h=5e-3)
         assert abs(d1p) < 1e-6
         assert d2p == pytest.approx(-1.0, abs=5e-3)
 
     @pytest.mark.parametrize("kind", ["parallel", "perpendicular"])
     def test_mollified_concavity(self, kind):
         d1, d2 = certificate_s_derivatives(
-            kind, GeodesicParams(0.0, 0.7604650677456171, 0.05), h=5e-3, tol=1e-10)
+            kind, GeodesicParams(0.0, 0.7604650677456171, 0.05), h=5e-3)
         assert abs(d1) < 5e-3
         assert d2 < 0.0
 
@@ -292,17 +302,17 @@ class TestSDerivatives:
 
 class TestCriterion:
     def test_critical_boundary_case(self):
-        v = no_double_zero_criterion("parallel", GeodesicParams(0.0, PI4, 0.0), tol=1e-11)
+        v = no_double_zero_criterion("parallel", GeodesicParams(0.0, PI4, 0.0))
         assert v.verdict == "no-double-zeros"
         assert v.marginal
 
     def test_subcritical(self):
-        v = no_double_zero_criterion("parallel", GeodesicParams(0.0, 0.7, 0.0), tol=1e-10)
+        v = no_double_zero_criterion("parallel", GeodesicParams(0.0, 0.7, 0.0))
         assert v.verdict == "no-double-zeros"
         assert not v.marginal
 
     def test_supercritical(self):
-        v = no_double_zero_criterion("parallel", GeodesicParams(0.0, 0.86, 0.0), tol=1e-10)
+        v = no_double_zero_criterion("parallel", GeodesicParams(0.0, 0.86, 0.0))
         assert v.verdict == "double-zero-exists"
         assert not v.marginal
 
@@ -310,9 +320,9 @@ class TestCriterion:
 class TestEpsContinuity:
     @pytest.mark.parametrize("s", [0.0, 0.2])
     def test_certificate_converges_monotonically(self, s):
-        base = certificate("perpendicular", GeodesicParams(s, PI4, 0.0), tol=1e-10)
+        base = certificate("perpendicular", GeodesicParams(s, PI4, 0.0))
         dists = []
         for eps in (0.1, 0.05, 0.01):
-            got = certificate("perpendicular", GeodesicParams(s, PI4, eps), tol=1e-10)
+            got = certificate("perpendicular", GeodesicParams(s, PI4, eps))
             dists.append(abs(got - base))
         assert dists[0] > dists[1] > dists[2]
