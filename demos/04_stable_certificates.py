@@ -23,6 +23,7 @@ from ahwarp import (
     certificate_parallel_closed,
     certificate_perp_closed,
     certificate_s_derivatives,
+    find_r_star,
     no_double_zero_criterion,
     radial_certificate_closed,
     stable_for,
@@ -68,8 +69,12 @@ for kind, target in (("perpendicular", -1.0 / 3.0), ("parallel", -1.0)):
 
 print()
 print("=== the certificate survives mollification ===")
-print("  eps     W'(0) at (0.2, pi/4, eps), perpendicular")
-base = certificate("perpendicular", GeodesicParams(0.2, PI4, 0.0))
+print("  W'(0) at s = 0.2, perpendicular, at the radius r*(eps) that the scan")
+print("  certifies; held at r = pi/4 instead it turns positive as eps grows")
+print("  eps     r*(eps)           at r*(eps)        at pi/4")
 for eps in (0.1, 0.05, 0.01, 0.0):
-    got = certificate("perpendicular", GeodesicParams(0.2, PI4, eps))
-    print(f"  {eps:4.2f}   {got:+.10f}   (|diff from sharp| = {abs(got-base):.2e})")
+    r_star = find_r_star(eps)[0]
+    got = certificate("perpendicular", GeodesicParams(0.2, r_star, eps))
+    held = certificate("perpendicular", GeodesicParams(0.2, PI4, eps))
+    print(f"  {eps:4.2f}   {r_star:.12f}   {got:+.10f}   {held:+.10f}")
+print("  at r*(eps), W'(0) < 0 at each eps above: no double zero")

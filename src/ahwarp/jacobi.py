@@ -56,6 +56,7 @@ from .ode import Trajectory
 from .geodesics import (
     GeodesicParams,
     RadialSolution,
+    _Paths,
     entry_time,
     growth_factor,
     solve_radial,
@@ -249,12 +250,20 @@ def killing_field(
         a, da = warp.state(rho)
         # theta is defined on all of [0, T]; phi needs the transition exit
         ang = radial.theta(t) if angle == "theta" else radial.phi(t)
-        c, sn = np.cos(ang), np.sin(ang)
-        comb = p * c + q * sn
-        # (A/A(s))' = A' rho' / A(s) and (A/A(s)) a' = sign / A (Clairaut)
-        return (a / a_s) * comb, (da * drho / a_s) * comb + sign * (q * c - p * sn) / a
+        return _killing_state(a, da, drho, ang, a_s, p, q, sign)
 
     return Trajectory.from_function(fn, 0.0, T)
+
+
+def _killing_state(a, da, drho, ang, a_s, p: float, q: float, sign: float):
+    """(Y, Y') of the Killing field A(rho) / A(s) (p cos a + q sin a) from
+    A, A' and rho' along the geodesic and its angle a (theta, sign 1, or
+    phi, sign -1); a_s = A(s) is a float, or a column for a block of
+    geodesics."""
+    c, sn = np.cos(ang), np.sin(ang)
+    comb = p * c + q * sn
+    # (A/A(s))' = A' rho' / A(s) and (A/A(s)) a' = sign / A (Clairaut)
+    return (a / a_s) * comb, (da * drho / a_s) * comb + sign * (q * c - p * sn) / a
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,22 +301,20 @@ def _rotation(t0: float, y: float, dy: float):
     return fn
 
 
-def _exponentials(t0: float, y: float, dy: float):
-    """The solution of Y'' = Y with state (y, dy) at t0, as (Y, Y')(t), in the
-    basis (y + dy)/2 e^tau, (y - dy)/2 e^{-tau} with tau = t - t0."""
+def _exponentials(t0, y, dy, t):
+    """(Y, Y')(t) of the solution of Y'' = Y with state (y, dy) at t0, in the
+    basis (y + dy)/2 e^tau, (y - dy)/2 e^{-tau} with tau = t - t0; t0, y and
+    dy are floats, or columns for a block of geodesics."""
     p, q = 0.5 * (y + dy), 0.5 * (y - dy)
-
-    def fn(t):
-        grow, decay = p * np.exp(t - t0), q * np.exp(t0 - t)
-        return grow + decay, grow - decay
-
-    return fn
+    grow, decay = p * np.exp(t - t0), q * np.exp(t0 - t)
+    return grow + decay, grow - decay
 
 
-def _in_plane(kernel: JacobiKernel, y0: float, dy0: float, T: float) -> Trajectory:
-    """Rotation on [0, t_in], the window pair's combination across
-    [t_in, t_x], exponentials after t_x; each piece starts from the state
-    where the one before ends."""
+def _in_plane_to_exit(kernel: JacobiKernel, y0: float, dy0: float,
+                      T: float) -> tuple[list[Trajectory], tuple[float, float]]:
+    """The rotation on [0, t_in] and the window pair's combination across
+    [t_in, t_x], as far as each reaches before T, and the state where they
+    end: at t_x, where the exponentials take over."""
     t_in, t_x = kernel.radial.span
     parts = []
     state = (y0, dy0)
@@ -318,9 +325,50 @@ def _in_plane(kernel: JacobiKernel, y0: float, dy0: float, T: float) -> Trajecto
     if t_in < min(t_x, T):
         parts.append(kernel.window_solution(*state, T))
         state = tuple((kernel.transfer @ state).tolist())
+    return parts, state
+
+
+def _in_plane(kernel: JacobiKernel, y0: float, dy0: float, T: float) -> Trajectory:
+    """Rotation on [0, t_in], the window pair's combination across
+    [t_in, t_x], exponentials after t_x; each piece starts from the state
+    where the one before ends."""
+    parts, state = _in_plane_to_exit(kernel, y0, dy0, T)
+    t_x = kernel.radial.span[1]
     if t_x < T:
-        parts.append(Trajectory.from_function(_exponentials(t_x, *state), t_x, T))
+        parts.append(Trajectory.from_function(lambda t: _exponentials(t_x, *state, t), t_x, T))
     return Trajectory.concat(parts)
+
+
+def _even_solutions(radials: list[RadialSolution], paths: _Paths, T: float):
+    """((U, U'), (U, U')) of the in-plane and the off-plane equation, with
+    U(0) = 1 and U'(0) = 0, along the geodesics of ``paths`` (s > 0) at its
+    sample times (all at most T), one row per geodesic: element for element
+    ``jacobi_solution(kernel_on(kind, radial), (1, 0), T).state(t)``.  The
+    in-plane rotation and exponentials are evaluated for the whole block at
+    once, the exponentials from columns of their start states (at
+    max(t, t_x), inside their domain), the window samples per geodesic; the
+    off-plane U is the Killing field A(rho) cos(theta) / A(s) of the
+    sampled rho, rho' and theta."""
+    t, lead, tail = paths.t, paths.lead, paths.tail
+    u, du = np.empty((2,) + paths.rho.shape)
+    u[:, :lead], du[:, :lead] = _rotation(0.0, 1.0, 0.0)(t[:lead])
+    kernels = [kernel_on("parallel", rad) for rad in radials]
+    pieces = [_in_plane_to_exit(kern, 1.0, 0.0, T) for kern in kernels]
+    if tail < len(t):
+        # a geodesic that has not left the transition by T has no exterior
+        # samples; any finite t_x keeps its unused exponentials finite
+        t_x = np.array([[kern.radial.span[1]] for kern in kernels])
+        t_x[np.isinf(t_x)] = 0.0
+        y, dy = np.array([state for _, state in pieces]).T[:, :, None]
+        for out, part in zip((u, du), _exponentials(t_x, y, dy, np.maximum(t[tail:], t_x))):
+            np.copyto(out[:, tail:], part, where=paths.exterior[:, tail:])
+    for j in np.flatnonzero(paths.window.any(axis=1)):
+        idx = np.flatnonzero(paths.window[j])
+        u[j, idx], du[j, idx] = pieces[j][0][-1].state(t[idx])  # the window piece
+
+    a, da = radials[0].warp.state(paths.rho)
+    a_s = np.array([[rad._a_s] for rad in radials])
+    return (u, du), _killing_state(a, da, paths.drho, paths.theta, a_s, 1.0, 0.0, 1.0)
 
 
 def jacobi_solution(

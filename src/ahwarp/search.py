@@ -35,7 +35,12 @@ premise of the comparison theorem (``geodesics.comparison_lower_bound``).
 
 Each regime's grid takes its geodesics from one
 ``geodesics.solve_radial_grid``: the transition windows of up to 64
-geodesics are one solve.  No caller sets a tolerance: the transition pair
+geodesics are one solve.  The mid-s grid is then sampled in blocks of up to
+three geodesics, one array pass each: rho, rho', theta and A at all 2,001
+sample times of the block (``geodesics._sample_grid``), both even solutions
+U from them (``jacobi._even_solutions``), and U'(T), theta(T) and rho(T)
+read off the last sample column.  Element for element these are the numbers
+that each geodesic's own trajectories give.  No caller sets a tolerance: the transition pair
 is solved at ``warp._PAIR_TOL``, every stable solution (the residual, the
 witness, the small-s certificates) at ``stable._KERNEL_TOL`` and the mid-s
 grid at ``_MID_TOL``, and the report's metadata states all three.  The grids
@@ -52,8 +57,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geodesics import GeodesicParams, solve_radial_grid
-from .jacobi import KINDS, jacobi_solution, kernel_on
+from .geodesics import GeodesicParams, _sample_grid
+from .jacobi import _even_solutions
 from .stable import (_KERNEL_TOL, TOL_SIGN, StableSolution, certificate_grid, stable_for,
                      stencil_derivatives, stencil_points)
 from .warp import _PAIR_TOL, ProfileParams, entry_slope, k_perp, solve_warp
@@ -258,7 +263,9 @@ def verify_large_s(
     sigma: float = 0.3,
     ds: float = 0.01,
 ) -> tuple[float, bool, list[MidSRecord], bool]:
-    """Positivity method on sigma <= s <= rho0.
+    """Positivity method on sigma <= s <= rho0 (sigma > 0: the radial
+    geodesic s = 0 has no angular coordinate, and the small-s regime
+    covers it).
 
     Past rho0 both curvatures are negative and Sturm comparison needs no
     integration; below it, each grid point passes iff both even fundamental
@@ -267,29 +274,28 @@ def verify_large_s(
     [0, T], not only at the 0.01-spaced samples, exactly when
     theta(T) < pi/2 (theta increases), so that is required as well.  Past T
     the Sturm argument needs both curvatures negative, so each point also
-    requires rho(T) >= rho0 (rho increases).
+    requires rho(T) >= rho0 (rho increases).  The samples are taken in one
+    array pass per block of geodesics (module docstring), and U'(T),
+    theta(T) and rho(T) are their last column.
     Returns (rho0, curvature_certified, records, all passed).
     """
+    if not sigma > 0.0:
+        raise ValueError(f"the mid-s grid starts at sigma > 0, got {sigma}")
     T = _T_MID
     rho0, certified = _negative_curvature_threshold(ProfileParams(r, eps))
     records: list[MidSRecord] = []
-    ok = certified
-    sample = np.arange(0.0, T + 1e-12, 0.01)
+    sample = np.arange(0.0, T + 1e-12, 0.01)  # its last time is T itself
     grid = _grid(sigma, rho0, ds)
-    for s, radial in zip(grid.tolist(), solve_radial_grid(grid, r, eps, T + 1.0, _MID_TOL)):
-        mins = {}
-        good = True
-        for kind in KINDS:
-            kern = kernel_on(kind, radial)
-            u, du = jacobi_solution(kern, (1.0, 0.0), T, _MID_TOL).state(sample)
-            mins[kind] = float(np.min(u))
-            good = good and mins[kind] > 0.0 and float(du[-1]) > 0.0
-            if kern.kind == "perpendicular":
-                good = good and float(radial.theta(T)) < math.pi / 2.0
-        good = good and float(radial.rho(T)) >= rho0
-        ok = ok and good
-        records.append(MidSRecord(s, mins["parallel"], mins["perpendicular"],
-                                  "pass" if good else "fail"))
+    for radials, paths in _sample_grid(grid, r, eps, T + 1.0, _MID_TOL, sample):
+        (u, du), (v, dv) = _even_solutions(radials, paths, T)
+        rho_T, theta_T = paths.end()
+        min_u, min_v = u.min(axis=1), v.min(axis=1)
+        good = ((min_u > 0.0) & (du[:, -1] > 0.0) & (min_v > 0.0) & (dv[:, -1] > 0.0)
+                & (theta_T < math.pi / 2.0) & (rho_T >= rho0))
+        records.extend(MidSRecord(rad.params.s, mu, mv, "pass" if g else "fail")
+                       for rad, mu, mv, g in zip(radials, min_u.tolist(), min_v.tolist(),
+                                                 good.tolist()))
+    ok = certified and all(rec.verdict == "pass" for rec in records)
     return rho0, certified, records, ok
 
 

@@ -10,7 +10,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = ["01_curvature_profile.py", "02_geodesics.py", "03_jacobi_fields.py",
-         "04_stable_certificates.py"]
+         "04_stable_certificates.py", "05_conjugate_point_search.py"]
 
 
 @pytest.mark.parametrize("name", DEMOS)

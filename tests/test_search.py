@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from scipy.optimize import brentq
 
 import ahwarp.search as search_mod
+from ahwarp import geodesics, jacobi
 from ahwarp.geodesics import GeodesicParams
 from ahwarp.jacobi import make_kernel
 from ahwarp.search import (
@@ -19,7 +21,6 @@ from ahwarp.search import (
     verify_large_s,
     verify_small_s,
 )
-from ahwarp.geodesics import RadialSolution
 from ahwarp.warp import ProfileParams, k_parallel, k_perp, solve_warp
 from ahwarp.stable import (
     TOL_SIGN,
@@ -130,13 +131,24 @@ class TestVerifyLargeS:
 
     def test_perp_verdict_requires_angle_below_quarter_turn(self, monkeypatch):
         # U_perp = A cos(theta) / A(s) > 0 on all of [0, T] iff theta(T) <
-        # pi/2; a sampled minimum alone cannot see a dip between samples
+        # pi/2; a sampled minimum alone cannot see a dip between samples.
+        # The pass reads theta(T) off the last sample column (_Paths.end):
+        # setting it to pi/2 there leaves every sample of U as it was
         _, _, records, ok = verify_large_s(PI4, 0.0, sigma=0.5, ds=0.1)
         assert ok and records[0].verdict == "pass"
-        monkeypatch.setattr(RadialSolution, "theta", lambda self, t: math.pi / 2)
-        _, _, records, ok = verify_large_s(PI4, 0.0, sigma=0.5, ds=0.1)
-        assert not ok and records[0].verdict == "fail"
-        assert records[0].min_U_perp > 0.0  # the samples alone would pass
+        monkeypatch.setattr(geodesics._Paths, "end", lambda self: (
+            self.rho[:, -1], np.full(len(self.theta), math.pi / 2)))
+        _, _, at_quarter_turn, ok = verify_large_s(PI4, 0.0, sigma=0.5, ds=0.1)
+        assert not ok and at_quarter_turn[0].verdict == "fail"
+        for rec, before in zip(at_quarter_turn, records):  # the samples alone would pass
+            assert (rec.min_U_parallel, rec.min_U_perp) == (before.min_U_parallel,
+                                                            before.min_U_perp)
+            assert rec.min_U_parallel > 0.0 and rec.min_U_perp > 0.0
+
+    def test_mid_s_grid_starts_past_the_radial_geodesic(self):
+        # s = 0 has no angular coordinate; the small-s regime covers it
+        with pytest.raises(ValueError, match="sigma > 0"):
+            verify_large_s(PI4, 0.0, sigma=0.0)
 
     def test_point_requires_rho_past_threshold_at_T(self, monkeypatch):
         # the Sturm argument past T needs rho(T) >= rho0; it is checked, not
@@ -160,6 +172,56 @@ class TestVerifyLargeS:
         grid = np.linspace(rho0 + 1e-9, rho0 + 10.0, 2001)
         assert np.all(np.asarray(k_parallel(params, grid)) < 0.0)
         assert np.all(np.asarray(k_perp(solve_warp(params), grid)) < 0.0)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.05])
+    def test_block_pass_is_the_per_geodesic_solutions_bit_for_bit(self, eps):
+        # every sample of both even solutions U, U'(T), theta(T) and rho(T)
+        # as the mid-s pass reads them, against each geodesic's own
+        # solutions; starts s < r, r <= s < r + eps and s >= r + eps, on a
+        # grid that is not a whole number of blocks
+        r = find_r_star(eps)[0]
+        T, tol = search_mod._T_MID, search_mod._MID_TOL
+        sample = np.arange(0.0, T + 1e-12, 0.01)
+        assert sample[-1] == T
+        ss = [0.3, r - 0.05, r, r + eps / 2.0, r + eps, r + eps + 0.05, 1.1]
+        assert len(ss) % geodesics._BLOCK
+        self._assert_block_pass_exact(ss, r, eps, T, T + 1.0, tol, sample)
+
+    @pytest.mark.parametrize("eps", [0.05, 0.1])
+    def test_block_pass_with_geodesics_inside_at_the_horizon(self, eps):
+        # at T = 0.7 some geodesics are still in the ball or the transition
+        # (no exit time, no exterior): their samples come out exact as well
+        T = 0.7
+        ss = [0.3, 0.6, 0.78, 0.8, 0.83, 0.9, 1.0]
+        self._assert_block_pass_exact(ss, PI4, eps, T, 0.75, 1e-9, np.linspace(0.0, T, 71))
+
+    @staticmethod
+    def _assert_block_pass_exact(ss, r, eps, T, horizon, tol, sample):
+        seen = 0
+        for radials, paths in geodesics._sample_grid(ss, r, eps, horizon, tol, sample):
+            solutions = jacobi._even_solutions(radials, paths, T)
+            rho_T, theta_T = paths.end()
+            for i, radial in enumerate(radials):
+                for kind, (u, du) in zip(jacobi.KINDS, solutions):
+                    ref = jacobi.jacobi_solution(jacobi.kernel_on(kind, radial), (1.0, 0.0),
+                                                 T, tol).state(sample)
+                    assert np.array_equal(u[i], ref[0]) and np.array_equal(du[i], ref[1])
+                assert theta_T[i] == radial.theta(T) and rho_T[i] == radial.rho(T)
+                seen += 1
+        assert seen == len(ss)
+
+    def test_peak_memory_is_bounded(self):
+        # the pass holds a few block-by-samples arrays, not the grid's: the
+        # per-geodesic loop it replaced peaked at 3.15 MB on this call, and
+        # the pass may add at most 1 MB to that
+        r = find_r_star(0.05)[0]  # the transition pair is solved before tracing
+        tracemalloc.start()
+        try:
+            verify_large_s(r, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.15e6
 
     def test_overlap_with_certificate_method(self):
         # both regimes must agree on [sigma, 2 sigma]
