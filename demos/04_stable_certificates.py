@@ -63,7 +63,7 @@ print("  both families behave like -c s^2 near s = 0: strictly concave")
 print()
 print("=== concavity signature at s = 0 ===")
 for kind, target in (("perpendicular", -1.0 / 3.0), ("parallel", -1.0)):
-    d1, d2 = certificate_s_derivatives(kind, GeodesicParams(0.0, PI4, 0.0), h=5e-3)
+    d1, d2 = certificate_s_derivatives(kind, GeodesicParams(0.0, PI4, 0.0))
     print(f"  {kind:13s}: d/ds = {d1:+.2e} (exact 0), "
           f"d2/ds2 = {d2:+.6f} (exact {target:+.6f})")
 

@@ -18,6 +18,14 @@ find-r     JSON: {eps, r_star, root_residual}
            two disagree
 scan       JSON: the full ScanReport; exit status 0 iff overall success
 
+The parser is the only schema: each subcommand declares its options once.
+Numbers must be finite, and step sizes, horizons and widths positive; the
+metric is checked by the library's own ``GeodesicParams``/``ProfileParams``
+before anything runs (``find-r`` and ``scan`` check eps at r = pi/4).  The
+three table subcommands take ``--format csv|json``; the others always write
+JSON.  ``find-r`` and ``scan`` pass --sigma, --ds and --bracket-halfwidth
+to ``search`` only when given, so their defaults are the library's.
+
 Floats are written in their shortest round-trip representation, so two runs
 with the same configuration produce byte-identical output.  ``geodesic`` and
 ``jacobi`` take the radial solve's tolerance --tol, whose default the
@@ -31,17 +39,17 @@ overflow), 2 usage error (including a malformed AHWARP_TOL).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import geodesics, jacobi, search, stable, warp
 
-__all__ = ["RunConfig", "run", "main"]
+__all__ = ["main"]
 
 _QUARTER_PI = math.pi / 4.0
 
@@ -49,160 +57,144 @@ TOL_MIN, TOL_MAX = 1e-12, 1e-4
 DEFAULT_TOL = 1e-10
 
 
-_NUMERIC = ("s", "r", "eps", "tmax", "dt", "rho_max", "drho", "tol", "sigma", "ds",
-            "bracket_halfwidth")
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    return value
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    s: float = 0.0
-    r: float = _QUARTER_PI
-    eps: float = 0.0
-    kind: str = "parallel"
-    tmax: float = 10.0
-    dt: float = 0.05
-    rho_max: float = 10.0
-    drho: float = 0.01
-    tol: float = DEFAULT_TOL
-    sigma: float = 0.3
-    ds: float = 0.01
-    bracket_halfwidth: float = 0.1
-    out: str | None = None
-    fmt: str = "csv"
-
-    def __post_init__(self) -> None:
-        for name in _NUMERIC:
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not TOL_MIN <= self.tol <= TOL_MAX:
-            raise ValueError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}], got {self.tol}")
-        if self.fmt not in ("csv", "json"):
-            raise ValueError(f"format must be csv or json, got {self.fmt!r}")
-        if self.s < 0.0:
-            raise ValueError(f"s must be nonnegative, got {self.s}")
-        if self.r <= 0.0 or self.eps < 0.0 or not self.r + self.eps < math.pi / 2:
-            raise ValueError(
-                f"profile parameters need r > 0, eps >= 0, r + eps < pi/2; "
-                f"got r={self.r}, eps={self.eps}"
-            )
-        for name in ("tmax", "dt", "rho_max", "drho", "sigma", "ds", "bracket_halfwidth"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+def _positive(text: str) -> float:
+    value = _finite(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
 
 
-def _emit(config: RunConfig, text: str) -> None:
-    if config.out is None:
+def _tolerance(text: str) -> float:
+    value = _finite(text)
+    if not TOL_MIN <= value <= TOL_MAX:
+        raise argparse.ArgumentTypeError(f"must lie in [{TOL_MIN}, {TOL_MAX}], got {value}")
+    return value
+
+
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(config.out, "w", encoding="ascii", newline="") as fh:
+        with open(args.out, "w", encoding="ascii", newline="") as fh:
             fh.write(text)
 
 
-def _table(header: list[str], columns: list[np.ndarray], fmt: str) -> str:
-    if fmt == "json":
-        payload = {name: [float(v) for v in col]
-                   for name, col in zip(header, columns)}
-        return json.dumps(payload, indent=2) + "\n"
+def _json(args: argparse.Namespace, payload) -> None:
+    _emit(args, json.dumps(payload, indent=2) + "\n")
+
+
+def _table(args: argparse.Namespace, header: list[str], columns: list[np.ndarray]) -> None:
+    if args.fmt == "json":
+        _json(args, {name: [float(v) for v in col] for name, col in zip(header, columns)})
+        return
     lines = [",".join(header)]
     for row in zip(*columns):
         lines.append(",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    _emit(args, "\n".join(lines) + "\n")
 
 
-def _run_profile(config: RunConfig) -> int:
-    params = warp.ProfileParams(config.r, config.eps)
+def _given(args: argparse.Namespace, *names: str) -> dict[str, float]:
+    """The options among ``names`` that were given on the command line."""
+    return {name: getattr(args, name) for name in names if name in vars(args)}
+
+
+def _run_profile(args: argparse.Namespace, params: warp.ProfileParams) -> int:
     w = warp.solve_warp(params)
-    rho = np.arange(config.drho, config.rho_max + 1e-12, config.drho)
+    rho = np.arange(args.drho, args.rho_max + 1e-12, args.drho)
     a_val, a_der = w.state(rho)
     kpar = np.asarray(warp.k_parallel(params, rho))
     kperp = np.asarray(warp.k_perp(w, rho))
-    _emit(config, _table(
-        ["rho", "A", "A_prime", "K_par", "K_perp"],
-        [rho, a_val, a_der, kpar, kperp],
-        config.fmt,
-    ))
+    _table(args, ["rho", "A", "A_prime", "K_par", "K_perp"], [rho, a_val, a_der, kpar, kperp])
     return 0
 
 
-def _run_geodesic(config: RunConfig) -> int:
-    mu = geodesics.GeodesicParams(config.s, config.r, config.eps)
-    sol = geodesics.solve_radial(mu, T=config.tmax, tol=config.tol)
-    ts = np.arange(0.0, config.tmax + 1e-12, config.dt)
+def _run_geodesic(args: argparse.Namespace, mu: geodesics.GeodesicParams) -> int:
+    sol = geodesics.solve_radial(mu, T=args.tmax, tol=args.tol)
+    ts = np.arange(0.0, args.tmax + 1e-12, args.dt)
     rho, drho = sol.state(ts)
     header = ["t", "rho", "rho_prime"]
     cols = [ts, rho, drho]
-    if config.r == _QUARTER_PI and config.eps == 0.0:
+    if mu.r == _QUARTER_PI and mu.eps == 0.0:
         header.append("theta")
-        cols.append(np.asarray(geodesics.closed_theta(config.s, ts)))
-    _emit(config, _table(header, cols, config.fmt))
+        cols.append(np.asarray(geodesics.closed_theta(mu.s, ts)))
+    _table(args, header, cols)
     return 0
 
 
-def _run_jacobi(config: RunConfig) -> int:
-    mu = geodesics.GeodesicParams(config.s, config.r, config.eps)
-    kern = jacobi.make_kernel(config.kind, mu, horizon=config.tmax + 1.0, tol=config.tol)
-    pair = jacobi.fundamental_pair(kern, T=config.tmax, tol=config.tol)
-    ts = np.arange(0.0, config.tmax + 1e-12, config.dt)
+def _run_jacobi(args: argparse.Namespace, mu: geodesics.GeodesicParams) -> int:
+    kern = jacobi.make_kernel(args.kind, mu, horizon=args.tmax + 1.0, tol=args.tol)
+    pair = jacobi.fundamental_pair(kern, T=args.tmax, tol=args.tol)
+    ts = np.arange(0.0, args.tmax + 1e-12, args.dt)
     u, du = pair.U.state(ts)
     v, dv = pair.V.state(ts)
     kvals = np.asarray(kern.value(ts))
-    _emit(config, _table(
-        ["t", "U", "U_prime", "V", "V_prime", "kernel"],
-        [ts, u, du, v, dv, kvals],
-        config.fmt,
-    ))
+    _table(args, ["t", "U", "U_prime", "V", "V_prime", "kernel"], [ts, u, du, v, dv, kvals])
     return 0
 
 
-def _run_stable(config: RunConfig) -> int:
-    mu = geodesics.GeodesicParams(config.s, config.r, config.eps)
-    sol = stable.stable_for(config.kind, mu)
-    payload = {
-        "kind": sol.kind,
-        "s": mu.s,
-        "r": mu.r,
-        "eps": mu.eps,
-        "Y0": sol.Y0,
-        "W_prime_0": sol.W_prime_0,
-        "seed_horizon": sol.seed_horizon,
-        "seed_residual": sol.seed_residual,
-    }
-    _emit(config, json.dumps(payload, indent=2) + "\n")
+def _run_stable(args: argparse.Namespace, mu: geodesics.GeodesicParams) -> int:
+    sol = stable.stable_for(args.kind, mu)
+    _json(args, {"kind": sol.kind, "s": mu.s, "r": mu.r, "eps": mu.eps, "Y0": sol.Y0,
+                 "W_prime_0": sol.W_prime_0, "seed_horizon": sol.seed_horizon,
+                 "seed_residual": sol.seed_residual})
     return 0
 
 
-def _run_find_r(config: RunConfig) -> int:
-    r_star, residual = search.find_r_star(config.eps, config.bracket_halfwidth)
-    payload = {"eps": config.eps, "r_star": r_star, "root_residual": residual}
-    _emit(config, json.dumps(payload, indent=2) + "\n")
+def _run_find_r(args: argparse.Namespace, _: warp.ProfileParams) -> int:
+    r_star, residual = search.find_r_star(args.eps, **_given(args, "bracket_halfwidth"))
+    _json(args, {"eps": args.eps, "r_star": r_star, "root_residual": residual})
     return 0
 
 
-def _run_scan(config: RunConfig) -> int:
-    report = search.assemble_report(
-        config.eps,
-        sigma=config.sigma,
-        ds=config.ds,
-        bracket_halfwidth=config.bracket_halfwidth,
-    )
-    _emit(config, report.to_json() + "\n")
+def _run_scan(args: argparse.Namespace, _: warp.ProfileParams) -> int:
+    report = search.assemble_report(args.eps, **_given(args, "sigma", "ds", "bracket_halfwidth"))
+    _emit(args, report.to_json() + "\n")
     return 0 if report.overall == search.OVERALL_SUCCESS else 1
 
 
-_RUNNERS = {
-    "profile": _run_profile,
-    "geodesic": _run_geodesic,
-    "jacobi": _run_jacobi,
-    "stable": _run_stable,
-    "find-r": _run_find_r,
-    "scan": _run_scan,
-}
+def _metric(sp: argparse.ArgumentParser, make, names=("s", "r", "eps")) -> None:
+    """--s, --r and --eps, those in ``names``; ``make``, a parameter class of
+    the library, checks them as its arguments before anything runs, and its
+    ValueError is a usage error of the subcommand."""
+    defaults = {"s": 0.0, "r": _QUARTER_PI, "eps": 0.0}
+    for name in names:
+        sp.add_argument(f"--{name}", type=_finite, default=defaults[name])
+
+    def params(args: argparse.Namespace):
+        try:
+            return make(*(getattr(args, name) for name in names))
+        except ValueError as exc:
+            sp.error(str(exc))  # exits 2
+
+    sp.set_defaults(params=params)
 
 
-def run(config: RunConfig) -> int:
-    """Execute one subcommand; returns the process exit status."""
-    return _RUNNERS[config.subcommand](config)
+def _solve(sp: argparse.ArgumentParser) -> None:
+    """--tmax, --dt and --tol of a radial solve and its samples."""
+    sp.add_argument("--tmax", type=_positive, default=10.0)
+    sp.add_argument("--dt", type=_positive, default=0.05)
+    # a string default goes through type= when --tol is not given
+    sp.add_argument("--tol", type=_tolerance,
+                    default=os.environ.get("AHWARP_TOL", repr(DEFAULT_TOL)),
+                    help=f"tolerance of the radial solve, in [{TOL_MIN}, {TOL_MAX}] "
+                    f"(default: AHWARP_TOL, else {DEFAULT_TOL})")
+
+
+def _output(sp: argparse.ArgumentParser, table: bool = False) -> None:
+    """--out, and --format for the subcommands that print tables."""
+    sp.add_argument("--out", help="output file (default: stdout)")
+    if table:
+        sp.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -212,90 +204,62 @@ def _build_parser() -> argparse.ArgumentParser:
                     "and conjugate-point certificates.",
     )
     sub = p.add_subparsers(dest="subcommand", required=True)
-
-    def tolerance(sp):
-        sp.add_argument("--tol", type=float, default=None,
-                        help=f"tolerance of the radial solve (default {DEFAULT_TOL}, "
-                        "or the AHWARP_TOL environment variable)")
-
-    def common(sp, fmt_default="csv"):
-        sp.add_argument("--out", type=str, default=None,
-                        help="output file (default: stdout)")
-        sp.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                        default=fmt_default)
+    at_quarter_pi = functools.partial(warp.ProfileParams, _QUARTER_PI)
+    library = "(default: the library's)"
 
     sp = sub.add_parser("profile", help="dump A, A', K_par, K_perp over rho")
-    sp.add_argument("--r", type=float, default=_QUARTER_PI)
-    sp.add_argument("--eps", type=float, default=0.0)
-    sp.add_argument("--rho-max", dest="rho_max", type=float, default=10.0)
-    sp.add_argument("--drho", type=float, default=0.01)
-    common(sp)
+    _metric(sp, warp.ProfileParams, ("r", "eps"))
+    sp.add_argument("--rho-max", dest="rho_max", type=_positive, default=10.0)
+    sp.add_argument("--drho", type=_positive, default=0.01)
+    _output(sp, table=True)
+    sp.set_defaults(run=_run_profile)
 
     sp = sub.add_parser("geodesic", help="dump the radial coordinate of one geodesic")
-    sp.add_argument("--s", type=float, default=0.0)
-    sp.add_argument("--r", type=float, default=_QUARTER_PI)
-    sp.add_argument("--eps", type=float, default=0.0)
-    sp.add_argument("--tmax", type=float, default=10.0)
-    sp.add_argument("--dt", type=float, default=0.05)
-    tolerance(sp)
-    common(sp)
+    _metric(sp, geodesics.GeodesicParams)
+    _solve(sp)
+    _output(sp, table=True)
+    sp.set_defaults(run=_run_geodesic)
 
     sp = sub.add_parser("jacobi", help="dump fundamental Jacobi solutions and the kernel")
     sp.add_argument("--kind", choices=jacobi.KINDS, default="parallel")
-    sp.add_argument("--s", type=float, default=0.0)
-    sp.add_argument("--r", type=float, default=_QUARTER_PI)
-    sp.add_argument("--eps", type=float, default=0.0)
-    sp.add_argument("--tmax", type=float, default=10.0)
-    sp.add_argument("--dt", type=float, default=0.05)
-    tolerance(sp)
-    common(sp)
+    _metric(sp, geodesics.GeodesicParams)
+    _solve(sp)
+    _output(sp, table=True)
+    sp.set_defaults(run=_run_jacobi)
 
     sp = sub.add_parser("stable", help="stable solution and certificate W'(0)")
     sp.add_argument("--kind", choices=jacobi.KINDS, default="parallel")
-    sp.add_argument("--s", type=float, default=0.0)
-    sp.add_argument("--r", type=float, default=_QUARTER_PI)
-    sp.add_argument("--eps", type=float, default=0.0)
-    common(sp, fmt_default="json")
+    _metric(sp, geodesics.GeodesicParams)
+    _output(sp)
+    sp.set_defaults(run=_run_stable)
 
     sp = sub.add_parser("find-r", help="root of the radial certificate in r")
-    sp.add_argument("--eps", type=float, default=0.0)
-    sp.add_argument("--bracket-halfwidth", dest="bracket_halfwidth",
-                    type=float, default=0.1)
-    common(sp, fmt_default="json")
+    _metric(sp, at_quarter_pi, ("eps",))
+    sp.add_argument("--bracket-halfwidth", dest="bracket_halfwidth", type=_positive,
+                    default=argparse.SUPPRESS, help=f"half-width of the r* window {library}")
+    _output(sp)
+    sp.set_defaults(run=_run_find_r)
 
     sp = sub.add_parser("scan", help="full verification report for one eps")
-    sp.add_argument("--eps", type=float, default=0.0)
-    sp.add_argument("--sigma", type=float, default=0.3)
-    sp.add_argument("--ds", type=float, default=0.01)
-    sp.add_argument("--bracket-halfwidth", dest="bracket_halfwidth",
-                    type=float, default=0.1)
-    common(sp, fmt_default="json")
+    _metric(sp, at_quarter_pi, ("eps",))
+    sp.add_argument("--sigma", type=_positive, default=argparse.SUPPRESS,
+                    help=f"end of the small-s certificates, start of the mid-s grid {library}")
+    sp.add_argument("--ds", type=_positive, default=argparse.SUPPRESS,
+                    help=f"step of the s grids {library}")
+    sp.add_argument("--bracket-halfwidth", dest="bracket_halfwidth", type=_positive,
+                    default=argparse.SUPPRESS, help=f"half-width of the r* window {library}")
+    _output(sp)
+    sp.set_defaults(run=_run_scan)
 
     return p
-
-
-def _default_tol(parser: argparse.ArgumentParser) -> float:
-    raw = os.environ.get("AHWARP_TOL")
-    if raw is None:
-        return DEFAULT_TOL
-    try:
-        return float(raw)
-    except ValueError:
-        parser.error(f"AHWARP_TOL must be a number, got {raw!r}")  # exits 2
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if "tol" in vars(args) and args.tol is None:
-        args.tol = _default_tol(parser)
-    fields = {k: v for k, v in vars(args).items() if v is not None or k == "out"}
+    params = args.params(args)
     try:
-        config = RunConfig(**fields)
-    except ValueError as exc:
-        parser.error(str(exc))  # exits 2
-    try:
-        return run(config)
+        return args.run(args, params)
     except (ValueError, RuntimeError, ArithmeticError) as exc:
         print(f"ahwarp: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

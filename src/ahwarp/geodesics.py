@@ -217,7 +217,8 @@ class RadialSolution:
     entry time at which rho crosses r (present iff s < r and it is reached by
     T); the exit time at which rho reaches r + eps (0 if s >= r + eps, the
     entry time if eps = 0, None if not reached by T); the warp function A of
-    the metric; the solve's tolerance; the exact exterior piece; the window
+    the metric; the solve's tolerance; A(s), looked up once for the angle,
+    the Killing fields and the exterior; the exact exterior piece; the window
     solve (``transition``, None where nothing is integrated), whose psi row
     carries the angle across the window; and the angular coordinate theta,
     exact but for that row."""
@@ -227,6 +228,7 @@ class RadialSolution:
     entry_time: float | None
     warp: WarpFunction
     tol: float
+    a_s: float  # A(s)
     exit_time: float | None = None
     exterior: _Exterior | None = None
     transition: Flow | None = None
@@ -266,10 +268,6 @@ class RadialSolution:
     # -- angular coordinate ------------------------------------------------
 
     @cached_property
-    def _a_s(self) -> float:
-        return float(self.warp.value(self.params.s))
-
-    @cached_property
     def _ball(self) -> _Ball:
         """The great circle that the geodesic follows inside the ball."""
         return _Ball.at(self.params.s)
@@ -298,14 +296,14 @@ class RadialSolution:
     def _swept(self, t: np.ndarray | float) -> np.ndarray:
         """A(s) psi(t): the angle swept across the window from t_in to t, off
         the window solve's psi row."""
-        return self._a_s * self.transition.dense(t)[8]
+        return self.a_s * self.transition.dense(t)[8]
 
     @cached_property
     def _phi_exit(self) -> tuple[float, float]:
         """(phi(t_x), A(s) psi(t_x)): the closed tail past the exit and the
         window's whole angle."""
         t_in, t_x = self.window
-        swept = self._a_s * float(self.transition.end[8]) if t_in < t_x else 0.0
+        swept = self.a_s * float(self.transition.end[8]) if t_in < t_x else 0.0
         return float(self.exterior.phi(t_x)), swept
 
     @property
@@ -431,10 +429,12 @@ def _window_start(p: GeodesicParams, warp: WarpFunction, T: float) -> tuple[floa
         # is not integrated.  The window solve (rho' = 1, so rho'' = 0) runs
         # over the fixed span [r, r + eps] for the in-plane pair.
         t_in, y0 = r, (r, 1.0, math.sin(r), math.cos(r), *_PAIR_START, 0.0)
+    elif s < r:
+        t_in = entry_time(s, r)
+        y0 = (r, radial_exit_slope(s, r), *warp.ball_edge, *_PAIR_START, 0.0)
     else:
-        t_in, state = (entry_time(s, r), (r, radial_exit_slope(s, r))) if s < r else (0.0, (s, 0.0))
-        a, b = (float(v[0]) for v in warp.state(state[0]))
-        y0 = (*state, a, b, *_PAIR_START, 0.0)
+        a, b = (float(v[0]) for v in warp.state(s))
+        t_in, y0 = 0.0, (s, 0.0, a, b, *_PAIR_START, 0.0)
     return (t_in, y0) if t_in < T else None
 
 
@@ -490,10 +490,12 @@ def _radial_solution(p: GeodesicParams, warp: WarpFunction, T: float, tol: float
     none): the exact ball before it, the exact exterior after it."""
     s, r, rho_x = p.s, p.r, p.r + p.eps
     flow, window_exit = (None, None) if window is None else window
+    a_s, h_s = (float(v[0]) for v in warp.state(s))
     if s == 0.0:
         traj = Trajectory.from_function(lambda t: (t, np.ones_like(t)), 0.0, T)
         return RadialSolution(params=p, trajectory=traj, entry_time=r, warp=warp, tol=tol,
-                              exit_time=rho_x if rho_x <= T else None, transition=flow)
+                              a_s=a_s, exit_time=rho_x if rho_x <= T else None,
+                              transition=flow)
 
     parts: list[Trajectory] = []
     t, state, t_entry = 0.0, (s, 0.0), None
@@ -502,7 +504,7 @@ def _radial_solution(p: GeodesicParams, warp: WarpFunction, T: float, tol: float
         parts.append(Trajectory.from_function(_Ball.at(s).state, 0.0, min(t_in, T)))
         if t_in > T:  # still inside the ball at the horizon
             return RadialSolution(params=p, trajectory=parts[0], entry_time=None,
-                                  warp=warp, tol=tol)
+                                  warp=warp, tol=tol, a_s=a_s)
         t, state, t_entry = t_in, (r, radial_exit_slope(s, r)), t_in
     t_x = t if state[0] >= rho_x else None
     if flow is not None:
@@ -511,8 +513,7 @@ def _radial_solution(p: GeodesicParams, warp: WarpFunction, T: float, tol: float
 
     exterior = None
     if t_x is not None:
-        a_s = float(warp.value(s))
-        a_x, h_x = (float(v[0]) for v in warp.state(max(s, rho_x)))
+        a_x, h_x = warp.exit_state if s < rho_x else (a_s, h_s)
         if s < r:  # A(s) = sin s; sin^2 r - sin^2 s = sin(r + s) sin(r - s)
             dh2 = (a_x - math.sin(r)) * (a_x + math.sin(r)) + math.sin(r + s) * math.sin(r - s)
         else:
@@ -528,7 +529,7 @@ def _radial_solution(p: GeodesicParams, warp: WarpFunction, T: float, tol: float
         if t_x < T:
             parts.append(Trajectory.from_function(exterior.state, t_x, T))
     return RadialSolution(params=p, trajectory=Trajectory.concat(parts),
-                          entry_time=t_entry, warp=warp, tol=tol, exit_time=t_x,
+                          entry_time=t_entry, warp=warp, tol=tol, a_s=a_s, exit_time=t_x,
                           exterior=exterior, transition=flow)
 
 

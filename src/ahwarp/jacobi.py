@@ -61,7 +61,7 @@ from .geodesics import (
     growth_factor,
     solve_radial,
 )
-from .warp import WarpFunction, k_parallel
+from .warp import WarpFunction, k_parallel, k_perp
 
 __all__ = [
     "JacobiKernel",
@@ -135,8 +135,7 @@ class JacobiKernel:
         kpar = np.asarray(k_parallel(self.params.profile, rho))
         if self.kind == "parallel":
             return kpar
-        a_val, a_der = self.warp.state(rho)
-        kperp = (1.0 - a_der * a_der) / (a_val * a_val)
+        kperp = k_perp(self.warp, rho)
         w2 = drho * drho
         return w2 * kpar + (1.0 - w2) * kperp
 
@@ -241,8 +240,7 @@ def killing_field(
     horizon = radial.trajectory.t1
     if not 0.0 < T <= horizon:
         raise ValueError(f"horizon T = {T} outside (0, {horizon}] of the kernel")
-    warp = kernel.warp
-    a_s = float(warp.value(kernel.params.s))
+    warp, a_s = kernel.warp, radial.a_s
     sign = 1.0 if angle == "theta" else -1.0  # phi' = -theta'
 
     def fn(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -367,7 +365,7 @@ def _even_solutions(radials: list[RadialSolution], paths: _Paths, T: float):
         u[j, idx], du[j, idx] = pieces[j][0][-1].state(t[idx])  # the window piece
 
     a, da = radials[0].warp.state(paths.rho)
-    a_s = np.array([[rad._a_s] for rad in radials])
+    a_s = np.array([[rad.a_s] for rad in radials])
     return (u, du), _killing_state(a, da, paths.drho, paths.theta, a_s, 1.0, 0.0, 1.0)
 
 
@@ -389,8 +387,7 @@ def jacobi_solution(
                          "build the kernel at the tolerance wanted")
     y0, dy0 = initial
     if kernel.kind == "perpendicular":
-        a_s = float(kernel.warp.value(kernel.params.s))
-        return killing_field(kernel, y0, dy0 * a_s, T)
+        return killing_field(kernel, y0, dy0 * kernel.radial.a_s, T)
     return _in_plane(kernel, y0, dy0, T)
 
 

@@ -249,7 +249,7 @@ def _negative_curvature_threshold(params: ProfileParams) -> tuple[float, bool]:
     r, eps = params.r, params.eps
     warp = solve_warp(params)
     rho0 = warp.negative_curvature_threshold()
-    a_x, da_x = (float(v[0]) for v in warp.state(r + eps))
+    a_x, da_x = warp.exit_state
     certified = rho0 >= r + eps and a_x > 0.0 and da_x > 0.0
     below = rho0 - 1e-6
     if below > r + eps / 2.0:

@@ -186,7 +186,7 @@ def _killing_stable(kernel: JacobiKernel, T0: float, kind: str | None) -> Stable
     used through psi = ``theta_infinity_complement``: cot(phi(0)) = tan(psi)
     has no cancellation for small s."""
     radial = kernel.radial
-    a_s = float(kernel.warp.value(kernel.params.s))
+    a_s = radial.a_s
     psi = radial.theta_infinity_complement
     if not psi > -math.pi / 2.0:
         raise _vanishes(kernel, T0, f"phi(0) = {math.pi / 2.0 - psi:.6f} >= pi")
@@ -238,36 +238,31 @@ def certificate_grid(ss: Sequence[float], r: float, eps: float) -> list[tuple[fl
             for radial in solve_radial_grid(ss, r, eps, _T0, _KERNEL_TOL)]
 
 
-def stencil_points(h: float = _STENCIL_H) -> tuple[float, ...]:
-    """s = 0, h, 2h, 3h: the samples of s -> W'(0) behind
+def stencil_points() -> tuple[float, ...]:
+    """s = 0, h, 2h, 3h with h = 5e-3: the samples of s -> W'(0) behind
     :func:`stencil_derivatives`."""
-    if not 1e-3 <= h <= 1e-1:
-        raise ValueError(f"stencil step h = {h} outside [1e-3, 1e-1]")
-    return tuple(i * h for i in range(4))
+    return tuple(i * _STENCIL_H for i in range(4))
 
 
-def stencil_derivatives(f: Sequence[float], h: float = _STENCIL_H) -> tuple[float, float]:
+def stencil_derivatives(f: Sequence[float]) -> tuple[float, float]:
     """One-sided finite differences at s = 0 of the samples f at
-    ``stencil_points(h)``: s = 0 is a boundary of the parameter domain, so
+    ``stencil_points()``: s = 0 is a boundary of the parameter domain, so
     d1 = (-3 f0 + 4 f1 - f2)/(2h) and d2 = (2 f0 - 5 f1 + 4 f2 - f3)/h^2,
     both second-order accurate."""
+    h = _STENCIL_H
     d1 = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
     d2 = (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / (h * h)
     return d1, d2
 
 
-def certificate_s_derivatives(
-    kind: str,
-    params: GeodesicParams,
-    h: float = _STENCIL_H,
-) -> tuple[float, float]:
+def certificate_s_derivatives(kind: str, params: GeodesicParams) -> tuple[float, float]:
     """One-sided finite differences (d1, d2) of s -> W'(0) at s = 0 (see
     :func:`stencil_derivatives`), from one :func:`certificate_grid` on the
     stencil points."""
     if params.s != 0.0:
         raise ValueError("s-derivatives of the certificate are taken at s = 0")
-    certs = certificate_grid(stencil_points(h), params.r, params.eps)
-    return stencil_derivatives([c[KINDS.index(kind)] for c in certs], h)
+    certs = certificate_grid(stencil_points(), params.r, params.eps)
+    return stencil_derivatives([c[KINDS.index(kind)] for c in certs])
 
 
 @dataclass(frozen=True)

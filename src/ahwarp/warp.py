@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -167,6 +167,18 @@ class WarpFunction:
             val[mid] = v
             der[mid] = d
         return val, der
+
+    @cached_property
+    def ball_edge(self) -> tuple[float, float]:
+        """(A, A')(r), where the geodesics from inside the ball enter the
+        transition: a constant of the metric, looked up once."""
+        return tuple(float(v[0]) for v in self.state(self.params.r))
+
+    @cached_property
+    def exit_state(self) -> tuple[float, float]:
+        """(A, A')(r + eps), where the transition ends: a constant of the
+        metric, looked up once."""
+        return tuple(float(v[0]) for v in self.state(self.params.r + self.params.eps))
 
     def value(self, rho: float | np.ndarray) -> float | np.ndarray:
         v, _ = self.state(rho)

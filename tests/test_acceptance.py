@@ -115,9 +115,9 @@ def test_criterion_07_concavity_signature():
     d1c_perp, d2c_perp = stencils(aw.certificate_perp_closed)
     d1c_par, d2c_par = stencils(aw.certificate_parallel_closed)
     d1i_perp, d2i_perp = aw.certificate_s_derivatives(
-        "perpendicular", aw.GeodesicParams(0.0, PI4, 0.0), h=h)
+        "perpendicular", aw.GeodesicParams(0.0, PI4, 0.0))
     d1i_par, d2i_par = aw.certificate_s_derivatives(
-        "parallel", aw.GeodesicParams(0.0, PI4, 0.0), h=h)
+        "parallel", aw.GeodesicParams(0.0, PI4, 0.0))
     ok = (
         abs(d2c_perp + 1.0 / 3.0) < 1e-3 and abs(d2c_par + 1.0) < 1e-3
         and abs(d2i_perp + 1.0 / 3.0) < 5e-3 and abs(d2i_par + 1.0) < 5e-3

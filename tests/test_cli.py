@@ -13,7 +13,7 @@ import pytest
 import ahwarp
 from ahwarp.cli import main
 from ahwarp.geodesics import closed_rho, closed_theta, entry_time
-from ahwarp.search import ScanReport
+from ahwarp.search import ScanReport, assemble_report, find_r_star
 from ahwarp.stable import radial_certificate_closed
 
 PI4 = math.pi / 4
@@ -301,3 +301,49 @@ class TestErrors:
                      "--out", str(tmp_path / "geo.csv")])
         assert code == 1
         assert "OverflowError" in capsys.readouterr().err
+
+
+SUBCOMMANDS = ["profile", "geodesic", "jacobi", "stable", "find-r", "scan"]
+
+
+class TestSchema:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv", [["stable"], ["find-r"], ["scan", "--eps", "0"]])
+    def test_format_only_on_table_subcommands(self, argv, fmt):
+        # these always write JSON; a --format they would ignore is refused
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--format", fmt])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["profile", "--r", "0.7", "--eps", "0.05", "--rho-max", "2", "--drho", "0.1"],
+        ["geodesic", "--s", "0.3", "--tmax", "5", "--dt", "0.5"],
+        ["jacobi", "--kind", "perpendicular", "--s", "0.3", "--r", "0.76", "--eps", "0.05",
+         "--tmax", "5", "--dt", "0.25"],
+    ])
+    def test_json_table_carries_the_csv_floats(self, argv, tmp_path):
+        csv, js = tmp_path / "table.csv", tmp_path / "table.json"
+        assert main(argv + ["--out", str(csv)]) == 0
+        assert main(argv + ["--format", "json", "--out", str(js)]) == 0
+        header, data = read_csv(csv)
+        payload = json.loads(js.read_text())
+        assert list(payload) == header
+        assert np.array_equal(np.array([payload[name] for name in header]).T, data)
+
+    @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+    def test_help_exits_zero(self, subcommand, capsys):
+        # argparse formats help text only when asked for it
+        with pytest.raises(SystemExit) as exc:
+            main([subcommand, "--help"])
+        assert exc.value.code == 0
+        assert f"usage: ahwarp {subcommand}" in capsys.readouterr().out
+
+    def test_scan_defaults_are_the_library_defaults(self, capsys):
+        assert main(["scan", "--eps", "0"]) == 0
+        assert capsys.readouterr().out == assemble_report(0.0).to_json() + "\n"
+
+    def test_find_r_defaults_are_the_library_defaults(self, capsys):
+        assert main(["find-r", "--eps", "0.05"]) == 0
+        r_star, residual = find_r_star(0.05)
+        payload = {"eps": 0.05, "r_star": r_star, "root_residual": residual}
+        assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"

@@ -276,28 +276,24 @@ class TestSDerivatives:
 
     def test_integrated_derivatives_critical(self):
         d1, d2 = certificate_s_derivatives(
-            "perpendicular", GeodesicParams(0.0, PI4, 0.0), h=5e-3)
+            "perpendicular", GeodesicParams(0.0, PI4, 0.0))
         assert abs(d1) < 1e-6
         assert d2 == pytest.approx(-1.0 / 3.0, abs=5e-3)
         d1p, d2p = certificate_s_derivatives(
-            "parallel", GeodesicParams(0.0, PI4, 0.0), h=5e-3)
+            "parallel", GeodesicParams(0.0, PI4, 0.0))
         assert abs(d1p) < 1e-6
         assert d2p == pytest.approx(-1.0, abs=5e-3)
 
     @pytest.mark.parametrize("kind", ["parallel", "perpendicular"])
     def test_mollified_concavity(self, kind):
         d1, d2 = certificate_s_derivatives(
-            kind, GeodesicParams(0.0, 0.7604650677456171, 0.05), h=5e-3)
+            kind, GeodesicParams(0.0, 0.7604650677456171, 0.05))
         assert abs(d1) < 5e-3
         assert d2 < 0.0
 
     def test_requires_zero_s(self):
         with pytest.raises(ValueError):
             certificate_s_derivatives("parallel", GeodesicParams(0.1, PI4, 0.0))
-
-    def test_step_bounds(self):
-        with pytest.raises(ValueError):
-            certificate_s_derivatives("parallel", GeodesicParams(0.0, PI4, 0.0), h=1.0)
 
 
 class TestCriterion:
