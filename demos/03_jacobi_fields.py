@@ -30,9 +30,9 @@ PI4 = math.pi / 4
 
 print("=== kernel along the geodesic with s = 0.3 (critical metric) ===")
 kern = make_kernel("perpendicular", GeodesicParams(0.3, PI4, 0.0), tol=1e-12)
-print(f"  jump at the entry time t = {kern.entry:.8f}")
+print(f"  jump at the entry time t = {kern.radial.entry_time:.8f}")
 print("  t      k(t)")
-for t in (0.0, 0.5, kern.entry, 0.75, 1.0, 2.0, 6.0):
+for t in (0.0, 0.5, kern.radial.entry_time, 0.75, 1.0, 2.0, 6.0):
     print(f"  {t:5.3f}  {float(kern.value(t)):+9.6f}")
 
 print()

@@ -6,11 +6,12 @@ profile    CSV: rho, A, A_prime, K_par, K_perp
 geodesic   CSV: t, rho, rho_prime[, theta]   (theta only at (pi/4, 0))
 jacobi     CSV: t, U, U_prime, V, V_prime, kernel
 stable     JSON: {kind, s, r, eps, Y0, W_prime_0, seed_horizon, seed_residual}
-           seed_horizon is the fixed T0 with e^{T0} Y(T0) = 1; seed_residual
-           is the error of W'(0) that the construction itself leaves: 0 for
-           both kinds, since the parallel stable solution is exactly e^{-t}
-           past the transition and the perpendicular one's angle is closed
-           form there
+           Y is normalized by e^t Y(t) -> 1, a limit taken in closed form;
+           seed_horizon is the end of the span [0, 30] it is evaluated on;
+           seed_residual is the error of W'(0) that the construction itself
+           leaves: 0 for both kinds, since the parallel stable solution is
+           exactly e^{-t} past the transition and the perpendicular one's
+           angle is closed form there
 find-r     JSON: {eps, r_star, root_residual}
            r_star = -arctan w(eps) from the transition pair; root_residual
            is |Y(0) W'(0)| of the radial stable solution at r_star, from a
@@ -166,9 +167,11 @@ def _metric(sp: argparse.ArgumentParser, make, names=("s", "r", "eps")) -> None:
     """--s, --r and --eps, those in ``names``; ``make``, a parameter class of
     the library, checks them as its arguments before anything runs, and its
     ValueError is a usage error of the subcommand."""
-    defaults = {"s": 0.0, "r": _QUARTER_PI, "eps": 0.0}
+    options = {"s": (0.0, "distance of the geodesic from the origin (default: 0)"),
+               "r": (_QUARTER_PI, "radius of the round ball (default: pi/4)"),
+               "eps": (0.0, "width of the curvature transition (default: 0)")}
     for name in names:
-        sp.add_argument(f"--{name}", type=_finite, default=defaults[name])
+        sp.add_argument(f"--{name}", type=_finite, default=options[name][0], help=options[name][1])
 
     def params(args: argparse.Namespace):
         try:
@@ -181,8 +184,8 @@ def _metric(sp: argparse.ArgumentParser, make, names=("s", "r", "eps")) -> None:
 
 def _solve(sp: argparse.ArgumentParser) -> None:
     """--tmax, --dt and --tol of a radial solve and its samples."""
-    sp.add_argument("--tmax", type=_positive, default=10.0)
-    sp.add_argument("--dt", type=_positive, default=0.05)
+    sp.add_argument("--tmax", type=_positive, default=10.0, help="last sample time (default: 10)")
+    sp.add_argument("--dt", type=_positive, default=0.05, help="sample spacing (default: 0.05)")
     # a string default goes through type= when --tol is not given
     sp.add_argument("--tol", type=_tolerance,
                     default=os.environ.get("AHWARP_TOL", repr(DEFAULT_TOL)),
@@ -194,7 +197,8 @@ def _output(sp: argparse.ArgumentParser, table: bool = False) -> None:
     """--out, and --format for the subcommands that print tables."""
     sp.add_argument("--out", help="output file (default: stdout)")
     if table:
-        sp.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
+        sp.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv",
+                        help="table format (default: csv)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -206,11 +210,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="subcommand", required=True)
     at_quarter_pi = functools.partial(warp.ProfileParams, _QUARTER_PI)
     library = "(default: the library's)"
+    kind = "in-plane or off-plane Jacobi equation (default: parallel)"
 
     sp = sub.add_parser("profile", help="dump A, A', K_par, K_perp over rho")
     _metric(sp, warp.ProfileParams, ("r", "eps"))
-    sp.add_argument("--rho-max", dest="rho_max", type=_positive, default=10.0)
-    sp.add_argument("--drho", type=_positive, default=0.01)
+    sp.add_argument("--rho-max", type=_positive, default=10.0, help="last sample rho (default: 10)")
+    sp.add_argument("--drho", type=_positive, default=0.01, help="sample spacing (default: 0.01)")
     _output(sp, table=True)
     sp.set_defaults(run=_run_profile)
 
@@ -221,14 +226,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(run=_run_geodesic)
 
     sp = sub.add_parser("jacobi", help="dump fundamental Jacobi solutions and the kernel")
-    sp.add_argument("--kind", choices=jacobi.KINDS, default="parallel")
+    sp.add_argument("--kind", choices=jacobi.KINDS, default="parallel", help=kind)
     _metric(sp, geodesics.GeodesicParams)
     _solve(sp)
     _output(sp, table=True)
     sp.set_defaults(run=_run_jacobi)
 
     sp = sub.add_parser("stable", help="stable solution and certificate W'(0)")
-    sp.add_argument("--kind", choices=jacobi.KINDS, default="parallel")
+    sp.add_argument("--kind", choices=jacobi.KINDS, default="parallel", help=kind)
     _metric(sp, geodesics.GeodesicParams)
     _output(sp)
     sp.set_defaults(run=_run_stable)

@@ -19,11 +19,12 @@ solution is built from three pieces:
   (s, 0) at t = 0 when r <= s < r + eps) to the crossing of rho = r + eps at
   the exit time t_x; at eps = 0 (or an eps below the resolution of r) this
   piece is empty.  The solve carries
-  (rho, rho', a, b, U, U', V, V'): the warp function along the geodesic,
+  (rho, rho', a, b, U, U', V, V', psi): the warp function along the geodesic,
   (a, b) = (A, A')(rho) with a' = b rho' and b' = -K_par(rho) a rho', so
-  that rho'' = (b/a)(1 - rho'^2) needs no lookup, and the in-plane Jacobi
-  pair Y'' = -K_par(rho) Y started from the identity at t_in (the ``jacobi``
-  kernel reads its transfer matrix off the end state).  Each right-hand-side
+  that rho'' = (b/a)(1 - rho'^2) needs no lookup, the in-plane Jacobi
+  pair Y'' = -K_par(rho) Y started from the identity at t_in (the solution's
+  ``transfer`` is its end state, ``window_solution`` its combinations), and
+  the angle row psi (below).  Each right-hand-side
   evaluation reads K_par once.  Along the radial geodesic rho = t stays
   exact, and the same system runs over the fixed span [r, r + eps] for the
   pair.  The system does not contain t, so a grid of geodesics
@@ -220,8 +221,10 @@ class RadialSolution:
     the metric; the solve's tolerance; A(s), looked up once for the angle,
     the Killing fields and the exterior; the exact exterior piece; the window
     solve (``transition``, None where nothing is integrated), whose psi row
-    carries the angle across the window; and the angular coordinate theta,
-    exact but for that row."""
+    carries the angle across the window and whose rows 4 to 7 are the
+    in-plane pair (``transfer``, ``window_solution``); and the angular
+    coordinate theta, exact but for the psi row.  Only this module knows the
+    rows of the window solve."""
 
     params: GeodesicParams
     trajectory: Trajectory
@@ -357,6 +360,26 @@ class RadialSolution:
         theta = self._theta(self._times(t))
         return float(theta[0]) if np.ndim(t) == 0 else theta
 
+    # -- the in-plane window pair ------------------------------------------
+
+    @property
+    def transfer(self) -> np.ndarray:
+        """The in-plane transfer matrix M = [[U, V], [U', V']] of the window
+        [t_in, t_x]: (Y, Y')(t_x) = M (Y, Y')(t_in).  det M = 1; the identity
+        when the window is empty; up to the horizon when the geodesic is still
+        in the transition there."""
+        if self.transition is None:
+            return np.eye(2)
+        u, du, v, dv = self.transition.end[4:8].tolist()
+        return np.array([[u, v], [du, dv]])
+
+    def window_solution(self, y: float, dy: float, T: float | None = None) -> Trajectory:
+        """The in-plane solution with state (y, dy) at t_in, on
+        [t_in, min(t_x, T)]: y U + dy V of the window pair, no solve."""
+        proj = np.zeros((2, 9))
+        proj[:, 4:8] = ((y, 0.0, dy, 0.0), (0.0, y, 0.0, dy))
+        return self.transition.trajectory(proj, T)
+
 
 def entry_time(s: float, r: float) -> float:
     """Time at which the geodesic at distance s < r from the origin reaches
@@ -417,10 +440,11 @@ def _batch_rhs(profile: ProfileParams, n: int):
     return rhs
 
 
-def _window_start(p: GeodesicParams, warp: WarpFunction, T: float) -> tuple[float, tuple] | None:
-    """(t_in, state at t_in) of the geodesic's window solve; None when
-    nothing is integrated (an eps below the resolution of r, as for the
-    sharp metric; s >= r + eps; or t_in >= T)."""
+def _window_start(p: GeodesicParams, warp: WarpFunction, T: float,
+                  at_s: tuple[float, float]) -> tuple[float, tuple] | None:
+    """(t_in, state at t_in) of the geodesic's window solve, given
+    at_s = (A, A')(s); None when nothing is integrated (an eps below the
+    resolution of r, as for the sharp metric; s >= r + eps; or t_in >= T)."""
     s, r, eps = p.s, p.r, p.eps
     if r + eps == r or s >= r + eps:
         return None
@@ -433,8 +457,7 @@ def _window_start(p: GeodesicParams, warp: WarpFunction, T: float) -> tuple[floa
         t_in = entry_time(s, r)
         y0 = (r, radial_exit_slope(s, r), *warp.ball_edge, *_PAIR_START, 0.0)
     else:
-        a, b = (float(v[0]) for v in warp.state(s))
-        t_in, y0 = 0.0, (s, 0.0, a, b, *_PAIR_START, 0.0)
+        t_in, y0 = 0.0, (s, 0.0, *at_s, *_PAIR_START, 0.0)
     return (t_in, y0) if t_in < T else None
 
 
@@ -485,12 +508,14 @@ def _solve_windows(
 
 
 def _radial_solution(p: GeodesicParams, warp: WarpFunction, T: float, tol: float,
-                     window: tuple[Flow, float | None] | None) -> RadialSolution:
+                     window: tuple[Flow, float | None] | None,
+                     at_s: tuple[float, float]) -> RadialSolution:
     """The geodesic on [0, T] from its window solve (None when it has
-    none): the exact ball before it, the exact exterior after it."""
+    none) and at_s = (A, A')(s): the exact ball before it, the exact
+    exterior after it."""
     s, r, rho_x = p.s, p.r, p.r + p.eps
     flow, window_exit = (None, None) if window is None else window
-    a_s, h_s = (float(v[0]) for v in warp.state(s))
+    a_s, h_s = at_s
     if s == 0.0:
         traj = Trajectory.from_function(lambda t: (t, np.ones_like(t)), 0.0, T)
         return RadialSolution(params=p, trajectory=traj, entry_time=r, warp=warp, tol=tol,
@@ -535,7 +560,8 @@ def _radial_solution(p: GeodesicParams, warp: WarpFunction, T: float, tol: float
 
 def _grid_solutions(params: list[GeodesicParams], T: float, tol: float) -> Iterator[RadialSolution]:
     warp = solve_warp(params[0].profile)
-    starts = [_window_start(p, warp, T) for p in params]
+    at_s = [tuple(float(v[0]) for v in warp.state(p.s)) for p in params]
+    starts = [_window_start(p, warp, T, a) for p, a in zip(params, at_s)]
     pending = [i for i, start in enumerate(starts) if start is not None]
     windows: dict[int, tuple[Flow, float | None]] = {}
     for i, p in enumerate(params):
@@ -543,7 +569,7 @@ def _grid_solutions(params: list[GeodesicParams], T: float, tol: float) -> Itera
             batch, pending = pending[:_BATCH], pending[_BATCH:]
             solved = _solve_windows([params[j] for j in batch], [starts[j] for j in batch], T, tol)
             windows = dict(zip(batch, solved))
-        yield _radial_solution(p, warp, T, tol, windows.get(i))
+        yield _radial_solution(p, warp, T, tol, windows.get(i), at_s[i])
 
 
 def solve_radial_grid(ss: Iterable[float], r: float, eps: float, T: float = 30.0,

@@ -20,7 +20,8 @@ P = (Y + Y')/2 and Q = (Y - Y')/2 at t_x, after it.  The window pair
 (U, V), started from the identity at t_in, is solved together with the
 geodesic itself, in the geodesic's window solve (``geodesics.solve_radial``,
 or one solve for up to 64 geodesics of a grid, ``solve_radial_grid``); its
-end state is the window's transfer matrix M = [[U, V], [U', V']], det M = 1.
+end state is the window's transfer matrix M = [[U, V], [U', V']], det M = 1
+(``RadialSolution.transfer``, with ``window_solution`` across the window).
 Nothing is solved per initial condition, so a solution is as accurate as
 the kernel's radial solve and a tighter ``tol`` is refused.
 
@@ -61,7 +62,7 @@ from .geodesics import (
     growth_factor,
     solve_radial,
 )
-from .warp import WarpFunction, k_parallel, k_perp
+from .warp import k_parallel, k_perp
 
 __all__ = [
     "JacobiKernel",
@@ -99,29 +100,6 @@ class JacobiKernel:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
 
-    @property
-    def warp(self) -> WarpFunction:
-        return self.radial.warp
-
-    @property
-    def tol(self) -> float:
-        """Tolerance of the radial solve, and so of the window pair."""
-        return self.radial.tol
-
-    # -- region layout -----------------------------------------------------
-
-    @property
-    def entry(self) -> float | None:
-        return self.radial.entry_time
-
-    @property
-    def exit(self) -> float:
-        """End of the mollified transition along the geodesic: the entry time
-        itself when eps = 0 (sharp jump), 0 when the geodesic starts past it."""
-        return self.radial.window[1]
-
-    # -- evaluation ---------------------------------------------------------
-
     def _k_exterior(self, t: np.ndarray) -> np.ndarray:
         if self.kind == "parallel":
             return np.full_like(np.asarray(t, dtype=float), -1.0)
@@ -135,7 +113,7 @@ class JacobiKernel:
         kpar = np.asarray(k_parallel(self.params.profile, rho))
         if self.kind == "parallel":
             return kpar
-        kperp = k_perp(self.warp, rho)
+        kperp = k_perp(self.radial.warp, rho)
         w2 = drho * drho
         return w2 * kpar + (1.0 - w2) * kperp
 
@@ -154,39 +132,6 @@ class JacobiKernel:
         if np.any(exterior):
             out[exterior] = self._k_exterior(t_arr[exterior])
         return float(out[0]) if np.isscalar(t) or np.ndim(t) == 0 else out
-
-    # -- the in-plane window pair ---------------------------------------------
-
-    def _window_flow(self):
-        """The radial solution's window solve, whose state rows 4 to 7 are
-        the in-plane pair (U, U', V, V'), started from the identity at t_in; None
-        when nothing is integrated (an empty window, or one that starts past
-        the horizon).  Before t_in the in-plane equation is
-        Y'' = -Y, after t_x it is Y'' = Y; both are solved exactly.  The
-        off-plane equation is never integrated: see :func:`killing_field`."""
-        if self.kind != "parallel":
-            raise ValueError("only the in-plane Jacobi equation is integrated; "
-                             "off-plane solutions are Killing fields")
-        return self.radial.transition
-
-    @property
-    def transfer(self) -> np.ndarray:
-        """The in-plane transfer matrix M = [[U, V], [U', V']] of the window
-        [t_in, t_x]: (Y, Y')(t_x) = M (Y, Y')(t_in).  det M = 1; the identity
-        when the window is empty; up to the horizon when the geodesic is still
-        in the transition there."""
-        flow = self._window_flow()
-        if flow is None:
-            return np.eye(2)
-        u, du, v, dv = flow.end[4:8].tolist()
-        return np.array([[u, v], [du, dv]])
-
-    def window_solution(self, y: float, dy: float, T: float | None = None) -> Trajectory:
-        """The in-plane solution with state (y, dy) at t_in, on
-        [t_in, min(t_x, T)]: y U + dy V of the window pair, no solve."""
-        proj = np.zeros((2, 9))
-        proj[:, 4:8] = ((y, 0.0, dy, 0.0), (0.0, y, 0.0, dy))
-        return self._window_flow().trajectory(proj, T)
 
 
 def kernel_on(kind: str, radial: RadialSolution) -> JacobiKernel:
@@ -210,9 +155,7 @@ def make_kernel(
     mu = params, usable for t in [0, horizon].  Each call builds a new
     kernel on a new ``solve_radial``.  Grids
     solve their geodesics with ``geodesics.solve_radial_grid`` and take
-    their kernels from :func:`kernel_on`."""
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    their kernels from :func:`kernel_on`, which checks ``kind``."""
     return kernel_on(kind, solve_radial(params, T=horizon, tol=tol))
 
 
@@ -240,7 +183,7 @@ def killing_field(
     horizon = radial.trajectory.t1
     if not 0.0 < T <= horizon:
         raise ValueError(f"horizon T = {T} outside (0, {horizon}] of the kernel")
-    warp, a_s = kernel.warp, radial.a_s
+    warp, a_s = radial.warp, radial.a_s
     sign = 1.0 if angle == "theta" else -1.0  # phi' = -theta'
 
     def fn(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -308,12 +251,13 @@ def _exponentials(t0, y, dy, t):
     return grow + decay, grow - decay
 
 
-def _in_plane_to_exit(kernel: JacobiKernel, y0: float, dy0: float,
+def _in_plane_to_exit(radial: RadialSolution, y0: float, dy0: float,
                       T: float) -> tuple[list[Trajectory], tuple[float, float]]:
-    """The rotation on [0, t_in] and the window pair's combination across
-    [t_in, t_x], as far as each reaches before T, and the state where they
-    end: at t_x, where the exponentials take over."""
-    t_in, t_x = kernel.radial.span
+    """The in-plane solution along ``radial``: the rotation on [0, t_in] and
+    the window pair's combination across [t_in, t_x], as far as each reaches
+    before T, and the state where they end: at t_x, where the exponentials
+    take over."""
+    t_in, t_x = radial.span
     parts = []
     state = (y0, dy0)
     if t_in > 0.0:
@@ -321,20 +265,9 @@ def _in_plane_to_exit(kernel: JacobiKernel, y0: float, dy0: float,
         parts.append(Trajectory.from_function(ball, 0.0, min(t_in, T)))
         state = tuple(map(float, ball(min(t_in, T))))  # the state at t_in, if t_in <= T
     if t_in < min(t_x, T):
-        parts.append(kernel.window_solution(*state, T))
-        state = tuple((kernel.transfer @ state).tolist())
+        parts.append(radial.window_solution(*state, T))
+        state = tuple((radial.transfer @ state).tolist())
     return parts, state
-
-
-def _in_plane(kernel: JacobiKernel, y0: float, dy0: float, T: float) -> Trajectory:
-    """Rotation on [0, t_in], the window pair's combination across
-    [t_in, t_x], exponentials after t_x; each piece starts from the state
-    where the one before ends."""
-    parts, state = _in_plane_to_exit(kernel, y0, dy0, T)
-    t_x = kernel.radial.span[1]
-    if t_x < T:
-        parts.append(Trajectory.from_function(lambda t: _exponentials(t_x, *state, t), t_x, T))
-    return Trajectory.concat(parts)
 
 
 def _even_solutions(radials: list[RadialSolution], paths: _Paths, T: float):
@@ -350,12 +283,11 @@ def _even_solutions(radials: list[RadialSolution], paths: _Paths, T: float):
     t, lead, tail = paths.t, paths.lead, paths.tail
     u, du = np.empty((2,) + paths.rho.shape)
     u[:, :lead], du[:, :lead] = _rotation(0.0, 1.0, 0.0)(t[:lead])
-    kernels = [kernel_on("parallel", rad) for rad in radials]
-    pieces = [_in_plane_to_exit(kern, 1.0, 0.0, T) for kern in kernels]
+    pieces = [_in_plane_to_exit(rad, 1.0, 0.0, T) for rad in radials]
     if tail < len(t):
         # a geodesic that has not left the transition by T has no exterior
         # samples; any finite t_x keeps its unused exponentials finite
-        t_x = np.array([[kern.radial.span[1]] for kern in kernels])
+        t_x = np.array([[rad.span[1]] for rad in radials])
         t_x[np.isinf(t_x)] = 0.0
         y, dy = np.array([state for _, state in pieces]).T[:, :, None]
         for out, part in zip((u, du), _exponentials(t_x, y, dy, np.maximum(t[tail:], t_x))):
@@ -382,13 +314,18 @@ def jacobi_solution(
     so a ``tol`` tighter than the kernel's raises ValueError."""
     if not T > 0.0:
         raise ValueError("horizon T must be positive")
-    if tol < kernel.tol:
-        raise ValueError(f"tol = {tol} is tighter than the kernel's {kernel.tol}; "
+    if tol < kernel.radial.tol:
+        raise ValueError(f"tol = {tol} is tighter than the kernel's {kernel.radial.tol}; "
                          "build the kernel at the tolerance wanted")
     y0, dy0 = initial
     if kernel.kind == "perpendicular":
         return killing_field(kernel, y0, dy0 * kernel.radial.a_s, T)
-    return _in_plane(kernel, y0, dy0, T)
+    # the exponentials after t_x start from the state where the window ends
+    parts, state = _in_plane_to_exit(kernel.radial, y0, dy0, T)
+    t_x = kernel.radial.span[1]
+    if t_x < T:
+        parts.append(Trajectory.from_function(lambda t: _exponentials(t_x, *state, t), t_x, T))
+    return Trajectory.concat(parts)
 
 
 def fundamental_pair(kernel: JacobiKernel, T: float = 20.0, tol: float = 1e-10) -> FundamentalPair:

@@ -224,6 +224,7 @@ def verify_small_s(
     as well.  Returns (records, (d1, d2) for the perpendicular kind, all
     passed).
     """
+    _check_grid(sigma, ds)
     grid = _grid(0.0, sigma, ds)
     stencil = stencil_points()
     ss = np.union1d(grid, stencil)
@@ -279,6 +280,7 @@ def verify_large_s(
     theta(T) and rho(T) are their last column.
     Returns (rho0, curvature_certified, records, all passed).
     """
+    _check_grid(sigma, ds)
     if not sigma > 0.0:
         raise ValueError(f"the mid-s grid starts at sigma > 0, got {sigma}")
     T = _T_MID
@@ -297,6 +299,15 @@ def verify_large_s(
                                                  good.tolist()))
     ok = certified and all(rec.verdict == "pass" for rec in records)
     return rho0, certified, records, ok
+
+
+def _check_grid(sigma: float, ds: float) -> None:
+    """A step ds <= 0 or non-finite would leave a grid empty, or fail deep
+    inside it, so a scan could pass with nothing checked."""
+    if not (math.isfinite(ds) and ds > 0.0):
+        raise ValueError(f"ds must be finite and positive, got {ds}")
+    if not math.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got {sigma}")
 
 
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:
@@ -336,8 +347,10 @@ def assemble_report(
     negative-curvature threshold confirmed, and the non-trapping premise.
     The metadata states the tolerances of the solves: the transition pair
     (r_star and the warp function), the stable solutions (the residual, the
-    witness and the small-s certificates) and the mid-s grid.
+    witness and the small-s certificates) and the mid-s grid.  Raises
+    ValueError unless ds is finite and positive and sigma finite.
     """
+    _check_grid(sigma, ds)
     metadata = {
         "sigma": sigma,
         "ds": ds,
@@ -366,7 +379,7 @@ def assemble_report(
     # in backward time as well.  The residual is its |Y(0) W'(0)|.
     slope = witness_sol.Y0 * witness_sol.W_prime_0
     residual = abs(slope)
-    t_check = min(30.0, witness_sol.seed_horizon)
+    t_check = witness_sol.seed_horizon
     y_end = abs(float(witness_sol.Y.value(t_check)))
     witness = {
         "T": t_check,

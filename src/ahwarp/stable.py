@@ -2,8 +2,9 @@
 
 Because both kernels satisfy k(t) -> -1 with an exponentially integrable
 tail, each scalar Jacobi equation has a unique stable solution Y normalized
-by e^t Y(t) -> 1; here it is normalized at a fixed horizon T0 by
-e^{T0} Y(T0) = 1.
+by e^t Y(t) -> 1.  Past the transition exit both kinds are closed form, so
+the limit is taken exactly; a solution is evaluated on [0, the kernel's
+horizon], nothing is seeded there and nothing is dropped past it.
 
 In-plane kernels: the kernel is exactly -1 past the transition exit t_x
 (see ``jacobi``), so the stable solution *is* Y = e^{-t} there, with
@@ -28,16 +29,21 @@ with a zero of Y on [0, t_in] exactly when that angle reaches pi/2.  At
 eps = 0 the window is empty and M is the identity.
 
 Off-plane kernels: no solve at all.  The stable solution is the Killing
-field Y = C A(rho) sin(phi), phi = theta_inf - theta the angle the geodesic
+field Y = C A(rho) sin(phi) / A(s), phi = theta_inf - theta the angle the geodesic
 has still to sweep (see ``jacobi`` and ``geodesics``), so
 
     W'(0) = -cot(phi(0)) / A(s) = -tan(pi/2 - theta_inf) / A(s),
 
 with pi/2 - theta_inf taken without cancellation (small s puts theta_inf
 within rounding of pi/2), and Y vanishes somewhere exactly when
-phi(0) >= pi (phi decreases to 0).  phi is exact past the transition
-(``geodesics``), so nothing is dropped: ``seed_residual`` is 0 for both
-kinds.
+phi(0) >= pi (phi decreases to 0).  The constant C comes from the exterior
+(``geodesics``): with tau = t - t_x, e^{-tau} A(rho) -> p = (h_x + h'_x)/2
+and phi ~ A(s) e^{-2 tau} / (2 p^2), so e^t Y -> C e^{t_x} / (2 p) and
+
+    C = (h_x + h'_x) e^{-t_x},
+
+which needs p > 0 (checked).  phi is exact past the transition, so nothing
+is dropped: ``seed_residual`` is 0 for both kinds.
 
 The normalized solution W = Y / Y(0) carries the whole conjugate-point
 story: for an even integrable kernel, no nontrivial solution vanishes twice
@@ -87,6 +93,7 @@ _QUARTER_PI = math.pi / 4.0
 # flagged as marginal rather than silently classified.
 TOL_SIGN = 1e-9
 
+# The horizon of the radial solves of ``stable_for`` and ``certificate_grid``.
 _T0 = 30.0
 _STENCIL_H = 5e-3
 # Every stable solution rides on a radial solve at this tolerance: an
@@ -96,17 +103,17 @@ _KERNEL_TOL = 1e-12
 
 
 class CertificateError(RuntimeError):
-    """The stable solution could not be certified (a zero of Y on [0, T0]
-    outside the continuity neighborhood, a transition window too long for
-    the zero test, or a non-decaying kernel tail)."""
+    """The stable solution could not be certified (a zero of Y outside the
+    continuity neighborhood, a transition window too long for the zero
+    test, or a non-decaying kernel tail)."""
 
 
 @dataclass(frozen=True, eq=False)
 class StableSolution:
-    """Stable solution on [0, seed_horizon] with e^{T0} Y(T0) = 1, its value
-    and normalized slope at 0, the fixed horizon T0 and the error dropped
-    past it: 0 for both kinds (the in-plane tail e^{-t} and the off-plane
-    angle are exact there)."""
+    """Stable solution with e^t Y(t) -> 1, on [0, seed_horizon] (the
+    kernel's horizon), its value and normalized slope at 0, and the error
+    dropped past the horizon: 0 for both kinds (the in-plane tail e^{-t} and
+    the off-plane angle are exact there)."""
 
     kind: str
     params: GeodesicParams
@@ -120,108 +127,98 @@ class StableSolution:
         return self.Y.value(t) / self.Y0
 
 
-def stable_solution(
-    kernel: JacobiKernel,
-    T0: float = _T0,
-    kind: str | None = None,
-) -> StableSolution:
-    """Construct the stable solution of the kernel's Jacobi equation: e^{-t}
-    past the transition, the window pair's combination adj(M) (1, -1) across
-    it and an exact rotation through the ball for the in-plane kernel; the
-    decaying Killing field for the off-plane one.  Nothing is integrated
-    here; the in-plane window pair comes with the kernel.
+def stable_solution(kernel: JacobiKernel, kind: str | None = None) -> StableSolution:
+    """Construct the stable solution of the kernel's Jacobi equation, on
+    [0, the kernel's horizon]: e^{-t} past the transition, the window pair's
+    combination adj(M) (1, -1) across it and an exact rotation through the
+    ball for the in-plane kernel; the decaying Killing field for the
+    off-plane one.  Nothing is integrated here; the in-plane window pair
+    comes with the geodesic.
 
     ``kind`` overrides the label stored on the result (the s = 0
     perpendicular equation is integrated as the parallel one, which is the
     same equation).
     """
-    horizon = kernel.radial.trajectory.t1
-    if T0 > horizon:
-        raise ValueError(f"seed horizon T0 = {T0} beyond the kernel horizon {horizon}")
-    if kernel.kind == "perpendicular":
-        return _killing_stable(kernel, T0, kind)
-    t_in, t_x = kernel.radial.window
-    if T0 < t_x:
-        raise ValueError(f"seed horizon T0 = {T0} inside the transition (exit at {t_x})")
+    build = _killing_stable if kernel.kind == "perpendicular" else _in_plane_stable
+    Y, y0, w0 = build(kernel)
+    return StableSolution(
+        kind=kind or kernel.kind,
+        params=kernel.params,
+        Y=Y,
+        Y0=y0,
+        W_prime_0=w0,
+        seed_horizon=kernel.radial.trajectory.t1,
+        seed_residual=0.0,
+    )
+
+
+def _in_plane_stable(kernel: JacobiKernel) -> tuple[Trajectory, float, float]:
+    """(Y, Y(0), W'(0)) of the in-plane stable solution: e^{-t} past t_x,
+    adj(M) (1, -1) e^{-t_x} across the window, a rotation through the ball."""
+    radial = kernel.radial
+    t_in, t_x = radial.window
     # the zero test rests on Sturm comparison with Y'' = -Y (module docstring)
     if not t_x - t_in < math.pi:
         raise CertificateError(
             f"transition window [{t_in}, {t_x}] at {kernel.params} is not shorter "
             "than pi; the zero test does not apply")
-    (u, v), (du, dv) = kernel.transfer.tolist()
+    (u, v), (du, dv) = radial.transfer.tolist()
     # (Y, Y')(t_x) = e^{-t_x} (1, -1), so (Y, Y')(t_in) = e^{-t_x} adj(M) (1, -1)
     decay_x = math.exp(-t_x)
     y_in, dy_in = (dv + v) * decay_x, -(du + u) * decay_x
     if not y_in > 0.0:
-        raise _vanishes(kernel, T0, f"Y(t_in) = {y_in:.3e} <= 0")
+        raise _vanishes(kernel, f"Y(t_in) = {y_in:.3e} <= 0")
 
     def decay(t: np.ndarray):
         y = np.exp(-t)
         return y, -y
 
-    parts = [Trajectory.from_function(decay, t_x, T0)]
+    parts = [Trajectory.from_function(decay, t_x, radial.trajectory.t1)]
     if t_in < t_x:
-        parts.insert(0, kernel.window_solution(y_in, dy_in))
+        parts.insert(0, radial.window_solution(y_in, dy_in))
     w_in = dy_in / y_in
     angle = math.atan(w_in) + t_in
     if not angle < math.pi / 2.0:
-        raise _vanishes(kernel, T0, f"arctan W(t_in) + t_in = {angle:.6f} >= pi/2")
+        raise _vanishes(kernel, f"arctan W(t_in) + t_in = {angle:.6f} >= pi/2")
     ball = _rotation(t_in, y_in, dy_in)
     if t_in > 0.0:
         parts.insert(0, Trajectory.from_function(ball, 0.0, t_in))
     y0, dy0 = map(float, ball(0.0))
-    return StableSolution(
-        kind=kind or kernel.kind,
-        params=kernel.params,
-        Y=Trajectory.concat(parts),
-        Y0=y0,
-        W_prime_0=dy0 / y0,
-        seed_horizon=T0,
-        seed_residual=0.0,
-    )
+    return Trajectory.concat(parts), y0, dy0 / y0
 
 
-def _killing_stable(kernel: JacobiKernel, T0: float, kind: str | None) -> StableSolution:
-    """Y = C A(rho) sin(phi) with e^{T0} Y(T0) = 1.  phi(0) = pi/2 - psi is
-    used through psi = ``theta_infinity_complement``: cot(phi(0)) = tan(psi)
-    has no cancellation for small s."""
+def _killing_stable(kernel: JacobiKernel) -> tuple[Trajectory, float, float]:
+    """(Y, Y(0), W'(0)) of Y = C A(rho) sin(phi) / A(s), with
+    C = (h_x + h'_x) e^{-t_x} from the exterior (module docstring).
+    phi(0) = pi/2 - psi is used through psi = ``theta_infinity_complement``:
+    cot(phi(0)) = tan(psi) has no cancellation for small s."""
     radial = kernel.radial
-    a_s = radial.a_s
-    psi = radial.theta_infinity_complement
+    psi = radial.theta_infinity_complement  # refuses a geodesic still in the transition
     if not psi > -math.pi / 2.0:
-        raise _vanishes(kernel, T0, f"phi(0) = {math.pi / 2.0 - psi:.6f} >= pi")
-    phi_T = float(radial.phi(T0)[0])
-    if not phi_T > 0.0:
-        raise ValueError(f"seed horizon T0 = {T0}: the angle left, phi(T0), underflows")
-    a_T = float(kernel.warp.value(float(radial.rho(T0))))
-    scale = math.exp(-T0) * a_s / (a_T * math.sin(phi_T))
-    return StableSolution(
-        kind=kind or kernel.kind,
-        params=kernel.params,
-        Y=killing_field(kernel, 0.0, scale, T0, angle="phi"),
-        Y0=scale * math.cos(psi),
-        W_prime_0=-math.tan(psi) / a_s,
-        seed_horizon=T0,
-        seed_residual=0.0,
-    )
+        raise _vanishes(kernel, f"phi(0) = {math.pi / 2.0 - psi:.6f} >= pi")
+    ext = radial.exterior
+    if not ext.h_x + ext.dh_x > 0.0:
+        raise CertificateError(f"A(rho) does not grow past the transition at {kernel.params}")
+    scale = (ext.h_x + ext.dh_x) * math.exp(-ext.t_x)
+    Y = killing_field(kernel, 0.0, scale, radial.trajectory.t1, angle="phi")
+    return Y, scale * math.cos(psi), -math.tan(psi) / radial.a_s
 
 
-def _vanishes(kernel: JacobiKernel, T0: float, detail: str) -> CertificateError:
+def _vanishes(kernel: JacobiKernel, detail: str) -> CertificateError:
     return CertificateError(
-        f"stable solution at {kernel.params} vanishes on [0, {T0}] ({detail}): "
+        f"stable solution at {kernel.params} vanishes ({detail}): "
         "outside the continuity neighborhood of the critical parameters"
     )
 
 
-def stable_for(kind: str, params: GeodesicParams, tol: float = 1e-10,
-               T0: float = _T0) -> StableSolution:
-    """Stable solution for mu = params, on a radial solve at
+def stable_for(kind: str, params: GeodesicParams, tol: float = 1e-10) -> StableSolution:
+    """Stable solution for mu = params, on a radial solve on [0, 30] at
     ``_KERNEL_TOL``; a ``tol`` tighter than that raises ValueError.  Each
     call solves its geodesic anew."""
     if tol < _KERNEL_TOL:
         raise ValueError(f"tol = {tol} is tighter than the radial solve's {_KERNEL_TOL}")
-    kernel = make_kernel(kind, params, horizon=T0, tol=_KERNEL_TOL)
-    return stable_solution(kernel, T0=T0, kind=kind)
+    kernel = make_kernel(kind, params, horizon=_T0, tol=_KERNEL_TOL)
+    return stable_solution(kernel, kind=kind)
 
 
 def certificate(kind: str, params: GeodesicParams) -> float:
@@ -233,7 +230,7 @@ def certificate_grid(ss: Sequence[float], r: float, eps: float) -> list[tuple[fl
     """(W'(0) in-plane, W'(0) off-plane) at each s of ``ss``, as
     ``certificate`` gives them one geodesic at a time, with the radial solves
     of the grid made by one ``geodesics.solve_radial_grid``."""
-    return [tuple(stable_solution(kernel_on(kind, radial), T0=_T0, kind=kind).W_prime_0
+    return [tuple(stable_solution(kernel_on(kind, radial), kind=kind).W_prime_0
                   for kind in KINDS)
             for radial in solve_radial_grid(ss, r, eps, _T0, _KERNEL_TOL)]
 

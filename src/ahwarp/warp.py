@@ -205,7 +205,7 @@ class WarpFunction:
         non-trapping from A'(r + eps/2) > 0 instead.
         """
         r, eps = self.params.r, self.params.eps
-        a = min(1.0 / math.tan(r), float(self.log_slope(r + eps)), 1.0)
+        a = min(1.0 / math.tan(r), self.exit_state[1] / self.exit_state[0], 1.0)
         if eps > 0.0:
             grid = np.linspace(r, r + eps, 257)
             a = min(a, float(np.min(self.log_slope(grid))))
@@ -220,7 +220,7 @@ class WarpFunction:
         """
         r, eps = self.params.r, self.params.eps
         par_thr = r + eps / 2.0
-        if float(self.deriv(r + eps)) >= 1.0:
+        if self.exit_state[1] >= 1.0:
             perp_thr = r + eps
         else:
             # a_+ u^2 - u - a_- = 0 with u = e^rho

@@ -338,6 +338,18 @@ class TestSchema:
         assert exc.value.code == 0
         assert f"usage: ahwarp {subcommand}" in capsys.readouterr().out
 
+    def test_help_states_the_defaults(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["geodesic", "--help"])
+        lines = capsys.readouterr().out.splitlines()
+
+        def entry(option):
+            i = next(i for i, line in enumerate(lines) if line.lstrip().startswith(option + " "))
+            return " ".join(lines[i:i + 2])
+
+        assert "(default: pi/4)" in entry("--r")
+        assert "(default: 10)" in entry("--tmax")
+
     def test_scan_defaults_are_the_library_defaults(self, capsys):
         assert main(["scan", "--eps", "0"]) == 0
         assert capsys.readouterr().out == assemble_report(0.0).to_json() + "\n"

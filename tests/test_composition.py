@@ -13,7 +13,7 @@ import ahwarp.ode as ode_mod
 import ahwarp.search as search_mod
 import ahwarp.warp as warp_mod
 from ahwarp.geodesics import GeodesicParams, solve_radial, solve_radial_grid
-from ahwarp.jacobi import fundamental_pair, jacobi_solution, kernel_on, make_kernel
+from ahwarp.jacobi import fundamental_pair, jacobi_solution, make_kernel
 from ahwarp.ode import Trajectory
 from ahwarp.search import assemble_report, find_r_star
 from ahwarp.stable import stable_for, stable_solution
@@ -260,12 +260,12 @@ class TestWindowInvariants:
         # function obeys Clairaut's integral a^2 (1 - rho'^2) = A(s)^2 at
         # every node, and it agrees with the warp function solved in rho
         s = frac * (r + eps)
-        kernel = make_kernel("parallel", GeodesicParams(s, r, eps), tol=TOL)
-        rho, drho, a, _ = kernel.radial.transition.states[:4]
-        assert abs(np.linalg.det(kernel.transfer) - 1.0) <= 1e-10
-        a_s = float(kernel.warp.value(s))
+        radial = solve_radial(GeodesicParams(s, r, eps), T, TOL)
+        rho, drho, a, _ = radial.transition.states[:4]
+        assert abs(np.linalg.det(radial.transfer) - 1.0) <= 1e-10
+        a_s = float(radial.warp.value(s))
         assert np.max(np.abs(a * a * (1.0 - drho * drho) - a_s * a_s)) <= 1e-10
-        assert np.max(np.abs(a - kernel.warp.value(rho))) <= 1e-10
+        assert np.max(np.abs(a - radial.warp.value(rho))) <= 1e-10
 
     @given(
         fracs=st.lists(st.floats(0.0, 1.2), max_size=6),
@@ -288,9 +288,8 @@ class TestWindowInvariants:
                 assert sol.transition is None and sol.exit_time == one.exit_time == 0.0
                 continue
             assert abs(sol.exit_time - one.exit_time) <= 1e-12
-            kern, ref = kernel_on("parallel", sol), kernel_on("parallel", one)
-            assert np.max(np.abs(kern.transfer - ref.transfer)) <= 1e-9
-            assert abs(np.linalg.det(kern.transfer) - 1.0) <= 1e-10
+            assert np.max(np.abs(sol.transfer - one.transfer)) <= 1e-9
+            assert abs(np.linalg.det(sol.transfer) - 1.0) <= 1e-10
             rho, drho, a, _ = sol.transition.states[:4]
             a_s = float(sol.warp.value(s))
             assert np.max(np.abs(a * a * (1.0 - drho * drho) - a_s * a_s)) <= 1e-10

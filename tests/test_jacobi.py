@@ -70,11 +70,11 @@ class TestKernel:
             for x, y in zip(got, ref):
                 assert np.max(np.abs(x - y)) <= 1e-9
         with pytest.raises(ValueError, match="radial horizon too small"):
-            stable_solution(short, T0=T)
+            stable_solution(short)
 
     def test_parallel_kernel_constant_outside(self):
         kern = make_kernel("parallel", GeodesicParams(0.3, PI4, 0.0))
-        ts = np.linspace(kern.entry + 1e-9, 15.0, 50)
+        ts = np.linspace(kern.radial.entry_time + 1e-9, 15.0, 50)
         assert np.all(np.asarray(kern.value(ts)) == -1.0)
 
     def test_asymptotically_hyperbolic(self):
@@ -105,7 +105,7 @@ class TestKernel:
         # 1 - 2 rho'(ell)^2 = -1 + 4 sin^2 s at r = pi/4
         s = 0.3
         kern = make_kernel("perpendicular", GeodesicParams(s, PI4, 0.0))
-        right = float(kern.value(kern.entry + 1e-12))
+        right = float(kern.value(kern.radial.entry_time + 1e-12))
         assert right == pytest.approx(-1.0 + 4.0 * math.sin(s) ** 2, abs=1e-8)
 
 
@@ -203,10 +203,6 @@ class TestFundamentalPair:
 
     def test_off_plane_equation_is_not_integrated(self):
         kern = make_kernel("perpendicular", GeodesicParams(0.3, PI4, 0.05))
-        with pytest.raises(ValueError):
-            kern.transfer
-        with pytest.raises(ValueError):
-            kern.window_solution(1.0, 0.0)
         with pytest.raises(ValueError):
             killing_field(make_kernel("parallel", GeodesicParams(0.3, PI4, 0.0)), 1.0, 0.0, 5.0)
         with pytest.raises(ValueError):

@@ -300,6 +300,20 @@ class TestAssembleReport:
         assert len(rep.small_s) == points and rep.small_s[-1].s == sigma
         assert rep.mid_s == ()
 
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"ds": -0.01}, "ds"), ({"ds": 0.0}, "ds"), ({"ds": math.inf}, "ds"),
+        ({"ds": math.nan}, "ds"), ({"sigma": math.inf}, "sigma"), ({"sigma": math.nan}, "sigma"),
+    ])
+    def test_bad_grid_step_is_refused(self, kwargs, name):
+        # ds = -0.01 left both grids empty and the scan passed with nothing
+        # checked; ds = 0 divided by zero and ds = inf failed inside a solve
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            assemble_report(0.0, **kwargs)
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            verify_small_s(PI4, 0.0, **kwargs)
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            verify_large_s(PI4, 0.0, **kwargs)
+
     def test_metadata_declares_sampling(self, sharp_report):
         assert "not a computer-assisted proof" in sharp_report.metadata["method"]
 

@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from ahwarp.geodesics import GeodesicParams, RadialSolution
+from ahwarp.geodesics import GeodesicParams, RadialSolution, entry_time
 from ahwarp.jacobi import (
-    JacobiKernel,
     closed_U_perp,
     closed_V_perp,
     make_kernel,
@@ -50,9 +49,14 @@ class TestCriticalRadialSolution:
         assert np.max(np.abs(got_out - np.exp(-outside))) < 1e-9
 
     def test_seed_normalization(self):
-        sol = stable_for("parallel", GeodesicParams(0.0, PI4, 0.0), tol=1e-11)
-        T = sol.seed_horizon
-        assert abs(math.exp(T) * float(sol.Y.value(T)) - 1.0) <= sol.seed_residual + 1e-12
+        # e^t Y(t) -> 1 is taken in closed form; at the horizon it holds to
+        # rounding for both kinds
+        for mu in [(0.0, PI4, 0.0), (0.2, PI4, 0.0), (0.2, 0.76, 0.05), (0.8, 0.76, 0.05)]:
+            for kind in ("parallel", "perpendicular"):
+                sol = stable_for(kind, GeodesicParams(*mu), tol=1e-11)
+                T = sol.seed_horizon
+                assert T == 30.0 and sol.seed_residual == 0.0
+                assert abs(math.exp(T) * float(sol.Y.value(T)) - 1.0) <= 1e-14, (kind, mu)
 
 
 class TestRadialCertificates:
@@ -118,25 +122,41 @@ class TestOffRadialCertificates:
         radial = certificate("parallel", GeodesicParams(0.0, r, eps))
         assert abs(got - radial) <= 1e-10
 
-    def test_stable_solution_reads_the_angle_at_T0_only(self, monkeypatch):
-        # the Killing field is evaluated when asked, not at every radial node
+    def test_stable_solution_reads_no_angle_until_evaluated(self, monkeypatch):
+        # the normalization is the exterior's closed-form limit: the Killing
+        # field's angle and radius are looked up only when Y is evaluated
         calls = []
-        phi = RadialSolution.phi
 
-        def recording(self, t):
-            calls.append(np.atleast_1d(t).copy())
-            return phi(self, t)
+        def recording(name):
+            method = getattr(RadialSolution, name)
 
-        monkeypatch.setattr(RadialSolution, "phi", recording)
-        sol = stable_for("perpendicular", GeodesicParams(0.2345, 0.7654, 0.0321), T0=30.0)
-        assert len(calls) == 1 and np.array_equal(calls[0], [30.0])
-        assert sol.W(1.0) > 0.0 and len(calls) == 2
+            def fn(self, t):
+                calls.append(name)
+                return method(self, t)
+
+            monkeypatch.setattr(RadialSolution, name, fn)
+
+        for name in ("phi", "rho", "state"):
+            recording(name)
+        sol = stable_for("perpendicular", GeodesicParams(0.2345, 0.7654, 0.0321))
+        assert calls == []
+        assert sol.W(1.0) > 0.0 and calls == ["state", "phi"]
+
+    def test_Y0_matches_closed_form(self):
+        # at (s, pi/4, 0), e^t Y -> 1 gives Y(0) = (1 + c) sin(theta_inf)
+        # e^{-ell(s)} / sqrt 2 with c = sqrt(cos 2s); normalizing at a
+        # fixed horizon instead was up to 4.7e-15 off
+        for s in np.linspace(0.005, 0.78, 157).tolist():
+            c = math.sqrt(math.cos(2.0 * s))
+            exact = (1.0 + c) * math.sin(theta_infinity(s)) * math.exp(-entry_time(s, PI4)) / SQRT2
+            got = stable_for("perpendicular", GeodesicParams(s, PI4, 0.0)).Y0
+            assert abs(got - exact) <= 2e-15 * exact, s
 
     def test_horizon_independence_oracle(self):
-        # backward integration at T in {30, 40} agrees to 1e-8
+        # the certificate does not depend on the kernel's horizon
         mu = GeodesicParams(0.2, PI4, 0.0)
-        a = stable_for("perpendicular", mu, tol=1e-11, T0=30.0).W_prime_0
-        b = stable_for("perpendicular", mu, tol=1e-11, T0=40.0).W_prime_0
+        a = stable_for("perpendicular", mu, tol=1e-11).W_prime_0
+        b = stable_solution(make_kernel("perpendicular", mu, horizon=40.0, tol=1e-12)).W_prime_0
         assert abs(a - b) < 1e-8
 
     def test_normalized_profile_matches_stable_combination(self):
@@ -155,8 +175,9 @@ class TestSeedingConsistency:
     @pytest.mark.parametrize("mu", [(0.0, PI4, 0.0), (0.2, PI4, 0.0), (0.2, 0.76, 0.05)])
     def test_horizon_shift_is_negligible(self, kind, mu):
         params = GeodesicParams(*mu)
-        a = stable_for(kind, params, tol=1e-10, T0=30.0).W_prime_0
-        b = stable_for(kind, params, tol=1e-10, T0=40.0).W_prime_0
+        a = stable_for(kind, params, tol=1e-10).W_prime_0
+        b = stable_solution(make_kernel(kind, params, horizon=40.0, tol=1e-12),
+                            kind=kind).W_prime_0
         assert abs(a - b) < 1e-9
 
     def test_parallel_seeding_is_exact(self):
@@ -186,7 +207,7 @@ def _linear_seeded_certificate(kernel, T=40.0, tol=1e-11):
     backward by scipy's DOP853, one decreasing span per region so no step
     straddles a region boundary; past a boundary k is read strictly right of
     it (value() returns the inside value at a sharp junction)."""
-    bounds = sorted({b for b in (kernel.entry, kernel.exit) if b is not None and b > 0.0})
+    bounds = sorted({b for b in kernel.radial.window if b > 0.0})
     edges = [T, *reversed(bounds), 0.0]
     seed = math.exp(-T)
     y = np.array([seed, -seed])
@@ -227,7 +248,7 @@ class TestVanishingStableSolution:
         # adj(M) (1, -1) has a nonpositive first entry, Y(t_in) <= 0 and the
         # stable solution vanishes in the window
         kernel = make_kernel("parallel", GeodesicParams(0.2, 0.76, 0.05))
-        monkeypatch.setattr(JacobiKernel, "transfer",
+        monkeypatch.setattr(RadialSolution, "transfer",
                             property(lambda self: np.array([[1.0, -2.0], [0.0, 1.0]])))
         with pytest.raises(CertificateError, match=r"vanishes.*Y\(t_in\) = -"):
             stable_solution(kernel)
