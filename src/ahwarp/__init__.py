@@ -17,8 +17,6 @@ from .ode import (
     integrate_ivp,
 )
 from .warp import (
-    EPS0,
-    ETA,
     ProfileParams,
     WarpFunction,
     k_parallel,
@@ -45,6 +43,7 @@ from .jacobi import (
     closed_U_perp,
     closed_V_parallel,
     closed_V_perp,
+    even_minimum,
     fundamental_pair,
     jacobi_solution,
     kernel_on,

@@ -73,14 +73,13 @@ those formulas are the oracles for the numerical pipeline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .ode import Flow, Trajectory, integrate_ivp
+from .ode import Flow, Trajectory, _bisect, integrate_ivp
 from .warp import ProfileParams, WarpFunction, k_parallel, solve_warp
 
 __all__ = [
@@ -118,21 +117,11 @@ class GeodesicParams:
         return ProfileParams(self.r, self.eps)
 
 
-def _columns(pieces: list, shared: tuple[str, ...] = ()):
-    """The exact pieces (``_Ball`` or ``_Exterior``) of several geodesics as
-    one, each field a column with one row per geodesic, so that it evaluates
-    a block of them at once; the fields in ``shared`` (constants of the
-    metric) are taken from the first."""
-    first = pieces[0]
-    return replace(first, **{f.name: np.array([[getattr(p, f.name)] for p in pieces])
-                             for f in fields(first) if f.name not in shared})
-
-
 @dataclass(frozen=True)
 class _Ball:
     """The geodesic inside the ball, on the great circle
     cos(rho) = cos(s) cos(t): the constants of its closed forms, taken with
-    ``math`` per geodesic (floats, or columns from ``_columns``)."""
+    ``math`` per geodesic."""
 
     sin_half: float  # sin(s/2)
     cos_half: float  # cos(s/2)
@@ -160,7 +149,7 @@ def _atanc(z: np.ndarray, hyperbolic: bool) -> np.ndarray:
     """atanh(sqrt z) / sqrt z if ``hyperbolic`` (z >= 0), else
     atan(sqrt -z) / sqrt -z (z <= 0); 1 at z = 0 (|z| < 1).  Phi's z has
     the sign of 4 a_+ a_-, one number per metric, so one branch serves every
-    sample."""
+    time."""
     root = np.sqrt(np.abs(z))
     with np.errstate(invalid="ignore"):
         out = (np.arctanh if hyperbolic else np.arctan)(root) / root
@@ -172,8 +161,7 @@ class _Exterior:
     """The geodesic past the transition exit t_x, where h = A'(rho) solves
     h'' = h.  With tau = t - t_x, e^{-tau} h = (h_x (1 + E) + h'_x (1 - E)) / 2
     and e^{-tau} h' = (h'_x (1 + E) + h_x (1 - E)) / 2, E = e^{-2 tau}; both
-    terms are nonnegative and nothing overflows.  The fields are floats, or
-    columns from ``_columns`` (d, of the metric, stays a float)."""
+    terms are nonnegative and nothing overflows."""
 
     t_x: float
     rho_x: float
@@ -205,6 +193,40 @@ class _Exterior:
         p, q = 0.5 * (self.h_x + self.dh_x), 0.5 * (self.h_x - self.dh_x)
         y = self.a_s * e / (2.0 * p * p + (2.0 * p * q + self.d) * e)
         return y * _atanc(self.d * y * y, self.d > 0.0)
+
+    def perp_minimum(self, psi: float) -> tuple[float, bool]:
+        """(min over [t_x, inf) of the off-plane even solution
+        U = A(rho) cos(theta) / A(s), whether U' > 0 at t_x), given
+        psi = pi/2 - theta_inf > 0, on floats.
+
+        Clairaut gives 1 - rho'^2 = A(s)^2 / A^2, so the off-plane kernel is
+        -1 + A(s)^2 (1 + 4 a_+ a_-) / A^4 here, decreasing as A grows.  With
+        U > 0 (theta < theta_inf < pi/2) and the kernel's one change of sign
+        on the whole line (``jacobi.even_minimum``), U' <= 0 up to the
+        minimum and U' > 0 after it.  In E = e^{-2 tau},
+        e^{-tau} A = sqrt(g^2 + 4 a_+ a_- E) with g = p + q E and
+        e^{-tau} h' = p - q E, and U' has the sign of
+        g (p - q E) cos(theta) - A(s) E sin(theta), where
+        cos(theta) = sin(psi + phi) keeps its precision however small psi
+        is.  That sign is positive as E -> 0 and turns at most once on
+        (0, 1]; bisection in E locates the turn (E -> 1 when U' > 0 at t_x)."""
+        p, q = 0.5 * (self.h_x + self.dh_x), 0.5 * (self.h_x - self.dh_x)
+        c = math.sqrt(abs(self.d))
+        arc = math.atanh if self.d > 0.0 else math.atan
+
+        def state(e: float) -> tuple[float, float, float]:
+            """(e^{-tau} h, e^{-tau} h', psi + phi) at E = e; phi as in
+            ``phi``, y atanc(4 a_+ a_- y^2) = arc(c y) / c."""
+            y = self.a_s * e / (2.0 * p * p + (2.0 * p * q + self.d) * e)
+            return p + q * e, p - q * e, psi + (arc(c * y) / c if c * y > 0.0 else y)
+
+        def rising(e: float) -> bool:
+            g, dg, angle = state(e)
+            return g * dg * math.sin(angle) > self.a_s * e * math.cos(angle)
+
+        e = _bisect(rising, 1.0, 0.0)
+        g, _, angle = state(e)
+        return math.sqrt((g * g + self.d * e) / e) * math.sin(angle) / self.a_s, rising(1.0)
 
     def k_perp(self, t: np.ndarray) -> np.ndarray:
         """K_perp(rho) = (1 - A'^2) / A^2 = -1 + (1 + 4 a_+ a_-) / A^2."""
@@ -407,13 +429,6 @@ _PAIR_START = (1.0, 0.0, 0.0, 1.0)
 # The most geodesics whose windows share one solve.  The batch's dense output
 # has 9 rows per geodesic per step, so this bounds the memory of a grid.
 _BATCH = 64
-# The most geodesics sampled in one array pass (``_sample_grid``).  A pass
-# holds some twenty block-by-samples arrays at once.  Over the 85 mid-s
-# geodesics of the sharp metric, 2,001 samples each, tracemalloc puts the
-# peak at 0.4 MB for blocks of 1, 1.2 MB for blocks of 3, 1.6 MB for blocks
-# of 4 and 21 MB for one pass over all of them; blocks of 3 and 4 ran the
-# grid in the same time, blocks of 1 and 2 took about 40% and 15% longer.
-_BLOCK = 3
 
 
 def _window_rhs(profile: ProfileParams):
@@ -583,79 +598,6 @@ def solve_radial_grid(ss: Iterable[float], r: float, eps: float, T: float = 30.0
         raise ValueError("horizon T must be positive")
     params = [GeodesicParams(float(s), r, eps) for s in ss]
     return _grid_solutions(params, T, tol) if params else iter(())
-
-
-@dataclass(frozen=True, eq=False)
-class _Paths:
-    """A block of geodesics of one metric sampled at the times t: rho, rho'
-    and theta as arrays with one row per geodesic and one column per time,
-    and the piece that each sample lies on, as ``RadialSolution.state``
-    takes it: the ball for t <= t_in (s < r), the window for t_in < t <= t_x
-    (from t = 0 when r <= s < r + eps), the exterior after t_x.  The ball
-    samples lie in the first ``lead`` columns, the exterior ones in the
-    columns from ``tail`` on."""
-
-    t: np.ndarray
-    window: np.ndarray
-    exterior: np.ndarray
-    lead: int
-    tail: int
-    rho: np.ndarray
-    drho: np.ndarray
-    theta: np.ndarray
-
-    def end(self) -> tuple[np.ndarray, np.ndarray]:
-        """(rho, theta) at the last sample time, one entry per geodesic."""
-        return self.rho[:, -1], self.theta[:, -1]
-
-
-def _sample_paths(radials: list[RadialSolution], t: np.ndarray) -> _Paths:
-    """rho, rho' and theta of the geodesics ``radials`` (one metric, s > 0)
-    at the increasing times t, element for element ``radial.state(t)`` and
-    ``radial.theta(t)``.  The ball and the exterior are evaluated for the
-    whole block at once from ``_columns`` of their pieces (the exterior at
-    max(t, t_x), inside its domain); the few window samples of a geodesic go
-    through its own window solve.  Theta takes its ball form before t_x
-    and its exterior form theta_inf - phi from t_x on."""
-    n, m = len(radials), len(t)
-    t_in, t_x = np.array([rad.span for rad in radials]).T[:, :, None]
-    in_ball = np.array([[rad.params.s < rad.params.r] for rad in radials])
-    ball = in_ball & (t <= t_in)
-    window = np.array([[rad.transition is not None] for rad in radials]) & ~ball & (t <= t_x)
-    exterior = ~(ball | window)
-    lead = int(np.searchsorted(t, t_in[in_ball].max(initial=-math.inf), side="right"))
-    tail = int(np.searchsorted(t, t_x.min(), side="left"))
-    rho, drho, theta = np.empty((3, n, m))
-    if lead:
-        balls = _columns([rad._ball for rad in radials])
-        rho[:, :lead], drho[:, :lead] = balls.state(t[:lead])
-        theta[:, :lead] = balls.theta(t[:lead])
-    if tail < m:
-        # a geodesic that has not left the transition by the horizon has no
-        # exterior samples; another's exterior stands in for it
-        spare = next(rad.exterior for rad in radials if rad.exterior is not None)
-        ext = _columns([rad.exterior or spare for rad in radials], shared=("d",))
-        t_ext = np.maximum(t[tail:], ext.t_x)
-        for out, part in zip((rho, drho), ext.state(t_ext)):
-            np.copyto(out[:, tail:], part, where=exterior[:, tail:])
-        theta_inf = np.array([[rad.theta_infinity if rad.exterior is not None else math.nan]
-                              for rad in radials])
-        np.copyto(theta[:, tail:], theta_inf - ext.phi(t_ext),
-                  where=~window[:, tail:] & (t[tail:] >= t_x))
-    for j in np.flatnonzero(window.any(axis=1)):
-        idx = np.flatnonzero(window[j])
-        rho[j, idx], drho[j, idx] = radials[j].state(t[idx])
-        theta[j, idx] = radials[j].theta(t[idx])
-    return _Paths(t, window, exterior, lead, tail, rho, drho, theta)
-
-
-def _sample_grid(ss: Iterable[float], r: float, eps: float, T: float, tol: float,
-                 t: np.ndarray) -> Iterator[tuple[list[RadialSolution], _Paths]]:
-    """``solve_radial_grid`` in blocks of up to ``_BLOCK`` geodesics, each
-    block with its ``_sample_paths`` at the times t."""
-    solutions = solve_radial_grid(ss, r, eps, T, tol)
-    while block := list(islice(solutions, _BLOCK)):
-        yield block, _sample_paths(block, t)
 
 
 def solve_radial(params: GeodesicParams, T: float = 30.0, tol: float = 1e-10) -> RadialSolution:

@@ -53,11 +53,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ode import Trajectory
+from .ode import Trajectory, _bisect
 from .geodesics import (
     GeodesicParams,
     RadialSolution,
-    _Paths,
     entry_time,
     growth_factor,
     solve_radial,
@@ -72,6 +71,7 @@ __all__ = [
     "killing_field",
     "jacobi_solution",
     "fundamental_pair",
+    "even_minimum",
     "closed_U_parallel",
     "closed_V_parallel",
     "closed_U_perp",
@@ -191,20 +191,12 @@ def killing_field(
         a, da = warp.state(rho)
         # theta is defined on all of [0, T]; phi needs the transition exit
         ang = radial.theta(t) if angle == "theta" else radial.phi(t)
-        return _killing_state(a, da, drho, ang, a_s, p, q, sign)
+        c, sn = np.cos(ang), np.sin(ang)
+        comb = p * c + q * sn
+        # (A/A(s))' = A' rho' / A(s) and (A/A(s)) ang' = sign / A (Clairaut)
+        return (a / a_s) * comb, (da * drho / a_s) * comb + sign * (q * c - p * sn) / a
 
     return Trajectory.from_function(fn, 0.0, T)
-
-
-def _killing_state(a, da, drho, ang, a_s, p: float, q: float, sign: float):
-    """(Y, Y') of the Killing field A(rho) / A(s) (p cos a + q sin a) from
-    A, A' and rho' along the geodesic and its angle a (theta, sign 1, or
-    phi, sign -1); a_s = A(s) is a float, or a column for a block of
-    geodesics."""
-    c, sn = np.cos(ang), np.sin(ang)
-    comb = p * c + q * sn
-    # (A/A(s))' = A' rho' / A(s) and (A/A(s)) a' = sign / A (Clairaut)
-    return (a / a_s) * comb, (da * drho / a_s) * comb + sign * (q * c - p * sn) / a
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,8 +236,7 @@ def _rotation(t0: float, y: float, dy: float):
 
 def _exponentials(t0, y, dy, t):
     """(Y, Y')(t) of the solution of Y'' = Y with state (y, dy) at t0, in the
-    basis (y + dy)/2 e^tau, (y - dy)/2 e^{-tau} with tau = t - t0; t0, y and
-    dy are floats, or columns for a block of geodesics."""
+    basis (y + dy)/2 e^tau, (y - dy)/2 e^{-tau} with tau = t - t0."""
     p, q = 0.5 * (y + dy), 0.5 * (y - dy)
     grow, decay = p * np.exp(t - t0), q * np.exp(t0 - t)
     return grow + decay, grow - decay
@@ -268,37 +259,6 @@ def _in_plane_to_exit(radial: RadialSolution, y0: float, dy0: float,
         parts.append(radial.window_solution(*state, T))
         state = tuple((radial.transfer @ state).tolist())
     return parts, state
-
-
-def _even_solutions(radials: list[RadialSolution], paths: _Paths, T: float):
-    """((U, U'), (U, U')) of the in-plane and the off-plane equation, with
-    U(0) = 1 and U'(0) = 0, along the geodesics of ``paths`` (s > 0) at its
-    sample times (all at most T), one row per geodesic: element for element
-    ``jacobi_solution(kernel_on(kind, radial), (1, 0), T).state(t)``.  The
-    in-plane rotation and exponentials are evaluated for the whole block at
-    once, the exponentials from columns of their start states (at
-    max(t, t_x), inside their domain), the window samples per geodesic; the
-    off-plane U is the Killing field A(rho) cos(theta) / A(s) of the
-    sampled rho, rho' and theta."""
-    t, lead, tail = paths.t, paths.lead, paths.tail
-    u, du = np.empty((2,) + paths.rho.shape)
-    u[:, :lead], du[:, :lead] = _rotation(0.0, 1.0, 0.0)(t[:lead])
-    pieces = [_in_plane_to_exit(rad, 1.0, 0.0, T) for rad in radials]
-    if tail < len(t):
-        # a geodesic that has not left the transition by T has no exterior
-        # samples; any finite t_x keeps its unused exponentials finite
-        t_x = np.array([[rad.span[1]] for rad in radials])
-        t_x[np.isinf(t_x)] = 0.0
-        y, dy = np.array([state for _, state in pieces]).T[:, :, None]
-        for out, part in zip((u, du), _exponentials(t_x, y, dy, np.maximum(t[tail:], t_x))):
-            np.copyto(out[:, tail:], part, where=paths.exterior[:, tail:])
-    for j in np.flatnonzero(paths.window.any(axis=1)):
-        idx = np.flatnonzero(paths.window[j])
-        u[j, idx], du[j, idx] = pieces[j][0][-1].state(t[idx])  # the window piece
-
-    a, da = radials[0].warp.state(paths.rho)
-    a_s = np.array([[rad.a_s] for rad in radials])
-    return (u, du), _killing_state(a, da, paths.drho, paths.theta, a_s, 1.0, 0.0, 1.0)
 
 
 def jacobi_solution(
@@ -332,6 +292,52 @@ def fundamental_pair(kernel: JacobiKernel, T: float = 20.0, tol: float = 1e-10) 
     """The fundamental solutions U, V of Y'' + k(t) Y = 0 on [0, T]."""
     return FundamentalPair(U=jacobi_solution(kernel, (1.0, 0.0), T, tol),
                            V=jacobi_solution(kernel, (0.0, 1.0), T, tol))
+
+
+def even_minimum(kernel: JacobiKernel) -> float:
+    """The minimum over t >= 0 of the even solution U (U(0) = 1, U'(0) = 0)
+    of the kernel's equation, from its exact pieces: -inf when U is
+    unbounded below, nan when it is not decided.  By Sturm separation
+    (Hartman, Ordinary Differential Equations, 1964) no solution vanishes
+    twice iff the even U has no zero on the line, iff this is positive.
+
+    Positivity:
+
+    * in-plane, U = cos t in the ball and P e^tau + Q e^{-tau} past t_x, with
+      (P, Q) from the state at t_x; K_par <= 1, so two zeros of U lie at
+      least pi apart, and on a window shorter than pi (else nan) U > 0 iff
+      U(t_x) > 0.  So U > 0 on the line iff U(t_x) > 0 and P >= 0;
+    * off-plane, U = A(rho) cos(theta) / A(s) > 0 on the line iff
+      theta_inf < pi/2 (theta increases to theta_inf).
+
+    Minimum: both kernels are 1 in the ball and change sign at most once
+    after it, from + to -.  K_par decreases.  Clairaut turns the off-plane
+    kernel into K_par (1 - A(s)^2/A^2) + A(s)^2 (1 - A'^2) / A^4, which is
+    positive before the window's midpoint (K_par >= 0, A' < 1), decreasing
+    past it while A' <= 1, negative once A' > 1, and decreasing past t_x
+    (``perp_minimum``).  While U > 0, U'' = -k U, so U' <= 0 up to the
+    minimum and U' > 0 after it.  The minimum lies in the window when
+    U'(t_x) > 0 (bisection on the window's dense output), else past t_x:
+    2 sqrt(PQ) in-plane, ``perp_minimum`` off-plane.
+    """
+    radial = kernel.radial
+    t_in, t_x = radial.window
+    if kernel.kind == "perpendicular":
+        psi = radial.theta_infinity_complement
+        if not psi > 0.0:
+            return -math.inf if psi < 0.0 else 0.0  # U -> -inf, or U -> 0 with U > 0
+        tail, rising = radial.exterior.perp_minimum(psi)
+    else:
+        if not t_x - t_in < math.pi:
+            return math.nan
+        u, du = _in_plane_to_exit(radial, 1.0, 0.0, t_x)[1]
+        p, q = 0.5 * (u + du), 0.5 * (u - du)
+        # U -> -inf if P < 0, else U is least at tau = log(Q/P) / 2 if Q > P, else at t_x
+        tail, rising = -math.inf if p < 0.0 else 2.0 * math.sqrt(p * q) if q > p else u, du > 0.0
+    if rising and t_in < t_x:
+        U = jacobi_solution(kernel, (1.0, 0.0), t_x, radial.tol)
+        return min(tail, U.value(_bisect(lambda t: U.deriv(t) > 0.0, t_in, t_x)))
+    return tail
 
 
 # -- closed forms at (r, eps) = (pi/4, 0) ------------------------------------

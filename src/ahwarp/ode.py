@@ -42,8 +42,8 @@ Rhs = Callable[[float, np.ndarray], Sequence[float]]
 
 _METHOD = "DOP853"
 # scipy locates a terminal event to 4 ulps of 1 (absolute and relative), by
-# Brent's method on the bracketing step; ``Flow.crossings`` bisects to the
-# same tolerance, which 100 halvings of any step reach.
+# Brent's method on the bracketing step; ``Flow.crossings`` and ``_bisect``
+# bisect to the same tolerance, which 100 halvings of any step reach.
 _EVENT_TOL = 4.0 * np.finfo(float).eps
 _BISECTIONS = 100
 
@@ -251,6 +251,19 @@ class Flow:
                        states=self.states[rows, :k + 1])
         states = np.column_stack([dense.states, dense(t1)])
         return Flow(nodes=dense.ts, states=states, switched=switched, dense=dense)
+
+
+def _bisect(past: Callable[[float], bool], lo: float, hi: float) -> float:
+    """The point between lo and hi (in either order) at which ``past`` turns
+    true, given that it is false at lo, true at hi and turns once between:
+    bisection to the event tolerance, ending on the side where it is true."""
+    while abs(hi - lo) > _EVENT_TOL * (1.0 + abs(hi)):
+        mid = 0.5 * (lo + hi)
+        if past(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def integrate_ivp(

@@ -20,7 +20,8 @@ Absence of interior conjugate points is certified in three regimes:
 * small s (certificate method): W'(0) <= 0 for both kernels on a grid
   0 <= s <= sigma, backed by the concavity signature of s -> W'(0) at 0;
 * mid s (positivity method): the even fundamental solutions U stay positive
-  on [0, T] with positive exit slope for sigma <= s <= rho0;
+  on the whole line for sigma <= s <= rho0, which by Sturm separation leaves
+  no solution with two zeros;
 * large s (curvature method): past the threshold rho0 both sectional
   curvatures are negative, so Sturm comparison with Y'' = 0 rules out double
   zeros with no integration at all.  The threshold is confirmed by its
@@ -35,18 +36,16 @@ premise of the comparison theorem (``geodesics.comparison_lower_bound``).
 
 Each regime's grid takes its geodesics from one
 ``geodesics.solve_radial_grid``: the transition windows of up to 64
-geodesics are one solve.  The mid-s grid is then sampled in blocks of up to
-three geodesics, one array pass each: rho, rho', theta and A at all 2,001
-sample times of the block (``geodesics._sample_grid``), both even solutions
-U from them (``jacobi._even_solutions``), and U'(T), theta(T) and rho(T)
-read off the last sample column.  Element for element these are the numbers
-that each geodesic's own trajectories give.  No caller sets a tolerance: the transition pair
-is solved at ``warp._PAIR_TOL``, every stable solution (the residual, the
+geodesics are one solve.  Each mid-s point's minima of U are exact over all
+t >= 0 (``jacobi.even_minimum``): U is cos t in the ball and closed form past
+the transition, and U' turns positive once, so the minimum is one closed
+formula or one bisection.  No caller sets a tolerance: the transition pair is
+solved at ``warp._PAIR_TOL``, every stable solution (the residual, the
 witness, the small-s certificates) at ``stable._KERNEL_TOL`` and the mid-s
-grid at ``_MID_TOL``, and the report's metadata states all three.  The grids
-certify concrete parameter triples by computation; this is certification by
-sampling, not a computer-assisted proof, and the report says so in its
-metadata.
+grid at ``_MID_TOL``, and the report's metadata states all three.  Each grid
+point is decided on the whole line in t, but the grids sample s: they
+certify concrete parameter triples by computation, not a computer-assisted
+proof, and the report says so in its metadata.
 """
 
 from __future__ import annotations
@@ -57,8 +56,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geodesics import GeodesicParams, _sample_grid
-from .jacobi import _even_solutions
+from .geodesics import GeodesicParams, solve_radial_grid
+from .jacobi import KINDS, even_minimum, kernel_on
 from .stable import (_KERNEL_TOL, TOL_SIGN, StableSolution, certificate_grid, stable_for,
                      stencil_derivatives, stencil_points)
 from .warp import _PAIR_TOL, ProfileParams, entry_slope, k_perp, solve_warp
@@ -75,11 +74,9 @@ __all__ = [
 ]
 
 _QUARTER_PI = math.pi / 4.0
-# The mid-s fundamental solutions are taken on [0, _T_MID], each grid's
-# windows solved at _MID_TOL: the minima of U are positive margins, far
-# above this error (certificates are signed numbers near 0 and ride on
-# stable._KERNEL_TOL).
-_T_MID = 20.0
+# The mid-s grid's windows are solved at _MID_TOL: the minima of U are
+# positive margins, far above this error (certificates are signed numbers
+# near 0 and ride on stable._KERNEL_TOL).
 _MID_TOL = 1e-9
 
 OVERALL_SUCCESS = "boundary-CP-and-no-interior-CP"
@@ -270,33 +267,21 @@ def verify_large_s(
 
     Past rho0 both curvatures are negative and Sturm comparison needs no
     integration; below it, each grid point passes iff both even fundamental
-    solutions have positive minimum on [0, T] (T = _T_MID) and positive exit
-    slope.  The off-plane U = A(rho) cos(theta) / A(s) is positive on all of
-    [0, T], not only at the 0.01-spaced samples, exactly when
-    theta(T) < pi/2 (theta increases), so that is required as well.  Past T
-    the Sturm argument needs both curvatures negative, so each point also
-    requires rho(T) >= rho0 (rho increases).  The samples are taken in one
-    array pass per block of geodesics (module docstring), and U'(T),
-    theta(T) and rho(T) are their last column.
+    solutions U (U(0) = 1, U'(0) = 0) are positive on the whole line: by
+    Sturm separation no solution then vanishes twice.  The minima are
+    ``jacobi.even_minimum``, exact over t >= 0: closed forms in the ball and
+    past the transition, the window solve's dense output across it.
     Returns (rho0, curvature_certified, records, all passed).
     """
     _check_grid(sigma, ds)
     if not sigma > 0.0:
         raise ValueError(f"the mid-s grid starts at sigma > 0, got {sigma}")
-    T = _T_MID
     rho0, certified = _negative_curvature_threshold(ProfileParams(r, eps))
     records: list[MidSRecord] = []
-    sample = np.arange(0.0, T + 1e-12, 0.01)  # its last time is T itself
-    grid = _grid(sigma, rho0, ds)
-    for radials, paths in _sample_grid(grid, r, eps, T + 1.0, _MID_TOL, sample):
-        (u, du), (v, dv) = _even_solutions(radials, paths, T)
-        rho_T, theta_T = paths.end()
-        min_u, min_v = u.min(axis=1), v.min(axis=1)
-        good = ((min_u > 0.0) & (du[:, -1] > 0.0) & (min_v > 0.0) & (dv[:, -1] > 0.0)
-                & (theta_T < math.pi / 2.0) & (rho_T >= rho0))
-        records.extend(MidSRecord(rad.params.s, mu, mv, "pass" if g else "fail")
-                       for rad, mu, mv, g in zip(radials, min_u.tolist(), min_v.tolist(),
-                                                 good.tolist()))
+    for radial in solve_radial_grid(_grid(sigma, rho0, ds), r, eps, tol=_MID_TOL):
+        min_u, min_v = (even_minimum(kernel_on(kind, radial)) for kind in KINDS)
+        good = min_u > 0.0 and min_v > 0.0
+        records.append(MidSRecord(radial.params.s, min_u, min_v, "pass" if good else "fail"))
     ok = certified and all(rec.verdict == "pass" for rec in records)
     return rho0, certified, records, ok
 
@@ -357,8 +342,9 @@ def assemble_report(
         "bracket_halfwidth": bracket_halfwidth,
         "tol": {"pair": _PAIR_TOL, "certificates": _KERNEL_TOL, "mid_s": _MID_TOL},
         "method": (
-            "certification by sampling on the stated grids; "
-            "not a computer-assisted proof"
+            "every grid point decided on all of t >= 0 from closed forms and "
+            "the transition window solve, not on sampled t; the grids sample s: "
+            "certification by sampling in s, not a computer-assisted proof"
         ),
         "mollifier": "exp(-1/x) / (exp(-1/x) + exp(-1/(1-x))) ramp on [0, 1]",
     }

@@ -42,11 +42,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .ode import Flow, Trajectory, integrate_ivp
+from .ode import Flow, Trajectory, _bisect, integrate_ivp
 
 __all__ = [
-    "ETA",
-    "EPS0",
     "ProfileParams",
     "WarpFunction",
     "mollifier",
@@ -55,14 +53,6 @@ __all__ = [
     "entry_slope",
     "k_perp",
 ]
-
-# Half-width of the r window and largest mollification width of the
-# parameter grids in the tests; keeps r + eps < pi/2 with a comfortable
-# margin.  The search does not read them (its window is its own
-# bracket_halfwidth).
-ETA = 0.15
-EPS0 = 0.15
-
 
 @dataclass(frozen=True)
 class ProfileParams:
@@ -195,21 +185,25 @@ class WarpFunction:
         return float(out[0]) if np.isscalar(rho) or np.ndim(rho) == 0 else out
 
     def min_log_slope(self) -> float:
-        """An a with A'/A >= a on (0, inf), up to the sampling of the
-        transition.
+        """The infimum a of A'/A on (0, inf), so A'/A >= a there.
 
-        cot(rho) is decreasing on the ball, so the interior infimum is
-        cot(r); outside the transition A'/A tends monotonically to 1, so the
-        exterior infimum is min(1, A'(r+eps)/A(r+eps)); the transition zone
-        is sampled at 257 points.  No verdict reads it: the search proves
+        cot(rho) decreases on the ball to w(r) = cot(r); past the transition
+        A'/A tends monotonically to 1.  On the window w = A'/A obeys
+        w' = -K_par - w^2, and at a zero of w', w'' = -K_par' >= 0: w' turns
+        positive at most once.  So w falls from cot(r) to its least value,
+        at r + eps when w' = 1 - w^2 <= 0 there (K_par = -1) and else at the
+        one root of w^2 = -K_par, located by bisection on the transition
+        pair's dense output.  No verdict reads it: the search proves
         non-trapping from A'(r + eps/2) > 0 instead.
         """
         r, eps = self.params.r, self.params.eps
-        a = min(1.0 / math.tan(r), self.exit_state[1] / self.exit_state[0], 1.0)
-        if eps > 0.0:
-            grid = np.linspace(r, r + eps, 257)
-            a = min(a, float(np.min(self.log_slope(grid))))
-        return a
+        w = self.exit_state[1] / self.exit_state[0]
+        if self._transition is not None and w * w < 1.0:
+            # w' = -K_par - w^2 > 0 past the root
+            rho = _bisect(lambda x: self.log_slope(x) ** 2 + k_parallel(self.params, x) < 0.0,
+                          r, r + eps)
+            w = self.log_slope(rho)
+        return min(w, 1.0)
 
     def negative_curvature_threshold(self) -> float:
         """Smallest rho0 with K_par < 0 and K_perp < 0 for all rho > rho0.

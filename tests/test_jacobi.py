@@ -7,10 +7,12 @@ import pytest
 
 from ahwarp.geodesics import GeodesicParams, entry_time, growth_factor
 from ahwarp.jacobi import (
+    KINDS,
     closed_U_parallel,
     closed_U_perp,
     closed_V_parallel,
     closed_V_perp,
+    even_minimum,
     fundamental_pair,
     jacobi_solution,
     killing_field,
@@ -19,7 +21,7 @@ from ahwarp.jacobi import (
     theta_infinity,
 )
 from ahwarp.ode import Trajectory, integrate_ivp
-from ahwarp.stable import stable_solution
+from ahwarp.stable import certificate, stable_solution
 
 PI4 = math.pi / 4
 SQRT2 = math.sqrt(2.0)
@@ -341,3 +343,35 @@ class TestSturmSeparation:
                                 T=15.0, tol=1e-10)
         assert len(self._zeros(pair.U, 0.0, 15.0)) == 0
         assert len(self._zeros(pair.V, 1e-3, 15.0)) == 0
+
+
+class TestEvenMinimum:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("mu", [
+        GeodesicParams(0.5, PI4, 0.0),     # minimum past the entry, both kinds
+        GeodesicParams(1.0, PI4, 0.0),     # starts outside the ball
+        GeodesicParams(0.4, 0.76, 0.05),   # enters through the transition
+        GeodesicParams(0.78, 0.76, 0.05),  # starts inside the transition
+        GeodesicParams(0.79, 0.76, 0.05),  # past its midpoint: U turns up at once
+        GeodesicParams(0.845, 0.3, 0.6),   # the off-plane U turns up inside the window
+    ])
+    def test_minimum_against_refined_sample(self, mu, kind):
+        # the minimum over t >= 0 against U sampled on [0, 12] and again
+        # around its least sample: at or below it (up to rounding), and
+        # within 1e-12 of it
+        kernel = make_kernel(kind, mu, horizon=12.5, tol=1e-10)
+        U = jacobi_solution(kernel, (1.0, 0.0), 12.0, 1e-10)
+        ts = np.linspace(0.0, 12.0, 12001)
+        i = int(np.argmin(U.value(ts)))
+        fine = np.linspace(ts[max(i - 1, 0)], ts[i + 1], 2001)
+        sampled = float(np.min(U.value(fine)))
+        least = even_minimum(kernel)
+        assert 0.0 < least <= sampled + 1e-15
+        assert sampled - least < 1e-12
+
+    def test_supercritical_in_plane_minimum_is_unbounded(self):
+        # past r = pi/4 the certificate is positive, so the growing
+        # coefficient P = -1/2 e^{t_x} Y(0) W'(0) of the even U is negative
+        mu = GeodesicParams(0.1, 0.9, 0.0)
+        assert certificate("parallel", mu) > 0.0
+        assert even_minimum(make_kernel("parallel", mu, horizon=12.0)) == -math.inf

@@ -11,8 +11,7 @@ from scipy.optimize import brentq
 
 import ahwarp.search as search_mod
 from ahwarp import geodesics, jacobi
-from ahwarp.geodesics import GeodesicParams
-from ahwarp.jacobi import make_kernel
+from ahwarp.geodesics import GeodesicParams, solve_radial_grid
 from ahwarp.search import (
     BracketError,
     ScanReport,
@@ -29,6 +28,7 @@ from ahwarp.stable import (
     certificate_parallel_closed,
     certificate_perp_closed,
     stable_for,
+    stable_solution,
 )
 
 PI4 = math.pi / 4
@@ -122,45 +122,37 @@ class TestVerifyLargeS:
             assert rec.verdict == "pass"
 
     def test_outer_minimum_matches_closed_form(self):
-        # s = 1.0: min over [0, 20] of cosh(t) cos(sqrt2 e^{pi/4 - 1} tanh t)
+        # s = 1.0: U_perp = cosh(t) cos(c tanh t), c = sqrt2 e^{pi/4 - 1}, is
+        # least where sinh(t) cos(c tanh t) - c sin(c tanh t) / cosh(t) = 0
+        c = math.sqrt(2) * math.exp(PI4 - 1.0)
+        t_min = brentq(lambda t: (math.sinh(t) * math.cos(c * math.tanh(t))
+                                  - c * math.sin(c * math.tanh(t)) / math.cosh(t)),
+                       0.1, 5.0, xtol=1e-15, rtol=8.9e-16)
         _, _, records, _ = verify_large_s(PI4, 0.0, sigma=1.0, ds=1.0)
-        ts = np.arange(0.0, 20.0 + 1e-12, 0.01)
-        closed = np.cosh(ts) * np.cos(math.sqrt(2) * math.exp(-1.0 + PI4) * np.tanh(ts))
-        assert records[0].min_U_perp == pytest.approx(float(np.min(closed)), abs=1e-6)
+        assert records[0].s == 1.0
+        closed = math.cosh(t_min) * math.cos(c * math.tanh(t_min))
+        assert records[0].min_U_perp == pytest.approx(closed, abs=1e-14)
         assert records[0].min_U_perp > 0
 
     def test_perp_verdict_requires_angle_below_quarter_turn(self, monkeypatch):
-        # U_perp = A cos(theta) / A(s) > 0 on all of [0, T] iff theta(T) <
-        # pi/2; a sampled minimum alone cannot see a dip between samples.
-        # The pass reads theta(T) off the last sample column (_Paths.end):
-        # setting it to pi/2 there leaves every sample of U as it was
+        # U_perp = A cos(theta) / A(s) > 0 on the whole line iff theta_inf <
+        # pi/2: at theta_inf = pi/2 it tends to 0, past it to -inf, and the
+        # point fails whatever the in-plane U does
         _, _, records, ok = verify_large_s(PI4, 0.0, sigma=0.5, ds=0.1)
-        assert ok and records[0].verdict == "pass"
-        monkeypatch.setattr(geodesics._Paths, "end", lambda self: (
-            self.rho[:, -1], np.full(len(self.theta), math.pi / 2)))
-        _, _, at_quarter_turn, ok = verify_large_s(PI4, 0.0, sigma=0.5, ds=0.1)
-        assert not ok and at_quarter_turn[0].verdict == "fail"
-        for rec, before in zip(at_quarter_turn, records):  # the samples alone would pass
-            assert (rec.min_U_parallel, rec.min_U_perp) == (before.min_U_parallel,
-                                                            before.min_U_perp)
-            assert rec.min_U_parallel > 0.0 and rec.min_U_perp > 0.0
+        assert ok and all(rec.verdict == "pass" for rec in records)
+        for psi, least in ((0.0, 0.0), (-1e-3, -math.inf)):
+            monkeypatch.setattr(geodesics.RadialSolution, "theta_infinity_complement",
+                                property(lambda self, psi=psi: psi))
+            _, _, at_quarter_turn, ok = verify_large_s(PI4, 0.0, sigma=0.5, ds=0.1)
+            assert not ok
+            for rec, before in zip(at_quarter_turn, records):
+                assert rec.verdict == "fail" and rec.min_U_perp == least
+                assert rec.min_U_parallel == before.min_U_parallel > 0.0
 
     def test_mid_s_grid_starts_past_the_radial_geodesic(self):
         # s = 0 has no angular coordinate; the small-s regime covers it
         with pytest.raises(ValueError, match="sigma > 0"):
             verify_large_s(PI4, 0.0, sigma=0.0)
-
-    def test_point_requires_rho_past_threshold_at_T(self, monkeypatch):
-        # the Sturm argument past T needs rho(T) >= rho0; it is checked, not
-        # assumed: a threshold just past rho(T) fails the point
-        rho_T = float(make_kernel("parallel", GeodesicParams(0.5, PI4, 0.0),
-                                  horizon=21.0, tol=1e-9).radial.rho(20.0))
-        for rho0, verdict in ((rho_T, "pass"), (np.nextafter(rho_T, math.inf), "fail")):
-            monkeypatch.setattr(search_mod, "_negative_curvature_threshold",
-                                lambda params, rho0=rho0: (rho0, True))
-            _, _, records, ok = verify_large_s(PI4, 0.0, sigma=0.5, ds=0.1)
-            assert ok == (verdict == "pass") and records[0].verdict == verdict
-            assert records[0].min_U_parallel > 0.0 and records[0].min_U_perp > 0.0
 
     @pytest.mark.parametrize("eps", [0.0, 0.01, 0.05, 0.1])
     def test_threshold_sign_scan_at_the_scans_root(self, eps):
@@ -174,46 +166,26 @@ class TestVerifyLargeS:
         assert np.all(np.asarray(k_perp(solve_warp(params), grid)) < 0.0)
 
     @pytest.mark.parametrize("eps", [0.0, 0.05])
-    def test_block_pass_is_the_per_geodesic_solutions_bit_for_bit(self, eps):
-        # every sample of both even solutions U, U'(T), theta(T) and rho(T)
-        # as the mid-s pass reads them, against each geodesic's own
-        # solutions; starts s < r, r <= s < r + eps and s >= r + eps, on a
-        # grid that is not a whole number of blocks
+    def test_growth_coefficient_is_the_certificate(self, eps):
+        # the Wronskian of the even U and the stable Y (e^t Y -> 1) is
+        # Y(0) W'(0) at 0 and -2 P e^{-t_x} past t_x, so
+        # P = -1/2 e^{t_x} Y(0) W'(0) on one radial solve, and the exterior
+        # test P >= 0 is the certificate W'(0) <= 0
         r = find_r_star(eps)[0]
-        T, tol = search_mod._T_MID, search_mod._MID_TOL
-        sample = np.arange(0.0, T + 1e-12, 0.01)
-        assert sample[-1] == T
-        ss = [0.3, r - 0.05, r, r + eps / 2.0, r + eps, r + eps + 0.05, 1.1]
-        assert len(ss) % geodesics._BLOCK
-        self._assert_block_pass_exact(ss, r, eps, T, T + 1.0, tol, sample)
-
-    @pytest.mark.parametrize("eps", [0.05, 0.1])
-    def test_block_pass_with_geodesics_inside_at_the_horizon(self, eps):
-        # at T = 0.7 some geodesics are still in the ball or the transition
-        # (no exit time, no exterior): their samples come out exact as well
-        T = 0.7
-        ss = [0.3, 0.6, 0.78, 0.8, 0.83, 0.9, 1.0]
-        self._assert_block_pass_exact(ss, PI4, eps, T, 0.75, 1e-9, np.linspace(0.0, T, 71))
-
-    @staticmethod
-    def _assert_block_pass_exact(ss, r, eps, T, horizon, tol, sample):
-        seen = 0
-        for radials, paths in geodesics._sample_grid(ss, r, eps, horizon, tol, sample):
-            solutions = jacobi._even_solutions(radials, paths, T)
-            rho_T, theta_T = paths.end()
-            for i, radial in enumerate(radials):
-                for kind, (u, du) in zip(jacobi.KINDS, solutions):
-                    ref = jacobi.jacobi_solution(jacobi.kernel_on(kind, radial), (1.0, 0.0),
-                                                 T, tol).state(sample)
-                    assert np.array_equal(u[i], ref[0]) and np.array_equal(du[i], ref[1])
-                assert theta_T[i] == radial.theta(T) and rho_T[i] == radial.rho(T)
-                seen += 1
-        assert seen == len(ss)
+        rho0, _ = search_mod._negative_curvature_threshold(ProfileParams(r, eps))
+        grid = search_mod._grid(0.3, rho0, 0.01)
+        for radial in solve_radial_grid(grid, r, eps, tol=search_mod._MID_TOL):
+            t_x = radial.window[1]
+            u, du = jacobi._in_plane_to_exit(radial, 1.0, 0.0, t_x)[1]
+            growth = 0.5 * (u + du)
+            sol = stable_solution(jacobi.kernel_on("parallel", radial))
+            assert growth == pytest.approx(-0.5 * math.exp(t_x) * sol.Y0 * sol.W_prime_0,
+                                           rel=1e-13)
+            assert np.sign(growth) == np.sign(-sol.W_prime_0)
 
     def test_peak_memory_is_bounded(self):
-        # the pass holds a few block-by-samples arrays, not the grid's: the
-        # per-geodesic loop it replaced peaked at 3.15 MB on this call, and
-        # the pass may add at most 1 MB to that
+        # a scan holds one batch of window solves at a time and no sample
+        # arrays: the peak is the batch's dense output, 3.15 MB on this call
         r = find_r_star(0.05)[0]  # the transition pair is solved before tracing
         tracemalloc.start()
         try:
@@ -260,6 +232,14 @@ class TestAssembleReport:
     def test_perp_certificates_within_sign_band_of_closed_form(self, sharp_report):
         for rec in sharp_report.small_s:
             assert abs(rec.cert_perp - certificate_perp_closed(rec.s)) <= TOL_SIGN / 10.0
+
+    def test_in_plane_minima_match_closed_form(self, sharp_report):
+        # at (pi/4, 0), cos 2 ell(s) = tan^2 s, so past ell the in-plane
+        # U = P e^tau + Q e^{-tau} is least at 2 sqrt(PQ) = tan s for
+        # s < pi/4; for s >= pi/4, U = cosh t is least at 1
+        for rec in sharp_report.mid_s:
+            exact = math.tan(rec.s) if rec.s < PI4 else 1.0
+            assert rec.min_U_parallel == pytest.approx(exact, rel=1e-14, abs=0.0)
 
     def test_concavity_recorded(self, sharp_report):
         d1, d2 = sharp_report.concavity

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from ahwarp.warp import (
-    EPS0,
-    ETA,
     ProfileParams,
     entry_slope,
     k_parallel,
@@ -20,6 +18,10 @@ from ahwarp.warp import (
 )
 
 PI4 = math.pi / 4
+# Half-width of the r window and largest mollification width of the
+# parameter grids here; keeps r + eps < pi/2 with a comfortable margin.
+ETA = 0.15
+EPS0 = 0.15
 R_GRID = (PI4 - ETA, 0.7, PI4, 0.85, PI4 + ETA)
 
 
@@ -196,6 +198,21 @@ class TestSolveWarp:
                 a = w.min_log_slope()
                 assert a > 0
                 assert np.all(np.asarray(w.log_slope(rho)) >= a - 1e-12)
+
+    @pytest.mark.parametrize("r", R_GRID)
+    @pytest.mark.parametrize("eps", [0.01, 0.05, 0.1, EPS0])
+    def test_min_log_slope_is_the_infimum(self, r, eps):
+        # a dense sample of the window, refined around its least value, with
+        # the exterior's limit 1: the exact infimum lies at or below it, and
+        # within 1e-12 of it
+        w = solve_warp(ProfileParams(r, eps))
+        a = w.min_log_slope()
+        rho = np.linspace(r, r + eps, 4001)
+        i = int(np.argmin(w.log_slope(rho)))
+        fine = np.linspace(rho[max(i - 1, 0)], rho[min(i + 1, 4000)], 4001)
+        sampled = min(float(np.min(w.log_slope(fine))), 1.0)
+        assert a <= sampled
+        assert sampled - a <= 1e-12
 
     def test_scalar_matches_vector_path(self):
         # one float takes math.exp, an array numpy's exp; they agree to a few
