@@ -15,21 +15,27 @@ solution is built from three pieces:
   a (1 - b) + b (1 - a) with a = sin^2(s/2), b = sin^2(t/2) (no cancellation
   however small s is), until the entry time
   t_in = ell_r(s) = arccos(cos r / cos s);
-* the transition: one DOP853 solve from the exact entry state (or from
-  (s, 0) at t = 0 when r <= s < r + eps) to the crossing of rho = r + eps at
-  the exit time t_x; at eps = 0 (or an eps below the resolution of r) this
-  piece is empty.  The solve carries
-  (rho, rho', a, b, U, U', V, V', psi): the warp function along the geodesic,
-  (a, b) = (A, A')(rho) with a' = b rho' and b' = -K_par(rho) a rho', so
-  that rho'' = (b/a)(1 - rho'^2) needs no lookup, the in-plane Jacobi
-  pair Y'' = -K_par(rho) Y started from the identity at t_in (the solution's
-  ``transfer`` is its end state, ``window_solution`` its combinations), and
-  the angle row psi (below).  Each right-hand-side
-  evaluation reads K_par once.  Along the radial geodesic rho = t stays
-  exact, and the same system runs over the fixed span [r, r + eps] for the
-  pair.  The system does not contain t, so a grid of geodesics
-  (``solve_radial_grid``) integrates the windows of up to 64 of them as one
-  solve in tau = t - t_in, and each geodesic keeps its own rows of it;
+* the transition: one DOP853 solve across the window r <= rho <= r + eps,
+  empty at eps = 0 (or an eps below the resolution of r).  Clairaut's
+  integral 1 - rho'^2 = A(s)^2 / A(rho)^2 makes x = rho - r an independent
+  variable, so every window is one fixed span and the solve runs in sigma on
+  [0, 1]: x = eps sigma for s < r, and x = (s - r) + L sigma^2 with
+  L = r + eps - s for a geodesic that starts at rest inside the window
+  (r <= s < r + eps), which keeps dt/dsigma regular at its turning point.
+  The solve carries (D, A', t, psi, U, U', V, V'): D = A(r + x) - A(s) and
+  A' along the window (A'' = -K_par A), the time since the entry t_in with
+  dt/dx = (c + D) / sqrt(D (2c + D)), c = A(s), the angle row psi (below)
+  and the in-plane Jacobi pair Y'' = -K_par(rho) Y started from the identity
+  at t_in (the solution's ``transfer`` is its end state, ``window_solution``
+  its combinations).  Each right-hand-side evaluation reads K_par once.
+  The exit time t_x is t_in plus the end of the t row; a time t inside the
+  window is found by inverting that increasing row on the dense output
+  (``Flow.crossings``).  ProfileParams keeps r + eps < pi/2, where Sturm
+  comparison with K_par <= 1 gives A' >= A cot(rho) > 0, so every window
+  reaches x = eps.  The radial geodesic is the column with c = 0, where
+  dt/dx = 1; rho = t stays exact there and its window is [r, r + eps].  A
+  grid of geodesics (``solve_radial_grid``) integrates the windows of up to
+  64 of them as one solve, and each geodesic keeps its own rows of it;
 * the exterior: there A'' = A, so the warped-product Hessian formula
   (O'Neill, Semi-Riemannian Geometry, 1983, ch. 7) gives Hess A' = A' g and
   h(t) = A'(rho(t)) solves h'' = h along every geodesic.  Its data at t_x are
@@ -50,7 +56,7 @@ coordinate theta (theta(0) = 0) obeys Clairaut's integral
 
 and every piece of it is exact or rides on the window solve.  Inside the
 ball theta(t) = atan2(sin t, sin s cos t).  Across the window the solve
-carries a ninth row psi' = 1/a^2 (psi(t_in) = 0), so theta(t) =
+carries the row psi with dpsi/dt = 1/A^2 (psi(t_in) = 0), so theta(t) =
 theta(t_in) + A(s) psi(t).  Past t_x the rate is A(s) / (h^2 + 4 a_+ a_-),
 and u = e^{-2 tau} turns its tail into the integral of a quadratic's
 reciprocal whose discriminant is 4 a_+ a_- A(s)^2 (Clairaut gives
@@ -80,7 +86,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .ode import Flow, Trajectory, _bisect, integrate_ivp
-from .warp import ProfileParams, WarpFunction, k_parallel, solve_warp
+from .warp import _PAIR_MIN_STEPS, ProfileParams, WarpFunction, mollifier, solve_warp
 
 __all__ = [
     "GeodesicParams",
@@ -96,6 +102,10 @@ __all__ = [
 ]
 
 _QUARTER_PI = math.pi / 4.0
+# e^s overflows past _S_MAX, and A(s) = a_+ e^s + a_- e^{-s} with it: across
+# the window |(A, A')| grows at most like e^x from (sin r, cos r), so
+# a_+ <= e^{-r} / sqrt(2) < 1
+_S_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -171,27 +181,34 @@ class _Exterior:
     a_s: float   # A(s)
 
     def _scaled(self, t: np.ndarray):
-        """(tau, E, e^{-tau} h, e^{-tau} h', e^{-tau} A)."""
+        """(tau, E, e^{-tau} h, e^{-tau} h', e^{-tau} A), with
+        e^{-tau} A = g sqrt(1 + 4 a_+ a_- E / g^2) for g = e^{-tau} h > 0:
+        g itself is never squared, so A'(s) up to the float range does not
+        overflow."""
         tau = t - self.t_x
-        e = np.exp(-2.0 * tau)
-        m = -np.expm1(-2.0 * tau)
-        g = 0.5 * (self.h_x * (1.0 + e) + self.dh_x * m)
-        dg = 0.5 * (self.dh_x * (1.0 + e) + self.h_x * m)
-        return tau, e, g, dg, np.sqrt(g * g + self.d * e)
+        e, m = np.exp(-2.0 * tau), -np.expm1(-2.0 * tau)
+        p = 1.0 + e
+        g = 0.5 * (self.h_x * p + self.dh_x * m)
+        dg = 0.5 * (self.dh_x * p + self.h_x * m)
+        return tau, e, g, dg, g * np.sqrt(1.0 + self.d * e / g / g)
 
     def state(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(rho, rho') = (log((h + A) / (2 a_+)), h' / A), taken relative to
         t_x so that rho(t_x) = rho_x exactly."""
         tau, _, g, dg, a = self._scaled(t)
-        a_x = np.sqrt(self.h_x * self.h_x + self.d)
+        a_x = self.h_x * math.sqrt(1.0 + self.d / self.h_x / self.h_x)
         return self.rho_x + tau + np.log((g + a) / (self.h_x + a_x)), dg / a
 
     def phi(self, t: np.ndarray) -> np.ndarray:
         """The integral of Clairaut's rate A(s) / (h^2 + 4 a_+ a_-) over
         [t, inf), in closed form (module docstring)."""
         e = np.exp(-2.0 * (t - self.t_x))
-        p, q = 0.5 * (self.h_x + self.dh_x), 0.5 * (self.h_x - self.dh_x)
-        y = self.a_s * e / (2.0 * p * p + (2.0 * p * q + self.d) * e)
+        # p, q and A(s) scaled by powers of two, which is exact, so that p^2
+        # cannot overflow however large A'(s) is
+        k = math.frexp(self.h_x + self.dh_x)[1]
+        p, q = math.ldexp(self.h_x + self.dh_x, -k - 1), math.ldexp(self.h_x - self.dh_x, -k - 1)
+        a_s, d = math.ldexp(self.a_s, -2 * k), math.ldexp(self.d, -2 * k)
+        y = a_s * e / (2.0 * p * p + (2.0 * p * q + d) * e)
         return y * _atanc(self.d * y * y, self.d > 0.0)
 
     def perp_minimum(self, psi: float) -> tuple[float, bool]:
@@ -231,7 +248,7 @@ class _Exterior:
     def k_perp(self, t: np.ndarray) -> np.ndarray:
         """K_perp(rho) = (1 - A'^2) / A^2 = -1 + (1 + 4 a_+ a_-) / A^2."""
         _, e, _, _, a = self._scaled(t)
-        return -1.0 + (1.0 + self.d) * e / (a * a)
+        return -1.0 + (1.0 + self.d) * e / a / a
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,11 +259,12 @@ class RadialSolution:
     entry time if eps = 0, None if not reached by T); the warp function A of
     the metric; the solve's tolerance; A(s), looked up once for the angle,
     the Killing fields and the exterior; the exact exterior piece; the window
-    solve (``transition``, None where nothing is integrated), whose psi row
-    carries the angle across the window and whose rows 4 to 7 are the
-    in-plane pair (``transfer``, ``window_solution``); and the angular
-    coordinate theta, exact but for the psi row.  Only this module knows the
-    rows of the window solve."""
+    solve in sigma on [0, 1] (``transition``, None where nothing is
+    integrated; the whole window, also past T), whose psi row carries the
+    angle across the window and whose rows 4 to 7 are the in-plane pair
+    (``transfer``, ``window_solution``); and the angular coordinate theta,
+    exact but for the psi row.  Only this module knows the rows of the
+    window solve."""
 
     params: GeodesicParams
     trajectory: Trajectory
@@ -321,14 +339,14 @@ class RadialSolution:
     def _swept(self, t: np.ndarray | float) -> np.ndarray:
         """A(s) psi(t): the angle swept across the window from t_in to t, off
         the window solve's psi row."""
-        return self.a_s * self.transition.dense(t)[8]
+        return self.a_s * _window_rows(self.transition, self.span[0], t)[1][_PSI]
 
     @cached_property
     def _phi_exit(self) -> tuple[float, float]:
         """(phi(t_x), A(s) psi(t_x)): the closed tail past the exit and the
         window's whole angle."""
         t_in, t_x = self.window
-        swept = self.a_s * float(self.transition.end[8]) if t_in < t_x else 0.0
+        swept = self.a_s * float(self.transition.end[_PSI]) if t_in < t_x else 0.0
         return float(self.exterior.phi(t_x)), swept
 
     @property
@@ -388,8 +406,7 @@ class RadialSolution:
     def transfer(self) -> np.ndarray:
         """The in-plane transfer matrix M = [[U, V], [U', V']] of the window
         [t_in, t_x]: (Y, Y')(t_x) = M (Y, Y')(t_in).  det M = 1; the identity
-        when the window is empty; up to the horizon when the geodesic is still
-        in the transition there."""
+        when the window is empty."""
         if self.transition is None:
             return np.eye(2)
         u, du, v, dv = self.transition.end[4:8].tolist()
@@ -398,9 +415,39 @@ class RadialSolution:
     def window_solution(self, y: float, dy: float, T: float | None = None) -> Trajectory:
         """The in-plane solution with state (y, dy) at t_in, on
         [t_in, min(t_x, T)]: y U + dy V of the window pair, no solve."""
-        proj = np.zeros((2, 9))
+        proj = np.zeros((2, _ROWS))
         proj[:, 4:8] = ((y, 0.0, dy, 0.0), (0.0, y, 0.0, dy))
-        return self.transition.trajectory(proj, T)
+        t_in, t_x = self.span
+        return Trajectory.from_function(
+            lambda t: tuple(proj @ _window_rows(self.transition, t_in, t)[1]),
+            t_in, min(t_x, self.trajectory.t1 if T is None else T))
+
+    def window_turn(self, in_plane: bool) -> float:
+        """The time in the window at which U' of the even solution U
+        (U(0) = 1, U'(0) = 0) of the in-plane or the off-plane Jacobi
+        equation turns positive, given U' <= 0 at t_in and U' > 0 at t_x: the
+        first node of the window solve past the turn, then bisection in sigma
+        (``ode._bisect``) on the dense output of the step before it.
+        In-plane U' is cos(t_in) U' - sin(t_in) V' of the window pair.
+        Off-plane U = A cos(theta) / A(s) with theta = theta(t_in) + A(s) psi,
+        and U' has the sign of A' rho' cos(theta) - (A(s)/A) sin(theta)."""
+        flow, c, t_in = self.transition, self.a_s, self.span[0]
+        if in_plane:
+            rows, y, dy = [5, 7], math.cos(t_in), -math.sin(t_in)
+
+            def rising(du, dv):
+                return y * du + dy * dv > 0.0
+        else:
+            rows, theta_in = [0, 1, 3], self._start[1]
+
+            def rising(d, da, psi):
+                a, theta = c + d, theta_in + c * psi
+                return da * np.sqrt(d * (c + a)) * np.cos(theta) > c * np.sin(theta)
+
+        k = max(int(np.argmax(rising(*flow.states[rows]))), 1)
+        at = flow.dense.on_step(k - 1, rows)
+        sg = _bisect(lambda sg: rising(*at(sg)), flow.nodes[k - 1], flow.nodes[k])
+        return t_in + flow.dense.on_step(k - 1, [_T])(sg)[0]
 
 
 def entry_time(s: float, r: float) -> float:
@@ -420,116 +467,121 @@ def radial_exit_slope(s: float, r: float) -> float:
     return math.sqrt(math.sin(r + s) * math.sin(r - s)) / math.sin(r)
 
 
-# The window solve carries (rho, rho', a, b, U, U', V, V', psi): the geodesic,
-# the warp function along it (a, b) = (A, A')(rho), the in-plane Jacobi pair
-# started from the identity at t_in, and psi' = 1/a^2 from psi(t_in) = 0 (the
-# angle swept is A(s) psi; carrying A(s) psi instead would put it under the
-# solver's absolute floor at tiny s).  Each evaluation reads K_par once.
+# The window solve runs in sigma on [0, 1], with x = rho - r = x0 + sigma (a + b sigma):
+# x = eps sigma for s < r, x = (s - r) + L sigma^2 (L = r + eps - s) from the
+# turning point of a geodesic with r <= s < r + eps.  Its rows are
+# (D, A', t, psi, U, U', V, V'): D = A(r + x) - A(s) and A' along the window,
+# the time t - t_in since the entry, psi' = 1/A^2 (the angle swept is
+# A(s) psi; carrying A(s) psi instead would put it under the solver's
+# absolute floor at tiny s), and the in-plane Jacobi pair started from the
+# identity at t_in.  Clairaut gives rho' = sqrt(D (2c + D)) / (c + D) with
+# c = A(s), so dt/dx = (c + D) / sqrt(D (2c + D)).  Each evaluation reads
+# K_par once per distinct x.
+_T, _PSI = 2, 3
+_ROWS = 8
 _PAIR_START = (1.0, 0.0, 0.0, 1.0)
 # The most geodesics whose windows share one solve.  The batch's dense output
-# has 9 rows per geodesic per step, so this bounds the memory of a grid.
+# has 8 rows per geodesic per step, so this bounds the memory of a grid.
 _BATCH = 64
 
 
-def _window_rhs(profile: ProfileParams):
-    """The window equation of one geodesic, on floats (``math.exp`` under
-    K_par): far cheaper per call than numpy on a 9-vector."""
-    def rhs(t: float, y: np.ndarray) -> tuple[float, ...]:
-        rho, v, a, b, u, du, w, dw, _ = y.tolist()
-        k = k_parallel(profile, rho)
-        return v, (b / a) * (1.0 - v * v), b * v, -k * a * v, du, -k * u, dw, -k * w, 1.0 / (a * a)
+def _x_map(s: float, r: float, eps: float) -> tuple[float, float, float]:
+    """(x0, a, b) of the window variable x = x0 + sigma (a + b sigma)."""
+    return (0.0, eps, 0.0) if s < r else (s - r, 0.0, r + eps - s)
+
+
+def _window_rhs(c: float, z0: float, za: float, zb: float, a: float, b2: float, rate0: float):
+    """The window equation of one geodesic in sigma, on floats (``math.exp``
+    under K_par): far cheaper per call than numpy on an 8-vector.  The map
+    of x is x / eps = z0 + sigma (za + zb sigma), dx/dsigma = a + b2 sigma.
+    rate0 is dt/dsigma where D = 0: its limit at a turning point, where
+    sigma = 0 and the first stages of a step carry no D yet."""
+    def rhs(sg: float, y: np.ndarray) -> tuple[float, ...]:
+        d, da, _, _, u, du, w, dw = y.tolist()
+        dx = a + b2 * sg
+        m = 2.0 * mollifier(z0 + sg * (za + zb * sg)) - 1.0  # -K_par
+        big = c + d
+        dt = big * dx / math.sqrt(d * (c + big)) if d > 0.0 else rate0
+        mdt = m * dt
+        return dx * da, m * dx * big, dt, dt / (big * big), dt * du, mdt * u, dt * dw, mdt * w
 
     return rhs
 
 
-def _batch_rhs(profile: ProfileParams, n: int):
-    """The window equations of n geodesics as one system: the state is the
-    9 x n array of their states, row-major, and K_par is read once for the
-    rho row."""
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        rho, v, a, b, u, du, w, dw, _ = y.reshape(9, n)
-        k = k_parallel(profile, rho)
-        return np.concatenate((v, (b / a) * (1.0 - v * v), b * v, -k * a * v,
-                               du, -k * u, dw, -k * w, 1.0 / (a * a)))
+def _batch_rhs(c, z0, za, zb, a, b2, rate0):
+    """The window equations of n geodesics as one system in sigma, the
+    same formulas on arrays: the state is the 8 x n array of their states,
+    row-major.  Geodesics that share the map of x (all with s < r) share one
+    float K_par."""
+    n = len(c)
+    z0, za, zb, a, b2 = (float(v[0]) if np.all(v == v[0]) else v for v in (z0, za, zb, a, b2))
+
+    def rhs(sg: float, y: np.ndarray) -> np.ndarray:
+        d, da, _, _, u, du, w, dw = y.reshape(_ROWS, n)
+        dx = a + b2 * sg
+        m = 2.0 * mollifier(z0 + sg * (za + zb * sg)) - 1.0
+        big = c + d
+        dt = np.divide(big * dx, np.sqrt(d * (c + big)), out=rate0.copy(), where=d > 0.0)
+        mdt = m * dt
+        return np.concatenate((dx * da, m * dx * big, dt, dt / (big * big),
+                               dt * du, mdt * u, dt * dw, mdt * w))
 
     return rhs
 
 
-def _window_start(p: GeodesicParams, warp: WarpFunction, T: float,
-                  at_s: tuple[float, float]) -> tuple[float, tuple] | None:
-    """(t_in, state at t_in) of the geodesic's window solve, given
-    at_s = (A, A')(s); None when nothing is integrated (an eps below the
-    resolution of r, as for the sharp metric; s >= r + eps; or t_in >= T)."""
+def _window_start(p: GeodesicParams, T: float, at_s: tuple[float, float]) -> tuple | None:
+    """(c, D, A', x0, a, b, dt/dsigma) at sigma = 0 of the geodesic's window
+    solve, given at_s = (A, A')(s); None when nothing is integrated (an eps
+    below the resolution of r, as for the sharp metric; s >= r + eps; or
+    t_in >= T).  The radial geodesic is the column with c = 0, where
+    dt/dx = 1."""
     s, r, eps = p.s, p.r, p.eps
     if r + eps == r or s >= r + eps:
         return None
-    if s == 0.0:
-        # rho(t) = t exactly; the polar-coordinate singularity at the origin
-        # is not integrated.  The window solve (rho' = 1, so rho'' = 0) runs
-        # over the fixed span [r, r + eps] for the in-plane pair.
-        t_in, y0 = r, (r, 1.0, math.sin(r), math.cos(r), *_PAIR_START, 0.0)
-    elif s < r:
-        t_in = entry_time(s, r)
-        y0 = (r, radial_exit_slope(s, r), *warp.ball_edge, *_PAIR_START, 0.0)
-    else:
-        t_in, y0 = 0.0, (s, 0.0, *at_s, *_PAIR_START, 0.0)
-    return (t_in, y0) if t_in < T else None
+    if s < r:
+        if entry_time(s, r) >= T:
+            return None
+        # A = sin in the ball: D = sin r - sin s without cancellation
+        d0 = 2.0 * math.cos(0.5 * (r + s)) * math.sin(0.5 * (r - s))
+        return at_s[0], d0, math.cos(r), *_x_map(s, r, eps), eps / radial_exit_slope(s, r)
+    # turning point: D ~ A'(s) L sigma^2, so dt/dsigma -> sqrt(2 L c / A'(s))
+    rate0 = math.sqrt(2.0 * (r + eps - s) * at_s[0] / at_s[1])
+    return at_s[0], 0.0, at_s[1], *_x_map(s, r, eps), rate0
 
 
-def _solve_windows(
-    params: list[GeodesicParams], starts: list[tuple[float, tuple]], T: float, tol: float
-) -> list[tuple[Flow, float | None]]:
-    """The window solves of n geodesics of one metric, as one DOP853 solve:
-    (the geodesic's window flow, its exit time t_x or None past T) each.
+def _solve_windows(starts: list[tuple], eps: float, tol: float) -> list[Flow]:
+    """The window solves of n geodesics of one metric, as one DOP853 solve
+    in sigma on [0, 1]: every window ends at sigma = 1, so geodesic j is
+    column j of an 8 x n state (a geodesic alone takes the float right-hand
+    side).  scipy's error norm is an RMS over all 8n components: the
+    tolerance tol / sqrt(n) keeps each geodesic's own 8-component norm within
+    tol.  No step is longer than the transition pair's, eps/32 in x."""
+    n = len(starts)
+    c, d0, da0, x0, a, b, rate0 = np.array(starts).T
+    y0 = np.concatenate((d0, da0, np.zeros(2 * n), *np.repeat([_PAIR_START], n, axis=0).T))
+    max_step = eps / (_PAIR_MIN_STEPS * float(np.max(a + 2.0 * b)))
+    cols = (c, x0 / eps, a / eps, b / eps, a, 2.0 * b, rate0)
+    rhs = _window_rhs(*(float(v[0]) for v in cols)) if n == 1 else _batch_rhs(*cols)
+    flow = integrate_ivp(rhs, 0.0, y0, 1.0, tol / math.sqrt(n), max_step=max_step)
+    return [flow] if n == 1 else [flow.part(slice(j, None, n)) for j in range(n)]
 
-    The window equation does not contain t, so every geodesic starts at
-    tau = t - t_in = 0, and geodesic j is column j of a 9 x n state (a
-    geodesic alone runs in t from t_in, as it always has, with the float
-    right-hand side).  scipy's error norm is an RMS over all 9n components:
-    the tolerance tol / sqrt(n) keeps each geodesic's own 9-component norm
-    within tol.  The solve ends at the last crossing, where the least rho
-    reaches r + eps; every other crossing is located on the dense output of
-    its rho row.  The radial geodesic's window ends at exactly r + eps."""
-    n = len(params)
-    profile = params[0].profile
-    rho_x = profile.r + profile.eps
-    radial = np.array([p.s == 0.0 for p in params])
-    t_in = np.array([t for t, _ in starts])
-    t0 = t_in[0] if n == 1 else 0.0
-    shift = t_in - t0
-    rhs = _window_rhs(profile) if n == 1 else _batch_rhs(profile, n)
-    y0 = np.array([y for _, y in starts]).T.ravel()
-    if radial.all():
-        flow = integrate_ivp(rhs, t0, y0, float(np.max(min(rho_x, T) - shift)), tol / math.sqrt(n))
-    else:
-        flow = integrate_ivp(rhs, t0, y0, float(np.max(T - shift)), tol / math.sqrt(n),
-                             switch=lambda t, y: y[:n].min() - rho_x)
-    # a switched solve ends at the crossing of its slowest geodesic, and a
-    # geodesic at no node past r + eps before that crosses within the event
-    # tolerance of it
-    tau = np.full(n, flow.nodes[-1] if flow.switched else np.nan)
-    rows = np.flatnonzero(~radial)
-    if flow.switched:
-        rows = rows[rows != np.argmin(flow.end[:n])]
-    found = flow.crossings(rows, rho_x)
-    tau[rows] = np.where(np.isnan(found), tau[rows], found)
-    t_x = np.where(radial, rho_x, tau + shift)
-    exits = [float(t) if t <= T else None for t in t_x]  # nan compares False
-    if n == 1:
-        return [(flow, exits[0])]
-    return [(flow.part(slice(j, None, n), float(shift[j]),
-                       T if t is None else t, switched=t is not None), t)
-            for j, t in enumerate(exits)]
+
+def _window_rows(flow: Flow, t_in: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma, rows) of a window solve at the times t in [t_in, t_x]: the
+    t row increases, so it is inverted on the dense output
+    (``Flow.crossings``) and the rows are read there."""
+    tau = np.minimum(np.asarray(t, dtype=float) - t_in, flow.end[_T])
+    sg = flow.crossings(_T, tau)
+    return sg, flow.dense(sg)
 
 
 def _radial_solution(p: GeodesicParams, warp: WarpFunction, T: float, tol: float,
-                     window: tuple[Flow, float | None] | None,
-                     at_s: tuple[float, float]) -> RadialSolution:
+                     flow: Flow | None, at_s: tuple[float, float]) -> RadialSolution:
     """The geodesic on [0, T] from its window solve (None when it has
     none) and at_s = (A, A')(s): the exact ball before it, the exact
     exterior after it."""
-    s, r, rho_x = p.s, p.r, p.r + p.eps
-    flow, window_exit = (None, None) if window is None else window
+    s, r, eps = p.s, p.r, p.eps
+    rho_x = r + eps
     a_s, h_s = at_s
     if s == 0.0:
         traj = Trajectory.from_function(lambda t: (t, np.ones_like(t)), 0.0, T)
@@ -538,21 +590,29 @@ def _radial_solution(p: GeodesicParams, warp: WarpFunction, T: float, tol: float
                               transition=flow)
 
     parts: list[Trajectory] = []
-    t, state, t_entry = 0.0, (s, 0.0), None
+    t, t_entry = 0.0, None
     if s < r:
         t_in = entry_time(s, r)
         parts.append(Trajectory.from_function(_Ball.at(s).state, 0.0, min(t_in, T)))
         if t_in > T:  # still inside the ball at the horizon
             return RadialSolution(params=p, trajectory=parts[0], entry_time=None,
                                   warp=warp, tol=tol, a_s=a_s)
-        t, state, t_entry = t_in, (r, radial_exit_slope(s, r)), t_in
-    t_x = t if state[0] >= rho_x else None
+        t, t_entry = t_in, t_in
+    # no window: past it already (s >= r + eps, or the sharp metric), or at
+    # the horizon
+    t_x = t if max(s, r) >= rho_x else math.inf
     if flow is not None:
-        parts.append(flow.trajectory(np.eye(2, 9)))  # (rho, rho')
-        t_x = window_exit
+        t_x = t + float(flow.end[_T])
+        x0, a, b = _x_map(s, r, eps)
+
+        def window(tt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            sg, (d, *_) = _window_rows(flow, t, tt)
+            return r + (x0 + sg * (a + b * sg)), np.sqrt(d * (2.0 * a_s + d)) / (a_s + d)
+
+        parts.append(Trajectory.from_function(window, t, min(t_x, T)))
 
     exterior = None
-    if t_x is not None:
+    if t_x <= T:
         a_x, h_x = warp.exit_state if s < rho_x else (a_s, h_s)
         if s < r:  # A(s) = sin s; sin^2 r - sin^2 s = sin(r + s) sin(r - s)
             dh2 = (a_x - math.sin(r)) * (a_x + math.sin(r)) + math.sin(r + s) * math.sin(r - s)
@@ -569,20 +629,23 @@ def _radial_solution(p: GeodesicParams, warp: WarpFunction, T: float, tol: float
         if t_x < T:
             parts.append(Trajectory.from_function(exterior.state, t_x, T))
     return RadialSolution(params=p, trajectory=Trajectory.concat(parts),
-                          entry_time=t_entry, warp=warp, tol=tol, a_s=a_s, exit_time=t_x,
+                          entry_time=t_entry, warp=warp, tol=tol, a_s=a_s,
+                          exit_time=t_x if t_x <= T else None,
                           exterior=exterior, transition=flow)
 
 
 def _grid_solutions(params: list[GeodesicParams], T: float, tol: float) -> Iterator[RadialSolution]:
+    if max(p.s for p in params) > _S_MAX:
+        raise ValueError(f"A(s) overflows for s past {_S_MAX}")
     warp = solve_warp(params[0].profile)
     at_s = [tuple(float(v[0]) for v in warp.state(p.s)) for p in params]
-    starts = [_window_start(p, warp, T, a) for p, a in zip(params, at_s)]
+    starts = [_window_start(p, T, a) for p, a in zip(params, at_s)]
     pending = [i for i, start in enumerate(starts) if start is not None]
-    windows: dict[int, tuple[Flow, float | None]] = {}
+    windows: dict[int, Flow] = {}
     for i, p in enumerate(params):
         if starts[i] is not None and i not in windows:
             batch, pending = pending[:_BATCH], pending[_BATCH:]
-            solved = _solve_windows([params[j] for j in batch], [starts[j] for j in batch], T, tol)
+            solved = _solve_windows([starts[j] for j in batch], p.eps, tol)
             windows = dict(zip(batch, solved))
         yield _radial_solution(p, warp, T, tol, windows.get(i), at_s[i])
 
@@ -604,11 +667,12 @@ def solve_radial(params: GeodesicParams, T: float = 30.0, tol: float = 1e-10) ->
     """The radial coordinate on [0, T]: exact in the ball, integrated across
     the transition only, exact past it.
 
-    The entry time is the exact ``entry_time(s, r)``; the crossing of
-    rho = r + eps (eps > 0) is located by the integrator and ends the window
-    solve, so no step straddles the curvature transition; it is the
-    solution's ``exit_time``.  This is the grid of one of
-    ``solve_radial_grid``; each call solves anew.
+    The entry time is the exact ``entry_time(s, r)``; the window solve runs
+    in x = rho - r, so it ends exactly at rho = r + eps and no step straddles
+    the curvature transition; the time it carries there is the solution's
+    ``exit_time``.  This is the grid of one of ``solve_radial_grid``; each
+    call solves anew.  Raises ValueError where A(s) overflows (s past about
+    709).
     """
     if not T > 0.0:
         raise ValueError("horizon T must be positive")

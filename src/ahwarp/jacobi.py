@@ -18,10 +18,12 @@ y U + dy V of the window pair across [t_in, t_x] (empty at eps = 0), and
 the exact exponentials P e^tau + Q e^{-tau}, tau = t - t_x, with
 P = (Y + Y')/2 and Q = (Y - Y')/2 at t_x, after it.  The window pair
 (U, V), started from the identity at t_in, is solved together with the
-geodesic itself, in the geodesic's window solve (``geodesics.solve_radial``,
-or one solve for up to 64 geodesics of a grid, ``solve_radial_grid``); its
-end state is the window's transfer matrix M = [[U, V], [U', V']], det M = 1
-(``RadialSolution.transfer``, with ``window_solution`` across the window).
+geodesic itself, in the geodesic's window solve in x = rho - r
+(``geodesics.solve_radial``, or one solve for up to 64 geodesics of a grid,
+``solve_radial_grid``); its end state is the window's transfer matrix
+M = [[U, V], [U', V']], det M = 1 (``RadialSolution.transfer``, with
+``window_solution`` across the window, where a time t is found on the
+solve's t row).
 Nothing is solved per initial condition, so a solution is as accurate as
 the kernel's radial solve and a tighter ``tol`` is refused.
 
@@ -53,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ode import Trajectory, _bisect
+from .ode import Trajectory
 from .geodesics import (
     GeodesicParams,
     RadialSolution,
@@ -317,7 +319,8 @@ def even_minimum(kernel: JacobiKernel) -> float:
     past it while A' <= 1, negative once A' > 1, and decreasing past t_x
     (``perp_minimum``).  While U > 0, U'' = -k U, so U' <= 0 up to the
     minimum and U' > 0 after it.  The minimum lies in the window when
-    U'(t_x) > 0 (bisection on the window's dense output), else past t_x:
+    U'(t_x) > 0, where the sign of U' is bisected in the window variable on
+    the window solve's rows (``RadialSolution.window_turn``), else past t_x:
     2 sqrt(PQ) in-plane, ``perp_minimum`` off-plane.
     """
     radial = kernel.radial
@@ -336,7 +339,7 @@ def even_minimum(kernel: JacobiKernel) -> float:
         tail, rising = -math.inf if p < 0.0 else 2.0 * math.sqrt(p * q) if q > p else u, du > 0.0
     if rising and t_in < t_x:
         U = jacobi_solution(kernel, (1.0, 0.0), t_x, radial.tol)
-        return min(tail, U.value(_bisect(lambda t: U.deriv(t) > 0.0, t_in, t_x)))
+        return min(tail, U.value(radial.window_turn(kernel.kind == "parallel")))
     return tail
 
 

@@ -1,18 +1,17 @@
 """Adaptive integration of first-order systems y' = f(t, y) across one span.
 
 Thin layer over scipy's DOP853 embedded Runge-Kutta pair with dense output.
-A solve runs forward from (t0, y0) to t1, or to the first crossing of a
-terminal switch ``fn(t, y) = 0``: the crossing is located on the dense output
-of the bracketing step and becomes the end of the solve.  The package
-integrates only across the curvature transition, so its solves run from a
-known time to the (unknown) time at which the geodesic leaves the
-transition, carrying several coupled quantities in one state vector.
+A solve runs forward from (t0, y0) to t1.  The package integrates only
+across the curvature transition, and there in a variable whose span is
+known before the solve (``rho - r`` for the transition pair, a rescaling of
+it for the geodesics' windows), carrying several coupled quantities in one
+state vector.
 
-The result is a ``Flow``: the accepted nodes, the states there, the dense
-output of the whole vector and whether the switch ended it.  A solve that
-carries several independent systems side by side is split into one flow
-each: ``Flow.crossings`` locates where each system's row reaches a level,
-and ``Flow.part`` keeps one system's rows, cut there.  The rest of the
+The result is a ``Flow``: the accepted nodes, the states there and the
+dense output of the whole vector.  A solve that carries several independent
+systems side by side is split into one flow each (``Flow.part``), and
+``Flow.crossings`` locates where a row reaches a level, which inverts a
+monotone row (a time carried as a row of the state).  The rest of the
 package works with scalar solutions (x, x') as ``Trajectory`` objects: a
 function on [t0, t1], evaluated piece by piece.  Integrated pieces are linear
 projections ``(x, x') = P y`` of a flow's dense output; exact pieces before
@@ -41,16 +40,14 @@ __all__ = [
 Rhs = Callable[[float, np.ndarray], Sequence[float]]
 
 _METHOD = "DOP853"
-# scipy locates a terminal event to 4 ulps of 1 (absolute and relative), by
-# Brent's method on the bracketing step; ``Flow.crossings`` and ``_bisect``
-# bisect to the same tolerance, which 100 halvings of any step reach.
+# ``_bisect`` (under ``Flow.crossings`` too) bisects to 4 ulps of 1 (absolute
+# and relative), the tolerance to which scipy locates an event.
 _EVENT_TOL = 4.0 * np.finfo(float).eps
-_BISECTIONS = 100
 
 
 class IntegrationError(RuntimeError):
-    """The integrator could not meet its contract (step-size underflow,
-    stiffness, or a switch crossing that could not be bracketed)."""
+    """The integrator could not meet its contract (step-size underflow or
+    stiffness)."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,8 +67,6 @@ class _Dense:
 
     @classmethod
     def of(cls, sol: OdeSolution, states: np.ndarray) -> "_Dense":
-        # sol.ts ends at a terminal event, the last step's interpolant at the
-        # step's end: t_old and h are the interpolants' own
         interps = sol.interpolants
         return cls(ts=np.asarray(sol.ts, dtype=float),
                    t_old=np.array([d.t_old for d in interps]),
@@ -84,23 +79,31 @@ class _Dense:
         t = np.atleast_1d(np.asarray(t, dtype=float))
         seg = np.clip(np.searchsorted(self.ts, t, side="left") - 1, 0, len(self.h) - 1)
         x = ((t - self.t_old[seg]) / self.h[seg])[:, None]
-        return _horner(self.F[seg], x, self.states[:, seg].T).T
+        return _horner(np.moveaxis(self.F[seg], 1, 0), x, self.states[:, seg].T).T
 
-    def rows_at(self, seg: np.ndarray, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Row rows[i] of the state at time t[i], on step seg[i]."""
-        x = (t - self.t_old[seg]) / self.h[seg]
-        return _horner(self.F[seg, :, rows], x, self.states[rows, seg])
+    def on_step(self, seg: int, rows: Sequence[int]) -> Callable[[float], list[float]]:
+        """The state rows ``rows`` on step seg, as a function of one time, on
+        floats: the few evaluations of a bisection cost far less so than
+        through numpy."""
+        coeffs, starts = self.F[seg][:, rows].T.tolist(), self.states[rows, seg].tolist()
+        t_old, h = float(self.t_old[seg]), float(self.h[seg])
+
+        def at(t: float) -> list[float]:
+            x = (t - t_old) / h
+            return [_horner(c, x, y) for c, y in zip(coeffs, starts)]
+
+        return at
 
 
-def _horner(F: np.ndarray, x: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """The DOP853 interpolants with coefficients F (m x order [x n]) at the
-    step fractions x, added to their start states."""
-    y = np.zeros(F.shape[:1] + F.shape[2:])
-    for k, i in enumerate(range(F.shape[1] - 1, -1, -1)):
-        y += F[:, i]
-        y *= x if k % 2 == 0 else 1 - x
-    y += start
-    return y
+def _horner(coeffs, x, start):
+    """The DOP853 interpolant with the coefficients ``coeffs`` (an array or
+    a list, lowest order first along its first axis) at the step fractions
+    x, added to the start state: scipy's arithmetic, operation for
+    operation, on arrays or on floats."""
+    y = 0.0
+    for k, f in enumerate(reversed(coeffs)):
+        y = (y + f) * (x if k % 2 == 0 else 1.0 - x)
+    return y + start
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,12 +196,11 @@ class Trajectory:
 @dataclass(frozen=True, eq=False)
 class Flow:
     """One forward solve of y' = f(t, y) on [nodes[0], nodes[-1]]: the
-    states (k x n) at the accepted nodes, whether the switch ended it, and
-    the dense output of the whole state vector."""
+    states (k x n) at the accepted nodes and the dense output of the whole
+    state vector."""
 
     nodes: np.ndarray
     states: np.ndarray
-    switched: bool
     dense: _Dense = field(repr=False)
 
     @property
@@ -214,43 +216,26 @@ class Flow:
         t1 = end if t1 is None else min(float(t1), end)
         return Trajectory(t0=t0, t1=t1, pieces=(_Piece(t0, t1, self.dense, proj),))
 
-    def crossings(self, rows: np.ndarray, level: float) -> np.ndarray:
-        """For each state row in ``rows``, each below ``level`` at the first
-        node, the first time at which it reaches the level, located on its
-        dense output to scipy's event tolerance (bisection on the bracketing
-        step, all rows at once); nan where no node reaches it."""
-        rows = np.asarray(rows, dtype=int)
-        out = np.full(len(rows), np.nan)
-        above = self.states[rows] >= level
+    def crossings(self, row: int, levels: float | np.ndarray) -> np.ndarray:
+        """For each of the ``levels``, the first time at which the state row
+        ``row`` reaches it: nodes[0] where the row starts there, else located
+        on the dense output of the bracketing step to the event tolerance
+        (``_bisect``, on floats); nan where no node reaches it."""
+        levels = np.atleast_1d(np.asarray(levels, dtype=float))
+        above = self.states[row] >= levels[:, None]
         k = np.argmax(above, axis=1)  # the first node at or above the level, else 0
-        todo = k > 0
-        if not np.any(todo):
-            return out
-        seg, rows = k[todo] - 1, rows[todo]
-        lo, hi = self.nodes[seg], self.nodes[seg + 1]
-        for _ in range(_BISECTIONS):
-            if np.all(hi - lo <= _EVENT_TOL * (1.0 + np.abs(hi))):
-                break
-            mid = 0.5 * (lo + hi)
-            up = self.dense.rows_at(seg, rows, mid) >= level
-            lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
-        out[todo] = 0.5 * (lo + hi)
+        out = np.where(above[np.arange(len(k)), k], self.nodes[k], np.nan)
+        for i in np.flatnonzero(k > 0).tolist():
+            at, level = self.dense.on_step(k[i] - 1, [row]), levels[i]
+            out[i] = _bisect(lambda t: at(t)[0] >= level, self.nodes[k[i] - 1], self.nodes[k[i]])
         return out
 
-    def part(self, rows: slice, shift: float, t1: float, switched: bool) -> "Flow":
-        """The flow of the state rows ``rows`` alone, with its times moved by
-        ``shift``, on [nodes[0] + shift, t1]: the nodes before t1, then t1,
-        where the state is read off the dense output; ``switched`` says
-        whether t1 is a crossing.  Its dense output keeps the steps up to t1
-        and views this one's coefficients."""
-        nodes = self.nodes + shift
-        # the step holding t1 (the last one for a t1 rounded past its end)
-        k = min(max(int(np.searchsorted(nodes, t1, side="left")) - 1, 0), len(self.dense.h) - 1)
-        dense = _Dense(ts=np.append(nodes[:k + 1], t1), t_old=self.dense.t_old[:k + 1] + shift,
-                       h=self.dense.h[:k + 1], F=self.dense.F[:k + 1, :, rows],
-                       states=self.states[rows, :k + 1])
-        states = np.column_stack([dense.states, dense(t1)])
-        return Flow(nodes=dense.ts, states=states, switched=switched, dense=dense)
+    def part(self, rows: slice) -> "Flow":
+        """The flow of the state rows ``rows`` alone: the same nodes, and a
+        dense output that views this one's coefficients."""
+        dense = _Dense(ts=self.dense.ts, t_old=self.dense.t_old, h=self.dense.h,
+                       F=self.dense.F[:, :, rows], states=self.states[rows])
+        return Flow(nodes=self.nodes, states=dense.states, dense=dense)
 
 
 def _bisect(past: Callable[[float], bool], lo: float, hi: float) -> float:
@@ -273,29 +258,18 @@ def integrate_ivp(
     t1: float,
     tol: float = 1e-10,
     *,
-    switch: Callable[[float, np.ndarray], float] | None = None,
     max_step: float = np.inf,
 ) -> Flow:
-    """Integrate y' = rhs(t, y) forward from (t0, y0) to t1, or to the first
-    crossing of the terminal switching surface ``switch(t, y) = 0``, in one
-    DOP853 solve.  The zero must be transverse along the solution.
+    """Integrate y' = rhs(t, y) forward from (t0, y0) to t1 in one DOP853
+    solve.
 
     Local error per step is controlled to ``tol`` relative, with the
     absolute floor ``tol * 1e-3``, and no step is longer than ``max_step``.
     """
     if not t1 > t0:
         raise ValueError(f"forward integration requires t1 > t0, got [{t0}, {t1}]")
-    events = None
-    if switch is not None:
-        def event(t, y):
-            return switch(t, y)
-
-        event.terminal = True
-        events = [event]
     sol = solve_ivp(rhs, (t0, t1), np.asarray(y0, dtype=float), method=_METHOD,
-                    dense_output=True, events=events, rtol=tol, atol=tol * 1e-3,
-                    max_step=max_step)
+                    dense_output=True, rtol=tol, atol=tol * 1e-3, max_step=max_step)
     if sol.status < 0:
         raise IntegrationError(sol.message)
-    return Flow(nodes=sol.t, states=sol.y, switched=sol.status == 1,
-                dense=_Dense.of(sol.sol, sol.y))
+    return Flow(nodes=sol.t, states=sol.y, dense=_Dense.of(sol.sol, sol.y))

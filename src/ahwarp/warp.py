@@ -159,12 +159,6 @@ class WarpFunction:
         return val, der
 
     @cached_property
-    def ball_edge(self) -> tuple[float, float]:
-        """(A, A')(r), where the geodesics from inside the ball enter the
-        transition: a constant of the metric, looked up once."""
-        return tuple(float(v[0]) for v in self.state(self.params.r))
-
-    @cached_property
     def exit_state(self) -> tuple[float, float]:
         """(A, A')(r + eps), where the transition ends: a constant of the
         metric, looked up once."""

@@ -62,6 +62,22 @@ class TestGeodesic:
         assert data[-1, 1] == pytest.approx(far, rel=1e-14)
         assert np.all((data[:, 2] >= 0.0) & (data[:, 2] <= 1.0))
 
+    def test_far_geodesic_stays_finite(self, tmp_path):
+        # A'(360) ~ e^360 / 2 squares past the float range; rho and rho'
+        # are ratios of e^{-tau} A and do not need the square
+        out = tmp_path / "geo.csv"
+        assert main(["geodesic", "--s", "360", "--eps", "0.05", "--tmax", "3", "--dt", "0.5",
+                     "--out", str(out)]) == 0
+        _, data = read_csv(out)
+        assert np.max(np.abs(data[:, 1] - (360.0 + np.log(np.cosh(data[:, 0]))))) <= 1e-12
+        assert np.max(np.abs(data[:, 2] - np.tanh(data[:, 0]))) <= 1e-15
+
+    def test_s_past_the_float_range_exits_one(self, capsys):
+        # A(800) overflows: a message, not a traceback or nan rows
+        assert main(["geodesic", "--s", "800"]) == 1
+        assert "A(s) overflows" in capsys.readouterr().err
+        assert main(["jacobi", "--kind", "perpendicular", "--s", "800"]) == 1
+
     def test_no_theta_column_off_critical(self, tmp_path):
         out = tmp_path / "geo.csv"
         assert main(["geodesic", "--s", "0.3", "--r", "0.7", "--eps", "0.05",
@@ -275,7 +291,9 @@ class TestErrors:
         assert main(argv + ["--out", str(tmp_path / "out")]) == 0
 
     @pytest.mark.parametrize("argv", [
-        ["geodesic", "--s", "0.3", "--r", "0.76", "--eps", "0.05", "--tmax", "5"],
+        # at eps 0.05 the window's step bound alone puts the geodesic within
+        # rounding of the tol-1e-10 solve, so the CSV would not move
+        ["geodesic", "--s", "0.3", "--r", "0.76", "--eps", "0.5", "--tmax", "5"],
         ["jacobi", "--kind", "parallel", "--s", "0.3", "--r", "0.76", "--eps", "0.05",
          "--tmax", "5"],
     ])

@@ -12,7 +12,7 @@ from scipy.integrate import solve_ivp
 import ahwarp.ode as ode_mod
 import ahwarp.search as search_mod
 import ahwarp.warp as warp_mod
-from ahwarp.geodesics import GeodesicParams, solve_radial, solve_radial_grid
+from ahwarp.geodesics import GeodesicParams, _x_map, solve_radial, solve_radial_grid
 from ahwarp.jacobi import fundamental_pair, jacobi_solution, make_kernel
 from ahwarp.ode import Trajectory
 from ahwarp.search import assemble_report, find_r_star
@@ -167,13 +167,10 @@ class TestWorkCounts:
         assert 0.0 < t_in < t_x
         # one window solve per geodesic: the kernel's (tol 1e-11) and the
         # one stable_for builds at tol 1e-12; the pair and the certificate
-        # are read off them
-        assert len(solves) == 2
-        # stable_for solves its own geodesic at tol 1e-12; its t_x moves by
-        # far less than this slack
-        slack = 1e-9
-        for lo, hi in solves:
-            assert t_in - slack <= lo < hi <= t_x + slack
+        # are read off them.  Each spans exactly the window, sigma in [0, 1]
+        # (x = rho - r = eps sigma), and t_x is t_in plus the end of its t row
+        assert solves == [(0.0, 1.0), (0.0, 1.0)]
+        assert t_x == t_in + kernel.radial.transition.end[2]
 
     @pytest.mark.parametrize("kind, mu", [
         ("parallel", (0.0, PI4, 0.0)),
@@ -189,7 +186,7 @@ class TestWorkCounts:
         solve_warp(params.profile)  # the transition pair is a solve in rho - r
         solves.clear()
         kernel = make_kernel(kind, params)
-        expected = [kernel.radial.window] if mu[2] > 0.0 else []
+        expected = [(0.0, 1.0)] if mu[2] > 0.0 else []  # the window, sigma in [0, 1]
         assert solves == expected
         fundamental_pair(kernel, T=20.0)
         sol = stable_solution(kernel)
@@ -202,11 +199,9 @@ class TestWorkCounts:
         # the warp and the window at pi/4, then both at r*)
         eps = 0.05
         r_star, _ = find_r_star(eps)
-        assert solves[0] == (0.0, eps)
-        assert len(solves) == 2
-        lo, hi = solves[1]
-        assert lo == pytest.approx(r_star, abs=1e-12)
-        assert hi == pytest.approx(r_star + eps, abs=1e-12)
+        assert solves == [(0.0, eps), (0.0, 1.0)]  # the pair in x, the window in sigma
+        radial = solve_radial(GeodesicParams(0.0, r_star, eps), 30.0, 1e-12)
+        assert radial.window == (r_star, r_star + eps)
 
     def test_pair_is_solved_once_per_eps(self, solves):
         # the warp function at every r is a projection of one pair solve
@@ -242,10 +237,20 @@ class TestWorkCounts:
         monkeypatch.setattr(Trajectory, "state_scalar", refuse)
         report = assemble_report(0.05)
         assert report.overall == "boundary-CP-and-no-interior-CP"
-        assert len(solves) == 4
-        assert solves[0] == (0.0, 0.05)
-        # the grid solves run in tau = t - t_in from 0
-        assert [lo for lo, _ in solves[2:]] == [0.0, 0.0]
+        # the pair runs in x on [0, eps], every window solve in sigma on [0, 1]
+        assert solves == [(0.0, 0.05), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0)]
+
+
+def _carried_warp_agrees(radial):
+    """(A(s) + D, A') of the window rows against the warp function at
+    rho = r + x at every node, within 1e-10."""
+    p = radial.params
+    x0, a, b = _x_map(p.s, p.r, p.eps)
+    sg = radial.transition.nodes
+    d, da = radial.transition.states[:2]
+    big, dbig = radial.warp.state(p.r + (x0 + sg * (a + b * sg)))
+    assert np.max(np.abs(radial.a_s + d - big)) <= 1e-10
+    assert np.max(np.abs(da - dbig)) <= 1e-10
 
 
 class TestWindowInvariants:
@@ -256,16 +261,14 @@ class TestWindowInvariants:
     )
     @settings(max_examples=20, deadline=None, derandomize=True)
     def test_transfer_determinant_and_clairaut(self, frac, r, eps):
-        # the window's transfer matrix is symplectic, the carried warp
-        # function obeys Clairaut's integral a^2 (1 - rho'^2) = A(s)^2 at
-        # every node, and it agrees with the warp function solved in rho
+        # the window's transfer matrix is symplectic, and the warp function
+        # it carries, A = A(s) + D and A', agrees with the warp function
+        # solved in rho at every node (rho' is Clairaut's, so it needs no
+        # check of its own)
         s = frac * (r + eps)
         radial = solve_radial(GeodesicParams(s, r, eps), T, TOL)
-        rho, drho, a, _ = radial.transition.states[:4]
         assert abs(np.linalg.det(radial.transfer) - 1.0) <= 1e-10
-        a_s = float(radial.warp.value(s))
-        assert np.max(np.abs(a * a * (1.0 - drho * drho) - a_s * a_s)) <= 1e-10
-        assert np.max(np.abs(a - radial.warp.value(rho))) <= 1e-10
+        _carried_warp_agrees(radial)
 
     @given(
         fracs=st.lists(st.floats(0.0, 1.2), max_size=6),
@@ -275,29 +278,25 @@ class TestWindowInvariants:
     @settings(max_examples=10, deadline=None, derandomize=True)
     def test_grid_solve_matches_single_solves(self, fracs, r, eps):
         # the radial geodesic, random s, s = r + eps (no window), and three
-        # geodesics that start at rest on the ball's boundary, the slowest to
-        # cross: two of them cross inside the last step of the batch, which
-        # ends at the third's crossing
+        # geodesics that start at rest on the ball's boundary (turning
+        # points): every window of the batch is one solve on the same nodes
+        # in sigma, and each geodesic's rows agree with its single solve
         ss = [0.0, *(f * (r + eps) for f in fracs), r + eps, r, r + 1e-9, r + 2e-9]
         grid = list(solve_radial_grid(ss, r, eps, T, TOL))
         assert len(grid) == len(ss)
+        nodes = grid[0].transition.nodes
         for s, sol in zip(ss, grid):
             one = solve_radial(GeodesicParams(s, r, eps), T, TOL)
             assert sol.params == one.params and sol.entry_time == one.entry_time
             if s >= r + eps:
                 assert sol.transition is None and sol.exit_time == one.exit_time == 0.0
                 continue
+            assert np.array_equal(sol.transition.nodes, nodes)
             assert abs(sol.exit_time - one.exit_time) <= 1e-12
             assert np.max(np.abs(sol.transfer - one.transfer)) <= 1e-9
             assert abs(np.linalg.det(sol.transfer) - 1.0) <= 1e-10
-            rho, drho, a, _ = sol.transition.states[:4]
-            a_s = float(sol.warp.value(s))
-            assert np.max(np.abs(a * a * (1.0 - drho * drho) - a_s * a_s)) <= 1e-10
-        slow = grid[-3:]
-        last = max(slow, key=lambda sol: sol.exit_time)
-        for sol in slow:
-            assert np.array_equal(sol.transition.nodes[:-1], last.transition.nodes[:-1])
-        assert len({sol.exit_time for sol in slow}) == 3
+            _carried_warp_agrees(sol)
+        assert len({sol.exit_time for sol in grid[-3:]}) == 3
 
     @pytest.mark.parametrize("s", [0.0, 0.3, 0.78, 0.9])
     def test_grid_of_one_is_solve_radial(self, s):
@@ -341,3 +340,17 @@ class TestMidSAccuracy:
         i = int(np.argmin(U.value(sample)))
         ref = float(np.min(U.value(np.linspace(sample[i - 1], sample[i + 1], 2001))))
         assert abs(rec.min_U_parallel - ref) <= 1e-9
+
+    @pytest.mark.parametrize("eps", [0.01, 0.05, 0.1])
+    def test_single_window_at_tol_1e9(self, eps):
+        # DOP853's error estimate misses the rise of exp(-1/x) in a long
+        # first step: a lone window solve at tol 1e-9 put M 2.8e-8 off at
+        # (0.05, s = 0.44) and 7.3e-9 off at (0.1, 0.56).  The window
+        # steps are at most eps/32 in x, as the transition pair's
+        r, _ = find_r_star(eps)
+        ss = np.arange(0.30, r + eps, 0.01)
+        for s in ss.tolist():
+            mu = GeodesicParams(s, r, eps)
+            got = solve_radial(mu, T, 1e-9).transfer
+            ref = solve_radial(mu, T, 1e-13).transfer
+            assert np.max(np.abs(got - ref)) <= 1e-9, s

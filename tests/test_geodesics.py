@@ -19,7 +19,8 @@ from ahwarp.geodesics import (
     solve_radial,
     solve_radial_grid,
 )
-from ahwarp.jacobi import fundamental_pair, make_kernel, theta_infinity
+from ahwarp.jacobi import (closed_U_perp, closed_V_perp, fundamental_pair, make_kernel,
+                           theta_infinity)
 from ahwarp.ode import integrate_ivp
 from ahwarp.search import _non_trapping_check, find_r_star
 from ahwarp.warp import ProfileParams, solve_warp
@@ -95,13 +96,15 @@ class TestSolveRadial:
         assert sol.entry_time == PI4
 
     def test_radial_line_window(self):
-        # rho = t is evaluated exactly, and the window is [r, r + eps] exactly
+        # rho = t is evaluated exactly, and the window is [r, r + eps] exactly;
+        # its solve spans the window variable's [0, 1], where dt/dx = 1
         sol = solve_radial(GeodesicParams(0.0, 0.76, 0.05), T=5.0, tol=1e-10)
         assert sol.rho(3.3) == 3.3
         assert sol.drho(4.9) == 1.0 and sol.trajectory.state_scalar(0.9) == (0.9, 1.0)
         assert sol.window == (0.76, 0.81)
         assert sol.rho(0.76) == 0.76 and sol.rho(0.81) == 0.81
-        assert (sol.transition.nodes[0], sol.transition.nodes[-1]) == (0.76, 0.81)
+        assert (sol.transition.nodes[0], sol.transition.nodes[-1]) == (0.0, 1.0)
+        assert abs(sol.transition.end[2] - 0.05) < 1e-16
 
     def test_horizon_before_entry_is_the_arc(self):
         # nothing past the ball is built, let alone integrated
@@ -121,12 +124,14 @@ class TestSolveRadial:
             assert np.all(v <= 1.0 + 1e-12)     # unit speed
 
     def test_transition_exit_time(self):
-        # the crossing of rho = r + eps ends the window solve
+        # the window solve ends at rho = r + eps, and its t row there is the
+        # time spent in the window
         sol = solve_radial(GeodesicParams(0.3, PI4, 0.1), T=10.0, tol=1e-10)
         t_exit = sol.exit_time
         assert t_exit is not None and t_exit > sol.entry_time
-        assert sol.transition.switched and sol.transition.nodes[-1] == t_exit
-        assert float(sol.rho(t_exit)) == pytest.approx(PI4 + 0.1, abs=1e-8)
+        assert sol.transition.nodes[-1] == 1.0
+        assert t_exit == sol.entry_time + sol.transition.end[2]
+        assert float(sol.rho(t_exit)) == pytest.approx(PI4 + 0.1, abs=1e-15)
 
     @pytest.mark.parametrize("s", [1e-20, 6.464532500880693e-291])
     def test_radial_solve_below_resolution(self, s):
@@ -135,6 +140,32 @@ class TestSolveRadial:
         assert sol.rho(0.0) == s
         _, v = sol.state(np.linspace(0.0, 50.0, 1001))
         assert np.all(np.isfinite(v)) and np.all(v >= 0.0)
+
+
+class TestFarGeodesics:
+    def test_exterior_without_overflow(self):
+        # at s = 400, A'(s) ~ e^400 / 2 would overflow when squared (rho was
+        # nan and rho' 0); at (pi/4, 0), rho = s + log cosh t, rho' = tanh t
+        sol = solve_radial(GeodesicParams(400.0, PI4, 0.0), T=12.0)
+        ts = np.linspace(0.0, 12.0, 49)
+        rho, drho = sol.state(ts)
+        assert np.max(np.abs(rho - np.asarray(closed_rho(400.0, ts)))) <= 1e-12
+        assert np.max(np.abs(drho - np.tanh(ts))) <= 1e-15
+
+    def test_off_plane_pair_far_out(self):
+        # the angle still to sweep, A(s) / (2 p^2) ~ e^{-700}, is formed
+        # without squaring p ~ e^700: the off-plane pair matches its closed
+        # forms (V was 0 at the first fix of rho alone)
+        kernel = make_kernel("perpendicular", GeodesicParams(700.0, PI4, 0.0), horizon=11.0)
+        pair = fundamental_pair(kernel, T=10.0)
+        ts = np.linspace(0.0, 10.0, 41)
+        for traj, closed in ((pair.U, closed_U_perp), (pair.V, closed_V_perp)):
+            ref = np.asarray(closed(700.0, ts))
+            assert np.max(np.abs(traj.value(ts) - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-13
+
+    def test_A_of_s_past_the_float_range_is_refused(self):
+        with pytest.raises(ValueError, match="overflows"):
+            solve_radial(GeodesicParams(800.0, PI4, 0.05))
 
 
 class TestClosedForms:

@@ -1,5 +1,6 @@
-"""Integrator contract: oracle problems, terminal switches, projections,
-backward problems through the transfer matrix, Wronskian."""
+"""Integrator contract: oracle problems, breaks at fixed ends, projections,
+crossings on the dense output, backward problems through the transfer
+matrix, Wronskian."""
 
 import math
 
@@ -69,36 +70,17 @@ class TestForward:
         assert np.max(np.abs(x - np.sin(ts))) < 10 * tol
         assert np.max(np.abs(v - np.cos(ts))) < 10 * tol
 
-    def test_warp_equation_with_switch(self):
+    def test_break_is_a_fixed_end(self):
         # A'' = -K_par A with the sharp profile at r = pi/4: A = sin inside,
         # (sqrt2/2) e^{rho - pi/4} outside; the independent variable is rho.
-        # The terminal switch ends the inside solve at the cap, the outside
-        # branch starts from the state there.
-        tol = 1e-11
-        inside = integrate_ivp(harmonic, 0.0, (0.0, 1.0), 1.0, tol,
-                               switch=lambda rho, y: rho - PI / 4)
-        assert inside.switched
-        te = inside.nodes[-1]
-        outside = integrate_ivp(antiharmonic, te, inside.end, 1.0, tol)
-        traj = Trajectory.concat([inside.trajectory(), outside.trajectory()])
-        assert abs(traj.value(1.0) - (SQRT2 / 2) * math.exp(1.0 - PI / 4)) < 10 * tol
-        assert abs(te - PI / 4) < tol
-        # the switch time ends the first piece and starts the second
-        assert [(p.t_lo, p.t_hi) for p in traj.pieces] == [(0.0, te), (te, 1.0)]
-
-    def test_breaks_equivalent_to_switch(self):
-        # a coefficient jump at a known time is a fixed end and a new solve;
-        # it agrees with the terminal switch at the same place
+        # The coefficient jump at the known rho = pi/4 ends the first solve,
+        # and the second starts from the state there
         tol = 1e-11
         inside = integrate_ivp(harmonic, 0.0, (0.0, 1.0), PI / 4, tol)
         outside = integrate_ivp(antiharmonic, PI / 4, inside.end, 1.0, tol)
         traj = Trajectory.concat([inside.trajectory(), outside.trajectory()])
         assert abs(traj.value(1.0) - (SQRT2 / 2) * math.exp(1.0 - PI / 4)) < 10 * tol
-        assert not inside.switched
-        switched = integrate_ivp(harmonic, 0.0, (0.0, 1.0), 1.0, tol,
-                                 switch=lambda rho, y: rho - PI / 4)
-        rest = integrate_ivp(antiharmonic, switched.nodes[-1], switched.end, 1.0, tol)
-        assert np.max(np.abs(rest.end - outside.end)) < 10 * tol
+        assert [(p.t_lo, p.t_hi) for p in traj.pieces] == [(0.0, PI / 4), (PI / 4, 1.0)]
 
     def test_c1_matching_at_event(self):
         # a jump of the coefficient at t = 1: the state is handed over
@@ -232,33 +214,31 @@ class TestTrajectory:
     def test_array_evaluation_equals_scipy_dense_output(self, projected):
         # all interpolants are evaluated at once; scipy's own OdeSolution is
         # the reference, operation for operation, also at the nodes, where
-        # two steps meet, and in the last step, which a terminal event cuts.
-        # A projection that selects rows keeps the bits.
+        # two steps meet, and in the last step.  A projection that selects
+        # rows keeps the bits.
         def rhs(t, y):
             k = 1.0 + 0.1 * math.sin(t)
             return y[1], -k * y[0], y[3], -y[2]
 
-        def crossing(t, y):
-            return t + 0.1 * y[0] - 11.5
-
-        crossing.terminal = True
         y0 = (1.0, 0.3, 0.0, 1.0)
-        flow = integrate_ivp(rhs, 0.0, y0, 12.0, 1e-10, switch=crossing)
-        scipy_sol = solve_ivp(rhs, (0.0, 12.0), y0, method="DOP853", dense_output=True,
-                              events=crossing, rtol=1e-10, atol=1e-13)
+        flow = integrate_ivp(rhs, 0.0, y0, 11.5, 1e-10)
+        scipy_sol = solve_ivp(rhs, (0.0, 11.5), y0, method="DOP853", dense_output=True,
+                              rtol=1e-10, atol=1e-13)
         assert np.array_equal(scipy_sol.t, flow.nodes)
         assert np.array_equal(scipy_sol.y, flow.states)
-        t_end = flow.nodes[-1]
-        assert flow.switched and 11.0 < t_end < 12.0
         rows = (2, 3) if projected else (0, 1)
         traj = flow.trajectory(np.eye(4)[list(rows)])
-        assert traj.t1 == t_end
-        ts = np.concatenate([np.linspace(0.0, t_end, 997), flow.nodes])
+        assert traj.t1 == 11.5
+        ts = np.concatenate([np.linspace(0.0, 11.5, 997), flow.nodes])
         (piece,) = traj.pieces
         ref = scipy_sol.sol(ts)[list(rows)]
         assert np.array_equal(piece.eval(ts), ref)
         for k in (0, 500, 996):
             assert traj.state_scalar(float(ts[k])) == (ref[0, k], ref[1, k])
+        # rows of one step on floats are the same arithmetic
+        seg = len(flow.nodes) // 2
+        t = 0.5 * (flow.nodes[seg] + flow.nodes[seg + 1])
+        assert flow.dense.on_step(seg, list(rows))(t) == scipy_sol.sol(t)[list(rows)].tolist()
 
     def test_out_of_range_rejected(self):
         traj = integrate_ivp(harmonic, 0.0, (0.0, 1.0), 1.0, 1e-10).trajectory()
@@ -272,14 +252,17 @@ class TestTrajectory:
             with pytest.raises(ValueError):
                 traj.state_scalar(t)
 
-    def test_switch_crossing_is_the_last_node(self):
-        flow = integrate_ivp(harmonic, 0.0, (0.0, 1.0), 3.0, 1e-10,
-                             switch=lambda t, y: y[0] - 0.5)
-        assert flow.switched
-        te = flow.nodes[-1]
-        assert flow.trajectory().t1 == te
-        assert abs(te - PI / 6) < 1e-10
-        assert np.all(np.diff(flow.nodes) > 0)
+    def test_crossings_invert_an_increasing_row(self):
+        # one level per entry: the time row of (t, sin t) inverts to the
+        # levels themselves, the sine row to arcsin; a level at the first
+        # node is that node, and a level no node reaches is nan
+        flow = integrate_ivp(lambda t, y: (1.0, math.cos(t)), 0.0, (0.0, 0.0), 1.5, 1e-12)
+        levels = np.array([0.0, 1e-3, 0.4, 1.2, 1.5, 2.0])
+        times = flow.crossings(0, levels)
+        assert times[0] == 0.0 and np.isnan(times[-1])
+        assert np.max(np.abs(times[1:-1] - levels[1:-1])) < 1e-14
+        sines = flow.crossings(1, np.array([0.5, 0.9]))
+        assert np.max(np.abs(sines - np.arcsin([0.5, 0.9]))) < 1e-10
 
     def test_cut_before_the_end(self):
         # a trajectory restricted to [t0, t1] ends at t1
