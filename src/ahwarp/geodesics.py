@@ -226,24 +226,31 @@ class _Exterior:
         g (p - q E) cos(theta) - A(s) E sin(theta), where
         cos(theta) = sin(psi + phi) keeps its precision however small psi
         is.  That sign is positive as E -> 0 and turns at most once on
-        (0, 1]; bisection in E locates the turn (E -> 1 when U' > 0 at t_x)."""
-        p, q = 0.5 * (self.h_x + self.dh_x), 0.5 * (self.h_x - self.dh_x)
+        (0, 1]; bisection in E locates the turn (E -> 1 when U' > 0 at t_x).
+        As in ``phi``, p, q, A(s) and 4 a_+ a_- are scaled by powers of two,
+        so that nothing squared overflows however large A'(s) is."""
+        k = math.frexp(self.h_x + self.dh_x)[1]
+        p, q = math.ldexp(self.h_x + self.dh_x, -k - 1), math.ldexp(self.h_x - self.dh_x, -k - 1)
+        a_s, d = math.ldexp(self.a_s, -2 * k), math.ldexp(self.d, -2 * k)
         c = math.sqrt(abs(self.d))
         arc = math.atanh if self.d > 0.0 else math.atan
 
         def state(e: float) -> tuple[float, float, float]:
-            """(e^{-tau} h, e^{-tau} h', psi + phi) at E = e; phi as in
-            ``phi``, y atanc(4 a_+ a_- y^2) = arc(c y) / c."""
-            y = self.a_s * e / (2.0 * p * p + (2.0 * p * q + self.d) * e)
+            """(e^{-tau} h, e^{-tau} h', psi + phi) at E = e, the first two
+            scaled by 2^-k; phi as in ``phi``, y atanc(4 a_+ a_- y^2) =
+            arc(c y) / c."""
+            y = a_s * e / (2.0 * p * p + (2.0 * p * q + d) * e)
             return p + q * e, p - q * e, psi + (arc(c * y) / c if c * y > 0.0 else y)
 
         def rising(e: float) -> bool:
             g, dg, angle = state(e)
-            return g * dg * math.sin(angle) > self.a_s * e * math.cos(angle)
+            return g * dg * math.sin(angle) > a_s * e * math.cos(angle)
 
         e = _bisect(rising, 1.0, 0.0)
         g, _, angle = state(e)
-        return math.sqrt((g * g + self.d * e) / e) * math.sin(angle) / self.a_s, rising(1.0)
+        # e^{-tau} A / A(s) = sqrt(g^2 + 4 a_+ a_- E) / A(s), both scaled by 2^-k
+        u = math.sqrt((g * g + d * e) / e) * math.sin(angle) / math.ldexp(self.a_s, -k)
+        return u, rising(1.0)
 
     def k_perp(self, t: np.ndarray) -> np.ndarray:
         """K_perp(rho) = (1 - A'^2) / A^2 = -1 + (1 + 4 a_+ a_-) / A^2."""

@@ -3,9 +3,9 @@
 Thin layer over scipy's DOP853 embedded Runge-Kutta pair with dense output.
 A solve runs forward from (t0, y0) to t1.  The package integrates only
 across the curvature transition, and there in a variable whose span is
-known before the solve (``rho - r`` for the transition pair, a rescaling of
-it for the geodesics' windows), carrying several coupled quantities in one
-state vector.
+known before the solve (``(rho - r)/eps`` for the transition pair, ``rho - r``
+rescaled for the geodesics' windows), carrying several coupled quantities in
+one state vector.
 
 The result is a ``Flow``: the accepted nodes, the states there and the
 dense output of the whole vector.  A solve that carries several independent

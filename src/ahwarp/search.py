@@ -12,9 +12,11 @@ then gives
 
     W'(0; r) = tan(arctan w(eps) + r) = tan(r - r*),   r* = -arctan w(eps).
 
-The root residual |Y(0) W'(0)| comes from the s = 0 window solve at r*, a
-solve independent of the pair, so it measures how far the two disagree; the
-same stable solution is the scan's boundary-conjugate witness.
+The pair is one solve per process, interpolated in eps^2 (``warp``).  The
+root residual |Y(0) W'(0)| comes from an s = 0 window solve at r*, which
+carries no pair rows, so it measures how far the two disagree: a scan reads
+it, and its boundary-conjugate witness, off the s = 0 column of its small-s
+certificate grid, and ``find_r_star`` makes that solve on its own.
 Absence of interior conjugate points is certified in three regimes:
 
 * small s (certificate method): W'(0) <= 0 for both kernels on a grid
@@ -42,10 +44,12 @@ the transition, and U' turns positive once, so the minimum is one closed
 formula or one bisection.  No caller sets a tolerance: the transition pair is
 solved at ``warp._PAIR_TOL``, every stable solution (the residual, the
 witness, the small-s certificates) at ``stable._KERNEL_TOL`` and the mid-s
-grid at ``_MID_TOL``, and the report's metadata states all three.  Each grid
-point is decided on the whole line in t, but the grids sample s: they
-certify concrete parameter triples by computation, not a computer-assisted
-proof, and the report says so in its metadata.
+grid at ``_MID_TOL``, and the report's metadata states all three.  After the
+process's one pair solve, a mollified scan makes two solves: the small-s
+grid's and the mid-s grid's.  Each grid point is decided on the whole line
+in t, but the grids sample s: they certify concrete parameter triples by
+computation, not a computer-assisted proof, and the report says so in its
+metadata.
 """
 
 from __future__ import annotations
@@ -178,9 +182,8 @@ class ScanReport:
         return cls.from_dict(json.loads(text))
 
 
-def _radial_stable(eps: float, bracket_halfwidth: float) -> tuple[float, StableSolution]:
-    """r* = -arctan w(eps) and the radial stable solution at (0, r*, eps);
-    BracketError when r* falls outside the window
+def _root(eps: float, bracket_halfwidth: float) -> float:
+    """r* = -arctan w(eps); BracketError when it falls outside the window
     [pi/4 - bracket_halfwidth, pi/4 + bracket_halfwidth]."""
     ProfileParams(_QUARTER_PI, eps)  # validates eps
     lo = _QUARTER_PI - bracket_halfwidth
@@ -188,7 +191,7 @@ def _radial_stable(eps: float, bracket_halfwidth: float) -> tuple[float, StableS
     r_star = -math.atan(entry_slope(eps))
     if not lo <= r_star <= hi:
         raise BracketError(f"r* = {r_star!r} outside the window [{lo!r}, {hi!r}]")
-    return r_star, stable_for("parallel", GeodesicParams(0.0, r_star, eps))
+    return r_star
 
 
 def find_r_star(eps: float, bracket_halfwidth: float = 0.1) -> tuple[float, float]:
@@ -198,13 +201,13 @@ def find_r_star(eps: float, bracket_halfwidth: float = 0.1) -> tuple[float, floa
 
         r* = -arctan w(eps)
 
-    from the end state of the transition pair.  Returns (r_star,
-    |Y(0) W'(0)| at r_star), the residual from the stable solution at r_star,
-    a window solve independent of the pair.  Raises BracketError when r_star
-    falls outside the window
-    [pi/4 - bracket_halfwidth, pi/4 + bracket_halfwidth].
+    from the transition pair at x = eps.  Returns (r_star, |Y(0) W'(0)| at
+    r_star), the residual from the stable solution at r_star, a window solve
+    independent of the pair.  Raises BracketError when r_star falls outside
+    the window [pi/4 - bracket_halfwidth, pi/4 + bracket_halfwidth].
     """
-    r_star, sol = _radial_stable(eps, bracket_halfwidth)
+    r_star = _root(eps, bracket_halfwidth)
+    sol = stable_for("parallel", GeodesicParams(0.0, r_star, eps))
     return r_star, abs(sol.Y0 * sol.W_prime_0)
 
 
@@ -213,13 +216,14 @@ def verify_small_s(
     eps: float,
     sigma: float = 0.3,
     ds: float = 0.01,
-) -> tuple[list[SmallSRecord], tuple[float, float], bool]:
+) -> tuple[list[SmallSRecord], tuple[float, float], bool, StableSolution]:
     """Certificate method on 0 <= s <= sigma.
 
     Each grid point passes iff W'(0) <= TOL_SIGN for both kernels; the
     concavity signature (d1 ~ 0, d2 < 0) of s -> W'(0) at s = 0 is checked
     as well.  Returns (records, (d1, d2) for the perpendicular kind, all
-    passed).
+    passed, the in-plane stable solution at s = 0), all from one
+    ``certificate_grid``.
     """
     _check_grid(sigma, ds)
     grid = _grid(0.0, sigma, ds)
@@ -235,7 +239,7 @@ def verify_small_s(
         records.append(SmallSRecord(s, cp, cq, "pass" if good else "fail"))
     d1, d2 = stencil_derivatives([certs[s][1] for s in stencil])
     ok = ok and d2 < 0.0
-    return records, (d1, d2), ok
+    return records, (d1, d2), ok, certs[0.0].stable
 
 
 def _negative_curvature_threshold(params: ProfileParams) -> tuple[float, bool]:
@@ -330,6 +334,7 @@ def assemble_report(
     witness at s = 0 (boundary conjugate points), all small-s certificates
     nonpositive with the concavity signature, all mid-s minima positive, the
     negative-curvature threshold confirmed, and the non-trapping premise.
+    The residual and the witness come from the small-s grid's s = 0 column.
     The metadata states the tolerances of the solves: the transition pair
     (r_star and the warp function), the stable solutions (the residual, the
     witness and the small-s certificates) and the mid-s grid.  Raises
@@ -350,7 +355,7 @@ def assemble_report(
     }
 
     try:
-        r_star, witness_sol = _radial_stable(eps, bracket_halfwidth)
+        r_star = _root(eps, bracket_halfwidth)
     except BracketError as exc:
         nan = float("nan")
         return ScanReport(
@@ -360,6 +365,7 @@ def assemble_report(
             non_trapping_ok=False, metadata=metadata,
         )
 
+    small_records, concavity, _, witness_sol = verify_small_s(r_star, eps, sigma, ds)
     # Boundary-conjugate witness: the stable solution at s = 0 decays in
     # forward time and, extended evenly (W'(0) = 0 up to the root residual),
     # in backward time as well.  The residual is its |Y(0) W'(0)|.
@@ -374,8 +380,8 @@ def assemble_report(
         "even_extension_slope": slope,
     }
     witness_ok = y_end < 2.0 * math.exp(-t_check) and residual < 1e-8
+    del witness_sol  # it holds the small-s grid's window solve; the mid-s grid makes its own
 
-    small_records, concavity, _ = verify_small_s(r_star, eps, sigma, ds)
     rho0, certified, mid_records, _ = verify_large_s(r_star, eps, sigma, ds)
     non_trapping = _non_trapping_check(r_star, eps)
     small_failed = _failed_at(small_records)

@@ -71,6 +71,7 @@ __all__ = [
     "TOL_SIGN",
     "CertificateError",
     "StableSolution",
+    "Certificates",
     "DoubleZeroVerdict",
     "stable_solution",
     "stable_for",
@@ -226,12 +227,25 @@ def certificate(kind: str, params: GeodesicParams) -> float:
     return stable_for(kind, params).W_prime_0
 
 
-def certificate_grid(ss: Sequence[float], r: float, eps: float) -> list[tuple[float, float]]:
-    """(W'(0) in-plane, W'(0) off-plane) at each s of ``ss``, as
-    ``certificate`` gives them one geodesic at a time, with the radial solves
-    of the grid made by one ``geodesics.solve_radial_grid``."""
-    return [tuple(stable_solution(kernel_on(kind, radial), kind=kind).W_prime_0
-                  for kind in KINDS)
+class Certificates(tuple):
+    """(W'(0) in-plane, W'(0) off-plane) at one s, a pair of floats, with
+    the in-plane stable solution behind the first as ``stable``: at s = 0,
+    the radial geodesic's, which a scan takes as its boundary-conjugate
+    witness."""
+
+    stable: StableSolution
+
+    def __new__(cls, parallel: StableSolution, perp: StableSolution) -> "Certificates":
+        pair = super().__new__(cls, (parallel.W_prime_0, perp.W_prime_0))
+        pair.stable = parallel
+        return pair
+
+
+def certificate_grid(ss: Sequence[float], r: float, eps: float) -> list[Certificates]:
+    """The certificates at each s of ``ss``, as ``certificate`` gives them
+    one geodesic at a time, with the radial solves of the grid made by one
+    ``geodesics.solve_radial_grid``."""
+    return [Certificates(*(stable_solution(kernel_on(kind, radial), kind=kind) for kind in KINDS))
             for radial in solve_radial_grid(ss, r, eps, _T0, _KERNEL_TOL)]
 
 

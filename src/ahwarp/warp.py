@@ -14,31 +14,37 @@ the coefficients a_+- fixed by C^1 matching.  At r = pi/4 (eps = 0) the
 decaying coefficient a_- vanishes, which is the critical configuration the
 search module hunts for.
 
-In x = rho - r the transition equation Y'' = -(1 - 2 mollifier(x/eps)) Y on
-[0, eps] does not contain r.  So one DOP853 solve per eps, the transition
-pair Y_+- from (Y, Y') = (1, +-1) at x = 0, with state (p, p', m, m'),
-serves every r:
+In x = rho - r = eps u the transition equation does not contain r, and in u
+it reads Y_uu = -lam k(u) Y on [0, 1], k = 1 - 2 mollifier, with eps entering
+only through lam = eps^2.  Its fundamental pair, C (C(0) = 1, C'(0) = 0) and
+S (S(0) = 0, S'(0) = 1) in x, is an entire function of lam (Coddington and
+Levinson, Theory of Ordinary Differential Equations, 1955, ch. 1).  So one
+DOP853 solve, made on first use and kept for the life of the process
+(``_series``), carries the pair at the 10 Chebyshev points of lam on
+[0, (pi/2)^2], and every eps (ProfileParams keeps eps < pi/2) is a
+barycentric interpolation in lam (Trefethen, Approximation Theory and
+Approximation Practice, 2013).  What is interpolated are the remainders
+(C - 1, C_u, S - u, S_u - 1) / lam, so eps -> 0 gives the sharp start
+(C, C', S, S') = (1, 0, 0, 1) exactly.  The pair serves every r:
 
-* the warp function: (sin r, cos r) = alpha (1, 1) + beta (1, -1) with
-  alpha, beta = (sin r +- cos r)/2, so (A, A') = alpha (p, p') + beta (m, m')
-  at x = rho - r on [r, r + eps], a linear projection of the pair's dense
-  output;
-* the exterior coefficients, one formula for every eps (at eps = 0 the end
-  state is the start state (1, 1, 1, -1)):
+* the warp function: A(r + x) = sin r C + cos r S on [0, eps], and A' the
+  same sum of C' and S', a projection of the interpolated dense output;
+* the exterior coefficients, one formula for every eps:
   a_+- = e^{-+(r + eps)} (A +- A')(r + eps) / 2;
-* w(eps) = (p + p' + m + m') / (m + m' - p - p') at x = eps: W = Y'/Y at
-  the ball boundary of the solution equal to (1, -1) at x = eps, where the
-  exterior decay e^{-x} takes over (``entry_slope``; the Wronskian of the
-  pair is -2).  The search reads r* = -arctan w(eps) off it.
+* w(eps) = -(C + C') / (S + S') at x = eps: W = Y'/Y at the ball boundary
+  of the solution equal to (1, -1) at x = eps, where the exterior decay
+  e^{-x} takes over (``entry_slope``).  The search reads r* = -arctan w(eps)
+  off it.
 
 An eps below the resolution of r (r + eps == r) is the sharp metric.
+Nothing is solved at import, nor for a sharp metric.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -220,35 +226,87 @@ class WarpFunction:
         return max(par_thr, perp_thr)
 
 
-# The transition pair (module docstring) starts from (p, p', m, m') =
-# (1, 1, 1, -1) and is solved at one tolerance for every caller, in steps of
-# at most eps/32.  Without the bound DOP853's error estimate misses the rise
-# of exp(-1/x) in a long first step: the end state was 9.6e-9 off at
-# eps = 1.1e-2; with it, at most 1.1e-13 over 800 draws of eps in
-# [1e-12, 0.1], for a median 521 RHS calls instead of 479.
-_PAIR_START = (1.0, 1.0, 1.0, -1.0)
+# The transition pair is solved at one tolerance for every caller, in steps
+# of at most 1/32 in u (eps/32 in x).  Without the bound DOP853's error
+# estimate misses the rise of exp(-1/x) in a long first step: a pair solved
+# in x was 9.6e-9 off at eps = 1.1e-2.
 _PAIR_TOL = 1e-12
 _PAIR_MIN_STEPS = 32
+# lam = eps^2 < (pi/2)^2, as ProfileParams keeps r + eps < pi/2
+_LAM_MAX = (math.pi / 2.0) ** 2
+_NODES = 10
 
 
-@lru_cache(maxsize=8)
-def _pair(eps: float) -> Flow:
-    """The transition pair of width eps > 0 on [0, eps]; the 8 most recent
-    are cached."""
+def _chebyshev(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n Chebyshev points of the first kind on [0, (pi/2)^2] (lam = 0
+    is not one of them) and their barycentric weights."""
+    theta = (np.arange(n) + 0.5) * (math.pi / n)
+    return 0.5 * _LAM_MAX * (1.0 - np.cos(theta)), np.sin(theta) * (-1.0) ** np.arange(n)
 
-    def rhs(x: float, y: np.ndarray) -> tuple[float, float, float, float]:
-        p, dp, m, dm = y.tolist()
-        k = 1.0 - 2.0 * mollifier(x / eps)
-        return dp, -k * p, dm, -k * m
 
-    return integrate_ivp(rhs, 0.0, _PAIR_START, eps, _PAIR_TOL, max_step=eps / _PAIR_MIN_STEPS)
+_LAM, _WEIGHTS = _chebyshev(_NODES)
+
+
+def _solve_pair(lam: np.ndarray) -> Flow:
+    """One DOP853 solve in u on [0, 1] of the remainders of the pair at each
+    lam_j: with C = 1 + lam c, C_u = lam c', S = u + lam s, S_u = 1 + lam s',
+    c'' = -k (1 + lam c) and s'' = -k (u + lam s) from 0, so nothing
+    cancels.  The rows are (c, s, c', s'), each over the nodes."""
+    n = len(lam)
+    lam2 = np.concatenate((lam, lam))
+    one, ramp = np.repeat([1.0, 0.0], n), np.repeat([0.0, 1.0], n)
+
+    def rhs(u: float, y: np.ndarray) -> np.ndarray:
+        m = 2.0 * mollifier(u) - 1.0  # -k
+        return np.concatenate((y[2 * n:], m * (lam2 * y[:2 * n] + (one + u * ramp))))
+
+    return integrate_ivp(rhs, 0.0, np.zeros(4 * n), 1.0, _PAIR_TOL,
+                         max_step=1.0 / _PAIR_MIN_STEPS)
+
+
+@cache
+def _series() -> Flow:
+    """The remainder rows at the 10 nodes ``_LAM``: the one solve of the
+    transition pair in a process, made on first use."""
+    return _solve_pair(_LAM)
+
+
+def _interpolant(lam: float, nodes: np.ndarray = _LAM,
+                 weights: np.ndarray = _WEIGHTS) -> np.ndarray:
+    """The coefficients l_j(lam) of the barycentric interpolant, sum_j
+    l_j f(lam_j); the unit vector where lam is a node."""
+    d = lam - nodes
+    if not np.all(d):
+        return (d == 0.0).astype(float)
+    q = weights / d
+    return q / q.sum()
+
+
+def _pair(eps: float, rem: np.ndarray, x: float | np.ndarray) -> tuple:
+    """(C - 1, C', S, S' - 1) in x = eps u, the pair less the sharp one, from
+    the remainders (c, s, c', s') at lam = eps^2 (rows of ``rem``): the
+    small parts are summed before the 1 is added back, which rounds once."""
+    lam = eps * eps
+    c, s, dc, ds = rem
+    return lam * c, eps * dc, x + eps * lam * s, lam * ds
+
+
+def _pair_end(eps: float) -> tuple[float, float, float, float]:
+    """(C - 1, C', S, S' - 1) at x = eps; zeros at eps = 0, with no solve."""
+    if eps == 0.0:
+        return 0.0, 0.0, 0.0, 0.0
+    rem = _series().end.reshape(4, _NODES) @ _interpolant(eps * eps)
+    return tuple(float(v) for v in _pair(eps, rem, eps))
 
 
 def entry_slope(eps: float) -> float:
-    """w(eps): W = Y'/Y at the ball boundary of the transition solution that
-    equals (1, -1) at x = eps (module docstring); -1 at eps = 0."""
-    p, dp, m, dm = _pair(eps).end.tolist() if eps > 0.0 else _PAIR_START
-    return (p + dp + m + dm) / (m + dm - p - dp)
+    """w(eps) = -(C + C') / (S + S') at x = eps: W = Y'/Y at the ball
+    boundary of the transition solution that equals (1, -1) at x = eps
+    (module docstring); -1 at eps = 0."""
+    if not 0.0 <= eps < math.pi / 2.0:
+        raise ValueError(f"eps must lie in [0, pi/2), got {eps}")
+    c1, dc, s, ds1 = _pair_end(eps)
+    return -(1.0 + (c1 + dc)) / (1.0 + (s + ds1))
 
 
 def solve_warp(params: ProfileParams) -> WarpFunction:
@@ -256,24 +314,31 @@ def solve_warp(params: ProfileParams) -> WarpFunction:
 
     The interior branch is exact; the transition and the exterior
     coefficients are projections of the transition pair of width eps (module
-    docstring), so nothing is solved per r.  An eps below the resolution of
-    r is the sharp metric, with no transition.
+    docstring), so nothing is solved per r or per eps.  An eps below the
+    resolution of r is the sharp metric, with no transition.
     """
     r, eps = params.r, params.eps
-    flow = None if r + eps == r else _pair(eps)
-    p, dp, m, dm = _PAIR_START if flow is None else flow.end.tolist()
-    alpha = (math.sin(r) + math.cos(r)) / 2.0
-    beta = (math.sin(r) - math.cos(r)) / 2.0
-    a_plus = math.exp(-(r + eps)) * (alpha * (p + dp) + beta * (m + dm)) / 2.0
-    a_minus = math.exp(r + eps) * (alpha * (p - dp) + beta * (m - dm)) / 2.0
+    sharp = r + eps == r
+    sin_r, cos_r = math.sin(r), math.cos(r)
+
+    def project(c1, dc, s, ds1):
+        """(A, A')(r + x) = sin r (C, C') + cos r (S, S')."""
+        return sin_r + (sin_r * c1 + cos_r * s), cos_r + (sin_r * dc + cos_r * ds1)
+
+    a, da = project(*_pair_end(0.0 if sharp else eps))
+    a_plus = math.exp(-(r + eps)) * (a + da) / 2.0
+    a_minus = math.exp(r + eps) * (a - da) / 2.0
     transition = None
-    if flow is not None:
-        # x = rho - r is exact on [r, 2r] (Sterbenz); where r + eps rounds up
-        # it passes eps by less than an ulp of r, and the last step may be
-        # far shorter than that, so x is clipped to the solve's span
-        proj = np.array(((alpha, 0.0, beta, 0.0), (0.0, alpha, 0.0, beta)))
-        transition = Trajectory.from_function(
-            lambda rho: proj @ flow.dense(np.minimum(rho - r, eps)), r, r + eps)
+    if not sharp:
+        flow, coeffs = _series(), _interpolant(eps * eps)
+
+        def state(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            # x = rho - r is exact on [r, 2r] (Sterbenz); where r + eps rounds
+            # up it passes eps by less than an ulp of r, so it is clipped
+            x = np.minimum(rho - r, eps)
+            return project(*_pair(eps, coeffs @ flow.dense(x / eps).reshape(4, _NODES, -1), x))
+
+        transition = Trajectory.from_function(state, r, r + eps)
     return WarpFunction(params, a_plus, a_minus, transition)
 
 

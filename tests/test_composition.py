@@ -2,6 +2,10 @@
 full-span solves, and the work the composition leaves to the integrator."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +21,7 @@ from ahwarp.jacobi import fundamental_pair, jacobi_solution, make_kernel
 from ahwarp.ode import Trajectory
 from ahwarp.search import assemble_report, find_r_star
 from ahwarp.stable import stable_for, stable_solution
-from ahwarp.warp import k_parallel, solve_warp
+from ahwarp.warp import entry_slope, k_parallel, solve_warp
 
 T = 20.0
 TS = np.linspace(0.0, T, 401)
@@ -136,8 +140,7 @@ class TestAgainstFullSpan:
 @pytest.fixture
 def solves(monkeypatch):
     """Every solve_ivp call made through ahwarp.ode, as the (lo, hi) of the
-    time range it integrated; the transition pair cache starts empty."""
-    warp_mod._pair.cache_clear()
+    time range it integrated."""
     spans = []
     real = ode_mod.solve_ivp
 
@@ -150,15 +153,59 @@ def solves(monkeypatch):
     return spans
 
 
+@pytest.fixture
+def no_series():
+    """The process's transition pair (``warp._series``) not yet solved."""
+    warp_mod._series.cache_clear()
+    yield
+    warp_mod._series.cache_clear()
+
+
+def test_import_makes_no_solve():
+    # a fresh interpreter: importing the package and a sharp scan solve
+    # nothing, not even the transition pair
+    code = ("import scipy.integrate as si\n"
+            "calls = []\n"
+            "real = si.solve_ivp\n"
+            "si.solve_ivp = lambda *a, **k: calls.append(a) or real(*a, **k)\n"
+            "import ahwarp\n"
+            "assert calls == [] and ahwarp.warp._series.cache_info().currsize == 0\n"
+            "assert ahwarp.assemble_report(0.0).overall == 'boundary-CP-and-no-interior-CP'\n"
+            "assert calls == [] and ahwarp.warp._series.cache_info().currsize == 0\n")
+    src = str(Path(ode_mod.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestWorkCounts:
-    def test_sharp_scan_integrates_nothing(self, solves):
+    def test_sharp_scan_integrates_nothing(self, no_series, solves):
+        # eps = 0 has no transition: no window and no pair
         report = assemble_report(0.0)
         assert report.overall == "boundary-CP-and-no-interior-CP"
+        assert find_r_star(0.0)[0] == PI4 and entry_slope(0.0) == -1.0
+        solve_warp(GeodesicParams(0.0, 0.7, 0.0).profile)
         assert solves == []
+        assert warp_mod._series.cache_info().currsize == 0
+
+    def test_pair_is_solved_once_per_process(self, no_series, solves):
+        # the first mollified metric solves the pair, in u on [0, 1], for
+        # every eps at once: the warp function at every (r, eps) and r* are
+        # interpolations of that one solve
+        warps = [solve_warp(GeodesicParams(0.0, r, eps).profile)
+                 for r, eps in ((0.7, 0.05), (0.8, 0.05), (0.7, 0.01), (0.3, 1.2))]
+        assert solves == [(0.0, 1.0)]
+        assert warp_mod._series.cache_info().currsize == 1
+        assert warps[0].a_plus != warps[1].a_plus != warps[2].a_plus
+        entry_slope(0.1)
+        solve_warp(GeodesicParams(0.0, 0.7, 0.0).profile)  # the sharp metric has no pair
+        assert len(solves) == 1
 
     def test_mollified_solves_stay_in_the_transition_window(self, solves):
         mu = GeodesicParams(0.3, 0.76, 0.05)
-        solve_warp(mu.profile)  # the transition pair is a solve in rho - r, not t
+        solve_warp(mu.profile)  # the process's pair, if not yet solved
         solves.clear()
         kernel = make_kernel("parallel", mu)
         fundamental_pair(kernel, T=20.0)
@@ -183,7 +230,7 @@ class TestWorkCounts:
         # kinds share the radial solve); the fundamental pair and the stable
         # solution combine that solve's pair and integrate nothing
         params = GeodesicParams(*mu)
-        solve_warp(params.profile)  # the transition pair is a solve in rho - r
+        solve_warp(params.profile)  # the process's transition pair, if not yet solved
         solves.clear()
         kernel = make_kernel(kind, params)
         expected = [(0.0, 1.0)] if mu[2] > 0.0 else []  # the window, sigma in [0, 1]
@@ -193,30 +240,34 @@ class TestWorkCounts:
         assert solves == expected
         assert sol.seed_residual == 0.0
 
+    @pytest.mark.parametrize("kind", ["parallel", "perpendicular"])
+    def test_lone_mollified_query_makes_one_solve(self, solves, kind):
+        # at an eps no earlier call used, a certificate or a fundamental pair
+        # solves its window and nothing else (was 2 with a pair solve per eps)
+        warp_mod._series()
+        solves.clear()
+        stable_for(kind, GeodesicParams(0.2, 0.76, 0.0431))
+        assert solves == [(0.0, 1.0)]
+        solves.clear()
+        fundamental_pair(make_kernel(kind, GeodesicParams(0.2, 0.77, 0.0617)), T=20.0)
+        assert solves == [(0.0, 1.0)]
+
     def test_r_star_from_the_transition_pair(self, solves):
-        # W'(0; r) = tan(r - r*): the transition pair on [0, eps] gives r*,
-        # and the s = 0 window solve at r* gives the residual (was 4 solves:
-        # the warp and the window at pi/4, then both at r*)
+        # W'(0; r) = tan(r - r*): the transition pair gives r*, and the s = 0
+        # window solve at r* gives the residual (was 4 solves: the warp and
+        # the window at pi/4, then both at r*; then 2, with a pair per eps)
+        warp_mod._series()
+        solves.clear()
         eps = 0.05
         r_star, _ = find_r_star(eps)
-        assert solves == [(0.0, eps), (0.0, 1.0)]  # the pair in x, the window in sigma
+        assert solves == [(0.0, 1.0)]  # the window, in sigma
         radial = solve_radial(GeodesicParams(0.0, r_star, eps), 30.0, 1e-12)
         assert radial.window == (r_star, r_star + eps)
 
-    def test_pair_is_solved_once_per_eps(self, solves):
-        # the warp function at every r is a projection of one pair solve
-        eps = 0.05
-        warps = [solve_warp(GeodesicParams(0.0, r, eps).profile) for r in (0.7, 0.8)]
-        assert solves == [(0.0, eps)]
-        assert warps[0].a_plus != warps[1].a_plus
-        solve_warp(GeodesicParams(0.0, 0.7, 0.0).profile)  # the sharp metric has no pair
-        assert len(solves) == 1
-
     def test_non_trapping_check_makes_no_solve(self, solves):
         # the premise A'(r + eps/2) > 0 is read off the pair (solved here
-        # once for the warp function) and the sharp metric has no pair
+        # once for the process) and the sharp metric has no pair
         assert search_mod._non_trapping_check(PI4, 0.0)
-        assert solves == []
         solve_warp(GeodesicParams(0.0, 0.76, 0.05).profile)
         solves.clear()
         assert search_mod._non_trapping_check(0.76, 0.05)
@@ -224,21 +275,22 @@ class TestWorkCounts:
 
     def test_mollified_scan_makes_no_dense_lookup(self, solves, monkeypatch):
         # no right-hand side reads a trajectory, and each regime solves the
-        # windows of its grid at once: 2 solves for r* (the transition pair
-        # and the s = 0 window at r*, whose stable solution also gives the
-        # residual and the witness), then one each for small s and mid s;
-        # the non-trapping check and the curvature threshold solve nothing
-        # (7 solves with 4 for r* and a grid for non-trapping, 90 with one
-        # per geodesic, 185 when the radial, in-plane and log-Riccati windows
-        # were solved apart)
+        # windows of its grid at once: one solve for small s, whose s = 0
+        # column gives the residual and the witness, and one for mid s; r*,
+        # the non-trapping check and the curvature threshold read the
+        # process's pair and solve nothing (4 solves with a pair solve per
+        # eps and a separate witness, 7 with 4 for r* and a grid for
+        # non-trapping, 90 with one per geodesic, 185 when the radial,
+        # in-plane and log-Riccati windows were solved apart)
         def refuse(self, t):
             raise AssertionError("dense lookup")
 
+        warp_mod._series()
+        solves.clear()
         monkeypatch.setattr(Trajectory, "state_scalar", refuse)
         report = assemble_report(0.05)
         assert report.overall == "boundary-CP-and-no-interior-CP"
-        # the pair runs in x on [0, eps], every window solve in sigma on [0, 1]
-        assert solves == [(0.0, 0.05), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0)]
+        assert solves == [(0.0, 1.0), (0.0, 1.0)]  # windows in sigma on [0, 1]
 
 
 def _carried_warp_agrees(radial):
@@ -316,7 +368,7 @@ class TestWindowInvariants:
                 assert np.array_equal(x, y)
 
     def test_batches_hold_at_most_64_geodesics(self, solves):
-        solve_warp(GeodesicParams(0.0, 0.76, 0.05).profile)  # a solve in rho - r
+        solve_warp(GeodesicParams(0.0, 0.76, 0.05).profile)  # the process's pair, if not yet solved
         solves.clear()
         ss = np.linspace(0.001, 0.75, 150)  # every one has a window
         sols = list(solve_radial_grid(ss, 0.76, 0.05, T, 1e-10))

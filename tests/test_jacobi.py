@@ -369,6 +369,16 @@ class TestEvenMinimum:
         assert 0.0 < least <= sampled + 1e-15
         assert sampled - least < 1e-12
 
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("s", [300.0, 400.0, 700.0])
+    @pytest.mark.parametrize("eps", [0.0, 0.05])
+    def test_minimum_far_out(self, s, eps, kind):
+        # far out both curvatures are negative, so U'' = -k U > 0 from
+        # U(0) = 1, U'(0) = 0: the minimum is U(0) = 1.  The off-plane one
+        # squared A'(s) ~ e^s and read inf at s = 400 and 700
+        least = even_minimum(make_kernel(kind, GeodesicParams(s, PI4, eps)))
+        assert least == pytest.approx(1.0, abs=1e-12)
+
     def test_supercritical_in_plane_minimum_is_unbounded(self):
         # past r = pi/4 the certificate is positive, so the growing
         # coefficient P = -1/2 e^{t_x} Y(0) W'(0) of the even U is negative

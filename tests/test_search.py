@@ -96,7 +96,7 @@ class TestFindRStar:
 
 class TestVerifySmallS:
     def test_critical_parameters(self):
-        records, (d1, d2), ok = verify_small_s(PI4, 0.0, sigma=0.3, ds=0.05)
+        records, (d1, d2), ok, _ = verify_small_s(PI4, 0.0, sigma=0.3, ds=0.05)
         assert ok
         assert d2 < 0 and abs(d1) < 1e-5
         for rec in records:
@@ -106,8 +106,11 @@ class TestVerifySmallS:
             assert rec.cert_perp <= 1e-9
 
     def test_boundary_point_is_root(self):
-        records, _, _ = verify_small_s(PI4, 0.0, sigma=0.05, ds=0.05)
+        records, _, _, witness = verify_small_s(PI4, 0.0, sigma=0.05, ds=0.05)
         assert abs(records[0].cert_parallel) < 1e-9
+        # the witness is the s = 0 column's in-plane stable solution
+        assert witness.params == GeodesicParams(0.0, PI4, 0.0) and witness.kind == "parallel"
+        assert witness.W_prime_0 == records[0].cert_parallel
 
 
 class TestVerifyLargeS:
@@ -197,7 +200,7 @@ class TestVerifyLargeS:
 
     def test_overlap_with_certificate_method(self):
         # both regimes must agree on [sigma, 2 sigma]
-        records_cert, _, ok_cert = verify_small_s(PI4, 0.0, sigma=0.6, ds=0.1)
+        records_cert, _, ok_cert, _ = verify_small_s(PI4, 0.0, sigma=0.6, ds=0.1)
         rho0, _, records_pos, ok_pos = verify_large_s(
             PI4, 0.0, sigma=0.3, ds=0.1)
         assert ok_cert and ok_pos

@@ -1,4 +1,4 @@
-"""30-digit reference values of the transition window, independent of DOP853.
+"""30-digit reference values of the transition, independent of DOP853.
 
 For a geodesic of (s, r, eps) the window is the part of it with
 r <= rho <= r + eps.  This script integrates it with classical fourth-order
@@ -8,7 +8,8 @@ time spent in the window ``t_x - t_in``, the angle integral
 ``psi(t_x) = integral of dt / A(rho)^2`` across it, and the in-plane transfer
 matrix ``M = [[U, V], [U', V']]`` of Y'' = -K_par(rho(t)) Y across it.  The
 warp function A rides along as two rows, A'' = -K_par A in x = rho - r from
-(sin r, cos r) at x = 0, so nothing of the package is used but r* itself.
+(sin r, cos r) at x = 0, and r* is the float nearest the pair entry's own
+(below), so nothing of the package is used.
 
 * s < r: in sigma with x = (s - r) + L sigma^2, L = r + eps - s, from
   sigma_0 = sqrt((r - s) / L) (x = 0) to 1.  At sigma = 0 the great circle
@@ -19,20 +20,26 @@ warp function A rides along as two rows, A'' = -K_par A in x = rho - r from
   ends on rho = r + eps (secant on its length).  A(s), A'(s) come from the
   same A rows integrated in x over [0, s - r].
 
+It also writes the transition pair: C (C(0) = 1, C'(0) = 0) and S (S(0) = 0,
+S'(0) = 1) of Y'' = -K_par Y in x = rho - r, at x = eps, with what follows
+from them: the exterior coefficients a_+- = e^{-+(r + eps)} (A +- A')(r + eps)
+/ 2 of A = sin r C + cos r S, and r* = -arctan w, w = -(C + C') / (S + S').
+The eps are those at which the suite searches for r*, each at its own r*,
+and one large lam = eps^2 (eps 1.2 at r 0.3).
+
 ``err`` is |y(2n) - y(n)| / 15 over every value, Richardson's estimate of the
 error of the 2n-step values that are stored (each value as a 30-digit
 string).  Run from the repository root:
 
-    PYTHONPATH=src python tests/window_reference.py
+    python tests/window_reference.py
 
 (about four minutes).  ``test_window_reference.py`` compares the package
-with the file and recomputes one entry.
+with the file and recomputes one entry of each kind.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 
 import mpmath as mp
@@ -45,6 +52,10 @@ EPS = (0.01, 0.05, 0.1)
 # of its steps, and a turning point's steps are in t; 2000 left their
 # Richardson estimates near 1e-16, these leave them below 5e-17
 STEPS = {"s < r": 2000, "grazing": 8000, "turning": 8000}
+# (eps, r) of the pair entries, r None for r* itself; steps in x, 2000 left
+# eps 1.2 at 2.9e-16 (Richardson), 16000 at 7e-20
+PAIRS = ((0.01, None), (0.020927634009400266, None), (0.05, None), (0.1, None), (1.2, 0.3))
+PAIR_STEPS = {"small": 2000, "large": 16000}
 
 
 def mollifier(z):
@@ -140,23 +151,62 @@ def entry(s: float, r: float, eps: float) -> dict:
             "M": [[u, v], [du, dv]], "err": err}
 
 
-def points() -> list[tuple[float, float, float]]:
-    """(s, r*, eps) for s = 0, 0.3, 0.6, r* - 0.005 and r* + eps/2."""
-    from ahwarp.warp import entry_slope
+def pair(eps: float, n: int) -> list:
+    """(C, C', S, S') at x = eps with n steps in x."""
+    with mp.workdps(DPS):
+        eps = mp.mpf(eps)
 
+        def f(x, y):
+            k = 1 - 2 * mollifier(x / eps)
+            return [y[1], -k * y[0], y[3], -k * y[2]]
+
+        return rk4(f, [mp.mpf(1), 0, 0, mp.mpf(1)], mp.mpf(0), eps, n)
+
+
+def _pair_values(eps: float, r: float | None, n: int) -> tuple[float, list]:
+    """(r, [C, C', S, S', a_+, a_-, r*]) with n steps; r None is r*, rounded
+    to a float."""
+    c, dc, s, ds = pair(eps, n)
+    with mp.workdps(DPS):
+        r_star = mp.atan((c + dc) / (s + ds))
+        r = float(r_star) if r is None else r
+        sin_r, cos_r, x = mp.sin(r), mp.cos(r), r + mp.mpf(eps)
+        a_plus = mp.exp(-x) * (sin_r * (c + dc) + cos_r * (s + ds)) / 2
+        a_minus = mp.exp(x) * (sin_r * (c - dc) + cos_r * (s - ds)) / 2
+    return r, [c, dc, s, ds, a_plus, a_minus, r_star]
+
+
+def pair_entry(eps: float, r: float | None) -> dict:
+    n = PAIR_STEPS["large" if eps > 0.5 else "small"]
+    r, fine = _pair_values(eps, r, n)
+    _, coarse = _pair_values(eps, r, n // 2)
+    c, dc, s, ds, a_plus, a_minus, r_star = (mp.nstr(x, DPS) for x in fine)
+    err = max(float(abs(a - b)) for a, b in zip(fine, coarse)) / 15.0
+    return {"eps": eps, "r": r, "steps": n, "pair": [c, dc, s, ds], "a_plus": a_plus,
+            "a_minus": a_minus, "r_star": r_star, "err": err}
+
+
+def points(pairs: list[dict]) -> list[tuple[float, float, float]]:
+    """(s, r*, eps) for s = 0, 0.3, 0.6, r* - 0.005 and r* + eps/2, with r*
+    the r of the pair entry at eps."""
     out = []
     for eps in EPS:
-        r = -math.atan(entry_slope(eps))
+        r = next(p["r"] for p in pairs if p["eps"] == eps)
         out += [(s, r, eps) for s in (0.0, 0.3, 0.6, r - 0.005, r + eps / 2.0)]
     return out
 
 
 def main() -> None:
+    pairs = []
+    for eps, r in PAIRS:
+        pairs.append(pair_entry(eps, r))
+        print(f"pair eps={eps}: err {pairs[-1]['err']:.1e}", flush=True)
     entries = []
-    for s, r, eps in points():
+    for s, r, eps in points(pairs):
         entries.append(entry(s, r, eps))
         print(f"s={s!r} r={r!r} eps={eps}: err {entries[-1]['err']:.1e}", flush=True)
-    FIXTURE.write_text(json.dumps({"dps": DPS, "points": entries}, indent=1) + "\n")
+    FIXTURE.write_text(json.dumps({"dps": DPS, "pairs": pairs, "points": entries}, indent=1)
+                       + "\n")
 
 
 if __name__ == "__main__":
