@@ -34,7 +34,8 @@ AHWARP_TOL environment variable sets (read when ``main`` runs, and only for
 those two); the other subcommands solve at the tolerances fixed in ``stable``
 and ``search``, which a scan's metadata states.
 Exit codes: 0 success, 1 computation failure (including arithmetic
-overflow), 2 usage error (including a malformed AHWARP_TOL).
+overflow, and a sample grid too large to allocate), 2 usage error (including
+a malformed AHWARP_TOL).
 """
 
 from __future__ import annotations
@@ -265,7 +266,7 @@ def main(argv: list[str] | None = None) -> int:
     params = args.params(args)
     try:
         return args.run(args, params)
-    except (ValueError, RuntimeError, ArithmeticError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError, MemoryError) as exc:
         print(f"ahwarp: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -192,6 +192,17 @@ class _Exterior:
         dg = 0.5 * (self.dh_x * p + self.h_x * m)
         return tau, e, g, dg, g * np.sqrt(1.0 + self.d * e / g / g)
 
+    @cached_property
+    def _reduced(self) -> tuple[int, float, float, float, float]:
+        """(k, p, q, A(s), 4 a_+ a_-) with 2^(k - 1) <= h_x + h'_x < 2^k:
+        p, q = (h_x +- h'_x) / 2 scaled by 2^-k, A(s) and 4 a_+ a_- by
+        2^-2k.  Scaling by a power of two is exact, and it keeps p^2 from
+        overflowing however large A'(s) is."""
+        k = math.frexp(self.h_x + self.dh_x)[1]
+        return (k, math.ldexp(self.h_x + self.dh_x, -k - 1),
+                math.ldexp(self.h_x - self.dh_x, -k - 1),
+                math.ldexp(self.a_s, -2 * k), math.ldexp(self.d, -2 * k))
+
     def state(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(rho, rho') = (log((h + A) / (2 a_+)), h' / A), taken relative to
         t_x so that rho(t_x) = rho_x exactly."""
@@ -201,13 +212,10 @@ class _Exterior:
 
     def phi(self, t: np.ndarray) -> np.ndarray:
         """The integral of Clairaut's rate A(s) / (h^2 + 4 a_+ a_-) over
-        [t, inf), in closed form (module docstring)."""
+        [t, inf), in closed form (module docstring), on p, q, A(s) and
+        4 a_+ a_- scaled by powers of two (``_reduced``)."""
         e = np.exp(-2.0 * (t - self.t_x))
-        # p, q and A(s) scaled by powers of two, which is exact, so that p^2
-        # cannot overflow however large A'(s) is
-        k = math.frexp(self.h_x + self.dh_x)[1]
-        p, q = math.ldexp(self.h_x + self.dh_x, -k - 1), math.ldexp(self.h_x - self.dh_x, -k - 1)
-        a_s, d = math.ldexp(self.a_s, -2 * k), math.ldexp(self.d, -2 * k)
+        _, p, q, a_s, d = self._reduced
         y = a_s * e / (2.0 * p * p + (2.0 * p * q + d) * e)
         return y * _atanc(self.d * y * y, self.d > 0.0)
 
@@ -227,11 +235,10 @@ class _Exterior:
         cos(theta) = sin(psi + phi) keeps its precision however small psi
         is.  That sign is positive as E -> 0 and turns at most once on
         (0, 1]; bisection in E locates the turn (E -> 1 when U' > 0 at t_x).
-        As in ``phi``, p, q, A(s) and 4 a_+ a_- are scaled by powers of two,
-        so that nothing squared overflows however large A'(s) is."""
-        k = math.frexp(self.h_x + self.dh_x)[1]
-        p, q = math.ldexp(self.h_x + self.dh_x, -k - 1), math.ldexp(self.h_x - self.dh_x, -k - 1)
-        a_s, d = math.ldexp(self.a_s, -2 * k), math.ldexp(self.d, -2 * k)
+        As in ``phi``, p, q, A(s) and 4 a_+ a_- are scaled by powers of two
+        (``_reduced``), so that nothing squared overflows however large A'(s)
+        is."""
+        k, p, q, a_s, d = self._reduced
         c = math.sqrt(abs(self.d))
         arc = math.atanh if self.d > 0.0 else math.atan
 
@@ -260,51 +267,36 @@ class _Exterior:
 
 @dataclass(frozen=True, eq=False)
 class RadialSolution:
-    """rho along one geodesic: its trajectory, a function on [0, T]; the
-    entry time at which rho crosses r (present iff s < r and it is reached by
-    T); the exit time at which rho reaches r + eps (0 if s >= r + eps, the
-    entry time if eps = 0, None if not reached by T); the warp function A of
-    the metric; the solve's tolerance; A(s), looked up once for the angle,
-    the Killing fields and the exterior; the exact exterior piece; the window
-    solve in sigma on [0, 1] (``transition``, None where nothing is
-    integrated; the whole window, also past T), whose psi row carries the
-    angle across the window and whose rows 4 to 7 are the in-plane pair
-    (``transfer``, ``window_solution``); and the angular coordinate theta,
-    exact but for the psi row.  Only this module knows the rows of the
-    window solve."""
+    """rho along one geodesic, solved whole: its trajectory, a function on
+    [0, T] (the horizon T bounds only this domain, never what is solved);
+    the entry time at which rho crosses r (0 if s >= r); the exit time at
+    which rho reaches r + eps (0 if s >= r + eps, the entry time if the
+    transition is sharp); the warp function A of the metric; the solve's
+    tolerance; A(s), looked up once for the angle, the Killing fields and
+    the exterior; the exact exterior piece past the exit; the window solve
+    in sigma on [0, 1] (``transition``, None where nothing is integrated),
+    whose psi row carries the angle across the window and whose rows 4 to 7
+    are the in-plane pair (``transfer``, ``window_solution``); and the
+    angular coordinate theta, exact but for the psi row.  Only this module
+    knows the rows of the window solve."""
 
     params: GeodesicParams
     trajectory: Trajectory
-    entry_time: float | None
+    entry_time: float
+    exit_time: float
     warp: WarpFunction
     tol: float
     a_s: float  # A(s)
-    exit_time: float | None = None
-    exterior: _Exterior | None = None
+    exterior: _Exterior
     transition: Flow | None = None
-
-    @property
-    def span(self) -> tuple[float, float]:
-        """(t_in, t_x) as ``window``, with inf for a time past the horizon
-        (the geodesic still in the ball, or in the transition, at T): the
-        Jacobi kernels and the in-plane pair are defined there, phi and the
-        stable solutions are not."""
-        t_in, t_x = self.entry_time, self.exit_time
-        if t_in is None:
-            t_in = 0.0 if self.params.s >= self.params.r else math.inf
-        return t_in, math.inf if t_x is None else t_x
 
     @property
     def window(self) -> tuple[float, float]:
         """(t_in, t_x): inside the ball before t_in, in the transition on
-        [t_in, t_x], outside it after t_x.  t_in = 0 when the geodesic starts
-        outside the ball; t_in = t_x when the transition is sharp."""
-        if self.exit_time is None:
-            raise ValueError(
-                "radial horizon too small: the geodesic has not left the "
-                "transition zone"
-            )
-        return self.span
+        [t_in, t_x], outside it after t_x, whatever the horizon.  t_in = 0
+        when the geodesic starts outside the ball; t_in = t_x when the
+        transition is sharp."""
+        return self.entry_time, self.exit_time
 
     def state(self, t: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.trajectory.state(t)
@@ -334,19 +326,18 @@ class RadialSolution:
         the ball (0 when it starts outside).  Inside the ball pi/2 - theta =
         atan2(sin s cos t, sin t) keeps its relative precision for small s,
         so pi/2 - theta_inf does too."""
-        s, r = self.params.s, self.params.r
+        s, t_in = self.params.s, self.entry_time
         if s == 0.0:
             raise ValueError("the angular coordinate is undefined along the radial geodesic")
-        if s >= r:
+        if s >= self.params.r:
             return 0.0, 0.0, math.pi / 2.0
-        t_in = entry_time(s, r)
         return (t_in, float(self._ball.theta(t_in)),
                 math.atan2(math.sin(s) * math.cos(t_in), math.sin(t_in)))
 
     def _swept(self, t: np.ndarray | float) -> np.ndarray:
         """A(s) psi(t): the angle swept across the window from t_in to t, off
         the window solve's psi row."""
-        return self.a_s * _window_rows(self.transition, self.span[0], t)[1][_PSI]
+        return self.a_s * _window_rows(self.transition, self.entry_time, t)[1][_PSI]
 
     @cached_property
     def _phi_exit(self) -> tuple[float, float]:
@@ -372,7 +363,7 @@ class RadialSolution:
         phi(t_x) + A(s) (psi(t_x) - psi(t)) across the window, and the ball's
         closed form added to phi(t_in) before it."""
         t_in, theta_in, _ = self._start
-        t_x = self.window[1]
+        t_x = self.exit_time
         phi_x, swept_x = self._phi_exit
         out = self.exterior.phi(np.maximum(t, t_x))
         win = (t >= t_in) & (t < t_x)
@@ -386,7 +377,7 @@ class RadialSolution:
         """theta summed forward: the ball's closed form, theta(t_in) +
         A(s) psi(t) across the window, theta_inf - phi past t_x."""
         t_in, theta_in, _ = self._start
-        t_x = self.span[1]
+        t_x = self.exit_time
         out = self._ball.theta(t)
         win = (t > t_in) & (t < t_x)
         if np.any(win):
@@ -397,13 +388,13 @@ class RadialSolution:
         return out
 
     def phi(self, t: float | np.ndarray) -> np.ndarray:
-        """phi(t) = theta_inf - theta(t) for t in [0, T], as an array; it
-        needs the geodesic to have left the transition by T."""
+        """phi(t) = theta_inf - theta(t) for t in [0, T], as an array, with
+        phi(t_x) in closed form whether or not t_x <= T."""
         return self._phi(self._times(t))
 
     def theta(self, t: float | np.ndarray) -> float | np.ndarray:
-        """Angular coordinate theta(t), theta(0) = 0, increasing, on [0, T]
-        (also while the geodesic is still inside the transition at T)."""
+        """Angular coordinate theta(t), theta(0) = 0, increasing, on [0, T];
+        its values do not depend on T."""
         theta = self._theta(self._times(t))
         return float(theta[0]) if np.ndim(t) == 0 else theta
 
@@ -419,15 +410,14 @@ class RadialSolution:
         u, du, v, dv = self.transition.end[4:8].tolist()
         return np.array([[u, v], [du, dv]])
 
-    def window_solution(self, y: float, dy: float, T: float | None = None) -> Trajectory:
-        """The in-plane solution with state (y, dy) at t_in, on
-        [t_in, min(t_x, T)]: y U + dy V of the window pair, no solve."""
+    def window_solution(self, y: float, dy: float) -> Trajectory:
+        """The in-plane solution with state (y, dy) at t_in, on [t_in, t_x]:
+        y U + dy V of the window pair, no solve."""
         proj = np.zeros((2, _ROWS))
         proj[:, 4:8] = ((y, 0.0, dy, 0.0), (0.0, y, 0.0, dy))
-        t_in, t_x = self.span
+        t_in, t_x = self.window
         return Trajectory.from_function(
-            lambda t: tuple(proj @ _window_rows(self.transition, t_in, t)[1]),
-            t_in, min(t_x, self.trajectory.t1 if T is None else T))
+            lambda t: tuple(proj @ _window_rows(self.transition, t_in, t)[1]), t_in, t_x)
 
     def window_turn(self, in_plane: bool) -> float:
         """The time in the window at which U' of the even solution U
@@ -438,7 +428,7 @@ class RadialSolution:
         In-plane U' is cos(t_in) U' - sin(t_in) V' of the window pair.
         Off-plane U = A cos(theta) / A(s) with theta = theta(t_in) + A(s) psi,
         and U' has the sign of A' rho' cos(theta) - (A(s)/A) sin(theta)."""
-        flow, c, t_in = self.transition, self.a_s, self.span[0]
+        flow, c, t_in = self.transition, self.a_s, self.entry_time
         if in_plane:
             rows, y, dy = [5, 7], math.cos(t_in), -math.sin(t_in)
 
@@ -536,18 +526,15 @@ def _batch_rhs(c, z0, za, zb, a, b2, rate0):
     return rhs
 
 
-def _window_start(p: GeodesicParams, T: float, at_s: tuple[float, float]) -> tuple | None:
+def _window_start(p: GeodesicParams, at_s: tuple[float, float]) -> tuple | None:
     """(c, D, A', x0, a, b, dt/dsigma) at sigma = 0 of the geodesic's window
     solve, given at_s = (A, A')(s); None when nothing is integrated (an eps
-    below the resolution of r, as for the sharp metric; s >= r + eps; or
-    t_in >= T).  The radial geodesic is the column with c = 0, where
-    dt/dx = 1."""
+    below the resolution of r, as for the sharp metric, or s >= r + eps).
+    The radial geodesic is the column with c = 0, where dt/dx = 1."""
     s, r, eps = p.s, p.r, p.eps
     if r + eps == r or s >= r + eps:
         return None
     if s < r:
-        if entry_time(s, r) >= T:
-            return None
         # A = sin in the ball: D = sin r - sin s without cancellation
         d0 = 2.0 * math.cos(0.5 * (r + s)) * math.sin(0.5 * (r - s))
         return at_s[0], d0, math.cos(r), *_x_map(s, r, eps), eps / radial_exit_slope(s, r)
@@ -584,61 +571,41 @@ def _window_rows(flow: Flow, t_in: float, t: np.ndarray) -> tuple[np.ndarray, np
 
 def _radial_solution(p: GeodesicParams, warp: WarpFunction, T: float, tol: float,
                      flow: Flow | None, at_s: tuple[float, float]) -> RadialSolution:
-    """The geodesic on [0, T] from its window solve (None when it has
-    none) and at_s = (A, A')(s): the exact ball before it, the exact
-    exterior after it."""
+    """The whole geodesic from its window solve (None when it has none) and
+    at_s = (A, A')(s): the exact ball on [0, t_in], the window on
+    [t_in, t_x], the exact exterior from t_x.  Each piece is built on its
+    own span; T only bounds the domain of the joined trajectory."""
     s, r, eps = p.s, p.r, p.eps
     rho_x = r + eps
     a_s, h_s = at_s
-    if s == 0.0:
-        traj = Trajectory.from_function(lambda t: (t, np.ones_like(t)), 0.0, T)
-        return RadialSolution(params=p, trajectory=traj, entry_time=r, warp=warp, tol=tol,
-                              a_s=a_s, exit_time=rho_x if rho_x <= T else None,
-                              transition=flow)
+    if s == 0.0:  # rho = t, with t_in = r and t_x = r + eps exactly
+        t_in, t_x = r, rho_x
+        parts = [Trajectory.from_function(lambda t: (t, np.ones_like(t)), 0.0, math.inf)]
+    else:
+        t_in = entry_time(s, r) if s < r else 0.0
+        t_x = t_in + float(flow.end[_T]) if flow is not None else t_in
+        parts = [Trajectory.from_function(_Ball.at(s).state, 0.0, t_in)] if s < r else []
+        if flow is not None:
+            x0, a, b = _x_map(s, r, eps)
 
-    parts: list[Trajectory] = []
-    t, t_entry = 0.0, None
-    if s < r:
-        t_in = entry_time(s, r)
-        parts.append(Trajectory.from_function(_Ball.at(s).state, 0.0, min(t_in, T)))
-        if t_in > T:  # still inside the ball at the horizon
-            return RadialSolution(params=p, trajectory=parts[0], entry_time=None,
-                                  warp=warp, tol=tol, a_s=a_s)
-        t, t_entry = t_in, t_in
-    # no window: past it already (s >= r + eps, or the sharp metric), or at
-    # the horizon
-    t_x = t if max(s, r) >= rho_x else math.inf
-    if flow is not None:
-        t_x = t + float(flow.end[_T])
-        x0, a, b = _x_map(s, r, eps)
+            def window(tt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                sg, (d, *_) = _window_rows(flow, t_in, tt)
+                return r + (x0 + sg * (a + b * sg)), np.sqrt(d * (2.0 * a_s + d)) / (a_s + d)
 
-        def window(tt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            sg, (d, *_) = _window_rows(flow, t, tt)
-            return r + (x0 + sg * (a + b * sg)), np.sqrt(d * (2.0 * a_s + d)) / (a_s + d)
+            parts.append(Trajectory.from_function(window, t_in, t_x))
 
-        parts.append(Trajectory.from_function(window, t, min(t_x, T)))
-
-    exterior = None
-    if t_x <= T:
-        a_x, h_x = warp.exit_state if s < rho_x else (a_s, h_s)
-        if s < r:  # A(s) = sin s; sin^2 r - sin^2 s = sin(r + s) sin(r - s)
-            dh2 = (a_x - math.sin(r)) * (a_x + math.sin(r)) + math.sin(r + s) * math.sin(r - s)
-        else:
-            dh2 = (a_x - a_s) * (a_x + a_s)
-        exterior = _Exterior(
-            t_x=t_x,
-            rho_x=max(s, rho_x),
-            h_x=h_x,
-            dh_x=math.sqrt(max(0.0, dh2)),
-            d=4.0 * warp.a_plus * warp.a_minus,
-            a_s=a_s,
-        )
-        if t_x < T:
-            parts.append(Trajectory.from_function(exterior.state, t_x, T))
-    return RadialSolution(params=p, trajectory=Trajectory.concat(parts),
-                          entry_time=t_entry, warp=warp, tol=tol, a_s=a_s,
-                          exit_time=t_x if t_x <= T else None,
-                          exterior=exterior, transition=flow)
+    a_x, h_x = warp.exit_state if s < rho_x else (a_s, h_s)
+    if s < r:  # A(s) = sin s; sin^2 r - sin^2 s = sin(r + s) sin(r - s)
+        dh2 = (a_x - math.sin(r)) * (a_x + math.sin(r)) + math.sin(r + s) * math.sin(r - s)
+    else:
+        dh2 = (a_x - a_s) * (a_x + a_s)
+    exterior = _Exterior(t_x=t_x, rho_x=max(s, rho_x), h_x=h_x, dh_x=math.sqrt(max(0.0, dh2)),
+                         d=4.0 * warp.a_plus * warp.a_minus, a_s=a_s)
+    if s > 0.0:
+        parts.append(Trajectory.from_function(exterior.state, t_x, math.inf))
+    trajectory = Trajectory(t0=0.0, t1=float(T), pieces=sum((part.pieces for part in parts), ()))
+    return RadialSolution(params=p, trajectory=trajectory, entry_time=t_in, exit_time=t_x,
+                          warp=warp, tol=tol, a_s=a_s, exterior=exterior, transition=flow)
 
 
 def _grid_solutions(params: list[GeodesicParams], T: float, tol: float) -> Iterator[RadialSolution]:
@@ -646,7 +613,7 @@ def _grid_solutions(params: list[GeodesicParams], T: float, tol: float) -> Itera
         raise ValueError(f"A(s) overflows for s past {_S_MAX}")
     warp = solve_warp(params[0].profile)
     at_s = [tuple(float(v[0]) for v in warp.state(p.s)) for p in params]
-    starts = [_window_start(p, T, a) for p, a in zip(params, at_s)]
+    starts = [_window_start(p, a) for p, a in zip(params, at_s)]
     pending = [i for i, start in enumerate(starts) if start is not None]
     windows: dict[int, Flow] = {}
     for i, p in enumerate(params):
@@ -671,8 +638,10 @@ def solve_radial_grid(ss: Iterable[float], r: float, eps: float, T: float = 30.0
 
 
 def solve_radial(params: GeodesicParams, T: float = 30.0, tol: float = 1e-10) -> RadialSolution:
-    """The radial coordinate on [0, T]: exact in the ball, integrated across
-    the transition only, exact past it.
+    """The geodesic mu = params, solved whole: exact in the ball, integrated
+    across the transition only, exact past it.  The horizon T only bounds
+    the domain [0, T] of its trajectory and angle; what is solved does not
+    depend on it.
 
     The entry time is the exact ``entry_time(s, r)``; the window solve runs
     in x = rho - r, so it ends exactly at rho = r + eps and no step straddles

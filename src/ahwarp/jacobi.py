@@ -124,7 +124,7 @@ class JacobiKernel:
         the H(0) = 0 convention of the curvature profile."""
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.empty_like(t_arr)
-        t_in, t_x = self.radial.span
+        t_in, t_x = self.radial.window
         inside = t_arr <= t_in if t_in > 0.0 else np.zeros_like(t_arr, dtype=bool)
         exterior = t_arr > t_x if t_x > 0.0 else np.ones_like(t_arr, dtype=bool)
         mid = ~(inside | exterior)
@@ -191,7 +191,7 @@ def killing_field(
     def fn(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rho, drho = radial.state(t)
         a, da = warp.state(rho)
-        # theta is defined on all of [0, T]; phi needs the transition exit
+        # theta and phi are defined on all of [0, T], whatever part of the geodesic T is in
         ang = radial.theta(t) if angle == "theta" else radial.phi(t)
         c, sn = np.cos(ang), np.sin(ang)
         comb = p * c + q * sn
@@ -244,25 +244,6 @@ def _exponentials(t0, y, dy, t):
     return grow + decay, grow - decay
 
 
-def _in_plane_to_exit(radial: RadialSolution, y0: float, dy0: float,
-                      T: float) -> tuple[list[Trajectory], tuple[float, float]]:
-    """The in-plane solution along ``radial``: the rotation on [0, t_in] and
-    the window pair's combination across [t_in, t_x], as far as each reaches
-    before T, and the state where they end: at t_x, where the exponentials
-    take over."""
-    t_in, t_x = radial.span
-    parts = []
-    state = (y0, dy0)
-    if t_in > 0.0:
-        ball = _rotation(0.0, y0, dy0)
-        parts.append(Trajectory.from_function(ball, 0.0, min(t_in, T)))
-        state = tuple(map(float, ball(min(t_in, T))))  # the state at t_in, if t_in <= T
-    if t_in < min(t_x, T):
-        parts.append(radial.window_solution(*state, T))
-        state = tuple((radial.transfer @ state).tolist())
-    return parts, state
-
-
 def jacobi_solution(
     kernel: JacobiKernel,
     initial: tuple[float, float],
@@ -282,12 +263,20 @@ def jacobi_solution(
     y0, dy0 = initial
     if kernel.kind == "perpendicular":
         return killing_field(kernel, y0, dy0 * kernel.radial.a_s, T)
-    # the exponentials after t_x start from the state where the window ends
-    parts, state = _in_plane_to_exit(kernel.radial, y0, dy0, T)
-    t_x = kernel.radial.span[1]
-    if t_x < T:
-        parts.append(Trajectory.from_function(lambda t: _exponentials(t_x, *state, t), t_x, T))
-    return Trajectory.concat(parts)
+    # the rotation on [0, t_in], the window pair's combination on [t_in, t_x]
+    # and the exponentials from t_x, each from the state where the last ends
+    radial = kernel.radial
+    t_in, t_x = radial.window
+    parts, state = [], (y0, dy0)
+    if t_in > 0.0:
+        ball = _rotation(0.0, y0, dy0)
+        parts.append(Trajectory.from_function(ball, 0.0, t_in))
+        state = tuple(map(float, ball(t_in)))
+    if t_in < t_x:
+        parts.append(radial.window_solution(*state))
+        state = tuple((radial.transfer @ state).tolist())
+    parts.append(Trajectory.from_function(lambda t: _exponentials(t_x, *state, t), t_x, math.inf))
+    return Trajectory(t0=0.0, t1=float(T), pieces=sum((part.pieces for part in parts), ()))
 
 
 def fundamental_pair(kernel: JacobiKernel, T: float = 20.0, tol: float = 1e-10) -> FundamentalPair:
@@ -333,7 +322,8 @@ def even_minimum(kernel: JacobiKernel) -> float:
     else:
         if not t_x - t_in < math.pi:
             return math.nan
-        u, du = _in_plane_to_exit(radial, 1.0, 0.0, t_x)[1]
+        # (U, U')(t_x) from U = cos t in the ball
+        u, du = (radial.transfer @ (np.cos(t_in), -np.sin(t_in))).tolist()
         p, q = 0.5 * (u + du), 0.5 * (u - du)
         # U -> -inf if P < 0, else U is least at tau = log(Q/P) / 2 if Q > P, else at t_x
         tail, rising = -math.inf if p < 0.0 else 2.0 * math.sqrt(p * q) if q > p else u, du > 0.0

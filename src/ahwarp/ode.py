@@ -16,7 +16,10 @@ package works with scalar solutions (x, x') as ``Trajectory`` objects: a
 function on [t0, t1], evaluated piece by piece.  Integrated pieces are linear
 projections ``(x, x') = P y`` of a flow's dense output; exact pieces before
 and after it are closed forms wrapped by ``Trajectory.from_function`` (not
-evaluated until asked), and ``Trajectory.concat`` joins them.
+evaluated until asked).  ``Trajectory.concat`` joins consecutive parts on
+their own span; pieces built on their natural spans (the last may run to
+inf) are joined as ``Trajectory(t0, t1, pieces)``, whose [t0, t1] is the
+domain.
 """
 
 from __future__ import annotations
@@ -124,9 +127,10 @@ class _Piece:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """A C^1 solution (x, x') on [t0, t1], made of consecutive pieces that
-    ``value``/``deriv``/``state`` evaluate anywhere in that range, through
-    the solver's dense output on integrated pieces."""
+    """A C^1 solution (x, x') on the domain [t0, t1], made of consecutive
+    pieces (the last may reach past t1) that ``value``/``deriv``/``state``
+    evaluate anywhere in that range, through the solver's dense output on
+    integrated pieces."""
 
     t0: float
     t1: float

@@ -3,8 +3,10 @@
 Because both kernels satisfy k(t) -> -1 with an exponentially integrable
 tail, each scalar Jacobi equation has a unique stable solution Y normalized
 by e^t Y(t) -> 1.  Past the transition exit both kinds are closed form, so
-the limit is taken exactly; a solution is evaluated on [0, the kernel's
-horizon], nothing is seeded there and nothing is dropped past it.
+the limit is taken exactly.  A solution is built whole, from the geodesic's
+whole solve, whatever the kernel's horizon: that horizon only bounds the
+domain on which Y is evaluated, nothing is seeded there and nothing is
+dropped past it.
 
 In-plane kernels: the kernel is exactly -1 past the transition exit t_x
 (see ``jacobi``), so the stable solution *is* Y = e^{-t} there, with
@@ -174,18 +176,18 @@ def _in_plane_stable(kernel: JacobiKernel) -> tuple[Trajectory, float, float]:
         y = np.exp(-t)
         return y, -y
 
-    parts = [Trajectory.from_function(decay, t_x, radial.trajectory.t1)]
-    if t_in < t_x:
-        parts.insert(0, radial.window_solution(y_in, dy_in))
     w_in = dy_in / y_in
     angle = math.atan(w_in) + t_in
     if not angle < math.pi / 2.0:
         raise _vanishes(kernel, f"arctan W(t_in) + t_in = {angle:.6f} >= pi/2")
     ball = _rotation(t_in, y_in, dy_in)
-    if t_in > 0.0:
-        parts.insert(0, Trajectory.from_function(ball, 0.0, t_in))
+    parts = [Trajectory.from_function(ball, 0.0, t_in)] if t_in > 0.0 else []
+    if t_in < t_x:
+        parts.append(radial.window_solution(y_in, dy_in))
+    parts.append(Trajectory.from_function(decay, t_x, math.inf))
     y0, dy0 = map(float, ball(0.0))
-    return Trajectory.concat(parts), y0, dy0 / y0
+    Y = Trajectory(t0=0.0, t1=radial.trajectory.t1, pieces=sum((part.pieces for part in parts), ()))
+    return Y, y0, dy0 / y0
 
 
 def _killing_stable(kernel: JacobiKernel) -> tuple[Trajectory, float, float]:
@@ -194,7 +196,7 @@ def _killing_stable(kernel: JacobiKernel) -> tuple[Trajectory, float, float]:
     phi(0) = pi/2 - psi is used through psi = ``theta_infinity_complement``:
     cot(phi(0)) = tan(psi) has no cancellation for small s."""
     radial = kernel.radial
-    psi = radial.theta_infinity_complement  # refuses a geodesic still in the transition
+    psi = radial.theta_infinity_complement
     if not psi > -math.pi / 2.0:
         raise _vanishes(kernel, f"phi(0) = {math.pi / 2.0 - psi:.6f} >= pi")
     ext = radial.exterior

@@ -320,6 +320,20 @@ class TestErrors:
         assert code == 1
         assert "OverflowError" in capsys.readouterr().err
 
+    def test_memory_error_exits_one(self, tmp_path, capsys, monkeypatch):
+        # a sample grid too large to allocate (say --dt 1e-9) ends in one
+        # error line; the failing allocation is simulated, never made
+        def unallocatable(*args, **kwargs):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array with shape "
+                              "(10000000001,) and data type float64")
+
+        monkeypatch.setattr(ahwarp.cli.np, "arange", unallocatable)
+        code = main(["geodesic", "--dt", "1e-9", "--out", str(tmp_path / "geo.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ahwarp: error: MemoryError: Unable to allocate")
+        assert err.count("\n") == 1
+
 
 SUBCOMMANDS = ["profile", "geodesic", "jacobi", "stable", "find-r", "scan"]
 

@@ -19,13 +19,32 @@ from ahwarp.geodesics import (
     solve_radial,
     solve_radial_grid,
 )
-from ahwarp.jacobi import (closed_U_perp, closed_V_perp, fundamental_pair, make_kernel,
-                           theta_infinity)
+from ahwarp.jacobi import (KINDS, closed_U_perp, closed_V_perp, fundamental_pair, kernel_on,
+                           make_kernel, theta_infinity)
 from ahwarp.ode import integrate_ivp
 from ahwarp.search import _non_trapping_check, find_r_star
+from ahwarp.stable import stable_solution
 from ahwarp.warp import ProfileParams, solve_warp
 
 PI4 = math.pi / 4
+
+
+def solved_whole(params, T):
+    """The geodesic solved at the horizon T, checked against the one solved
+    at T = 30: the horizon bounds only the domain [0, T] of the trajectory,
+    so the window, the transfer matrix, the exterior, pi/2 - theta_inf and
+    both kinds' certificates agree bit for bit, and so does rho on [0, T]."""
+    short, full = (solve_radial(params, T=horizon, tol=1e-10) for horizon in (T, 30.0))
+    assert short.trajectory.t1 == T and short.window == full.window
+    assert np.array_equal(short.transfer, full.transfer)
+    assert short.exterior == full.exterior
+    assert short.theta_infinity_complement == full.theta_infinity_complement
+    for kind in KINDS:
+        certs = [stable_solution(kernel_on(kind, sol)).W_prime_0 for sol in (short, full)]
+        assert certs[0] == certs[1]
+    ts = np.linspace(0.0, T, 21)
+    assert np.array_equal(short.rho(ts), full.rho(ts))
+    return short
 
 
 class TestEntryTime:
@@ -85,8 +104,9 @@ class TestSolveRadial:
         assert float(sol.rho(5.0)) == pytest.approx(expected, abs=1e-9)
 
     def test_never_entering_geodesic(self):
+        # it starts outside the ball and past the transition: t_in = t_x = 0
         sol = solve_radial(GeodesicParams(1.0, PI4, 0.0), T=10.0, tol=1e-11)
-        assert sol.entry_time is None
+        assert sol.entry_time == 0.0 and sol.window == (0.0, 0.0)
         assert float(sol.rho(3.0)) == pytest.approx(1.0 + math.log(math.cosh(3.0)), abs=1e-9)
 
     def test_radial_line_is_exact(self):
@@ -107,12 +127,14 @@ class TestSolveRadial:
         assert abs(sol.transition.end[2] - 0.05) < 1e-16
 
     def test_horizon_before_entry_is_the_arc(self):
-        # nothing past the ball is built, let alone integrated
-        sol = solve_radial(GeodesicParams(0.3, 0.7, 0.1), T=0.2, tol=1e-10)
-        assert sol.entry_time is None and sol.exit_time is None
-        assert len(sol.trajectory.pieces) == 1
+        # the horizon 0.2 comes before the entry, and the geodesic is solved
+        # whole all the same; on [0, 0.2] it is the great-circle arc
+        sol = solved_whole(GeodesicParams(0.3, 0.7, 0.1), 0.2)
+        assert 0.2 < sol.entry_time < sol.exit_time
         ts = np.linspace(0.0, 0.2, 21)
         assert np.max(np.abs(sol.rho(ts) - np.arccos(math.cos(0.3) * np.cos(ts)))) < 1e-15
+        with pytest.raises(ValueError):
+            sol.rho(0.3)
 
     def test_monotone_and_convex(self):
         for mu in (GeodesicParams(0.3, PI4, 0.0), GeodesicParams(0.5, 0.76, 0.1)):
@@ -249,19 +271,17 @@ class TestAngularCoordinate:
             assert phi[0] == pytest.approx(float(closed_phi(s, 20.0)), rel=1e-13)
 
     def test_theta_defined_inside_transition(self):
-        # theta is the forward sum theta(t_in) + A(s) psi(t) on [0, T]; phi
-        # and theta_inf need the exit
-        sol = solve_radial(GeodesicParams(0.1, 0.785, 0.7), T=1.2)
-        assert sol.exit_time is None
+        # the horizon 1.2 lies inside the transition; theta, phi and theta_inf
+        # are those of the whole geodesic
+        params = GeodesicParams(0.1, 0.785, 0.7)
+        sol = solved_whole(params, 1.2)
+        assert sol.entry_time < 1.2 < sol.exit_time
         assert sol.theta(1.0) == pytest.approx(1.5067783601835019, abs=1e-12)
+        assert sol.phi(1.0)[0] == pytest.approx(sol.theta_infinity - sol.theta(1.0), abs=1e-15)
         # so is the off-plane pair, a Killing field in theta
-        kernel = make_kernel("perpendicular", GeodesicParams(0.1, 0.785, 0.7), horizon=1.2)
+        kernel = make_kernel("perpendicular", params, horizon=1.2)
         pair = fundamental_pair(kernel, T=1.0)
         assert pair.U.value(0.9) == pytest.approx(0.6216122055788812, abs=1e-12)
-        with pytest.raises(ValueError):
-            sol.phi(1.0)
-        with pytest.raises(ValueError):
-            sol.theta_infinity
 
     def test_domain(self):
         with pytest.raises(ValueError):

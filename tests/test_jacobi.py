@@ -57,22 +57,23 @@ class TestKernel:
     @pytest.mark.parametrize("mu, T", [((0.1, 0.785, 0.7), 1.2), ((0.1, 1.4, 0.1), 1.1)])
     def test_horizon_before_the_exit(self, kind, mu, T):
         # at the horizon T the geodesic is still in the transition (or in
-        # the ball): the kernel and the pair are defined on [0, T] and agree
-        # with a kernel whose horizon lies past the exit; the stable
-        # solution needs the exit and refuses
+        # the ball); it is solved whole all the same, so the kernel and the
+        # pair on [0, T] and the stable solution are, bit for bit, those of
+        # a kernel whose horizon lies past the exit
         params = GeodesicParams(*mu)
         short = make_kernel(kind, params, horizon=T)
         full = make_kernel(kind, params, horizon=30.0)
-        assert short.radial.exit_time is None and full.radial.exit_time > T
+        assert T < full.radial.exit_time and short.radial.window == full.radial.window
         ts = np.linspace(0.0, T, 61)
-        assert np.max(np.abs(short.value(ts) - full.value(ts))) <= 1e-9
+        assert np.array_equal(short.value(ts), full.value(ts))
         for part in ("U", "V"):
             got = getattr(fundamental_pair(short, T=T), part).state(ts)
             ref = getattr(fundamental_pair(full, T=T), part).state(ts)
             for x, y in zip(got, ref):
-                assert np.max(np.abs(x - y)) <= 1e-9
-        with pytest.raises(ValueError, match="radial horizon too small"):
-            stable_solution(short)
+                assert np.array_equal(x, y)
+        stable = [stable_solution(kernel) for kernel in (short, full)]
+        assert stable[0].W_prime_0 == stable[1].W_prime_0 and stable[0].Y.t1 == T
+        assert np.array_equal(stable[0].Y.state(ts), stable[1].Y.state(ts))
 
     def test_parallel_kernel_constant_outside(self):
         kern = make_kernel("parallel", GeodesicParams(0.3, PI4, 0.0))

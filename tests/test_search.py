@@ -178,8 +178,9 @@ class TestVerifyLargeS:
         rho0, _ = search_mod._negative_curvature_threshold(ProfileParams(r, eps))
         grid = search_mod._grid(0.3, rho0, 0.01)
         for radial in solve_radial_grid(grid, r, eps, tol=search_mod._MID_TOL):
-            t_x = radial.window[1]
-            u, du = jacobi._in_plane_to_exit(radial, 1.0, 0.0, t_x)[1]
+            # (U, U')(t_x) = M (cos t_in, -sin t_in), M the window's transfer matrix
+            t_in, t_x = radial.window
+            u, du = radial.transfer @ (math.cos(t_in), -math.sin(t_in))
             growth = 0.5 * (u + du)
             sol = stable_solution(jacobi.kernel_on("parallel", radial))
             assert growth == pytest.approx(-0.5 * math.exp(t_x) * sol.Y0 * sol.W_prime_0,
