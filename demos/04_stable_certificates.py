@@ -9,8 +9,9 @@ normalized slope W'(0) decides everything: solutions vanishing twice exist
 if and only if W'(0) > 0.  Along radial geodesics of the sharp metric the certificate is
 (sin r - cos r)/(sin r + cos r) -- negative below pi/4, positive above, and
 exactly zero at the critical radius, where the decaying solution extends
-evenly to a boundary-conjugate witness.  Every certificate rides on a radial
-solve at one fixed tolerance, 1e-12; no call below chooses it.
+evenly to a boundary-conjugate witness.  Every certificate rides on the
+window's quadrature on the transition pair, which is solved once at a fixed
+tolerance, 1e-12; no call below chooses it.
 """
 
 import math

@@ -14,37 +14,37 @@ stable     JSON: {kind, s, r, eps, Y0, W_prime_0, seed_horizon, seed_residual}
            angle is closed form there
 find-r     JSON: {eps, r_star, root_residual}
            r_star = -arctan w(eps) from the transition pair; root_residual
-           is |Y(0) W'(0)| of the radial stable solution at r_star, from a
-           window solve independent of the pair, so it measures how far the
-           two disagree
+           is |Y(0) W'(0)| of the radial stable solution at r_star, whose
+           window is a quadrature on the pair's own A': it checks that
+           quadrature against the pair, not the pair's solve
 scan       JSON: the full ScanReport; exit status 0 iff overall success
 
 The parser is the only schema: each subcommand declares its options once.
 Numbers must be finite, and step sizes, horizons and widths positive; the
 metric is checked by the library's own ``GeodesicParams``/``ProfileParams``
-before anything runs (``find-r`` and ``scan`` check eps at r = pi/4).  The
-three table subcommands take ``--format csv|json``; the others always write
-JSON.  ``find-r`` and ``scan`` pass --sigma, --ds and --bracket-halfwidth
-to ``search`` only when given, so their defaults are the library's.
+before anything runs.  ``find-r`` and ``scan`` check only 0 <= eps < pi/2
+there: their metric is (r*, eps), and r* is known only once the transition
+pair is solved, so an eps with r* + eps >= pi/2 ends with one error line and
+exit status 1.  The three table subcommands take ``--format csv|json``; the
+others always write JSON.  ``find-r`` and ``scan`` pass --sigma, --ds and
+--bracket-halfwidth to ``search`` only when given, so their defaults are the
+library's.
 
 Floats are written in their shortest round-trip representation, so two runs
-with the same configuration produce byte-identical output.  ``geodesic`` and
-``jacobi`` take the radial solve's tolerance --tol, whose default the
-AHWARP_TOL environment variable sets (read when ``main`` runs, and only for
-those two); the other subcommands solve at the tolerances fixed in ``stable``
-and ``search``, which a scan's metadata states.
+with the same configuration produce byte-identical output.  No subcommand
+takes a tolerance: the transition pair is the one solve, at the tolerance
+that a scan's metadata states, and every transition window is a quadrature
+on it.
 Exit codes: 0 success, 1 computation failure (including arithmetic
-overflow, and a sample grid too large to allocate), 2 usage error (including
-a malformed AHWARP_TOL).
+overflow, a sample grid too large to allocate, and r* + eps >= pi/2 in
+``find-r`` and ``scan``), 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -54,9 +54,6 @@ from . import geodesics, jacobi, search, stable, warp
 __all__ = ["main"]
 
 _QUARTER_PI = math.pi / 4.0
-
-TOL_MIN, TOL_MAX = 1e-12, 1e-4
-DEFAULT_TOL = 1e-10
 
 
 def _finite(text: str) -> float:
@@ -76,11 +73,12 @@ def _positive(text: str) -> float:
     return value
 
 
-def _tolerance(text: str) -> float:
-    value = _finite(text)
-    if not TOL_MIN <= value <= TOL_MAX:
-        raise argparse.ArgumentTypeError(f"must lie in [{TOL_MIN}, {TOL_MAX}], got {value}")
-    return value
+def _transition_width(eps: float) -> float:
+    """eps in [0, pi/2), the check of ``find-r`` and ``scan`` (module
+    docstring)."""
+    if not 0.0 <= eps < math.pi / 2.0:
+        raise ValueError(f"eps must lie in [0, pi/2), got {eps}")
+    return eps
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
@@ -121,7 +119,7 @@ def _run_profile(args: argparse.Namespace, params: warp.ProfileParams) -> int:
 
 
 def _run_geodesic(args: argparse.Namespace, mu: geodesics.GeodesicParams) -> int:
-    sol = geodesics.solve_radial(mu, T=args.tmax, tol=args.tol)
+    sol = geodesics.solve_radial(mu, T=args.tmax)
     ts = np.arange(0.0, args.tmax + 1e-12, args.dt)
     rho, drho = sol.state(ts)
     header = ["t", "rho", "rho_prime"]
@@ -134,8 +132,8 @@ def _run_geodesic(args: argparse.Namespace, mu: geodesics.GeodesicParams) -> int
 
 
 def _run_jacobi(args: argparse.Namespace, mu: geodesics.GeodesicParams) -> int:
-    kern = jacobi.make_kernel(args.kind, mu, horizon=args.tmax + 1.0, tol=args.tol)
-    pair = jacobi.fundamental_pair(kern, T=args.tmax, tol=args.tol)
+    kern = jacobi.make_kernel(args.kind, mu, horizon=args.tmax + 1.0)
+    pair = jacobi.fundamental_pair(kern, T=args.tmax)
     ts = np.arange(0.0, args.tmax + 1e-12, args.dt)
     u, du = pair.U.state(ts)
     v, dv = pair.V.state(ts)
@@ -152,13 +150,13 @@ def _run_stable(args: argparse.Namespace, mu: geodesics.GeodesicParams) -> int:
     return 0
 
 
-def _run_find_r(args: argparse.Namespace, _: warp.ProfileParams) -> int:
+def _run_find_r(args: argparse.Namespace, _: float) -> int:
     r_star, residual = search.find_r_star(args.eps, **_given(args, "bracket_halfwidth"))
     _json(args, {"eps": args.eps, "r_star": r_star, "root_residual": residual})
     return 0
 
 
-def _run_scan(args: argparse.Namespace, _: warp.ProfileParams) -> int:
+def _run_scan(args: argparse.Namespace, _: float) -> int:
     report = search.assemble_report(args.eps, **_given(args, "sigma", "ds", "bracket_halfwidth"))
     _emit(args, report.to_json() + "\n")
     return 0 if report.overall == search.OVERALL_SUCCESS else 1
@@ -184,14 +182,9 @@ def _metric(sp: argparse.ArgumentParser, make, names=("s", "r", "eps")) -> None:
 
 
 def _solve(sp: argparse.ArgumentParser) -> None:
-    """--tmax, --dt and --tol of a radial solve and its samples."""
+    """--tmax and --dt of a radial solve and its samples."""
     sp.add_argument("--tmax", type=_positive, default=10.0, help="last sample time (default: 10)")
     sp.add_argument("--dt", type=_positive, default=0.05, help="sample spacing (default: 0.05)")
-    # a string default goes through type= when --tol is not given
-    sp.add_argument("--tol", type=_tolerance,
-                    default=os.environ.get("AHWARP_TOL", repr(DEFAULT_TOL)),
-                    help=f"tolerance of the radial solve, in [{TOL_MIN}, {TOL_MAX}] "
-                    f"(default: AHWARP_TOL, else {DEFAULT_TOL})")
 
 
 def _output(sp: argparse.ArgumentParser, table: bool = False) -> None:
@@ -209,7 +202,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     "and conjugate-point certificates.",
     )
     sub = p.add_subparsers(dest="subcommand", required=True)
-    at_quarter_pi = functools.partial(warp.ProfileParams, _QUARTER_PI)
     library = "(default: the library's)"
     kind = "in-plane or off-plane Jacobi equation (default: parallel)"
 
@@ -240,14 +232,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(run=_run_stable)
 
     sp = sub.add_parser("find-r", help="root of the radial certificate in r")
-    _metric(sp, at_quarter_pi, ("eps",))
+    _metric(sp, _transition_width, ("eps",))
     sp.add_argument("--bracket-halfwidth", dest="bracket_halfwidth", type=_positive,
                     default=argparse.SUPPRESS, help=f"half-width of the r* window {library}")
     _output(sp)
     sp.set_defaults(run=_run_find_r)
 
     sp = sub.add_parser("scan", help="full verification report for one eps")
-    _metric(sp, at_quarter_pi, ("eps",))
+    _metric(sp, _transition_width, ("eps",))
     sp.add_argument("--sigma", type=_positive, default=argparse.SUPPRESS,
                     help=f"end of the small-s certificates, start of the mid-s grid {library}")
     sp.add_argument("--ds", type=_positive, default=argparse.SUPPRESS,

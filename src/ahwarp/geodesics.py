@@ -6,36 +6,51 @@ rho(t) solving
 
     rho'' = (A'/A)(rho) (1 - rho'^2),    rho(0) = s, rho'(0) = 0   (s > 0),
 
-while the radial geodesic is exactly rho(t) = t.  Only the mollified
-transition r <= rho <= r + eps is integrated; the rest is exact.  Each
-solution is built from three pieces:
+while the radial geodesic is exactly rho(t) = t.  Nothing is integrated per
+geodesic: the ball and the exterior are closed forms, and the mollified
+transition r <= rho <= r + eps is a quadrature on the warp function, which
+the transition pair gives to rounding (``warp``).  Each solution is built
+from three pieces:
 
 * the ball: for s < r the geodesic is the great-circle arc
   cos(rho) = cos(s) cos(t), written as sin^2(rho/2) = a + b - 2ab =
   a (1 - b) + b (1 - a) with a = sin^2(s/2), b = sin^2(t/2) (no cancellation
   however small s is), until the entry time
   t_in = ell_r(s) = arccos(cos r / cos s);
-* the transition: one DOP853 solve across the window r <= rho <= r + eps,
-  empty at eps = 0 (or an eps below the resolution of r).  Clairaut's
-  integral 1 - rho'^2 = A(s)^2 / A(rho)^2 makes x = rho - r an independent
-  variable, so every window is one fixed span and the solve runs in sigma on
-  [0, 1]: x = eps sigma for s < r, and x = (s - r) + L sigma^2 with
-  L = r + eps - s for a geodesic that starts at rest inside the window
-  (r <= s < r + eps), which keeps dt/dsigma regular at its turning point.
-  The solve carries (D, A', t, psi, U, U', V, V'): D = A(r + x) - A(s) and
-  A' along the window (A'' = -K_par A), the time since the entry t_in with
-  dt/dx = (c + D) / sqrt(D (2c + D)), c = A(s), the angle row psi (below)
-  and the in-plane Jacobi pair Y'' = -K_par(rho) Y started from the identity
-  at t_in (the solution's ``transfer`` is its end state, ``window_solution``
-  its combinations).  Each right-hand-side evaluation reads K_par once.
-  The exit time t_x is t_in plus the end of the t row; a time t inside the
-  window is found by inverting that increasing row on the dense output
-  (``Flow.crossings``).  ProfileParams keeps r + eps < pi/2, where Sturm
-  comparison with K_par <= 1 gives A' >= A cot(rho) > 0, so every window
-  reaches x = eps.  The radial geodesic is the column with c = 0, where
-  dt/dx = 1; rho = t stays exact there and its window is [r, r + eps].  A
-  grid of geodesics (``solve_radial_grid``) integrates the windows of up to
-  64 of them as one solve, and each geodesic keeps its own rows of it;
+* the transition window r <= rho <= r + eps, empty at eps = 0 (or an eps
+  below the resolution of r).  Clairaut's integral
+  1 - rho'^2 = A(s)^2 / A(rho)^2 makes x = rho - r an independent variable,
+  with dt/dx = (c + D) / sqrt(D (2c + D)), c = A(s), D = A(r + x) - c.  In
+  sigma, x = (s - r) + L sigma^2 with L = r + eps - s, from the closest
+  approach, so
+
+      dt/dsigma = 2 sqrt(L) (c + D) / sqrt(m (2c + D)),   m = D / (L sigma^2),
+
+  has no 0/0 at a turning point (r <= s < r + eps, where the geodesic starts
+  at rest inside the window).  Everything the window gives is an integral
+  of (A, A')(r + x): the time t - t_in, the angle integral psi
+  (dpsi/dt = 1/A^2, below) and J = integral of K_par / A'^2 dt.  The
+  Killing field d/dtheta restricts to the in-plane Jacobi field
+  y1 = A(rho) rho', with y1' = A'(rho) (do Carmo, Riemannian Geometry, 1992,
+  ch. 5), and reduction of order turns the in-plane pair into J: with
+  (y, a) = (A rho', A') and _i at the entry, the solutions equal to (1, 0)
+  and (0, 1) at t_in are
+
+      U = a_i (1/a - y J),   V = y/a_i - y_i/a + y y_i J,
+
+  with U' = -a a_i J and V' = a/a_i + a y_i J (``transfer``,
+  ``window_solution``).  That needs A' > 0 on the window: ProfileParams
+  keeps r + eps < pi/2, where Sturm comparison with K_par <= 1 gives
+  A' >= A cot(rho) > 0.  Each integral is a composite Gauss-Legendre rule
+  (Davis and Rabinowitz, Methods of Numerical Integration, 1984): the
+  sigma-images of 32 equal panels in x, 10 nodes each.  D is taken without
+  cancellation: (A - sin r) + (sin r - sin s), the last in product form, for
+  s < r, and near a turning point L sigma^2 times the Gauss mean of A' on
+  [s, s + L sigma^2].  A time t inside the window is found by Newton on the
+  t integral, whose rate is closed form.  The radial geodesic is the column
+  with c = 0, where dt/dx = 1; rho = t stays exact there and its window is
+  [r, r + eps].  A grid of geodesics (``solve_radial_grid``) shares one warp
+  function;
 * the exterior: there A'' = A, so the warped-product Hessian formula
   (O'Neill, Semi-Riemannian Geometry, 1983, ch. 7) gives Hess A' = A' g and
   h(t) = A'(rho(t)) solves h'' = h along every geodesic.  Its data at t_x are
@@ -46,7 +61,7 @@ solution is built from three pieces:
       rho' = h' / sqrt(h^2 + 4 a_+ a_-),
 
   evaluated in a form scaled by e^{-(t - t_x)} that cannot overflow.  Only t_x
-  carries integration error.  The exterior is not of constant curvature
+  carries quadrature error.  The exterior is not of constant curvature
   (K_perp = -1 + (1 + 4 a_+ a_-)/A^2); what is exact is h'' = h.
 
 The geodesic stays in a totally geodesic 2-plane, where its angular
@@ -54,14 +69,14 @@ coordinate theta (theta(0) = 0) obeys Clairaut's integral
 
     theta'(t) = A(s) / A(rho(t))^2,
 
-and every piece of it is exact or rides on the window solve.  Inside the
-ball theta(t) = atan2(sin t, sin s cos t).  Across the window the solve
-carries the row psi with dpsi/dt = 1/A^2 (psi(t_in) = 0), so theta(t) =
-theta(t_in) + A(s) psi(t).  Past t_x the rate is A(s) / (h^2 + 4 a_+ a_-),
-and u = e^{-2 tau} turns its tail into the integral of a quadratic's
-reciprocal whose discriminant is 4 a_+ a_- A(s)^2 (Clairaut gives
-h'^2 - h^2 = 4 a_+ a_- - A(s)^2).  One function covers the arctan and log
-branches of that antiderivative as 4 a_+ a_- changes sign (near r = pi/4):
+and every piece of it is exact or a quadrature.  Inside the ball
+theta(t) = atan2(sin t, sin s cos t).  Across the window psi is the integral
+of dpsi/dt = 1/A^2 from t_in, so theta(t) = theta(t_in) + A(s) psi(t).  Past
+t_x the rate is A(s) / (h^2 + 4 a_+ a_-), and u = e^{-2 tau} turns its tail
+into the integral of a quadratic's reciprocal whose discriminant is
+4 a_+ a_- A(s)^2 (Clairaut gives h'^2 - h^2 = 4 a_+ a_- - A(s)^2).  One
+function covers the arctan and log branches of that antiderivative as
+4 a_+ a_- changes sign (near r = pi/4):
 
     phi(t) = theta_inf - theta(t) = A(s) y atanc(4 a_+ a_- A(s)^2 y^2),
     y = E / (2 p^2 + (2 p q + 4 a_+ a_-) E),   E = e^{-2 (t - t_x)},
@@ -85,8 +100,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .ode import Flow, Trajectory, _bisect, integrate_ivp
-from .warp import _PAIR_MIN_STEPS, ProfileParams, WarpFunction, mollifier, solve_warp
+from .ode import Trajectory, _bisect
+from .warp import ProfileParams, WarpFunction, mollifier, solve_warp
 
 __all__ = [
     "GeodesicParams",
@@ -271,24 +286,22 @@ class RadialSolution:
     [0, T] (the horizon T bounds only this domain, never what is solved);
     the entry time at which rho crosses r (0 if s >= r); the exit time at
     which rho reaches r + eps (0 if s >= r + eps, the entry time if the
-    transition is sharp); the warp function A of the metric; the solve's
-    tolerance; A(s), looked up once for the angle, the Killing fields and
-    the exterior; the exact exterior piece past the exit; the window solve
-    in sigma on [0, 1] (``transition``, None where nothing is integrated),
-    whose psi row carries the angle across the window and whose rows 4 to 7
-    are the in-plane pair (``transfer``, ``window_solution``); and the
-    angular coordinate theta, exact but for the psi row.  Only this module
-    knows the rows of the window solve."""
+    transition is sharp); the warp function A of the metric; A(s), looked up
+    once for the angle, the Killing fields and the exterior; the exact
+    exterior piece past the exit; the window's quadrature (None where the
+    geodesic has no window), whose psi integral carries the angle across the
+    window and whose J integral gives the in-plane pair (``transfer``,
+    ``window_solution``); and the angular coordinate theta, exact but for
+    psi.  Only this module knows the window's integrals."""
 
     params: GeodesicParams
     trajectory: Trajectory
     entry_time: float
     exit_time: float
     warp: WarpFunction
-    tol: float
     a_s: float  # A(s)
     exterior: _Exterior
-    transition: Flow | None = None
+    quadrature: _Window | None = None
 
     @property
     def window(self) -> tuple[float, float]:
@@ -334,17 +347,16 @@ class RadialSolution:
         return (t_in, float(self._ball.theta(t_in)),
                 math.atan2(math.sin(s) * math.cos(t_in), math.sin(t_in)))
 
-    def _swept(self, t: np.ndarray | float) -> np.ndarray:
-        """A(s) psi(t): the angle swept across the window from t_in to t, off
-        the window solve's psi row."""
-        return self.a_s * _window_rows(self.transition, self.entry_time, t)[1][_PSI]
+    def _swept(self, t: np.ndarray) -> np.ndarray:
+        """A(s) psi(t): the angle swept across the window from t_in to t."""
+        return self.a_s * self.quadrature.at(t - self.entry_time)[1][1]
 
     @cached_property
     def _phi_exit(self) -> tuple[float, float]:
         """(phi(t_x), A(s) psi(t_x)): the closed tail past the exit and the
         window's whole angle."""
         t_in, t_x = self.window
-        swept = self.a_s * float(self.transition.end[_PSI]) if t_in < t_x else 0.0
+        swept = self.a_s * float(self.quadrature.cum[1, -1]) if t_in < t_x else 0.0
         return float(self.exterior.phi(t_x)), swept
 
     @property
@@ -403,48 +415,69 @@ class RadialSolution:
     @property
     def transfer(self) -> np.ndarray:
         """The in-plane transfer matrix M = [[U, V], [U', V']] of the window
-        [t_in, t_x]: (Y, Y')(t_x) = M (Y, Y')(t_in).  det M = 1; the identity
-        when the window is empty."""
-        if self.transition is None:
+        [t_in, t_x]: (Y, Y')(t_x) = M (Y, Y')(t_in), with the exit data
+        (A rho', A')(t_x) = (h'_x, h_x) of the exterior.  det M = 1; the
+        identity when the window is empty."""
+        win = self.quadrature
+        if win is None:
             return np.eye(2)
-        u, du, v, dv = self.transition.end[4:8].tolist()
+        u, v, du, dv = win.pair(self.exterior.dh_x, self.exterior.h_x, win.cum[2, -1])
         return np.array([[u, v], [du, dv]])
 
     def window_solution(self, y: float, dy: float) -> Trajectory:
         """The in-plane solution with state (y, dy) at t_in, on [t_in, t_x]:
         y U + dy V of the window pair, no solve."""
-        proj = np.zeros((2, _ROWS))
-        proj[:, 4:8] = ((y, 0.0, dy, 0.0), (0.0, y, 0.0, dy))
+        win, c = self.quadrature, self.a_s
         t_in, t_x = self.window
-        return Trajectory.from_function(
-            lambda t: tuple(proj @ _window_rows(self.transition, t_in, t)[1]), t_in, t_x)
+
+        def fn(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            _, (_, _, j), d, da = win.at(t - t_in)
+            u, v, du, dv = win.pair(np.sqrt(d * (2.0 * c + d)), da, j)
+            return y * u + dy * v, y * du + dy * dv
+
+        return Trajectory.from_function(fn, t_in, t_x)
 
     def window_turn(self, in_plane: bool) -> float:
         """The time in the window at which U' of the even solution U
         (U(0) = 1, U'(0) = 0) of the in-plane or the off-plane Jacobi
         equation turns positive, given U' <= 0 at t_in and U' > 0 at t_x: the
-        first node of the window solve past the turn, then bisection in sigma
-        (``ode._bisect``) on the dense output of the step before it.
-        In-plane U' is cos(t_in) U' - sin(t_in) V' of the window pair.
+        first panel end past the turn, then Newton in sigma on the partial
+        integrals of that panel, with U'' = -k U and dt/dsigma in closed
+        form, bisecting where a step would leave the bracket.
+        In-plane U = cos(t_in) U - sin(t_in) V of the window pair.
         Off-plane U = A cos(theta) / A(s) with theta = theta(t_in) + A(s) psi,
-        and U' has the sign of A' rho' cos(theta) - (A(s)/A) sin(theta)."""
-        flow, c, t_in = self.transition, self.a_s, self.entry_time
-        if in_plane:
-            rows, y, dy = [5, 7], math.cos(t_in), -math.sin(t_in)
+        U' = (A' rho' cos(theta) - (A(s)/A) sin(theta)) / A(s) and
+        k = rho'^2 K_par + (1 - rho'^2) K_perp, K_perp = (1 - A'^2) / A^2."""
+        win, c, t_in, p = self.quadrature, self.a_s, self.entry_time, self.params
+        cos_in, sin_in = math.cos(t_in), math.sin(t_in)
+        theta_in = 0.0 if in_plane else self._start[1]
 
-            def rising(du, dv):
-                return y * du + dy * dv > 0.0
-        else:
-            rows, theta_in = [0, 1, 3], self._start[1]
+        def even(sg, part, d, da):
+            """(U, U', k) at sigma sg, from the integrals part, D and A'."""
+            a, y = c + d, np.sqrt(d * (2.0 * c + d))  # A, A rho'
+            k_par = 1.0 - 2.0 * mollifier((p.s + (p.r + p.eps - p.s) * sg * sg - p.r) / p.eps)
+            if in_plane:
+                u, v, du, dv = win.pair(y, da, part[2])
+                return u * cos_in - v * sin_in, du * cos_in - dv * sin_in, k_par
+            cos, sin, w2 = np.cos(theta_in + c * part[1]), np.sin(theta_in + c * part[1]), (y / a) ** 2
+            return (a * cos / c, (da * y / a * cos - c / a * sin) / c,
+                    w2 * k_par + (1.0 - w2) * (1.0 - da * da) / (a * a))
 
-            def rising(d, da, psi):
-                a, theta = c + d, theta_in + c * psi
-                return da * np.sqrt(d * (c + a)) * np.cos(theta) > c * np.sin(theta)
-
-        k = max(int(np.argmax(rising(*flow.states[rows]))), 1)
-        at = flow.dense.on_step(k - 1, rows)
-        sg = _bisect(lambda sg: rising(*at(sg)), flow.nodes[k - 1], flow.nodes[k])
-        return t_in + flow.dense.on_step(k - 1, [_T])(sg)[0]
+        _, d, da = win._rates(win.sigma)
+        k = max(int(np.argmax(even(win.sigma, win.cum, d, da)[1] > 0.0)), 1)
+        lo, sg, hi = win.sigma[k - 1], win.sigma[k], win.sigma[k]
+        for _ in range(_NEWTON_MAX):
+            part, rate, d, da = win._partial(np.array([sg]))
+            u, du, kk = (float(v[0]) for v in even(np.array([sg]), part, d, da))
+            lo, hi = (lo, sg) if du > 0.0 else (sg, hi)
+            slope = -kk * u * float(rate[0])  # dU'/dsigma = -k U dt/dsigma
+            new = sg - du / slope if slope > 0.0 else math.nan
+            if not lo <= new <= hi:
+                new = 0.5 * (lo + hi)
+            if abs(new - sg) <= _NEWTON_STEP:
+                break
+            sg = new
+        return t_in + float(part[0, 0])
 
 
 def entry_time(s: float, r: float) -> float:
@@ -464,135 +497,137 @@ def radial_exit_slope(s: float, r: float) -> float:
     return math.sqrt(math.sin(r + s) * math.sin(r - s)) / math.sin(r)
 
 
-# The window solve runs in sigma on [0, 1], with x = rho - r = x0 + sigma (a + b sigma):
-# x = eps sigma for s < r, x = (s - r) + L sigma^2 (L = r + eps - s) from the
-# turning point of a geodesic with r <= s < r + eps.  Its rows are
-# (D, A', t, psi, U, U', V, V'): D = A(r + x) - A(s) and A' along the window,
-# the time t - t_in since the entry, psi' = 1/A^2 (the angle swept is
-# A(s) psi; carrying A(s) psi instead would put it under the solver's
-# absolute floor at tiny s), and the in-plane Jacobi pair started from the
-# identity at t_in.  Clairaut gives rho' = sqrt(D (2c + D)) / (c + D) with
-# c = A(s), so dt/dx = (c + D) / sqrt(D (2c + D)).  Each evaluation reads
-# K_par once per distinct x.
-_T, _PSI = 2, 3
-_ROWS = 8
-_PAIR_START = (1.0, 0.0, 0.0, 1.0)
-# The most geodesics whose windows share one solve.  The batch's dense output
-# has 8 rows per geodesic per step, so this bounds the memory of a grid.
-_BATCH = 64
+# Every window is one composite Gauss-Legendre rule in sigma, with
+# x = rho - r = (s - r) + L sigma^2 and L = r + eps - s: the sigma-images of
+# _PANELS equal panels in x over the window's x-span, with the 10 Gauss-Legendre
+# nodes each.  In the turning band L sigma^2 < _BAND L of a geodesic
+# with r <= s, D = A(rho) - A(s) is L sigma^2 times the Gauss mean of A' on
+# [s, s + L sigma^2], since the plain difference cancels there.
+_PANELS = 32
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(10)
+_GAUSS_X, _GAUSS_W = 0.5 * (_GAUSS_X + 1.0), 0.5 * _GAUSS_W  # on [0, 1]
+_BAND = 0.1
+# Newton stops once its step in sigma is below _NEWTON_STEP: what is left of
+# the error is then of the order of the step squared
+_NEWTON_STEP = 1e-9
+_NEWTON_MAX = 8
 
 
-def _x_map(s: float, r: float, eps: float) -> tuple[float, float, float]:
-    """(x0, a, b) of the window variable x = x0 + sigma (a + b sigma)."""
-    return (0.0, eps, 0.0) if s < r else (s - r, 0.0, r + eps - s)
+@dataclass(frozen=True, eq=False)
+class _Window:
+    """The transition window of one geodesic, r <= rho <= r + eps, by
+    quadrature on the warp function (module docstring).  ``cum`` holds the
+    integrals (t - t_in, psi, J) from the entry to each panel end ``sigma``;
+    ``entry`` is (y_i, a_i) = (A rho', A')(t_in)."""
+
+    params: GeodesicParams
+    warp: WarpFunction
+    c: float  # A(s)
+    entry: tuple[float, float]
+    sigma: np.ndarray
+    cum: np.ndarray
+
+    @classmethod
+    def build(cls, p: GeodesicParams, warp: WarpFunction, at_s: tuple[float, float]):
+        """The window of the geodesic p, given at_s = (A, A')(s); None where
+        there is none (an eps below the resolution of r, as for the sharp
+        metric, or s >= r + eps)."""
+        s, r, eps = p.s, p.r, p.eps
+        if r + eps == r or s >= r + eps:
+            return None
+        if s < r:
+            entry = (math.sqrt(math.sin(r + s) * math.sin(r - s)), math.cos(r))
+            lo = (r - s) / (r + eps - s)
+        else:  # a turning point at t = 0
+            entry, lo = (0.0, at_s[1]), 0.0
+        sigma = np.sqrt(np.linspace(lo, 1.0, _PANELS + 1))
+        h = np.diff(sigma)
+        win = cls(p, warp, at_s[0], entry, sigma, np.zeros((3, _PANELS + 1)))
+        # each panel's integrals, summed into cum after its column of zeros
+        rates = win._rates(sigma[:-1, None] + h[:, None] * _GAUSS_X)[0]
+        np.cumsum(h * (rates @ _GAUSS_W), axis=1, out=win.cum[:, 1:])
+        return win
+
+    def _rates(self, sg: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(dt, dpsi, dJ)/dsigma (stacked on a first axis of 3), D and A' at
+        the sigma sg, elementwise."""
+        s, r, eps = self.params.s, self.params.r, self.params.eps
+        c, length = self.c, r + eps - s
+        lsq = length * sg * sg  # rho - s
+        a, da = self.warp.state(s + lsq)
+        if s < r:  # sin r - sin s in product form
+            d = (a - math.sin(r)) + 2.0 * math.cos(0.5 * (r + s)) * math.sin(0.5 * (r - s))
+            m = d / lsq
+        else:
+            band = lsq < _BAND * length
+            d, m = a - c, np.empty_like(a)
+            np.divide(d, lsq, out=m, where=~band)
+            m[band] = self.warp.state(s + lsq[band, None] * _GAUSS_X)[1] @ _GAUSS_W
+            d[band] = lsq[band] * m[band]
+        # dt/dsigma = 2 L sigma (c + D) / sqrt(D (2c + D)), with m = D / (L sigma^2)
+        dt = 2.0 * math.sqrt(length) * (c + d) / np.sqrt(m * (2.0 * c + d))
+        k_par = 1.0 - 2.0 * mollifier((s + lsq - r) / eps)
+        return np.stack((dt, dt / ((c + d) * (c + d)), k_par / (da * da) * dt)), d, da
+
+    def _partial(self, sg: np.ndarray):
+        """(the integrals (t - t_in, psi, J) from the entry to each sigma of
+        sg, dt/dsigma, D, A') there: the cumulative sums at the panel ends and
+        one Gauss rule on the partial panel."""
+        k = np.clip(np.searchsorted(self.sigma, sg, side="right") - 1, 0, _PANELS - 1)
+        lo = self.sigma[k]
+        h = sg - lo
+        rates, d, da = self._rates(np.column_stack((lo[:, None] + h[:, None] * _GAUSS_X, sg)))
+        return self.cum[:, k] + h * (rates[:, :, :-1] @ _GAUSS_W), rates[0, :, -1], d[:, -1], da[:, -1]
+
+    def at(self, tau: np.ndarray):
+        """(sigma, (t - t_in, psi, J), D, A') at the times tau = t - t_in in
+        the window: Newton on the t integral, whose rate is closed form,
+        started from the linear interpolant between the panel ends."""
+        tau = np.minimum(tau, self.cum[0, -1])
+        sg = np.interp(tau, self.cum[0], self.sigma)
+        for _ in range(_NEWTON_MAX):
+            part, rate, _, _ = self._partial(sg)
+            step = (part[0] - tau) / rate
+            sg = np.clip(sg - step, self.sigma[0], 1.0)
+            if np.max(np.abs(step)) <= _NEWTON_STEP:
+                break
+        part, _, d, da = self._partial(sg)
+        return sg, part, d, da
+
+    def pair(self, y: np.ndarray, a: np.ndarray, j: np.ndarray) -> tuple:
+        """(U, V, U', V') of the in-plane pair from the identity at t_in,
+        where (A rho', A') = (y, a) and J = j: y1 = A rho' solves the Jacobi
+        equation with y1' = A', and reduction of order gives the rest."""
+        y_i, a_i = self.entry
+        return (a_i / a - y * a_i * j, y / a_i - y_i / a + y * y_i * j,
+                -a * a_i * j, a / a_i + a * y_i * j)
+
+    def state(self, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(rho, rho') at the times tau = t - t_in in the window."""
+        sg, _, d, _ = self.at(tau)
+        c, p = self.c, self.params
+        return p.s + (p.r + p.eps - p.s) * sg * sg, np.sqrt(d * (2.0 * c + d)) / (c + d)
 
 
-def _window_rhs(c: float, z0: float, za: float, zb: float, a: float, b2: float, rate0: float):
-    """The window equation of one geodesic in sigma, on floats (``math.exp``
-    under K_par): far cheaper per call than numpy on an 8-vector.  The map
-    of x is x / eps = z0 + sigma (za + zb sigma), dx/dsigma = a + b2 sigma.
-    rate0 is dt/dsigma where D = 0: its limit at a turning point, where
-    sigma = 0 and the first stages of a step carry no D yet."""
-    def rhs(sg: float, y: np.ndarray) -> tuple[float, ...]:
-        d, da, _, _, u, du, w, dw = y.tolist()
-        dx = a + b2 * sg
-        m = 2.0 * mollifier(z0 + sg * (za + zb * sg)) - 1.0  # -K_par
-        big = c + d
-        dt = big * dx / math.sqrt(d * (c + big)) if d > 0.0 else rate0
-        mdt = m * dt
-        return dx * da, m * dx * big, dt, dt / (big * big), dt * du, mdt * u, dt * dw, mdt * w
-
-    return rhs
-
-
-def _batch_rhs(c, z0, za, zb, a, b2, rate0):
-    """The window equations of n geodesics as one system in sigma, the
-    same formulas on arrays: the state is the 8 x n array of their states,
-    row-major.  Geodesics that share the map of x (all with s < r) share one
-    float K_par."""
-    n = len(c)
-    z0, za, zb, a, b2 = (float(v[0]) if np.all(v == v[0]) else v for v in (z0, za, zb, a, b2))
-
-    def rhs(sg: float, y: np.ndarray) -> np.ndarray:
-        d, da, _, _, u, du, w, dw = y.reshape(_ROWS, n)
-        dx = a + b2 * sg
-        m = 2.0 * mollifier(z0 + sg * (za + zb * sg)) - 1.0
-        big = c + d
-        dt = np.divide(big * dx, np.sqrt(d * (c + big)), out=rate0.copy(), where=d > 0.0)
-        mdt = m * dt
-        return np.concatenate((dx * da, m * dx * big, dt, dt / (big * big),
-                               dt * du, mdt * u, dt * dw, mdt * w))
-
-    return rhs
-
-
-def _window_start(p: GeodesicParams, at_s: tuple[float, float]) -> tuple | None:
-    """(c, D, A', x0, a, b, dt/dsigma) at sigma = 0 of the geodesic's window
-    solve, given at_s = (A, A')(s); None when nothing is integrated (an eps
-    below the resolution of r, as for the sharp metric, or s >= r + eps).
-    The radial geodesic is the column with c = 0, where dt/dx = 1."""
-    s, r, eps = p.s, p.r, p.eps
-    if r + eps == r or s >= r + eps:
-        return None
-    if s < r:
-        # A = sin in the ball: D = sin r - sin s without cancellation
-        d0 = 2.0 * math.cos(0.5 * (r + s)) * math.sin(0.5 * (r - s))
-        return at_s[0], d0, math.cos(r), *_x_map(s, r, eps), eps / radial_exit_slope(s, r)
-    # turning point: D ~ A'(s) L sigma^2, so dt/dsigma -> sqrt(2 L c / A'(s))
-    rate0 = math.sqrt(2.0 * (r + eps - s) * at_s[0] / at_s[1])
-    return at_s[0], 0.0, at_s[1], *_x_map(s, r, eps), rate0
-
-
-def _solve_windows(starts: list[tuple], eps: float, tol: float) -> list[Flow]:
-    """The window solves of n geodesics of one metric, as one DOP853 solve
-    in sigma on [0, 1]: every window ends at sigma = 1, so geodesic j is
-    column j of an 8 x n state (a geodesic alone takes the float right-hand
-    side).  scipy's error norm is an RMS over all 8n components: the
-    tolerance tol / sqrt(n) keeps each geodesic's own 8-component norm within
-    tol.  No step is longer than the transition pair's, eps/32 in x."""
-    n = len(starts)
-    c, d0, da0, x0, a, b, rate0 = np.array(starts).T
-    y0 = np.concatenate((d0, da0, np.zeros(2 * n), *np.repeat([_PAIR_START], n, axis=0).T))
-    max_step = eps / (_PAIR_MIN_STEPS * float(np.max(a + 2.0 * b)))
-    cols = (c, x0 / eps, a / eps, b / eps, a, 2.0 * b, rate0)
-    rhs = _window_rhs(*(float(v[0]) for v in cols)) if n == 1 else _batch_rhs(*cols)
-    flow = integrate_ivp(rhs, 0.0, y0, 1.0, tol / math.sqrt(n), max_step=max_step)
-    return [flow] if n == 1 else [flow.part(slice(j, None, n)) for j in range(n)]
-
-
-def _window_rows(flow: Flow, t_in: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sigma, rows) of a window solve at the times t in [t_in, t_x]: the
-    t row increases, so it is inverted on the dense output
-    (``Flow.crossings``) and the rows are read there."""
-    tau = np.minimum(np.asarray(t, dtype=float) - t_in, flow.end[_T])
-    sg = flow.crossings(_T, tau)
-    return sg, flow.dense(sg)
-
-
-def _radial_solution(p: GeodesicParams, warp: WarpFunction, T: float, tol: float,
-                     flow: Flow | None, at_s: tuple[float, float]) -> RadialSolution:
-    """The whole geodesic from its window solve (None when it has none) and
-    at_s = (A, A')(s): the exact ball on [0, t_in], the window on
-    [t_in, t_x], the exact exterior from t_x.  Each piece is built on its
-    own span; T only bounds the domain of the joined trajectory."""
+def _radial_solution(p: GeodesicParams, warp: WarpFunction, T: float,
+                     at_s: tuple[float, float]) -> RadialSolution:
+    """The whole geodesic, given at_s = (A, A')(s): the exact ball on
+    [0, t_in], the window's quadrature on [t_in, t_x], the exact exterior
+    from t_x.  Each piece is built on its own span; T only bounds the domain
+    of the joined trajectory."""
     s, r, eps = p.s, p.r, p.eps
     rho_x = r + eps
     a_s, h_s = at_s
+    win = _Window.build(p, warp, at_s)
     if s == 0.0:  # rho = t, with t_in = r and t_x = r + eps exactly
         t_in, t_x = r, rho_x
         parts = [Trajectory.from_function(lambda t: (t, np.ones_like(t)), 0.0, math.inf)]
     else:
         t_in = entry_time(s, r) if s < r else 0.0
-        t_x = t_in + float(flow.end[_T]) if flow is not None else t_in
+        t_x = t_in + float(win.cum[0, -1]) if win is not None else t_in
         parts = [Trajectory.from_function(_Ball.at(s).state, 0.0, t_in)] if s < r else []
-        if flow is not None:
-            x0, a, b = _x_map(s, r, eps)
-
-            def window(tt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-                sg, (d, *_) = _window_rows(flow, t_in, tt)
-                return r + (x0 + sg * (a + b * sg)), np.sqrt(d * (2.0 * a_s + d)) / (a_s + d)
-
-            parts.append(Trajectory.from_function(window, t_in, t_x))
+        if win is not None:
+            parts.append(Trajectory.from_function(lambda t: win.state(t - t_in), t_in, t_x))
 
     a_x, h_x = warp.exit_state if s < rho_x else (a_s, h_s)
     if s < r:  # A(s) = sin s; sin^2 r - sin^2 s = sin(r + s) sin(r - s)
@@ -605,54 +640,45 @@ def _radial_solution(p: GeodesicParams, warp: WarpFunction, T: float, tol: float
         parts.append(Trajectory.from_function(exterior.state, t_x, math.inf))
     trajectory = Trajectory(t0=0.0, t1=float(T), pieces=sum((part.pieces for part in parts), ()))
     return RadialSolution(params=p, trajectory=trajectory, entry_time=t_in, exit_time=t_x,
-                          warp=warp, tol=tol, a_s=a_s, exterior=exterior, transition=flow)
+                          warp=warp, a_s=a_s, exterior=exterior, quadrature=win)
 
 
-def _grid_solutions(params: list[GeodesicParams], T: float, tol: float) -> Iterator[RadialSolution]:
+def _grid_solutions(params: list[GeodesicParams], T: float) -> Iterator[RadialSolution]:
     if max(p.s for p in params) > _S_MAX:
         raise ValueError(f"A(s) overflows for s past {_S_MAX}")
     warp = solve_warp(params[0].profile)
-    at_s = [tuple(float(v[0]) for v in warp.state(p.s)) for p in params]
-    starts = [_window_start(p, a) for p, a in zip(params, at_s)]
-    pending = [i for i, start in enumerate(starts) if start is not None]
-    windows: dict[int, Flow] = {}
-    for i, p in enumerate(params):
-        if starts[i] is not None and i not in windows:
-            batch, pending = pending[:_BATCH], pending[_BATCH:]
-            solved = _solve_windows([starts[j] for j in batch], p.eps, tol)
-            windows = dict(zip(batch, solved))
-        yield _radial_solution(p, warp, T, tol, windows.get(i), at_s[i])
+    for p in params:
+        yield _radial_solution(p, warp, T, tuple(float(v[0]) for v in warp.state(p.s)))
 
 
-def solve_radial_grid(ss: Iterable[float], r: float, eps: float, T: float = 30.0,
-                      tol: float = 1e-10) -> Iterator[RadialSolution]:
-    """``solve_radial`` at (s, r, eps) for each s of ``ss``, in order, with the
-    transition windows of up to 64 geodesics integrated in one DOP853 solve
-    (see ``_solve_windows``); each result is an ordinary per-geodesic
-    solution.  The solutions are made as they are asked for, so a long grid
-    holds one batch at a time; they are not cached."""
+def solve_radial_grid(ss: Iterable[float], r: float, eps: float,
+                      T: float = 30.0) -> Iterator[RadialSolution]:
+    """``solve_radial`` at (s, r, eps) for each s of ``ss``, in order, on one
+    warp function; each result is an ordinary per-geodesic solution with its
+    own window.  The solutions are made as they are asked for, so a long grid
+    holds one at a time; they are not cached."""
     if not T > 0.0:
         raise ValueError("horizon T must be positive")
     params = [GeodesicParams(float(s), r, eps) for s in ss]
-    return _grid_solutions(params, T, tol) if params else iter(())
+    return _grid_solutions(params, T) if params else iter(())
 
 
-def solve_radial(params: GeodesicParams, T: float = 30.0, tol: float = 1e-10) -> RadialSolution:
-    """The geodesic mu = params, solved whole: exact in the ball, integrated
-    across the transition only, exact past it.  The horizon T only bounds
-    the domain [0, T] of its trajectory and angle; what is solved does not
-    depend on it.
+def solve_radial(params: GeodesicParams, T: float = 30.0) -> RadialSolution:
+    """The geodesic mu = params, solved whole: exact in the ball, by
+    quadrature across the transition, exact past it.  The horizon T only
+    bounds the domain [0, T] of its trajectory and angle; what is solved does
+    not depend on it.
 
-    The entry time is the exact ``entry_time(s, r)``; the window solve runs
-    in x = rho - r, so it ends exactly at rho = r + eps and no step straddles
-    the curvature transition; the time it carries there is the solution's
-    ``exit_time``.  This is the grid of one of ``solve_radial_grid``; each
-    call solves anew.  Raises ValueError where A(s) overflows (s past about
-    709).
+    The entry time is the exact ``entry_time(s, r)``; the window's quadrature
+    runs in x = rho - r, so it ends exactly at rho = r + eps and no panel
+    straddles the curvature transition; the time it integrates there is the
+    solution's ``exit_time``.  This is the grid of one of
+    ``solve_radial_grid``; each call solves anew.  Raises ValueError where
+    A(s) overflows (s past about 709).
     """
     if not T > 0.0:
         raise ValueError("horizon T must be positive")
-    return next(_grid_solutions([params], T, tol))
+    return next(_grid_solutions([params], T))
 
 
 def growth_factor(t: float | np.ndarray, s: float) -> float | np.ndarray:

@@ -17,15 +17,15 @@ composed of three pieces: an exact rotation on [0, t_in], the combination
 y U + dy V of the window pair across [t_in, t_x] (empty at eps = 0), and
 the exact exponentials P e^tau + Q e^{-tau}, tau = t - t_x, with
 P = (Y + Y')/2 and Q = (Y - Y')/2 at t_x, after it.  The window pair
-(U, V), started from the identity at t_in, is solved together with the
-geodesic itself, in the geodesic's window solve in x = rho - r
-(``geodesics.solve_radial``, or one solve for up to 64 geodesics of a grid,
-``solve_radial_grid``); its end state is the window's transfer matrix
-M = [[U, V], [U', V']], det M = 1 (``RadialSolution.transfer``, with
-``window_solution`` across the window, where a time t is found on the
-solve's t row).
-Nothing is solved per initial condition, so a solution is as accurate as
-the kernel's radial solve and a tighter ``tol`` is refused.
+(U, V), from the identity at t_in, comes with the geodesic: its window is a
+quadrature on the transition pair (``geodesics``), and the in-plane Killing
+field A(rho) rho', with derivative A'(rho), gives the pair in closed form
+in the integral J of K_par / A'^2 by reduction of order.  At t_x it is the
+window's transfer matrix M = [[U, V], [U', V']], det M = 1
+(``RadialSolution.transfer``, with ``window_solution`` across the window,
+where a time t is found by Newton on the window's time integral).
+Nothing is solved per geodesic or per initial condition: a ``tol`` below
+the transition pair's is refused, and any other is not used.
 
 The off-plane equation is not integrated at all.  Rotations of S^n are
 isometries, and a Killing field restricted to a geodesic is a Jacobi field
@@ -63,7 +63,7 @@ from .geodesics import (
     growth_factor,
     solve_radial,
 )
-from .warp import k_parallel, k_perp
+from .warp import _PAIR_TOL, k_parallel, k_perp
 
 __all__ = [
     "JacobiKernel",
@@ -120,9 +120,11 @@ class JacobiKernel:
         return w2 * kpar + (1.0 - w2) * kperp
 
     def value(self, t: float | np.ndarray) -> float | np.ndarray:
-        """k(t), with the inside value (k = 1) at a sharp junction, matching
-        the H(0) = 0 convention of the curvature profile."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+        """k(t) on the radial trajectory's domain [0, T] (ValueError outside
+        it, with ``Trajectory.state``'s slack), with the inside value (k = 1)
+        at a sharp junction, matching the H(0) = 0 convention of the
+        curvature profile."""
+        t_arr = self.radial.trajectory.clip(t)
         out = np.empty_like(t_arr)
         t_in, t_x = self.radial.window
         inside = t_arr <= t_in if t_in > 0.0 else np.zeros_like(t_arr, dtype=bool)
@@ -147,6 +149,15 @@ def kernel_on(kind: str, radial: RadialSolution) -> JacobiKernel:
     return JacobiKernel(kind=effective, params=radial.params, radial=radial)
 
 
+def _check_tol(tol: float) -> None:
+    """Refuse a ``tol`` below the transition pair's, ``warp._PAIR_TOL``: the
+    pair is the one solve, so nothing is more accurate than it.  The ``tol``
+    of ``make_kernel``, ``jacobi_solution``, ``fundamental_pair`` and
+    ``stable.stable_for`` does nothing else."""
+    if tol < _PAIR_TOL:
+        raise ValueError(f"tol = {tol} is tighter than the transition pair's {_PAIR_TOL}")
+
+
 def make_kernel(
     kind: str,
     params: GeodesicParams,
@@ -157,8 +168,11 @@ def make_kernel(
     mu = params, usable for t in [0, horizon].  Each call builds a new
     kernel on a new ``solve_radial``.  Grids
     solve their geodesics with ``geodesics.solve_radial_grid`` and take
-    their kernels from :func:`kernel_on`, which checks ``kind``."""
-    return kernel_on(kind, solve_radial(params, T=horizon, tol=tol))
+    their kernels from :func:`kernel_on`, which checks ``kind``.  Nothing
+    is solved to a tolerance: a ``tol`` below the transition pair's raises
+    ValueError (``_check_tol``), and any other is not used."""
+    _check_tol(tol)
+    return kernel_on(kind, solve_radial(params, T=horizon))
 
 
 def killing_field(
@@ -175,7 +189,7 @@ def killing_field(
     on [0, T]: a rotation of S^n restricted to the geodesic.  ``angle``
     selects a = theta (then p = Y(0) and q = A(s) Y'(0)) or a = phi =
     theta_inf - theta, in which the decaying field A sin(phi) keeps its full
-    relative precision.  Accuracy follows the radial solve of the kernel.
+    relative precision.  Accuracy follows the geodesic's window quadrature.
     """
     if kernel.kind != "perpendicular":
         raise ValueError("Killing fields solve the off-plane equation only (s > 0)")
@@ -253,13 +267,11 @@ def jacobi_solution(
     """The solution of Y'' + k(t) Y = 0 on [0, T] with (Y(0), Y'(0)) =
     ``initial``: exact pieces and a combination of the kernel's window pair
     for the in-plane kernel, the Killing field of :func:`killing_field` for
-    the off-plane one.  Both are as accurate as the kernel's radial solve,
-    so a ``tol`` tighter than the kernel's raises ValueError."""
+    the off-plane one.  Both are as accurate as the geodesic's window
+    quadrature; a ``tol`` below the transition pair's raises ValueError."""
     if not T > 0.0:
         raise ValueError("horizon T must be positive")
-    if tol < kernel.radial.tol:
-        raise ValueError(f"tol = {tol} is tighter than the kernel's {kernel.radial.tol}; "
-                         "build the kernel at the tolerance wanted")
+    _check_tol(tol)
     y0, dy0 = initial
     if kernel.kind == "perpendicular":
         return killing_field(kernel, y0, dy0 * kernel.radial.a_s, T)
@@ -308,9 +320,9 @@ def even_minimum(kernel: JacobiKernel) -> float:
     past it while A' <= 1, negative once A' > 1, and decreasing past t_x
     (``perp_minimum``).  While U > 0, U'' = -k U, so U' <= 0 up to the
     minimum and U' > 0 after it.  The minimum lies in the window when
-    U'(t_x) > 0, where the sign of U' is bisected in the window variable on
-    the window solve's rows (``RadialSolution.window_turn``), else past t_x:
-    2 sqrt(PQ) in-plane, ``perp_minimum`` off-plane.
+    U'(t_x) > 0, where U' = 0 is solved by Newton in the window variable on
+    the window's partial integrals (``RadialSolution.window_turn``), else
+    past t_x: 2 sqrt(PQ) in-plane, ``perp_minimum`` off-plane.
     """
     radial = kernel.radial
     t_in, t_x = radial.window
@@ -328,7 +340,7 @@ def even_minimum(kernel: JacobiKernel) -> float:
         # U -> -inf if P < 0, else U is least at tau = log(Q/P) / 2 if Q > P, else at t_x
         tail, rising = -math.inf if p < 0.0 else 2.0 * math.sqrt(p * q) if q > p else u, du > 0.0
     if rising and t_in < t_x:
-        U = jacobi_solution(kernel, (1.0, 0.0), t_x, radial.tol)
+        U = jacobi_solution(kernel, (1.0, 0.0), t_x)
         return min(tail, U.value(radial.window_turn(kernel.kind == "parallel")))
     return tail
 

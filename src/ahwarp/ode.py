@@ -1,25 +1,19 @@
 """Adaptive integration of first-order systems y' = f(t, y) across one span.
 
 Thin layer over scipy's DOP853 embedded Runge-Kutta pair with dense output.
-A solve runs forward from (t0, y0) to t1.  The package integrates only
-across the curvature transition, and there in a variable whose span is
-known before the solve (``(rho - r)/eps`` for the transition pair, ``rho - r``
-rescaled for the geodesics' windows), carrying several coupled quantities in
-one state vector.
+A solve runs forward from (t0, y0) to t1.  The package makes one solve per
+process: the transition pair, in u = (rho - r)/eps on [0, 1] (``warp``).
+Every geodesic's transition window is a quadrature on that pair
+(``geodesics``), and everything else is closed form.
 
 The result is a ``Flow``: the accepted nodes, the states there and the
-dense output of the whole vector.  A solve that carries several independent
-systems side by side is split into one flow each (``Flow.part``), and
-``Flow.crossings`` locates where a row reaches a level, which inverts a
-monotone row (a time carried as a row of the state).  The rest of the
-package works with scalar solutions (x, x') as ``Trajectory`` objects: a
-function on [t0, t1], evaluated piece by piece.  Integrated pieces are linear
-projections ``(x, x') = P y`` of a flow's dense output; exact pieces before
-and after it are closed forms wrapped by ``Trajectory.from_function`` (not
-evaluated until asked).  ``Trajectory.concat`` joins consecutive parts on
-their own span; pieces built on their natural spans (the last may run to
-inf) are joined as ``Trajectory(t0, t1, pieces)``, whose [t0, t1] is the
-domain.
+dense output of the whole vector.  The rest of the package works with
+scalar solutions (x, x') as ``Trajectory`` objects: a function on [t0, t1],
+evaluated piece by piece.  A piece is a linear projection ``(x, x') = P y``
+of a flow's dense output, or a closed form or a quadrature wrapped by
+``Trajectory.from_function`` (not evaluated until asked).  Pieces built on
+their natural spans (the last may run to inf) are joined as
+``Trajectory(t0, t1, pieces)``, whose [t0, t1] is the domain.
 """
 
 from __future__ import annotations
@@ -43,8 +37,8 @@ __all__ = [
 Rhs = Callable[[float, np.ndarray], Sequence[float]]
 
 _METHOD = "DOP853"
-# ``_bisect`` (under ``Flow.crossings`` too) bisects to 4 ulps of 1 (absolute
-# and relative), the tolerance to which scipy locates an event.
+# ``_bisect`` bisects to 4 ulps of 1 (absolute and relative), the tolerance
+# to which scipy locates an event.
 _EVENT_TOL = 4.0 * np.finfo(float).eps
 
 
@@ -84,25 +78,11 @@ class _Dense:
         x = ((t - self.t_old[seg]) / self.h[seg])[:, None]
         return _horner(np.moveaxis(self.F[seg], 1, 0), x, self.states[:, seg].T).T
 
-    def on_step(self, seg: int, rows: Sequence[int]) -> Callable[[float], list[float]]:
-        """The state rows ``rows`` on step seg, as a function of one time, on
-        floats: the few evaluations of a bisection cost far less so than
-        through numpy."""
-        coeffs, starts = self.F[seg][:, rows].T.tolist(), self.states[rows, seg].tolist()
-        t_old, h = float(self.t_old[seg]), float(self.h[seg])
-
-        def at(t: float) -> list[float]:
-            x = (t - t_old) / h
-            return [_horner(c, x, y) for c, y in zip(coeffs, starts)]
-
-        return at
-
 
 def _horner(coeffs, x, start):
-    """The DOP853 interpolant with the coefficients ``coeffs`` (an array or
-    a list, lowest order first along its first axis) at the step fractions
-    x, added to the start state: scipy's arithmetic, operation for
-    operation, on arrays or on floats."""
+    """The DOP853 interpolant with the coefficients ``coeffs`` (lowest order
+    first along the first axis) at the step fractions x, added to the start
+    state: scipy's arithmetic, operation for operation."""
     y = 0.0
     for k, f in enumerate(reversed(coeffs)):
         y = (y + f) * (x if k % 2 == 0 else 1.0 - x)
@@ -142,7 +122,10 @@ class Trajectory:
         x, v = self.state(t)
         return float(x[0]), float(v[0])
 
-    def state(self, t: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def clip(self, t: float | np.ndarray) -> np.ndarray:
+        """The times t as an array clipped to [t0, t1]; ValueError for a
+        time outside it by more than a slack of 1e-9 of its length (at least
+        1e-9)."""
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         lo, hi = self.t0, self.t1
         slack = 1e-9 * max(1.0, abs(hi - lo))
@@ -151,7 +134,10 @@ class Trajectory:
                 f"evaluation time outside [{lo}, {hi}]: "
                 f"[{t_arr.min()}, {t_arr.max()}]"
             )
-        t_arr = np.clip(t_arr, lo, hi)
+        return np.clip(t_arr, lo, hi)
+
+    def state(self, t: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        t_arr = self.clip(t)
         xs = np.empty_like(t_arr)
         vs = np.empty_like(t_arr)
         uppers = np.array([p.t_hi for p in self.pieces])
@@ -189,13 +175,6 @@ class Trajectory:
         t0, t1 = float(t0), float(t1)
         return cls(t0=t0, t1=t1, pieces=(_Piece(t0, t1, sol),))
 
-    @classmethod
-    def concat(cls, parts: Sequence["Trajectory"]) -> "Trajectory":
-        """One solution from consecutive ``parts``, each starting where the
-        one before ends."""
-        return cls(t0=parts[0].t0, t1=parts[-1].t1,
-                   pieces=tuple(piece for p in parts for piece in p.pieces))
-
 
 @dataclass(frozen=True, eq=False)
 class Flow:
@@ -219,27 +198,6 @@ class Flow:
         t0, end = float(self.nodes[0]), float(self.nodes[-1])
         t1 = end if t1 is None else min(float(t1), end)
         return Trajectory(t0=t0, t1=t1, pieces=(_Piece(t0, t1, self.dense, proj),))
-
-    def crossings(self, row: int, levels: float | np.ndarray) -> np.ndarray:
-        """For each of the ``levels``, the first time at which the state row
-        ``row`` reaches it: nodes[0] where the row starts there, else located
-        on the dense output of the bracketing step to the event tolerance
-        (``_bisect``, on floats); nan where no node reaches it."""
-        levels = np.atleast_1d(np.asarray(levels, dtype=float))
-        above = self.states[row] >= levels[:, None]
-        k = np.argmax(above, axis=1)  # the first node at or above the level, else 0
-        out = np.where(above[np.arange(len(k)), k], self.nodes[k], np.nan)
-        for i in np.flatnonzero(k > 0).tolist():
-            at, level = self.dense.on_step(k[i] - 1, [row]), levels[i]
-            out[i] = _bisect(lambda t: at(t)[0] >= level, self.nodes[k[i] - 1], self.nodes[k[i]])
-        return out
-
-    def part(self, rows: slice) -> "Flow":
-        """The flow of the state rows ``rows`` alone: the same nodes, and a
-        dense output that views this one's coefficients."""
-        dense = _Dense(ts=self.dense.ts, t_old=self.dense.t_old, h=self.dense.h,
-                       F=self.dense.F[:, :, rows], states=self.states[rows])
-        return Flow(nodes=self.nodes, states=dense.states, dense=dense)
 
 
 def _bisect(past: Callable[[float], bool], lo: float, hi: float) -> float:

@@ -13,10 +13,13 @@ then gives
     W'(0; r) = tan(arctan w(eps) + r) = tan(r - r*),   r* = -arctan w(eps).
 
 The pair is one solve per process, interpolated in eps^2 (``warp``).  The
-root residual |Y(0) W'(0)| comes from an s = 0 window solve at r*, which
-carries no pair rows, so it measures how far the two disagree: a scan reads
-it, and its boundary-conjugate witness, off the s = 0 column of its small-s
-certificate grid, and ``find_r_star`` makes that solve on its own.
+root residual |Y(0) W'(0)| comes from the s = 0 window at r*, a quadrature
+of K_par / A'^2 on the pair's own A' (``geodesics``): it checks that
+identity and the quadrature against the pair, not the pair's solve, which
+``test_entry_slope_against_backward_solve`` checks against an independent
+solve.  A scan reads the residual, and its boundary-conjugate witness, off
+the s = 0 column of its small-s certificate grid, and ``find_r_star``
+computes that window on its own.
 Absence of interior conjugate points is certified in three regimes:
 
 * small s (certificate method): W'(0) <= 0 for both kernels on a grid
@@ -37,19 +40,18 @@ only if A'(r + eps/2) > 0, and then inf A'/A > 0 (A'/A -> 1), which is the
 premise of the comparison theorem (``geodesics.comparison_lower_bound``).
 
 Each regime's grid takes its geodesics from one
-``geodesics.solve_radial_grid``: the transition windows of up to 64
-geodesics are one solve.  Each mid-s point's minima of U are exact over all
-t >= 0 (``jacobi.even_minimum``): U is cos t in the ball and closed form past
-the transition, and U' turns positive once, so the minimum is one closed
-formula or one bisection.  No caller sets a tolerance: the transition pair is
-solved at ``warp._PAIR_TOL``, every stable solution (the residual, the
-witness, the small-s certificates) at ``stable._KERNEL_TOL`` and the mid-s
-grid at ``_MID_TOL``, and the report's metadata states all three.  After the
-process's one pair solve, a mollified scan makes two solves: the small-s
-grid's and the mid-s grid's.  Each grid point is decided on the whole line
-in t, but the grids sample s: they certify concrete parameter triples by
-computation, not a computer-assisted proof, and the report says so in its
-metadata.
+``geodesics.solve_radial_grid``, each with its transition window by
+quadrature on the transition pair.  Each mid-s point's minima of U are exact
+over all t >= 0 (``jacobi.even_minimum``): U is cos t in the ball and closed
+form past the transition, and U' turns positive once, so the minimum is one
+closed formula, one bisection past the window or one Newton solve in it.  No
+caller sets a tolerance: the transition pair is solved at
+``warp._PAIR_TOL``, and every window is the same composite Gauss-Legendre
+rule; the report's metadata states both.  After the process's one pair
+solve, a mollified scan solves nothing.  Each grid point is decided on the
+whole line in t, but the grids sample s: they certify concrete parameter
+triples by computation, not a computer-assisted proof, and the report says
+so in its metadata.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ import numpy as np
 
 from .geodesics import GeodesicParams, solve_radial_grid
 from .jacobi import KINDS, even_minimum, kernel_on
-from .stable import (_KERNEL_TOL, TOL_SIGN, StableSolution, certificate_grid, stable_for,
+from .stable import (TOL_SIGN, StableSolution, certificate_grid, stable_for,
                      stencil_derivatives, stencil_points)
 from .warp import _PAIR_TOL, ProfileParams, entry_slope, k_perp, solve_warp
 
@@ -78,10 +80,6 @@ __all__ = [
 ]
 
 _QUARTER_PI = math.pi / 4.0
-# The mid-s grid's windows are solved at _MID_TOL: the minima of U are
-# positive margins, far above this error (certificates are signed numbers
-# near 0 and ride on stable._KERNEL_TOL).
-_MID_TOL = 1e-9
 
 OVERALL_SUCCESS = "boundary-CP-and-no-interior-CP"
 OVERALL_FAILED = "failed"
@@ -183,12 +181,13 @@ class ScanReport:
 
 
 def _root(eps: float, bracket_halfwidth: float) -> float:
-    """r* = -arctan w(eps); BracketError when it falls outside the window
+    """r* = -arctan w(eps); ValueError unless (r*, eps), the metric that
+    is used, is valid, and BracketError when r* falls outside the window
     [pi/4 - bracket_halfwidth, pi/4 + bracket_halfwidth]."""
-    ProfileParams(_QUARTER_PI, eps)  # validates eps
     lo = _QUARTER_PI - bracket_halfwidth
     hi = _QUARTER_PI + bracket_halfwidth
-    r_star = -math.atan(entry_slope(eps))
+    r_star = -math.atan(entry_slope(eps))  # validates 0 <= eps < pi/2
+    ProfileParams(r_star, eps)
     if not lo <= r_star <= hi:
         raise BracketError(f"r* = {r_star!r} outside the window [{lo!r}, {hi!r}]")
     return r_star
@@ -202,9 +201,11 @@ def find_r_star(eps: float, bracket_halfwidth: float = 0.1) -> tuple[float, floa
         r* = -arctan w(eps)
 
     from the transition pair at x = eps.  Returns (r_star, |Y(0) W'(0)| at
-    r_star), the residual from the stable solution at r_star, a window solve
-    independent of the pair.  Raises BracketError when r_star falls outside
-    the window [pi/4 - bracket_halfwidth, pi/4 + bracket_halfwidth].
+    r_star), the residual from the stable solution at r_star: its window is a
+    quadrature on the pair's own A', so the residual checks the quadrature
+    against the pair, not the pair's solve (module docstring).  Raises
+    ValueError when r_star + eps >= pi/2, and BracketError when r_star falls
+    outside the window [pi/4 - bracket_halfwidth, pi/4 + bracket_halfwidth].
     """
     r_star = _root(eps, bracket_halfwidth)
     sol = stable_for("parallel", GeodesicParams(0.0, r_star, eps))
@@ -274,7 +275,7 @@ def verify_large_s(
     solutions U (U(0) = 1, U'(0) = 0) are positive on the whole line: by
     Sturm separation no solution then vanishes twice.  The minima are
     ``jacobi.even_minimum``, exact over t >= 0: closed forms in the ball and
-    past the transition, the window solve's dense output across it.
+    past the transition, the window's quadrature across it.
     Returns (rho0, curvature_certified, records, all passed).
     """
     _check_grid(sigma, ds)
@@ -282,7 +283,7 @@ def verify_large_s(
         raise ValueError(f"the mid-s grid starts at sigma > 0, got {sigma}")
     rho0, certified = _negative_curvature_threshold(ProfileParams(r, eps))
     records: list[MidSRecord] = []
-    for radial in solve_radial_grid(_grid(sigma, rho0, ds), r, eps, tol=_MID_TOL):
+    for radial in solve_radial_grid(_grid(sigma, rho0, ds), r, eps):
         min_u, min_v = (even_minimum(kernel_on(kind, radial)) for kind in KINDS)
         good = min_u > 0.0 and min_v > 0.0
         records.append(MidSRecord(radial.params.s, min_u, min_v, "pass" if good else "fail"))
@@ -335,20 +336,24 @@ def assemble_report(
     nonpositive with the concavity signature, all mid-s minima positive, the
     negative-curvature threshold confirmed, and the non-trapping premise.
     The residual and the witness come from the small-s grid's s = 0 column.
-    The metadata states the tolerances of the solves: the transition pair
-    (r_star and the warp function), the stable solutions (the residual, the
-    witness and the small-s certificates) and the mid-s grid.  Raises
-    ValueError unless ds is finite and positive and sigma finite.
+    The metadata states the tolerance of the one solve, the transition pair
+    (r_star and the warp function), and the quadrature that gives every
+    window.  Raises ValueError unless ds is finite and positive and sigma
+    finite, and when r_star + eps >= pi/2.
     """
     _check_grid(sigma, ds)
     metadata = {
         "sigma": sigma,
         "ds": ds,
         "bracket_halfwidth": bracket_halfwidth,
-        "tol": {"pair": _PAIR_TOL, "certificates": _KERNEL_TOL, "mid_s": _MID_TOL},
+        "tol": {"pair": _PAIR_TOL,
+                "windows": "no tolerance: composite Gauss-Legendre quadrature on the "
+                           "transition pair, 32 panels of 10 nodes"},
         "method": (
             "every grid point decided on all of t >= 0 from closed forms and "
-            "the transition window solve, not on sampled t; the grids sample s: "
+            "the transition window's quadrature on the transition pair, not on "
+            "sampled t; the root residual checks that quadrature against the "
+            "pair, not the pair's solve; the grids sample s: "
             "certification by sampling in s, not a computer-assisted proof"
         ),
         "mollifier": "exp(-1/x) / (exp(-1/x) + exp(-1/(1-x))) ramp on [0, 1]",
@@ -380,7 +385,6 @@ def assemble_report(
         "even_extension_slope": slope,
     }
     witness_ok = y_end < 2.0 * math.exp(-t_check) and residual < 1e-8
-    del witness_sol  # it holds the small-s grid's window solve; the mid-s grid makes its own
 
     rho0, certified, mid_records, _ = verify_large_s(r_star, eps, sigma, ds)
     non_trapping = _non_trapping_check(r_star, eps)

@@ -12,7 +12,7 @@ In-plane kernels: the kernel is exactly -1 past the transition exit t_x
 (see ``jacobi``), so the stable solution *is* Y = e^{-t} there, with
 W = Y'/Y = -1 exactly; nothing is seeded and nothing is dropped.  Across the
 transition window [t_in, t_x] the kernel's transfer matrix M (det M = 1,
-from the geodesic's window solve) carries it back without a solve of its
+from the geodesic's window quadrature) carries it back without a solve of its
 own (Reid, Riccati Differential Equations, 1972):
 
     (Y, Y')(t_in) = e^{-t_x} M^{-1} (1, -1) = e^{-t_x} adj(M) (1, -1).
@@ -52,8 +52,9 @@ story: for an even integrable kernel, no nontrivial solution vanishes twice
 if and only if W'(0) <= 0.  The certificate at the critical parameters is
 available in closed form and serves as the oracle for both constructions.
 
-Every stable solution, and so every certificate, rides on a radial solve at
-one tolerance, 1e-12 (``_KERNEL_TOL``); no caller chooses it.
+Every stable solution, and so every certificate, rides on the geodesic's
+window quadrature on the transition pair (``geodesics``); nothing is solved
+to a tolerance that a caller could choose.
 """
 
 from __future__ import annotations
@@ -66,8 +67,8 @@ import numpy as np
 
 from .ode import Trajectory
 from .geodesics import GeodesicParams, solve_radial_grid
-from .jacobi import (KINDS, JacobiKernel, _rotation, kernel_on, killing_field, make_kernel,
-                     theta_infinity)
+from .jacobi import (KINDS, JacobiKernel, _check_tol, _rotation, kernel_on, killing_field,
+                     make_kernel, theta_infinity)
 
 __all__ = [
     "TOL_SIGN",
@@ -99,10 +100,6 @@ TOL_SIGN = 1e-9
 # The horizon of the radial solves of ``stable_for`` and ``certificate_grid``.
 _T0 = 30.0
 _STENCIL_H = 5e-3
-# Every stable solution rides on a radial solve at this tolerance: an
-# off-plane certificate carries the solve's angle error, amplified by
-# 1 / (A(s) sin^2 phi(0)), and both kinds share one solve.
-_KERNEL_TOL = 1e-12
 
 
 class CertificateError(RuntimeError):
@@ -215,12 +212,11 @@ def _vanishes(kernel: JacobiKernel, detail: str) -> CertificateError:
 
 
 def stable_for(kind: str, params: GeodesicParams, tol: float = 1e-10) -> StableSolution:
-    """Stable solution for mu = params, on a radial solve on [0, 30] at
-    ``_KERNEL_TOL``; a ``tol`` tighter than that raises ValueError.  Each
-    call solves its geodesic anew."""
-    if tol < _KERNEL_TOL:
-        raise ValueError(f"tol = {tol} is tighter than the radial solve's {_KERNEL_TOL}")
-    kernel = make_kernel(kind, params, horizon=_T0, tol=_KERNEL_TOL)
+    """Stable solution for mu = params, on a radial solve on [0, 30]; a
+    ``tol`` below the transition pair's raises ValueError
+    (``jacobi._check_tol``).  Each call solves its geodesic anew."""
+    _check_tol(tol)
+    kernel = make_kernel(kind, params, horizon=_T0)
     return stable_solution(kernel, kind=kind)
 
 
@@ -248,7 +244,7 @@ def certificate_grid(ss: Sequence[float], r: float, eps: float) -> list[Certific
     one geodesic at a time, with the radial solves of the grid made by one
     ``geodesics.solve_radial_grid``."""
     return [Certificates(*(stable_solution(kernel_on(kind, radial), kind=kind) for kind in KINDS))
-            for radial in solve_radial_grid(ss, r, eps, _T0, _KERNEL_TOL)]
+            for radial in solve_radial_grid(ss, r, eps, _T0)]
 
 
 def stencil_points() -> tuple[float, ...]:

@@ -28,7 +28,9 @@ Approximation Practice, 2013).  What is interpolated are the remainders
 (C, C', S, S') = (1, 0, 0, 1) exactly.  The pair serves every r:
 
 * the warp function: A(r + x) = sin r C + cos r S on [0, eps], and A' the
-  same sum of C' and S', a projection of the interpolated dense output;
+  same sum of C' and S', a projection of the interpolated dense output,
+  whose coefficients are contracted over the lam nodes once per metric (4
+  rows, not 40).  The geodesics' transition windows are quadratures on it;
 * the exterior coefficients, one formula for every eps:
   a_+- = e^{-+(r + eps)} (A +- A')(r + eps) / 2;
 * w(eps) = -(C + C') / (S + S') at x = eps: W = Y'/Y at the ball boundary
@@ -48,7 +50,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .ode import Flow, Trajectory, _bisect, integrate_ivp
+from .ode import Flow, Trajectory, _bisect, _Dense, integrate_ivp
 
 __all__ = [
     "ProfileParams",
@@ -82,8 +84,8 @@ def mollifier(x: float | np.ndarray) -> float | np.ndarray:
     """Smooth monotone step: 0 for x <= 0, 1 for x >= 1, symmetric about
     x = 1/2 so that mollifier(x) + mollifier(1 - x) = 1.
 
-    A float goes through ``math.exp`` (the right-hand side of a single
-    window solve calls it once per evaluation); anything else through numpy,
+    A float goes through ``math.exp`` (the right-hand side of the transition
+    pair's solve calls it once per evaluation); anything else through numpy,
     with x clipped to [1e-300, 1 - 1e-16], where exp(-1/x) and
     exp(-1/(1 - x)) give the 0 and 1 of the ends exactly."""
     if isinstance(x, float):
@@ -330,13 +332,17 @@ def solve_warp(params: ProfileParams) -> WarpFunction:
     a_minus = math.exp(r + eps) * (a - da) / 2.0
     transition = None
     if not sharp:
-        flow, coeffs = _series(), _interpolant(eps * eps)
+        # the dense output contracted over the lam nodes once: 4 rows, not 40
+        dense, coeffs = _series().dense, _interpolant(eps * eps)
+        dense = _Dense(dense.ts, dense.t_old, dense.h,
+                       dense.F.reshape(*dense.F.shape[:2], 4, _NODES) @ coeffs,
+                       dense.states.reshape(4, _NODES, -1).transpose(0, 2, 1) @ coeffs)
 
         def state(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             # x = rho - r is exact on [r, 2r] (Sterbenz); where r + eps rounds
             # up it passes eps by less than an ulp of r, so it is clipped
             x = np.minimum(rho - r, eps)
-            return project(*_pair(eps, coeffs @ flow.dense(x / eps).reshape(4, _NODES, -1), x))
+            return project(*_pair(eps, dense(x / eps), x))
 
         transition = Trajectory.from_function(state, r, r + eps)
     return WarpFunction(params, a_plus, a_minus, transition)

@@ -2,10 +2,6 @@
 
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -209,7 +205,7 @@ class TestScan:
 class TestErrors:
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:
-            main(["geodesic", "--tol", "1.0"])  # tol outside [1e-12, 1e-4]
+            main(["geodesic", "--dt", "-1"])  # a step that is not positive
         assert exc.value.code == 2
 
     def test_unknown_subcommand_exits_two(self):
@@ -250,6 +246,37 @@ class TestErrors:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_find_r_validates_the_metric_it_uses(self, capsys):
+        # the metric is (r*, eps): r*(0.8) + 0.8 = 1.2010 < pi/2, although
+        # pi/4 + 0.8 is not
+        assert main(["find-r", "--eps", "0.8", "--bracket-halfwidth", "0.5"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert abs(out["r_star"] - 0.40104) < 1e-5 and out["root_residual"] < 1e-10
+
+    def test_scan_past_the_curvature_probe_is_a_report(self, capsys):
+        # at eps 0.8, A'(r* + eps) >= 1 clamps rho0 to r* + eps: a report
+        # that fails on its threshold check, not a usage error
+        assert main(["scan", "--eps", "0.8", "--bracket-halfwidth", "0.5"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["overall"] == "failed"
+        assert report["failure_reason"] == "negative-curvature threshold not confirmed"
+
+    @pytest.mark.parametrize("command", ["find-r", "scan"])
+    def test_r_star_past_the_family_exits_one(self, command, capsys):
+        # r*(1.5) + 1.5 = 1.586 >= pi/2: no metric, one error line
+        assert main([command, "--eps", "1.5", "--bracket-halfwidth", "0.75"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and "must stay below pi/2" in err
+
+    @pytest.mark.parametrize("eps", ["-0.1", "1.6"])
+    def test_eps_outside_the_family_is_usage_error(self, eps, capsys):
+        for command in ("find-r", "scan"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--eps", eps])
+            assert exc.value.code == 2
+            assert "eps must lie in [0, pi/2)" in capsys.readouterr().err
+
     def test_root_outside_the_window_exits_one(self, capsys):
         # r* = 0.4475 lies far below the default window [pi/4 - 0.1, pi/4 + 0.1]
         code = main(["find-r", "--eps", "0.7"])
@@ -258,57 +285,18 @@ class TestErrors:
         assert "BracketError: r* = " in err and "outside the window" in err
         assert "Traceback" not in err
 
-    def test_malformed_env_tol_is_usage_error(self, monkeypatch):
-        monkeypatch.setenv("AHWARP_TOL", "1e-10x")
-        # importing must not parse it (a fresh interpreter, so the module is
-        # really imported under the malformed value)
-        env = dict(os.environ, PYTHONPATH=str(Path(ahwarp.__file__).parents[1]))
-        proc = subprocess.run([sys.executable, "-c", "import ahwarp.cli"], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        with pytest.raises(SystemExit) as exc:
-            main(["geodesic"])
-        assert exc.value.code == 2
-
-    def test_env_tol_is_default_and_flag_overrides(self, monkeypatch, tmp_path):
-        out = tmp_path / "geo.csv"
-        monkeypatch.setenv("AHWARP_TOL", "1e-3")  # outside [1e-12, 1e-4]
-        with pytest.raises(SystemExit) as exc:
-            main(["geodesic"])
-        assert exc.value.code == 2
-        assert main(["geodesic", "--tol", "1e-10", "--out", str(out)]) == 0
-
     @pytest.mark.parametrize("argv", [
-        ["profile"], ["stable"], ["find-r"], ["scan", "--eps", "0"],
+        ["profile"], ["stable"], ["find-r"], ["scan", "--eps", "0"], ["geodesic"], ["jacobi"],
     ])
     def test_tol_only_where_it_reaches_a_solve(self, argv, monkeypatch, tmp_path):
-        # these subcommands solve at fixed tolerances: --tol is refused and
+        # no solve takes a tolerance (the transition pair's is fixed, and
+        # every window is a quadrature): --tol is refused everywhere and
         # AHWARP_TOL, even malformed, is not read
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--tol", "1e-10"])
         assert exc.value.code == 2
         monkeypatch.setenv("AHWARP_TOL", "1e-10x")
         assert main(argv + ["--out", str(tmp_path / "out")]) == 0
-
-    @pytest.mark.parametrize("argv", [
-        # at eps 0.05 the window's step bound alone puts the geodesic within
-        # rounding of the tol-1e-10 solve, so the CSV would not move
-        ["geodesic", "--s", "0.3", "--r", "0.76", "--eps", "0.5", "--tmax", "5"],
-        ["jacobi", "--kind", "parallel", "--s", "0.3", "--r", "0.76", "--eps", "0.05",
-         "--tmax", "5"],
-    ])
-    def test_tol_and_env_tol_reach_the_radial_solve(self, argv, monkeypatch, tmp_path):
-        def run(*extra):
-            out = tmp_path / "out.csv"
-            assert main(argv + list(extra) + ["--out", str(out)]) == 0
-            return out.read_bytes()
-
-        default = run()
-        loose = run("--tol", "1e-4")
-        assert loose != default
-        monkeypatch.setenv("AHWARP_TOL", "1e-4")
-        assert run() == loose
-        assert run("--tol", "1e-10") == default
 
     def test_arithmetic_error_exits_one(self, tmp_path, capsys, monkeypatch):
         def overflowing(*args, **kwargs):

@@ -1,5 +1,6 @@
-"""Composed solutions (exact ball, transition solve, exact exterior) against
-full-span solves, and the work the composition leaves to the integrator."""
+"""Composed solutions (exact ball, transition window by quadrature, exact
+exterior) against full-span solves, and the work the composition leaves to
+the integrator."""
 
 import math
 import os
@@ -13,11 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+import ahwarp.geodesics as geo_mod
 import ahwarp.ode as ode_mod
 import ahwarp.search as search_mod
 import ahwarp.warp as warp_mod
-from ahwarp.geodesics import GeodesicParams, _x_map, solve_radial, solve_radial_grid
-from ahwarp.jacobi import fundamental_pair, jacobi_solution, make_kernel
+from ahwarp.geodesics import GeodesicParams, radial_exit_slope, solve_radial, solve_radial_grid
+from ahwarp.jacobi import even_minimum, fundamental_pair, jacobi_solution, make_kernel
 from ahwarp.ode import Trajectory
 from ahwarp.search import assemble_report, find_r_star
 from ahwarp.stable import stable_for, stable_solution
@@ -124,7 +126,7 @@ class TestAgainstFullSpan:
         # is cot(s): s is kept away from 0 for the reference's sake
         ref = full_span_radial(s, r, eps)
         rho_ref, drho_ref = evaluate(ref[0], TS)
-        rho, drho = solve_radial(GeodesicParams(s, r, eps), T=T + 1.0, tol=TOL).state(TS)
+        rho, drho = solve_radial(GeodesicParams(s, r, eps), T=T + 1.0).state(TS)
         assert np.max(np.abs(rho - rho_ref) / rho_ref) <= 1e-8
         assert np.max(np.abs(drho - drho_ref)) <= 1e-8  # 0 <= rho' <= 1
 
@@ -203,21 +205,19 @@ class TestWorkCounts:
         solve_warp(GeodesicParams(0.0, 0.7, 0.0).profile)  # the sharp metric has no pair
         assert len(solves) == 1
 
-    def test_mollified_solves_stay_in_the_transition_window(self, solves):
+    def test_mollified_solves_stay_in_the_transition_window(self, no_series, solves):
+        # the one solve of mollified queries is the process's transition
+        # pair, in u = (rho - r)/eps on [0, 1]: exactly the transition.  The
+        # kernel's window, its fundamental pair and the stable solution are
+        # quadratures on it, and t_x is t_in plus the window's time integral
         mu = GeodesicParams(0.3, 0.76, 0.05)
-        solve_warp(mu.profile)  # the process's pair, if not yet solved
-        solves.clear()
         kernel = make_kernel("parallel", mu)
         fundamental_pair(kernel, T=20.0)
         stable_for("parallel", mu)
         t_in, t_x = kernel.radial.window
         assert 0.0 < t_in < t_x
-        # one window solve per geodesic: the kernel's (tol 1e-11) and the
-        # one stable_for builds at tol 1e-12; the pair and the certificate
-        # are read off them.  Each spans exactly the window, sigma in [0, 1]
-        # (x = rho - r = eps sigma), and t_x is t_in plus the end of its t row
-        assert solves == [(0.0, 1.0), (0.0, 1.0)]
-        assert t_x == t_in + kernel.radial.transition.end[2]
+        assert solves == [(0.0, 1.0)]
+        assert t_x == t_in + kernel.radial.quadrature.cum[0, -1]
 
     @pytest.mark.parametrize("kind, mu", [
         ("parallel", (0.0, PI4, 0.0)),
@@ -225,43 +225,53 @@ class TestWorkCounts:
         ("perpendicular", (0.2, PI4, 0.0)),
         ("perpendicular", (0.3, PI4, 0.05)),
     ])
-    def test_one_window_solve_per_geodesic(self, solves, kind, mu):
-        # building the kernel solves its window once (none at eps = 0; both
-        # kinds share the radial solve); the fundamental pair and the stable
-        # solution combine that solve's pair and integrate nothing
+    def test_one_window_solve_per_geodesic(self, solves, monkeypatch, kind, mu):
+        # building the kernel computes its window once, by quadrature on the
+        # process's pair (no window at eps = 0; both kinds share the
+        # geodesic); the fundamental pair and the stable solution combine
+        # that window's integrals, and nothing calls the integrator (each
+        # window was a DOP853 solve of its own)
         params = GeodesicParams(*mu)
         solve_warp(params.profile)  # the process's transition pair, if not yet solved
         solves.clear()
+        built, build = [], geo_mod._Window.build
+
+        def counting(*args):
+            built.append(build(*args))
+            return built[-1]
+
+        monkeypatch.setattr(geo_mod._Window, "build", staticmethod(counting))
         kernel = make_kernel(kind, params)
-        expected = [(0.0, 1.0)] if mu[2] > 0.0 else []  # the window, sigma in [0, 1]
-        assert solves == expected
+        assert [win is not None for win in built] == [mu[2] > 0.0]
         fundamental_pair(kernel, T=20.0)
         sol = stable_solution(kernel)
-        assert solves == expected
+        assert len(built) == 1 and solves == []
         assert sol.seed_residual == 0.0
 
     @pytest.mark.parametrize("kind", ["parallel", "perpendicular"])
-    def test_lone_mollified_query_makes_one_solve(self, solves, kind):
+    def test_lone_mollified_query_makes_one_solve(self, no_series, solves, kind):
         # at an eps no earlier call used, a certificate or a fundamental pair
-        # solves its window and nothing else (was 2 with a pair solve per eps)
-        warp_mod._series()
-        solves.clear()
+        # makes one solve, the process's transition pair, and none once it
+        # is made (one window solve per query, and 2 with a pair solve per
+        # eps, before the windows were quadratures)
         stable_for(kind, GeodesicParams(0.2, 0.76, 0.0431))
         assert solves == [(0.0, 1.0)]
         solves.clear()
+        stable_for(kind, GeodesicParams(0.2, 0.77, 0.0529))
         fundamental_pair(make_kernel(kind, GeodesicParams(0.2, 0.77, 0.0617)), T=20.0)
-        assert solves == [(0.0, 1.0)]
+        assert solves == []
 
     def test_r_star_from_the_transition_pair(self, solves):
         # W'(0; r) = tan(r - r*): the transition pair gives r*, and the s = 0
-        # window solve at r* gives the residual (was 4 solves: the warp and
-        # the window at pi/4, then both at r*; then 2, with a pair per eps)
+        # window at r*, a quadrature on the pair, gives the residual (was 4
+        # solves: the warp and the window at pi/4, then both at r*; then 2,
+        # with a pair per eps; then 1, the window)
         warp_mod._series()
         solves.clear()
         eps = 0.05
         r_star, _ = find_r_star(eps)
-        assert solves == [(0.0, 1.0)]  # the window, in sigma
-        radial = solve_radial(GeodesicParams(0.0, r_star, eps), 30.0, 1e-12)
+        assert solves == []
+        radial = solve_radial(GeodesicParams(0.0, r_star, eps), 30.0)
         assert radial.window == (r_star, r_star + eps)
 
     def test_non_trapping_check_makes_no_solve(self, solves):
@@ -274,14 +284,12 @@ class TestWorkCounts:
         assert solves == []
 
     def test_mollified_scan_makes_no_dense_lookup(self, solves, monkeypatch):
-        # no right-hand side reads a trajectory, and each regime solves the
-        # windows of its grid at once: one solve for small s, whose s = 0
-        # column gives the residual and the witness, and one for mid s; r*,
-        # the non-trapping check and the curvature threshold read the
-        # process's pair and solve nothing (4 solves with a pair solve per
-        # eps and a separate witness, 7 with 4 for r* and a grid for
-        # non-trapping, 90 with one per geodesic, 185 when the radial,
-        # in-plane and log-Riccati windows were solved apart)
+        # no right-hand side reads a trajectory, and once the process's pair
+        # is solved a scan solves nothing: every window is a quadrature on
+        # the pair, and r*, the non-trapping check and the curvature
+        # threshold read the pair itself (2 solves when each regime solved
+        # the windows of its grid at once, 4 with a pair solve per eps and a
+        # separate witness, 90 with one per geodesic)
         def refuse(self, t):
             raise AssertionError("dense lookup")
 
@@ -290,19 +298,38 @@ class TestWorkCounts:
         monkeypatch.setattr(Trajectory, "state_scalar", refuse)
         report = assemble_report(0.05)
         assert report.overall == "boundary-CP-and-no-interior-CP"
-        assert solves == [(0.0, 1.0), (0.0, 1.0)]  # windows in sigma on [0, 1]
+        assert solves == []
 
 
-def _carried_warp_agrees(radial):
-    """(A(s) + D, A') of the window rows against the warp function at
-    rho = r + x at every node, within 1e-10."""
-    p = radial.params
-    x0, a, b = _x_map(p.s, p.r, p.eps)
-    sg = radial.transition.nodes
-    d, da = radial.transition.states[:2]
-    big, dbig = radial.warp.state(p.r + (x0 + sg * (a + b * sg)))
-    assert np.max(np.abs(radial.a_s + d - big)) <= 1e-10
-    assert np.max(np.abs(da - dbig)) <= 1e-10
+def direct_window(s, r, eps):
+    """The window of the geodesic (s, r, eps) by one DOP853 solve in t at
+    tol 1e-13, from the entry (rho = r, or rho = s at rest for r <= s) to
+    rho = r + eps, of the geodesic, of the in-plane Killing field
+    y1 = A(rho) rho' from (A rho', A')(t_in), and of the in-plane pair from
+    the identity: (time in the window, the end state of the Killing field,
+    (A rho', A') at the end, the transfer matrix)."""
+    profile = GeodesicParams(s, r, eps).profile
+    warp = solve_warp(profile)
+    rho0, v0 = (r, radial_exit_slope(s, r)) if s < r else (s, 0.0)
+
+    def rhs(t, y):
+        rho, v = y[0], y[1]
+        a, da = (float(z[0]) for z in warp.state(rho))
+        m = -float(k_parallel(profile, rho))
+        return (v, da / a * (1.0 - v * v), y[3], m * y[2], y[5], m * y[4], y[7], m * y[6])
+
+    def exit_(t, y):
+        return y[0] - (r + eps)
+
+    exit_.terminal = True
+    a0, da0 = (float(z[0]) for z in warp.state(rho0))
+    sol = solve_ivp(rhs, (0.0, 10.0), (rho0, v0, a0 * v0, da0, 1.0, 0.0, 0.0, 1.0),
+                    method="DOP853", events=exit_, rtol=1e-13, atol=1e-16)
+    assert sol.status == 1, sol.message
+    end = sol.y[:, -1]
+    a_x, da_x = (float(z[0]) for z in warp.state(end[0]))
+    return (float(sol.t[-1]), end[2:4], np.array([a_x * end[1], da_x]),
+            np.array([[end[4], end[6]], [end[5], end[7]]]))
 
 
 class TestWindowInvariants:
@@ -313,14 +340,32 @@ class TestWindowInvariants:
     )
     @settings(max_examples=20, deadline=None, derandomize=True)
     def test_transfer_determinant_and_clairaut(self, frac, r, eps):
-        # the window's transfer matrix is symplectic, and the warp function
-        # it carries, A = A(s) + D and A', agrees with the warp function
-        # solved in rho at every node (rho' is Clairaut's, so it needs no
-        # check of its own)
+        # the window's transfer matrix is symplectic, and inside the window
+        # rho' (from D = A(rho) - A(s)) is Clairaut's sqrt(1 - A(s)^2 / A^2)
+        # at the rho that Newton put each time at (from sigma)
         s = frac * (r + eps)
-        radial = solve_radial(GeodesicParams(s, r, eps), T, TOL)
-        assert abs(np.linalg.det(radial.transfer) - 1.0) <= 1e-10
-        _carried_warp_agrees(radial)
+        radial = solve_radial(GeodesicParams(s, r, eps), T)
+        assert abs(np.linalg.det(radial.transfer) - 1.0) <= 1e-13
+        t_in, t_x = radial.window
+        rho, drho = radial.state(np.linspace(t_in, t_x, 23)[1:-1])
+        a = radial.warp.value(rho)
+        assert np.max(np.abs(drho - np.sqrt(1.0 - (radial.a_s / a) ** 2))) <= 1e-12
+        assert abs(radial.rho(t_x) - (r + eps)) <= 1e-15
+
+    @pytest.mark.parametrize("where, s", [("inside", 0.3), ("grazing", 0.755),
+                                          ("turning", 0.785)])
+    def test_killing_field_crosses_the_window(self, where, s):
+        # y1 = A(rho) rho' solves the in-plane Jacobi equation with
+        # y1' = A'(rho): a direct solve from (A rho', A')(t_in) reaches
+        # (A rho', A')(t_x).  That identity is what the transfer matrix is
+        # built on, and the direct solve's pair and time check the quadrature
+        r, eps = 0.76, 0.05
+        t_window, killing, exact, pair = direct_window(s, r, eps)
+        assert np.max(np.abs(killing - exact)) <= 1e-12
+        radial = solve_radial(GeodesicParams(s, r, eps), T)
+        t_in, t_x = radial.window
+        assert abs((t_x - t_in) - t_window) <= 1e-12
+        assert np.max(np.abs(radial.transfer - pair)) <= 1e-11
 
     @given(
         fracs=st.lists(st.floats(0.0, 1.2), max_size=6),
@@ -331,78 +376,86 @@ class TestWindowInvariants:
     def test_grid_solve_matches_single_solves(self, fracs, r, eps):
         # the radial geodesic, random s, s = r + eps (no window), and three
         # geodesics that start at rest on the ball's boundary (turning
-        # points): every window of the batch is one solve on the same nodes
-        # in sigma, and each geodesic's rows agree with its single solve
+        # points): each window of the grid is computed on its own, so it is
+        # its single solve's bit for bit
         ss = [0.0, *(f * (r + eps) for f in fracs), r + eps, r, r + 1e-9, r + 2e-9]
-        grid = list(solve_radial_grid(ss, r, eps, T, TOL))
+        grid = list(solve_radial_grid(ss, r, eps, T))
         assert len(grid) == len(ss)
-        nodes = grid[0].transition.nodes
         for s, sol in zip(ss, grid):
-            one = solve_radial(GeodesicParams(s, r, eps), T, TOL)
+            one = solve_radial(GeodesicParams(s, r, eps), T)
             assert sol.params == one.params and sol.entry_time == one.entry_time
             if s >= r + eps:
-                assert sol.transition is None and sol.exit_time == one.exit_time == 0.0
+                assert sol.quadrature is None and sol.exit_time == one.exit_time == 0.0
                 continue
-            assert np.array_equal(sol.transition.nodes, nodes)
-            assert abs(sol.exit_time - one.exit_time) <= 1e-12
-            assert np.max(np.abs(sol.transfer - one.transfer)) <= 1e-9
-            assert abs(np.linalg.det(sol.transfer) - 1.0) <= 1e-10
-            _carried_warp_agrees(sol)
+            assert sol.exit_time == one.exit_time
+            assert np.array_equal(sol.transfer, one.transfer)
+            assert abs(np.linalg.det(sol.transfer) - 1.0) <= 1e-13
         assert len({sol.exit_time for sol in grid[-3:]}) == 3
 
     @pytest.mark.parametrize("s", [0.0, 0.3, 0.78, 0.9])
     def test_grid_of_one_is_solve_radial(self, s):
         mu = GeodesicParams(s, 0.76, 0.05)
-        one = solve_radial(mu, T, TOL)
-        (sol,) = solve_radial_grid([s], mu.r, mu.eps, T, TOL)
+        one = solve_radial(mu, T)
+        (sol,) = solve_radial_grid([s], mu.r, mu.eps, T)
         assert sol is not one  # grid results are not cached
         assert sol.exit_time == one.exit_time and sol.entry_time == one.entry_time
         ts = np.linspace(0.0, T, 201)
         for x, y in zip(sol.state(ts), one.state(ts)):
             assert np.array_equal(x, y)
-        if one.transition is None:
-            assert sol.transition is None
+        if one.quadrature is None:
+            assert sol.quadrature is None
         else:
-            for x, y in ((sol.transition.nodes, one.transition.nodes),
-                         (sol.transition.states, one.transition.states)):
+            for x, y in ((sol.quadrature.sigma, one.quadrature.sigma),
+                         (sol.quadrature.cum, one.quadrature.cum)):
                 assert np.array_equal(x, y)
-
-    def test_batches_hold_at_most_64_geodesics(self, solves):
-        solve_warp(GeodesicParams(0.0, 0.76, 0.05).profile)  # the process's pair, if not yet solved
-        solves.clear()
-        ss = np.linspace(0.001, 0.75, 150)  # every one has a window
-        sols = list(solve_radial_grid(ss, 0.76, 0.05, T, 1e-10))
-        assert len(solves) == 3
-        assert all(sol.transition is not None and sol.exit_time is not None for sol in sols)
 
 
 class TestMidSAccuracy:
     def test_mid_s_minimum_against_tight_reference(self):
-        # the mid-s grid is solved as a batch at tol / sqrt(n) per step; a
-        # lone solve at tol 1e-9 put this minimum 7.9e-8 off the reference.
-        # The record is the minimum over t >= 0, so the reference samples the
-        # tight solution at 0.01 and again at 1e-5 around its least sample
+        # the record is the minimum over t >= 0 (``even_minimum``, Newton on
+        # U' in the window); the reference samples the same solution at 0.01
+        # and again at 1e-5 around its least sample.  A lone window solve at
+        # tol 1e-9 once put this minimum 7.9e-8 off
         eps = 0.1
         report = assemble_report(eps)
         rec = next(rec for rec in report.mid_s if abs(rec.s - 0.33) < 1e-9)
-        kern = make_kernel("parallel", GeodesicParams(rec.s, report.r_star, eps),
-                           horizon=21.0, tol=1e-13)
-        U = jacobi_solution(kern, (1.0, 0.0), 20.0, 1e-13)
+        kern = make_kernel("parallel", GeodesicParams(rec.s, report.r_star, eps), horizon=21.0)
+        U = jacobi_solution(kern, (1.0, 0.0), 20.0)
         sample = np.arange(0.0, 20.0 + 1e-12, 0.01)
         i = int(np.argmin(U.value(sample)))
         ref = float(np.min(U.value(np.linspace(sample[i - 1], sample[i + 1], 2001))))
         assert abs(rec.min_U_parallel - ref) <= 1e-9
 
+    @pytest.mark.parametrize("kind, s, r, eps", [
+        ("parallel", 0.78, 0.7604650677455032, 0.05),  # r* at eps 0.05
+        ("parallel", 0.71, 0.4475242006932244, 0.7),   # r* at eps 0.7
+        ("perpendicular", 0.5, 0.1, 0.5),
+        ("perpendicular", 0.75, 0.2, 0.7),
+    ])
+    def test_minimum_inside_the_window(self, kind, s, r, eps):
+        # turning points whose U has its minimum inside the window: the
+        # Newton turn of ``even_minimum`` against U sampled on the window,
+        # and again at 1e-6 of it around its least sample
+        kern = make_kernel(kind, GeodesicParams(s, r, eps), horizon=5.0)
+        t_in, t_x = kern.radial.window
+        U = jacobi_solution(kern, (1.0, 0.0), 5.0)
+        sample = np.linspace(t_in, t_x, 1001)
+        i = int(np.argmin(U.value(sample)))
+        assert 0 < i < 1000
+        ref = float(np.min(U.value(np.linspace(sample[i - 1], sample[i + 1], 2001))))
+        got = even_minimum(kern)
+        assert got <= ref + 1e-15 and ref - got <= 1e-12
+
     @pytest.mark.parametrize("eps", [0.01, 0.05, 0.1])
-    def test_single_window_at_tol_1e9(self, eps):
-        # DOP853's error estimate misses the rise of exp(-1/x) in a long
-        # first step: a lone window solve at tol 1e-9 put M 2.8e-8 off at
-        # (0.05, s = 0.44) and 7.3e-9 off at (0.1, 0.56).  The window
-        # steps are at most eps/32 in x, as the transition pair's
+    def test_mid_s_windows_against_direct_solve(self, eps):
+        # mid-s windows from s = 0.3 to past r* (every fourth point of the
+        # grid), against a direct DOP853 solve of the geodesic and its
+        # in-plane pair at tol 1e-13 (a window solve at tol 1e-9 was 3e-12
+        # off, and 2.8e-8 before its steps were bounded by eps/32 in x)
         r, _ = find_r_star(eps)
-        ss = np.arange(0.30, r + eps, 0.01)
-        for s in ss.tolist():
-            mu = GeodesicParams(s, r, eps)
-            got = solve_radial(mu, T, 1e-9).transfer
-            ref = solve_radial(mu, T, 1e-13).transfer
-            assert np.max(np.abs(got - ref)) <= 1e-9, s
+        for s in np.arange(0.30, r + eps, 0.04).tolist():
+            t_window, _, _, pair = direct_window(s, r, eps)
+            radial = solve_radial(GeodesicParams(s, r, eps), T)
+            t_in, t_x = radial.window
+            assert abs((t_x - t_in) - t_window) <= 1e-12, s
+            assert np.max(np.abs(radial.transfer - pair)) <= 1e-11, s

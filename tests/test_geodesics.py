@@ -34,7 +34,7 @@ def solved_whole(params, T):
     at T = 30: the horizon bounds only the domain [0, T] of the trajectory,
     so the window, the transfer matrix, the exterior, pi/2 - theta_inf and
     both kinds' certificates agree bit for bit, and so does rho on [0, T]."""
-    short, full = (solve_radial(params, T=horizon, tol=1e-10) for horizon in (T, 30.0))
+    short, full = (solve_radial(params, T=horizon) for horizon in (T, 30.0))
     assert short.trajectory.t1 == T and short.window == full.window
     assert np.array_equal(short.transfer, full.transfer)
     assert short.exterior == full.exterior
@@ -56,14 +56,14 @@ class TestEntryTime:
 
     def test_against_integrator_event(self):
         mu = GeodesicParams(0.3, PI4, 0.0)
-        sol = solve_radial(mu, T=10.0, tol=1e-11)
+        sol = solve_radial(mu, T=10.0)
         assert abs(sol.entry_time - entry_time(0.3, PI4)) < 1e-10
 
     def test_event_agreement_across_grid(self):
         for r in (0.7, PI4, 0.9):
             for eps in (0.0, 0.1):
                 for s in (0.1, 0.4, 0.6):
-                    sol = solve_radial(GeodesicParams(s, r, eps), T=10.0, tol=1e-10)
+                    sol = solve_radial(GeodesicParams(s, r, eps), T=10.0)
                     assert abs(sol.entry_time - entry_time(s, r)) < 1e-8
                     assert sol.window[0] == sol.entry_time
                     assert abs(sol.rho(sol.entry_time) - r) < 1e-12
@@ -86,45 +86,46 @@ class TestExitSlope:
     def test_against_integrator(self):
         s, r = 0.5, 0.8
         expected = math.sqrt(math.cos(s) ** 2 - math.cos(r) ** 2) / math.sin(r)
-        sol = solve_radial(GeodesicParams(s, r, 0.0), T=10.0, tol=1e-11)
+        sol = solve_radial(GeodesicParams(s, r, 0.0), T=10.0)
         assert float(sol.drho(sol.entry_time)) == pytest.approx(expected, abs=1e-9)
 
 
 class TestSolveRadial:
     def test_spherical_arc_before_entry(self):
         mu = GeodesicParams(0.3, PI4, 0.0)
-        sol = solve_radial(mu, T=10.0, tol=1e-11)
+        sol = solve_radial(mu, T=10.0)
         ts = np.linspace(0.0, sol.entry_time, 40)
         expected = np.arccos(math.cos(0.3) * np.cos(ts))
         assert np.max(np.abs(np.asarray(sol.rho(ts)) - expected)) < 1e-10
 
     def test_outside_log_growth(self):
-        sol = solve_radial(GeodesicParams(0.3, PI4, 0.0), T=10.0, tol=1e-11)
+        sol = solve_radial(GeodesicParams(0.3, PI4, 0.0), T=10.0)
         expected = PI4 + math.log(float(growth_factor(5.0, 0.3)))
         assert float(sol.rho(5.0)) == pytest.approx(expected, abs=1e-9)
 
     def test_never_entering_geodesic(self):
         # it starts outside the ball and past the transition: t_in = t_x = 0
-        sol = solve_radial(GeodesicParams(1.0, PI4, 0.0), T=10.0, tol=1e-11)
+        sol = solve_radial(GeodesicParams(1.0, PI4, 0.0), T=10.0)
         assert sol.entry_time == 0.0 and sol.window == (0.0, 0.0)
         assert float(sol.rho(3.0)) == pytest.approx(1.0 + math.log(math.cosh(3.0)), abs=1e-9)
 
     def test_radial_line_is_exact(self):
-        sol = solve_radial(GeodesicParams(0.0, PI4, 0.0), T=30.0, tol=1e-10)
+        sol = solve_radial(GeodesicParams(0.0, PI4, 0.0), T=30.0)
         ts = np.linspace(0.0, 30.0, 61)
         assert np.array_equal(np.asarray(sol.rho(ts)), ts)
         assert sol.entry_time == PI4
 
     def test_radial_line_window(self):
         # rho = t is evaluated exactly, and the window is [r, r + eps] exactly;
-        # its solve spans the window variable's [0, 1], where dt/dx = 1
-        sol = solve_radial(GeodesicParams(0.0, 0.76, 0.05), T=5.0, tol=1e-10)
+        # its quadrature ends at sigma = 1, and its time integral, of
+        # dt/dx = 1, is eps to rounding
+        sol = solve_radial(GeodesicParams(0.0, 0.76, 0.05), T=5.0)
         assert sol.rho(3.3) == 3.3
         assert sol.drho(4.9) == 1.0 and sol.trajectory.state_scalar(0.9) == (0.9, 1.0)
         assert sol.window == (0.76, 0.81)
         assert sol.rho(0.76) == 0.76 and sol.rho(0.81) == 0.81
-        assert (sol.transition.nodes[0], sol.transition.nodes[-1]) == (0.0, 1.0)
-        assert abs(sol.transition.end[2] - 0.05) < 1e-16
+        assert sol.quadrature.sigma[-1] == 1.0
+        assert abs(sol.quadrature.cum[0, -1] - 0.05) < 1e-16
 
     def test_horizon_before_entry_is_the_arc(self):
         # the horizon 0.2 comes before the entry, and the geodesic is solved
@@ -138,7 +139,7 @@ class TestSolveRadial:
 
     def test_monotone_and_convex(self):
         for mu in (GeodesicParams(0.3, PI4, 0.0), GeodesicParams(0.5, 0.76, 0.1)):
-            sol = solve_radial(mu, T=15.0, tol=1e-11)
+            sol = solve_radial(mu, T=15.0)
             ts = np.linspace(0.0, 15.0, 500)
             _, v = sol.state(ts)
             assert np.all(v >= -1e-12)          # rho' >= 0
@@ -146,19 +147,19 @@ class TestSolveRadial:
             assert np.all(v <= 1.0 + 1e-12)     # unit speed
 
     def test_transition_exit_time(self):
-        # the window solve ends at rho = r + eps, and its t row there is the
-        # time spent in the window
-        sol = solve_radial(GeodesicParams(0.3, PI4, 0.1), T=10.0, tol=1e-10)
+        # the window's quadrature ends at rho = r + eps (sigma = 1), and its
+        # time integral there is the time spent in the window
+        sol = solve_radial(GeodesicParams(0.3, PI4, 0.1), T=10.0)
         t_exit = sol.exit_time
         assert t_exit is not None and t_exit > sol.entry_time
-        assert sol.transition.nodes[-1] == 1.0
-        assert t_exit == sol.entry_time + sol.transition.end[2]
+        assert sol.quadrature.sigma[-1] == 1.0
+        assert t_exit == sol.entry_time + sol.quadrature.cum[0, -1]
         assert float(sol.rho(t_exit)) == pytest.approx(PI4 + 0.1, abs=1e-15)
 
     @pytest.mark.parametrize("s", [1e-20, 6.464532500880693e-291])
     def test_radial_solve_below_resolution(self, s):
         # the great-circle arc starts the solve, not rho'' ~ cot(s) at rho = s
-        sol = solve_radial(GeodesicParams(s, 0.75, 0.0), T=50.0, tol=1e-11)
+        sol = solve_radial(GeodesicParams(s, 0.75, 0.0), T=50.0)
         assert sol.rho(0.0) == s
         _, v = sol.state(np.linspace(0.0, 50.0, 1001))
         assert np.all(np.isfinite(v)) and np.all(v >= 0.0)
@@ -238,7 +239,7 @@ def closed_phi(s, t):
 class TestAngularCoordinate:
     @pytest.mark.parametrize("s", [0.05, 0.3, 0.6, 0.78])
     def test_theta_matches_closed_form_below_quarter_pi(self, s):
-        sol = solve_radial(GeodesicParams(s, PI4, 0.0), T=12.5, tol=1e-12)
+        sol = solve_radial(GeodesicParams(s, PI4, 0.0), T=12.5)
         ts = np.linspace(0.0, 12.0, 1201)
         assert np.max(np.abs(sol.theta(ts) - np.asarray(closed_theta(s, ts)))) < 1e-10
         # exact inside the ball, including theta(0) = 0
@@ -249,7 +250,7 @@ class TestAngularCoordinate:
 
     @pytest.mark.parametrize("s", [PI4, 1.0, 2.0])
     def test_theta_matches_closed_form_from_quarter_pi(self, s):
-        sol = solve_radial(GeodesicParams(s, PI4, 0.0), T=12.5, tol=1e-12)
+        sol = solve_radial(GeodesicParams(s, PI4, 0.0), T=12.5)
         ts = np.linspace(0.0, 12.0, 1201)
         assert np.max(np.abs(sol.theta(ts) - np.asarray(closed_theta(s, ts)))) < 1e-10
         assert sol.theta(0.0) == 0.0
@@ -258,14 +259,14 @@ class TestAngularCoordinate:
     def test_phi_is_summed_tail_first(self, s):
         # phi(t) falls like e^{-2t}; theta_inf - theta would leave no digits
         # of it by t ~ 18, the tail-first sum keeps its relative precision
-        sol = solve_radial(GeodesicParams(s, PI4, 0.0), T=40.0, tol=1e-12)
+        sol = solve_radial(GeodesicParams(s, PI4, 0.0), T=40.0)
         ts = np.linspace(sol.entry_time or 0.0, 25.0, 500)
         phi = sol.phi(ts)
         assert np.max(np.abs(phi / closed_phi(s, ts) - 1.0)) < 1e-13
 
     def test_theta_infinity_and_tail_bound(self):
         for s in (0.2, 0.5):
-            sol = solve_radial(GeodesicParams(s, PI4, 0.0), T=20.0, tol=1e-12)
+            sol = solve_radial(GeodesicParams(s, PI4, 0.0), T=20.0)
             assert sol.theta_infinity == pytest.approx(theta_infinity(s), abs=1e-11)
             phi = sol.phi(20.0)
             assert phi[0] == pytest.approx(float(closed_phi(s, 20.0)), rel=1e-13)
@@ -302,7 +303,7 @@ class TestExteriorAngle:
     @settings(max_examples=40, deadline=None, derandomize=True)
     def test_phi_matches_quadrature(self, r, eps_frac, s, tau):
         eps = min(0.1, 0.99 * (math.pi / 2 - r)) * eps_frac
-        ext = solve_radial(GeodesicParams(s, r, eps), T=30.0, tol=1e-10).exterior
+        ext = solve_radial(GeodesicParams(s, r, eps), T=30.0).exterior
         with mp.workdps(40):
             p = (mp.mpf(ext.h_x) + mp.mpf(ext.dh_x)) / 2
             q = (mp.mpf(ext.h_x) - mp.mpf(ext.dh_x)) / 2
@@ -349,7 +350,7 @@ class TestOracleAgreement:
     def test_closed_form_match_at_critical_params(self):
         ts = np.arange(0.0, 12.0001, 0.01)
         for s in (0.0, 0.1, 0.3, 0.78):
-            sol = solve_radial(GeodesicParams(s, PI4, 0.0), T=12.5, tol=1e-10)
+            sol = solve_radial(GeodesicParams(s, PI4, 0.0), T=12.5)
             rho = np.asarray(sol.rho(ts))
             assert np.max(np.abs(rho - np.asarray(closed_rho(s, ts)))) < 1e-8
 
@@ -366,17 +367,17 @@ class TestOracleAgreement:
             assert _non_trapping_check(r, eps)
             a = solve_warp(ProfileParams(r, eps)).min_log_slope()
             assert a > 0.0
-            for s, sol in zip(ss, solve_radial_grid(ss, r, eps, 12.5, 1e-10)):
+            for s, sol in zip(ss, solve_radial_grid(ss, r, eps, 12.5)):
                 rho = np.asarray(sol.rho(ts))
                 bound = np.asarray(comparison_lower_bound(a, s, 0.0, ts))
                 assert np.all(rho >= bound - 1e-8)
 
     def test_monotone_convergence_in_eps(self):
         ts = np.linspace(0.0, 12.0, 600)
-        base = np.asarray(solve_radial(GeodesicParams(0.3, PI4, 0.0), T=12.5, tol=1e-11).rho(ts))
+        base = np.asarray(solve_radial(GeodesicParams(0.3, PI4, 0.0), T=12.5).rho(ts))
         dists = []
         for eps in (0.1, 0.05, 0.01):
-            rho = np.asarray(solve_radial(GeodesicParams(0.3, PI4, eps), T=12.5, tol=1e-11).rho(ts))
+            rho = np.asarray(solve_radial(GeodesicParams(0.3, PI4, eps), T=12.5).rho(ts))
             dists.append(np.max(np.abs(rho - base)))
         assert dists[0] > dists[1] > dists[2]
 
@@ -396,9 +397,9 @@ class TestVariationIdentity:
     def _check(s, r, eps):
         h = 1e-4
         warp = solve_warp(ProfileParams(r, eps))
-        hi = solve_radial(GeodesicParams(s + h, r, eps), T=8.5, tol=1e-12)
-        lo = solve_radial(GeodesicParams(s - h, r, eps), T=8.5, tol=1e-12)
-        mid = solve_radial(GeodesicParams(s, r, eps), T=8.5, tol=1e-12)
+        hi = solve_radial(GeodesicParams(s + h, r, eps), T=8.5)
+        lo = solve_radial(GeodesicParams(s - h, r, eps), T=8.5)
+        mid = solve_radial(GeodesicParams(s, r, eps), T=8.5)
         kern = make_kernel("parallel", GeodesicParams(s, r, eps), horizon=8.5, tol=1e-12)
         pair = fundamental_pair(kern, T=8.0, tol=1e-12)
         ts = np.arange(0.0, 8.001, 0.1)

@@ -54,6 +54,16 @@ class TestKernel:
         assert kern.value(1.0) == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("kind", ["parallel", "perpendicular"])
+    def test_domain_is_checked_for_every_kind(self, kind):
+        # the kernel is defined on [0, horizon], with the trajectory's slack,
+        # whichever piece of the geodesic a time would fall in
+        kern = make_kernel(kind, GeodesicParams(0.3, PI4, 0.0), horizon=1.0)
+        for t in (5.0, -3.0, np.array([0.5, 5.0])):
+            with pytest.raises(ValueError, match="outside"):
+                kern.value(t)
+        assert kern.value(1.0 + 1e-10) == kern.value(1.0) and kern.value(-1e-10) == 1.0
+
+    @pytest.mark.parametrize("kind", ["parallel", "perpendicular"])
     @pytest.mark.parametrize("mu, T", [((0.1, 0.785, 0.7), 1.2), ((0.1, 1.4, 0.1), 1.1)])
     def test_horizon_before_the_exit(self, kind, mu, T):
         # at the horizon T the geodesic is still in the transition (or in
@@ -161,15 +171,19 @@ class TestFundamentalPair:
 
     @pytest.mark.parametrize("kind", ["parallel", "perpendicular"])
     def test_tighter_tol_than_the_kernel_is_refused(self, kind):
-        # the window pair is solved once, at the kernel's tol: a tighter
-        # request is an error, a looser one is served by the kernel's solve
-        kern = make_kernel(kind, GeodesicParams(0.3, 0.76, 0.05), tol=1e-10)
+        # the kernel's window is a quadrature on the transition pair, the
+        # one solve: a tol below the pair's 1e-12 is an error, and any other
+        # leaves the solution as it is
+        params = GeodesicParams(0.3, 0.76, 0.05)
+        with pytest.raises(ValueError, match="tighter than the transition pair's 1e-12"):
+            make_kernel(kind, params, tol=1e-13)
+        kern = make_kernel(kind, params, tol=1e-10)
         with pytest.raises(ValueError, match="tighter"):
-            fundamental_pair(kern, T=5.0, tol=1e-11)
+            fundamental_pair(kern, T=5.0, tol=1e-13)
         with pytest.raises(ValueError, match="tighter"):
-            jacobi_solution(kern, (1.0, 0.0), T=5.0, tol=1e-12)
+            jacobi_solution(kern, (1.0, 0.0), T=5.0, tol=1e-13)
         loose = jacobi_solution(kern, (1.0, 0.0), T=5.0, tol=1e-8)
-        same = jacobi_solution(kern, (1.0, 0.0), T=5.0, tol=1e-10)
+        same = jacobi_solution(kern, (1.0, 0.0), T=5.0, tol=1e-12)
         ts = np.linspace(0.0, 5.0, 101)
         assert np.array_equal(loose.state(ts), same.state(ts))
 
@@ -326,7 +340,7 @@ class TestSturmSeparation:
         def solve(y0):
             inside = integrate_ivp(lambda t, y: (y[1], -y[0]), 0.0, y0, 6.0, 1e-11)
             outside = integrate_ivp(lambda t, y: (y[1], y[0]), 6.0, inside.end, 12.0, 1e-11)
-            return Trajectory.concat([inside.trajectory(), outside.trajectory()])
+            return Trajectory(0.0, 12.0, inside.trajectory().pieces + outside.trajectory().pieces)
 
         U = solve((1.0, 0.0))
         V = solve((0.0, 1.0))

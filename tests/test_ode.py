@@ -1,6 +1,5 @@
 """Integrator contract: oracle problems, breaks at fixed ends, projections,
-crossings on the dense output, backward problems through the transfer
-matrix, Wronskian."""
+backward problems through the transfer matrix, Wronskian."""
 
 import math
 
@@ -78,7 +77,7 @@ class TestForward:
         tol = 1e-11
         inside = integrate_ivp(harmonic, 0.0, (0.0, 1.0), PI / 4, tol)
         outside = integrate_ivp(antiharmonic, PI / 4, inside.end, 1.0, tol)
-        traj = Trajectory.concat([inside.trajectory(), outside.trajectory()])
+        traj = Trajectory(0.0, 1.0, inside.trajectory().pieces + outside.trajectory().pieces)
         assert abs(traj.value(1.0) - (SQRT2 / 2) * math.exp(1.0 - PI / 4)) < 10 * tol
         assert [(p.t_lo, p.t_hi) for p in traj.pieces] == [(0.0, PI / 4), (PI / 4, 1.0)]
 
@@ -87,7 +86,7 @@ class TestForward:
         # unchanged from one solve to the next
         left = integrate_ivp(harmonic, 0.0, (0.0, 1.0), 1.0, 1e-11)
         right = integrate_ivp(antiharmonic, 1.0, left.end, 2.0, 1e-11)
-        traj = Trajectory.concat([left.trajectory(), right.trajectory()])
+        traj = Trajectory(0.0, 2.0, left.trajectory().pieces + right.trajectory().pieces)
         eps = 1e-9
         xl, vl = traj.state(1.0 - eps)
         xr, vr = traj.state(1.0 + eps)
@@ -204,8 +203,8 @@ class TestTrajectory:
             calls.append(t)
             return np.sin(t), np.cos(t)
 
-        traj = Trajectory.concat([Trajectory.from_function(fn, 0.0, 1.0),
-                                  Trajectory.from_function(fn, 1.0, 2.0)])
+        traj = Trajectory(0.0, 2.0, Trajectory.from_function(fn, 0.0, 1.0).pieces
+                          + Trajectory.from_function(fn, 1.0, 2.0).pieces)
         assert calls == []
         assert traj.value(1.5) == math.sin(1.5)
         assert len(calls) == 1 and np.array_equal(calls[0], [1.5])
@@ -235,10 +234,6 @@ class TestTrajectory:
         assert np.array_equal(piece.eval(ts), ref)
         for k in (0, 500, 996):
             assert traj.state_scalar(float(ts[k])) == (ref[0, k], ref[1, k])
-        # rows of one step on floats are the same arithmetic
-        seg = len(flow.nodes) // 2
-        t = 0.5 * (flow.nodes[seg] + flow.nodes[seg + 1])
-        assert flow.dense.on_step(seg, list(rows))(t) == scipy_sol.sol(t)[list(rows)].tolist()
 
     def test_out_of_range_rejected(self):
         traj = integrate_ivp(harmonic, 0.0, (0.0, 1.0), 1.0, 1e-10).trajectory()
@@ -251,18 +246,6 @@ class TestTrajectory:
         for t in (1.0 + 1e-6, -1e-6, 5.0):
             with pytest.raises(ValueError):
                 traj.state_scalar(t)
-
-    def test_crossings_invert_an_increasing_row(self):
-        # one level per entry: the time row of (t, sin t) inverts to the
-        # levels themselves, the sine row to arcsin; a level at the first
-        # node is that node, and a level no node reaches is nan
-        flow = integrate_ivp(lambda t, y: (1.0, math.cos(t)), 0.0, (0.0, 0.0), 1.5, 1e-12)
-        levels = np.array([0.0, 1e-3, 0.4, 1.2, 1.5, 2.0])
-        times = flow.crossings(0, levels)
-        assert times[0] == 0.0 and np.isnan(times[-1])
-        assert np.max(np.abs(times[1:-1] - levels[1:-1])) < 1e-14
-        sines = flow.crossings(1, np.array([0.5, 0.9]))
-        assert np.max(np.abs(sines - np.arcsin([0.5, 0.9]))) < 1e-10
 
     def test_cut_before_the_end(self):
         # a trajectory restricted to [t0, t1] ends at t1

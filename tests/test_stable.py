@@ -192,10 +192,11 @@ class TestSeedingConsistency:
 
     @pytest.mark.parametrize("kind", ["parallel", "perpendicular"])
     def test_tol_tighter_than_the_radial_solve_is_refused(self, kind):
-        # stable solutions ride on a radial solve at 1e-12; a tighter tol
-        # cannot be met and raises instead of solving tighter
+        # stable solutions ride on the window's quadrature on the transition
+        # pair, solved at 1e-12; a tighter tol cannot be met and raises
+        # instead of solving tighter
         params = GeodesicParams(0.2, 0.76, 0.05)
-        with pytest.raises(ValueError, match="tighter than the radial solve's 1e-12"):
+        with pytest.raises(ValueError, match="tighter than the transition pair's 1e-12"):
             stable_for(kind, params, tol=1e-13)
         at_floor = stable_for(kind, params, tol=1e-12).W_prime_0
         assert stable_for(kind, params, tol=1e-10).W_prime_0 == at_floor
@@ -266,9 +267,8 @@ class TestBelowResolution:
     @pytest.mark.parametrize("kind", ["parallel", "perpendicular"])
     @pytest.mark.parametrize("s", [0.0, 0.3, 0.5, 1.2])
     def test_eps_below_resolution_of_r_is_the_sharp_metric(self, kind, s):
-        # r + eps == r: nothing is integrated, and the stable solution is
-        # the sharp metric's bit for bit (the window solve of s = 0, and of
-        # s < r, had an empty span)
+        # r + eps == r: no window is built, and the stable solution is the
+        # sharp metric's bit for bit
         sharp = stable_for(kind, GeodesicParams(s, 1.0, 0.0))
         tiny = stable_for(kind, GeodesicParams(s, 1.0, 1e-140))
         assert (tiny.Y0, tiny.W_prime_0) == (sharp.Y0, sharp.W_prime_0)

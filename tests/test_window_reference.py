@@ -6,7 +6,8 @@ the angle integral psi across it and its in-plane transfer matrix M; and for
 eps 0.01, 0.020927634009400266, 0.05 and 0.1 at r* and for eps 1.2 at r 0.3,
 the transition pair (C, C', S, S') at x = eps, a_+- and r*.  They come from
 classical Runge-Kutta in mpmath (``window_reference.py``), which shares
-nothing with DOP853 and its error estimate.
+nothing with DOP853 and its error estimate, nor with the package's
+Gauss-Legendre quadrature of the window.
 """
 
 import json
@@ -17,7 +18,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from ahwarp.geodesics import _PSI, GeodesicParams, solve_radial
+from ahwarp.geodesics import GeodesicParams, solve_radial
 from ahwarp.warp import ProfileParams, _pair_end, entry_slope, solve_warp
 from window_reference import pair, window
 
@@ -25,14 +26,12 @@ FIXTURE = json.loads(Path(__file__).with_name("window_reference.json").read_text
 POINTS = FIXTURE["points"]
 PAIRS = FIXTURE["pairs"]
 
-# The largest error of a window solve at tol 1e-12 over the fifteen points,
-# measured when the fixture was first written, per quantity; each bound is
-# FACTOR times it.  The largest errors are at the grazing geodesic and the
-# turning point of eps 0.1 (1.1e-14, 2.4e-14, 3.2e-14).  The fixture was
-# rewritten with r* taken from its own pair entries (it moved by up to
-# 8e-15); at the moved points M is off by up to 3.8e-14, inside the same
-# bound.
-MEASURED = {"t_window": 1.1e-14, "psi": 2.4e-14, "M": 3.2e-14}
+# The largest error of a window's quadrature on the transition pair over the
+# fifteen points, per quantity; each bound is FACTOR times it.  The largest
+# errors are at the turning points (5.3e-16 in t and 1.3e-15 in psi at eps
+# 0.05, 4.9e-16 in M at eps 0.01).  A DOP853 window solve at tol 1e-12 was
+# off by up to 1.1e-14, 2.4e-14 and 3.8e-14.
+MEASURED = {"t_window": 5.3e-16, "psi": 1.3e-15, "M": 4.9e-16}
 FACTOR = 10.0
 # the reference's own error (Richardson, 2n against n steps) stays far below
 REF_ERR = 1e-16
@@ -41,11 +40,11 @@ REF_ERR = 1e-16
 @pytest.mark.parametrize("point", POINTS, ids=lambda p: f"eps{p['eps']}-s{p['s']:.4f}")
 def test_window_against_reference(point):
     assert point["err"] < REF_ERR
-    sol = solve_radial(GeodesicParams(point["s"], point["r"], point["eps"]), 30.0, 1e-12)
+    sol = solve_radial(GeodesicParams(point["s"], point["r"], point["eps"]), 30.0)
     t_in, t_x = sol.window
     errors = {
         "t_window": abs((t_x - t_in) - float(point["t_window"])),
-        "psi": abs(float(sol.transition.end[_PSI]) - float(point["psi"])),
+        "psi": abs(float(sol.quadrature.cum[1, -1]) - float(point["psi"])),
         "M": float(np.max(np.abs(sol.transfer - np.array(point["M"], dtype=float)))),
     }
     for name, err in errors.items():
