@@ -4,9 +4,10 @@ interior conjugate points.
 For each mollification width eps the critical radius r_eps is located where
 the radial stable solution has Y'(0) = 0 (boundary conjugate points along
 radial geodesics); absence of interior conjugate points is then certified on
-three overlapping regimes of the closest-approach parameter s.  The one
-solve is the transition pair's, at a fixed tolerance; every transition
-window is a quadrature on it, and the report's metadata states both.  The eps = 0.05 report is compared with the archived
+three overlapping regimes of the closest-approach parameter s.  Nothing is
+integrated: the transition pair is its Taylor series in eps^2, every
+transition window is a quadrature on it, and the report's metadata states
+both.  The eps = 0.05 report is compared with the archived
 artifacts/scan_eps_0.05.json; the demo writes nothing.
 """
 
@@ -38,7 +39,8 @@ def summarize(rep):
           f"(proof confirmed: {rep.curvature_negativity_certified})")
     print(f"  non-trapping premise A'(r + eps/2) > 0: {rep.non_trapping_ok}")
     tol = rep.metadata["tol"]
-    print(f"  tolerance: transition pair {tol['pair']:g}; windows: {tol['windows']}")
+    print(f"  transition pair: {tol['pair']}")
+    print(f"  windows: {tol['windows']}")
 
 
 print("=== critical radius as a function of the mollification width ===")

@@ -10,12 +10,7 @@ interior conjugate points.  Every numerical pipeline is validated against
 the closed forms available at the critical parameters (r, eps) = (pi/4, 0).
 """
 
-from .ode import (
-    Flow,
-    IntegrationError,
-    Trajectory,
-    integrate_ivp,
-)
+from .ode import Trajectory
 from .warp import (
     ProfileParams,
     WarpFunction,

@@ -16,7 +16,7 @@ find-r     JSON: {eps, r_star, root_residual}
            r_star = -arctan w(eps) from the transition pair; root_residual
            is |Y(0) W'(0)| of the radial stable solution at r_star, whose
            window is a quadrature on the pair's own A': it checks that
-           quadrature against the pair, not the pair's solve
+           quadrature against the pair, not the pair's series
 scan       JSON: the full ScanReport; exit status 0 iff overall success
 
 The parser is the only schema: each subcommand declares its options once.
@@ -24,7 +24,7 @@ Numbers must be finite, and step sizes, horizons and widths positive; the
 metric is checked by the library's own ``GeodesicParams``/``ProfileParams``
 before anything runs.  ``find-r`` and ``scan`` check only 0 <= eps < pi/2
 there: their metric is (r*, eps), and r* is known only once the transition
-pair is solved, so an eps with r* + eps >= pi/2 ends with one error line and
+pair is summed, so an eps with r* + eps >= pi/2 ends with one error line and
 exit status 1.  The three table subcommands take ``--format csv|json``; the
 others always write JSON.  ``find-r`` and ``scan`` pass --sigma, --ds and
 --bracket-halfwidth to ``search`` only when given, so their defaults are the
@@ -32,9 +32,9 @@ library's.
 
 Floats are written in their shortest round-trip representation, so two runs
 with the same configuration produce byte-identical output.  No subcommand
-takes a tolerance: the transition pair is the one solve, at the tolerance
-that a scan's metadata states, and every transition window is a quadrature
-on it.
+takes a tolerance: nothing is integrated.  The transition pair is its
+Taylor series in eps^2, which a scan's metadata states, and every
+transition window is a quadrature on it.
 Exit codes: 0 success, 1 computation failure (including arithmetic
 overflow, a sample grid too large to allocate, and r* + eps >= pi/2 in
 ``find-r`` and ``scan``), 2 usage error.

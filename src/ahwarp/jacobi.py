@@ -25,7 +25,7 @@ window's transfer matrix M = [[U, V], [U', V']], det M = 1
 (``RadialSolution.transfer``, with ``window_solution`` across the window,
 where a time t is found by Newton on the window's time integral).
 Nothing is solved per geodesic or per initial condition: a ``tol`` below
-the transition pair's is refused, and any other is not used.
+the floor ``_TOL_FLOOR`` is refused, and any other is not used.
 
 The off-plane equation is not integrated at all.  Rotations of S^n are
 isometries, and a Killing field restricted to a geodesic is a Jacobi field
@@ -63,7 +63,7 @@ from .geodesics import (
     growth_factor,
     solve_radial,
 )
-from .warp import _PAIR_TOL, k_parallel, k_perp
+from .warp import k_parallel, k_perp
 
 __all__ = [
     "JacobiKernel",
@@ -149,13 +149,19 @@ def kernel_on(kind: str, radial: RadialSolution) -> JacobiKernel:
     return JacobiKernel(kind=effective, params=radial.params, radial=radial)
 
 
+# Nothing is computed to a tolerance: the transition pair is a converged
+# series and every window a fixed quadrature.  The suite checks the results
+# to about 1e-12, so a ``tol`` below that is refused rather than promised.
+_TOL_FLOOR = 1e-12
+
+
 def _check_tol(tol: float) -> None:
-    """Refuse a ``tol`` below the transition pair's, ``warp._PAIR_TOL``: the
-    pair is the one solve, so nothing is more accurate than it.  The ``tol``
-    of ``make_kernel``, ``jacobi_solution``, ``fundamental_pair`` and
-    ``stable.stable_for`` does nothing else."""
-    if tol < _PAIR_TOL:
-        raise ValueError(f"tol = {tol} is tighter than the transition pair's {_PAIR_TOL}")
+    """Refuse a ``tol`` below ``_TOL_FLOOR``.  The ``tol`` of
+    ``make_kernel``, ``fundamental_pair`` and ``stable.stable_for`` does
+    nothing else."""
+    if tol < _TOL_FLOOR:
+        raise ValueError(f"tol = {tol} is tighter than the floor {_TOL_FLOOR}: "
+                         f"no result is checked to more")
 
 
 def make_kernel(
@@ -169,8 +175,8 @@ def make_kernel(
     kernel on a new ``solve_radial``.  Grids
     solve their geodesics with ``geodesics.solve_radial_grid`` and take
     their kernels from :func:`kernel_on`, which checks ``kind``.  Nothing
-    is solved to a tolerance: a ``tol`` below the transition pair's raises
-    ValueError (``_check_tol``), and any other is not used."""
+    is computed to a tolerance: a ``tol`` below the floor raises ValueError
+    (``_check_tol``), and any other is not used."""
     _check_tol(tol)
     return kernel_on(kind, solve_radial(params, T=horizon))
 
@@ -232,7 +238,7 @@ class FundamentalPair:
         """|W - 1| relative to the size of the bilinear terms.  Both
         solutions grow like e^t, so past t ~ 17 the absolute Wronskian sits
         below the cancellation floor of double precision no matter how
-        accurate the integration; the relative form is the meaningful
+        accurate the solutions; the relative form is the meaningful
         conservation statement."""
         u, du = self.U.state(t)
         v, dv = self.V.state(t)
@@ -262,16 +268,14 @@ def jacobi_solution(
     kernel: JacobiKernel,
     initial: tuple[float, float],
     T: float = 20.0,
-    tol: float = 1e-10,
 ) -> Trajectory:
     """The solution of Y'' + k(t) Y = 0 on [0, T] with (Y(0), Y'(0)) =
     ``initial``: exact pieces and a combination of the kernel's window pair
     for the in-plane kernel, the Killing field of :func:`killing_field` for
     the off-plane one.  Both are as accurate as the geodesic's window
-    quadrature; a ``tol`` below the transition pair's raises ValueError."""
+    quadrature."""
     if not T > 0.0:
         raise ValueError("horizon T must be positive")
-    _check_tol(tol)
     y0, dy0 = initial
     if kernel.kind == "perpendicular":
         return killing_field(kernel, y0, dy0 * kernel.radial.a_s, T)
@@ -292,9 +296,12 @@ def jacobi_solution(
 
 
 def fundamental_pair(kernel: JacobiKernel, T: float = 20.0, tol: float = 1e-10) -> FundamentalPair:
-    """The fundamental solutions U, V of Y'' + k(t) Y = 0 on [0, T]."""
-    return FundamentalPair(U=jacobi_solution(kernel, (1.0, 0.0), T, tol),
-                           V=jacobi_solution(kernel, (0.0, 1.0), T, tol))
+    """The fundamental solutions U, V of Y'' + k(t) Y = 0 on [0, T]; a
+    ``tol`` below the floor raises ValueError (``_check_tol``), and any
+    other is not used."""
+    _check_tol(tol)
+    return FundamentalPair(U=jacobi_solution(kernel, (1.0, 0.0), T),
+                           V=jacobi_solution(kernel, (0.0, 1.0), T))
 
 
 def even_minimum(kernel: JacobiKernel) -> float:

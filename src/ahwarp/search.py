@@ -12,14 +12,14 @@ then gives
 
     W'(0; r) = tan(arctan w(eps) + r) = tan(r - r*),   r* = -arctan w(eps).
 
-The pair is one solve per process, interpolated in eps^2 (``warp``).  The
-root residual |Y(0) W'(0)| comes from the s = 0 window at r*, a quadrature
-of K_par / A'^2 on the pair's own A' (``geodesics``): it checks that
-identity and the quadrature against the pair, not the pair's solve, which
-``test_entry_slope_against_backward_solve`` checks against an independent
-solve.  A scan reads the residual, and its boundary-conjugate witness, off
-the s = 0 column of its small-s certificate grid, and ``find_r_star``
-computes that window on its own.
+The pair is its Taylor series in eps^2, built once per process (``warp``).
+The root residual |Y(0) W'(0)| comes from the s = 0 window at r*, a
+quadrature of K_par / A'^2 on the pair's own A' (``geodesics``): it checks
+that identity and the quadrature against the pair, not the pair's series,
+which ``test_entry_slope_against_backward_solve`` checks against an
+independent solve.  A scan reads the residual, and its boundary-conjugate
+witness, off the s = 0 column of its small-s certificate grid, and
+``find_r_star`` computes that window on its own.
 Absence of interior conjugate points is certified in three regimes:
 
 * small s (certificate method): W'(0) <= 0 for both kernels on a grid
@@ -45,13 +45,13 @@ quadrature on the transition pair.  Each mid-s point's minima of U are exact
 over all t >= 0 (``jacobi.even_minimum``): U is cos t in the ball and closed
 form past the transition, and U' turns positive once, so the minimum is one
 closed formula, one bisection past the window or one Newton solve in it.  No
-caller sets a tolerance: the transition pair is solved at
-``warp._PAIR_TOL``, and every window is the same composite Gauss-Legendre
-rule; the report's metadata states both.  After the process's one pair
-solve, a mollified scan solves nothing.  Each grid point is decided on the
-whole line in t, but the grids sample s: they certify concrete parameter
-triples by computation, not a computer-assisted proof, and the report says
-so in its metadata.
+caller sets a tolerance: the transition pair is a fixed series, and every
+window is the same composite Gauss-Legendre rule; the report's metadata
+states both.  Nothing is integrated: once the process has built the pair's
+series, a mollified scan sums it and evaluates quadratures.  Each grid point
+is decided on the whole line in t, but the grids sample s: they certify
+concrete parameter triples by computation, not a computer-assisted proof,
+and the report says so in its metadata.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from .geodesics import GeodesicParams, solve_radial_grid
 from .jacobi import KINDS, even_minimum, kernel_on
 from .stable import (TOL_SIGN, StableSolution, certificate_grid, stable_for,
                      stencil_derivatives, stencil_points)
-from .warp import _PAIR_TOL, ProfileParams, entry_slope, k_perp, solve_warp
+from .warp import ProfileParams, entry_slope, k_perp, solve_warp
 
 __all__ = [
     "BracketError",
@@ -203,7 +203,7 @@ def find_r_star(eps: float, bracket_halfwidth: float = 0.1) -> tuple[float, floa
     from the transition pair at x = eps.  Returns (r_star, |Y(0) W'(0)| at
     r_star), the residual from the stable solution at r_star: its window is a
     quadrature on the pair's own A', so the residual checks the quadrature
-    against the pair, not the pair's solve (module docstring).  Raises
+    against the pair, not the pair's series (module docstring).  Raises
     ValueError when r_star + eps >= pi/2, and BracketError when r_star falls
     outside the window [pi/4 - bracket_halfwidth, pi/4 + bracket_halfwidth].
     """
@@ -229,7 +229,7 @@ def verify_small_s(
     _check_grid(sigma, ds)
     grid = _grid(0.0, sigma, ds)
     stencil = stencil_points()
-    ss = np.union1d(grid, stencil)
+    ss = np.array(sorted({*grid.tolist(), *stencil}))
     certs = dict(zip(ss.tolist(), certificate_grid(ss, r, eps)))
     records: list[SmallSRecord] = []
     ok = True
@@ -336,24 +336,25 @@ def assemble_report(
     nonpositive with the concavity signature, all mid-s minima positive, the
     negative-curvature threshold confirmed, and the non-trapping premise.
     The residual and the witness come from the small-s grid's s = 0 column.
-    The metadata states the tolerance of the one solve, the transition pair
-    (r_star and the warp function), and the quadrature that gives every
-    window.  Raises ValueError unless ds is finite and positive and sigma
-    finite, and when r_star + eps >= pi/2.
+    The metadata states the series that gives the transition pair (r_star
+    and the warp function) and the quadrature that gives every window.
+    Raises ValueError unless ds is finite and positive and sigma finite, and
+    when r_star + eps >= pi/2.
     """
     _check_grid(sigma, ds)
     metadata = {
         "sigma": sigma,
         "ds": ds,
         "bracket_halfwidth": bracket_halfwidth,
-        "tol": {"pair": _PAIR_TOL,
+        "tol": {"pair": "no tolerance: Taylor series in eps^2 to order 18, on 32 "
+                        "panels of 10 Gauss-Legendre nodes in u",
                 "windows": "no tolerance: composite Gauss-Legendre quadrature on the "
                            "transition pair, 32 panels of 10 nodes"},
         "method": (
             "every grid point decided on all of t >= 0 from closed forms and "
             "the transition window's quadrature on the transition pair, not on "
             "sampled t; the root residual checks that quadrature against the "
-            "pair, not the pair's solve; the grids sample s: "
+            "pair, not the pair's series; the grids sample s: "
             "certification by sampling in s, not a computer-assisted proof"
         ),
         "mollifier": "exp(-1/x) / (exp(-1/x) + exp(-1/(1-x))) ramp on [0, 1]",

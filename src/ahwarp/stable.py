@@ -136,7 +136,7 @@ def stable_solution(kernel: JacobiKernel, kind: str | None = None) -> StableSolu
     comes with the geodesic.
 
     ``kind`` overrides the label stored on the result (the s = 0
-    perpendicular equation is integrated as the parallel one, which is the
+    perpendicular equation is solved as the parallel one, which is the
     same equation).
     """
     build = _killing_stable if kernel.kind == "perpendicular" else _in_plane_stable
@@ -213,8 +213,8 @@ def _vanishes(kernel: JacobiKernel, detail: str) -> CertificateError:
 
 def stable_for(kind: str, params: GeodesicParams, tol: float = 1e-10) -> StableSolution:
     """Stable solution for mu = params, on a radial solve on [0, 30]; a
-    ``tol`` below the transition pair's raises ValueError
-    (``jacobi._check_tol``).  Each call solves its geodesic anew."""
+    ``tol`` below the floor raises ValueError (``jacobi._check_tol``).
+    Each call solves its geodesic anew."""
     _check_tol(tol)
     kernel = make_kernel(kind, params, horizon=_T0)
     return stable_solution(kernel, kind=kind)

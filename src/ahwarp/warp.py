@@ -17,20 +17,27 @@ search module hunts for.
 In x = rho - r = eps u the transition equation does not contain r, and in u
 it reads Y_uu = -lam k(u) Y on [0, 1], k = 1 - 2 mollifier, with eps entering
 only through lam = eps^2.  Its fundamental pair, C (C(0) = 1, C'(0) = 0) and
-S (S(0) = 0, S'(0) = 1) in x, is an entire function of lam (Coddington and
-Levinson, Theory of Ordinary Differential Equations, 1955, ch. 1).  So one
-DOP853 solve, made on first use and kept for the life of the process
-(``_series``), carries the pair at the 10 Chebyshev points of lam on
-[0, (pi/2)^2], and every eps (ProfileParams keeps eps < pi/2) is a
-barycentric interpolation in lam (Trefethen, Approximation Theory and
-Approximation Practice, 2013).  What is interpolated are the remainders
-(C - 1, C_u, S - u, S_u - 1) / lam, so eps -> 0 gives the sharp start
-(C, C', S, S') = (1, 0, 0, 1) exactly.  The pair serves every r:
+S (S(0) = 0, S'(0) = 1) in x, is an entire function of lam, whose Taylor
+coefficients are iterated integrals of k (Coddington and Levinson, Theory of
+Ordinary Differential Equations, 1955, ch. 1): from y_0 = 1 for C and
+y_0 = u for S,
+
+    d_{m+1}(u) = -int_0^u k y_m,    y_{m+1}(u) = int_0^u d_{m+1},
+
+and C = sum lam^m y_m, C_u = sum lam^m d_m, and the same for S.  The terms
+fall like lam^m / (2m)!, so 18 of them carry every eps below pi/2
+(ProfileParams keeps eps < pi/2) to rounding.  They are built once per
+process, on first use (``_terms``), at the 10 Gauss-Legendre nodes of each
+of 32 equal panels in u, where a cumulative-integration matrix is exact to
+degree 9 (Greengard, SIAM J. Numer. Anal. 28, 1991).  The remainders
+(C - 1, C_u, S - u, S_u - 1) are the sums from m = 1, so eps = 0 gives the
+sharp start (C, C', S, S') = (1, 0, 0, 1) exactly, and each eps is a sum
+in powers of lam.  The pair serves every r:
 
 * the warp function: A(r + x) = sin r C + cos r S on [0, eps], and A' the
-  same sum of C' and S', a projection of the interpolated dense output,
-  whose coefficients are contracted over the lam nodes once per metric (4
-  rows, not 40).  The geodesics' transition windows are quadratures on it;
+  same sum of C' and S'.  The terms' Legendre coefficients on each panel
+  are summed in lam once per metric, and each lookup evaluates its panel's
+  polynomials.  The geodesics' transition windows are quadratures on it;
 * the exterior coefficients, one formula for every eps:
   a_+- = e^{-+(r + eps)} (A +- A')(r + eps) / 2;
 * w(eps) = -(C + C') / (S + S') at x = eps: W = Y'/Y at the ball boundary
@@ -39,7 +46,7 @@ Approximation Practice, 2013).  What is interpolated are the remainders
   off it.
 
 An eps below the resolution of r (r + eps == r) is the sharp metric.
-Nothing is solved at import, nor for a sharp metric.
+Nothing is built at import, nor for a sharp metric.
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .ode import Flow, Trajectory, _bisect, _Dense, integrate_ivp
+from .ode import Trajectory, _bisect
 
 __all__ = [
     "ProfileParams",
@@ -84,17 +91,8 @@ def mollifier(x: float | np.ndarray) -> float | np.ndarray:
     """Smooth monotone step: 0 for x <= 0, 1 for x >= 1, symmetric about
     x = 1/2 so that mollifier(x) + mollifier(1 - x) = 1.
 
-    A float goes through ``math.exp`` (the right-hand side of the transition
-    pair's solve calls it once per evaluation); anything else through numpy,
-    with x clipped to [1e-300, 1 - 1e-16], where exp(-1/x) and
-    exp(-1/(1 - x)) give the 0 and 1 of the ends exactly."""
-    if isinstance(x, float):
-        if x <= 0.0:
-            return 0.0
-        if x >= 1.0:
-            return 1.0
-        f = math.exp(-1.0 / x)
-        return f / (f + math.exp(-1.0 / (1.0 - x)))
+    x is clipped to [1e-300, 1 - 1e-16], where exp(-1/x) and exp(-1/(1 - x))
+    give the 0 and 1 of the ends exactly; a float gives a float."""
     # np.clip costs twice this on short arrays
     x_arr = np.minimum(np.maximum(np.asarray(x, dtype=float), 1e-300), 1.0 - 1e-16)
     f = np.exp(-1.0 / x_arr)
@@ -109,8 +107,6 @@ def k_parallel(params: ProfileParams, rho: float | np.ndarray) -> float | np.nda
     1 - 2*H(rho - r) for eps = 0 with the convention H(0) = 0, so the value
     at rho = r is 1.
     """
-    if isinstance(rho, float) and rho >= 0.0 and params.eps > 0.0:
-        return 1.0 - 2.0 * mollifier((rho - params.r) / params.eps)
     rho_arr = np.atleast_1d(np.asarray(rho, dtype=float))
     if rho_arr.min() < 0.0:
         raise ValueError("rho must be nonnegative")
@@ -195,8 +191,8 @@ class WarpFunction:
         positive at most once.  So w falls from cot(r) to its least value,
         at r + eps when w' = 1 - w^2 <= 0 there (K_par = -1) and else at the
         one root of w^2 = -K_par, located by bisection on the transition
-        pair's dense output.  No verdict reads it: the search proves
-        non-trapping from A'(r + eps/2) > 0 instead.
+        pair.  No verdict reads it: the search proves non-trapping from
+        A'(r + eps/2) > 0 instead.
         """
         r, eps = self.params.r, self.params.eps
         w = self.exit_state[1] / self.exit_state[0]
@@ -228,76 +224,83 @@ class WarpFunction:
         return max(par_thr, perp_thr)
 
 
-# The transition pair is solved at one tolerance for every caller, in steps
-# of at most 1/32 in u (eps/32 in x).  Without the bound DOP853's error
-# estimate misses the rise of exp(-1/x) in a long first step: a pair solved
-# in x was 9.6e-9 off at eps = 1.1e-2.
-_PAIR_TOL = 1e-12
-_PAIR_MIN_STEPS = 32
-# lam = eps^2 < (pi/2)^2, as ProfileParams keeps r + eps < pi/2
-_LAM_MAX = (math.pi / 2.0) ** 2
-_NODES = 10
+# The pair's Taylor series in lam (module docstring): _ORDER terms, on
+# _PANELS equal panels of u in [0, 1] with _GAUSS Gauss-Legendre nodes each
+_ORDER = 18
+_PANELS = 32
+_GAUSS = 10
+_XI, _WEIGHTS = np.polynomial.legendre.leggauss(_GAUSS)
+# a panel's node values -> its Legendre coefficients, exact to degree 9
+_TO_LEGENDRE = ((np.arange(_GAUSS) + 0.5)[:, None]
+                * np.polynomial.legendre.legvander(_XI, _GAUSS - 1).T * _WEIGHTS)
+# a panel's node values -> the integrals in u from the panel's start to each
+# node (its Legendre series integrated from xi = -1), and to the panel's end
+_CUMULATIVE = (0.5 / _PANELS) * (np.polynomial.legendre.legvander(_XI, _GAUSS)
+                                 @ np.polynomial.legendre.legint(np.eye(_GAUSS), lbnd=-1.0)
+                                 @ _TO_LEGENDRE)
+_PANEL_WEIGHTS = (0.5 / _PANELS) * _WEIGHTS
 
 
-def _chebyshev(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n Chebyshev points of the first kind on [0, (pi/2)^2] (lam = 0
-    is not one of them) and their barycentric weights."""
-    theta = (np.arange(n) + 0.5) * (math.pi / n)
-    return 0.5 * _LAM_MAX * (1.0 - np.cos(theta)), np.sin(theta) * (-1.0) ** np.arange(n)
-
-
-_LAM, _WEIGHTS = _chebyshev(_NODES)
-
-
-def _solve_pair(lam: np.ndarray) -> Flow:
-    """One DOP853 solve in u on [0, 1] of the remainders of the pair at each
-    lam_j: with C = 1 + lam c, C_u = lam c', S = u + lam s, S_u = 1 + lam s',
-    c'' = -k (1 + lam c) and s'' = -k (u + lam s) from 0, so nothing
-    cancels.  The rows are (c, s, c', s'), each over the nodes."""
-    n = len(lam)
-    lam2 = np.concatenate((lam, lam))
-    one, ramp = np.repeat([1.0, 0.0], n), np.repeat([0.0, 1.0], n)
-
-    def rhs(u: float, y: np.ndarray) -> np.ndarray:
-        m = 2.0 * mollifier(u) - 1.0  # -k
-        return np.concatenate((y[2 * n:], m * (lam2 * y[:2 * n] + (one + u * ramp))))
-
-    return integrate_ivp(rhs, 0.0, np.zeros(4 * n), 1.0, _PAIR_TOL,
-                         max_step=1.0 / _PAIR_MIN_STEPS)
+def _integral(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The integral from u = 0 of f, given at the nodes (... x panels x
+    nodes): its values at the nodes and at u = 1."""
+    within = f @ _CUMULATIVE.T
+    totals = np.cumsum(f @ _PANEL_WEIGHTS, axis=-1)
+    within[..., 1:, :] += totals[..., :-1, None]
+    return within, totals[..., -1]
 
 
 @cache
-def _series() -> Flow:
-    """The remainder rows at the 10 nodes ``_LAM``: the one solve of the
-    transition pair in a process, made on first use."""
-    return _solve_pair(_LAM)
+def _terms(order: int = _ORDER) -> tuple[np.ndarray, np.ndarray]:
+    """The Taylor terms m = 1..order of the remainders (C - 1, S - u, C_u,
+    S_u - 1) in u: their Legendre coefficients on each panel (order x 4 x
+    panels x degree) and their values at u = 1 (order x 4).  Built once per
+    process, on first use; another order only checks the truncation."""
+    u = (np.arange(_PANELS)[:, None] + 0.5 * (1.0 + _XI)) / _PANELS
+    k = 1.0 - 2.0 * mollifier(u)
+    y = np.stack((np.ones_like(u), u))  # y_0 of C and of S
+    rows, ends = [], []
+    for _ in range(order):
+        d, d_end = _integral(-k * y)
+        y, y_end = _integral(d)
+        rows.append(np.concatenate((y, d)))
+        ends.append(np.concatenate((y_end, d_end)))
+    return np.array(rows) @ _TO_LEGENDRE.T, np.array(ends)
 
 
-def _interpolant(lam: float, nodes: np.ndarray = _LAM,
-                 weights: np.ndarray = _WEIGHTS) -> np.ndarray:
-    """The coefficients l_j(lam) of the barycentric interpolant, sum_j
-    l_j f(lam_j); the unit vector where lam is a node."""
-    d = lam - nodes
-    if not np.all(d):
-        return (d == 0.0).astype(float)
-    q = weights / d
-    return q / q.sum()
+def _sum(lam: float, terms: np.ndarray) -> np.ndarray:
+    """The remainders over lam, sum_m lam^(m - 1) terms[m - 1], as one
+    product with the powers of lam (a seventh of Horner's time on the
+    coefficients)."""
+    n = len(terms)
+    return (lam ** np.arange(n) @ terms.reshape(n, -1)).reshape(terms.shape[1:])
+
+
+def _interpolate(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The rows (4 x len(u)) at the points u of [0, 1], from their Legendre
+    coefficients on each panel (4 x panels x degree)."""
+    z = u * _PANELS
+    panel = np.minimum(z.astype(int), _PANELS - 1)
+    basis = np.polynomial.legendre.legvander(2.0 * (z - panel) - 1.0, _GAUSS - 1)
+    return np.einsum("kpn,pn->kp", coeffs[:, panel], basis)
 
 
 def _pair(eps: float, rem: np.ndarray, x: float | np.ndarray) -> tuple:
     """(C - 1, C', S, S' - 1) in x = eps u, the pair less the sharp one, from
-    the remainders (c, s, c', s') at lam = eps^2 (rows of ``rem``): the
-    small parts are summed before the 1 is added back, which rounds once."""
+    the remainders over lam (C - 1, S - u, C_u, S_u - 1) / lam at lam = eps^2
+    (rows of ``rem``): the small parts are summed before the 1 is added back,
+    which rounds once."""
     lam = eps * eps
     c, s, dc, ds = rem
     return lam * c, eps * dc, x + eps * lam * s, lam * ds
 
 
 def _pair_end(eps: float) -> tuple[float, float, float, float]:
-    """(C - 1, C', S, S' - 1) at x = eps; zeros at eps = 0, with no solve."""
+    """(C - 1, C', S, S' - 1) at x = eps; zeros at eps = 0, with nothing
+    built."""
     if eps == 0.0:
         return 0.0, 0.0, 0.0, 0.0
-    rem = _series().end.reshape(4, _NODES) @ _interpolant(eps * eps)
+    rem = _sum(eps * eps, _terms()[1])
     return tuple(float(v) for v in _pair(eps, rem, eps))
 
 
@@ -316,8 +319,9 @@ def solve_warp(params: ProfileParams) -> WarpFunction:
 
     The interior branch is exact; the transition and the exterior
     coefficients are projections of the transition pair of width eps (module
-    docstring), so nothing is solved per r or per eps.  An eps below the
-    resolution of r is the sharp metric, with no transition.
+    docstring), so nothing is built per r or per eps but the pair's sum in
+    lam.  An eps below the resolution of r is the sharp metric, with no
+    transition.
     """
     r, eps = params.r, params.eps
     sharp = r + eps == r
@@ -332,17 +336,14 @@ def solve_warp(params: ProfileParams) -> WarpFunction:
     a_minus = math.exp(r + eps) * (a - da) / 2.0
     transition = None
     if not sharp:
-        # the dense output contracted over the lam nodes once: 4 rows, not 40
-        dense, coeffs = _series().dense, _interpolant(eps * eps)
-        dense = _Dense(dense.ts, dense.t_old, dense.h,
-                       dense.F.reshape(*dense.F.shape[:2], 4, _NODES) @ coeffs,
-                       dense.states.reshape(4, _NODES, -1).transpose(0, 2, 1) @ coeffs)
+        # the terms' Legendre coefficients summed in lam once per metric
+        coeffs = _sum(eps * eps, _terms()[0])
 
         def state(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             # x = rho - r is exact on [r, 2r] (Sterbenz); where r + eps rounds
             # up it passes eps by less than an ulp of r, so it is clipped
             x = np.minimum(rho - r, eps)
-            return project(*_pair(eps, dense(x / eps), x))
+            return project(*_pair(eps, _interpolate(coeffs, x / eps), x))
 
         transition = Trajectory.from_function(state, r, r + eps)
     return WarpFunction(params, a_plus, a_minus, transition)

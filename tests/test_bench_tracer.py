@@ -45,7 +45,8 @@ def test_traced_operations_pass_the_counter_check():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     layers = json.loads(proc.stdout.splitlines()[-1])
-    # the one solve of the process is the transition pair's; the scans'
-    # grids were seen through their spans
-    assert layers["ode.solve_calls"] == 1 and layers["ode.rhs_evals"] > 0
+    # the package integrates nothing, so the solver counters read 0 and the
+    # check passes on every operation; the scans' grids were seen through
+    # their spans
+    assert layers["ode.solve_calls"] == 0 and layers["ode.rhs_evals"] == 0
     assert layers["search.grid_points"] > 0 and layers["stable.stable_for.calls"] == 1

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import solve_ivp
+from scipy.integrate import OdeSolver, solve_ivp
 
 import ahwarp.geodesics as geo_mod
 import ahwarp.ode as ode_mod
@@ -141,39 +141,36 @@ class TestAgainstFullSpan:
 
 @pytest.fixture
 def solves(monkeypatch):
-    """Every solve_ivp call made through ahwarp.ode, as the (lo, hi) of the
-    time range it integrated."""
-    spans = []
-    real = ode_mod.solve_ivp
+    """Every step of any scipy ODE solver while the test runs, as the time it
+    starts from: the package integrates nothing, so it makes none."""
+    steps = []
+    real = OdeSolver.step
 
-    def counting(*args, **kwargs):
-        sol = real(*args, **kwargs)
-        spans.append((float(np.min(sol.t)), float(np.max(sol.t))))
-        return sol
+    def counting(self):
+        steps.append(self.t)
+        return real(self)
 
-    monkeypatch.setattr(ode_mod, "solve_ivp", counting)
-    return spans
+    monkeypatch.setattr(OdeSolver, "step", counting)
+    return steps
 
 
 @pytest.fixture
-def no_series():
-    """The process's transition pair (``warp._series``) not yet solved."""
-    warp_mod._series.cache_clear()
-    yield
-    warp_mod._series.cache_clear()
+def builds(monkeypatch):
+    """Every lookup of the transition pair's series (``warp._terms``), which
+    is built on the first and cached for the process."""
+    calls = []
+    real = warp_mod._terms
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(warp_mod, "_terms", counting)
+    return calls
 
 
-def test_import_makes_no_solve():
-    # a fresh interpreter: importing the package and a sharp scan solve
-    # nothing, not even the transition pair
-    code = ("import scipy.integrate as si\n"
-            "calls = []\n"
-            "real = si.solve_ivp\n"
-            "si.solve_ivp = lambda *a, **k: calls.append(a) or real(*a, **k)\n"
-            "import ahwarp\n"
-            "assert calls == [] and ahwarp.warp._series.cache_info().currsize == 0\n"
-            "assert ahwarp.assemble_report(0.0).overall == 'boundary-CP-and-no-interior-CP'\n"
-            "assert calls == [] and ahwarp.warp._series.cache_info().currsize == 0\n")
+def run_fresh(code):
+    """Run ``code`` in a fresh interpreter on this checkout's package."""
     src = str(Path(ode_mod.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
@@ -182,41 +179,59 @@ def test_import_makes_no_solve():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_import_makes_no_solve():
+    # a fresh interpreter: importing the package and a sharp scan build
+    # nothing, not even the transition pair's series, and load no scipy
+    run_fresh("import sys\n"
+              "import ahwarp\n"
+              "assert ahwarp.warp._terms.cache_info().currsize == 0\n"
+              "assert ahwarp.assemble_report(0.0).overall == 'boundary-CP-and-no-interior-CP'\n"
+              "assert ahwarp.warp._terms.cache_info().currsize == 0\n"
+              "assert 'scipy' not in sys.modules\n")
+
+
+def test_mollified_scan_never_imports_scipy():
+    # a fresh interpreter: a mollified scan builds the pair's series once
+    # and integrates nothing, so scipy is never loaded
+    run_fresh("import sys\n"
+              "import ahwarp\n"
+              "assert ahwarp.assemble_report(0.05).overall == 'boundary-CP-and-no-interior-CP'\n"
+              "assert ahwarp.warp._terms.cache_info().currsize == 1\n"
+              "assert 'scipy' not in sys.modules\n")
+
+
 class TestWorkCounts:
-    def test_sharp_scan_integrates_nothing(self, no_series, solves):
+    def test_sharp_scan_integrates_nothing(self, solves, builds):
         # eps = 0 has no transition: no window and no pair
         report = assemble_report(0.0)
         assert report.overall == "boundary-CP-and-no-interior-CP"
         assert find_r_star(0.0)[0] == PI4 and entry_slope(0.0) == -1.0
         solve_warp(GeodesicParams(0.0, 0.7, 0.0).profile)
-        assert solves == []
-        assert warp_mod._series.cache_info().currsize == 0
+        assert solves == [] and builds == []
 
-    def test_pair_is_solved_once_per_process(self, no_series, solves):
-        # the first mollified metric solves the pair, in u on [0, 1], for
+    def test_pair_is_solved_once_per_process(self, solves):
+        # the pair's series in lam = eps^2 is built once, on [0, 1] in u, for
         # every eps at once: the warp function at every (r, eps) and r* are
-        # interpolations of that one solve
+        # sums of that one series, and nothing is integrated
         warps = [solve_warp(GeodesicParams(0.0, r, eps).profile)
                  for r, eps in ((0.7, 0.05), (0.8, 0.05), (0.7, 0.01), (0.3, 1.2))]
-        assert solves == [(0.0, 1.0)]
-        assert warp_mod._series.cache_info().currsize == 1
+        assert warp_mod._terms() is warp_mod._terms()
         assert warps[0].a_plus != warps[1].a_plus != warps[2].a_plus
         entry_slope(0.1)
         solve_warp(GeodesicParams(0.0, 0.7, 0.0).profile)  # the sharp metric has no pair
-        assert len(solves) == 1
+        assert solves == []
 
-    def test_mollified_solves_stay_in_the_transition_window(self, no_series, solves):
-        # the one solve of mollified queries is the process's transition
-        # pair, in u = (rho - r)/eps on [0, 1]: exactly the transition.  The
-        # kernel's window, its fundamental pair and the stable solution are
-        # quadratures on it, and t_x is t_in plus the window's time integral
+    def test_mollified_solves_stay_in_the_transition_window(self, solves):
+        # a mollified query integrates nothing: the kernel's window, its
+        # fundamental pair and the stable solution are quadratures on the
+        # transition pair, and t_x is t_in plus the window's time integral
         mu = GeodesicParams(0.3, 0.76, 0.05)
         kernel = make_kernel("parallel", mu)
         fundamental_pair(kernel, T=20.0)
         stable_for("parallel", mu)
         t_in, t_x = kernel.radial.window
         assert 0.0 < t_in < t_x
-        assert solves == [(0.0, 1.0)]
+        assert solves == []
         assert t_x == t_in + kernel.radial.quadrature.cum[0, -1]
 
     @pytest.mark.parametrize("kind, mu", [
@@ -229,11 +244,9 @@ class TestWorkCounts:
         # building the kernel computes its window once, by quadrature on the
         # process's pair (no window at eps = 0; both kinds share the
         # geodesic); the fundamental pair and the stable solution combine
-        # that window's integrals, and nothing calls the integrator (each
+        # that window's integrals, and nothing calls an integrator (each
         # window was a DOP853 solve of its own)
         params = GeodesicParams(*mu)
-        solve_warp(params.profile)  # the process's transition pair, if not yet solved
-        solves.clear()
         built, build = [], geo_mod._Window.build
 
         def counting(*args):
@@ -249,14 +262,12 @@ class TestWorkCounts:
         assert sol.seed_residual == 0.0
 
     @pytest.mark.parametrize("kind", ["parallel", "perpendicular"])
-    def test_lone_mollified_query_makes_one_solve(self, no_series, solves, kind):
+    def test_lone_mollified_query_makes_no_solve(self, solves, kind):
         # at an eps no earlier call used, a certificate or a fundamental pair
-        # makes one solve, the process's transition pair, and none once it
-        # is made (one window solve per query, and 2 with a pair solve per
-        # eps, before the windows were quadratures)
+        # integrates nothing: it sums the pair's series at its eps (one
+        # window solve per query, and 2 with a pair solve per eps, before the
+        # windows were quadratures; then the process's one pair solve)
         stable_for(kind, GeodesicParams(0.2, 0.76, 0.0431))
-        assert solves == [(0.0, 1.0)]
-        solves.clear()
         stable_for(kind, GeodesicParams(0.2, 0.77, 0.0529))
         fundamental_pair(make_kernel(kind, GeodesicParams(0.2, 0.77, 0.0617)), T=20.0)
         assert solves == []
@@ -265,9 +276,7 @@ class TestWorkCounts:
         # W'(0; r) = tan(r - r*): the transition pair gives r*, and the s = 0
         # window at r*, a quadrature on the pair, gives the residual (was 4
         # solves: the warp and the window at pi/4, then both at r*; then 2,
-        # with a pair per eps; then 1, the window)
-        warp_mod._series()
-        solves.clear()
+        # with a pair per eps; then 1, the window; then the pair's one solve)
         eps = 0.05
         r_star, _ = find_r_star(eps)
         assert solves == []
@@ -275,26 +284,22 @@ class TestWorkCounts:
         assert radial.window == (r_star, r_star + eps)
 
     def test_non_trapping_check_makes_no_solve(self, solves):
-        # the premise A'(r + eps/2) > 0 is read off the pair (solved here
-        # once for the process) and the sharp metric has no pair
+        # the premise A'(r + eps/2) > 0 is read off the pair, and the sharp
+        # metric has no pair
         assert search_mod._non_trapping_check(PI4, 0.0)
-        solve_warp(GeodesicParams(0.0, 0.76, 0.05).profile)
-        solves.clear()
         assert search_mod._non_trapping_check(0.76, 0.05)
         assert solves == []
 
     def test_mollified_scan_makes_no_dense_lookup(self, solves, monkeypatch):
-        # no right-hand side reads a trajectory, and once the process's pair
-        # is solved a scan solves nothing: every window is a quadrature on
-        # the pair, and r*, the non-trapping check and the curvature
-        # threshold read the pair itself (2 solves when each regime solved
+        # no right-hand side reads a trajectory, and a scan integrates
+        # nothing: every window is a quadrature on the pair, and r*, the
+        # non-trapping check and the curvature threshold read the pair itself
+        # (the process's one pair solve and 2 more when each regime solved
         # the windows of its grid at once, 4 with a pair solve per eps and a
         # separate witness, 90 with one per geodesic)
         def refuse(self, t):
             raise AssertionError("dense lookup")
 
-        warp_mod._series()
-        solves.clear()
         monkeypatch.setattr(Trajectory, "state_scalar", refuse)
         report = assemble_report(0.05)
         assert report.overall == "boundary-CP-and-no-interior-CP"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from ahwarp.geodesics import (
     GeodesicParams,
@@ -21,7 +22,6 @@ from ahwarp.geodesics import (
 )
 from ahwarp.jacobi import (KINDS, closed_U_perp, closed_V_perp, fundamental_pair, kernel_on,
                            make_kernel, theta_infinity)
-from ahwarp.ode import integrate_ivp
 from ahwarp.search import _non_trapping_check, find_r_star
 from ahwarp.stable import stable_solution
 from ahwarp.warp import ProfileParams, solve_warp
@@ -332,10 +332,10 @@ class TestComparisonBound:
 
     def test_against_numeric_comparison_equation(self):
         a, s, v = 0.5, 0.0, 0.0
-        traj = integrate_ivp(lambda t, y: (y[1], a * (1.0 - y[1] * y[1])), 0.0, (s, v), 6.0,
-                             1e-12).trajectory()
+        sol = solve_ivp(lambda t, y: (y[1], a * (1.0 - y[1] * y[1])), (0.0, 6.0), (s, v),
+                        method="DOP853", dense_output=True, rtol=1e-12, atol=1e-15)
         ts = np.linspace(0.0, 6.0, 30)
-        x, _ = traj.state(ts)
+        x = sol.sol(ts)[0]
         expected = np.asarray(comparison_lower_bound(a, s, v, ts))
         assert np.max(np.abs(x - expected)) < 1e-10
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from ahwarp.geodesics import GeodesicParams, entry_time, growth_factor
 from ahwarp.jacobi import (
@@ -20,7 +21,7 @@ from ahwarp.jacobi import (
     theta,
     theta_infinity,
 )
-from ahwarp.ode import Trajectory, integrate_ivp
+from ahwarp.ode import Trajectory
 from ahwarp.stable import certificate, stable_solution
 
 PI4 = math.pi / 4
@@ -171,29 +172,28 @@ class TestFundamentalPair:
 
     @pytest.mark.parametrize("kind", ["parallel", "perpendicular"])
     def test_tighter_tol_than_the_kernel_is_refused(self, kind):
-        # the kernel's window is a quadrature on the transition pair, the
-        # one solve: a tol below the pair's 1e-12 is an error, and any other
-        # leaves the solution as it is
+        # the kernel's window is a quadrature on the transition pair, and
+        # nothing is computed to a tolerance: a tol below the floor 1e-12 is
+        # an error, and any other leaves the solution as it is
         params = GeodesicParams(0.3, 0.76, 0.05)
-        with pytest.raises(ValueError, match="tighter than the transition pair's 1e-12"):
+        with pytest.raises(ValueError, match="tighter than the floor 1e-12"):
             make_kernel(kind, params, tol=1e-13)
         kern = make_kernel(kind, params, tol=1e-10)
         with pytest.raises(ValueError, match="tighter"):
             fundamental_pair(kern, T=5.0, tol=1e-13)
-        with pytest.raises(ValueError, match="tighter"):
-            jacobi_solution(kern, (1.0, 0.0), T=5.0, tol=1e-13)
-        loose = jacobi_solution(kern, (1.0, 0.0), T=5.0, tol=1e-8)
-        same = jacobi_solution(kern, (1.0, 0.0), T=5.0, tol=1e-12)
+        loose = fundamental_pair(kern, T=5.0, tol=1e-8)
+        same = fundamental_pair(kern, T=5.0, tol=1e-12)
         ts = np.linspace(0.0, 5.0, 101)
-        assert np.array_equal(loose.state(ts), same.state(ts))
+        for a, b in ((loose.U, same.U), (loose.V, same.V)):
+            assert np.array_equal(a.state(ts), b.state(ts))
 
     def test_solution_inside_the_window(self):
         # a horizon inside [t_in, t_x] cuts the window pair there
         kern = make_kernel("parallel", GeodesicParams(0.3, 0.76, 0.05))
         t_in, t_x = kern.radial.window
         T = 0.5 * (t_in + t_x)
-        y = jacobi_solution(kern, (1.0, 0.0), T=T, tol=1e-10)
-        full = jacobi_solution(kern, (1.0, 0.0), T=5.0, tol=1e-10)
+        y = jacobi_solution(kern, (1.0, 0.0), T=T)
+        full = jacobi_solution(kern, (1.0, 0.0), T=5.0)
         assert y.t1 == T
         ts = np.linspace(0.0, T, 50)
         assert np.max(np.abs(y.value(ts) - full.value(ts))) < 1e-15
@@ -337,10 +337,15 @@ class TestSturmSeparation:
     def test_zero_interlacing_on_oscillatory_kernel(self):
         # k = 1 up to t = 6, then -1: V oscillates early, U's zeros must
         # separate consecutive zeros of V.  The state is handed over at t = 6.
+        def dop853(rhs, t0, y0, t1):
+            return solve_ivp(rhs, (t0, t1), y0, method="DOP853", dense_output=True,
+                             rtol=1e-11, atol=1e-14)
+
         def solve(y0):
-            inside = integrate_ivp(lambda t, y: (y[1], -y[0]), 0.0, y0, 6.0, 1e-11)
-            outside = integrate_ivp(lambda t, y: (y[1], y[0]), 6.0, inside.end, 12.0, 1e-11)
-            return Trajectory(0.0, 12.0, inside.trajectory().pieces + outside.trajectory().pieces)
+            inside = dop853(lambda t, y: (y[1], -y[0]), 0.0, y0, 6.0)
+            outside = dop853(lambda t, y: (y[1], y[0]), 6.0, inside.y[:, -1], 12.0)
+            return Trajectory(0.0, 12.0, Trajectory.from_function(inside.sol, 0.0, 6.0).pieces
+                              + Trajectory.from_function(outside.sol, 6.0, 12.0).pieces)
 
         U = solve((1.0, 0.0))
         V = solve((0.0, 1.0))
@@ -375,7 +380,7 @@ class TestEvenMinimum:
         # around its least sample: at or below it (up to rounding), and
         # within 1e-12 of it
         kernel = make_kernel(kind, mu, horizon=12.5, tol=1e-10)
-        U = jacobi_solution(kernel, (1.0, 0.0), 12.0, 1e-10)
+        U = jacobi_solution(kernel, (1.0, 0.0), 12.0)
         ts = np.linspace(0.0, 12.0, 12001)
         i = int(np.argmin(U.value(ts)))
         fine = np.linspace(ts[max(i - 1, 0)], ts[i + 1], 2001)

@@ -193,10 +193,10 @@ class TestSeedingConsistency:
     @pytest.mark.parametrize("kind", ["parallel", "perpendicular"])
     def test_tol_tighter_than_the_radial_solve_is_refused(self, kind):
         # stable solutions ride on the window's quadrature on the transition
-        # pair, solved at 1e-12; a tighter tol cannot be met and raises
-        # instead of solving tighter
+        # pair, checked to about 1e-12; a tighter tol is refused rather than
+        # promised
         params = GeodesicParams(0.2, 0.76, 0.05)
-        with pytest.raises(ValueError, match="tighter than the transition pair's 1e-12"):
+        with pytest.raises(ValueError, match="tighter than the floor 1e-12"):
             stable_for(kind, params, tol=1e-13)
         at_floor = stable_for(kind, params, tol=1e-12).W_prime_0
         assert stable_for(kind, params, tol=1e-10).W_prime_0 == at_floor

@@ -117,7 +117,7 @@ class TestSolveWarp:
 
     @pytest.mark.parametrize("eps", [0.05, 0.15])
     def test_c1_matching_at_junctions(self, eps):
-        tol = 1e-12  # the transition pair's
+        tol = 1e-12
         w = solve_warp(ProfileParams(PI4, eps))
         for junction in (PI4, PI4 + eps):
             lo, hi = junction - 1e-13, junction + 1e-13
@@ -220,8 +220,8 @@ class TestSolveWarp:
         assert sampled - a <= 1e-12
 
     def test_scalar_matches_vector_path(self):
-        # one float takes math.exp, an array numpy's exp; they agree to a few
-        # ulps, and so does k_parallel built on them
+        # a float and an array take the same numpy path; they agree to a few
+        # ulps, and so does k_parallel built on it
         params = ProfileParams(0.76, 0.08)
         xs = np.concatenate([[-1.0, 0.0, 1e-3, 0.5, 1.0, 2.0], np.linspace(0.01, 0.99, 99)])
         vector = np.asarray(mollifier(xs))
@@ -236,9 +236,9 @@ class TestSolveWarp:
         assert k_parallel(ProfileParams(0.76, 0.0), 0.77) == -1.0
 
     def test_scalar_and_vector_paths_agree_bitwise_at_the_ends(self):
-        # the array path clips x to [1e-300, 1 - 1e-16], where the two
-        # exponentials give the exact 0 and 1 that the float path returns
-        # from its branches; below 1e-300 exp(-1/x) is 0 either way
+        # x is clipped to [1e-300, 1 - 1e-16], where the two exponentials
+        # give the exact 0 and 1 of the ends, for a float as for an array;
+        # below 1e-300 exp(-1/x) is 0 either way
         xs = [-1.0, 0.0, -0.0, 5e-324, 1e-300, float(np.nextafter(1.0, 0.0)), 1.0, 2.0]
         vector = np.asarray(mollifier(np.array(xs)))
         for x, ref in zip(xs, vector):
@@ -261,17 +261,22 @@ def direct_pair(eps):
 class TestInterpolatedPair:
     # The largest difference from the direct solve, per eps, of the pair at
     # x = eps and of (A, A') on 41 points of the window, measured when the
-    # test was written; each bound is 10 times it
+    # test was written; each bound is 10 times it.  The direct solve's own
+    # error (rtol 2.2e-14) is most of it: the pair interpolated in lam from
+    # a DOP853 solve differed by up to 1.3e-14 and 7.0e-14
     @pytest.mark.filterwarnings("ignore:At least one element of `rtol` is too small")
     @pytest.mark.parametrize("eps, r, measured", [
         (1e-6, PI4, (2.3e-16, 5.6e-16)),
-        (0.05, PI4, (4.5e-16, 2.0e-15)),
-        (0.5, 0.3, (2.0e-15, 1.2e-14)),
-        (1.2, 0.3, (7.8e-15, 4.7e-14)),
+        (0.05, PI4, (4.5e-16, 8.9e-16)),
+        (0.5, 0.3, (1.2e-15, 1.5e-15)),
+        (1.2, 0.3, (1.8e-15, 2.0e-15)),
+        (0.7, 0.3, (1.4e-15, 2.0e-15)),
+        (1.0, 0.3, (7.1e-16, 2.0e-15)),
+        (1.45, 0.1, (6.7e-16, 2.5e-15)),
     ])
     def test_against_direct_solve_in_x(self, eps, r, measured):
-        # the pair interpolated in lam = eps^2 against a solve in x of its
-        # own, up to lam = 1.44
+        # the pair's series in lam = eps^2 against a solve in x of its own,
+        # up to lam = 2.1
         sol = direct_pair(eps)
         c1, dc, s, ds1 = warp_mod._pair_end(eps)
         got = np.array((1.0 + c1, dc, s, 1.0 + ds1))
@@ -283,29 +288,20 @@ class TestInterpolatedPair:
         for got, want in zip(w.state(rho), ref):
             assert np.max(np.abs(got - want)) <= 10.0 * measured[1]
 
-    def test_ten_nodes_against_twelve(self):
-        # twelve Chebyshev nodes move the pair, at 101 points of the window
-        # and at eps up to pi/2, by no more than two solves differ (3.4e-15
-        # at the end of the range when this test was written); the bound is
-        # 10 times that
-        nodes, weights = warp_mod._chebyshev(12)
-        twelve, ten = warp_mod._solve_pair(nodes), warp_mod._series()
+    def test_eighteen_terms_against_twenty_four(self):
+        # six more terms of the series leave the pair, at 101 points of the
+        # window and at its end, for eps up to pi/2, as it is: the sums were
+        # equal bit for bit when this test was written
         u = np.linspace(0.0, 1.0, 101)
         for eps in (1e-6, 0.01, 0.05, 0.1, 0.5, 1.0, 1.2, 1.5, 1.57):
             lam = eps * eps
-            pairs = [warp_mod._pair(eps, coeffs @ flow.dense(u).reshape(4, len(coeffs), -1),
-                                    eps * u)
-                     for coeffs, flow in ((warp_mod._interpolant(lam), ten),
-                                          (warp_mod._interpolant(lam, nodes, weights), twelve))]
-            assert np.max(np.abs(np.array(pairs[0]) - np.array(pairs[1]))) <= 3.4e-14, eps
-
-    def test_lam_on_a_node(self):
-        # at a node the interpolant is that node's row
-        lam = float(warp_mod._LAM[3])
-        coeffs = warp_mod._interpolant(lam)
-        assert coeffs.tolist() == [0.0, 0.0, 0.0, 1.0] + [0.0] * 6
-        w = solve_warp(ProfileParams(0.3, math.sqrt(lam)))
-        assert np.all(np.isfinite(w.state(np.linspace(0.3, 0.3 + math.sqrt(lam), 9))))
+            pairs, ends = [], []
+            for coeffs, at_end in (warp_mod._terms(), warp_mod._terms(24)):
+                rows = warp_mod._interpolate(warp_mod._sum(lam, coeffs), u)
+                pairs.append(warp_mod._pair(eps, rows, eps * u))
+                ends.append(warp_mod._pair(eps, warp_mod._sum(lam, at_end), eps))
+            assert np.max(np.abs(np.array(pairs[0]) - np.array(pairs[1]))) <= 1e-16, eps
+            assert np.max(np.abs(np.array(ends[0]) - np.array(ends[1]))) <= 1e-16, eps
 
     def test_eps_out_of_range_is_refused(self):
         for eps in (-1e-3, math.pi / 2, math.inf, math.nan):

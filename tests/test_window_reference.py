@@ -6,7 +6,7 @@ the angle integral psi across it and its in-plane transfer matrix M; and for
 eps 0.01, 0.020927634009400266, 0.05 and 0.1 at r* and for eps 1.2 at r 0.3,
 the transition pair (C, C', S, S') at x = eps, a_+- and r*.  They come from
 classical Runge-Kutta in mpmath (``window_reference.py``), which shares
-nothing with DOP853 and its error estimate, nor with the package's
+nothing with the package's Taylor series of the pair, nor with its
 Gauss-Legendre quadrature of the window.
 """
 
@@ -29,8 +29,9 @@ PAIRS = FIXTURE["pairs"]
 # The largest error of a window's quadrature on the transition pair over the
 # fifteen points, per quantity; each bound is FACTOR times it.  The largest
 # errors are at the turning points (5.3e-16 in t and 1.3e-15 in psi at eps
-# 0.05, 4.9e-16 in M at eps 0.01).  A DOP853 window solve at tol 1e-12 was
-# off by up to 1.1e-14, 2.4e-14 and 3.8e-14.
+# 0.05, 4.9e-16 in M at eps 0.01).  On the pair's series M is up to 9.4e-16
+# off (at eps 0.1), 4 ulps of its largest entry.  A DOP853 window solve at
+# tol 1e-12 was off by up to 1.1e-14, 2.4e-14 and 3.8e-14.
 MEASURED = {"t_window": 5.3e-16, "psi": 1.3e-15, "M": 4.9e-16}
 FACTOR = 10.0
 # the reference's own error (Richardson, 2n against n steps) stays far below
@@ -51,13 +52,15 @@ def test_window_against_reference(point):
         assert err <= FACTOR * MEASURED[name], name
 
 
-# The largest error of the interpolated pair over the entries with eps <= 0.1
-# and at eps 1.2 (lam = 1.44), measured when the fixture was written, per
-# quantity; each bound is FACTOR times it.  A pair solved per eps in x (tol
-# 1e-12, steps of at most eps/32) was off by up to 3.7e-14, 2.8e-14 and
-# 1.9e-14 at eps <= 0.1 and by 1.9e-13, 1.8e-13 and 1.4e-13 at eps 1.2.
-PAIR_MEASURED = {"small": {"pair": 2.6e-16, "a": 2.5e-16, "r_star": 1.2e-16},
-                 "large": {"pair": 8.2e-15, "a": 4.5e-16, "r_star": 6.2e-15}}
+# The largest error of the pair's series over the entries with eps <= 0.1
+# and at eps 1.2 (lam = 1.44), measured when the series replaced the solve,
+# per quantity; each bound is FACTOR times it.  The pair's error is that of
+# the remainders C - 1, C', S, S' - 1 the package returns, with the 1 added
+# back at 30 digits.  The pair interpolated in lam from one DOP853 solve was
+# off by up to 2.6e-16 (with the 1 added in floats), 2.5e-16 and 1.2e-16 at
+# eps <= 0.1 and by 8.2e-15, 4.5e-16 and 6.2e-15 at eps 1.2.
+PAIR_MEASURED = {"small": {"pair": 3.6e-18, "a": 1.2e-16, "r_star": 5.8e-17},
+                 "large": {"pair": 3.9e-17, "a": 8.8e-17, "r_star": 2.8e-17}}
 
 
 @pytest.mark.parametrize("point", PAIRS, ids=lambda p: f"eps{p['eps']}")
@@ -69,7 +72,8 @@ def test_pair_against_reference(point):
     with mp.workdps(30):
         ref = [mp.mpf(v) for v in point["pair"]]
         errors = {
-            "pair": max(float(abs(g - v)) for g, v in zip((1.0 + c1, dc, s, 1.0 + ds1), ref)),
+            "pair": max(float(abs(g - v)) for g, v in
+                        zip((1 + mp.mpf(c1), mp.mpf(dc), mp.mpf(s), 1 + mp.mpf(ds1)), ref)),
             "a": max(float(abs(warp.a_plus - mp.mpf(point["a_plus"]))),
                      float(abs(warp.a_minus - mp.mpf(point["a_minus"])))),
             "r_star": float(abs(-math.atan(entry_slope(eps)) - mp.mpf(point["r_star"]))),
