@@ -42,15 +42,24 @@ from three pieces:
   ``window_solution``).  That needs A' > 0 on the window: ProfileParams
   keeps r + eps < pi/2, where Sturm comparison with K_par <= 1 gives
   A' >= A cot(rho) > 0.  Each integral is a composite Gauss-Legendre rule
-  (Davis and Rabinowitz, Methods of Numerical Integration, 1984): the
-  sigma-images of 32 equal panels in x, 10 nodes each.  D is taken without
-  cancellation: (A - sin r) + (sin r - sin s), the last in product form, for
-  s < r, and near a turning point L sigma^2 times the Gauss mean of A' on
-  [s, s + L sigma^2].  A time t inside the window is found by Newton on the
-  t integral, whose rate is closed form.  The radial geodesic is the column
-  with c = 0, where dt/dx = 1; rho = t stays exact there and its window is
-  [r, r + eps].  A grid of geodesics (``solve_radial_grid``) shares one warp
-  function;
+  (Davis and Rabinowitz, Methods of Numerical Integration, 1984) on 32 equal
+  panels in x, 10 nodes each, whose ends are the window's sigma.  For s < r
+  they are the transition pair's own panel ends x_k = k eps / 32, and a far
+  window, more than two panel widths from grazing (s < r - eps/16), takes
+  the rule in x on the pair's own nodes, tabulated once per metric
+  (``WarpFunction.node_table``), with no lookup.  The rule converges
+  geometrically while the singularity of 1/sqrt(D), near x = s - r, stays
+  outside the panels' Bernstein ellipses (Trefethen, SIAM Rev. 50, 2008);
+  two widths keep it to rounding.  Nearer grazing, and for a turning point,
+  the rule runs on the sigma-images of the panels, where dt/dsigma has no
+  singularity.  D is taken without cancellation: (A - sin r) +
+  (sin r - sin s), the first as the pair's projection and the last in
+  product form, for s < r, and near a turning point L sigma^2 times the
+  Gauss mean of A' on [s, s + L sigma^2].  A time t inside the window is
+  found by Newton on the t integral, whose rate is closed form.  The radial
+  geodesic is the column with c = 0, where dt/dx = 1; rho = t stays exact
+  there and its window is [r, r + eps].  A grid of geodesics
+  (``solve_radial_grid``) shares one warp function, and so one table;
 * the exterior: there A'' = A, so the warped-product Hessian formula
   (O'Neill, Semi-Riemannian Geometry, 1983, ch. 7) gives Hess A' = A' g and
   h(t) = A'(rho(t)) solves h'' = h along every geodesic.  Its data at t_x are
@@ -100,8 +109,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .ode import Trajectory, _bisect
-from .warp import ProfileParams, WarpFunction, mollifier, solve_warp
+from .ode import Trajectory
+from .warp import _PANELS, ProfileParams, WarpFunction, mollifier, solve_warp
 
 __all__ = [
     "GeodesicParams",
@@ -246,33 +255,63 @@ class _Exterior:
         minimum and U' > 0 after it.  In E = e^{-2 tau},
         e^{-tau} A = sqrt(g^2 + 4 a_+ a_- E) with g = p + q E and
         e^{-tau} h' = p - q E, and U' has the sign of
-        g (p - q E) cos(theta) - A(s) E sin(theta), where
-        cos(theta) = sin(psi + phi) keeps its precision however small psi
-        is.  That sign is positive as E -> 0 and turns at most once on
-        (0, 1]; bisection in E locates the turn (E -> 1 when U' > 0 at t_x).
-        As in ``phi``, p, q, A(s) and 4 a_+ a_- are scaled by powers of two
-        (``_reduced``), so that nothing squared overflows however large A'(s)
-        is."""
+
+            f(E) = g (p - q E) sin(psi + phi) - A(s) E cos(psi + phi),
+
+        where cos(theta) = sin(psi + phi) keeps its precision however small
+        psi is.  f is positive as E -> 0 and turns at most once on (0, 1]
+        (not at all when U' > 0 at t_x).  Its derivative is closed form, with
+        dphi/dE = A(s) / (2 (g^2 + 4 a_+ a_- E)), so Newton locates the turn,
+        from the root of f's tangent p^2 psi - A(s) E / 2 at E = 0 and
+        bisecting where a step would leave the bracket.  A geodesic at rest
+        at t_x (s >= r + eps) has U' odd about t_x, so f / (1 - E) is nearly
+        linear in (1 - E)^2, and Newton runs there: in E it would be slow
+        where the turn closes in on t_x (s near the curvature threshold).
+        Newton stops once a step is below _NEWTON_STEP relative to E: U is
+        flat at its minimum, so what is left of its error is of the order of
+        the step squared.  At most _NEWTON_MAX values of f are taken, and
+        U(t_x) bounds the result.  As in ``phi``, p, q, A(s) and 4 a_+ a_-
+        are scaled by powers of two (``_reduced``), so that nothing squared
+        overflows however large A'(s) is."""
+        f, df, u = self._turn(1.0, psi)
+        rest = self.dh_x == 0.0
+        if rest:  # U'(t_x) = 0, and f(1) is rounding
+            f = 0.0
+        if f > 0.0 or (rest and df < 0.0):  # U' >= 0 on all of (t_x, inf)
+            return u, f > 0.0
+        _, p, _, a_s, _ = self._reduced
+        at_exit, lo, hi = u, 0.0, 1.0
+        e = min(2.0 * p * p * psi / a_s, 0.5)  # the root of f's tangent at E = 0, inside (0, 1)
+        for _ in range(_NEWTON_MAX - 1):
+            f, df, u = self._turn(e, psi)
+            lo, hi = (e, hi) if f > 0.0 else (lo, e)
+            if rest:  # in w = z^2, z = 1 - E, on f / z, whose dE-derivative is slope / z^2
+                z, slope = 1.0 - e, df * (1.0 - e) + f
+                w = z * z * (1.0 + 2.0 * f / slope) if slope < 0.0 else math.nan
+                new = 1.0 - math.sqrt(w) if w >= 0.0 else math.nan
+            else:
+                new = e - f / df if df < 0.0 else math.nan
+            if abs(new - e) <= _NEWTON_STEP * e:
+                break
+            e = new if lo < new < hi else 0.5 * (lo + hi)
+        return min(u, at_exit), False
+
+    def _turn(self, e: float, psi: float) -> tuple[float, float, float]:
+        """(f, df/dE, U) at E = e (``perp_minimum``), f and its derivative
+        scaled by 2^-2k; phi as in ``phi``, y atanc(4 a_+ a_- y^2) =
+        arc(c y) / c."""
         k, p, q, a_s, d = self._reduced
         c = math.sqrt(abs(self.d))
         arc = math.atanh if self.d > 0.0 else math.atan
-
-        def state(e: float) -> tuple[float, float, float]:
-            """(e^{-tau} h, e^{-tau} h', psi + phi) at E = e, the first two
-            scaled by 2^-k; phi as in ``phi``, y atanc(4 a_+ a_- y^2) =
-            arc(c y) / c."""
-            y = a_s * e / (2.0 * p * p + (2.0 * p * q + d) * e)
-            return p + q * e, p - q * e, psi + (arc(c * y) / c if c * y > 0.0 else y)
-
-        def rising(e: float) -> bool:
-            g, dg, angle = state(e)
-            return g * dg * math.sin(angle) > a_s * e * math.cos(angle)
-
-        e = _bisect(rising, 1.0, 0.0)
-        g, _, angle = state(e)
+        y = a_s * e / (2.0 * p * p + (2.0 * p * q + d) * e)
+        angle = psi + (arc(c * y) / c if c * y > 0.0 else y)
+        g, dg, sin, cos = p + q * e, p - q * e, math.sin(angle), math.cos(angle)
+        a2 = g * g + d * e  # (e^{-tau} A)^2, scaled by 2^-2k
+        dangle = 0.5 * a_s / a2
+        f = g * dg * sin - a_s * e * cos
+        df = (g * dg * cos + a_s * e * sin) * dangle - 2.0 * q * q * e * sin - a_s * cos
         # e^{-tau} A / A(s) = sqrt(g^2 + 4 a_+ a_- E) / A(s), both scaled by 2^-k
-        u = math.sqrt((g * g + d * e) / e) * math.sin(angle) / math.ldexp(self.a_s, -k)
-        return u, rising(1.0)
+        return f, df, math.sqrt(a2 / e) * sin / math.ldexp(self.a_s, -k)
 
     def k_perp(self, t: np.ndarray) -> np.ndarray:
         """K_perp(rho) = (1 - A'^2) / A^2 = -1 + (1 + 4 a_+ a_-) / A^2."""
@@ -437,13 +476,15 @@ class RadialSolution:
 
         return Trajectory.from_function(fn, t_in, t_x)
 
-    def window_turn(self, in_plane: bool) -> float:
-        """The time in the window at which U' of the even solution U
-        (U(0) = 1, U'(0) = 0) of the in-plane or the off-plane Jacobi
-        equation turns positive, given U' <= 0 at t_in and U' > 0 at t_x: the
-        first panel end past the turn, then Newton in sigma on the partial
-        integrals of that panel, with U'' = -k U and dt/dsigma in closed
-        form, bisecting where a step would leave the bracket.
+    def window_minimum(self, in_plane: bool) -> float:
+        """The minimum over the window of the even solution U (U(0) = 1,
+        U'(0) = 0) of the in-plane or the off-plane Jacobi equation, given
+        U' <= 0 at t_in and U' > 0 at t_x: U where U' turns positive, found
+        from the first panel end past the turn by Newton in sigma on the
+        partial integrals of that panel, with U'' = -k U and dt/dsigma in
+        closed form, bisecting where a step would leave the bracket.  U is
+        the value at Newton's last point, which the step bound puts within
+        the square of a step of the minimum.
         In-plane U = cos(t_in) U - sin(t_in) V of the window pair.
         Off-plane U = A cos(theta) / A(s) with theta = theta(t_in) + A(s) psi,
         U' = (A' rho' cos(theta) - (A(s)/A) sin(theta)) / A(s) and
@@ -477,7 +518,7 @@ class RadialSolution:
             if abs(new - sg) <= _NEWTON_STEP:
                 break
             sg = new
-        return t_in + float(part[0, 0])
+        return u
 
 
 def entry_time(s: float, r: float) -> float:
@@ -497,13 +538,23 @@ def radial_exit_slope(s: float, r: float) -> float:
     return math.sqrt(math.sin(r + s) * math.sin(r - s)) / math.sin(r)
 
 
-# Every window is one composite Gauss-Legendre rule in sigma, with
-# x = rho - r = (s - r) + L sigma^2 and L = r + eps - s: the sigma-images of
-# _PANELS equal panels in x over the window's x-span, with the 10 Gauss-Legendre
-# nodes each.  In the turning band L sigma^2 < _BAND L of a geodesic
-# with r <= s, D = A(rho) - A(s) is L sigma^2 times the Gauss mean of A' on
+# Every window is a composite Gauss-Legendre rule on _PANELS equal panels in
+# x = rho - r over its x-span, 10 nodes each, with panel ends sigma, where
+# x = (s - r) + L sigma^2 and L = r + eps - s.  For s < r those ends are the
+# transition pair's own panel ends x_k = k eps / _PANELS.  A far window,
+# s < r - _FAR eps / _PANELS, takes the rule in x on the pair's own nodes
+# (``WarpFunction.node_table``), with no lookup: the singularity of
+# dt/dx = (c + D) / sqrt(D (2c + D)) at D = 0 lies near x = s - r, at least
+# _FAR panel widths before the first panel.  Measured at eps 0.01, 0.05, 0.1,
+# 0.7 and 1.2, the rule in x agreed with the sigma rule to 1.8e-15 in cum at
+# 1, 2, 4 and 8 widths from r, and only to 1.6e-14 - 6.7e-13 at half a width:
+# two widths keep a width of margin past where it reaches rounding.  Every
+# other window (s < r within _FAR widths of grazing, or r <= s < r + eps)
+# takes the rule on the sigma-images of the panels, where dt/dsigma has no
+# singularity.  In the turning band L sigma^2 < _BAND L of a geodesic with
+# r <= s, D = A(rho) - A(s) is L sigma^2 times the Gauss mean of A' on
 # [s, s + L sigma^2], since the plain difference cancels there.
-_PANELS = 32
+_FAR = 2
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(10)
 _GAUSS_X, _GAUSS_W = 0.5 * (_GAUSS_X + 1.0), 0.5 * _GAUSS_W  # on [0, 1]
 _BAND = 0.1
@@ -518,7 +569,11 @@ class _Window:
     """The transition window of one geodesic, r <= rho <= r + eps, by
     quadrature on the warp function (module docstring).  ``cum`` holds the
     integrals (t - t_in, psi, J) from the entry to each panel end ``sigma``;
-    ``entry`` is (y_i, a_i) = (A rho', A')(t_in)."""
+    ``entry`` is (y_i, a_i) = (A rho', A')(t_in).  Only ``build`` forks: a
+    far window's ``cum`` is the rule in x on the metric's node table, every
+    other one's the rule in sigma on looked-up values.  Both end on the same
+    sigma, so a partial panel (``_partial``, ``at``) is always taken in
+    sigma."""
 
     params: GeodesicParams
     warp: WarpFunction
@@ -541,10 +596,17 @@ class _Window:
         else:  # a turning point at t = 0
             entry, lo = (0.0, at_s[1]), 0.0
         sigma = np.sqrt(np.linspace(lo, 1.0, _PANELS + 1))
-        h = np.diff(sigma)
         win = cls(p, warp, at_s[0], entry, sigma, np.zeros((3, _PANELS + 1)))
         # each panel's integrals, summed into cum after its column of zeros
-        rates = win._rates(sigma[:-1, None] + h[:, None] * _GAUSS_X)[0]
+        if s < r - _FAR * eps / _PANELS:
+            # in x on the pair's nodes, with dt/dx and D as in _rates
+            c, (a_less, _, k_da2) = win.c, warp.node_table
+            d = a_less + 2.0 * math.cos(0.5 * (r + s)) * math.sin(0.5 * (r - s))
+            dt = (c + d) / np.sqrt(d * (2.0 * c + d))
+            rates, h = np.stack((dt, dt / ((c + d) * (c + d)), k_da2 * dt)), eps / _PANELS
+        else:
+            h = np.diff(sigma)
+            rates = win._rates(sigma[:-1, None] + h[:, None] * _GAUSS_X)[0]
         np.cumsum(h * (rates @ _GAUSS_W), axis=1, out=win.cum[:, 1:])
         return win
 

@@ -328,8 +328,9 @@ def even_minimum(kernel: JacobiKernel) -> float:
     (``perp_minimum``).  While U > 0, U'' = -k U, so U' <= 0 up to the
     minimum and U' > 0 after it.  The minimum lies in the window when
     U'(t_x) > 0, where U' = 0 is solved by Newton in the window variable on
-    the window's partial integrals (``RadialSolution.window_turn``), else
-    past t_x: 2 sqrt(PQ) in-plane, ``perp_minimum`` off-plane.
+    the window's partial integrals, which give U there as well
+    (``RadialSolution.window_minimum``), else past t_x: 2 sqrt(PQ)
+    in-plane, ``perp_minimum`` (Newton in E = e^{-2(t - t_x)}) off-plane.
     """
     radial = kernel.radial
     t_in, t_x = radial.window
@@ -347,8 +348,7 @@ def even_minimum(kernel: JacobiKernel) -> float:
         # U -> -inf if P < 0, else U is least at tau = log(Q/P) / 2 if Q > P, else at t_x
         tail, rising = -math.inf if p < 0.0 else 2.0 * math.sqrt(p * q) if q > p else u, du > 0.0
     if rising and t_in < t_x:
-        U = jacobi_solution(kernel, (1.0, 0.0), t_x)
-        return min(tail, U.value(radial.window_turn(kernel.kind == "parallel")))
+        return min(tail, radial.window_minimum(kernel.kind == "parallel"))
     return tail
 
 

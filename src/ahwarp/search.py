@@ -44,7 +44,7 @@ Each regime's grid takes its geodesics from one
 quadrature on the transition pair.  Each mid-s point's minima of U are exact
 over all t >= 0 (``jacobi.even_minimum``): U is cos t in the ball and closed
 form past the transition, and U' turns positive once, so the minimum is one
-closed formula, one bisection past the window or one Newton solve in it.  No
+closed formula or one Newton solve, past the window or in it.  No
 caller sets a tolerance: the transition pair is a fixed series, and every
 window is the same composite Gauss-Legendre rule; the report's metadata
 states both.  Nothing is integrated: once the process has built the pair's

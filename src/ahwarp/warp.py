@@ -37,7 +37,10 @@ in powers of lam.  The pair serves every r:
 * the warp function: A(r + x) = sin r C + cos r S on [0, eps], and A' the
   same sum of C' and S'.  The terms' Legendre coefficients on each panel
   are summed in lam once per metric, and each lookup evaluates its panel's
-  polynomials.  The geodesics' transition windows are quadratures on it;
+  polynomials.  The geodesics' transition windows are quadratures on it.
+  Most of them need it only at the pair's own nodes, so a metric also sums
+  the terms' node values once, with no Legendre transform, into a table of
+  A - sin r, A' and K_par / A'^2 there (``WarpFunction.node_table``);
 * the exterior coefficients, one formula for every eps:
   a_+- = e^{-+(r + eps)} (A +- A')(r + eps) / 2;
 * w(eps) = -(C + C') / (S + S') at x = eps: W = Y'/Y at the ball boundary
@@ -120,7 +123,9 @@ def k_parallel(params: ProfileParams, rho: float | np.ndarray) -> float | np.nda
 class WarpFunction:
     """The warp function A and its first derivative, evaluated piecewise:
     sin(rho) inside the ball, a projection of the transition pair on
-    [r, r+eps] when eps > 0, and the exact exponential form outside.
+    [r, r+eps] when eps > 0, and the exact exponential form outside.  The
+    transition's values at the pair's own nodes are tabulated once, on
+    first use (``node_table``), for the geodesics' far windows.
 
     Immutable after construction; evaluators are pure.
     """
@@ -167,6 +172,21 @@ class WarpFunction:
         """(A, A')(r + eps), where the transition ends: a constant of the
         metric, looked up once."""
         return tuple(float(v[0]) for v in self.state(self.params.r + self.params.eps))
+
+    @cached_property
+    def node_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(A - sin r, A', K_par / A'^2) at the transition pair's own nodes,
+        x = eps u for u in ``_U`` (each panels x nodes): the table on which
+        the geodesics' far windows take their quadrature, built once per
+        metric on first use (never for a sharp metric, which has no window).
+        The values are the series' node values summed in lam, with no
+        Legendre transform and no lookup, and A - sin r is the projection
+        sin r (C - 1) + cos r S, which keeps its digits near x = 0."""
+        r, eps = self.params.r, self.params.eps
+        c1, dc, s, ds1 = _pair(eps, _sum(eps * eps, _terms()[2]), eps * _U)
+        sin_r, cos_r = math.sin(r), math.cos(r)
+        da = cos_r + (sin_r * dc + cos_r * ds1)
+        return sin_r * c1 + cos_r * s, da, (1.0 - 2.0 * mollifier(_U)) / (da * da)
 
     def value(self, rho: float | np.ndarray) -> float | np.ndarray:
         v, _ = self.state(rho)
@@ -239,6 +259,8 @@ _CUMULATIVE = (0.5 / _PANELS) * (np.polynomial.legendre.legvander(_XI, _GAUSS)
                                  @ np.polynomial.legendre.legint(np.eye(_GAUSS), lbnd=-1.0)
                                  @ _TO_LEGENDRE)
 _PANEL_WEIGHTS = (0.5 / _PANELS) * _WEIGHTS
+# the nodes in u (panels x nodes)
+_U = (np.arange(_PANELS)[:, None] + 0.5 * (1.0 + _XI)) / _PANELS
 
 
 def _integral(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -251,21 +273,23 @@ def _integral(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @cache
-def _terms(order: int = _ORDER) -> tuple[np.ndarray, np.ndarray]:
+def _terms(order: int = _ORDER) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The Taylor terms m = 1..order of the remainders (C - 1, S - u, C_u,
     S_u - 1) in u: their Legendre coefficients on each panel (order x 4 x
-    panels x degree) and their values at u = 1 (order x 4).  Built once per
-    process, on first use; another order only checks the truncation."""
-    u = (np.arange(_PANELS)[:, None] + 0.5 * (1.0 + _XI)) / _PANELS
-    k = 1.0 - 2.0 * mollifier(u)
-    y = np.stack((np.ones_like(u), u))  # y_0 of C and of S
+    panels x degree), their values at u = 1 (order x 4) and at the nodes
+    ``_U`` (order x 4 x panels x nodes), the last as built, not through
+    ``_TO_LEGENDRE``.  Built once per process, on first use; another order
+    only checks the truncation."""
+    k = 1.0 - 2.0 * mollifier(_U)
+    y = np.stack((np.ones_like(_U), _U))  # y_0 of C and of S
     rows, ends = [], []
     for _ in range(order):
         d, d_end = _integral(-k * y)
         y, y_end = _integral(d)
         rows.append(np.concatenate((y, d)))
         ends.append(np.concatenate((y_end, d_end)))
-    return np.array(rows) @ _TO_LEGENDRE.T, np.array(ends)
+    rows = np.array(rows)
+    return rows @ _TO_LEGENDRE.T, np.array(ends), rows
 
 
 def _sum(lam: float, terms: np.ndarray) -> np.ndarray:

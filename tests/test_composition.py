@@ -2,6 +2,7 @@
 exterior) against full-span solves, and the work the composition leaves to
 the integrator."""
 
+import functools
 import math
 import os
 import subprocess
@@ -23,7 +24,7 @@ from ahwarp.jacobi import even_minimum, fundamental_pair, jacobi_solution, make_
 from ahwarp.ode import Trajectory
 from ahwarp.search import assemble_report, find_r_star
 from ahwarp.stable import stable_for, stable_solution
-from ahwarp.warp import entry_slope, k_parallel, solve_warp
+from ahwarp.warp import ProfileParams, WarpFunction, entry_slope, k_parallel, solve_warp
 
 T = 20.0
 TS = np.linspace(0.0, T, 401)
@@ -169,6 +170,37 @@ def builds(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def tables(monkeypatch):
+    """Every build of a metric's node table (``WarpFunction.node_table``),
+    as the metric's parameters."""
+    built = []
+    real = WarpFunction.__dict__["node_table"].func
+
+    def counting(self):
+        built.append(self.params)
+        return real(self)
+
+    prop = functools.cached_property(counting)
+    prop.__set_name__(WarpFunction, "node_table")
+    monkeypatch.setattr(WarpFunction, "node_table", prop)
+    return built
+
+
+@pytest.fixture
+def lookups(monkeypatch):
+    """The number of points of every ``WarpFunction.state`` call."""
+    sizes = []
+    real = WarpFunction.state
+
+    def counting(self, rho):
+        sizes.append(int(np.size(rho)))
+        return real(self, rho)
+
+    monkeypatch.setattr(WarpFunction, "state", counting)
+    return sizes
+
+
 def run_fresh(code):
     """Run ``code`` in a fresh interpreter on this checkout's package."""
     src = str(Path(ode_mod.__file__).resolve().parents[1])
@@ -306,13 +338,61 @@ class TestWorkCounts:
         assert solves == []
 
 
+    def test_far_window_looks_nothing_up(self, tables, lookups):
+        # a far window (s < r - 2 eps/32) takes its quadrature on the metric's
+        # node table, built on the first and reused; a window within two
+        # pair panels of grazing, or one with a turning point, looks up its
+        # 320 sigma nodes (every window looked them up before the table)
+        r, eps = 0.76, 0.05
+        warp = solve_warp(ProfileParams(r, eps))
+        for s in (0.0, 0.3, 0.6, r - 2.5 * eps / 32):
+            assert geo_mod._Window.build(GeodesicParams(s, r, eps), warp,
+                                         (math.sin(s), math.cos(s))) is not None
+        assert lookups == [] and tables == [ProfileParams(r, eps)]
+        s = r - 1.5 * eps / 32
+        geo_mod._Window.build(GeodesicParams(s, r, eps), warp, (math.sin(s), math.cos(s)))
+        assert lookups == [320] and len(tables) == 1
+
+    def test_node_table_once_per_grid_metric(self, tables):
+        # one table per metric, however many far windows its grid has; a
+        # sharp metric has no window, so a sharp scan builds none
+        grid = list(solve_radial_grid(np.linspace(0.0, 0.9, 31), 0.76, 0.05))
+        assert sum(sol.quadrature is not None for sol in grid) > 20
+        assert tables == [ProfileParams(0.76, 0.05)]
+        assert assemble_report(0.0).overall == "boundary-CP-and-no-interior-CP"
+        list(solve_radial_grid(np.linspace(0.0, 0.9, 31), PI4, 0.0))
+        assert tables == [ProfileParams(0.76, 0.05)]
+
+    @pytest.mark.parametrize("eps", [0.0, 0.05])
+    def test_perp_minimum_takes_at_most_eight_values(self, monkeypatch, eps):
+        # Newton on the sign of U' past t_x, from the root of its tangent at
+        # E = 0, takes at most 8 values of it on every mid-s geodesic of a
+        # scan (bisection in floats took about 50)
+        per_call, real_turn = [], geo_mod._Exterior._turn
+        real_min = geo_mod._Exterior.perp_minimum
+
+        def turn(self, e, psi):
+            per_call[-1] += 1
+            return real_turn(self, e, psi)
+
+        def minimum(self, psi):
+            per_call.append(0)
+            return real_min(self, psi)
+
+        monkeypatch.setattr(geo_mod._Exterior, "_turn", turn)
+        monkeypatch.setattr(geo_mod._Exterior, "perp_minimum", minimum)
+        assert assemble_report(eps).overall == "boundary-CP-and-no-interior-CP"
+        assert len(per_call) > 80 and max(per_call) <= 8
+
+
 def direct_window(s, r, eps):
     """The window of the geodesic (s, r, eps) by one DOP853 solve in t at
     tol 1e-13, from the entry (rho = r, or rho = s at rest for r <= s) to
     rho = r + eps, of the geodesic, of the in-plane Killing field
-    y1 = A(rho) rho' from (A rho', A')(t_in), and of the in-plane pair from
-    the identity: (time in the window, the end state of the Killing field,
-    (A rho', A') at the end, the transfer matrix)."""
+    y1 = A(rho) rho' from (A rho', A')(t_in), of the in-plane pair from
+    the identity and of the angle integral psi (dpsi/dt = 1/A^2): (time in
+    the window, the end state of the Killing field, (A rho', A') at the end,
+    the transfer matrix, psi across the window)."""
     profile = GeodesicParams(s, r, eps).profile
     warp = solve_warp(profile)
     rho0, v0 = (r, radial_exit_slope(s, r)) if s < r else (s, 0.0)
@@ -321,20 +401,21 @@ def direct_window(s, r, eps):
         rho, v = y[0], y[1]
         a, da = (float(z[0]) for z in warp.state(rho))
         m = -float(k_parallel(profile, rho))
-        return (v, da / a * (1.0 - v * v), y[3], m * y[2], y[5], m * y[4], y[7], m * y[6])
+        return (v, da / a * (1.0 - v * v), y[3], m * y[2], y[5], m * y[4], y[7], m * y[6],
+                1.0 / (a * a))
 
     def exit_(t, y):
         return y[0] - (r + eps)
 
     exit_.terminal = True
     a0, da0 = (float(z[0]) for z in warp.state(rho0))
-    sol = solve_ivp(rhs, (0.0, 10.0), (rho0, v0, a0 * v0, da0, 1.0, 0.0, 0.0, 1.0),
+    sol = solve_ivp(rhs, (0.0, 10.0), (rho0, v0, a0 * v0, da0, 1.0, 0.0, 0.0, 1.0, 0.0),
                     method="DOP853", events=exit_, rtol=1e-13, atol=1e-16)
     assert sol.status == 1, sol.message
     end = sol.y[:, -1]
     a_x, da_x = (float(z[0]) for z in warp.state(end[0]))
     return (float(sol.t[-1]), end[2:4], np.array([a_x * end[1], da_x]),
-            np.array([[end[4], end[6]], [end[5], end[7]]]))
+            np.array([[end[4], end[6]], [end[5], end[7]]]), float(end[8]))
 
 
 class TestWindowInvariants:
@@ -365,7 +446,7 @@ class TestWindowInvariants:
         # (A rho', A')(t_x).  That identity is what the transfer matrix is
         # built on, and the direct solve's pair and time check the quadrature
         r, eps = 0.76, 0.05
-        t_window, killing, exact, pair = direct_window(s, r, eps)
+        t_window, killing, exact, pair, _ = direct_window(s, r, eps)
         assert np.max(np.abs(killing - exact)) <= 1e-12
         radial = solve_radial(GeodesicParams(s, r, eps), T)
         t_in, t_x = radial.window
@@ -459,8 +540,23 @@ class TestMidSAccuracy:
         # off, and 2.8e-8 before its steps were bounded by eps/32 in x)
         r, _ = find_r_star(eps)
         for s in np.arange(0.30, r + eps, 0.04).tolist():
-            t_window, _, _, pair = direct_window(s, r, eps)
+            t_window, _, _, pair, _ = direct_window(s, r, eps)
             radial = solve_radial(GeodesicParams(s, r, eps), T)
             t_in, t_x = radial.window
             assert abs((t_x - t_in) - t_window) <= 1e-12, s
             assert np.max(np.abs(radial.transfer - pair)) <= 1e-11, s
+
+    @pytest.mark.parametrize("r, eps", [(0.76, 0.05), (0.76, 0.1), (0.3, 1.2)])
+    def test_windows_across_the_far_switch(self, r, eps):
+        # windows at 1 to 4 pair-panel widths eps/32 below grazing: a far
+        # one (past 2 widths) takes its quadrature in x on the pair's own
+        # nodes, a near one in sigma; both sides against a direct DOP853
+        # solve of the geodesic, its angle integral and its in-plane pair
+        for widths in (1.0, 1.5, 2.0, 2.5, 4.0):
+            s = r - widths * eps / 32
+            t_window, _, _, pair, psi = direct_window(s, r, eps)
+            radial = solve_radial(GeodesicParams(s, r, eps), T)
+            t_in, t_x = radial.window
+            assert abs((t_x - t_in) - t_window) <= 1e-12, widths
+            assert abs(float(radial.quadrature.cum[1, -1]) - psi) <= 1e-12, widths
+            assert np.max(np.abs(radial.transfer - pair)) <= 1e-12, widths

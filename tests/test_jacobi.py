@@ -389,6 +389,37 @@ class TestEvenMinimum:
         assert 0.0 < least <= sampled + 1e-15
         assert sampled - least < 1e-12
 
+    @pytest.mark.parametrize("mu, rising", [
+        (GeodesicParams(0.005, PI4, 0.0), False),    # psi = 2.2e-8: the turn at E ~ 1e-5
+        (GeodesicParams(0.3, PI4, 0.0), False),
+        (GeodesicParams(1.0, PI4, 0.0), False),      # at rest at t_x = 0
+        (GeodesicParams(1.1319, PI4, 0.0), False),   # at rest, the turn near t_x
+        (GeodesicParams(1.2, PI4, 0.0), False),      # at rest, past the threshold: U' > 0 after 0
+        (GeodesicParams(0.005, 0.76, 0.05), False),  # psi = 2.4e-6
+        (GeodesicParams(0.5, 0.76, 0.05), False),
+        (GeodesicParams(0.78, 0.76, 0.05), False),   # starts inside the transition
+        (GeodesicParams(0.0559, 0.02, 0.05), True),  # U' > 0 at t_x: least at t_x
+    ])
+    def test_perp_minimum_against_refined_sample(self, mu, rising):
+        # the off-plane minimum past t_x (Newton in E = e^{-2(t - t_x)})
+        # against U sampled on [t_x, t_x + 12] and again around its least
+        # sample: at or below it (up to rounding: at t_x the exterior's A
+        # and the window's differ by ulps), and within 1e-12 of it.
+        # U = A cos(theta) / A(s) is sampled as A sin(psi + phi) / A(s),
+        # which keeps its digits where psi is small
+        kernel = make_kernel("perpendicular", mu, horizon=14.0)
+        radial = kernel.radial
+        t_x, psi = radial.exit_time, radial.theta_infinity_complement
+        U = killing_field(kernel, math.sin(psi), math.cos(psi), 13.5, angle="phi")
+        ts = np.linspace(t_x, t_x + 12.0, 12001)
+        i = int(np.argmin(U.value(ts)))
+        fine = np.linspace(ts[max(i - 1, 0)], ts[min(i + 1, 12000)], 2001)
+        sampled = float(np.min(U.value(fine)))
+        least, up = radial.exterior.perp_minimum(psi)
+        assert up is rising and (i == 0) is (rising or mu.s > 1.15)
+        assert 0.0 < least <= sampled + 1e-14
+        assert sampled - least < 1e-12
+
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("s", [300.0, 400.0, 700.0])
     @pytest.mark.parametrize("eps", [0.0, 0.05])

@@ -296,7 +296,7 @@ class TestInterpolatedPair:
         for eps in (1e-6, 0.01, 0.05, 0.1, 0.5, 1.0, 1.2, 1.5, 1.57):
             lam = eps * eps
             pairs, ends = [], []
-            for coeffs, at_end in (warp_mod._terms(), warp_mod._terms(24)):
+            for coeffs, at_end, _ in (warp_mod._terms(), warp_mod._terms(24)):
                 rows = warp_mod._interpolate(warp_mod._sum(lam, coeffs), u)
                 pairs.append(warp_mod._pair(eps, rows, eps * u))
                 ends.append(warp_mod._pair(eps, warp_mod._sum(lam, at_end), eps))
