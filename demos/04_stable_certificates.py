@@ -19,13 +19,13 @@ import math
 import numpy as np
 
 from ahwarp import (
+    TOL_SIGN,
     GeodesicParams,
     certificate,
     certificate_parallel_closed,
     certificate_perp_closed,
     certificate_s_derivatives,
     find_r_star,
-    no_double_zero_criterion,
     radial_certificate_closed,
     stable_for,
 )
@@ -36,11 +36,11 @@ print("=== radial certificates across r (sharp metric) ===")
 print("  r         W'(0) integrated    closed form        verdict")
 for r in (0.70, 0.75, PI4, 0.80, 0.86):
     mu = GeodesicParams(0.0, r, 0.0)
-    got = certificate("parallel", mu)
-    v = no_double_zero_criterion("parallel", mu)
-    flag = " (marginal: on the critical locus)" if v.marginal else ""
+    got = stable_for("parallel", mu).W_prime_0
+    verdict = "no-double-zeros" if got <= TOL_SIGN else "double-zero-exists"
+    flag = " (marginal: on the critical locus)" if abs(got) < TOL_SIGN / 10.0 else ""
     print(f"  {r:.6f}  {got:+.12f}   {radial_certificate_closed(r):+.12f}   "
-          f"{v.verdict}{flag}")
+          f"{verdict}{flag}")
 
 print()
 print("=== the boundary-conjugate witness at the critical radius ===")

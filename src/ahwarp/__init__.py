@@ -50,14 +50,12 @@ from .jacobi import (
 from .stable import (
     TOL_SIGN,
     CertificateError,
-    DoubleZeroVerdict,
     StableSolution,
     certificate,
     certificate_grid,
     certificate_parallel_closed,
     certificate_perp_closed,
     certificate_s_derivatives,
-    no_double_zero_criterion,
     radial_certificate_closed,
     radial_stable_closed,
     stable_for,

@@ -553,11 +553,15 @@ def radial_exit_slope(s: float, r: float) -> float:
 # takes the rule on the sigma-images of the panels, where dt/dsigma has no
 # singularity.  In the turning band L sigma^2 < _BAND L of a geodesic with
 # r <= s, D = A(rho) - A(s) is L sigma^2 times the Gauss mean of A' on
-# [s, s + L sigma^2], since the plain difference cancels there.
+# [s, s + L sigma^2], since the plain difference cancels there.  The band
+# also takes every rho - s = L sigma^2 below _REST: rounding of A and rho
+# (about 1e-16 each) leaves the plain difference less than half its digits
+# there, and none within ulps of rest, where it rounds to 0.
 _FAR = 2
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(10)
 _GAUSS_X, _GAUSS_W = 0.5 * (_GAUSS_X + 1.0), 0.5 * _GAUSS_W  # on [0, 1]
 _BAND = 0.1
+_REST = 1e-8
 # Newton stops once its step in sigma is below _NEWTON_STEP: what is left of
 # the error is then of the order of the step squared
 _NEWTON_STEP = 1e-9
@@ -621,7 +625,7 @@ class _Window:
             d = (a - math.sin(r)) + 2.0 * math.cos(0.5 * (r + s)) * math.sin(0.5 * (r - s))
             m = d / lsq
         else:
-            band = lsq < _BAND * length
+            band = lsq < max(_BAND * length, _REST)
             d, m = a - c, np.empty_like(a)
             np.divide(d, lsq, out=m, where=~band)
             m[band] = self.warp.state(s + lsq[band, None] * _GAUSS_X)[1] @ _GAUSS_W

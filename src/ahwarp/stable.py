@@ -75,7 +75,6 @@ __all__ = [
     "CertificateError",
     "StableSolution",
     "Certificates",
-    "DoubleZeroVerdict",
     "stable_solution",
     "stable_for",
     "certificate",
@@ -83,7 +82,6 @@ __all__ = [
     "certificate_s_derivatives",
     "stencil_points",
     "stencil_derivatives",
-    "no_double_zero_criterion",
     "certificate_parallel_closed",
     "certificate_perp_closed",
     "radial_certificate_closed",
@@ -92,9 +90,9 @@ __all__ = [
 
 _QUARTER_PI = math.pi / 4.0
 
-# Signed tolerance band for the sign decision of the criterion; the
-# interesting locus is exactly W'(0) = 0, so near-zero certificates are
-# flagged as marginal rather than silently classified.
+# Signed tolerance band for the sign decision W'(0) <= 0: no solution
+# vanishes twice if and only if W'(0) <= 0, and the interesting locus is
+# exactly W'(0) = 0.
 TOL_SIGN = 1e-9
 
 # The horizon of the radial solves of ``stable_for`` and ``certificate_grid``.
@@ -272,25 +270,6 @@ def certificate_s_derivatives(kind: str, params: GeodesicParams) -> tuple[float,
         raise ValueError("s-derivatives of the certificate are taken at s = 0")
     certs = certificate_grid(stencil_points(), params.r, params.eps)
     return stencil_derivatives([c[KINDS.index(kind)] for c in certs])
-
-
-@dataclass(frozen=True)
-class DoubleZeroVerdict:
-    verdict: str  # "no-double-zeros" | "double-zero-exists"
-    certificate: float
-    marginal: bool
-
-
-def no_double_zero_criterion(kind: str, params: GeodesicParams) -> DoubleZeroVerdict:
-    """Decide whether the Jacobi equation admits a solution vanishing twice:
-    it does not if and only if W'(0) <= 0, checked against the signed band
-    ``TOL_SIGN``."""
-    cert = certificate(kind, params)
-    return DoubleZeroVerdict(
-        verdict="no-double-zeros" if cert <= TOL_SIGN else "double-zero-exists",
-        certificate=cert,
-        marginal=abs(cert) < TOL_SIGN / 10.0,
-    )
 
 
 # -- closed-form certificates and solutions (oracles) ------------------------

@@ -35,12 +35,13 @@ sharp start (C, C', S, S') = (1, 0, 0, 1) exactly, and each eps is a sum
 in powers of lam.  The pair serves every r:
 
 * the warp function: A(r + x) = sin r C + cos r S on [0, eps], and A' the
-  same sum of C' and S'.  The terms' Legendre coefficients on each panel
-  are summed in lam once per metric, and each lookup evaluates its panel's
-  polynomials.  The geodesics' transition windows are quadratures on it.
-  Most of them need it only at the pair's own nodes, so a metric also sums
-  the terms' node values once, with no Legendre transform, into a table of
-  A - sin r, A' and K_par / A'^2 there (``WarpFunction.node_table``);
+  same sum of C' and S'.  The terms' node values are summed in lam once per
+  metric, into the one array that holds its transition.  A lookup
+  evaluates it by the barycentric formula on its panel's nodes (Berrut and
+  Trefethen, SIAM Rev. 46, 2004), which is exact at a node and stable
+  between them.  The geodesics' transition windows are quadratures on it;
+  most of them need it only at the pair's own nodes, where its projection
+  is a table of A - sin r, A' and K_par / A'^2 (``WarpFunction.node_table``);
 * the exterior coefficients, one formula for every eps:
   a_+- = e^{-+(r + eps)} (A +- A')(r + eps) / 2;
 * w(eps) = -(C + C') / (S + S') at x = eps: W = Y'/Y at the ball boundary
@@ -60,7 +61,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .ode import Trajectory, _bisect
+from .ode import _bisect
 
 __all__ = [
     "ProfileParams",
@@ -124,14 +125,16 @@ class WarpFunction:
     """The warp function A and its first derivative, evaluated piecewise:
     sin(rho) inside the ball, a projection of the transition pair on
     [r, r+eps] when eps > 0, and the exact exponential form outside.  The
-    transition's values at the pair's own nodes are tabulated once, on
-    first use (``node_table``), for the geodesics' far windows.
+    transition is held as one array, the remainders over lam (C - 1, S - u,
+    C_u, S_u - 1) / lam at the pair's nodes ``_U`` (None for a sharp
+    metric); a lookup interpolates it, and the far windows of the geodesics
+    read its projection at the nodes (``node_table``).
 
     Immutable after construction; evaluators are pure.
     """
 
     def __init__(self, params: ProfileParams, a_plus: float, a_minus: float,
-                 transition: Trajectory | None):
+                 transition: np.ndarray | None):
         self.params = params
         self.a_plus = a_plus
         self.a_minus = a_minus
@@ -161,10 +164,12 @@ class WarpFunction:
 
         mid = ~(inner | outer)
         if np.any(mid):
-            # only reachable when eps > 0
-            v, d = self._transition.state(rho_arr[mid])
-            val[mid] = v
-            der[mid] = d
+            # only reachable when eps > 0.  x = rho - r is exact on [r, 2r]
+            # (Sterbenz); where r + eps rounds up it passes eps by less than
+            # an ulp of r, so it is clipped
+            x = np.minimum(rho_arr[mid] - r, eps)
+            a_less, der[mid] = _project(r, *_pair(eps, _interpolate(self._transition, x / eps), x))
+            val[mid] = math.sin(r) + a_less
         return val, der
 
     @cached_property
@@ -179,14 +184,11 @@ class WarpFunction:
         x = eps u for u in ``_U`` (each panels x nodes): the table on which
         the geodesics' far windows take their quadrature, built once per
         metric on first use (never for a sharp metric, which has no window).
-        The values are the series' node values summed in lam, with no
-        Legendre transform and no lookup, and A - sin r is the projection
-        sin r (C - 1) + cos r S, which keeps its digits near x = 0."""
-        r, eps = self.params.r, self.params.eps
-        c1, dc, s, ds1 = _pair(eps, _sum(eps * eps, _terms()[2]), eps * _U)
-        sin_r, cos_r = math.sin(r), math.cos(r)
-        da = cos_r + (sin_r * dc + cos_r * ds1)
-        return sin_r * c1 + cos_r * s, da, (1.0 - 2.0 * mollifier(_U)) / (da * da)
+        It is the projection of the metric's transition array, with no
+        lookup."""
+        eps = self.params.eps
+        a_less, da = _project(self.params.r, *_pair(eps, self._transition, eps * _U))
+        return a_less, da, (1.0 - 2.0 * mollifier(_U)) / (da * da)
 
     def value(self, rho: float | np.ndarray) -> float | np.ndarray:
         v, _ = self.state(rho)
@@ -250,15 +252,18 @@ _ORDER = 18
 _PANELS = 32
 _GAUSS = 10
 _XI, _WEIGHTS = np.polynomial.legendre.leggauss(_GAUSS)
-# a panel's node values -> its Legendre coefficients, exact to degree 9
-_TO_LEGENDRE = ((np.arange(_GAUSS) + 0.5)[:, None]
-                * np.polynomial.legendre.legvander(_XI, _GAUSS - 1).T * _WEIGHTS)
 # a panel's node values -> the integrals in u from the panel's start to each
-# node (its Legendre series integrated from xi = -1), and to the panel's end
-_CUMULATIVE = (0.5 / _PANELS) * (np.polynomial.legendre.legvander(_XI, _GAUSS)
-                                 @ np.polynomial.legendre.legint(np.eye(_GAUSS), lbnd=-1.0)
-                                 @ _TO_LEGENDRE)
+# node (its Legendre series, by the discrete transform, integrated from
+# xi = -1), and to the panel's end
+_CUMULATIVE = (0.5 / _PANELS) * (
+    np.polynomial.legendre.legvander(_XI, _GAUSS)
+    @ np.polynomial.legendre.legint(np.eye(_GAUSS), lbnd=-1.0)
+    @ ((np.arange(_GAUSS) + 0.5)[:, None]
+       * np.polynomial.legendre.legvander(_XI, _GAUSS - 1).T * _WEIGHTS))
 _PANEL_WEIGHTS = (0.5 / _PANELS) * _WEIGHTS
+# the barycentric weights of the Gauss nodes (Berrut and Trefethen, SIAM Rev.
+# 46, 2004), up to a common factor
+_BARYCENTRIC = (-1.0) ** np.arange(_GAUSS) * np.sqrt((1.0 - _XI * _XI) * _WEIGHTS)
 # the nodes in u (panels x nodes)
 _U = (np.arange(_PANELS)[:, None] + 0.5 * (1.0 + _XI)) / _PANELS
 
@@ -273,13 +278,11 @@ def _integral(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @cache
-def _terms(order: int = _ORDER) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _terms(order: int = _ORDER) -> tuple[np.ndarray, np.ndarray]:
     """The Taylor terms m = 1..order of the remainders (C - 1, S - u, C_u,
-    S_u - 1) in u: their Legendre coefficients on each panel (order x 4 x
-    panels x degree), their values at u = 1 (order x 4) and at the nodes
-    ``_U`` (order x 4 x panels x nodes), the last as built, not through
-    ``_TO_LEGENDRE``.  Built once per process, on first use; another order
-    only checks the truncation."""
+    S_u - 1) in u: their values at the nodes ``_U`` (order x 4 x panels x
+    nodes) and at u = 1 (order x 4).  Built once per process, on first use;
+    another order only checks the truncation."""
     k = 1.0 - 2.0 * mollifier(_U)
     y = np.stack((np.ones_like(_U), _U))  # y_0 of C and of S
     rows, ends = [], []
@@ -288,25 +291,29 @@ def _terms(order: int = _ORDER) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         y, y_end = _integral(d)
         rows.append(np.concatenate((y, d)))
         ends.append(np.concatenate((y_end, d_end)))
-    rows = np.array(rows)
-    return rows @ _TO_LEGENDRE.T, np.array(ends), rows
+    return np.array(rows), np.array(ends)
 
 
 def _sum(lam: float, terms: np.ndarray) -> np.ndarray:
     """The remainders over lam, sum_m lam^(m - 1) terms[m - 1], as one
-    product with the powers of lam (a seventh of Horner's time on the
-    coefficients)."""
+    product with the powers of lam."""
     n = len(terms)
     return (lam ** np.arange(n) @ terms.reshape(n, -1)).reshape(terms.shape[1:])
 
 
-def _interpolate(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The rows (4 x len(u)) at the points u of [0, 1], from their Legendre
-    coefficients on each panel (4 x panels x degree)."""
+def _interpolate(values: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The rows (... x len(u)) at the points u of [0, 1], from their values
+    at the nodes ``_U`` (... x panels x nodes): the barycentric formula on
+    each point's panel, and the node value where a point is a node."""
     z = u * _PANELS
     panel = np.minimum(z.astype(int), _PANELS - 1)
-    basis = np.polynomial.legendre.legvander(2.0 * (z - panel) - 1.0, _GAUSS - 1)
-    return np.einsum("kpn,pn->kp", coeffs[:, panel], basis)
+    diff = (2.0 * (z - panel) - 1.0)[:, None] - _XI
+    point, node = np.nonzero(diff == 0.0)
+    diff[point, node] = 1.0
+    q = _BARYCENTRIC / diff
+    out = np.einsum("...pn,pn->...p", values[..., panel, :], q) / q.sum(axis=1)
+    out[..., point] = values[..., panel[point], node]
+    return out
 
 
 def _pair(eps: float, rem: np.ndarray, x: float | np.ndarray) -> tuple:
@@ -317,6 +324,14 @@ def _pair(eps: float, rem: np.ndarray, x: float | np.ndarray) -> tuple:
     lam = eps * eps
     c, s, dc, ds = rem
     return lam * c, eps * dc, x + eps * lam * s, lam * ds
+
+
+def _project(r: float, c1, dc, s, ds1) -> tuple:
+    """(A - sin r, A')(r + x) from (C - 1, C', S, S' - 1) at x: A = sin r C +
+    cos r S and A' the same sum of C' and S'.  A - sin r keeps its digits
+    near x = 0."""
+    sin_r, cos_r = math.sin(r), math.cos(r)
+    return sin_r * c1 + cos_r * s, cos_r + (sin_r * dc + cos_r * ds1)
 
 
 def _pair_end(eps: float) -> tuple[float, float, float, float]:
@@ -343,33 +358,17 @@ def solve_warp(params: ProfileParams) -> WarpFunction:
 
     The interior branch is exact; the transition and the exterior
     coefficients are projections of the transition pair of width eps (module
-    docstring), so nothing is built per r or per eps but the pair's sum in
-    lam.  An eps below the resolution of r is the sharp metric, with no
-    transition.
+    docstring), so nothing is built per r or per eps but the pair's node
+    values summed in lam.  An eps below the resolution of r is the sharp
+    metric, with no transition.
     """
     r, eps = params.r, params.eps
     sharp = r + eps == r
-    sin_r, cos_r = math.sin(r), math.cos(r)
-
-    def project(c1, dc, s, ds1):
-        """(A, A')(r + x) = sin r (C, C') + cos r (S, S')."""
-        return sin_r + (sin_r * c1 + cos_r * s), cos_r + (sin_r * dc + cos_r * ds1)
-
-    a, da = project(*_pair_end(0.0 if sharp else eps))
+    a_less, da = _project(r, *_pair_end(0.0 if sharp else eps))
+    a = math.sin(r) + a_less
     a_plus = math.exp(-(r + eps)) * (a + da) / 2.0
     a_minus = math.exp(r + eps) * (a - da) / 2.0
-    transition = None
-    if not sharp:
-        # the terms' Legendre coefficients summed in lam once per metric
-        coeffs = _sum(eps * eps, _terms()[0])
-
-        def state(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            # x = rho - r is exact on [r, 2r] (Sterbenz); where r + eps rounds
-            # up it passes eps by less than an ulp of r, so it is clipped
-            x = np.minimum(rho - r, eps)
-            return project(*_pair(eps, _interpolate(coeffs, x / eps), x))
-
-        transition = Trajectory.from_function(state, r, r + eps)
+    transition = None if sharp else _sum(eps * eps, _terms()[0])
     return WarpFunction(params, a_plus, a_minus, transition)
 
 

@@ -363,6 +363,25 @@ class TestWorkCounts:
         list(solve_radial_grid(np.linspace(0.0, 0.9, 31), PI4, 0.0))
         assert tables == [ProfileParams(0.76, 0.05)]
 
+    def test_lookups_build_no_legendre_basis(self, monkeypatch):
+        # a warp lookup is the barycentric formula on the pair's node values:
+        # neither a mollified scan nor a mollified fundamental pair, evaluated
+        # across its window, builds a Legendre basis (every lookup did)
+        calls = []
+        real = np.polynomial.legendre.legvander
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.polynomial.legendre, "legvander", counting)
+        assert assemble_report(0.05).overall == "boundary-CP-and-no-interior-CP"
+        for kind in ("parallel", "perpendicular"):
+            kernel = make_kernel(kind, GeodesicParams(0.3, 0.76, 0.05))
+            pair = fundamental_pair(kernel, T=20.0)
+            pair.wronskian(np.linspace(*kernel.radial.window, 11))
+        assert calls == []
+
     @pytest.mark.parametrize("eps", [0.0, 0.05])
     def test_perp_minimum_takes_at_most_eight_values(self, monkeypatch, eps):
         # Newton on the sign of U' past t_x, from the root of its tangent at

@@ -156,6 +156,26 @@ class TestSolveRadial:
         assert t_exit == sol.entry_time + sol.quadrature.cum[0, -1]
         assert float(sol.rho(t_exit)) == pytest.approx(PI4 + 0.1, abs=1e-15)
 
+    def test_windows_at_rest_within_ulps_of_the_exit(self):
+        # s = 0.8099999999999999 starts at rest an ulp below r + eps = 0.81,
+        # where A(rho) - A(s) rounds to 0: the turning band's mean of A' keeps
+        # its window finite, shorter than at s = 0.81 - 1e-15, and near the
+        # rest limit t_x = sqrt(2 L A(s) / A'(s)), L = r + eps - s
+        sols = list(solve_radial_grid(np.linspace(0.7, 0.82, 25), 0.76, 0.05))
+        for sol in sols:
+            assert np.all(np.isfinite(sol.window))
+            if sol.quadrature is not None:
+                assert np.all(np.isfinite(sol.quadrature.cum))
+        at_rest = next(sol for sol in sols if sol.params.s == 0.8099999999999999)
+        assert at_rest.entry_time == 0.0
+        t_x = at_rest.exit_time
+        farther = solve_radial(GeodesicParams(0.81 - 1e-15, 0.76, 0.05))
+        assert 0.0 < t_x < farther.exit_time
+        for sol in (at_rest, farther):
+            s, r_eps = sol.params.s, 0.76 + 0.05
+            limit = math.sqrt(2.0 * (r_eps - s) * sol.a_s / sol.warp.deriv(s))
+            assert sol.exit_time == pytest.approx(limit, rel=1e-6)
+
     @pytest.mark.parametrize("s", [1e-20, 6.464532500880693e-291])
     def test_radial_solve_below_resolution(self, s):
         # the great-circle arc starts the solve, not rho'' ~ cot(s) at rho = s

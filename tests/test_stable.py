@@ -22,7 +22,6 @@ from ahwarp.stable import (
     certificate_parallel_closed,
     certificate_perp_closed,
     certificate_s_derivatives,
-    no_double_zero_criterion,
     radial_certificate_closed,
     radial_stable_closed,
     stable_for,
@@ -315,23 +314,6 @@ class TestSDerivatives:
     def test_requires_zero_s(self):
         with pytest.raises(ValueError):
             certificate_s_derivatives("parallel", GeodesicParams(0.1, PI4, 0.0))
-
-
-class TestCriterion:
-    def test_critical_boundary_case(self):
-        v = no_double_zero_criterion("parallel", GeodesicParams(0.0, PI4, 0.0))
-        assert v.verdict == "no-double-zeros"
-        assert v.marginal
-
-    def test_subcritical(self):
-        v = no_double_zero_criterion("parallel", GeodesicParams(0.0, 0.7, 0.0))
-        assert v.verdict == "no-double-zeros"
-        assert not v.marginal
-
-    def test_supercritical(self):
-        v = no_double_zero_criterion("parallel", GeodesicParams(0.0, 0.86, 0.0))
-        assert v.verdict == "double-zero-exists"
-        assert not v.marginal
 
 
 class TestEpsContinuity:

@@ -149,6 +149,9 @@ class TestSolveWarp:
             w = solve_warp(ProfileParams(1.0, eps))
             assert (w.a_plus, w.a_minus) == (sharp.a_plus, sharp.a_minus)
             assert w._transition is None
+        # a resolved eps holds its transition as one array of node values
+        w = solve_warp(ProfileParams(1.0, 1e-15))
+        assert w._transition.shape == (4, warp_mod._PANELS, warp_mod._GAUSS)
 
     @pytest.mark.filterwarnings("ignore:At least one element of `rtol` is too small")
     @pytest.mark.parametrize("eps", [0.01, 0.05, 0.1])
@@ -296,8 +299,8 @@ class TestInterpolatedPair:
         for eps in (1e-6, 0.01, 0.05, 0.1, 0.5, 1.0, 1.2, 1.5, 1.57):
             lam = eps * eps
             pairs, ends = [], []
-            for coeffs, at_end, _ in (warp_mod._terms(), warp_mod._terms(24)):
-                rows = warp_mod._interpolate(warp_mod._sum(lam, coeffs), u)
+            for at_nodes, at_end in (warp_mod._terms(), warp_mod._terms(24)):
+                rows = warp_mod._interpolate(warp_mod._sum(lam, at_nodes), u)
                 pairs.append(warp_mod._pair(eps, rows, eps * u))
                 ends.append(warp_mod._pair(eps, warp_mod._sum(lam, at_end), eps))
             assert np.max(np.abs(np.array(pairs[0]) - np.array(pairs[1]))) <= 1e-16, eps
@@ -307,6 +310,33 @@ class TestInterpolatedPair:
         for eps in (-1e-3, math.pi / 2, math.inf, math.nan):
             with pytest.raises(ValueError, match="eps must lie"):
                 entry_slope(eps)
+
+
+class TestBarycentricLookup:
+    def test_reproduces_a_smooth_function(self):
+        # cos(3u) from its values at the nodes, at random points: the
+        # barycentric formula keeps it to a few ulps (the Legendre
+        # coefficients by the discrete transform were 2.1e-15 off)
+        u = np.random.default_rng(20041).random(5000)
+        got = warp_mod._interpolate(np.cos(3.0 * warp_mod._U), u)
+        assert np.max(np.abs(got - np.cos(3.0 * u))) <= 1e-15
+
+    @pytest.mark.parametrize("eps", [0.05, 1.2])
+    def test_node_values_at_the_nodes(self, eps):
+        # at the 320 node u the lookup gives the metric's node values: bit
+        # for bit where u maps onto a node exactly (19 of them), and within
+        # rounding where it falls an ulp beside one; no division by zero
+        values = solve_warp(ProfileParams(0.3, eps))._transition
+        assert values.shape == (4, warp_mod._PANELS, warp_mod._GAUSS)
+        u = warp_mod._U.ravel()
+        z = u * warp_mod._PANELS
+        hit = (2.0 * (z - np.floor(z)) - 1.0)[:, None] == warp_mod._XI
+        assert np.count_nonzero(hit) == 19
+        hit = hit.any(axis=1)
+        got, want = warp_mod._interpolate(values, u), values.reshape(4, -1)
+        assert np.array_equal(got[:, hit], want[:, hit])
+        scale = np.max(np.abs(want), axis=1, keepdims=True)
+        assert np.max(np.abs(got - want) / scale) <= 1e-15
 
 
 class TestKPerp:
