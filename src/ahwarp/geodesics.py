@@ -59,7 +59,11 @@ from three pieces:
   found by Newton on the t integral, whose rate is closed form.  The radial
   geodesic is the column with c = 0, where dt/dx = 1; rho = t stays exact
   there and its window is [r, r + eps].  A grid of geodesics
-  (``solve_radial_grid``) shares one warp function, and so one table;
+  (``solve_radial_grid``) is one ``RadialGrid`` on one warp function, and so
+  one table: one array per quantity, one entry per s, its windows built as
+  one broadcast on the table (far) and one batched lookup (the others), and
+  every closed form an array formula over the rows.  ``solve_radial`` is a
+  grid of one;
 * the exterior: there A'' = A, so the warped-product Hessian formula
   (O'Neill, Semi-Riemannian Geometry, 1983, ch. 7) gives Hess A' = A' g and
   h(t) = A'(rho(t)) solves h'' = h along every geodesic.  Its data at t_x are
@@ -103,17 +107,18 @@ those formulas are the oracles for the numerical pipeline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .ode import Trajectory
-from .warp import _PANELS, ProfileParams, WarpFunction, mollifier, solve_warp
+from .warp import _GAUSS, _PANELS, ProfileParams, WarpFunction, mollifier, solve_warp
 
 __all__ = [
     "GeodesicParams",
+    "RadialGrid",
     "RadialSolution",
     "entry_time",
     "radial_exit_slope",
@@ -126,6 +131,7 @@ __all__ = [
 ]
 
 _QUARTER_PI = math.pi / 4.0
+_EYE = np.eye(2)
 # e^s overflows past _S_MAX, and A(s) = a_+ e^s + a_- e^{-s} with it: across
 # the window |(A, A')| grows at most like e^x from (sin r, cos r), so
 # a_+ <= e^{-r} / sqrt(2) < 1
@@ -151,107 +157,203 @@ class GeodesicParams:
         return ProfileParams(self.r, self.eps)
 
 
-@dataclass(frozen=True)
-class _Ball:
-    """The geodesic inside the ball, on the great circle
-    cos(rho) = cos(s) cos(t): the constants of its closed forms, taken with
-    ``math`` per geodesic."""
-
-    sin_half: float  # sin(s/2)
-    cos_half: float  # cos(s/2)
-    cos_s: float
-    sin_s: float
-
-    @classmethod
-    def at(cls, s: float) -> "_Ball":
-        return cls(math.sin(0.5 * s), math.cos(0.5 * s), math.cos(s), math.sin(s))
-
-    def state(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(rho, rho'), from sin(rho/2) = hypot(sin(s/2) cos(t/2),
-        cos(s/2) sin(t/2)); rho(0) = s to the last bit even where
-        sin(s/2)^2 underflows."""
-        half = np.hypot(self.sin_half * np.cos(0.5 * t), self.cos_half * np.sin(0.5 * t))
-        sin_rho = 2.0 * half * np.sqrt(1.0 - half * half)
-        return 2.0 * np.arcsin(half), self.cos_s * np.sin(t) / sin_rho
-
-    def theta(self, t: np.ndarray) -> np.ndarray:
-        """The angular coordinate atan2(sin t, sin s cos t)."""
-        return np.arctan2(np.sin(t), self.sin_s * np.cos(t))
+def _phi(e, reduced: tuple, d: float):
+    """phi = theta_inf - theta past t_x, at E = e^{-2 (t - t_x)}, in closed
+    form (module docstring), on p, q, A(s) and 4 a_+ a_- scaled by powers of
+    two (``RadialGrid.reduced``); d is 4 a_+ a_- itself.  atanc(z) is
+    atanh(sqrt z) / sqrt z for d > 0 (z >= 0), else atan(sqrt -z) / sqrt -z,
+    and 1 at z = 0 (|z| < 1): z has the sign of d, one number per metric, so
+    one branch serves every time."""
+    _, p, q, a_s, d_scaled = reduced
+    y = a_s * e / (2.0 * p * p + (2.0 * p * q + d_scaled) * e)
+    root = np.sqrt(np.abs(d * y * y))
+    return y * np.divide((np.arctanh if d > 0.0 else np.arctan)(root), root,
+                         out=np.ones_like(root), where=root > 0.0)
 
 
-def _atanc(z: np.ndarray, hyperbolic: bool) -> np.ndarray:
-    """atanh(sqrt z) / sqrt z if ``hyperbolic`` (z >= 0), else
-    atan(sqrt -z) / sqrt -z (z <= 0); 1 at z = 0 (|z| < 1).  Phi's z has
-    the sign of 4 a_+ a_-, one number per metric, so one branch serves every
-    time."""
-    root = np.sqrt(np.abs(z))
-    with np.errstate(invalid="ignore"):
-        out = (np.arctanh if hyperbolic else np.arctan)(root) / root
-    return np.where(root > 0.0, out, 1.0)
+def _pair(entry: tuple, y, a, j) -> tuple:
+    """(U, V, U', V') of the in-plane window pair from the identity at t_in,
+    where (A rho', A') = (y, a) and J = j, given the entry (y_i, a_i) =
+    (A rho', A')(t_in): y1 = A rho' solves the Jacobi equation with
+    y1' = A', and reduction of order gives the rest."""
+    y_i, a_i = entry
+    return (a_i / a - y * a_i * j, y / a_i - y_i / a + y * y_i * j,
+            -a * a_i * j, a / a_i + a * y_i * j)
 
 
-@dataclass(frozen=True)
-class _Exterior:
-    """The geodesic past the transition exit t_x, where h = A'(rho) solves
-    h'' = h.  With tau = t - t_x, e^{-tau} h = (h_x (1 + E) + h'_x (1 - E)) / 2
-    and e^{-tau} h' = (h'_x (1 + E) + h_x (1 - E)) / 2, E = e^{-2 tau}; both
-    terms are nonnegative and nothing overflows."""
+@dataclass(frozen=True, eq=False)
+class RadialGrid:
+    """The geodesics at the s of one array on one metric, solved whole
+    (``solve_radial_grid``): one array per quantity, one entry per s.  By
+    row: A(s) (``c``); the entry time ``t_in`` at which rho crosses r (0 if
+    s >= r) and the exit time ``t_x`` at which it reaches r + eps (0 if
+    s >= r + eps, t_in if the transition is sharp); the entry (y_i, a_i) =
+    (A rho', A')(t_in); the window's panel ends in sigma (``sigma``) and
+    the integrals ``cum`` (t - t_in, psi, J) from the entry to each of them,
+    zero for a row without a window; and the exterior's (h_x, h'_x) =
+    (A', A rho')(t_x) (``exit``).  On first use, array formulas on these
+    give the exterior's scaled constants (``reduced``), the angle
+    (``start``, ``tail``, ``psi``) and the in-plane transfer matrices
+    ``M``; the minima of the even Jacobi solutions are the scans' own
+    (``window_minima``, ``perp_minima``).  T bounds only the domain [0, T]
+    of a row's trajectory and angle.  Row i (``grid[i]``) is a grid of one,
+    a ``RadialSolution``.  Only this module knows the window's integrals."""
 
-    t_x: float
-    rho_x: float
-    h_x: float   # A'(rho(t_x))
-    dh_x: float  # h'(t_x) = A(rho(t_x)) rho'(t_x)
-    d: float     # 4 a_+ a_- = A^2 - A'^2
-    a_s: float   # A(s)
+    r: float
+    eps: float
+    T: float
+    warp: WarpFunction
+    s: np.ndarray
+    c: np.ndarray
+    t_in: np.ndarray
+    t_x: np.ndarray
+    entry: np.ndarray
+    cum: np.ndarray
+    sigma: np.ndarray
+    exit: np.ndarray
 
-    def _scaled(self, t: np.ndarray):
-        """(tau, E, e^{-tau} h, e^{-tau} h', e^{-tau} A), with
-        e^{-tau} A = g sqrt(1 + 4 a_+ a_- E / g^2) for g = e^{-tau} h > 0:
-        g itself is never squared, so A'(s) up to the float range does not
-        overflow."""
-        tau = t - self.t_x
-        e, m = np.exp(-2.0 * tau), -np.expm1(-2.0 * tau)
-        p = 1.0 + e
-        g = 0.5 * (self.h_x * p + self.dh_x * m)
-        dg = 0.5 * (self.dh_x * p + self.h_x * m)
-        return tau, e, g, dg, g * np.sqrt(1.0 + self.d * e / g / g)
+    def __len__(self) -> int:
+        return len(self.s)
+
+    def __getitem__(self, i: int) -> "RadialSolution":
+        i = range(len(self))[i]
+        return self._take(slice(i, i + 1), RadialSolution)
+
+    def _take(self, rows, cls=None) -> "RadialGrid":
+        """The grid of the rows ``rows``, an index array or a slice: every
+        array field has the rows on its first axis."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return (cls or RadialGrid)(**{name: v[rows] if isinstance(v, np.ndarray) else v
+                                      for name, v in values.items()})
+
+    # What only one kind of query reads is computed on first use: the
+    # exterior's scaled constants, the angle and the transfer matrix.
 
     @cached_property
-    def _reduced(self) -> tuple[int, float, float, float, float]:
+    def reduced(self) -> tuple:
         """(k, p, q, A(s), 4 a_+ a_-) with 2^(k - 1) <= h_x + h'_x < 2^k:
         p, q = (h_x +- h'_x) / 2 scaled by 2^-k, A(s) and 4 a_+ a_- by
         2^-2k.  Scaling by a power of two is exact, and it keeps p^2 from
         overflowing however large A'(s) is."""
-        k = math.frexp(self.h_x + self.dh_x)[1]
-        return (k, math.ldexp(self.h_x + self.dh_x, -k - 1),
-                math.ldexp(self.h_x - self.dh_x, -k - 1),
-                math.ldexp(self.a_s, -2 * k), math.ldexp(self.d, -2 * k))
+        (h_x, dh_x), k = self.exit.T, np.frexp(self.exit[:, 0] + self.exit[:, 1])[1]
+        half = np.ldexp(0.5, -k)  # 2^-(k + 1): the products below are exact
+        return (k, (h_x + dh_x) * half, (h_x - dh_x) * half, np.ldexp(self.c, -2 * k),
+                np.ldexp(self.warp.d, -2 * k))
 
-    def state(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(rho, rho') = (log((h + A) / (2 a_+)), h' / A), taken relative to
-        t_x so that rho(t_x) = rho_x exactly."""
-        tau, _, g, dg, a = self._scaled(t)
-        a_x = self.h_x * math.sqrt(1.0 + self.d / self.h_x / self.h_x)
-        return self.rho_x + tau + np.log((g + a) / (self.h_x + a_x)), dg / a
+    @cached_property
+    def start(self) -> tuple:
+        """(theta, pi/2 - theta) at t_in, (0, pi/2) when the geodesic starts
+        outside the ball.  Inside the ball pi/2 - theta =
+        atan2(sin s cos t, sin t) keeps its relative precision for small s,
+        so pi/2 - theta_inf does too."""
+        ball, sin_in, cos_in = self.s < self.r, np.sin(self.t_in), np.sin(self.s) * np.cos(self.t_in)
+        return (np.where(ball, np.arctan2(sin_in, cos_in), 0.0),
+                np.where(ball, np.arctan2(cos_in, sin_in), math.pi / 2.0))
 
-    def phi(self, t: np.ndarray) -> np.ndarray:
-        """The integral of Clairaut's rate A(s) / (h^2 + 4 a_+ a_-) over
-        [t, inf), in closed form (module docstring), on p, q, A(s) and
-        4 a_+ a_- scaled by powers of two (``_reduced``)."""
-        e = np.exp(-2.0 * (t - self.t_x))
-        _, p, q, a_s, d = self._reduced
-        y = a_s * e / (2.0 * p * p + (2.0 * p * q + d) * e)
-        return y * _atanc(self.d * y * y, self.d > 0.0)
+    @cached_property
+    def tail(self) -> tuple:
+        """(phi(t_x), A(s) psi(t_x)): the closed tail past the exit and the
+        window's whole angle."""
+        return _phi(1.0, self.reduced, self.warp.d), self.c * self.cum[:, 1, -1]
 
-    def perp_minimum(self, psi: float) -> tuple[float, bool]:
+    @property
+    def psi(self) -> np.ndarray:
+        """pi/2 - theta_inf: pi/2 - theta(t_in) less phi(t_in), to full
+        relative precision even where theta_inf is within rounding of pi/2
+        (small s)."""
+        return self.start[1] - (self.tail[0] + self.tail[1])
+
+    @cached_property
+    def M(self) -> np.ndarray:
+        """The in-plane transfer matrices (rows x 2 x 2) of the windows: the
+        window pair at t_x, with the exit data (A rho', A')(t_x) =
+        (h'_x, h_x); the identity without a window."""
+        (h_x, dh_x), windowed = self.exit.T, (self.t_in < self.t_x)[:, None, None]
+        if not windowed.any():  # a sharp metric, or geodesics that start past the transition
+            return _EYE[None].repeat(len(self), axis=0)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # rows without a window
+            pair = np.array(_pair(self.entry.T, dh_x, h_x, self.cum[:, 2, -1])).T.copy()
+        # C order, as every product with M takes the same BLAS path
+        return np.where(windowed, pair.reshape(-1, 2, 2), _EYE)
+
+    # -- windows, row by row -------------------------------------------------
+
+    def _partial(self, sg: np.ndarray):
+        """(the integrals (t - t_in, psi, J) from the entry to each sigma of
+        sg (rows x points), dt/dsigma, D, A') there: the cumulative sums at
+        the panel ends and one Gauss rule on the partial panel."""
+        k = np.clip((self.sigma[:, None, :] <= sg[:, :, None]).sum(axis=-1) - 1, 0, _PANELS - 1)
+        lo = np.take_along_axis(self.sigma, k, axis=1)
+        h = sg - lo
+        nodes = np.concatenate((lo[..., None] + h[..., None] * _GAUSS_X, sg[..., None]), axis=-1)
+        rates, d, da = _rates(self.warp, self.s, self.c, nodes.reshape(len(sg), -1))
+        rates = rates.reshape(len(sg), 3, *nodes.shape[1:])
+        d, da = d.reshape(nodes.shape)[..., -1], da.reshape(nodes.shape)[..., -1]
+        part = np.take_along_axis(self.cum, k[:, None, :], axis=2)
+        return part + h[:, None] * (rates[..., :-1] @ _GAUSS_W), rates[:, 0, :, -1], d, da
+
+    def window_minima(self, in_plane: np.ndarray) -> np.ndarray:
+        """The minimum over each row's window of the even solution U
+        (U(0) = 1, U'(0) = 0) of the in-plane equation where ``in_plane``,
+        else the off-plane one, given U' <= 0 at t_in and U' > 0 at t_x: U
+        where U' turns positive, found from the first panel end past the turn
+        by Newton in sigma on the partial integrals of that panel, with
+        U'' = -k U and dt/dsigma in closed form, bisecting where a step would
+        leave the bracket; at most _NEWTON_MAX steps, each one lookup for
+        every row still turning.  U is the value at Newton's last point,
+        which the step bound puts within the square of a step of the minimum.
+        One lookup gives (D, A') at the panel ends of every row.  (A scan
+        meets these minima at turning points only, s >= r.)
+        In-plane U = cos(t_in) U - sin(t_in) V of the window pair.
+        Off-plane U = A cos(theta) / A(s) with theta = theta(t_in) + A(s) psi,
+        U' = (A' rho' cos(theta) - (A(s)/A) sin(theta)) / A(s) and
+        k = rho'^2 K_par + (1 - rho'^2) K_perp, K_perp = (1 - A'^2) / A^2."""
+        _, d, da = _rates(self.warp, self.s, self.c, self.sigma)  # at every row's panel ends
+        rising = self._even(in_plane, self.sigma, self.cum, d, da)[1] > 0.0
+        rows, k = np.arange(len(self)), np.maximum(np.argmax(rising, axis=1), 1)
+        lo, sg = self.sigma[rows, k - 1], self.sigma[rows, k]
+        hi, least, grid = sg, np.empty(len(self)), self
+        for _ in range(_NEWTON_MAX):  # on the rows still turning
+            part, rate, d, da = grid._partial(sg[:, None])
+            u, du, kk = (v[:, 0] for v in grid._even(in_plane[rows], sg[:, None], part, d, da))
+            least[rows] = u
+            lo, hi = np.where(du > 0.0, lo, sg), np.where(du > 0.0, sg, hi)
+            slope = -kk * u * rate[:, 0]  # dU'/dsigma = -k U dt/dsigma
+            with np.errstate(divide="ignore", invalid="ignore"):
+                new = np.where(slope > 0.0, sg - du / slope, np.nan)
+            new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
+            on = np.abs(new - sg) > _NEWTON_STEP
+            if not on.any():
+                break
+            rows, grid, lo, sg, hi = rows[on], grid._take(on), lo[on], new[on], hi[on]
+        return least
+
+    def _even(self, in_plane: np.ndarray, sg: np.ndarray, part: np.ndarray, d, da) -> tuple:
+        """(U, U', k) of ``window_minima`` at the sigma sg (rows x points),
+        from the integrals part, D and A' there."""
+        r, eps, plane = self.r, self.eps, in_plane[:, None]
+        s, c, t_in = self.s[:, None], self.c[:, None], self.t_in[:, None]
+        cos_in, sin_in = np.cos(t_in), np.sin(t_in)
+        theta = np.where(plane, 0.0, self.start[0][:, None]) + c * part[:, 1]
+        a, y = c + d, np.sqrt(d * (2.0 * c + d))  # A, A rho'
+        k_par = 1.0 - 2.0 * mollifier((s + (r + eps - s) * sg * sg - r) / eps)
+        u, v, du, dv = _pair(self.entry.T[..., None], y, da, part[:, 2])
+        cos, sin, w2 = np.cos(theta), np.sin(theta), (y / a) ** 2
+        return (np.where(plane, u * cos_in - v * sin_in, a * cos / c),
+                np.where(plane, du * cos_in - dv * sin_in, (da * y / a * cos - c / a * sin) / c),
+                np.where(plane, k_par, w2 * k_par + (1.0 - w2) * (1.0 - da * da) / (a * a)))
+
+    # -- the off-plane tail minimum, row by row --------------------------------
+
+    def perp_minima(self, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(min over [t_x, inf) of the off-plane even solution
-        U = A(rho) cos(theta) / A(s), whether U' > 0 at t_x), given
-        psi = pi/2 - theta_inf > 0, on floats.
+        U = A(rho) cos(theta) / A(s), whether U' > 0 at t_x) at each row,
+        given psi = pi/2 - theta_inf > 0.
 
         Clairaut gives 1 - rho'^2 = A(s)^2 / A^2, so the off-plane kernel is
         -1 + A(s)^2 (1 + 4 a_+ a_-) / A^4 here, decreasing as A grows.  With
         U > 0 (theta < theta_inf < pi/2) and the kernel's one change of sign
-        on the whole line (``jacobi.even_minimum``), U' <= 0 up to the
+        on the whole line (``jacobi.even_minima``), U' <= 0 up to the
         minimum and U' > 0 after it.  In E = e^{-2 tau},
         e^{-tau} A = sqrt(g^2 + 4 a_+ a_- E) with g = p + q E and
         e^{-tau} h' = p - q E, and U' has the sign of
@@ -269,78 +371,60 @@ class _Exterior:
         where the turn closes in on t_x (s near the curvature threshold).
         Newton stops once a step is below _NEWTON_STEP relative to E: U is
         flat at its minimum, so what is left of its error is of the order of
-        the step squared.  At most _NEWTON_MAX values of f are taken, and
-        U(t_x) bounds the result.  As in ``phi``, p, q, A(s) and 4 a_+ a_-
-        are scaled by powers of two (``_reduced``), so that nothing squared
-        overflows however large A'(s) is."""
+        the step squared.  At most _NEWTON_MAX values of f are taken for the
+        rows that turn, all rows at once, and U(t_x) bounds the result.  As
+        in ``_phi``, p, q, A(s) and 4 a_+ a_- are scaled by powers of two, so
+        that nothing squared overflows however large A'(s) is."""
         f, df, u = self._turn(1.0, psi)
-        rest = self.dh_x == 0.0
-        if rest:  # U'(t_x) = 0, and f(1) is rounding
-            f = 0.0
-        if f > 0.0 or (rest and df < 0.0):  # U' >= 0 on all of (t_x, inf)
-            return u, f > 0.0
-        _, p, _, a_s, _ = self._reduced
-        at_exit, lo, hi = u, 0.0, 1.0
-        e = min(2.0 * p * p * psi / a_s, 0.5)  # the root of f's tangent at E = 0, inside (0, 1)
-        for _ in range(_NEWTON_MAX - 1):
-            f, df, u = self._turn(e, psi)
-            lo, hi = (e, hi) if f > 0.0 else (lo, e)
-            if rest:  # in w = z^2, z = 1 - E, on f / z, whose dE-derivative is slope / z^2
-                z, slope = 1.0 - e, df * (1.0 - e) + f
-                w = z * z * (1.0 + 2.0 * f / slope) if slope < 0.0 else math.nan
-                new = 1.0 - math.sqrt(w) if w >= 0.0 else math.nan
-            else:
-                new = e - f / df if df < 0.0 else math.nan
-            if abs(new - e) <= _NEWTON_STEP * e:
-                break
-            e = new if lo < new < hi else 0.5 * (lo + hi)
-        return min(u, at_exit), False
+        rest = self.exit[:, 1] == 0.0
+        f = np.where(rest, 0.0, f)  # U'(t_x) = 0, and f(1) is rounding
+        turns = np.flatnonzero(~((f > 0.0) | (rest & (df < 0.0))))
+        if turns.size:  # else U' >= 0 on all of (t_x, inf)
+            rows, psi, rest, n = self._take(turns), psi[turns], rest[turns], turns.size
+            _, p, _, a_s, _ = rows.reduced
+            e = np.minimum(2.0 * p * p * psi / a_s, 0.5)  # the root of f's tangent at E = 0
+            least, lo, hi, done = u[turns], np.zeros(n), np.ones(n), np.zeros(n, dtype=bool)
+            for _ in range(_NEWTON_MAX - 1):
+                g, dg, v = rows._turn(e, psi)
+                least = np.where(done, least, v)
+                lo, hi = np.where(g > 0.0, e, lo), np.where(g > 0.0, hi, e)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    # at rest, in w = z^2, z = 1 - E, on f / z, whose dE-derivative is slope / z^2
+                    z, slope = 1.0 - e, dg * (1.0 - e) + g
+                    w = np.where(slope < 0.0, z * z * (1.0 + 2.0 * g / slope), np.nan)
+                    new = np.where(rest, 1.0 - np.sqrt(w), np.where(dg < 0.0, e - g / dg, np.nan))
+                done |= np.abs(new - e) <= _NEWTON_STEP * e
+                if done.all():
+                    break
+                e = np.where(done, e, np.where((lo < new) & (new < hi), new, 0.5 * (lo + hi)))
+            u[turns] = np.where(u[turns] < least, u[turns], least)  # U(t_x) bounds the minimum
+        return u, f > 0.0
 
-    def _turn(self, e: float, psi: float) -> tuple[float, float, float]:
-        """(f, df/dE, U) at E = e (``perp_minimum``), f and its derivative
-        scaled by 2^-2k; phi as in ``phi``, y atanc(4 a_+ a_- y^2) =
-        arc(c y) / c."""
-        k, p, q, a_s, d = self._reduced
-        c = math.sqrt(abs(self.d))
-        arc = math.atanh if self.d > 0.0 else math.atan
-        y = a_s * e / (2.0 * p * p + (2.0 * p * q + d) * e)
-        angle = psi + (arc(c * y) / c if c * y > 0.0 else y)
-        g, dg, sin, cos = p + q * e, p - q * e, math.sin(angle), math.cos(angle)
+    def _turn(self, e, psi: np.ndarray) -> tuple:
+        """(f, df/dE, U) at E = e at each row (``perp_minima``), f and its
+        derivative scaled by 2^-2k; the angle is psi + phi (``_phi``)."""
+        k, p, q, a_s, d = self.reduced
+        angle = psi + _phi(e, self.reduced, self.warp.d)
+        g, dg, sin, cos = p + q * e, p - q * e, np.sin(angle), np.cos(angle)
         a2 = g * g + d * e  # (e^{-tau} A)^2, scaled by 2^-2k
-        dangle = 0.5 * a_s / a2
         f = g * dg * sin - a_s * e * cos
-        df = (g * dg * cos + a_s * e * sin) * dangle - 2.0 * q * q * e * sin - a_s * cos
+        # dangle/dE = A(s) / (2 (e^{-tau} A)^2)
+        df = (g * dg * cos + a_s * e * sin) * (0.5 * a_s / a2) - 2.0 * q * q * e * sin - a_s * cos
         # e^{-tau} A / A(s) = sqrt(g^2 + 4 a_+ a_- E) / A(s), both scaled by 2^-k
-        return f, df, math.sqrt(a2 / e) * sin / math.ldexp(self.a_s, -k)
-
-    def k_perp(self, t: np.ndarray) -> np.ndarray:
-        """K_perp(rho) = (1 - A'^2) / A^2 = -1 + (1 + 4 a_+ a_-) / A^2."""
-        _, e, _, _, a = self._scaled(t)
-        return -1.0 + (1.0 + self.d) * e / a / a
+        return f, df, np.sqrt(a2 / e) * sin / np.ldexp(self.c, -k)
 
 
 @dataclass(frozen=True, eq=False)
-class RadialSolution:
-    """rho along one geodesic, solved whole: its trajectory, a function on
-    [0, T] (the horizon T bounds only this domain, never what is solved);
-    the entry time at which rho crosses r (0 if s >= r); the exit time at
-    which rho reaches r + eps (0 if s >= r + eps, the entry time if the
-    transition is sharp); the warp function A of the metric; A(s), looked up
-    once for the angle, the Killing fields and the exterior; the exact
-    exterior piece past the exit; the window's quadrature (None where the
-    geodesic has no window), whose psi integral carries the angle across the
-    window and whose J integral gives the in-plane pair (``transfer``,
-    ``window_solution``); and the angular coordinate theta, exact but for
-    psi.  Only this module knows the window's integrals."""
+class RadialSolution(RadialGrid):
+    """rho along one geodesic, solved whole: the grid of one row
+    (``solve_radial``, or a row of a grid), with the pieces that a query
+    evaluates built on first use: its trajectory, a function on [0, T]; the
+    exact exterior past the exit; the angular coordinate theta, exact but
+    for psi; and the in-plane window solutions (``window_solution``)."""
 
-    params: GeodesicParams
-    trajectory: Trajectory
-    entry_time: float
-    exit_time: float
-    warp: WarpFunction
-    a_s: float  # A(s)
-    exterior: _Exterior
-    quadrature: _Window | None = None
+    @cached_property
+    def params(self) -> GeodesicParams:
+        return GeodesicParams(float(self.s[0]), self.r, self.eps)
 
     @property
     def window(self) -> tuple[float, float]:
@@ -348,7 +432,44 @@ class RadialSolution:
         [t_in, t_x], outside it after t_x, whatever the horizon.  t_in = 0
         when the geodesic starts outside the ball; t_in = t_x when the
         transition is sharp."""
-        return self.entry_time, self.exit_time
+        return float(self.t_in[0]), float(self.t_x[0])
+
+    @property
+    def entry_time(self) -> float:
+        return float(self.t_in[0])
+
+    @property
+    def exit_time(self) -> float:
+        return float(self.t_x[0])
+
+    @property
+    def a_s(self) -> float:
+        return float(self.c[0])
+
+    @property
+    def transfer(self) -> np.ndarray:
+        """The in-plane transfer matrix M = [[U, V], [U', V']] of the window
+        [t_in, t_x]: (Y, Y')(t_x) = M (Y, Y')(t_in), with the exit data
+        (A rho', A')(t_x) = (h'_x, h_x) of the exterior.  det M = 1; the
+        identity when the window is empty."""
+        return self.M[0]
+
+    @property
+    def trajectory(self) -> Trajectory:
+        """rho on [0, T]: the exact ball on [0, t_in], the window's
+        quadrature on [t_in, t_x], the exact exterior from t_x, each piece on
+        its own span.  Built on each use: kept on the row, its pieces would
+        hold the row in a reference cycle that only the cycle collector
+        frees."""
+        s, (t_in, t_x) = float(self.s[0]), self.window
+        if s == 0.0:  # rho = t, with t_in = r and t_x = r + eps exactly
+            parts = [Trajectory.from_function(lambda t: (t, np.ones_like(t)), 0.0, math.inf)]
+        else:
+            parts = [Trajectory.from_function(self._ball_state, 0.0, t_in)] if s < self.r else []
+            if t_in < t_x:
+                parts.append(Trajectory.from_function(self._window_state, t_in, t_x))
+            parts.append(Trajectory.from_function(self._exterior_state, t_x, math.inf))
+        return Trajectory(t0=0.0, t1=self.T, pieces=sum((part.pieces for part in parts), ()))
 
     def state(self, t: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.trajectory.state(t)
@@ -359,83 +480,156 @@ class RadialSolution:
     def drho(self, t: float | np.ndarray) -> float | np.ndarray:
         return self.trajectory.deriv(t)
 
-    # -- angular coordinate ------------------------------------------------
+    # -- the exterior past t_x, where h = A'(rho) solves h'' = h.  With
+    # tau = t - t_x, e^{-tau} h = (h_x (1 + E) + h'_x (1 - E)) / 2 and
+    # e^{-tau} h' = (h'_x (1 + E) + h_x (1 - E)) / 2, E = e^{-2 tau}; both
+    # terms are nonnegative and nothing overflows
 
     @cached_property
-    def _ball(self) -> _Ball:
-        """The great circle that the geodesic follows inside the ball."""
-        return _Ball.at(self.params.s)
+    def _row(self) -> tuple[tuple, tuple]:
+        """The row's constants as scalars, for the pieces evaluated at many
+        times: (t_in, theta(t_in), phi(t_x), A(s) psi(t_x)) from ``start``
+        and ``tail``, and (t_x, rho(t_x), h_x, h'_x, ``reduced``) of the
+        exterior, with rho(t_x) = max(s, r + eps) exactly.  Only geodesics
+        with s > 0 read them: the radial geodesic has no angle."""
+        if self.s[0] == 0.0:
+            raise ValueError("the angular coordinate is undefined along the radial geodesic")
+        return ((self.entry_time, *(float(v[0]) for v in (self.start[0], *self.tail))),
+                (self.exit_time, max(float(self.s[0]), self.r + self.eps), *self.exit[0].tolist(),
+                 tuple(v[0] for v in self.reduced)))
+
+    def _scaled(self, t: np.ndarray):
+        """(tau, E, e^{-tau} h, e^{-tau} h', e^{-tau} A), with
+        e^{-tau} A = g sqrt(1 + 4 a_+ a_- E / g^2) for g = e^{-tau} h > 0:
+        g itself is never squared, so A'(s) up to the float range does not
+        overflow."""
+        _, (t_x, _, h_x, dh_x, _) = self._row
+        tau = t - t_x
+        e, m = np.exp(-2.0 * tau), -np.expm1(-2.0 * tau)
+        g, dg = 0.5 * (h_x * (1.0 + e) + dh_x * m), 0.5 * (dh_x * (1.0 + e) + h_x * m)
+        return tau, e, g, dg, g * np.sqrt(1.0 + self.warp.d * e / g / g)
+
+    def _exterior_state(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(rho, rho') = (log((h + A) / (2 a_+)), h' / A) past t_x, taken
+        relative to t_x so that rho(t_x) = max(s, r + eps) exactly."""
+        (_, (_, rho_x, h_x, _, _)), (tau, _, g, dg, a) = self._row, self._scaled(t)
+        a_x = h_x * math.sqrt(1.0 + self.warp.d / h_x / h_x)
+        return rho_x + tau + np.log((g + a) / (h_x + a_x)), dg / a
+
+    def _exterior_phi(self, t: np.ndarray) -> np.ndarray:
+        """phi past t_x, the integral of Clairaut's rate A(s) / (h^2 +
+        4 a_+ a_-) over [t, inf), in closed form (``_phi``)."""
+        _, (t_x, _, _, _, reduced) = self._row
+        return _phi(np.exp(-2.0 * (t - t_x)), reduced, self.warp.d)
+
+    def k_perp_past(self, t: np.ndarray) -> np.ndarray:
+        """K_perp(rho(t)) = (1 - A'^2) / A^2 = -1 + (1 + 4 a_+ a_-) / A^2
+        past t_x."""
+        _, e, _, _, a = self._scaled(t)
+        return -1.0 + (1.0 + self.warp.d) * e / a / a
+
+    # -- the window ---------------------------------------------------------
+
+    def at(self, tau: np.ndarray):
+        """(sigma, (t - t_in, psi, J), D, A') at the times tau = t - t_in in
+        the window: Newton on the t integral, whose rate is closed form,
+        started from the linear interpolant between the panel ends."""
+        cum, sigma = self.cum[0], self.sigma[0]
+        tau = np.minimum(tau, cum[0, -1])
+        sg = np.interp(tau, cum[0], sigma)[None]
+        for _ in range(_NEWTON_MAX):
+            part, rate, _, _ = self._partial(sg)
+            step = (part[:, 0] - tau) / rate
+            sg = np.clip(sg - step, sigma[0], 1.0)
+            if np.max(np.abs(step)) <= _NEWTON_STEP:
+                break
+        part, _, d, da = self._partial(sg)
+        return sg[0], part[0], d[0], da[0]
+
+    def _at(self, tau: np.ndarray):
+        """``at``, kept for the last tau asked: rho and the angle at the same
+        times (``jacobi.killing_field``), or the U and V of one pair, share
+        one inversion."""
+        last = self.__dict__.get("_last_at")
+        if last is None or not np.array_equal(last[0], tau):
+            last = self.__dict__["_last_at"] = (tau, self.at(tau))
+        return last[1]
+
+    def _window_state(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(rho, rho') at the times t in the window."""
+        sg, _, d, _ = self._at(t - self.entry_time)
+        s, c = float(self.s[0]), self.a_s
+        return s + (self.r + self.eps - s) * sg * sg, np.sqrt(d * (2.0 * c + d)) / (c + d)
+
+    def window_solution(self, y: float, dy: float) -> Trajectory:
+        """The in-plane solution with state (y, dy) at t_in, on [t_in, t_x]:
+        y U + dy V of the window pair, no solve."""
+        c, (t_in, t_x) = self.a_s, self.window
+
+        def fn(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            _, (_, _, j), d, da = self._at(t - t_in)
+            u, v, du, dv = _pair(self.entry.T, np.sqrt(d * (2.0 * c + d)), da, j)
+            return y * u + dy * v, y * du + dy * dv
+
+        return Trajectory.from_function(fn, t_in, t_x)
+
+    # -- the ball, where the geodesic follows the great circle
+    # cos(rho) = cos(s) cos(t), and the angular coordinate
+
+    def _ball_state(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(rho, rho'), from sin(rho/2) = hypot(sin(s/2) cos(t/2),
+        cos(s/2) sin(t/2)); rho(0) = s to the last bit even where
+        sin(s/2)^2 underflows."""
+        s = self.s
+        half = np.hypot(np.sin(0.5 * s) * np.cos(0.5 * t), np.cos(0.5 * s) * np.sin(0.5 * t))
+        return 2.0 * np.arcsin(half), np.cos(s) * np.sin(t) / (2.0 * half * np.sqrt(1.0 - half * half))
+
+    def _ball_theta(self, t: np.ndarray) -> np.ndarray:
+        """The angular coordinate atan2(sin t, sin s cos t)."""
+        return np.arctan2(np.sin(t), np.sin(self.s) * np.cos(t))
 
     def _times(self, t: float | np.ndarray) -> np.ndarray:
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        if t_arr.min() < 0.0 or t_arr.max() > self.trajectory.t1:
-            raise ValueError(f"angle requested outside [0, {self.trajectory.t1}]")
+        if t_arr.min() < 0.0 or t_arr.max() > self.T:
+            raise ValueError(f"angle requested outside [0, {self.T}]")
         return t_arr
-
-    @cached_property
-    def _start(self) -> tuple[float, float, float]:
-        """(t_in, theta(t_in), pi/2 - theta(t_in)) where the geodesic leaves
-        the ball (0 when it starts outside).  Inside the ball pi/2 - theta =
-        atan2(sin s cos t, sin t) keeps its relative precision for small s,
-        so pi/2 - theta_inf does too."""
-        s, t_in = self.params.s, self.entry_time
-        if s == 0.0:
-            raise ValueError("the angular coordinate is undefined along the radial geodesic")
-        if s >= self.params.r:
-            return 0.0, 0.0, math.pi / 2.0
-        return (t_in, float(self._ball.theta(t_in)),
-                math.atan2(math.sin(s) * math.cos(t_in), math.sin(t_in)))
-
-    def _swept(self, t: np.ndarray) -> np.ndarray:
-        """A(s) psi(t): the angle swept across the window from t_in to t."""
-        return self.a_s * self.quadrature.at(t - self.entry_time)[1][1]
-
-    @cached_property
-    def _phi_exit(self) -> tuple[float, float]:
-        """(phi(t_x), A(s) psi(t_x)): the closed tail past the exit and the
-        window's whole angle."""
-        t_in, t_x = self.window
-        swept = self.a_s * float(self.quadrature.cum[1, -1]) if t_in < t_x else 0.0
-        return float(self.exterior.phi(t_x)), swept
 
     @property
     def theta_infinity(self) -> float:
         """theta_inf = theta(t_in) + phi(t_in): the total angle swept."""
-        return self._start[1] + sum(self._phi_exit)
+        (_, theta_in, phi_x, swept_x), _ = self._row
+        return theta_in + (phi_x + swept_x)
 
     @property
     def theta_infinity_complement(self) -> float:
-        """pi/2 - theta_inf, to full relative precision even where theta_inf
-        is within rounding of pi/2 (small s)."""
-        return self._start[2] - sum(self._phi_exit)
+        """pi/2 - theta_inf (``psi``), to full relative precision even where
+        theta_inf is within rounding of pi/2 (small s)."""
+        return float(self.psi[0])
 
     def _phi(self, t: np.ndarray) -> np.ndarray:
         """phi = theta_inf - theta, summed tail-first: closed past t_x,
         phi(t_x) + A(s) (psi(t_x) - psi(t)) across the window, and the ball's
         closed form added to phi(t_in) before it."""
-        t_in, theta_in, _ = self._start
-        t_x = self.exit_time
-        phi_x, swept_x = self._phi_exit
-        out = self.exterior.phi(np.maximum(t, t_x))
+        (t_in, theta_in, phi_x, swept_x), (t_x, *_) = self._row
+        out = self._exterior_phi(np.maximum(t, t_x))
         win = (t >= t_in) & (t < t_x)
         if np.any(win):
-            out[win] += swept_x - self._swept(t[win])
+            out[win] += swept_x - self.a_s * self._at(t[win] - t_in)[1][1]
         ball = t < t_in
-        out[ball] = (theta_in - self._ball.theta(t[ball])) + (phi_x + swept_x)
+        out[ball] = (theta_in - self._ball_theta(t[ball])) + (phi_x + swept_x)
         return out
 
     def _theta(self, t: np.ndarray) -> np.ndarray:
         """theta summed forward: the ball's closed form, theta(t_in) +
         A(s) psi(t) across the window, theta_inf - phi past t_x."""
-        t_in, theta_in, _ = self._start
-        t_x = self.exit_time
-        out = self._ball.theta(t)
+        (t_in, theta_in, _, _), (t_x, *_) = self._row
+        out = self._ball_theta(t)
         win = (t > t_in) & (t < t_x)
         if np.any(win):
-            out[win] = theta_in + self._swept(t[win])
+            out[win] = theta_in + self.a_s * self._at(t[win] - t_in)[1][1]
         past = t >= t_x
         if np.any(past):
-            out[past] = self.theta_infinity - self.exterior.phi(t[past])
+            out[past] = self.theta_infinity - self._exterior_phi(t[past])
         return out
 
     def phi(self, t: float | np.ndarray) -> np.ndarray:
@@ -448,77 +642,6 @@ class RadialSolution:
         its values do not depend on T."""
         theta = self._theta(self._times(t))
         return float(theta[0]) if np.ndim(t) == 0 else theta
-
-    # -- the in-plane window pair ------------------------------------------
-
-    @property
-    def transfer(self) -> np.ndarray:
-        """The in-plane transfer matrix M = [[U, V], [U', V']] of the window
-        [t_in, t_x]: (Y, Y')(t_x) = M (Y, Y')(t_in), with the exit data
-        (A rho', A')(t_x) = (h'_x, h_x) of the exterior.  det M = 1; the
-        identity when the window is empty."""
-        win = self.quadrature
-        if win is None:
-            return np.eye(2)
-        u, v, du, dv = win.pair(self.exterior.dh_x, self.exterior.h_x, win.cum[2, -1])
-        return np.array([[u, v], [du, dv]])
-
-    def window_solution(self, y: float, dy: float) -> Trajectory:
-        """The in-plane solution with state (y, dy) at t_in, on [t_in, t_x]:
-        y U + dy V of the window pair, no solve."""
-        win, c = self.quadrature, self.a_s
-        t_in, t_x = self.window
-
-        def fn(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            _, (_, _, j), d, da = win.at(t - t_in)
-            u, v, du, dv = win.pair(np.sqrt(d * (2.0 * c + d)), da, j)
-            return y * u + dy * v, y * du + dy * dv
-
-        return Trajectory.from_function(fn, t_in, t_x)
-
-    def window_minimum(self, in_plane: bool) -> float:
-        """The minimum over the window of the even solution U (U(0) = 1,
-        U'(0) = 0) of the in-plane or the off-plane Jacobi equation, given
-        U' <= 0 at t_in and U' > 0 at t_x: U where U' turns positive, found
-        from the first panel end past the turn by Newton in sigma on the
-        partial integrals of that panel, with U'' = -k U and dt/dsigma in
-        closed form, bisecting where a step would leave the bracket.  U is
-        the value at Newton's last point, which the step bound puts within
-        the square of a step of the minimum.
-        In-plane U = cos(t_in) U - sin(t_in) V of the window pair.
-        Off-plane U = A cos(theta) / A(s) with theta = theta(t_in) + A(s) psi,
-        U' = (A' rho' cos(theta) - (A(s)/A) sin(theta)) / A(s) and
-        k = rho'^2 K_par + (1 - rho'^2) K_perp, K_perp = (1 - A'^2) / A^2."""
-        win, c, t_in, p = self.quadrature, self.a_s, self.entry_time, self.params
-        cos_in, sin_in = math.cos(t_in), math.sin(t_in)
-        theta_in = 0.0 if in_plane else self._start[1]
-
-        def even(sg, part, d, da):
-            """(U, U', k) at sigma sg, from the integrals part, D and A'."""
-            a, y = c + d, np.sqrt(d * (2.0 * c + d))  # A, A rho'
-            k_par = 1.0 - 2.0 * mollifier((p.s + (p.r + p.eps - p.s) * sg * sg - p.r) / p.eps)
-            if in_plane:
-                u, v, du, dv = win.pair(y, da, part[2])
-                return u * cos_in - v * sin_in, du * cos_in - dv * sin_in, k_par
-            cos, sin, w2 = np.cos(theta_in + c * part[1]), np.sin(theta_in + c * part[1]), (y / a) ** 2
-            return (a * cos / c, (da * y / a * cos - c / a * sin) / c,
-                    w2 * k_par + (1.0 - w2) * (1.0 - da * da) / (a * a))
-
-        _, d, da = win._rates(win.sigma)
-        k = max(int(np.argmax(even(win.sigma, win.cum, d, da)[1] > 0.0)), 1)
-        lo, sg, hi = win.sigma[k - 1], win.sigma[k], win.sigma[k]
-        for _ in range(_NEWTON_MAX):
-            part, rate, d, da = win._partial(np.array([sg]))
-            u, du, kk = (float(v[0]) for v in even(np.array([sg]), part, d, da))
-            lo, hi = (lo, sg) if du > 0.0 else (sg, hi)
-            slope = -kk * u * float(rate[0])  # dU'/dsigma = -k U dt/dsigma
-            new = sg - du / slope if slope > 0.0 else math.nan
-            if not lo <= new <= hi:
-                new = 0.5 * (lo + hi)
-            if abs(new - sg) <= _NEWTON_STEP:
-                break
-            sg = new
-        return u
 
 
 def entry_time(s: float, r: float) -> float:
@@ -566,167 +689,120 @@ _REST = 1e-8
 # the error is then of the order of the step squared
 _NEWTON_STEP = 1e-9
 _NEWTON_MAX = 8
+# A scan solves its grids in blocks of _BLOCK rows (``_blocks``), so that
+# what it holds at once does not grow with the number of rows.  Measured
+# with tracemalloc on blocks of 64: a block of far windows peaks at 0.95 MB,
+# one of sigma windows (320 lookups each, and the turning bands') at 3.6 MB,
+# one past the transition at 0.11 MB
+_BLOCK = 64
 
 
-@dataclass(frozen=True, eq=False)
-class _Window:
-    """The transition window of one geodesic, r <= rho <= r + eps, by
-    quadrature on the warp function (module docstring).  ``cum`` holds the
-    integrals (t - t_in, psi, J) from the entry to each panel end ``sigma``;
-    ``entry`` is (y_i, a_i) = (A rho', A')(t_in).  Only ``build`` forks: a
-    far window's ``cum`` is the rule in x on the metric's node table, every
-    other one's the rule in sigma on looked-up values.  Both end on the same
-    sigma, so a partial panel (``_partial``, ``at``) is always taken in
-    sigma."""
-
-    params: GeodesicParams
-    warp: WarpFunction
-    c: float  # A(s)
-    entry: tuple[float, float]
-    sigma: np.ndarray
-    cum: np.ndarray
-
-    @classmethod
-    def build(cls, p: GeodesicParams, warp: WarpFunction, at_s: tuple[float, float]):
-        """The window of the geodesic p, given at_s = (A, A')(s); None where
-        there is none (an eps below the resolution of r, as for the sharp
-        metric, or s >= r + eps)."""
-        s, r, eps = p.s, p.r, p.eps
-        if r + eps == r or s >= r + eps:
-            return None
-        if s < r:
-            entry = (math.sqrt(math.sin(r + s) * math.sin(r - s)), math.cos(r))
-            lo = (r - s) / (r + eps - s)
-        else:  # a turning point at t = 0
-            entry, lo = (0.0, at_s[1]), 0.0
-        sigma = np.sqrt(np.linspace(lo, 1.0, _PANELS + 1))
-        win = cls(p, warp, at_s[0], entry, sigma, np.zeros((3, _PANELS + 1)))
-        # each panel's integrals, summed into cum after its column of zeros
-        if s < r - _FAR * eps / _PANELS:
-            # in x on the pair's nodes, with dt/dx and D as in _rates
-            c, (a_less, _, k_da2) = win.c, warp.node_table
-            d = a_less + 2.0 * math.cos(0.5 * (r + s)) * math.sin(0.5 * (r - s))
-            dt = (c + d) / np.sqrt(d * (2.0 * c + d))
-            rates, h = np.stack((dt, dt / ((c + d) * (c + d)), k_da2 * dt)), eps / _PANELS
-        else:
-            h = np.diff(sigma)
-            rates = win._rates(sigma[:-1, None] + h[:, None] * _GAUSS_X)[0]
-        np.cumsum(h * (rates @ _GAUSS_W), axis=1, out=win.cum[:, 1:])
-        return win
-
-    def _rates(self, sg: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(dt, dpsi, dJ)/dsigma (stacked on a first axis of 3), D and A' at
-        the sigma sg, elementwise."""
-        s, r, eps = self.params.s, self.params.r, self.params.eps
-        c, length = self.c, r + eps - s
-        lsq = length * sg * sg  # rho - s
-        a, da = self.warp.state(s + lsq)
-        if s < r:  # sin r - sin s in product form
-            d = (a - math.sin(r)) + 2.0 * math.cos(0.5 * (r + s)) * math.sin(0.5 * (r - s))
-            m = d / lsq
-        else:
-            band = lsq < max(_BAND * length, _REST)
-            d, m = a - c, np.empty_like(a)
-            np.divide(d, lsq, out=m, where=~band)
-            m[band] = self.warp.state(s + lsq[band, None] * _GAUSS_X)[1] @ _GAUSS_W
-            d[band] = lsq[band] * m[band]
-        # dt/dsigma = 2 L sigma (c + D) / sqrt(D (2c + D)), with m = D / (L sigma^2)
-        dt = 2.0 * math.sqrt(length) * (c + d) / np.sqrt(m * (2.0 * c + d))
-        k_par = 1.0 - 2.0 * mollifier((s + lsq - r) / eps)
-        return np.stack((dt, dt / ((c + d) * (c + d)), k_par / (da * da) * dt)), d, da
-
-    def _partial(self, sg: np.ndarray):
-        """(the integrals (t - t_in, psi, J) from the entry to each sigma of
-        sg, dt/dsigma, D, A') there: the cumulative sums at the panel ends and
-        one Gauss rule on the partial panel."""
-        k = np.clip(np.searchsorted(self.sigma, sg, side="right") - 1, 0, _PANELS - 1)
-        lo = self.sigma[k]
-        h = sg - lo
-        rates, d, da = self._rates(np.column_stack((lo[:, None] + h[:, None] * _GAUSS_X, sg)))
-        return self.cum[:, k] + h * (rates[:, :, :-1] @ _GAUSS_W), rates[0, :, -1], d[:, -1], da[:, -1]
-
-    def at(self, tau: np.ndarray):
-        """(sigma, (t - t_in, psi, J), D, A') at the times tau = t - t_in in
-        the window: Newton on the t integral, whose rate is closed form,
-        started from the linear interpolant between the panel ends."""
-        tau = np.minimum(tau, self.cum[0, -1])
-        sg = np.interp(tau, self.cum[0], self.sigma)
-        for _ in range(_NEWTON_MAX):
-            part, rate, _, _ = self._partial(sg)
-            step = (part[0] - tau) / rate
-            sg = np.clip(sg - step, self.sigma[0], 1.0)
-            if np.max(np.abs(step)) <= _NEWTON_STEP:
-                break
-        part, _, d, da = self._partial(sg)
-        return sg, part, d, da
-
-    def pair(self, y: np.ndarray, a: np.ndarray, j: np.ndarray) -> tuple:
-        """(U, V, U', V') of the in-plane pair from the identity at t_in,
-        where (A rho', A') = (y, a) and J = j: y1 = A rho' solves the Jacobi
-        equation with y1' = A', and reduction of order gives the rest."""
-        y_i, a_i = self.entry
-        return (a_i / a - y * a_i * j, y / a_i - y_i / a + y * y_i * j,
-                -a * a_i * j, a / a_i + a * y_i * j)
-
-    def state(self, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(rho, rho') at the times tau = t - t_in in the window."""
-        sg, _, d, _ = self.at(tau)
-        c, p = self.c, self.params
-        return p.s + (p.r + p.eps - p.s) * sg * sg, np.sqrt(d * (2.0 * c + d)) / (c + d)
+def _rates(warp: WarpFunction, s: np.ndarray, c: np.ndarray, sg: np.ndarray) -> tuple:
+    """(dt, dpsi, dJ)/dsigma (rows x 3 x points), D and A' (rows x points)
+    at the sigma sg (rows x points) of the windows of the geodesics at s,
+    with c = A(s)."""
+    (r, eps), s, c = (warp.params.r, warp.params.eps), s[:, None], c[:, None]
+    length = r + eps - s
+    lsq = length * sg * sg  # rho - s
+    a, da = (v.reshape(sg.shape) for v in warp.state((s + lsq).ravel()))
+    ball = s < r
+    # sin r - sin s in product form in the ball
+    d = np.where(ball, (a - math.sin(r)) + 2.0 * np.cos(0.5 * (r + s)) * np.sin(0.5 * (r - s)), a - c)
+    band = ~ball & (lsq < np.maximum(_BAND * length, _REST))
+    m = np.divide(d, lsq, out=np.empty_like(a), where=~band)
+    if band.any():
+        at_s = np.broadcast_to(s, lsq.shape)[band]
+        m[band] = warp.state(at_s[:, None] + lsq[band, None] * _GAUSS_X)[1] @ _GAUSS_W
+        d[band] = lsq[band] * m[band]
+    # dt/dsigma = 2 L sigma (c + D) / sqrt(D (2c + D)), with m = D / (L sigma^2)
+    dt = 2.0 * np.sqrt(length) * (c + d) / np.sqrt(m * (2.0 * c + d))
+    k_par = 1.0 - 2.0 * mollifier((s + lsq - r) / eps)
+    return np.stack((dt, dt / ((c + d) * (c + d)), k_par / (da * da) * dt), axis=1), d, da
 
 
-def _radial_solution(p: GeodesicParams, warp: WarpFunction, T: float,
-                     at_s: tuple[float, float]) -> RadialSolution:
-    """The whole geodesic, given at_s = (A, A')(s): the exact ball on
-    [0, t_in], the window's quadrature on [t_in, t_x], the exact exterior
-    from t_x.  Each piece is built on its own span; T only bounds the domain
-    of the joined trajectory."""
-    s, r, eps = p.s, p.r, p.eps
-    rho_x = r + eps
-    a_s, h_s = at_s
-    win = _Window.build(p, warp, at_s)
-    if s == 0.0:  # rho = t, with t_in = r and t_x = r + eps exactly
-        t_in, t_x = r, rho_x
-        parts = [Trajectory.from_function(lambda t: (t, np.ones_like(t)), 0.0, math.inf)]
-    else:
-        t_in = entry_time(s, r) if s < r else 0.0
-        t_x = t_in + float(win.cum[0, -1]) if win is not None else t_in
-        parts = [Trajectory.from_function(_Ball.at(s).state, 0.0, t_in)] if s < r else []
-        if win is not None:
-            parts.append(Trajectory.from_function(lambda t: win.state(t - t_in), t_in, t_x))
-
-    a_x, h_x = warp.exit_state if s < rho_x else (a_s, h_s)
-    if s < r:  # A(s) = sin s; sin^2 r - sin^2 s = sin(r + s) sin(r - s)
-        dh2 = (a_x - math.sin(r)) * (a_x + math.sin(r)) + math.sin(r + s) * math.sin(r - s)
-    else:
-        dh2 = (a_x - a_s) * (a_x + a_s)
-    exterior = _Exterior(t_x=t_x, rho_x=max(s, rho_x), h_x=h_x, dh_x=math.sqrt(max(0.0, dh2)),
-                         d=4.0 * warp.a_plus * warp.a_minus, a_s=a_s)
-    if s > 0.0:
-        parts.append(Trajectory.from_function(exterior.state, t_x, math.inf))
-    trajectory = Trajectory(t0=0.0, t1=float(T), pieces=sum((part.pieces for part in parts), ()))
-    return RadialSolution(params=p, trajectory=trajectory, entry_time=t_in, exit_time=t_x,
-                          warp=warp, a_s=a_s, exterior=exterior, quadrature=win)
+def _far_integrals(warp: WarpFunction, s: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The integrals (t - t_in, psi, J) from the entry to each panel end
+    past the first (rows x 3 x panels) of the far windows of the geodesics
+    at s, c = A(s): the rule in x on the pair's nodes, with dt/dx and D as in
+    ``_rates``, one broadcast on the node table for every row."""
+    (a_less, _, k_da2), c, r = warp.node_table, c[:, None, None], warp.params.r
+    d = a_less + (2.0 * np.cos(0.5 * (r + s)) * np.sin(0.5 * (r - s)))[:, None, None]
+    dt = (c + d) / np.sqrt(d * (2.0 * c + d))
+    # each rule in turn, so that one rate at a time is held at the nodes
+    rules = [dt @ _GAUSS_W, (dt / ((c + d) * (c + d))) @ _GAUSS_W, (k_da2 * dt) @ _GAUSS_W]
+    return np.cumsum(warp.params.eps / _PANELS * np.stack(rules, axis=1), axis=-1)
 
 
-def _grid_solutions(params: list[GeodesicParams], T: float) -> Iterator[RadialSolution]:
-    if max(p.s for p in params) > _S_MAX:
-        raise ValueError(f"A(s) overflows for s past {_S_MAX}")
-    warp = solve_warp(params[0].profile)
-    for p in params:
-        yield _radial_solution(p, warp, T, tuple(float(v[0]) for v in warp.state(p.s)))
+def _sigma_integrals(warp: WarpFunction, s: np.ndarray, c: np.ndarray,
+                     sigma: np.ndarray) -> np.ndarray:
+    """The integrals as in ``_far_integrals`` of the other windows, by the
+    rule in sigma on the panel ends ``sigma`` (rows x panel ends): one
+    batched lookup of every row's nodes."""
+    h = np.diff(sigma)
+    rates = _rates(warp, s, c, (sigma[:, :-1, None] + h[..., None] * _GAUSS_X).reshape(len(s), -1))[0]
+    return np.cumsum(h[:, None] * (rates.reshape(len(s), 3, _PANELS, _GAUSS) @ _GAUSS_W), axis=-1)
 
 
-def solve_radial_grid(ss: Iterable[float], r: float, eps: float,
-                      T: float = 30.0) -> Iterator[RadialSolution]:
-    """``solve_radial`` at (s, r, eps) for each s of ``ss``, in order, on one
-    warp function; each result is an ordinary per-geodesic solution with its
-    own window.  The solutions are made as they are asked for, so a long grid
-    holds one at a time; they are not cached."""
+def _solve(ss: np.ndarray, warp: WarpFunction, T: float = 30.0, cls=RadialGrid) -> RadialGrid:
+    """The grid of the geodesics at the s of ss on the metric of ``warp``
+    (``solve_radial_grid``): the ball's closed forms, each window's
+    integrals, then the exterior's data at t_x.  Raises ValueError unless
+    T > 0 and every s lies in [0, _S_MAX]."""
     if not T > 0.0:
         raise ValueError("horizon T must be positive")
-    params = [GeodesicParams(float(s), r, eps) for s in ss]
-    return _grid_solutions(params, T) if params else iter(())
+    if not ((ss >= 0.0) & (ss <= _S_MAX)).all():  # nor nan
+        raise ValueError(f"s must lie in [0, {_S_MAX}], past which A(s) overflows: got {ss}")
+    (r, eps), n, radial = (warp.params.r, warp.params.eps), ss.size, ss == 0.0
+    c, h_s = warp.state(ss)
+    sin_r, cos_r, ball, inside = math.sin(r), math.cos(r), ss < r, ss < r + eps
+    # in the ball, t_in = arccos(cos r / cos s) and A rho' = sqrt(sin^2 r -
+    # sin^2 s) there, sin^2 r - sin^2 s = sin(r + s) sin(r - s); a turning
+    # point is at rest at s, where t_in = 0 (the arccos of cos r / cos r).  The
+    # arccos is the C library's, as in ``entry_time``: numpy's differs from it
+    # in the last bit for about one argument in eight
+    gap = np.where(ball, np.sin(r + ss) * np.sin(r - ss), 0.0)
+    arg = np.minimum(1.0, cos_r / np.cos(np.minimum(ss, r))).tolist()
+    t_in = np.where(radial, r, [math.acos(x) for x in arg])
+    entry = np.array((np.sqrt(gap), np.where(ball, cos_r, h_s))).T.copy()  # C order, as ``exit``
+    cum, sigma = np.zeros((n, 3, _PANELS + 1)), np.zeros((n, _PANELS + 1))
+    if r + eps > r:  # else the sharp metric, with no window
+        # the panel ends: sigma^2 = np.linspace(lo, 1, _PANELS + 1) in its own
+        # arithmetic, from lo = (r - s) / L for s < r and 0 past r
+        lo = np.maximum(0.0, (r - ss[inside]) / (r + eps - ss[inside]))[:, None]
+        sigma[inside] = np.sqrt(np.arange(_PANELS + 1.0) * ((1.0 - lo) / _PANELS) + lo)
+        sigma[inside, -1] = 1.0
+        far = inside & (ss < r - _FAR * eps / _PANELS)
+        if far.any():
+            cum[far, :, 1:] = _far_integrals(warp, ss[far], c[far])
+        near = inside & ~far
+        if near.any():
+            cum[near, :, 1:] = _sigma_integrals(warp, ss[near], c[near], sigma[near])
+    # the exterior from exact data at t_x: h = A'(rho), h' = A(rho) rho' (in
+    # the ball, A(rho)^2 - A(s)^2 = (A^2 - sin^2 r) + (sin^2 r - sin^2 s); a
+    # geodesic that starts past the transition is at rest there, h' = 0)
+    a_x, h_x = warp.exit_state
+    ref = np.where(ball, sin_r, np.where(inside, c, a_x))
+    dh_x = np.sqrt(np.maximum(0.0, (a_x - ref) * (a_x + ref) + gap))
+    return cls(r=r, eps=eps, T=float(T), warp=warp, s=ss, c=c, t_in=t_in,
+               t_x=np.where(radial, r + eps, t_in + cum[:, 0, -1]), entry=entry, cum=cum, sigma=sigma,
+               exit=np.array((np.where(inside, h_x, h_s), dh_x)).T.copy())
+
+
+def solve_radial_grid(ss: Iterable[float], r: float, eps: float, T: float = 30.0,
+                      warp: WarpFunction | None = None) -> RadialGrid:
+    """``solve_radial`` at (s, r, eps) for each s of ``ss``, as one grid of
+    rows on one warp function (``warp``, solved here if not given): one
+    lookup of (A, A')(s) for the grid, the far windows as one broadcast on
+    the metric's node table, the others as one batched lookup, and every
+    closed form as an array formula over the rows.  Row i (``grid[i]``) is
+    the ``RadialSolution`` of the i-th s, bit for bit; nothing is cached."""
+    return _solve(np.array(list(ss), dtype=float), warp or solve_warp(ProfileParams(r, eps)), T)
+
+
+def _blocks(ss: np.ndarray, warp: WarpFunction) -> Iterator[RadialGrid]:
+    """``solve_radial_grid`` on the s of ss in consecutive blocks of _BLOCK
+    rows, on the metric of ``warp``."""
+    return (_solve(ss[i:i + _BLOCK], warp) for i in range(0, len(ss), _BLOCK))
 
 
 def solve_radial(params: GeodesicParams, T: float = 30.0) -> RadialSolution:
@@ -735,16 +811,16 @@ def solve_radial(params: GeodesicParams, T: float = 30.0) -> RadialSolution:
     bounds the domain [0, T] of its trajectory and angle; what is solved does
     not depend on it.
 
-    The entry time is the exact ``entry_time(s, r)``; the window's quadrature
-    runs in x = rho - r, so it ends exactly at rho = r + eps and no panel
-    straddles the curvature transition; the time it integrates there is the
-    solution's ``exit_time``.  This is the grid of one of
-    ``solve_radial_grid``; each call solves anew.  Raises ValueError where
-    A(s) overflows (s past about 709).
+    The entry time is arccos(cos r / cos s), as ``entry_time`` gives it; the
+    window's quadrature runs in x = rho - r, so it ends exactly at
+    rho = r + eps and no panel straddles the curvature transition; the time
+    it integrates there is the solution's ``exit_time``.  This is the grid of
+    one of ``solve_radial_grid``; each call solves anew.  Raises ValueError
+    where A(s) overflows (s past about 709).
     """
-    if not T > 0.0:
-        raise ValueError("horizon T must be positive")
-    return next(_grid_solutions([params], T))
+    row = _solve(np.array([params.s]), solve_warp(params.profile), T, RadialSolution)
+    row.__dict__["params"] = params  # what ``RadialSolution.params`` rebuilds from the row
+    return row
 
 
 def growth_factor(t: float | np.ndarray, s: float) -> float | np.ndarray:

@@ -58,6 +58,7 @@ import numpy as np
 from .ode import Trajectory
 from .geodesics import (
     GeodesicParams,
+    RadialGrid,
     RadialSolution,
     entry_time,
     growth_factor,
@@ -74,6 +75,7 @@ __all__ = [
     "jacobi_solution",
     "fundamental_pair",
     "even_minimum",
+    "even_minima",
     "closed_U_parallel",
     "closed_V_parallel",
     "closed_U_perp",
@@ -102,20 +104,16 @@ class JacobiKernel:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
 
-    def _k_exterior(self, t: np.ndarray) -> np.ndarray:
-        if self.kind == "parallel":
-            return np.full_like(np.asarray(t, dtype=float), -1.0)
-        _, drho = self.radial.state(t)
-        kperp = self.radial.exterior.k_perp(t)
-        w2 = drho * drho
-        return -w2 + (1.0 - w2) * kperp
-
-    def _k_transition(self, t: np.ndarray) -> np.ndarray:
+    def _k(self, t: np.ndarray, past: bool) -> np.ndarray:
+        """k on the window, or past it (``past``), where K_par = -1 and
+        K_perp is the exterior's closed form."""
+        if self.kind == "parallel" and past:
+            return np.full_like(t, -1.0)
         rho, drho = self.radial.state(t)
-        kpar = np.asarray(k_parallel(self.params.profile, rho))
+        kpar = -1.0 if past else np.asarray(k_parallel(self.params.profile, rho))
         if self.kind == "parallel":
             return kpar
-        kperp = k_perp(self.radial.warp, rho)
+        kperp = self.radial.k_perp_past(t) if past else k_perp(self.radial.warp, rho)
         w2 = drho * drho
         return w2 * kpar + (1.0 - w2) * kperp
 
@@ -132,9 +130,9 @@ class JacobiKernel:
         mid = ~(inside | exterior)
         out[inside] = 1.0
         if np.any(mid):
-            out[mid] = self._k_transition(t_arr[mid])
+            out[mid] = self._k(t_arr[mid], False)
         if np.any(exterior):
-            out[exterior] = self._k_exterior(t_arr[exterior])
+            out[exterior] = self._k(t_arr[exterior], True)
         return float(out[0]) if np.isscalar(t) or np.ndim(t) == 0 else out
 
 
@@ -195,16 +193,17 @@ def killing_field(
     on [0, T]: a rotation of S^n restricted to the geodesic.  ``angle``
     selects a = theta (then p = Y(0) and q = A(s) Y'(0)) or a = phi =
     theta_inf - theta, in which the decaying field A sin(phi) keeps its full
-    relative precision.  Accuracy follows the geodesic's window quadrature.
+    relative precision.  Accuracy follows the geodesic's window quadrature;
+    the state and the angle at the times inside the window share one
+    inversion of its time integral.
     """
     if kernel.kind != "perpendicular":
         raise ValueError("Killing fields solve the off-plane equation only (s > 0)")
     if angle not in ("theta", "phi"):
         raise ValueError(f"angle must be 'theta' or 'phi', got {angle!r}")
     radial = kernel.radial
-    horizon = radial.trajectory.t1
-    if not 0.0 < T <= horizon:
-        raise ValueError(f"horizon T = {T} outside (0, {horizon}] of the kernel")
+    if not 0.0 < T <= radial.T:
+        raise ValueError(f"horizon T = {T} outside (0, {radial.T}] of the kernel")
     warp, a_s = radial.warp, radial.a_s
     sign = 1.0 if angle == "theta" else -1.0  # phi' = -theta'
 
@@ -279,19 +278,24 @@ def jacobi_solution(
     y0, dy0 = initial
     if kernel.kind == "perpendicular":
         return killing_field(kernel, y0, dy0 * kernel.radial.a_s, T)
-    # the rotation on [0, t_in], the window pair's combination on [t_in, t_x]
-    # and the exponentials from t_x, each from the state where the last ends
-    radial = kernel.radial
+    return _in_plane_solution(kernel.radial, 0.0, y0, dy0, T)
+
+
+def _in_plane_solution(radial: RadialSolution, t0: float, y: float, dy: float, T: float,
+                       tail=None) -> Trajectory:
+    """The in-plane solution with state (y, dy) at t0 (0 or t_in), on
+    [0, T]: the rotation on [0, t_in], the window pair's combination on
+    [t_in, t_x], and from t_x ``tail`` (t -> (Y, Y')) or else the
+    exponentials, each from the state where the last ends."""
     t_in, t_x = radial.window
-    parts, state = [], (y0, dy0)
-    if t_in > 0.0:
-        ball = _rotation(0.0, y0, dy0)
-        parts.append(Trajectory.from_function(ball, 0.0, t_in))
-        state = tuple(map(float, ball(t_in)))
+    ball = _rotation(t0, y, dy)
+    state = tuple(map(float, ball(t_in))) if t0 < t_in else (y, dy)
+    parts = [Trajectory.from_function(ball, 0.0, t_in)] if t_in > 0.0 else []
     if t_in < t_x:
         parts.append(radial.window_solution(*state))
-        state = tuple((radial.transfer @ state).tolist())
-    parts.append(Trajectory.from_function(lambda t: _exponentials(t_x, *state, t), t_x, math.inf))
+        state = tuple((radial.transfer @ state).tolist()) if tail is None else state
+    tail = tail or (lambda t: _exponentials(t_x, *state, t))
+    parts.append(Trajectory.from_function(tail, t_x, math.inf))
     return Trajectory(t0=0.0, t1=float(T), pieces=sum((part.pieces for part in parts), ()))
 
 
@@ -304,12 +308,13 @@ def fundamental_pair(kernel: JacobiKernel, T: float = 20.0, tol: float = 1e-10) 
                            V=jacobi_solution(kernel, (0.0, 1.0), T))
 
 
-def even_minimum(kernel: JacobiKernel) -> float:
+def even_minima(radial: RadialGrid) -> np.ndarray:
     """The minimum over t >= 0 of the even solution U (U(0) = 1, U'(0) = 0)
-    of the kernel's equation, from its exact pieces: -inf when U is
-    unbounded below, nan when it is not decided.  By Sturm separation
-    (Hartman, Ordinary Differential Equations, 1964) no solution vanishes
-    twice iff the even U has no zero on the line, iff this is positive.
+    of both kernels' equations at each row of a grid (rows x 2: in-plane,
+    off-plane), from their exact pieces: -inf where U is unbounded below, nan
+    where it is not decided.  By Sturm separation (Hartman, Ordinary
+    Differential Equations, 1964) no solution vanishes twice iff the even U
+    has no zero on the line, iff this is positive.
 
     Positivity:
 
@@ -325,31 +330,41 @@ def even_minimum(kernel: JacobiKernel) -> float:
     kernel into K_par (1 - A(s)^2/A^2) + A(s)^2 (1 - A'^2) / A^4, which is
     positive before the window's midpoint (K_par >= 0, A' < 1), decreasing
     past it while A' <= 1, negative once A' > 1, and decreasing past t_x
-    (``perp_minimum``).  While U > 0, U'' = -k U, so U' <= 0 up to the
+    (``perp_minima``).  While U > 0, U'' = -k U, so U' <= 0 up to the
     minimum and U' > 0 after it.  The minimum lies in the window when
     U'(t_x) > 0, where U' = 0 is solved by Newton in the window variable on
     the window's partial integrals, which give U there as well
-    (``RadialSolution.window_minimum``), else past t_x: 2 sqrt(PQ)
-    in-plane, ``perp_minimum`` (Newton in E = e^{-2(t - t_x)}) off-plane.
+    (``RadialGrid.window_minima``), else past t_x: 2 sqrt(PQ) in-plane,
+    ``RadialGrid.perp_minima`` (Newton in E = e^{-2(t - t_x)}) off-plane.
+    Each is an array formula over the rows, and each Newton solve runs for
+    all of its rows at once.
     """
-    radial = kernel.radial
-    t_in, t_x = radial.window
-    if kernel.kind == "perpendicular":
-        psi = radial.theta_infinity_complement
-        if not psi > 0.0:
-            return -math.inf if psi < 0.0 else 0.0  # U -> -inf, or U -> 0 with U > 0
-        tail, rising = radial.exterior.perp_minimum(psi)
-    else:
-        if not t_x - t_in < math.pi:
-            return math.nan
-        # (U, U')(t_x) from U = cos t in the ball
-        u, du = (radial.transfer @ (np.cos(t_in), -np.sin(t_in))).tolist()
-        p, q = 0.5 * (u + du), 0.5 * (u - du)
-        # U -> -inf if P < 0, else U is least at tau = log(Q/P) / 2 if Q > P, else at t_x
-        tail, rising = -math.inf if p < 0.0 else 2.0 * math.sqrt(p * q) if q > p else u, du > 0.0
-    if rising and t_in < t_x:
-        return min(tail, radial.window_minimum(kernel.kind == "parallel"))
-    return tail
+    t_in, t_x, n = radial.t_in, radial.t_x, len(radial)
+    # (U, U')(t_x) from U = cos t in the ball
+    u, du = (radial.M @ np.stack((np.cos(t_in), -np.sin(t_in)), axis=-1)[..., None])[..., 0].T
+    p, q = 0.5 * (u + du), 0.5 * (u - du)
+    # U -> -inf if P < 0, else U is least at tau = log(Q/P) / 2 if Q > P, else at t_x
+    with np.errstate(invalid="ignore"):
+        tail = np.where(p < 0.0, -np.inf, np.where(q > p, 2.0 * np.sqrt(p * q), u))
+    short, psi = t_x - t_in < math.pi, radial.psi
+    # off-plane, U -> -inf when psi < 0, and U -> 0 with U > 0 at psi = 0
+    out = np.stack((np.where(short, tail, np.nan), np.where(psi < 0.0, -np.inf, 0.0)), axis=1)
+    rising = np.stack((short & (du > 0.0), np.zeros(n, dtype=bool)), axis=1)
+    turns = np.flatnonzero(psi > 0.0)
+    if turns.size:
+        out[turns, 1], rising[turns, 1] = radial._take(turns).perp_minima(psi[turns])
+    rows, kinds = np.nonzero(rising & (t_in < t_x)[:, None])
+    if rows.size:
+        inside = radial._take(rows).window_minima(kinds == 0)
+        out[rows, kinds] = np.where(inside < out[rows, kinds], inside, out[rows, kinds])
+    return out
+
+
+def even_minimum(kernel: JacobiKernel) -> float:
+    """The minimum over t >= 0 of the even solution U (U(0) = 1, U'(0) = 0)
+    of the kernel's equation: ``even_minima`` on its geodesic, a grid of
+    one."""
+    return float(even_minima(kernel.radial)[0, KINDS.index(kernel.kind)])
 
 
 # -- closed forms at (r, eps) = (pi/4, 0) ------------------------------------

@@ -19,9 +19,6 @@ import numpy as np
 
 __all__ = ["Trajectory"]
 
-# ``_bisect`` bisects to 4 ulps of 1, absolute and relative
-_EVENT_TOL = 4.0 * np.finfo(float).eps
-
 
 @dataclass(frozen=True, eq=False)
 class _Piece:
@@ -99,16 +96,3 @@ class Trajectory:
 
         t0, t1 = float(t0), float(t1)
         return cls(t0=t0, t1=t1, pieces=(_Piece(t0, t1, sol),))
-
-
-def _bisect(past: Callable[[float], bool], lo: float, hi: float) -> float:
-    """The point between lo and hi (in either order) at which ``past`` turns
-    true, given that it is false at lo, true at hi and turns once between:
-    bisection to the event tolerance, ending on the side where it is true."""
-    while abs(hi - lo) > _EVENT_TOL * (1.0 + abs(hi)):
-        mid = 0.5 * (lo + hi)
-        if past(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi

@@ -39,12 +39,18 @@ rises after it; past r + eps, A'' = A > 0.  So A' > 0 on (0, inf) if and
 only if A'(r + eps/2) > 0, and then inf A'/A > 0 (A'/A -> 1), which is the
 premise of the comparison theorem (``geodesics.comparison_lower_bound``).
 
-Each regime's grid takes its geodesics from one
-``geodesics.solve_radial_grid``, each with its transition window by
-quadrature on the transition pair.  Each mid-s point's minima of U are exact
-over all t >= 0 (``jacobi.even_minimum``): U is cos t in the ball and closed
-form past the transition, and U' turns positive once, so the minimum is one
-closed formula or one Newton solve, past the window or in it.  No
+A scan solves one warp function for every stage (the threshold, the
+non-trapping check and both grids), and each grid as array programs over s:
+its geodesics are rows of ``geodesics.RadialGrid``, solved in consecutive
+blocks of ``geodesics._BLOCK`` rows, so that what a scan holds does not grow
+with the number of s, each with its transition window by quadrature on the
+transition pair.  The small-s certificates are array formulas on the rows
+(``stable.certificate_grid``); each mid-s point's minima of U are exact over
+all t >= 0 (``jacobi.even_minima``): U is cos t in the ball and closed form
+past the transition, and U' turns positive once, so the minimum is one
+closed formula or one Newton solve, past the window or in it, and each
+Newton solve runs on every row of a block at once.  Every record is the
+value that the single query at its s gives, bit for bit.  No
 caller sets a tolerance: the transition pair is a fixed series, and every
 window is the same composite Gauss-Legendre rule; the report's metadata
 states both.  Nothing is integrated: once the process has built the pair's
@@ -62,11 +68,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geodesics import GeodesicParams, solve_radial_grid
-from .jacobi import KINDS, even_minimum, kernel_on
-from .stable import (TOL_SIGN, StableSolution, certificate_grid, stable_for,
+from .geodesics import GeodesicParams, _blocks
+from .jacobi import even_minima, kernel_on
+from .stable import (TOL_SIGN, StableSolution, certificate_grid, stable_for, stable_solution,
                      stencil_derivatives, stencil_points)
-from .warp import ProfileParams, entry_slope, k_perp, solve_warp
+from .warp import ProfileParams, WarpFunction, entry_slope, k_perp, solve_warp
 
 __all__ = [
     "BracketError",
@@ -217,40 +223,39 @@ def verify_small_s(
     eps: float,
     sigma: float = 0.3,
     ds: float = 0.01,
+    warp: WarpFunction | None = None,
 ) -> tuple[list[SmallSRecord], tuple[float, float], bool, StableSolution]:
     """Certificate method on 0 <= s <= sigma.
 
     Each grid point passes iff W'(0) <= TOL_SIGN for both kernels; the
     concavity signature (d1 ~ 0, d2 < 0) of s -> W'(0) at s = 0 is checked
     as well.  Returns (records, (d1, d2) for the perpendicular kind, all
-    passed, the in-plane stable solution at s = 0), all from one
-    ``certificate_grid``.
+    passed, the in-plane stable solution at s = 0), all from the rows of
+    ``certificate_grid`` on the metric ``warp`` (solved here if not given),
+    in blocks of ``geodesics._BLOCK`` rows.
     """
     _check_grid(sigma, ds)
     grid = _grid(0.0, sigma, ds)
     stencil = stencil_points()
     ss = np.array(sorted({*grid.tolist(), *stencil}))
-    certs = dict(zip(ss.tolist(), certificate_grid(ss, r, eps)))
-    records: list[SmallSRecord] = []
-    ok = True
-    for s in grid.tolist():
-        cp, cq = certs[s]
-        good = cp <= TOL_SIGN and cq <= TOL_SIGN
-        ok = ok and good
-        records.append(SmallSRecord(s, cp, cq, "pass" if good else "fail"))
+    certs, witness = [], None
+    for rows in _blocks(ss, warp or solve_warp(ProfileParams(r, eps))):
+        certs.append(certificate_grid(rows))
+        witness = witness or stable_solution(kernel_on("parallel", rows[0]))
+    certs = dict(zip(ss.tolist(), np.concatenate(certs).tolist()))
+    records = [SmallSRecord(s, cp, cq, "pass" if cp <= TOL_SIGN and cq <= TOL_SIGN else "fail")
+               for s, (cp, cq) in ((s, certs[s]) for s in grid.tolist())]
     d1, d2 = stencil_derivatives([certs[s][1] for s in stencil])
-    ok = ok and d2 < 0.0
-    return records, (d1, d2), ok, certs[0.0].stable
+    return records, (d1, d2), all(rec.verdict == "pass" for rec in records) and d2 < 0.0, witness
 
 
-def _negative_curvature_threshold(params: ProfileParams) -> tuple[float, bool]:
+def _negative_curvature_threshold(warp: WarpFunction) -> tuple[float, bool]:
     """rho0 past which both curvatures are negative, and whether its proof
     holds: rho0 >= r + eps (so K_par < 0 past it) with A, A' > 0 at r + eps
     (so A'' = A > 0 and A' increases past it from A'(rho0) >= 1, and
     K_perp < 0).  The threshold must also be sharp: K_perp just below rho0
     is nonnegative."""
-    r, eps = params.r, params.eps
-    warp = solve_warp(params)
+    r, eps = warp.params.r, warp.params.eps
     rho0 = warp.negative_curvature_threshold()
     a_x, da_x = warp.exit_state
     certified = rho0 >= r + eps and a_x > 0.0 and da_x > 0.0
@@ -265,6 +270,7 @@ def verify_large_s(
     eps: float,
     sigma: float = 0.3,
     ds: float = 0.01,
+    warp: WarpFunction | None = None,
 ) -> tuple[float, bool, list[MidSRecord], bool]:
     """Positivity method on sigma <= s <= rho0 (sigma > 0: the radial
     geodesic s = 0 has no angular coordinate, and the small-s regime
@@ -274,19 +280,20 @@ def verify_large_s(
     integration; below it, each grid point passes iff both even fundamental
     solutions U (U(0) = 1, U'(0) = 0) are positive on the whole line: by
     Sturm separation no solution then vanishes twice.  The minima are
-    ``jacobi.even_minimum``, exact over t >= 0: closed forms in the ball and
-    past the transition, the window's quadrature across it.
+    ``jacobi.even_minima``, exact over t >= 0: closed forms in the ball and
+    past the transition, the window's quadrature across it, on the rows of
+    the metric ``warp`` (solved here if not given) in blocks of
+    ``geodesics._BLOCK`` rows.
     Returns (rho0, curvature_certified, records, all passed).
     """
     _check_grid(sigma, ds)
     if not sigma > 0.0:
         raise ValueError(f"the mid-s grid starts at sigma > 0, got {sigma}")
-    rho0, certified = _negative_curvature_threshold(ProfileParams(r, eps))
-    records: list[MidSRecord] = []
-    for radial in solve_radial_grid(_grid(sigma, rho0, ds), r, eps):
-        min_u, min_v = (even_minimum(kernel_on(kind, radial)) for kind in KINDS)
-        good = min_u > 0.0 and min_v > 0.0
-        records.append(MidSRecord(radial.params.s, min_u, min_v, "pass" if good else "fail"))
+    warp = warp or solve_warp(ProfileParams(r, eps))
+    rho0, certified = _negative_curvature_threshold(warp)
+    records = [MidSRecord(s, u, v, "pass" if u > 0.0 and v > 0.0 else "fail")
+               for rows in _blocks(_grid(sigma, rho0, ds), warp)
+               for s, (u, v) in zip(rows.s.tolist(), even_minima(rows).tolist())]
     ok = certified and all(rec.verdict == "pass" for rec in records)
     return rho0, certified, records, ok
 
@@ -317,10 +324,10 @@ def _failed_at(records) -> str:
     return ", ".join(f"{rec.s:g}" for rec in records if rec.verdict == "fail")
 
 
-def _non_trapping_check(r: float, eps: float) -> bool:
+def _non_trapping_check(warp: WarpFunction) -> bool:
     """A'(r + eps/2) > 0: the premise of the comparison theorem (module
     docstring), read off the warp function with no solve of its own."""
-    return solve_warp(ProfileParams(r, eps)).deriv(r + eps / 2.0) > 0.0
+    return warp.deriv(warp.params.r + warp.params.eps / 2.0) > 0.0
 
 
 def assemble_report(
@@ -371,7 +378,8 @@ def assemble_report(
             non_trapping_ok=False, metadata=metadata,
         )
 
-    small_records, concavity, _, witness_sol = verify_small_s(r_star, eps, sigma, ds)
+    warp = solve_warp(ProfileParams(r_star, eps))  # the one metric of every stage
+    small_records, concavity, _, witness_sol = verify_small_s(r_star, eps, sigma, ds, warp)
     # Boundary-conjugate witness: the stable solution at s = 0 decays in
     # forward time and, extended evenly (W'(0) = 0 up to the root residual),
     # in backward time as well.  The residual is its |Y(0) W'(0)|.
@@ -387,8 +395,8 @@ def assemble_report(
     }
     witness_ok = y_end < 2.0 * math.exp(-t_check) and residual < 1e-8
 
-    rho0, certified, mid_records, _ = verify_large_s(r_star, eps, sigma, ds)
-    non_trapping = _non_trapping_check(r_star, eps)
+    rho0, certified, mid_records, _ = verify_large_s(r_star, eps, sigma, ds, warp)
+    non_trapping = _non_trapping_check(warp)
     small_failed = _failed_at(small_records)
     mid_failed = _failed_at(mid_records)
 

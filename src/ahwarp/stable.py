@@ -66,15 +66,14 @@ from typing import Sequence
 import numpy as np
 
 from .ode import Trajectory
-from .geodesics import GeodesicParams, solve_radial_grid
-from .jacobi import (KINDS, JacobiKernel, _check_tol, _rotation, kernel_on, killing_field,
-                     make_kernel, theta_infinity)
+from .geodesics import GeodesicParams, RadialGrid, solve_radial_grid
+from .jacobi import (KINDS, JacobiKernel, _check_tol, _in_plane_solution, killing_field, make_kernel,
+                     theta_infinity)
 
 __all__ = [
     "TOL_SIGN",
     "CertificateError",
     "StableSolution",
-    "Certificates",
     "stable_solution",
     "stable_for",
     "certificate",
@@ -95,7 +94,7 @@ _QUARTER_PI = math.pi / 4.0
 # exactly W'(0) = 0.
 TOL_SIGN = 1e-9
 
-# The horizon of the radial solves of ``stable_for`` and ``certificate_grid``.
+# The horizon of the radial solves of ``stable_for``.
 _T0 = 30.0
 _STENCIL_H = 5e-3
 
@@ -131,80 +130,83 @@ def stable_solution(kernel: JacobiKernel, kind: str | None = None) -> StableSolu
     combination adj(M) (1, -1) across it and an exact rotation through the
     ball for the in-plane kernel; the decaying Killing field for the
     off-plane one.  Nothing is integrated here; the in-plane window pair
-    comes with the geodesic.
+    comes with the geodesic, and Y(0) and W'(0) are the row formulas of
+    ``certificate_grid`` on the kernel's geodesic, a grid of one.
 
     ``kind`` overrides the label stored on the result (the s = 0
     perpendicular equation is solved as the parallel one, which is the
     same equation).
     """
-    build = _killing_stable if kernel.kind == "perpendicular" else _in_plane_stable
-    Y, y0, w0 = build(kernel)
-    return StableSolution(
-        kind=kind or kernel.kind,
-        params=kernel.params,
-        Y=Y,
-        Y0=y0,
-        W_prime_0=w0,
-        seed_horizon=kernel.radial.trajectory.t1,
-        seed_residual=0.0,
-    )
-
-
-def _in_plane_stable(kernel: JacobiKernel) -> tuple[Trajectory, float, float]:
-    """(Y, Y(0), W'(0)) of the in-plane stable solution: e^{-t} past t_x,
-    adj(M) (1, -1) e^{-t_x} across the window, a rotation through the ball."""
     radial = kernel.radial
-    t_in, t_x = radial.window
-    # the zero test rests on Sturm comparison with Y'' = -Y (module docstring)
-    if not t_x - t_in < math.pi:
-        raise CertificateError(
-            f"transition window [{t_in}, {t_x}] at {kernel.params} is not shorter "
-            "than pi; the zero test does not apply")
-    (u, v), (du, dv) = radial.transfer.tolist()
+    if kernel.kind == "perpendicular":
+        (scale, y0, w0), checks = _off_plane(radial)
+        _refuse(radial, checks)
+        Y = killing_field(kernel, 0.0, float(scale[0]), radial.T, angle="phi")
+    else:
+        (y_in, dy_in, y0, dy0), checks = _in_plane(radial)
+        _refuse(radial, checks)
+        w0 = dy0 / y0  # y0 > 0 once the zero tests pass
+        Y = _in_plane_solution(radial, radial.entry_time, float(y_in[0]), float(dy_in[0]), radial.T,
+                               lambda t: (np.exp(-t), -np.exp(-t)))
+    return StableSolution(kind=kind or kernel.kind, params=kernel.params, Y=Y, Y0=float(y0[0]),
+                          W_prime_0=float(w0[0]), seed_horizon=radial.T, seed_residual=0.0)
+
+
+def _in_plane(radial: RadialGrid) -> tuple[tuple, list]:
+    """((Y, Y')(t_in), (Y, Y')(0)) of the in-plane stable solution at each
+    row (e^{-t} past t_x, adj(M) (1, -1) e^{-t_x} across the window, a
+    rotation through the ball), and its zero tests (``_refuse``)."""
+    t_in, t_x = radial.t_in, radial.t_x
+    u, v, du, dv = radial.M.reshape(-1, 4).T
     # (Y, Y')(t_x) = e^{-t_x} (1, -1), so (Y, Y')(t_in) = e^{-t_x} adj(M) (1, -1)
-    decay_x = math.exp(-t_x)
+    decay_x = np.exp(-t_x)
     y_in, dy_in = (dv + v) * decay_x, -(du + u) * decay_x
-    if not y_in > 0.0:
-        raise _vanishes(kernel, f"Y(t_in) = {y_in:.3e} <= 0")
-
-    def decay(t: np.ndarray):
-        y = np.exp(-t)
-        return y, -y
-
-    w_in = dy_in / y_in
-    angle = math.atan(w_in) + t_in
-    if not angle < math.pi / 2.0:
-        raise _vanishes(kernel, f"arctan W(t_in) + t_in = {angle:.6f} >= pi/2")
-    ball = _rotation(t_in, y_in, dy_in)
-    parts = [Trajectory.from_function(ball, 0.0, t_in)] if t_in > 0.0 else []
-    if t_in < t_x:
-        parts.append(radial.window_solution(y_in, dy_in))
-    parts.append(Trajectory.from_function(decay, t_x, math.inf))
-    y0, dy0 = map(float, ball(0.0))
-    Y = Trajectory(t0=0.0, t1=radial.trajectory.t1, pieces=sum((part.pieces for part in parts), ()))
-    return Y, y0, dy0 / y0
+    # arctan W(t_in) where Y(t_in) > 0, the only rows whose angle test is read
+    angle, back = np.arctan2(dy_in, y_in) + t_in, -t_in  # ``back`` rotates from t_in to 0
+    cos, sin = np.cos(back), np.sin(back)
+    y0, dy0 = y_in * cos + dy_in * sin, dy_in * cos - y_in * sin
+    return (y_in, dy_in, y0, dy0), [
+        # the zero test rests on Sturm comparison with Y'' = -Y (module docstring)
+        (t_x - t_in < math.pi, lambda i, mu: CertificateError(
+            f"transition window [{t_in[i]}, {t_x[i]}] at {mu} is not shorter "
+            "than pi; the zero test does not apply")),
+        (y_in > 0.0, lambda i, mu: _vanishes(mu, f"Y(t_in) = {y_in[i]:.3e} <= 0")),
+        (angle < math.pi / 2.0, lambda i, mu: _vanishes(
+            mu, f"arctan W(t_in) + t_in = {angle[i]:.6f} >= pi/2"))]
 
 
-def _killing_stable(kernel: JacobiKernel) -> tuple[Trajectory, float, float]:
-    """(Y, Y(0), W'(0)) of Y = C A(rho) sin(phi) / A(s), with
-    C = (h_x + h'_x) e^{-t_x} from the exterior (module docstring).
-    phi(0) = pi/2 - psi is used through psi = ``theta_infinity_complement``:
-    cot(phi(0)) = tan(psi) has no cancellation for small s."""
-    radial = kernel.radial
-    psi = radial.theta_infinity_complement
-    if not psi > -math.pi / 2.0:
-        raise _vanishes(kernel, f"phi(0) = {math.pi / 2.0 - psi:.6f} >= pi")
-    ext = radial.exterior
-    if not ext.h_x + ext.dh_x > 0.0:
-        raise CertificateError(f"A(rho) does not grow past the transition at {kernel.params}")
-    scale = (ext.h_x + ext.dh_x) * math.exp(-ext.t_x)
-    Y = killing_field(kernel, 0.0, scale, radial.trajectory.t1, angle="phi")
-    return Y, scale * math.cos(psi), -math.tan(psi) / radial.a_s
+def _off_plane(radial: RadialGrid) -> tuple[tuple, list]:
+    """(C, Y(0), W'(0)) of Y = C A(rho) sin(phi) / A(s) at each row, with
+    C = (h_x + h'_x) e^{-t_x} from the exterior (module docstring), and its
+    zero tests.  phi(0) = pi/2 - psi is used through psi = pi/2 - theta_inf:
+    cot(phi(0)) = tan(psi) has no cancellation for small s.  The radial
+    geodesic (s = 0) has no angle; its off-plane equation is the in-plane
+    one."""
+    psi, (h_x, dh_x), radial_line = radial.psi, radial.exit.T, radial.s == 0.0
+    scale = (h_x + dh_x) * np.exp(-radial.t_x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w0 = -np.tan(psi) / radial.c
+    return (scale, scale * np.cos(psi), w0), [
+        (radial_line | (psi > -math.pi / 2.0),
+         lambda i, mu: _vanishes(mu, f"phi(0) = {math.pi / 2.0 - psi[i]:.6f} >= pi")),
+        (radial_line | (h_x + dh_x > 0.0), lambda i, mu: CertificateError(
+            f"A(rho) does not grow past the transition at {mu}"))]
 
 
-def _vanishes(kernel: JacobiKernel, detail: str) -> CertificateError:
+def _refuse(radial: RadialGrid, checks: list) -> None:
+    """Raise the CertificateError of the first row whose zero test fails,
+    the first failing test of that row in the order of ``checks``: the one
+    that a construction geodesic by geodesic, in-plane before off-plane,
+    meets first."""
+    oks = np.array([ok for ok, _ in checks])
+    if not oks.all():
+        i, n = min((int(np.argmin(ok)), n) for n, ok in enumerate(oks) if not ok.all())
+        raise checks[n][1](i, GeodesicParams(float(radial.s[i]), radial.r, radial.eps))
+
+
+def _vanishes(params: GeodesicParams, detail: str) -> CertificateError:
     return CertificateError(
-        f"stable solution at {kernel.params} vanishes ({detail}): "
+        f"stable solution at {params} vanishes ({detail}): "
         "outside the continuity neighborhood of the critical parameters"
     )
 
@@ -223,26 +225,18 @@ def certificate(kind: str, params: GeodesicParams) -> float:
     return stable_for(kind, params).W_prime_0
 
 
-class Certificates(tuple):
-    """(W'(0) in-plane, W'(0) off-plane) at one s, a pair of floats, with
-    the in-plane stable solution behind the first as ``stable``: at s = 0,
-    the radial geodesic's, which a scan takes as its boundary-conjugate
-    witness."""
-
-    stable: StableSolution
-
-    def __new__(cls, parallel: StableSolution, perp: StableSolution) -> "Certificates":
-        pair = super().__new__(cls, (parallel.W_prime_0, perp.W_prime_0))
-        pair.stable = parallel
-        return pair
-
-
-def certificate_grid(ss: Sequence[float], r: float, eps: float) -> list[Certificates]:
-    """The certificates at each s of ``ss``, as ``certificate`` gives them
-    one geodesic at a time, with the radial solves of the grid made by one
-    ``geodesics.solve_radial_grid``."""
-    return [Certificates(*(stable_solution(kernel_on(kind, radial), kind=kind) for kind in KINDS))
-            for radial in solve_radial_grid(ss, r, eps, _T0)]
+def certificate_grid(radial: RadialGrid) -> np.ndarray:
+    """W'(0) of both kinds at each row of a grid (rows x 2: in-plane,
+    off-plane), each the value that ``stable_for`` gives at its s bit for
+    bit, as array formulas over the rows: in-plane adj(M) (1, -1) and the
+    rotation through the ball, off-plane -tan(pi/2 - theta_inf) / A(s).
+    At s = 0 both are the in-plane one.  Raises the CertificateError of the
+    first row, in the order of s, whose zero test fails."""
+    (_, _, y0, dy0), par_checks = _in_plane(radial)
+    (_, _, perp), perp_checks = _off_plane(radial)
+    _refuse(radial, par_checks + perp_checks)
+    par = dy0 / y0  # y0 > 0 once the zero tests pass
+    return np.stack((par, np.where(radial.s == 0.0, par, perp)), axis=1)
 
 
 def stencil_points() -> tuple[float, ...]:
@@ -268,8 +262,8 @@ def certificate_s_derivatives(kind: str, params: GeodesicParams) -> tuple[float,
     stencil points."""
     if params.s != 0.0:
         raise ValueError("s-derivatives of the certificate are taken at s = 0")
-    certs = certificate_grid(stencil_points(), params.r, params.eps)
-    return stencil_derivatives([c[KINDS.index(kind)] for c in certs])
+    certs = certificate_grid(solve_radial_grid(stencil_points(), params.r, params.eps, _T0))
+    return stencil_derivatives(certs[:, KINDS.index(kind)].tolist())
 
 
 # -- closed-form certificates and solutions (oracles) ------------------------

@@ -61,8 +61,6 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .ode import _bisect
-
 __all__ = [
     "ProfileParams",
     "WarpFunction",
@@ -138,6 +136,7 @@ class WarpFunction:
         self.params = params
         self.a_plus = a_plus
         self.a_minus = a_minus
+        self.d = 4.0 * a_plus * a_minus  # A^2 - A'^2 past the transition
         self._transition = transition
 
     def __repr__(self) -> str:
@@ -149,21 +148,15 @@ class WarpFunction:
         """(A(rho), A'(rho)) as arrays."""
         rho_arr = np.atleast_1d(np.asarray(rho, dtype=float))
         r, eps = self.params.r, self.params.eps
-        val = np.empty_like(rho_arr)
-        der = np.empty_like(rho_arr)
-
-        inner = rho_arr <= r
-        val[inner] = np.sin(rho_arr[inner])
-        der[inner] = np.cos(rho_arr[inner])
-
+        if not rho_arr.max(initial=0.0) > r:  # all in the ball
+            return np.sin(rho_arr), np.cos(rho_arr)
+        val, der, inner = np.empty_like(rho_arr), np.empty_like(rho_arr), rho_arr <= r
+        val[inner], der[inner] = np.sin(rho_arr[inner]), np.cos(rho_arr[inner])
         outer = rho_arr >= r + eps
-        ep = np.exp(rho_arr[outer])
-        em = np.exp(-rho_arr[outer])
-        val[outer] = self.a_plus * ep + self.a_minus * em
-        der[outer] = self.a_plus * ep - self.a_minus * em
-
-        mid = ~(inner | outer)
-        if np.any(mid):
+        if outer.any():
+            val[outer], der[outer] = self._outer(rho_arr[outer])
+        mid = (rho_arr > r) & ~outer
+        if mid.any():
             # only reachable when eps > 0.  x = rho - r is exact on [r, 2r]
             # (Sterbenz); where r + eps rounds up it passes eps by less than
             # an ulp of r, so it is clipped
@@ -172,11 +165,16 @@ class WarpFunction:
             val[mid] = math.sin(r) + a_less
         return val, der
 
+    def _outer(self, rho):
+        """(A, A')(rho) = a_+ e^rho +- a_- e^{-rho}, past the transition."""
+        ep, em = np.exp(rho), np.exp(-rho)
+        return self.a_plus * ep + self.a_minus * em, self.a_plus * ep - self.a_minus * em
+
     @cached_property
     def exit_state(self) -> tuple[float, float]:
         """(A, A')(r + eps), where the transition ends: a constant of the
-        metric, looked up once."""
-        return tuple(float(v[0]) for v in self.state(self.params.r + self.params.eps))
+        metric, from the exterior's exponentials."""
+        return tuple(float(v) for v in self._outer(np.float64(self.params.r + self.params.eps)))
 
     @cached_property
     def node_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -188,7 +186,7 @@ class WarpFunction:
         lookup."""
         eps = self.params.eps
         a_less, da = _project(self.params.r, *_pair(eps, self._transition, eps * _U))
-        return a_less, da, (1.0 - 2.0 * mollifier(_U)) / (da * da)
+        return a_less, da, _K / (da * da)
 
     def value(self, rho: float | np.ndarray) -> float | np.ndarray:
         v, _ = self.state(rho)
@@ -212,18 +210,28 @@ class WarpFunction:
         w' = -K_par - w^2, and at a zero of w', w'' = -K_par' >= 0: w' turns
         positive at most once.  So w falls from cot(r) to its least value,
         at r + eps when w' = 1 - w^2 <= 0 there (K_par = -1) and else at the
-        one root of w^2 = -K_par, located by bisection on the transition
-        pair.  No verdict reads it: the search proves non-trapping from
+        one root of g = w^2 + K_par, located by Newton on the transition
+        pair: g' = -2 w g + K_par', with K_par' = -2 m'(u) / eps from the
+        mollifier's closed-form derivative m' = m (1 - m) (1/u^2 + 1/(1-u)^2),
+        bisecting where a step would leave the bracket.  w is flat at the
+        root, so a step below _ROOT_STEP leaves an error of its square.  No
+        verdict reads it: the search proves non-trapping from
         A'(r + eps/2) > 0 instead.
         """
         r, eps = self.params.r, self.params.eps
         w = self.exit_state[1] / self.exit_state[0]
         if self._transition is not None and w * w < 1.0:
-            # w' = -K_par - w^2 > 0 past the root
-            rho = _bisect(lambda x: self.log_slope(x) ** 2 + k_parallel(self.params, x) < 0.0,
-                          r, r + eps)
-            w = self.log_slope(rho)
-        return min(w, 1.0)
+            lo, hi, x = r, r + eps, r + 0.5 * eps  # g > 0 at r, g < 0 at r + eps
+            for _ in range(_ROOT_STEPS):
+                u, w, m = (x - r) / eps, self.log_slope(x), mollifier((x - r) / eps)
+                g, v = w * w + (1.0 - 2.0 * m), 1.0 - u
+                slope = -2.0 * w * g - 2.0 * m * (1.0 - m) * (1.0 / (u * u) + 1.0 / (v * v)) / eps
+                lo, hi = (x, hi) if g > 0.0 else (lo, x)
+                new = x - g / slope if slope < 0.0 else math.nan
+                x, last = (new if lo <= new <= hi else 0.5 * (lo + hi)), x
+                if abs(x - last) <= _ROOT_STEP:
+                    break
+        return min(float(w), 1.0)
 
     def negative_curvature_threshold(self) -> float:
         """Smallest rho0 with K_par < 0 and K_perp < 0 for all rho > rho0.
@@ -238,7 +246,7 @@ class WarpFunction:
             perp_thr = r + eps
         else:
             # a_+ u^2 - u - a_- = 0 with u = e^rho
-            disc = 1.0 + 4.0 * self.a_plus * self.a_minus
+            disc = 1.0 + self.d
             if disc <= 0.0:
                 raise ValueError("exterior slope never reaches 1; no threshold")
             u = (1.0 + math.sqrt(disc)) / (2.0 * self.a_plus)
@@ -246,6 +254,10 @@ class WarpFunction:
         return max(par_thr, perp_thr)
 
 
+# ``min_log_slope`` takes at most _ROOT_STEPS values, and stops once a step is
+# below _ROOT_STEP
+_ROOT_STEPS = 20
+_ROOT_STEP = 1e-12
 # The pair's Taylor series in lam (module docstring): _ORDER terms, on
 # _PANELS equal panels of u in [0, 1] with _GAUSS Gauss-Legendre nodes each
 _ORDER = 18
@@ -266,6 +278,10 @@ _PANEL_WEIGHTS = (0.5 / _PANELS) * _WEIGHTS
 _BARYCENTRIC = (-1.0) ** np.arange(_GAUSS) * np.sqrt((1.0 - _XI * _XI) * _WEIGHTS)
 # the nodes in u (panels x nodes)
 _U = (np.arange(_PANELS)[:, None] + 0.5 * (1.0 + _XI)) / _PANELS
+# K_par = 1 - 2 mollifier at the nodes
+_K = 1.0 - 2.0 * mollifier(_U)
+# a lookup interpolates _CHUNK points at a time (``_interpolate``)
+_CHUNK = 512
 
 
 def _integral(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -283,11 +299,10 @@ def _terms(order: int = _ORDER) -> tuple[np.ndarray, np.ndarray]:
     S_u - 1) in u: their values at the nodes ``_U`` (order x 4 x panels x
     nodes) and at u = 1 (order x 4).  Built once per process, on first use;
     another order only checks the truncation."""
-    k = 1.0 - 2.0 * mollifier(_U)
     y = np.stack((np.ones_like(_U), _U))  # y_0 of C and of S
     rows, ends = [], []
     for _ in range(order):
-        d, d_end = _integral(-k * y)
+        d, d_end = _integral(-_K * y)
         y, y_end = _integral(d)
         rows.append(np.concatenate((y, d)))
         ends.append(np.concatenate((y_end, d_end)))
@@ -304,7 +319,12 @@ def _sum(lam: float, terms: np.ndarray) -> np.ndarray:
 def _interpolate(values: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The rows (... x len(u)) at the points u of [0, 1], from their values
     at the nodes ``_U`` (... x panels x nodes): the barycentric formula on
-    each point's panel, and the node value where a point is a node."""
+    each point's panel, and the node value where a point is a node.  The
+    points are taken _CHUNK at a time, which bounds what a lookup holds at
+    once however many points it has."""
+    if u.size > _CHUNK:
+        return np.concatenate([_interpolate(values, u[i:i + _CHUNK])
+                               for i in range(0, u.size, _CHUNK)], axis=-1)
     z = u * _PANELS
     panel = np.minimum(z.astype(int), _PANELS - 1)
     diff = (2.0 * (z - panel) - 1.0)[:, None] - _XI

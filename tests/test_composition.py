@@ -264,7 +264,7 @@ class TestWorkCounts:
         t_in, t_x = kernel.radial.window
         assert 0.0 < t_in < t_x
         assert solves == []
-        assert t_x == t_in + kernel.radial.quadrature.cum[0, -1]
+        assert t_x == t_in + kernel.radial.cum[0, 0, -1]
 
     @pytest.mark.parametrize("kind, mu", [
         ("parallel", (0.0, PI4, 0.0)),
@@ -279,18 +279,18 @@ class TestWorkCounts:
         # that window's integrals, and nothing calls an integrator (each
         # window was a DOP853 solve of its own)
         params = GeodesicParams(*mu)
-        built, build = [], geo_mod._Window.build
+        built = []
+        for name in ("_far_integrals", "_sigma_integrals"):
+            def counting(warp, s, *args, build=getattr(geo_mod, name)):
+                built.extend(s.tolist())
+                return build(warp, s, *args)
 
-        def counting(*args):
-            built.append(build(*args))
-            return built[-1]
-
-        monkeypatch.setattr(geo_mod._Window, "build", staticmethod(counting))
+            monkeypatch.setattr(geo_mod, name, counting)
         kernel = make_kernel(kind, params)
-        assert [win is not None for win in built] == [mu[2] > 0.0]
+        assert built == ([mu[0]] if mu[2] > 0.0 else [])
         fundamental_pair(kernel, T=20.0)
         sol = stable_solution(kernel)
-        assert len(built) == 1 and solves == []
+        assert len(built) == (mu[2] > 0.0) and solves == []
         assert sol.seed_residual == 0.0
 
     @pytest.mark.parametrize("kind", ["parallel", "perpendicular"])
@@ -318,8 +318,8 @@ class TestWorkCounts:
     def test_non_trapping_check_makes_no_solve(self, solves):
         # the premise A'(r + eps/2) > 0 is read off the pair, and the sharp
         # metric has no pair
-        assert search_mod._non_trapping_check(PI4, 0.0)
-        assert search_mod._non_trapping_check(0.76, 0.05)
+        assert search_mod._non_trapping_check(solve_warp(ProfileParams(PI4, 0.0)))
+        assert search_mod._non_trapping_check(solve_warp(ProfileParams(0.76, 0.05)))
         assert solves == []
 
     def test_mollified_scan_makes_no_dense_lookup(self, solves, monkeypatch):
@@ -343,21 +343,20 @@ class TestWorkCounts:
         # node table, built on the first and reused; a window within two
         # pair panels of grazing, or one with a turning point, looks up its
         # 320 sigma nodes (every window looked them up before the table)
+        # (the grid's other lookup is (A, A')(s) at its rows)
         r, eps = 0.76, 0.05
         warp = solve_warp(ProfileParams(r, eps))
-        for s in (0.0, 0.3, 0.6, r - 2.5 * eps / 32):
-            assert geo_mod._Window.build(GeodesicParams(s, r, eps), warp,
-                                         (math.sin(s), math.cos(s))) is not None
-        assert lookups == [] and tables == [ProfileParams(r, eps)]
-        s = r - 1.5 * eps / 32
-        geo_mod._Window.build(GeodesicParams(s, r, eps), warp, (math.sin(s), math.cos(s)))
-        assert lookups == [320] and len(tables) == 1
+        far = solve_radial_grid([0.0, 0.3, 0.6, r - 2.5 * eps / 32], r, eps, warp=warp)
+        assert np.all(far.t_in < far.t_x)
+        assert lookups == [4] and tables == [ProfileParams(r, eps)]
+        solve_radial_grid([r - 1.5 * eps / 32], r, eps, warp=warp)
+        assert lookups == [4, 1, 320] and len(tables) == 1
 
     def test_node_table_once_per_grid_metric(self, tables):
         # one table per metric, however many far windows its grid has; a
         # sharp metric has no window, so a sharp scan builds none
-        grid = list(solve_radial_grid(np.linspace(0.0, 0.9, 31), 0.76, 0.05))
-        assert sum(sol.quadrature is not None for sol in grid) > 20
+        grid = solve_radial_grid(np.linspace(0.0, 0.9, 31), 0.76, 0.05)
+        assert np.sum(grid.t_in < grid.t_x) > 20
         assert tables == [ProfileParams(0.76, 0.05)]
         assert assemble_report(0.0).overall == "boundary-CP-and-no-interior-CP"
         list(solve_radial_grid(np.linspace(0.0, 0.9, 31), PI4, 0.0))
@@ -386,9 +385,10 @@ class TestWorkCounts:
     def test_perp_minimum_takes_at_most_eight_values(self, monkeypatch, eps):
         # Newton on the sign of U' past t_x, from the root of its tangent at
         # E = 0, takes at most 8 values of it on every mid-s geodesic of a
-        # scan (bisection in floats took about 50)
-        per_call, real_turn = [], geo_mod._Exterior._turn
-        real_min = geo_mod._Exterior.perp_minimum
+        # scan (bisection in floats took about 50); the geodesics of a grid
+        # take those values together, one array of them at a time
+        per_call, rows, real_turn = [], [], geo_mod.RadialGrid._turn
+        real_min = geo_mod.RadialGrid.perp_minima
 
         def turn(self, e, psi):
             per_call[-1] += 1
@@ -396,12 +396,13 @@ class TestWorkCounts:
 
         def minimum(self, psi):
             per_call.append(0)
+            rows.append(len(psi))
             return real_min(self, psi)
 
-        monkeypatch.setattr(geo_mod._Exterior, "_turn", turn)
-        monkeypatch.setattr(geo_mod._Exterior, "perp_minimum", minimum)
+        monkeypatch.setattr(geo_mod.RadialGrid, "_turn", turn)
+        monkeypatch.setattr(geo_mod.RadialGrid, "perp_minima", minimum)
         assert assemble_report(eps).overall == "boundary-CP-and-no-interior-CP"
-        assert len(per_call) > 80 and max(per_call) <= 8
+        assert sum(rows) > 80 and max(per_call) <= 8
 
 
 def direct_window(s, r, eps):
@@ -490,7 +491,7 @@ class TestWindowInvariants:
             one = solve_radial(GeodesicParams(s, r, eps), T)
             assert sol.params == one.params and sol.entry_time == one.entry_time
             if s >= r + eps:
-                assert sol.quadrature is None and sol.exit_time == one.exit_time == 0.0
+                assert sol.exit_time == one.exit_time == 0.0
                 continue
             assert sol.exit_time == one.exit_time
             assert np.array_equal(sol.transfer, one.transfer)
@@ -507,12 +508,8 @@ class TestWindowInvariants:
         ts = np.linspace(0.0, T, 201)
         for x, y in zip(sol.state(ts), one.state(ts)):
             assert np.array_equal(x, y)
-        if one.quadrature is None:
-            assert sol.quadrature is None
-        else:
-            for x, y in ((sol.quadrature.sigma, one.quadrature.sigma),
-                         (sol.quadrature.cum, one.quadrature.cum)):
-                assert np.array_equal(x, y)
+        for x, y in ((sol.sigma, one.sigma), (sol.cum, one.cum), (sol.M, one.M)):
+            assert np.array_equal(x, y)
 
 
 class TestMidSAccuracy:
@@ -577,5 +574,5 @@ class TestMidSAccuracy:
             radial = solve_radial(GeodesicParams(s, r, eps), T)
             t_in, t_x = radial.window
             assert abs((t_x - t_in) - t_window) <= 1e-12, widths
-            assert abs(float(radial.quadrature.cum[1, -1]) - psi) <= 1e-12, widths
+            assert abs(float(radial.cum[0, 1, -1]) - psi) <= 1e-12, widths
             assert np.max(np.abs(radial.transfer - pair)) <= 1e-12, widths

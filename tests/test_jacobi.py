@@ -415,7 +415,7 @@ class TestEvenMinimum:
         i = int(np.argmin(U.value(ts)))
         fine = np.linspace(ts[max(i - 1, 0)], ts[min(i + 1, 12000)], 2001)
         sampled = float(np.min(U.value(fine)))
-        least, up = radial.exterior.perp_minimum(psi)
+        least, up = (v[0].item() for v in radial.perp_minima(np.array([psi])))
         assert up is rising and (i == 0) is (rising or mu.s > 1.15)
         assert 0.0 < least <= sampled + 1e-14
         assert sampled - least < 1e-12

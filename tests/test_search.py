@@ -144,8 +144,8 @@ class TestVerifyLargeS:
         _, _, records, ok = verify_large_s(PI4, 0.0, sigma=0.5, ds=0.1)
         assert ok and all(rec.verdict == "pass" for rec in records)
         for psi, least in ((0.0, 0.0), (-1e-3, -math.inf)):
-            monkeypatch.setattr(geodesics.RadialSolution, "theta_infinity_complement",
-                                property(lambda self, psi=psi: psi))
+            monkeypatch.setattr(geodesics.RadialGrid, "psi",
+                                property(lambda self, psi=psi: np.full(len(self), psi)))
             _, _, at_quarter_turn, ok = verify_large_s(PI4, 0.0, sigma=0.5, ds=0.1)
             assert not ok
             for rec, before in zip(at_quarter_turn, records):
@@ -162,7 +162,7 @@ class TestVerifyLargeS:
         # the 2,001-point scan that the threshold's proof replaced: both
         # curvatures are negative on (rho0, rho0 + 10] at the scan's (r*, eps)
         params = ProfileParams(find_r_star(eps)[0], eps)
-        rho0, certified = search_mod._negative_curvature_threshold(params)
+        rho0, certified = search_mod._negative_curvature_threshold(solve_warp(params))
         assert certified
         grid = np.linspace(rho0 + 1e-9, rho0 + 10.0, 2001)
         assert np.all(np.asarray(k_parallel(params, grid)) < 0.0)
@@ -175,7 +175,7 @@ class TestVerifyLargeS:
         # P = -1/2 e^{t_x} Y(0) W'(0) on one radial solve, and the exterior
         # test P >= 0 is the certificate W'(0) <= 0
         r = find_r_star(eps)[0]
-        rho0, _ = search_mod._negative_curvature_threshold(ProfileParams(r, eps))
+        rho0, _ = search_mod._negative_curvature_threshold(solve_warp(ProfileParams(r, eps)))
         grid = search_mod._grid(0.3, rho0, 0.01)
         for radial in solve_radial_grid(grid, r, eps):
             # (U, U')(t_x) = M (cos t_in, -sin t_in), M the window's transfer matrix
@@ -263,9 +263,10 @@ class TestAssembleReport:
     def test_failure_reason_names_failing_s(self, monkeypatch):
         # one small-s certificate fails and the concavity sign is flipped:
         # the reason names the failing s and reports the concavity separately
-        def failing_at_015(ss, r, eps):
-            return [(1.0, 1.0) if abs(s - 0.15) < 1e-9 else certs
-                    for s, certs in zip(ss, certificate_grid(ss, r, eps))]
+        def failing_at_015(rows):
+            certs = certificate_grid(rows)
+            certs[np.abs(rows.s - 0.15) < 1e-9] = 1.0
+            return certs
 
         monkeypatch.setattr(search_mod, "certificate_grid", failing_at_015)
         monkeypatch.setattr(search_mod, "stencil_derivatives", lambda f: (0.0, 0.1))

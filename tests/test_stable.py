@@ -1,5 +1,6 @@
 """Stable solutions, certificates W'(0), derivatives, and the criterion."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from ahwarp.geodesics import GeodesicParams, RadialSolution, entry_time
+from ahwarp.geodesics import GeodesicParams, RadialGrid, RadialSolution, entry_time, solve_radial_grid
 from ahwarp.jacobi import (
+    JacobiKernel,
     closed_U_perp,
     closed_V_perp,
     make_kernel,
@@ -107,7 +109,7 @@ class TestOffRadialCertificates:
     def test_perp_grid_matches_closed_form_to_rounding(self):
         # at (pi/4, 0) the angle is closed form in the ball and past t_in
         ss = np.round(np.arange(0.0, 0.7801, 0.005), 3)
-        for s, (_, got) in zip(ss.tolist(), certificate_grid(ss, PI4, 0.0)):
+        for s, (_, got) in zip(ss.tolist(), certificate_grid(solve_radial_grid(ss, PI4, 0.0))):
             closed = certificate_perp_closed(s)
             assert abs(got - closed) <= 1e-13 * max(1.0, abs(closed)), s
 
@@ -248,8 +250,8 @@ class TestVanishingStableSolution:
         # adj(M) (1, -1) has a nonpositive first entry, Y(t_in) <= 0 and the
         # stable solution vanishes in the window
         kernel = make_kernel("parallel", GeodesicParams(0.2, 0.76, 0.05))
-        monkeypatch.setattr(RadialSolution, "transfer",
-                            property(lambda self: np.array([[1.0, -2.0], [0.0, 1.0]])))
+        monkeypatch.setattr(RadialGrid, "M",
+                            property(lambda self: np.array([[[1.0, -2.0], [0.0, 1.0]]] * len(self))))
         with pytest.raises(CertificateError, match=r"vanishes.*Y\(t_in\) = -"):
             stable_solution(kernel)
 
@@ -257,9 +259,9 @@ class TestVanishingStableSolution:
         # the zero test rests on Sturm comparison with Y'' = -Y, which puts
         # two zeros at least pi apart: it needs a window shorter than pi
         kernel = make_kernel("parallel", GeodesicParams(0.2, 0.76, 0.05))
-        monkeypatch.setattr(RadialSolution, "window", property(lambda self: (0.5, 0.5 + math.pi)))
+        radial = dataclasses.replace(kernel.radial, t_in=np.array([0.5]), t_x=np.array([0.5 + math.pi]))
         with pytest.raises(CertificateError, match="not shorter than pi"):
-            stable_solution(kernel)
+            stable_solution(JacobiKernel("parallel", kernel.params, radial))
 
 
 class TestBelowResolution:

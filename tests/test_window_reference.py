@@ -45,7 +45,7 @@ def test_window_against_reference(point):
     t_in, t_x = sol.window
     errors = {
         "t_window": abs((t_x - t_in) - float(point["t_window"])),
-        "psi": abs(float(sol.quadrature.cum[1, -1]) - float(point["psi"])),
+        "psi": abs(float(sol.cum[0, 1, -1]) - float(point["psi"])),
         "M": float(np.max(np.abs(sol.transfer - np.array(point["M"], dtype=float)))),
     }
     for name, err in errors.items():
