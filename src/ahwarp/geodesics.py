@@ -61,8 +61,12 @@ from three pieces:
   there and its window is [r, r + eps].  A grid of geodesics
   (``solve_radial_grid``) is one ``RadialGrid`` on one warp function, and so
   one table: one array per quantity, one entry per s, its windows built as
-  one broadcast on the table (far) and one batched lookup (the others), and
-  every closed form an array formula over the rows.  ``solve_radial`` is a
+  one broadcast on the table (far) and one batched lookup (the others).
+  Each row's closed forms (t_in, the entry and exit data, the angle at t_in,
+  the exterior's scaled constants, the transfer matrix) are a few scalars,
+  taken row by row with the C library's functions (``_closed_forms``); the
+  angle's tail, the certificates and the minima, with their Newton solves,
+  are array formulas over the rows.  ``solve_radial`` is a
   grid of one;
 * the exterior: there A'' = A, so the warped-product Hessian formula
   (O'Neill, Semi-Riemannian Geometry, 1983, ch. 7) gives Hess A' = A' g and
@@ -107,8 +111,8 @@ those formulas are the oracles for the numerical pipeline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, partial
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -131,7 +135,6 @@ __all__ = [
 ]
 
 _QUARTER_PI = math.pi / 4.0
-_EYE = np.eye(2)
 # e^s overflows past _S_MAX, and A(s) = a_+ e^s + a_- e^{-s} with it: across
 # the window |(A, A')| grows at most like e^x from (sin r, cos r), so
 # a_+ <= e^{-r} / sqrt(2) < 1
@@ -159,14 +162,14 @@ class GeodesicParams:
 
 def _phi(e, reduced: tuple, d: float):
     """phi = theta_inf - theta past t_x, at E = e^{-2 (t - t_x)}, in closed
-    form (module docstring), on p, q, A(s) and 4 a_+ a_- scaled by powers of
-    two (``RadialGrid.reduced``); d is 4 a_+ a_- itself.  atanc(z) is
-    atanh(sqrt z) / sqrt z for d > 0 (z >= 0), else atan(sqrt -z) / sqrt -z,
-    and 1 at z = 0 (|z| < 1): z has the sign of d, one number per metric, so
-    one branch serves every time."""
-    _, p, q, a_s, d_scaled = reduced
-    y = a_s * e / (2.0 * p * p + (2.0 * p * q + d_scaled) * e)
-    root = np.sqrt(np.abs(d * y * y))
+    form (module docstring), on the columns of ``RadialGrid.reduced``: p, q,
+    A(s) and 4 a_+ a_- scaled by powers of two; d is 4 a_+ a_- itself.
+    atanc(z) is atanh(sqrt z) / sqrt z for d > 0 (z >= 0), else
+    atan(sqrt -z) / sqrt -z, and 1 at z = 0 (|z| < 1): z has the sign of d,
+    one number per metric, so one branch serves every time."""
+    p, q, _, a_s, d_scaled = reduced
+    y = a_s * e / (2.0 * p * p + (2.0 * p * q + d_scaled) * e)  # >= 0
+    root = np.sqrt(abs(d) * y * y)
     return y * np.divide((np.arctanh if d > 0.0 else np.arctan)(root), root,
                          out=np.ones_like(root), where=root > 0.0)
 
@@ -181,6 +184,39 @@ def _pair(entry: tuple, y, a, j) -> tuple:
             -a * a_i * j, a / a_i + a * y_i * j)
 
 
+def _ball_state(s: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rho, rho') inside the ball, from sin(rho/2) = hypot(sin(s/2) cos(t/2),
+    cos(s/2) sin(t/2)); rho(0) = s to the last bit even where sin(s/2)^2
+    underflows."""
+    half = np.hypot(math.sin(0.5 * s) * np.cos(0.5 * t), math.cos(0.5 * s) * np.sin(0.5 * t))
+    return 2.0 * np.arcsin(half), math.cos(s) * np.sin(t) / (2.0 * half * np.sqrt(1.0 - half * half))
+
+
+# The exterior past t_x, where h = A'(rho) solves h'' = h.  With
+# tau = t - t_x, e^{-tau} h = (h_x (1 + E) + h'_x (1 - E)) / 2 and
+# e^{-tau} h' = (h'_x (1 + E) + h_x (1 - E)) / 2, E = e^{-2 tau}; both
+# terms are nonnegative and nothing overflows.
+
+def _scaled(ext: tuple, d: float, t: np.ndarray) -> tuple:
+    """(tau, E, e^{-tau} h, e^{-tau} h', e^{-tau} A) past t_x, from
+    ext = (t_x, rho(t_x), h_x, h'_x, ...) and d = 4 a_+ a_-, with
+    e^{-tau} A = g sqrt(1 + 4 a_+ a_- E / g^2) for g = e^{-tau} h > 0:
+    g itself is never squared, so A'(s) up to the float range does not
+    overflow."""
+    t_x, _, h_x, dh_x, _ = ext
+    tau = t - t_x
+    e, m = np.exp(-2.0 * tau), -np.expm1(-2.0 * tau)
+    g, dg = 0.5 * (h_x * (1.0 + e) + dh_x * m), 0.5 * (dh_x * (1.0 + e) + h_x * m)
+    return tau, e, g, dg, g * np.sqrt(1.0 + d * e / g / g)
+
+
+def _exterior_state(ext: tuple, d: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rho, rho') = (log((h + A) / (2 a_+)), h' / A) past t_x
+    (``_scaled``), taken relative to t_x so that rho(t_x) = rho_x exactly."""
+    (_, rho_x, h_x, _, _), (tau, _, g, dg, a) = ext, _scaled(ext, d, t)
+    return rho_x + tau + np.log((g + a) / (h_x + h_x * math.sqrt(1.0 + d / h_x / h_x))), dg / a
+
+
 @dataclass(frozen=True, eq=False)
 class RadialGrid:
     """The geodesics at the s of one array on one metric, solved whole
@@ -188,15 +224,17 @@ class RadialGrid:
     row: A(s) (``c``); the entry time ``t_in`` at which rho crosses r (0 if
     s >= r) and the exit time ``t_x`` at which it reaches r + eps (0 if
     s >= r + eps, t_in if the transition is sharp); the entry (y_i, a_i) =
-    (A rho', A')(t_in); the window's panel ends in sigma (``sigma``) and
-    the integrals ``cum`` (t - t_in, psi, J) from the entry to each of them,
+    (A rho', A')(t_in) and the angle (theta, pi/2 - theta)(t_in)
+    (``start``); the window's panel ends in sigma (``sigma``) and the
+    integrals ``cum`` (t - t_in, psi, J) from the entry to each of them,
     zero for a row without a window; and the exterior's (h_x, h'_x) =
-    (A', A rho')(t_x) (``exit``).  On first use, array formulas on these
-    give the exterior's scaled constants (``reduced``), the angle
-    (``start``, ``tail``, ``psi``) and the in-plane transfer matrices
-    ``M``; the minima of the even Jacobi solutions are the scans' own
-    (``window_minima``, ``perp_minima``).  T bounds only the domain [0, T]
-    of a row's trajectory and angle.  Row i (``grid[i]``) is a grid of one,
+    (A', A rho')(t_x) (``exit``) with its constants scaled by powers of
+    two (``reduced``); the in-plane transfer matrix ``M`` (rows x 2 x 2)
+    of the window [t_in, t_x]; and e^{-t_x} (``decay``).  On first use,
+    array formulas on these give the angle (``tail``, ``psi``); the minima
+    of the even Jacobi solutions are the scans' own (``window_minima``,
+    ``perp_minima``).  T bounds only the domain [0, T] of a row's trajectory
+    and angle.  Row i (``grid[i]``) is a grid of one,
     a ``RadialSolution``.  Only this module knows the window's integrals."""
 
     r: float
@@ -208,9 +246,13 @@ class RadialGrid:
     t_in: np.ndarray
     t_x: np.ndarray
     entry: np.ndarray
+    start: np.ndarray
     cum: np.ndarray
     sigma: np.ndarray
     exit: np.ndarray
+    reduced: np.ndarray
+    M: np.ndarray
+    decay: np.ndarray
 
     def __len__(self) -> int:
         return len(self.s)
@@ -222,59 +264,23 @@ class RadialGrid:
     def _take(self, rows, cls=None) -> "RadialGrid":
         """The grid of the rows ``rows``, an index array or a slice: every
         array field has the rows on its first axis."""
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        return (cls or RadialGrid)(**{name: v[rows] if isinstance(v, np.ndarray) else v
-                                      for name, v in values.items()})
+        return (cls or RadialGrid)(**{name: v[rows] if isinstance(v := getattr(self, name), np.ndarray)
+                                      else v for name in self.__dataclass_fields__})
 
-    # What only one kind of query reads is computed on first use: the
-    # exterior's scaled constants, the angle and the transfer matrix.
-
-    @cached_property
-    def reduced(self) -> tuple:
-        """(k, p, q, A(s), 4 a_+ a_-) with 2^(k - 1) <= h_x + h'_x < 2^k:
-        p, q = (h_x +- h'_x) / 2 scaled by 2^-k, A(s) and 4 a_+ a_- by
-        2^-2k.  Scaling by a power of two is exact, and it keeps p^2 from
-        overflowing however large A'(s) is."""
-        (h_x, dh_x), k = self.exit.T, np.frexp(self.exit[:, 0] + self.exit[:, 1])[1]
-        half = np.ldexp(0.5, -k)  # 2^-(k + 1): the products below are exact
-        return (k, (h_x + dh_x) * half, (h_x - dh_x) * half, np.ldexp(self.c, -2 * k),
-                np.ldexp(self.warp.d, -2 * k))
-
-    @cached_property
-    def start(self) -> tuple:
-        """(theta, pi/2 - theta) at t_in, (0, pi/2) when the geodesic starts
-        outside the ball.  Inside the ball pi/2 - theta =
-        atan2(sin s cos t, sin t) keeps its relative precision for small s,
-        so pi/2 - theta_inf does too."""
-        ball, sin_in, cos_in = self.s < self.r, np.sin(self.t_in), np.sin(self.s) * np.cos(self.t_in)
-        return (np.where(ball, np.arctan2(sin_in, cos_in), 0.0),
-                np.where(ball, np.arctan2(cos_in, sin_in), math.pi / 2.0))
+    # What only one kind of query reads is computed on first use: the angle.
 
     @cached_property
     def tail(self) -> tuple:
         """(phi(t_x), A(s) psi(t_x)): the closed tail past the exit and the
         window's whole angle."""
-        return _phi(1.0, self.reduced, self.warp.d), self.c * self.cum[:, 1, -1]
+        return _phi(1.0, self.reduced.T, self.warp.d), self.c * self.cum[:, 1, -1]
 
     @property
     def psi(self) -> np.ndarray:
         """pi/2 - theta_inf: pi/2 - theta(t_in) less phi(t_in), to full
         relative precision even where theta_inf is within rounding of pi/2
         (small s)."""
-        return self.start[1] - (self.tail[0] + self.tail[1])
-
-    @cached_property
-    def M(self) -> np.ndarray:
-        """The in-plane transfer matrices (rows x 2 x 2) of the windows: the
-        window pair at t_x, with the exit data (A rho', A')(t_x) =
-        (h'_x, h_x); the identity without a window."""
-        (h_x, dh_x), windowed = self.exit.T, (self.t_in < self.t_x)[:, None, None]
-        if not windowed.any():  # a sharp metric, or geodesics that start past the transition
-            return _EYE[None].repeat(len(self), axis=0)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # rows without a window
-            pair = np.array(_pair(self.entry.T, dh_x, h_x, self.cum[:, 2, -1])).T.copy()
-        # C order, as every product with M takes the same BLAS path
-        return np.where(windowed, pair.reshape(-1, 2, 2), _EYE)
+        return self.start[:, 1] - (self.tail[0] + self.tail[1])
 
     # -- windows, row by row -------------------------------------------------
 
@@ -282,15 +288,42 @@ class RadialGrid:
         """(the integrals (t - t_in, psi, J) from the entry to each sigma of
         sg (rows x points), dt/dsigma, D, A') there: the cumulative sums at
         the panel ends and one Gauss rule on the partial panel."""
-        k = np.clip((self.sigma[:, None, :] <= sg[:, :, None]).sum(axis=-1) - 1, 0, _PANELS - 1)
-        lo = np.take_along_axis(self.sigma, k, axis=1)
+        rows, panels = np.arange(len(sg))[:, None], (self.sigma[:, None, :] <= sg[:, :, None])
+        k = np.minimum(np.maximum(panels.sum(axis=-1, dtype=np.intp) - 1, 0), _PANELS - 1)
+        lo = self.sigma[rows, k]
         h = sg - lo
         nodes = np.concatenate((lo[..., None] + h[..., None] * _GAUSS_X, sg[..., None]), axis=-1)
         rates, d, da = _rates(self.warp, self.s, self.c, nodes.reshape(len(sg), -1))
         rates = rates.reshape(len(sg), 3, *nodes.shape[1:])
         d, da = d.reshape(nodes.shape)[..., -1], da.reshape(nodes.shape)[..., -1]
-        part = np.take_along_axis(self.cum, k[:, None, :], axis=2)
+        part = self.cum[rows, :, k].transpose(0, 2, 1)
         return part + h[:, None] * (rates[..., :-1] @ _GAUSS_W), rates[:, 0, :, -1], d, da
+
+    def at(self, tau: np.ndarray):
+        """(sigma, (t - t_in, psi, J), D, A') at the times tau = t - t_in in
+        the window of a grid of one: Newton on the t integral, whose rate is
+        closed form, started from the linear interpolant between the panel
+        ends."""
+        cum, sigma = self.cum[0], self.sigma[0]
+        tau = np.minimum(tau, cum[0, -1])
+        sg = np.interp(tau, cum[0], sigma)[None]
+        for _ in range(_NEWTON_MAX):
+            part, rate, _, _ = self._partial(sg)
+            step = (part[:, 0] - tau) / rate
+            sg = np.minimum(np.maximum(sg - step, sigma[0]), 1.0)
+            if np.max(np.abs(step)) <= _NEWTON_STEP:
+                break
+        part, _, d, da = self._partial(sg)
+        return sg[0], part[0], d[0], da[0]
+
+    def _at(self, tau: np.ndarray):
+        """``at``, kept for the last tau asked: rho and the angle at the same
+        times (``jacobi.killing_field``), or the U and V of one pair, share
+        one inversion."""
+        last = self.__dict__.get("_last_at")
+        if last is None or not np.array_equal(last[0], tau):
+            last = self.__dict__["_last_at"] = (tau, self.at(tau))
+        return last[1]
 
     def window_minima(self, in_plane: np.ndarray) -> np.ndarray:
         """The minimum over each row's window of the even solution U
@@ -334,7 +367,7 @@ class RadialGrid:
         r, eps, plane = self.r, self.eps, in_plane[:, None]
         s, c, t_in = self.s[:, None], self.c[:, None], self.t_in[:, None]
         cos_in, sin_in = np.cos(t_in), np.sin(t_in)
-        theta = np.where(plane, 0.0, self.start[0][:, None]) + c * part[:, 1]
+        theta = np.where(plane, 0.0, self.start[:, :1]) + c * part[:, 1]
         a, y = c + d, np.sqrt(d * (2.0 * c + d))  # A, A rho'
         k_par = 1.0 - 2.0 * mollifier((s + (r + eps - s) * sg * sg - r) / eps)
         u, v, du, dv = _pair(self.entry.T[..., None], y, da, part[:, 2])
@@ -381,7 +414,7 @@ class RadialGrid:
         turns = np.flatnonzero(~((f > 0.0) | (rest & (df < 0.0))))
         if turns.size:  # else U' >= 0 on all of (t_x, inf)
             rows, psi, rest, n = self._take(turns), psi[turns], rest[turns], turns.size
-            _, p, _, a_s, _ = rows.reduced
+            p, _, _, a_s, _ = rows.reduced.T
             e = np.minimum(2.0 * p * p * psi / a_s, 0.5)  # the root of f's tangent at E = 0
             least, lo, hi, done = u[turns], np.zeros(n), np.ones(n), np.zeros(n, dtype=bool)
             for _ in range(_NEWTON_MAX - 1):
@@ -403,15 +436,15 @@ class RadialGrid:
     def _turn(self, e, psi: np.ndarray) -> tuple:
         """(f, df/dE, U) at E = e at each row (``perp_minima``), f and its
         derivative scaled by 2^-2k; the angle is psi + phi (``_phi``)."""
-        k, p, q, a_s, d = self.reduced
-        angle = psi + _phi(e, self.reduced, self.warp.d)
+        p, q, c_k, a_s, d = self.reduced.T
+        angle = psi + _phi(e, self.reduced.T, self.warp.d)
         g, dg, sin, cos = p + q * e, p - q * e, np.sin(angle), np.cos(angle)
         a2 = g * g + d * e  # (e^{-tau} A)^2, scaled by 2^-2k
         f = g * dg * sin - a_s * e * cos
         # dangle/dE = A(s) / (2 (e^{-tau} A)^2)
         df = (g * dg * cos + a_s * e * sin) * (0.5 * a_s / a2) - 2.0 * q * q * e * sin - a_s * cos
         # e^{-tau} A / A(s) = sqrt(g^2 + 4 a_+ a_- E) / A(s), both scaled by 2^-k
-        return f, df, np.sqrt(a2 / e) * sin / np.ldexp(self.c, -k)
+        return f, df, np.sqrt(a2 / e) * sin / c_k
 
 
 @dataclass(frozen=True, eq=False)
@@ -454,22 +487,29 @@ class RadialSolution(RadialGrid):
         identity when the window is empty."""
         return self.M[0]
 
-    @property
+    @cached_property
     def trajectory(self) -> Trajectory:
         """rho on [0, T]: the exact ball on [0, t_in], the window's
         quadrature on [t_in, t_x], the exact exterior from t_x, each piece on
-        its own span.  Built on each use: kept on the row, its pieces would
-        hold the row in a reference cycle that only the cycle collector
-        frees."""
-        s, (t_in, t_x) = float(self.s[0]), self.window
+        its own span, built once.  The pieces close over the row's scalars
+        and its plain grid (``_window``), never over the solution, so that
+        keeping them forms no reference cycle."""
+        s, (t_in, t_x), r, eps = float(self.s[0]), self.window, self.r, self.eps
         if s == 0.0:  # rho = t, with t_in = r and t_x = r + eps exactly
-            parts = [Trajectory.from_function(lambda t: (t, np.ones_like(t)), 0.0, math.inf)]
+            pieces = [(lambda t: (t, np.ones_like(t)), 0.0, math.inf)]
         else:
-            parts = [Trajectory.from_function(self._ball_state, 0.0, t_in)] if s < self.r else []
+            pieces = [(partial(_ball_state, s), 0.0, t_in)] if s < r else []
             if t_in < t_x:
-                parts.append(Trajectory.from_function(self._window_state, t_in, t_x))
-            parts.append(Trajectory.from_function(self._exterior_state, t_x, math.inf))
-        return Trajectory(t0=0.0, t1=self.T, pieces=sum((part.pieces for part in parts), ()))
+                win, c = self._window, self.a_s
+
+                def window_state(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                    sg, _, d, _ = win._at(t - t_in)
+                    return s + (r + eps - s) * sg * sg, np.sqrt(d * (2.0 * c + d)) / (c + d)
+
+                pieces.append((window_state, t_in, t_x))
+            pieces.append((partial(_exterior_state, self._row[1], self.warp.d), t_x, math.inf))
+        return Trajectory(t0=0.0, t1=self.T,
+                          pieces=sum((Trajectory.from_function(*p).pieces for p in pieces), ()))
 
     def state(self, t: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.trajectory.state(t)
@@ -480,113 +520,59 @@ class RadialSolution(RadialGrid):
     def drho(self, t: float | np.ndarray) -> float | np.ndarray:
         return self.trajectory.deriv(t)
 
-    # -- the exterior past t_x, where h = A'(rho) solves h'' = h.  With
-    # tau = t - t_x, e^{-tau} h = (h_x (1 + E) + h'_x (1 - E)) / 2 and
-    # e^{-tau} h' = (h'_x (1 + E) + h_x (1 - E)) / 2, E = e^{-2 tau}; both
-    # terms are nonnegative and nothing overflows
-
     @cached_property
-    def _row(self) -> tuple[tuple, tuple]:
-        """The row's constants as scalars, for the pieces evaluated at many
-        times: (t_in, theta(t_in), phi(t_x), A(s) psi(t_x)) from ``start``
-        and ``tail``, and (t_x, rho(t_x), h_x, h'_x, ``reduced``) of the
-        exterior, with rho(t_x) = max(s, r + eps) exactly.  Only geodesics
-        with s > 0 read them: the radial geodesic has no angle."""
+    def _row(self) -> tuple:
+        """The row as floats, for the pieces evaluated at many times:
+        (t_in, theta(t_in), phi(t_x), A(s) psi(t_x), sin s) from ``start``
+        and ``tail``, and the exterior's data (t_x, rho(t_x), h_x, h'_x,
+        ``reduced``) (``_scaled``, ``_phi``), with rho(t_x) =
+        max(s, r + eps) exactly.  Only geodesics with s > 0 read them: the
+        radial geodesic has no angle, and its rho is t."""
         if self.s[0] == 0.0:
             raise ValueError("the angular coordinate is undefined along the radial geodesic")
-        return ((self.entry_time, *(float(v[0]) for v in (self.start[0], *self.tail))),
-                (self.exit_time, max(float(self.s[0]), self.r + self.eps), *self.exit[0].tolist(),
-                 tuple(v[0] for v in self.reduced)))
-
-    def _scaled(self, t: np.ndarray):
-        """(tau, E, e^{-tau} h, e^{-tau} h', e^{-tau} A), with
-        e^{-tau} A = g sqrt(1 + 4 a_+ a_- E / g^2) for g = e^{-tau} h > 0:
-        g itself is never squared, so A'(s) up to the float range does not
-        overflow."""
-        _, (t_x, _, h_x, dh_x, _) = self._row
-        tau = t - t_x
-        e, m = np.exp(-2.0 * tau), -np.expm1(-2.0 * tau)
-        g, dg = 0.5 * (h_x * (1.0 + e) + dh_x * m), 0.5 * (dh_x * (1.0 + e) + h_x * m)
-        return tau, e, g, dg, g * np.sqrt(1.0 + self.warp.d * e / g / g)
-
-    def _exterior_state(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(rho, rho') = (log((h + A) / (2 a_+)), h' / A) past t_x, taken
-        relative to t_x so that rho(t_x) = max(s, r + eps) exactly."""
-        (_, (_, rho_x, h_x, _, _)), (tau, _, g, dg, a) = self._row, self._scaled(t)
-        a_x = h_x * math.sqrt(1.0 + self.warp.d / h_x / h_x)
-        return rho_x + tau + np.log((g + a) / (h_x + a_x)), dg / a
+        return ((self.entry_time, float(self.start[0, 0]), *(float(v[0]) for v in self.tail),
+                 math.sin(self.s[0])), (self.exit_time, max(float(self.s[0]), self.r + self.eps),
+                                        *self.exit[0].tolist(), tuple(self.reduced[0].tolist())))
 
     def _exterior_phi(self, t: np.ndarray) -> np.ndarray:
         """phi past t_x, the integral of Clairaut's rate A(s) / (h^2 +
         4 a_+ a_-) over [t, inf), in closed form (``_phi``)."""
-        _, (t_x, _, _, _, reduced) = self._row
+        t_x, *_, reduced = self._row[1]
         return _phi(np.exp(-2.0 * (t - t_x)), reduced, self.warp.d)
 
     def k_perp_past(self, t: np.ndarray) -> np.ndarray:
         """K_perp(rho(t)) = (1 - A'^2) / A^2 = -1 + (1 + 4 a_+ a_-) / A^2
         past t_x."""
-        _, e, _, _, a = self._scaled(t)
+        _, e, _, _, a = _scaled(self._row[1], self.warp.d, t)
         return -1.0 + (1.0 + self.warp.d) * e / a / a
 
     # -- the window ---------------------------------------------------------
 
-    def at(self, tau: np.ndarray):
-        """(sigma, (t - t_in, psi, J), D, A') at the times tau = t - t_in in
-        the window: Newton on the t integral, whose rate is closed form,
-        started from the linear interpolant between the panel ends."""
-        cum, sigma = self.cum[0], self.sigma[0]
-        tau = np.minimum(tau, cum[0, -1])
-        sg = np.interp(tau, cum[0], sigma)[None]
-        for _ in range(_NEWTON_MAX):
-            part, rate, _, _ = self._partial(sg)
-            step = (part[:, 0] - tau) / rate
-            sg = np.clip(sg - step, sigma[0], 1.0)
-            if np.max(np.abs(step)) <= _NEWTON_STEP:
-                break
-        part, _, d, da = self._partial(sg)
-        return sg[0], part[0], d[0], da[0]
-
-    def _at(self, tau: np.ndarray):
-        """``at``, kept for the last tau asked: rho and the angle at the same
-        times (``jacobi.killing_field``), or the U and V of one pair, share
-        one inversion."""
-        last = self.__dict__.get("_last_at")
-        if last is None or not np.array_equal(last[0], tau):
-            last = self.__dict__["_last_at"] = (tau, self.at(tau))
-        return last[1]
-
-    def _window_state(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(rho, rho') at the times t in the window."""
-        sg, _, d, _ = self._at(t - self.entry_time)
-        s, c = float(self.s[0]), self.a_s
-        return s + (self.r + self.eps - s) * sg * sg, np.sqrt(d * (2.0 * c + d)) / (c + d)
+    @cached_property
+    def _window(self) -> RadialGrid:
+        """The row as a plain grid, which the trajectory's window piece holds
+        and whose last inversion of the window's time (``RadialGrid._at``)
+        the state, the angle and the in-plane pair share."""
+        return self._take(slice(None))
 
     def window_solution(self, y: float, dy: float) -> Trajectory:
         """The in-plane solution with state (y, dy) at t_in, on [t_in, t_x]:
         y U + dy V of the window pair, no solve."""
-        c, (t_in, t_x) = self.a_s, self.window
+        c, (t_in, t_x), entry = self.a_s, self.window, self.entry[0].tolist()
 
         def fn(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            _, (_, _, j), d, da = self._at(t - t_in)
-            u, v, du, dv = _pair(self.entry.T, np.sqrt(d * (2.0 * c + d)), da, j)
+            _, (_, _, j), d, da = self._window._at(t - t_in)
+            u, v, du, dv = _pair(entry, np.sqrt(d * (2.0 * c + d)), da, j)
             return y * u + dy * v, y * du + dy * dv
 
         return Trajectory.from_function(fn, t_in, t_x)
 
-    # -- the ball, where the geodesic follows the great circle
-    # cos(rho) = cos(s) cos(t), and the angular coordinate
-
-    def _ball_state(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(rho, rho'), from sin(rho/2) = hypot(sin(s/2) cos(t/2),
-        cos(s/2) sin(t/2)); rho(0) = s to the last bit even where
-        sin(s/2)^2 underflows."""
-        s = self.s
-        half = np.hypot(np.sin(0.5 * s) * np.cos(0.5 * t), np.cos(0.5 * s) * np.sin(0.5 * t))
-        return 2.0 * np.arcsin(half), np.cos(s) * np.sin(t) / (2.0 * half * np.sqrt(1.0 - half * half))
+    # -- the angular coordinate, in the ball on the great circle
+    # cos(rho) = cos(s) cos(t)
 
     def _ball_theta(self, t: np.ndarray) -> np.ndarray:
         """The angular coordinate atan2(sin t, sin s cos t)."""
-        return np.arctan2(np.sin(t), np.sin(self.s) * np.cos(t))
+        return np.arctan2(np.sin(t), self._row[0][4] * np.cos(t))
 
     def _times(self, t: float | np.ndarray) -> np.ndarray:
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
@@ -597,7 +583,7 @@ class RadialSolution(RadialGrid):
     @property
     def theta_infinity(self) -> float:
         """theta_inf = theta(t_in) + phi(t_in): the total angle swept."""
-        (_, theta_in, phi_x, swept_x), _ = self._row
+        (_, theta_in, phi_x, swept_x, _), _ = self._row
         return theta_in + (phi_x + swept_x)
 
     @property
@@ -610,11 +596,11 @@ class RadialSolution(RadialGrid):
         """phi = theta_inf - theta, summed tail-first: closed past t_x,
         phi(t_x) + A(s) (psi(t_x) - psi(t)) across the window, and the ball's
         closed form added to phi(t_in) before it."""
-        (t_in, theta_in, phi_x, swept_x), (t_x, *_) = self._row
+        (t_in, theta_in, phi_x, swept_x, _), (t_x, *_) = self._row
         out = self._exterior_phi(np.maximum(t, t_x))
         win = (t >= t_in) & (t < t_x)
         if np.any(win):
-            out[win] += swept_x - self.a_s * self._at(t[win] - t_in)[1][1]
+            out[win] += swept_x - self.a_s * self._window._at(t[win] - t_in)[1][1]
         ball = t < t_in
         out[ball] = (theta_in - self._ball_theta(t[ball])) + (phi_x + swept_x)
         return out
@@ -622,11 +608,11 @@ class RadialSolution(RadialGrid):
     def _theta(self, t: np.ndarray) -> np.ndarray:
         """theta summed forward: the ball's closed form, theta(t_in) +
         A(s) psi(t) across the window, theta_inf - phi past t_x."""
-        (t_in, theta_in, _, _), (t_x, *_) = self._row
+        (t_in, theta_in, *_), (t_x, *_) = self._row
         out = self._ball_theta(t)
         win = (t > t_in) & (t < t_x)
         if np.any(win):
-            out[win] = theta_in + self.a_s * self._at(t[win] - t_in)[1][1]
+            out[win] = theta_in + self.a_s * self._window._at(t[win] - t_in)[1][1]
         past = t >= t_x
         if np.any(past):
             out[past] = self.theta_infinity - self._exterior_phi(t[past])
@@ -745,26 +731,16 @@ def _sigma_integrals(warp: WarpFunction, s: np.ndarray, c: np.ndarray,
 
 def _solve(ss: np.ndarray, warp: WarpFunction, T: float = 30.0, cls=RadialGrid) -> RadialGrid:
     """The grid of the geodesics at the s of ss on the metric of ``warp``
-    (``solve_radial_grid``): the ball's closed forms, each window's
-    integrals, then the exterior's data at t_x.  Raises ValueError unless
-    T > 0 and every s lies in [0, _S_MAX]."""
+    (``solve_radial_grid``): each window's integrals, then the closed forms
+    of each row (``_closed_forms``).  Raises ValueError unless T > 0 and
+    every s lies in [0, _S_MAX]."""
     if not T > 0.0:
         raise ValueError("horizon T must be positive")
     if not ((ss >= 0.0) & (ss <= _S_MAX)).all():  # nor nan
         raise ValueError(f"s must lie in [0, {_S_MAX}], past which A(s) overflows: got {ss}")
-    (r, eps), n, radial = (warp.params.r, warp.params.eps), ss.size, ss == 0.0
+    (r, eps), n = (warp.params.r, warp.params.eps), ss.size
     c, h_s = warp.state(ss)
-    sin_r, cos_r, ball, inside = math.sin(r), math.cos(r), ss < r, ss < r + eps
-    # in the ball, t_in = arccos(cos r / cos s) and A rho' = sqrt(sin^2 r -
-    # sin^2 s) there, sin^2 r - sin^2 s = sin(r + s) sin(r - s); a turning
-    # point is at rest at s, where t_in = 0 (the arccos of cos r / cos r).  The
-    # arccos is the C library's, as in ``entry_time``: numpy's differs from it
-    # in the last bit for about one argument in eight
-    gap = np.where(ball, np.sin(r + ss) * np.sin(r - ss), 0.0)
-    arg = np.minimum(1.0, cos_r / np.cos(np.minimum(ss, r))).tolist()
-    t_in = np.where(radial, r, [math.acos(x) for x in arg])
-    entry = np.array((np.sqrt(gap), np.where(ball, cos_r, h_s))).T.copy()  # C order, as ``exit``
-    cum, sigma = np.zeros((n, 3, _PANELS + 1)), np.zeros((n, _PANELS + 1))
+    cum, sigma, inside = np.zeros((n, 3, _PANELS + 1)), np.zeros((n, _PANELS + 1)), ss < r + eps
     if r + eps > r:  # else the sharp metric, with no window
         # the panel ends: sigma^2 = np.linspace(lo, 1, _PANELS + 1) in its own
         # arithmetic, from lo = (r - s) / L for s < r and 0 past r
@@ -777,26 +753,66 @@ def _solve(ss: np.ndarray, warp: WarpFunction, T: float = 30.0, cls=RadialGrid) 
         near = inside & ~far
         if near.any():
             cum[near, :, 1:] = _sigma_integrals(warp, ss[near], c[near], sigma[near])
-    # the exterior from exact data at t_x: h = A'(rho), h' = A(rho) rho' (in
-    # the ball, A(rho)^2 - A(s)^2 = (A^2 - sin^2 r) + (sin^2 r - sin^2 s); a
-    # geodesic that starts past the transition is at rest there, h' = 0)
-    a_x, h_x = warp.exit_state
-    ref = np.where(ball, sin_r, np.where(inside, c, a_x))
-    dh_x = np.sqrt(np.maximum(0.0, (a_x - ref) * (a_x + ref) + gap))
-    return cls(r=r, eps=eps, T=float(T), warp=warp, s=ss, c=c, t_in=t_in,
-               t_x=np.where(radial, r + eps, t_in + cum[:, 0, -1]), entry=entry, cum=cum, sigma=sigma,
-               exit=np.array((np.where(inside, h_x, h_s), dh_x)).T.copy())
+    rows = zip(ss.tolist(), c.tolist(), h_s.tolist(), cum[:, 0, -1].tolist(), cum[:, 2, -1].tolist())
+    ends = np.array([_closed_forms(*row, warp) for row in rows], dtype=float).reshape(n, 19)
+    # theta(t_in) = atan2(sin t_in, sin s cos t_in) takes numpy's atan2, as ``_ball_theta`` does
+    start = np.stack((np.arctan2(ends[:, 4], ends[:, 5]), ends[:, 6]), axis=1)
+    return cls(r=r, eps=eps, T=float(T), warp=warp, s=ss, c=c, t_in=ends[:, 0], t_x=ends[:, 1],
+               entry=ends[:, 2:4], start=start, cum=cum, sigma=sigma, exit=ends[:, 7:9],
+               reduced=ends[:, 9:14], M=ends[:, 14:18].reshape(n, 2, 2).copy(), decay=ends[:, 18])
 
 
-def solve_radial_grid(ss: Iterable[float], r: float, eps: float, T: float = 30.0,
-                      warp: WarpFunction | None = None) -> RadialGrid:
+def _closed_forms(s: float, a_s: float, da_s: float, tau: float, j: float,
+                  warp: WarpFunction) -> tuple:
+    """The row of the geodesic at s, (A, A')(s) = (a_s, da_s), whose window
+    takes the time tau and gives the integral J = j: (t_in, t_x), the entry
+    (y_i, a_i) = (A rho', A')(t_in), the angle at t_in as the arguments
+    (sin t_in, sin s cos t_in) of theta's atan2 and pi/2 - theta,
+    the exterior's exact (h_x, h'_x) = (A', A rho')(t_x), with
+    h'^2 = A(rho)^2 - A(s)^2 (Clairaut), its constants (p, q, A(s) 2^-k,
+    A(s) 2^-2k, 4 a_+ a_- 2^-2k), p, q = (h_x +- h'_x) / 2 scaled by 2^-k,
+    for 2^(k - 1) <= h_x + h'_x < 2^k (scaling by a power of two is exact,
+    and it keeps p^2 from overflowing however large A'(s) is), and the
+    in-plane transfer matrix (U, V, U', V'): the window pair at t_x
+    (``_pair``, with (A rho', A')(t_x) = (h'_x, h_x)), the identity without
+    a window; and e^{-t_x}.
+
+    In the ball t_in = ``entry_time``, (A rho')(t_in)^2 = sin^2 r - sin^2 s
+    = sin(r + s) sin(r - s), so that A(rho)^2 - A(s)^2 =
+    (A^2 - sin^2 r) + (sin^2 r - sin^2 s), and theta = atan2(sin t,
+    sin s cos t), whose complement atan2(sin s cos t, sin t) keeps its
+    relative precision for small s, and pi/2 - theta_inf with it; the radial
+    geodesic leaves the ball at t_in = r and the window at r + eps exactly.
+    A turning point (r <= s) is at rest at s, t_in = 0, and a geodesic that
+    starts past the transition is at rest at t_x = 0; both start at
+    theta = 0.  Taken with the C library's functions, as in ``entry_time``
+    (numpy's differ from them in the last bit for some arguments), but for
+    theta's atan2 (``_solve``)."""
+    (r, eps), (a_x, h_x) = (warp.params.r, warp.params.eps), warp.exit_state
+    if s >= r:  # at rest: t_in = 0 and h'_x = 0 past the transition
+        dh_x = math.sqrt(max(0.0, (a_x - a_s) * (a_x + a_s))) if s < r + eps else 0.0
+        row = (0.0, tau, 0.0, da_s, 0.0, 1.0, math.pi / 2.0, h_x if s < r + eps else da_s, dh_x)
+    else:
+        t_in = r if s == 0.0 else entry_time(s, r)
+        gap, sin_r = math.sin(r + s) * math.sin(r - s), math.sin(r)
+        sin_in, cos_in = math.sin(t_in), math.sin(s) * math.cos(t_in)
+        row = (t_in, r + eps if s == 0.0 else t_in + tau, math.sqrt(gap), math.cos(r), sin_in, cos_in,
+               math.atan2(cos_in, sin_in), h_x, math.sqrt(max(0.0, (a_x - sin_r) * (a_x + sin_r) + gap)))
+    (t_in, t_x, *entry), (h_x, dh_x) = row[:4], row[7:]
+    m, k = math.frexp(h_x + dh_x)  # h_x + h'_x = m 2^k, so p = m / 2
+    return (*row, 0.5 * m, math.ldexp(h_x - dh_x, -k - 1), math.ldexp(a_s, -k),
+            math.ldexp(a_s, -2 * k), math.ldexp(warp.d, -2 * k),
+            *(_pair(entry, dh_x, h_x, j) if t_in < t_x else (1.0, 0.0, 0.0, 1.0)), math.exp(-t_x))
+
+
+def solve_radial_grid(ss: Iterable[float], r: float, eps: float, T: float = 30.0) -> RadialGrid:
     """``solve_radial`` at (s, r, eps) for each s of ``ss``, as one grid of
-    rows on one warp function (``warp``, solved here if not given): one
-    lookup of (A, A')(s) for the grid, the far windows as one broadcast on
-    the metric's node table, the others as one batched lookup, and every
-    closed form as an array formula over the rows.  Row i (``grid[i]``) is
-    the ``RadialSolution`` of the i-th s, bit for bit; nothing is cached."""
-    return _solve(np.array(list(ss), dtype=float), warp or solve_warp(ProfileParams(r, eps)), T)
+    rows on one warp function: one lookup of (A, A')(s) for the grid, the
+    far windows as one broadcast on the metric's node table, the others as
+    one batched lookup, and each row's closed forms (``_closed_forms``).
+    Row i (``grid[i]``) is the ``RadialSolution`` of the i-th s, bit for
+    bit; nothing is cached."""
+    return _solve(np.array(list(ss), dtype=float), solve_warp(ProfileParams(r, eps)), T)
 
 
 def _blocks(ss: np.ndarray, warp: WarpFunction) -> Iterator[RadialGrid]:

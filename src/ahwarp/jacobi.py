@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -245,14 +246,10 @@ class FundamentalPair:
         return np.abs(u * dv - du * v - 1.0) / scale
 
 
-def _rotation(t0: float, y: float, dy: float):
-    """The solution of Y'' = -Y with state (y, dy) at t0, as (Y, Y')(t)."""
-
-    def fn(t):
-        c, sn = np.cos(t - t0), np.sin(t - t0)
-        return y * c + dy * sn, dy * c - y * sn
-
-    return fn
+def _rotation(t0: float, y: float, dy: float, t):
+    """(Y, Y')(t) of the solution of Y'' = -Y with state (y, dy) at t0."""
+    c, sn = np.cos(t - t0), np.sin(t - t0)
+    return y * c + dy * sn, dy * c - y * sn
 
 
 def _exponentials(t0, y, dy, t):
@@ -288,7 +285,7 @@ def _in_plane_solution(radial: RadialSolution, t0: float, y: float, dy: float, T
     [t_in, t_x], and from t_x ``tail`` (t -> (Y, Y')) or else the
     exponentials, each from the state where the last ends."""
     t_in, t_x = radial.window
-    ball = _rotation(t0, y, dy)
+    ball = partial(_rotation, t0, y, dy)
     state = tuple(map(float, ball(t_in))) if t0 < t_in else (y, dy)
     parts = [Trajectory.from_function(ball, 0.0, t_in)] if t_in > 0.0 else []
     if t_in < t_x:

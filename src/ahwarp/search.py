@@ -231,15 +231,16 @@ def verify_small_s(
     concavity signature (d1 ~ 0, d2 < 0) of s -> W'(0) at s = 0 is checked
     as well.  Returns (records, (d1, d2) for the perpendicular kind, all
     passed, the in-plane stable solution at s = 0), all from the rows of
-    ``certificate_grid`` on the metric ``warp`` (solved here if not given),
-    in blocks of ``geodesics._BLOCK`` rows.
+    ``certificate_grid`` on the metric ``warp`` (solved here if not given;
+    ValueError if it is not that of (r, eps)), in blocks of
+    ``geodesics._BLOCK`` rows.
     """
     _check_grid(sigma, ds)
     grid = _grid(0.0, sigma, ds)
     stencil = stencil_points()
     ss = np.array(sorted({*grid.tolist(), *stencil}))
     certs, witness = [], None
-    for rows in _blocks(ss, warp or solve_warp(ProfileParams(r, eps))):
+    for rows in _blocks(ss, _metric(r, eps, warp)):
         certs.append(certificate_grid(rows))
         witness = witness or stable_solution(kernel_on("parallel", rows[0]))
     certs = dict(zip(ss.tolist(), np.concatenate(certs).tolist()))
@@ -282,20 +283,29 @@ def verify_large_s(
     Sturm separation no solution then vanishes twice.  The minima are
     ``jacobi.even_minima``, exact over t >= 0: closed forms in the ball and
     past the transition, the window's quadrature across it, on the rows of
-    the metric ``warp`` (solved here if not given) in blocks of
+    the metric ``warp`` (as in ``verify_small_s``) in blocks of
     ``geodesics._BLOCK`` rows.
     Returns (rho0, curvature_certified, records, all passed).
     """
     _check_grid(sigma, ds)
     if not sigma > 0.0:
         raise ValueError(f"the mid-s grid starts at sigma > 0, got {sigma}")
-    warp = warp or solve_warp(ProfileParams(r, eps))
+    warp = _metric(r, eps, warp)
     rho0, certified = _negative_curvature_threshold(warp)
     records = [MidSRecord(s, u, v, "pass" if u > 0.0 and v > 0.0 else "fail")
                for rows in _blocks(_grid(sigma, rho0, ds), warp)
                for s, (u, v) in zip(rows.s.tolist(), even_minima(rows).tolist())]
     ok = certified and all(rec.verdict == "pass" for rec in records)
     return rho0, certified, records, ok
+
+
+def _metric(r: float, eps: float, warp: WarpFunction | None) -> WarpFunction:
+    """The warp function of (r, eps): ``warp``, which a scan shares between
+    its stages, or one solved here.  Raises ValueError when ``warp`` is that
+    of another metric."""
+    if warp is not None and warp.params != ProfileParams(r, eps):
+        raise ValueError(f"warp function of {warp.params}, not of r = {r}, eps = {eps}")
+    return warp or solve_warp(ProfileParams(r, eps))
 
 
 def _check_grid(sigma: float, ds: float) -> None:

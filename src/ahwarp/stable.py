@@ -159,7 +159,7 @@ def _in_plane(radial: RadialGrid) -> tuple[tuple, list]:
     t_in, t_x = radial.t_in, radial.t_x
     u, v, du, dv = radial.M.reshape(-1, 4).T
     # (Y, Y')(t_x) = e^{-t_x} (1, -1), so (Y, Y')(t_in) = e^{-t_x} adj(M) (1, -1)
-    decay_x = np.exp(-t_x)
+    decay_x = radial.decay
     y_in, dy_in = (dv + v) * decay_x, -(du + u) * decay_x
     # arctan W(t_in) where Y(t_in) > 0, the only rows whose angle test is read
     angle, back = np.arctan2(dy_in, y_in) + t_in, -t_in  # ``back`` rotates from t_in to 0
@@ -183,7 +183,7 @@ def _off_plane(radial: RadialGrid) -> tuple[tuple, list]:
     geodesic (s = 0) has no angle; its off-plane equation is the in-plane
     one."""
     psi, (h_x, dh_x), radial_line = radial.psi, radial.exit.T, radial.s == 0.0
-    scale = (h_x + dh_x) * np.exp(-radial.t_x)
+    scale = (h_x + dh_x) * radial.decay
     with np.errstate(divide="ignore", invalid="ignore"):
         w0 = -np.tan(psi) / radial.c
     return (scale, scale * np.cos(psi), w0), [

@@ -346,10 +346,10 @@ class TestWorkCounts:
         # (the grid's other lookup is (A, A')(s) at its rows)
         r, eps = 0.76, 0.05
         warp = solve_warp(ProfileParams(r, eps))
-        far = solve_radial_grid([0.0, 0.3, 0.6, r - 2.5 * eps / 32], r, eps, warp=warp)
+        far = geo_mod._solve(np.array([0.0, 0.3, 0.6, r - 2.5 * eps / 32]), warp)
         assert np.all(far.t_in < far.t_x)
         assert lookups == [4] and tables == [ProfileParams(r, eps)]
-        solve_radial_grid([r - 1.5 * eps / 32], r, eps, warp=warp)
+        geo_mod._solve(np.array([r - 1.5 * eps / 32]), warp)
         assert lookups == [4, 1, 320] and len(tables) == 1
 
     def test_node_table_once_per_grid_metric(self, tables):

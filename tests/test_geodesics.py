@@ -37,7 +37,7 @@ def solved_whole(params, T):
     short, full = (solve_radial(params, T=horizon) for horizon in (T, 30.0))
     assert short.trajectory.t1 == T and short.window == full.window
     assert np.array_equal(short.transfer, full.transfer)
-    for x, y in zip((short.exit, *short.reduced), (full.exit, *full.reduced)):
+    for x, y in ((short.exit, full.exit), (short.reduced, full.reduced)):
         assert np.array_equal(x, y)
     assert short.theta_infinity_complement == full.theta_infinity_complement
     for kind in KINDS:

@@ -3,21 +3,25 @@ formulas and their Newton solves on whole arrays, and one path shared with
 the single queries."""
 
 import dataclasses
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ahwarp.geodesics as geo_mod
-from ahwarp.geodesics import GeodesicParams, RadialGrid, RadialSolution, solve_radial_grid
+from ahwarp.geodesics import (GeodesicParams, RadialGrid, RadialSolution, entry_time, solve_radial,
+                              solve_radial_grid)
 from ahwarp.jacobi import KINDS, even_minima, even_minimum, killing_field, make_kernel
-from ahwarp.search import assemble_report, find_r_star, verify_large_s
+from ahwarp.ode import Trajectory
+from ahwarp.search import assemble_report, find_r_star, verify_large_s, verify_small_s
 from ahwarp.stable import CertificateError, certificate_grid, stable_for
 from ahwarp.warp import ProfileParams, k_parallel, solve_warp
 
@@ -107,12 +111,14 @@ class TestZeroTests:
 
     def test_positive_at_the_entry(self, monkeypatch):
         # adj(M) (1, -1) = (dv + v, -(du + u)) has a negative first entry
-        _row_patch(monkeypatch, "M", np.array([[1.0, -2.0], [0.0, 1.0]]))
+        _solve_patch(monkeypatch,
+                     M=lambda g, hit: np.where(hit[:, None, None], [[1.0, -2.0], [0.0, 1.0]], g.M))
         self._same_error("parallel", r"vanishes \(Y\(t_in\) = -")
 
     def test_no_zero_in_the_ball(self, monkeypatch):
         # W(t_in) = 1e6: arctan W(t_in) + t_in passes pi/2
-        _row_patch(monkeypatch, "M", np.array([[-1.0, 0.5], [0.0, -0.5 + 1e-6]]))
+        _solve_patch(monkeypatch,
+                     M=lambda g, hit: np.where(hit[:, None, None], [[-1.0, 0.5], [0.0, -0.5 + 1e-6]], g.M))
         self._same_error("parallel", r"vanishes \(arctan W\(t_in\) \+ t_in = 2\.\d+ >= pi/2\)")
 
     def test_angle_left_to_sweep_below_pi(self, monkeypatch):
@@ -121,8 +127,8 @@ class TestZeroTests:
 
     def test_growth_past_the_transition(self, monkeypatch):
         # (with the in-plane window's transfer kept the identity there)
-        _solve_patch(monkeypatch, exit=lambda g, hit: np.where(hit[:, None], [-1.0, 0.0], g.exit))
-        _row_patch(monkeypatch, "M", np.eye(2))
+        _solve_patch(monkeypatch, exit=lambda g, hit: np.where(hit[:, None], [-1.0, 0.0], g.exit),
+                     M=lambda g, hit: np.where(hit[:, None, None], np.eye(2), g.M))
         self._same_error("perpendicular", "A\\(rho\\) does not grow past the transition")
 
     def test_first_failing_s_comes_first(self, monkeypatch):
@@ -154,6 +160,22 @@ class TestMasks:
         minima = even_minima(grid)
         assert np.all(minima > 0.0)
 
+    def test_entry_times_are_the_closed_form_row_by_row(self):
+        # t_in is entry_time(s, r) in the ball, 0 from r on and r on the
+        # radial row, whatever numpy's own cos would give
+        r, ss = 0.76, np.linspace(0.0, 0.82, 42)
+        grid = solve_radial_grid(ss, r, 0.05)
+        want = [r if s == 0.0 else entry_time(s, r) if s < r else 0.0 for s in ss.tolist()]
+        assert grid.t_in.tolist() == want
+        assert all(grid[i].entry_time == t for i, t in enumerate(want))
+
+    def test_a_shared_warp_function_must_be_of_the_grid_metric(self):
+        warp = solve_warp(ProfileParams(0.76, 0.05))
+        with pytest.raises(ValueError, match="warp function of"):
+            verify_large_s(0.77, 0.05, warp=warp)
+        with pytest.raises(ValueError, match="warp function of"):
+            verify_small_s(0.76, 0.0, warp=warp)
+
 
 class TestBlocks:
     def test_fine_mid_s_grid_memory_is_bounded(self):
@@ -182,17 +204,39 @@ class TestBlocks:
         assert proc.stderr.startswith("ahwarp: error: ") and len(proc.stderr.splitlines()) == 1
 
 
+class TestTrajectory:
+    def test_built_once_and_freed_with_its_row(self, monkeypatch):
+        # the ball, window and exterior pieces are made on the first
+        # evaluation and kept; they hold no reference back to the solution,
+        # so it is freed as soon as it is dropped, with no cycle to collect
+        made, real = [], Trajectory.from_function
+        monkeypatch.setattr(Trajectory, "from_function",
+                            classmethod(lambda cls, *args: made.append(args) or real(*args)))
+        sol = solve_radial(GeodesicParams(0.3, 0.76, 0.05))
+        t_in, t_x = sol.window
+        for _ in range(3):
+            sol.state(np.array([0.5 * t_in, 0.5 * (t_in + t_x), t_x + 1.0]))
+        assert len(made) == 3
+        row = weakref.ref(sol)
+        gc.disable()
+        try:
+            del sol
+            assert row() is None
+        finally:
+            gc.enable()
+
+
 class TestSingleInversion:
     def test_killing_field_inverts_each_time_once(self, monkeypatch):
         # the state and the angle at the same times share one inversion of
         # the window's time integral (each took its own)
-        calls, real = [], RadialSolution.at
+        calls, real = [], RadialGrid.at
 
         def counting(self, tau):
             calls.append(len(tau))
             return real(self, tau)
 
-        monkeypatch.setattr(RadialSolution, "at", counting)
+        monkeypatch.setattr(RadialGrid, "at", counting)
         for angle in ("theta", "phi"):
             kernel = make_kernel("perpendicular", GeodesicParams(0.3, 0.76, 0.05))
             t_in, t_x = kernel.radial.window
