@@ -21,7 +21,6 @@ import numpy as np
 from ahwarp import (
     TOL_SIGN,
     GeodesicParams,
-    certificate,
     certificate_parallel_closed,
     certificate_perp_closed,
     certificate_s_derivatives,
@@ -55,8 +54,8 @@ print("=== off-radial certificates at (s, pi/4, 0) ===")
 print("  s      parallel (num)   parallel (closed)  perp (num)      perp (closed)")
 for s in (0.05, 0.1, 0.2, 0.3):
     mu = GeodesicParams(s, PI4, 0.0)
-    cp = certificate("parallel", mu)
-    cq = certificate("perpendicular", mu)
+    cp = stable_for("parallel", mu).W_prime_0
+    cq = stable_for("perpendicular", mu).W_prime_0
     print(f"  {s:.2f}   {cp:+.10f}    {certificate_parallel_closed(s):+.10f}     "
           f"{cq:+.10f}   {certificate_perp_closed(s):+.10f}")
 print("  both families behave like -c s^2 near s = 0: strictly concave")
@@ -75,7 +74,7 @@ print("  certifies; held at r = pi/4 instead it turns positive as eps grows")
 print("  eps     r*(eps)           at r*(eps)        at pi/4")
 for eps in (0.1, 0.05, 0.01, 0.0):
     r_star = find_r_star(eps)[0]
-    got = certificate("perpendicular", GeodesicParams(0.2, r_star, eps))
-    held = certificate("perpendicular", GeodesicParams(0.2, PI4, eps))
+    got = stable_for("perpendicular", GeodesicParams(0.2, r_star, eps)).W_prime_0
+    held = stable_for("perpendicular", GeodesicParams(0.2, PI4, eps)).W_prime_0
     print(f"  {eps:4.2f}   {r_star:.12f}   {got:+.10f}   {held:+.10f}")
 print("  at r*(eps), W'(0) < 0 at each eps above: no double zero")

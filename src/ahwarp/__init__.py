@@ -51,7 +51,6 @@ from .stable import (
     TOL_SIGN,
     CertificateError,
     StableSolution,
-    certificate,
     certificate_grid,
     certificate_parallel_closed,
     certificate_perp_closed,

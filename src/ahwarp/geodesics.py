@@ -397,35 +397,40 @@ class RadialGrid:
         psi is.  f is positive as E -> 0 and turns at most once on (0, 1]
         (not at all when U' > 0 at t_x).  Its derivative is closed form, with
         dphi/dE = A(s) / (2 (g^2 + 4 a_+ a_- E)), so Newton locates the turn,
-        from the root of f's tangent p^2 psi - A(s) E / 2 at E = 0 and
-        bisecting where a step would leave the bracket.  A geodesic at rest
-        at t_x (s >= r + eps) has U' odd about t_x, so f / (1 - E) is nearly
-        linear in (1 - E)^2, and Newton runs there: in E it would be slow
-        where the turn closes in on t_x (s near the curvature threshold).
+        bisecting where a step would leave the bracket.  It starts from the
+        root of f's tangent p^2 psi - A(s) E / 2 at E = 0, but for a geodesic
+        at rest at t_x (s >= r + eps), where the turn closes in on t_x as s
+        nears the curvature threshold, from where U' turns in the limit
+        h_x = A'(rho(t_x)) -> 1.  A row at rest with h_x >= 1 has K_perp <= 0
+        from t_x on, so U' > 0 past t_x and its minimum is U(t_x); so it is,
+        to far below rounding, for h_x >= 1 - _FLAT, which takes the row at
+        the threshold (A' = 1 to rounding, a double root of f at E = 1, where
+        a Newton step never falls below its bound) with no Newton at all.
         Newton stops once a step is below _NEWTON_STEP relative to E: U is
         flat at its minimum, so what is left of its error is of the order of
         the step squared.  At most _NEWTON_MAX values of f are taken for the
         rows that turn, all rows at once, and U(t_x) bounds the result.  As
         in ``_phi``, p, q, A(s) and 4 a_+ a_- are scaled by powers of two, so
         that nothing squared overflows however large A'(s) is."""
-        f, df, u = self._turn(1.0, psi)
+        f, _, u = self._turn(1.0, psi)
         rest = self.exit[:, 1] == 0.0
         f = np.where(rest, 0.0, f)  # U'(t_x) = 0, and f(1) is rounding
-        turns = np.flatnonzero(~((f > 0.0) | (rest & (df < 0.0))))
+        turns = np.flatnonzero(~((f > 0.0) | (rest & (self.exit[:, 0] >= 1.0 - _FLAT))))
         if turns.size:  # else U' >= 0 on all of (t_x, inf)
             rows, psi, rest, n = self._take(turns), psi[turns], rest[turns], turns.size
-            p, _, _, a_s, _ = rows.reduced.T
-            e = np.minimum(2.0 * p * p * psi / a_s, 0.5)  # the root of f's tangent at E = 0
+            (p, _, _, a_s, _), h = rows.reduced.T, rows.exit[:, 0]
+            # at rest, U' turns at tau ~ sqrt(3) tau_0 as h_x -> 1, where the kernel changes
+            # sign at tau_0 ~ sqrt((1 - h_x^2) / 2) / h_x (_FLAT); else start from the root
+            # of f's tangent at E = 0
+            e = np.where(rest, np.exp(-np.sqrt(np.maximum(6.0 - 6.0 * h * h, 0.0)) / h),
+                         np.minimum(2.0 * p * p * psi / a_s, 0.5))
             least, lo, hi, done = u[turns], np.zeros(n), np.ones(n), np.zeros(n, dtype=bool)
             for _ in range(_NEWTON_MAX - 1):
                 g, dg, v = rows._turn(e, psi)
                 least = np.where(done, least, v)
                 lo, hi = np.where(g > 0.0, e, lo), np.where(g > 0.0, hi, e)
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    # at rest, in w = z^2, z = 1 - E, on f / z, whose dE-derivative is slope / z^2
-                    z, slope = 1.0 - e, dg * (1.0 - e) + g
-                    w = np.where(slope < 0.0, z * z * (1.0 + 2.0 * g / slope), np.nan)
-                    new = np.where(rest, 1.0 - np.sqrt(w), np.where(dg < 0.0, e - g / dg, np.nan))
+                    new = np.where(dg < 0.0, e - g / dg, np.nan)
                 done |= np.abs(new - e) <= _NEWTON_STEP * e
                 if done.all():
                     break
@@ -675,18 +680,32 @@ _REST = 1e-8
 # the error is then of the order of the step squared
 _NEWTON_STEP = 1e-9
 _NEWTON_MAX = 8
-# A scan solves its grids in blocks of _BLOCK rows (``_blocks``), so that
-# what it holds at once does not grow with the number of rows.  Measured
-# with tracemalloc on blocks of 64: a block of far windows peaks at 0.95 MB,
-# one of sigma windows (320 lookups each, and the turning bands') at 3.6 MB,
-# one past the transition at 0.11 MB
-_BLOCK = 64
+# At rest at t_x with h_x = A'(rho(t_x)) = 1 - delta, 0 < delta <= _FLAT, the
+# off-plane kernel A(s)^2 (1 + 4 a_+ a_-) / A^4 - 1 is (1 - h_x^2) / A(s)^2
+# <= 2 delta / A(s)^2 at t_x and falls to 0 by sinh^2(tau) ~ delta
+# (h = h_x cosh tau), so by Sturm comparison with that bound U stays above
+# U(t_x) (1 - delta^2 / A(s)^2): 1e-20 relative, far below rounding
+_FLAT = 1e-10
+# A scan solves its grids in blocks of _BLOCK rows (``_blocks``), each
+# default grid (34 small-s rows, 85 to 127 mid-s rows up to eps 1.45) as one,
+# and a window lookup takes _ROWS rows at a time (``_rates``), so that what
+# a scan holds at once grows with neither.  Measured with tracemalloc at
+# eps 0.05, _solve and even_minima on 128 rows: far windows peak at 1.55 MB,
+# sigma windows (320 lookups each, and the turning bands') at 3.8 MB (6.5 MB
+# with the lookup of all the rows at once), rows past the transition at
+# 0.52 MB
+_BLOCK = 128
+_ROWS = 16
 
 
 def _rates(warp: WarpFunction, s: np.ndarray, c: np.ndarray, sg: np.ndarray) -> tuple:
     """(dt, dpsi, dJ)/dsigma (rows x 3 x points), D and A' (rows x points)
     at the sigma sg (rows x points) of the windows of the geodesics at s,
-    with c = A(s)."""
+    with c = A(s); _ROWS rows at a time, which bounds what a lookup holds."""
+    if len(s) > _ROWS:
+        parts = (_rates(warp, s[i:i + _ROWS], c[i:i + _ROWS], sg[i:i + _ROWS])
+                 for i in range(0, len(s), _ROWS))
+        return tuple(np.concatenate(v) for v in zip(*parts))
     (r, eps), s, c = (warp.params.r, warp.params.eps), s[:, None], c[:, None]
     length = r + eps - s
     lsq = length * sg * sg  # rho - s

@@ -41,17 +41,20 @@ premise of the comparison theorem (``geodesics.comparison_lower_bound``).
 
 A scan solves one warp function for every stage (the threshold, the
 non-trapping check and both grids), and each grid as array programs over s:
-its geodesics are rows of ``geodesics.RadialGrid``, solved in consecutive
-blocks of ``geodesics._BLOCK`` rows, so that what a scan holds does not grow
-with the number of s, each with its transition window by quadrature on the
-transition pair.  The small-s certificates are array formulas on the rows
+its geodesics are rows of ``geodesics.RadialGrid``, each with its
+transition window by quadrature on the transition pair.  A default grid is
+one block of rows: one solve, one set of certificates or minima, one Newton
+loop.  A finer one is cut into consecutive blocks of ``geodesics._BLOCK``
+(128) rows, and each window lookup takes ``geodesics._ROWS`` (16) rows at a
+time, so that what a scan holds does not grow with the number of s.  The
+small-s certificates are array formulas on the rows
 (``stable.certificate_grid``); each mid-s point's minima of U are exact over
 all t >= 0 (``jacobi.even_minima``): U is cos t in the ball and closed form
 past the transition, and U' turns positive once, so the minimum is one
 closed formula or one Newton solve, past the window or in it, and each
 Newton solve runs on every row of a block at once.  Every record is the
-value that the single query at its s gives, bit for bit.  No
-caller sets a tolerance: the transition pair is a fixed series, and every
+value that the single query at its s gives, bit for bit, whatever the block
+and lookup sizes.  No caller sets a tolerance: the transition pair is a fixed series, and every
 window is the same composite Gauss-Legendre rule; the report's metadata
 states both.  Nothing is integrated: once the process has built the pair's
 series, a mollified scan sums it and evaluates quadratures.  Each grid point
@@ -233,11 +236,10 @@ def verify_small_s(
     passed, the in-plane stable solution at s = 0), all from the rows of
     ``certificate_grid`` on the metric ``warp`` (solved here if not given;
     ValueError if it is not that of (r, eps)), in blocks of
-    ``geodesics._BLOCK`` rows.
+    ``geodesics._BLOCK`` rows (one block at the default ds).
     """
     _check_grid(sigma, ds)
-    grid = _grid(0.0, sigma, ds)
-    stencil = stencil_points()
+    grid, stencil = _grid(0.0, sigma, ds), stencil_points()
     ss = np.array(sorted({*grid.tolist(), *stencil}))
     certs, witness = [], None
     for rows in _blocks(ss, _metric(r, eps, warp)):
@@ -284,7 +286,7 @@ def verify_large_s(
     ``jacobi.even_minima``, exact over t >= 0: closed forms in the ball and
     past the transition, the window's quadrature across it, on the rows of
     the metric ``warp`` (as in ``verify_small_s``) in blocks of
-    ``geodesics._BLOCK`` rows.
+    ``geodesics._BLOCK`` rows (one block at the default ds, up to eps 1.45).
     Returns (rho0, curvature_certified, records, all passed).
     """
     _check_grid(sigma, ds)

@@ -76,7 +76,6 @@ __all__ = [
     "StableSolution",
     "stable_solution",
     "stable_for",
-    "certificate",
     "certificate_grid",
     "certificate_s_derivatives",
     "stencil_points",
@@ -218,11 +217,6 @@ def stable_for(kind: str, params: GeodesicParams, tol: float = 1e-10) -> StableS
     _check_tol(tol)
     kernel = make_kernel(kind, params, horizon=_T0)
     return stable_solution(kernel, kind=kind)
-
-
-def certificate(kind: str, params: GeodesicParams) -> float:
-    """W'(0) = Y'(0)/Y(0) for the stable solution of the given kind."""
-    return stable_for(kind, params).W_prime_0
 
 
 def certificate_grid(radial: RadialGrid) -> np.ndarray:

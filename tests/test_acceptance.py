@@ -82,7 +82,7 @@ def test_criterion_04_theta_infinity_endpoints():
 def test_criterion_05_radial_certificate():
     worst = 0.0
     for r in (0.7, PI4, 0.85):
-        got = aw.certificate("parallel", aw.GeodesicParams(0.0, r, 0.0))
+        got = aw.stable_for("parallel", aw.GeodesicParams(0.0, r, 0.0)).W_prime_0
         expected = (math.sin(r) - math.cos(r)) / (math.sin(r) + math.cos(r))
         worst = max(worst, abs(got - expected))
     verdict(5, worst < 1e-9,
@@ -227,8 +227,8 @@ def test_criterion_10_property_suite():
               for e in eps_grid]
         mono = mono and dp[0] > dp[1] > dp[2] and dm[0] > dm[1] > dm[2]
 
-    c0 = aw.certificate("perpendicular", aw.GeodesicParams(0.2, PI4, 0.0))
-    dc = [abs(aw.certificate("perpendicular", aw.GeodesicParams(0.2, PI4, e)) - c0)
+    c0 = aw.stable_for("perpendicular", aw.GeodesicParams(0.2, PI4, 0.0)).W_prime_0
+    dc = [abs(aw.stable_for("perpendicular", aw.GeodesicParams(0.2, PI4, e)).W_prime_0 - c0)
           for e in eps_grid]
     mono = mono and dc[0] > dc[1] > dc[2]
     ok = ok and mono

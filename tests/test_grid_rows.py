@@ -1,6 +1,6 @@
-"""A scan as array programs over s: one grid of rows per block of s, the row
-formulas and their Newton solves on whole arrays, and one path shared with
-the single queries."""
+"""A scan as array programs over s: one grid of rows per block of s (one
+block per default grid), the row formulas and their Newton solves on whole
+arrays, and one path shared with the single queries."""
 
 import dataclasses
 import gc
@@ -179,11 +179,13 @@ class TestMasks:
 
 class TestBlocks:
     def test_fine_mid_s_grid_memory_is_bounded(self):
-        # about 4,000 rows, solved in blocks of geodesics._BLOCK = 64: the
-        # traced peak is 4.0 MB (2-core x86-64, Python 3.11, numpy 2.4), about
-        # 1.2 MB of it the records and most of the rest one block of sigma
-        # windows; at ds = 1e-4 (8,323 rows) it is 4.5 MB, the records grown.
-        # One grid of all the rows would hold each row's panel data at once
+        # about 4,000 rows, solved in blocks of geodesics._BLOCK = 128 with
+        # window lookups of geodesics._ROWS = 16 rows: the traced peak is
+        # 4.45 MB (2-core x86-64, Python 3.11, numpy 2.4), about 1.2 MB of it
+        # the records and most of the rest one block of sigma windows; at
+        # ds = 1e-4 (8,323 rows) it is 4.96 MB, the records grown.  Looking up
+        # a block's 128 rows at once would peak at 7.4 MB, and one grid of all
+        # the rows would hold each row's panel data at once
         r = find_r_star(0.05)[0]
         tracemalloc.start()
         try:
@@ -202,6 +204,34 @@ class TestBlocks:
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr.startswith("ahwarp: error: ") and len(proc.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("eps", [0.0, 0.05, 0.1])
+    def test_block_and_lookup_sizes_change_no_number(self, eps, monkeypatch):
+        # the sizes bound what a scan holds and nothing else: every grid cut
+        # into blocks of 7 rows, each window lookup 3 rows at a time
+        default = assemble_report(eps).to_json()
+        monkeypatch.setattr(geo_mod, "_BLOCK", 7)
+        monkeypatch.setattr(geo_mod, "_ROWS", 3)
+        assert assemble_report(eps).to_json() == default
+
+
+class TestThresholdRow:
+    @pytest.mark.parametrize("eps", [0.0, 0.01, 0.05, 0.1])
+    def test_rest_row_at_rho0_is_its_exit_value(self, eps, monkeypatch):
+        # at s = rho0, A'(s) = 1 to rounding (a double root of U' at t_x):
+        # the off-plane minimum is U(t_x), decided with no Newton, and the
+        # mid-s grid, one block, takes at most 5 values of the turn
+        r = find_r_star(eps)[0]
+        warp = solve_warp(ProfileParams(r, eps))
+        real, turns = RadialGrid._turn, []
+        monkeypatch.setattr(RadialGrid, "_turn",
+                            lambda self, e, psi: turns.append(len(self)) or real(self, e, psi))
+        rho0, _, records, ok = verify_large_s(r, eps, warp=warp)
+        assert ok and records[-1].s == rho0 and len(records) <= geo_mod._BLOCK
+        assert len(turns) <= 5
+        row = solve_radial_grid([rho0], r, eps)
+        assert abs(row.exit[0, 0] - 1.0) < 1e-15 and row.exit[0, 1] == 0.0
+        assert records[-1].min_U_perp == real(row, 1.0, row.psi)[2][0]
 
 
 class TestTrajectory:
@@ -268,10 +298,11 @@ class TestMinLogSlope:
 
 class TestScanCounts:
     def test_sharp_scan_counts(self):
-        # tools/scan_counts.py on a sharp scan: one lookup of (A, A')(s) per
-        # block of rows and the few of the threshold and the non-trapping
-        # check, no window, no in-window minimum, and only the witness's
-        # trajectory pieces
+        # tools/scan_counts.py on a sharp scan: two grids, each one block of
+        # rows with one lookup of (A, A')(s), the few lookups of the
+        # threshold and the non-trapping check, one Newton loop of at most 4
+        # steps past the transition, no window, no in-window minimum, and
+        # only the witness's trajectory pieces
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
         proc = subprocess.run([sys.executable, str(ROOT / "tools" / "scan_counts.py"), "0"],
@@ -280,6 +311,6 @@ class TestScanCounts:
         assert json.loads(proc.stdout) == {"0.0": SHARP_COUNTS}
 
 
-SHARP_COUNTS = {"newton_steps_perp": 13, "newton_steps_window": 0, "state_calls": 5,
-                "state_points": 120, "trajectory_pieces": 2, "window_minima": 0, "windows_far": 0,
-                "windows_sigma": 0}
+SHARP_COUNTS = {"grids_solved": 2, "newton_steps_perp": 5, "newton_steps_window": 0,
+                "state_calls": 4, "state_points": 120, "trajectory_pieces": 2, "window_minima": 0,
+                "windows_far": 0, "windows_sigma": 0}

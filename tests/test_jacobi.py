@@ -22,7 +22,7 @@ from ahwarp.jacobi import (
     theta_infinity,
 )
 from ahwarp.ode import Trajectory
-from ahwarp.stable import certificate, stable_solution
+from ahwarp.stable import stable_for, stable_solution
 
 PI4 = math.pi / 4
 SQRT2 = math.sqrt(2.0)
@@ -434,5 +434,5 @@ class TestEvenMinimum:
         # past r = pi/4 the certificate is positive, so the growing
         # coefficient P = -1/2 e^{t_x} Y(0) W'(0) of the even U is negative
         mu = GeodesicParams(0.1, 0.9, 0.0)
-        assert certificate("parallel", mu) > 0.0
+        assert stable_for("parallel", mu).W_prime_0 > 0.0
         assert even_minimum(make_kernel("parallel", mu, horizon=12.0)) == -math.inf

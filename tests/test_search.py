@@ -23,7 +23,6 @@ from ahwarp.search import (
 from ahwarp.warp import ProfileParams, k_parallel, k_perp, solve_warp
 from ahwarp.stable import (
     TOL_SIGN,
-    certificate,
     certificate_grid,
     certificate_parallel_closed,
     certificate_perp_closed,
@@ -63,7 +62,7 @@ class TestFindRStar:
     def test_agrees_with_brent_on_the_certificate(self, eps):
         # the rotation identity against a root search: Brent on the s = 0
         # certificate r -> W'(0; r), whose iterates each solve the window
-        f = lambda r: certificate("parallel", GeodesicParams(0.0, r, eps))
+        f = lambda r: stable_for("parallel", GeodesicParams(0.0, r, eps)).W_prime_0
         ref = brentq(f, PI4 - 0.1, PI4 + 0.1, xtol=1e-13, rtol=8.9e-16)
         r_star, residual = find_r_star(eps)
         assert abs(r_star - ref) <= 1e-13
@@ -74,7 +73,7 @@ class TestFindRStar:
         # W'(0; r) = tan(r - r*) across the bracket, not only at the root
         r_star, _ = find_r_star(eps)
         for r in np.linspace(PI4 - 0.1, PI4 + 0.1, 9):
-            got = certificate("parallel", GeodesicParams(0.0, float(r), eps))
+            got = stable_for("parallel", GeodesicParams(0.0, float(r), eps)).W_prime_0
             assert abs(got - math.tan(r - r_star)) <= 1e-13
 
     def test_root_certificate_within_tolerance_at_drawn_eps(self):
@@ -83,7 +82,7 @@ class TestFindRStar:
         # spuriously
         eps = 0.020927634009400266
         r_star, _ = find_r_star(eps)
-        assert abs(certificate("parallel", GeodesicParams(0.0, r_star, eps))) < 1e-10
+        assert abs(stable_for("parallel", GeodesicParams(0.0, r_star, eps)).W_prime_0) < 1e-10
 
     @pytest.mark.parametrize("eps", [0.0, 0.05])
     def test_root_function_monotone_across_bracket(self, eps):

@@ -19,7 +19,6 @@ from ahwarp.jacobi import (
 )
 from ahwarp.stable import (
     CertificateError,
-    certificate,
     certificate_grid,
     certificate_parallel_closed,
     certificate_perp_closed,
@@ -63,12 +62,12 @@ class TestCriticalRadialSolution:
 class TestRadialCertificates:
     @pytest.mark.parametrize("r", [0.7, PI4, 0.85])
     def test_backward_integration_matches_closed_form(self, r):
-        got = certificate("parallel", GeodesicParams(0.0, r, 0.0))
+        got = stable_for("parallel", GeodesicParams(0.0, r, 0.0)).W_prime_0
         assert got == pytest.approx(radial_certificate_closed(r), abs=1e-9)
 
     def test_sign_tracks_radius(self):
-        assert certificate("parallel", GeodesicParams(0.0, 0.7, 0.0)) < 0
-        assert certificate("parallel", GeodesicParams(0.0, 0.86, 0.0)) > 0
+        assert stable_for("parallel", GeodesicParams(0.0, 0.7, 0.0)).W_prime_0 < 0
+        assert stable_for("parallel", GeodesicParams(0.0, 0.86, 0.0)).W_prime_0 > 0
 
     @pytest.mark.parametrize("r", [0.7, 0.85])
     def test_stable_profile_closed_form(self, r):
@@ -81,16 +80,16 @@ class TestRadialCertificates:
 class TestOffRadialCertificates:
     @pytest.mark.parametrize("s", [0.05, 0.1, 0.2, 0.3])
     def test_parallel_closed_form(self, s):
-        got = certificate("parallel", GeodesicParams(s, PI4, 0.0))
+        got = stable_for("parallel", GeodesicParams(s, PI4, 0.0)).W_prime_0
         assert got == pytest.approx(certificate_parallel_closed(s), abs=1e-8)
 
     @pytest.mark.parametrize("s", [0.05, 0.1, 0.2, 0.3])
     def test_perp_closed_form(self, s):
-        got = certificate("perpendicular", GeodesicParams(s, PI4, 0.0))
+        got = stable_for("perpendicular", GeodesicParams(s, PI4, 0.0)).W_prime_0
         assert got == pytest.approx(certificate_perp_closed(s), abs=1e-8)
 
     def test_perp_certificate_is_negative(self):
-        got = certificate("perpendicular", GeodesicParams(0.2, PI4, 0.0))
+        got = stable_for("perpendicular", GeodesicParams(0.2, PI4, 0.0)).W_prime_0
         assert got < 0
         assert got == pytest.approx(
             -math.cos(theta_infinity(0.2)) / (math.sin(theta_infinity(0.2)) * math.sin(0.2)),
@@ -119,8 +118,8 @@ class TestOffRadialCertificates:
         # theta_inf rounds to pi/2 - O(s); -cot(theta_inf) / A(s) would
         # amplify its rounding by 1/s.  The limit s -> 0 is the radial
         # certificate (both equations coincide there, W' is even in s)
-        got = certificate("perpendicular", GeodesicParams(s, r, eps))
-        radial = certificate("parallel", GeodesicParams(0.0, r, eps))
+        got = stable_for("perpendicular", GeodesicParams(s, r, eps)).W_prime_0
+        radial = stable_for("parallel", GeodesicParams(0.0, r, eps)).W_prime_0
         assert abs(got - radial) <= 1e-10
 
     def test_stable_solution_reads_no_angle_until_evaluated(self, monkeypatch):
@@ -320,9 +319,9 @@ class TestSDerivatives:
 class TestEpsContinuity:
     @pytest.mark.parametrize("s", [0.0, 0.2])
     def test_certificate_converges_monotonically(self, s):
-        base = certificate("perpendicular", GeodesicParams(s, PI4, 0.0))
+        base = stable_for("perpendicular", GeodesicParams(s, PI4, 0.0)).W_prime_0
         dists = []
         for eps in (0.1, 0.05, 0.01):
-            got = certificate("perpendicular", GeodesicParams(s, PI4, eps))
+            got = stable_for("perpendicular", GeodesicParams(s, PI4, eps)).W_prime_0
             dists.append(abs(got - base))
         assert dists[0] > dists[1] > dists[2]

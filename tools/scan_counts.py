@@ -3,6 +3,7 @@
 Wraps, at run time, the places where a scan does its work and runs
 ``ahwarp.assemble_report`` once per eps:
 
+* ``geodesics._solve``: the grids solved, each one block of rows;
 * ``WarpFunction.state``: lookups of the warp function, and their points;
 * ``geodesics._far_integrals`` and ``geodesics._sigma_integrals``: the
   windows built, far (on the metric's node table) and sigma (on looked-up
@@ -48,6 +49,7 @@ def _counting(owner, name: str, count) -> None:
 def _install() -> None:
     _counting(warp.WarpFunction, "state", lambda self, rho: {
         "state_calls": 1, "state_points": int(getattr(rho, "size", 1))})
+    _counting(geodesics, "_solve", lambda ss, w, *rest: {"grids_solved": 1})
     _counting(geodesics, "_far_integrals", lambda w, s, c: {"windows_far": len(s)})
     _counting(geodesics, "_sigma_integrals", lambda w, s, c, sigma: {"windows_sigma": len(s)})
     _counting(geodesics.RadialGrid, "_turn", lambda self, e, psi: {"newton_steps_perp": 1})
@@ -68,7 +70,7 @@ def scan_counts(eps: float) -> dict[str, int]:
     counters are installed."""
     _COUNTS.clear()
     ahwarp.assemble_report(eps)
-    keys = ("state_calls", "state_points", "windows_far", "windows_sigma", "newton_steps_perp",
+    keys = ("grids_solved", "state_calls", "state_points", "windows_far", "windows_sigma", "newton_steps_perp",
             "newton_steps_window", "window_minima", "trajectory_pieces")
     return {key: _COUNTS[key] for key in keys}
 
