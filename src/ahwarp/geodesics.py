@@ -55,10 +55,16 @@ from three pieces:
   singularity.  D is taken without cancellation: (A - sin r) +
   (sin r - sin s), the first as the pair's projection and the last in
   product form, for s < r, and near a turning point L sigma^2 times the
-  Gauss mean of A' on [s, s + L sigma^2].  A time t inside the window is
-  found by Newton on the t integral, whose rate is closed form.  The radial
-  geodesic is the column with c = 0, where dt/dx = 1; rho = t stays exact
-  there and its window is [r, r + eps].  A grid of geodesics
+  Gauss mean of A' on [s, s + L sigma^2].  A point inside the window is
+  taken from its panel's ten nodes alone, looked up once: the integrals from
+  the panel's start by the Legendre integration row at the point, the
+  construction of ``warp._CUMULATIVE`` (Greengard, SIAM J. Numer. Anal. 28,
+  1991), and dt/dsigma, m = D / (L sigma^2) and A' by the barycentric
+  formula on the nodes (Berrut and Trefethen, SIAM Rev. 46, 2004).  So a time
+  t inside the window, and the least U there, are found by Newton steps that
+  are arithmetic on that data, with no lookup.  The radial geodesic is the
+  column with c = 0, where dt/dx = 1; rho = t stays exact there and its
+  window is [r, r + eps].  A grid of geodesics
   (``solve_radial_grid``) is one ``RadialGrid`` on one warp function, and so
   one table: one array per quantity, one entry per s, its windows built as
   one broadcast on the table (far) and one batched lookup (the others).
@@ -118,7 +124,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .ode import Trajectory
-from .warp import _GAUSS, _PANELS, ProfileParams, WarpFunction, mollifier, solve_warp
+from .warp import (_BARYCENTRIC, _GAUSS, _PANELS, _WEIGHTS, _XI, ProfileParams, WarpFunction,
+                   mollifier, solve_warp)
 
 __all__ = [
     "GeodesicParams",
@@ -284,36 +291,54 @@ class RadialGrid:
 
     # -- windows, row by row -------------------------------------------------
 
-    def _partial(self, sg: np.ndarray):
-        """(the integrals (t - t_in, psi, J) from the entry to each sigma of
-        sg (rows x points), dt/dsigma, D, A') there: the cumulative sums at
-        the panel ends and one Gauss rule on the partial panel."""
-        rows, panels = np.arange(len(sg))[:, None], (self.sigma[:, None, :] <= sg[:, :, None])
-        k = np.minimum(np.maximum(panels.sum(axis=-1, dtype=np.intp) - 1, 0), _PANELS - 1)
-        lo = self.sigma[rows, k]
-        h = sg - lo
-        nodes = np.concatenate((lo[..., None] + h[..., None] * _GAUSS_X, sg[..., None]), axis=-1)
-        rates, d, da = _rates(self.warp, self.s, self.c, nodes.reshape(len(sg), -1))
-        rates = rates.reshape(len(sg), 3, *nodes.shape[1:])
-        d, da = d.reshape(nodes.shape)[..., -1], da.reshape(nodes.shape)[..., -1]
-        part = self.cum[rows, :, k].transpose(0, 2, 1)
-        return part + h[:, None] * (rates[..., :-1] @ _GAUSS_W), rates[:, 0, :, -1], d, da
+    def _nodes(self, k: np.ndarray) -> tuple:
+        """The data of the panels k (rows x panels) of each row's window, from
+        one lookup of their ten Gauss nodes in sigma, the very nodes of the
+        window's rule: each panel's start and width in sigma, the integrals
+        (t - t_in, psi, J) at its start, and (dt, dpsi, dJ)/dsigma,
+        m = D / (L sigma^2) and A' at its nodes (rows x 5 x panels x nodes)."""
+        rows = np.arange(len(self))[:, None]
+        lo, h = self.sigma[rows, k], self.sigma[rows, k + 1] - self.sigma[rows, k]
+        sg = (lo[..., None] + h[..., None] * _GAUSS_X).reshape(len(self), -1)
+        rates, _, da, m = _rates(self.warp, self.s, self.c, sg)
+        f = np.concatenate((rates, m[:, None], da[:, None]), axis=1)
+        return lo, h, self.cum[rows, :, k].transpose(0, 2, 1), f.reshape(len(self), 5, *k.shape[1:], _GAUSS)
+
+    def _partial(self, nodes: tuple, xi: np.ndarray):
+        """(sigma, the integrals (t - t_in, psi, J) from the entry, dt/dsigma,
+        D, A') at the points xi in [-1, 1] (rows x points) of the panels of
+        ``nodes`` (``_nodes``, which broadcast against xi), from the panels'
+        node data alone: the integral from a panel's start is its Legendre
+        integration row (``_integration_row``) on the node rates, and
+        dt/dsigma, m and A' the barycentric formula on the node values
+        (``warp._BARYCENTRIC``), with D = L sigma^2 m: m, not D, keeps its
+        sign to sigma = 0."""
+        lo, h, start, f = nodes
+        sg = lo + 0.5 * h * (xi + 1.0)
+        part = start + h[:, None] * (f[:, :3] * _integration_row(xi)[:, None]).sum(axis=-1)
+        diff = xi[..., None] - _XI  # the node value at a node
+        node = diff == 0.0
+        q = np.where(node.any(axis=-1, keepdims=True), node, _BARYCENTRIC / np.where(node, 1.0, diff))
+        rate, m, da = ((f[:, (0, 3, 4)] * q[:, None]).sum(axis=-1) / q.sum(axis=-1)[:, None]).swapaxes(0, 1)
+        return sg, part, rate, (self.r + self.eps - self.s)[:, None] * sg * sg * m, da
 
     def at(self, tau: np.ndarray):
         """(sigma, (t - t_in, psi, J), D, A') at the times tau = t - t_in in
-        the window of a grid of one: Newton on the t integral, whose rate is
-        closed form, started from the linear interpolant between the panel
-        ends."""
-        cum, sigma = self.cum[0], self.sigma[0]
-        tau = np.minimum(tau, cum[0, -1])
-        sg = np.interp(tau, cum[0], sigma)[None]
+        the window of a grid of one: Newton on the t integral inside the
+        panel of each tau, on the panel's node data (``_nodes``, one lookup
+        for every tau), started from the linear interpolant between the
+        panel ends."""
+        cum = self.cum[0, 0]
+        tau = np.minimum(tau, cum[-1])
+        k = np.clip(np.searchsorted(cum, tau, side="right") - 1, 0, _PANELS - 1)
+        nodes, xi = self._nodes(k[None]), (2.0 * (tau - cum[k]) / (cum[k + 1] - cum[k]) - 1.0)[None]
         for _ in range(_NEWTON_MAX):
-            part, rate, _, _ = self._partial(sg)
-            step = (part[:, 0] - tau) / rate
-            sg = np.minimum(np.maximum(sg - step, sigma[0]), 1.0)
+            _, part, rate, _, _ = self._partial(nodes, xi)
+            step = (part[:, 0] - tau) / rate  # in sigma
+            xi = np.minimum(np.maximum(xi - 2.0 * step / nodes[1], -1.0), 1.0)
             if np.max(np.abs(step)) <= _NEWTON_STEP:
                 break
-        part, _, d, da = self._partial(sg)
+        sg, part, _, d, da = self._partial(nodes, xi)
         return sg[0], part[0], d[0], da[0]
 
     def _at(self, tau: np.ndarray):
@@ -328,37 +353,59 @@ class RadialGrid:
     def window_minima(self, in_plane: np.ndarray) -> np.ndarray:
         """The minimum over each row's window of the even solution U
         (U(0) = 1, U'(0) = 0) of the in-plane equation where ``in_plane``,
-        else the off-plane one, given U' <= 0 at t_in and U' > 0 at t_x: U
-        where U' turns positive, found from the first panel end past the turn
-        by Newton in sigma on the partial integrals of that panel, with
-        U'' = -k U and dt/dsigma in closed form, bisecting where a step would
-        leave the bracket; at most _NEWTON_MAX steps, each one lookup for
-        every row still turning.  U is the value at Newton's last point,
-        which the step bound puts within the square of a step of the minimum.
-        One lookup gives (D, A') at the panel ends of every row.  (A scan
-        meets these minima at turning points only, s >= r.)
+        else the off-plane one, given U' <= 0 at t_in and U' > 0 at t_x.
+
+        A row at rest at t_in = 0 whose kernel k is <= 0 there (K_par(s)
+        in-plane, K_perp(s) off-plane) has U'' = -k U >= 0 from t_in on, k
+        changing sign at most once, from + to - (``jacobi.even_minima``): its
+        minimum is U(t_in) = 1, with no step.  In the others U' turns
+        positive in the panel whose end is the first with U' > 0 (in-plane
+        U' is A' times a function of J alone, which the panel ends hold;
+        off-plane takes one lookup of the ends).  One lookup of that panel's
+        nodes (``_nodes``) gives U' at each node, and Newton on the node data
+        (``_partial``), with U'' = -k U, starts from the first node where
+        U' > 0, bracketed by the node before it, bisecting where a step would
+        leave the bracket: at most _NEWTON_MAX steps, none a lookup, each
+        stopping once below _NEWTON_STEP in sigma.
+        U is the value at Newton's last point, which the step bound puts
+        within the square of a step of the minimum.  (A scan meets these
+        minima at turning points only, s >= r.)
         In-plane U = cos(t_in) U - sin(t_in) V of the window pair.
         Off-plane U = A cos(theta) / A(s) with theta = theta(t_in) + A(s) psi,
         U' = (A' rho' cos(theta) - (A(s)/A) sin(theta)) / A(s) and
         k = rho'^2 K_par + (1 - rho'^2) K_perp, K_perp = (1 - A'^2) / A^2."""
-        _, d, da = _rates(self.warp, self.s, self.c, self.sigma)  # at every row's panel ends
-        rising = self._even(in_plane, self.sigma, self.cum, d, da)[1] > 0.0
-        rows, k = np.arange(len(self)), np.maximum(np.argmax(rising, axis=1), 1)
-        lo, sg = self.sigma[rows, k - 1], self.sigma[rows, k]
-        hi, least, grid = sg, np.empty(len(self)), self
-        for _ in range(_NEWTON_MAX):  # on the rows still turning
-            part, rate, d, da = grid._partial(sg[:, None])
-            u, du, kk = (v[:, 0] for v in grid._even(in_plane[rows], sg[:, None], part, d, da))
-            least[rows] = u
-            lo, hi = np.where(du > 0.0, lo, sg), np.where(du > 0.0, sg, hi)
-            slope = -kk * u * rate[:, 0]  # dU'/dsigma = -k U dt/dsigma
+        n, least = len(self), np.ones(len(self))
+        with np.errstate(divide="ignore", invalid="ignore"):  # read at rest only, where A(s) > 0
+            kernel = self._even(in_plane, np.zeros((n, 1)), np.zeros((n, 3, 1)), 0.0, self.entry[:, 1:])[2]
+        rows = np.flatnonzero((self.t_in > 0.0) | ~(kernel[:, 0] <= 0.0))
+        if not rows.size:
+            return least
+        grid, plane = self._take(rows), in_plane[rows]
+        # the first panel end where U' > 0; in-plane U' is A' times a function of J, so any D, A' > 0 serve
+        d, da, off = np.ones_like(grid.sigma), np.ones_like(grid.sigma), ~plane
+        if off.any():
+            _, d[off], da[off], _ = _rates(self.warp, grid.s[off], grid.c[off], grid.sigma[off])
+        k = np.maximum(np.argmax(grid._even(plane, grid.sigma, grid.cum, d, da)[1] > 0.0, axis=1), 1) - 1
+        nodes, now = grid._nodes(k[:, None]), np.arange(len(rows))
+        # U' at the panel's nodes and its end; Newton in xi (sigma = start + h (1 + xi) / 2)
+        sg, part, rate, d, da = grid._partial(nodes, np.broadcast_to(_STOPS[1:], (len(rows), _GAUSS + 1)))
+        u, du, kk = grid._even(plane, sg, part, d, da)
+        first = np.argmax((du > 0.0) | (np.arange(_GAUSS + 1) == _GAUSS), axis=1)
+        u, du, kk, rate = (v[now, first] for v in (u, du, kk, rate))
+        lo, xi, hi, h = _STOPS[first], _STOPS[first + 1], _STOPS[first + 1], 0.5 * nodes[1][:, 0]
+        for _ in range(_NEWTON_MAX):  # a row that has converged keeps its xi, and so its values
+            lo, hi = np.where(du > 0.0, lo, xi), np.where(du > 0.0, xi, hi)
+            slope = -h * kk * u * rate  # dU'/dxi = -k U dt/dsigma h/2
             with np.errstate(divide="ignore", invalid="ignore"):
-                new = np.where(slope > 0.0, sg - du / slope, np.nan)
+                new = np.where(slope > 0.0, xi - du / slope, np.nan)
             new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
-            on = np.abs(new - sg) > _NEWTON_STEP
+            on = h * np.abs(new - xi) > _NEWTON_STEP  # in sigma
             if not on.any():
                 break
-            rows, grid, lo, sg, hi = rows[on], grid._take(on), lo[on], new[on], hi[on]
+            xi = np.where(on, new, xi)
+            sg, part, rate, d, da = grid._partial(nodes, xi[:, None])
+            u, du, kk, rate = (v[:, 0] for v in (*grid._even(plane, sg, part, d, da), rate))
+        least[rows] = u
         return least
 
     def _even(self, in_plane: np.ndarray, sg: np.ndarray, part: np.ndarray, d, da) -> tuple:
@@ -672,10 +719,15 @@ def radial_exit_slope(s: float, r: float) -> float:
 # (about 1e-16 each) leaves the plain difference less than half its digits
 # there, and none within ulps of rest, where it rounds to 0.
 _FAR = 2
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(10)
-_GAUSS_X, _GAUSS_W = 0.5 * (_GAUSS_X + 1.0), 0.5 * _GAUSS_W  # on [0, 1]
+_GAUSS_X, _GAUSS_W = 0.5 * (_XI + 1.0), 0.5 * _WEIGHTS  # on [0, 1]
 _BAND = 0.1
 _REST = 1e-8
+# A point inside a panel is taken from the panel's node data (``_partial``):
+# the values at its nodes -> its Legendre coefficients, halved (the discrete
+# transform, as in ``warp._CUMULATIVE``), and the nodes with the panel's ends
+# in xi
+_TRANSFORM = (0.5 * np.arange(_GAUSS) + 0.25)[:, None] * np.polynomial.legendre.legvander(_XI, 9).T * _WEIGHTS
+_STOPS = np.concatenate(([-1.0], _XI, [1.0]))
 # Newton stops once its step in sigma is below _NEWTON_STEP: what is left of
 # the error is then of the order of the step squared
 _NEWTON_STEP = 1e-9
@@ -688,23 +740,24 @@ _NEWTON_MAX = 8
 _FLAT = 1e-10
 # A scan solves its grids in blocks of _BLOCK rows (``_blocks``), each
 # default grid (34 small-s rows, 85 to 127 mid-s rows up to eps 1.45) as one,
-# and a window lookup takes _ROWS rows at a time (``_rates``), so that what
-# a scan holds at once grows with neither.  Measured with tracemalloc at
-# eps 0.05, _solve and even_minima on 128 rows: far windows peak at 1.55 MB,
-# sigma windows (320 lookups each, and the turning bands') at 3.8 MB (6.5 MB
-# with the lookup of all the rows at once), rows past the transition at
-# 0.52 MB
+# and a window lookup holds at most the points of _ROWS windows' nodes at a
+# time (``_rates``), so that what a scan holds at once grows with neither.
+# Measured with tracemalloc at eps 0.05, _solve and even_minima on 128 rows:
+# far windows peak at 1.55 MB, sigma windows (320 lookups each, and the
+# turning bands') at 3.8 MB (6.5 MB with the lookup of all the rows at once),
+# rows past the transition at 0.52 MB
 _BLOCK = 128
 _ROWS = 16
 
 
 def _rates(warp: WarpFunction, s: np.ndarray, c: np.ndarray, sg: np.ndarray) -> tuple:
-    """(dt, dpsi, dJ)/dsigma (rows x 3 x points), D and A' (rows x points)
-    at the sigma sg (rows x points) of the windows of the geodesics at s,
-    with c = A(s); _ROWS rows at a time, which bounds what a lookup holds."""
-    if len(s) > _ROWS:
-        parts = (_rates(warp, s[i:i + _ROWS], c[i:i + _ROWS], sg[i:i + _ROWS])
-                 for i in range(0, len(s), _ROWS))
+    """(dt, dpsi, dJ)/dsigma (rows x 3 x points), D, A' and m = D / (L sigma^2)
+    (rows x points) at the sigma sg (rows x points) of the windows of the
+    geodesics at s, with c = A(s); as many rows at a time as hold the points
+    of _ROWS windows' nodes, which bounds what a lookup holds."""
+    rows = max(1, _ROWS * _PANELS * _GAUSS // max(1, sg.shape[1]))
+    if len(s) > rows:
+        parts = (_rates(warp, s[i:i + rows], c[i:i + rows], sg[i:i + rows]) for i in range(0, len(s), rows))
         return tuple(np.concatenate(v) for v in zip(*parts))
     (r, eps), s, c = (warp.params.r, warp.params.eps), s[:, None], c[:, None]
     length = r + eps - s
@@ -722,7 +775,21 @@ def _rates(warp: WarpFunction, s: np.ndarray, c: np.ndarray, sg: np.ndarray) -> 
     # dt/dsigma = 2 L sigma (c + D) / sqrt(D (2c + D)), with m = D / (L sigma^2)
     dt = 2.0 * np.sqrt(length) * (c + d) / np.sqrt(m * (2.0 * c + d))
     k_par = 1.0 - 2.0 * mollifier((s + lsq - r) / eps)
-    return np.stack((dt, dt / ((c + d) * (c + d)), k_par / (da * da) * dt), axis=1), d, da
+    return np.stack((dt, dt / ((c + d) * (c + d)), k_par / (da * da) * dt), axis=1), d, da, m
+
+
+def _integration_row(xi: np.ndarray) -> np.ndarray:
+    """The weights (... x nodes) of a panel's node values in their integral
+    from the panel's start to the points xi in [-1, 1] (...), in units of
+    the panel's width: its Legendre series (``_TRANSFORM``) integrated from
+    -1, int P_0 = 1 + xi and int P_n = (P_{n+1} - P_{n-1}) / (2n + 1), with
+    P_n(xi) by Bonnet's recurrence (Greengard, SIAM J. Numer. Anal. 28,
+    1991)."""
+    p = [np.ones_like(xi), xi]
+    for n in range(1, _GAUSS):
+        p.append(((2 * n + 1) * xi * p[n] - n * p[n - 1]) / (n + 1))
+    q = [1.0 + xi] + [(p[n + 1] - p[n - 1]) / (2 * n + 1) for n in range(1, _GAUSS)]
+    return np.stack(q, axis=-1) @ _TRANSFORM
 
 
 def _far_integrals(warp: WarpFunction, s: np.ndarray, c: np.ndarray) -> np.ndarray:

@@ -181,11 +181,14 @@ class TestBlocks:
     def test_fine_mid_s_grid_memory_is_bounded(self):
         # about 4,000 rows, solved in blocks of geodesics._BLOCK = 128 with
         # window lookups of geodesics._ROWS = 16 rows: the traced peak is
-        # 4.45 MB (2-core x86-64, Python 3.11, numpy 2.4), about 1.2 MB of it
-        # the records and most of the rest one block of sigma windows; at
-        # ds = 1e-4 (8,323 rows) it is 4.96 MB, the records grown.  Looking up
-        # a block's 128 rows at once would peak at 7.4 MB, and one grid of all
-        # the rows would hold each row's panel data at once
+        # 5.2 MB (2-core x86-64, Python 3.11, numpy 2.4; 4.5 MB before the
+        # in-window minima took their points from the panel's node data,
+        # whose evaluation at a block's rows holds rows x 3 x 11 x 10
+        # products), about 1.2 MB of it the records and most of the rest one
+        # block of sigma windows; at ds = 1e-4 (8,323 rows) it is 5.6 MB, the
+        # records grown.  Looking up a block's 128 rows at once would peak at
+        # 7.4 MB, and one grid of all the rows would hold each row's panel
+        # data at once
         r = find_r_star(0.05)[0]
         tracemalloc.start()
         try:
@@ -297,20 +300,35 @@ class TestMinLogSlope:
 
 
 class TestScanCounts:
+    @staticmethod
+    def counts(eps: str) -> dict:
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run([sys.executable, str(ROOT / "tools" / "scan_counts.py"), eps],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
     def test_sharp_scan_counts(self):
         # tools/scan_counts.py on a sharp scan: two grids, each one block of
         # rows with one lookup of (A, A')(s), the few lookups of the
         # threshold and the non-trapping check, one Newton loop of at most 4
         # steps past the transition, no window, no in-window minimum, and
         # only the witness's trajectory pieces
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
-        proc = subprocess.run([sys.executable, str(ROOT / "tools" / "scan_counts.py"), "0"],
-                              env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == {"0.0": SHARP_COUNTS}
+        assert self.counts("0") == {"0.0": SHARP_COUNTS}
+
+    def test_mollified_scan_counts(self):
+        # at eps 0.05: 79 far windows on the node table and 6 sigma windows
+        # in one batched lookup; of the 4 in-window minima, 3 are at rest
+        # with K_par(s) <= 0 and so 1 with no step, and the fourth takes one
+        # lookup of its panel's nodes (10 points, none in the turning band)
+        # and 3 evaluations on them: U' at the nodes and 2 Newton steps
+        assert self.counts("0.05") == {"0.05": MOLLIFIED_COUNTS}
 
 
 SHARP_COUNTS = {"grids_solved": 2, "newton_steps_perp": 5, "newton_steps_window": 0,
-                "state_calls": 4, "state_points": 120, "trajectory_pieces": 2, "window_minima": 0,
-                "windows_far": 0, "windows_sigma": 0}
+                "state_calls": 4, "state_points": 120, "trajectory_pieces": 2, "window_lookups": 0,
+                "window_minima": 0, "windows_far": 0, "windows_sigma": 0}
+MOLLIFIED_COUNTS = {"grids_solved": 2, "newton_steps_perp": 5, "newton_steps_window": 3,
+                    "state_calls": 7, "state_points": 3700, "trajectory_pieces": 3, "window_lookups": 1,
+                    "window_minima": 4, "windows_far": 79, "windows_sigma": 6}

@@ -10,8 +10,11 @@ Wraps, at run time, the places where a scan does its work and runs
   values), as rows;
 * ``RadialGrid._turn`` and ``RadialGrid._partial``: Newton steps, each one
   call for all the rows still turning (off-plane past the transition, and
-  in the window);
-* ``RadialGrid.window_minima``: the in-window minima, as rows;
+  in the window, where ``_partial`` evaluates points of a panel from its
+  node data, with no lookup; the first call of each ``window_minima`` takes
+  U' at the panel's nodes);
+* ``RadialGrid.window_minima``: the in-window minima, as rows, and the
+  lookups (``WarpFunction.state`` calls) made inside it;
 * ``Trajectory.from_function``: the trajectory pieces made.
 
 Stdlib and ``ahwarp`` only.  Usage::
@@ -32,6 +35,7 @@ import ahwarp
 from ahwarp import geodesics, ode, warp
 
 _COUNTS: Counter = Counter()
+_INSIDE: list = []  # the window_minima calls under way
 
 
 def _counting(owner, name: str, count) -> None:
@@ -48,14 +52,25 @@ def _counting(owner, name: str, count) -> None:
 
 def _install() -> None:
     _counting(warp.WarpFunction, "state", lambda self, rho: {
-        "state_calls": 1, "state_points": int(getattr(rho, "size", 1))})
+        "state_calls": 1, "state_points": int(getattr(rho, "size", 1)),
+        "window_lookups": int(bool(_INSIDE))})
     _counting(geodesics, "_solve", lambda ss, w, *rest: {"grids_solved": 1})
     _counting(geodesics, "_far_integrals", lambda w, s, c: {"windows_far": len(s)})
     _counting(geodesics, "_sigma_integrals", lambda w, s, c, sigma: {"windows_sigma": len(s)})
     _counting(geodesics.RadialGrid, "_turn", lambda self, e, psi: {"newton_steps_perp": 1})
-    _counting(geodesics.RadialGrid, "_partial", lambda self, sg: {"newton_steps_window": 1})
+    _counting(geodesics.RadialGrid, "_partial", lambda self, nodes, xi: {"newton_steps_window": 1})
     _counting(geodesics.RadialGrid, "window_minima", lambda self, in_plane: {
         "window_minima": len(in_plane)})
+    minima = geodesics.RadialGrid.window_minima
+
+    def window_minima(self, in_plane):
+        _INSIDE.append(None)
+        try:
+            return minima(self, in_plane)
+        finally:
+            _INSIDE.pop()
+
+    geodesics.RadialGrid.window_minima = window_minima
     pieces = ode.Trajectory.from_function.__func__
 
     def from_function(cls, fn, t0, t1):
@@ -70,8 +85,9 @@ def scan_counts(eps: float) -> dict[str, int]:
     counters are installed."""
     _COUNTS.clear()
     ahwarp.assemble_report(eps)
-    keys = ("grids_solved", "state_calls", "state_points", "windows_far", "windows_sigma", "newton_steps_perp",
-            "newton_steps_window", "window_minima", "trajectory_pieces")
+    keys = ("grids_solved", "state_calls", "state_points", "windows_far", "windows_sigma",
+            "newton_steps_perp", "newton_steps_window", "window_minima", "window_lookups",
+            "trajectory_pieces")
     return {key: _COUNTS[key] for key in keys}
 
 
